@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import (
     InvalidIndexKind,
@@ -160,6 +162,37 @@ def dimension_profile(kind: Kind, index: int, n: int) -> DimensionProfile:
     return DimensionProfile(k + 1, n + 2 - k, None, n + 1 - k, k, n - k)
 
 
+def first_inversion(points, values: Mapping[str, Fraction], rank=lambda p: p.index):
+    """First pair (z, w) with rank(z) < rank(w) but not values[z] < values[w].
+
+    "First" in the order of a double loop over ``points``; None when the
+    values are strictly monotone in the rank.  The lowest value above each
+    rank is read off one sorted pass, so the search is O(P log P), not a
+    comparison of every pair.
+    """
+    lowest: Dict[object, Fraction] = {}
+    for p in points:
+        r, v = rank(p), values[p.id]
+        if r not in lowest or v < lowest[r]:
+            lowest[r] = v
+    floor_above = {}
+    floor = None
+    for r in sorted(lowest, reverse=True):
+        floor_above[r] = floor
+        if floor is None or lowest[r] < floor:
+            floor = lowest[r]
+    for z in points:
+        floor, v = floor_above[rank(z)], values[z.id]
+        if floor is not None and floor <= v:
+            w = next(w for w in points if rank(z) < rank(w) and values[w.id] <= v)
+            return z, w
+    return None
+
+
+def _boundary_rank(p: CriticalPoint):
+    return (p.index, p.kind is Kind.BOUNDARY_UNSTABLE)
+
+
 def is_admissible(
     points: Sequence[CriticalPoint],
     values: Optional[Mapping[str, Fraction]] = None,
@@ -180,20 +213,11 @@ def is_admissible(
             vals[p.id] = Fraction(values[p.id])
         else:
             raise PartialConfiguration("no target value for point %r" % (p.id,))
-    for z in points:
-        for w in points:
-            if z.id == w.id:
-                continue
-            if z.index < w.index and not (vals[z.id] < vals[w.id]):
-                return False
-            if (
-                z.index == w.index
-                and z.kind is Kind.BOUNDARY_STABLE
-                and w.kind is Kind.BOUNDARY_UNSTABLE
-                and not (vals[z.id] < vals[w.id])
-            ):
-                return False
-    return True
+    if first_inversion(points, vals) is not None:
+        return False
+    # among boundary points, (index, stable before unstable) must be monotone
+    boundary = [p for p in points if p.kind.is_boundary]
+    return first_inversion(boundary, vals, _boundary_rank) is None
 
 
 @dataclass(frozen=True)
@@ -234,14 +258,72 @@ class MorseDatum:
             seen.add(p.id)
         object.__setattr__(self, "points", pts)
 
+    @cached_property
+    def point_index(self) -> Dict[str, CriticalPoint]:
+        """Point by id, built once per datum."""
+        return {p.id: p for p in self.points}
+
     def point(self, point_id: str) -> CriticalPoint:
-        for p in self.points:
-            if p.id == point_id:
-                return p
-        raise UnknownId("no critical point with id %r" % (point_id,))
+        try:
+            return self.point_index[point_id]
+        except KeyError:
+            raise UnknownId("no critical point with id %r" % (point_id,)) from None
 
     def has_point(self, point_id: str) -> bool:
-        return any(p.id == point_id for p in self.points)
+        return point_id in self.point_index
+
+    @cached_property
+    def clean_order(self) -> bool:
+        """Whether a single-point move may be checked locally.
+
+        True when every flow line runs uphill between known points, every
+        point carries the one effect, the slice replay reports nothing, and
+        every component id is born once and consumed at most once.  Then
+        the replay only depends on each component being made before it is
+        used, so a move of one point can break nothing but the flow lines,
+        inputs and outputs of that point.
+        """
+        from . import slice_topology  # local import, avoids a cycle
+
+        index = self.point_index
+        if len(self.slices.effects) != len(index):
+            return False
+        if not self.slices.component_index.unique:
+            return False
+        for e in self.graph.edges:
+            z, w = index.get(e.src), index.get(e.dst)
+            if z is None or w is None or not z.value < w.value:
+                return False
+        issues, _, _ = slice_topology.replay(self.ambient, self.points, self.slices)
+        return not issues
+
+    def with_point(self, point: CriticalPoint) -> "MorseDatum":
+        """This datum with ``point`` in place of the point of the same id.
+
+        For a move already checked to keep ``clean_order`` (see
+        ``moves.assign_values``): the result is marked clean as it stands.
+        The new point is placed by bisection on the (value, id) order; the
+        other points are neither re-sorted nor re-validated, and the point
+        index is carried over.
+        """
+        key = CriticalPoint.sort_key
+        points = self.points
+        i = bisect_left(points, key(self.point(point.id)), key=key)
+        points = points[:i] + points[i + 1 :]
+        j = bisect_left(points, key(point), key=key)
+        index = dict(self.point_index)
+        index[point.id] = point
+        out = object.__new__(MorseDatum)
+        vars(out).update(
+            ambient=self.ambient,
+            points=points[:j] + (point,) + points[j:],
+            graph=self.graph,
+            slices=self.slices,
+            flags=self.flags,
+            point_index=index,
+            clean_order=True,
+        )
+        return out
 
     def values(self):
         return {p.id: p.value for p in self.points}
@@ -268,6 +350,10 @@ def validate_datum(datum: MorseDatum) -> list:
 
     Covers index ranges, flow graph side conditions (strict value order,
     genericity, loci), slice effect replay, and the closed-component flags.
+    A point whose (kind, index) is out of range is reported here and skips
+    the flow graph checks that need its dimension profile, so the report
+    goes on past it.  The slice effects are replayed once, for both the
+    slice and the flag reports.
     """
     from . import slice_topology, trajectory  # local import, avoids a cycle
 
@@ -279,14 +365,14 @@ def validate_datum(datum: MorseDatum) -> list:
         except InvalidIndexKind as exc:
             issues.append("point %s: %s" % (p.id, exc))
     issues.extend(trajectory.graph_issues(datum.ambient, datum.points, datum.graph))
-    issues.extend(
-        slice_topology.slice_issues(datum.ambient, datum.points, datum.slices)
+    replay_issues, _, final = slice_topology.replay(
+        datum.ambient, datum.points, datum.slices
     )
     issues.extend(
-        slice_topology.flag_issues(
-            datum.ambient, datum.points, datum.slices, datum.flags
-        )
+        slice_topology.slice_issues(datum.points, datum.slices, replay_issues)
     )
+    if not replay_issues:  # a broken replay leaves no top state to judge
+        issues.extend(slice_topology.flag_issues(datum.slices, datum.flags, final))
     return issues
 
 

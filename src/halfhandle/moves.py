@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 from .errors import (
     Blocked,
@@ -44,6 +44,7 @@ from .morse_data import (
     CriticalPoint,
     Kind,
     MorseDatum,
+    first_inversion,
     is_admissible,
     validate_datum,
 )
@@ -83,26 +84,6 @@ class MoveRecord:
             raise ValidationError("rearrange needs one value per id")
 
 
-def component_producers(datum: MorseDatum) -> Dict[str, Optional[str]]:
-    """Map each component id to the point that creates it (None for bottom)."""
-    out: Dict[str, Optional[str]] = {}
-    for c in datum.slices.bottom:
-        out[c.id] = None
-    for e in datum.slices.effects:
-        for c in e.outputs:
-            out[c.id] = e.at
-    return out
-
-
-def component_wall_bits(datum: MorseDatum) -> Dict[str, bool]:
-    """Map each component id to its wall bit (fixed over its lifetime)."""
-    bits = {c.id: c.touches_wall for c in datum.slices.bottom}
-    for e in datum.slices.effects:
-        for c in e.outputs:
-            bits[c.id] = c.touches_wall
-    return bits
-
-
 def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     """Why the given full value assignment is illegal, or None if it is fine.
 
@@ -122,8 +103,15 @@ def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     return None
 
 
-def _moved(datum: MorseDatum, assignments: Mapping[str, Fraction]) -> MorseDatum:
-    """Datum with new critical values; raises if the result is inconsistent."""
+def assign_by_replay(
+    datum: MorseDatum, assignments: Mapping[str, Fraction]
+) -> MorseDatum:
+    """Datum with new critical values; raises if the result is inconsistent.
+
+    The reference check behind ``assign_values``: the whole assignment goes
+    through ``check_assignment``, a full replay, and every point is rebuilt
+    at its new value.
+    """
     for pid in assignments:
         if not datum.has_point(pid):
             raise UnknownId("no critical point with id %r" % (pid,))
@@ -148,6 +136,35 @@ def _moved(datum: MorseDatum, assignments: Mapping[str, Fraction]) -> MorseDatum
     return datum.replace(points=new_points)
 
 
+def _moves_locally(datum: MorseDatum, p: CriticalPoint, v: Fraction) -> bool:
+    """Whether moving p to v keeps a datum whose ``clean_order`` holds clean.
+
+    Looks only at what touches p, in O(deg p) index lookups: its flow lines
+    must stay uphill, and in replay order (value, id) the makers of its
+    inputs must come before (v, p) and the users of its outputs after it.
+    """
+    points = datum.point_index
+    edges = datum.graph.edge_index
+    for e in edges.out_edges.get(p.id, ()):
+        if not v < points[e.dst].value:
+            return False
+    for e in edges.in_edges.get(p.id, ()):
+        if not points[e.src].value < v:
+            return False
+    key = (v, p.id)
+    components = datum.slices.component_index
+    effect = datum.slices.effect_index[p.id]
+    for cid in effect.inputs:
+        maker = components.producer[cid]
+        if maker is not None and not points[maker].sort_key() < key:
+            return False
+    for c in effect.outputs:
+        user = components.consumer.get(c.id)
+        if user is not None and not key < points[user].sort_key():
+            return False
+    return True
+
+
 def assign_values(
     datum: MorseDatum, assignments: Mapping[str, Fraction], note: str = ""
 ) -> Tuple[MorseDatum, MoveRecord]:
@@ -156,9 +173,21 @@ def assign_values(
     The workhorse behind rearrangement; drivers use single-point steps.
     Checks edge order and slice replay, nothing else: points with no flow
     line or surgery dependency between them may pass each other freely.
+
+    Fast path: a single-point move of x on a datum whose ``clean_order``
+    holds is accepted after O(deg x) checks (``_moves_locally``) and only x
+    is re-placed; the result keeps ``clean_order``.  Multi-point moves,
+    other data and every refusal go through ``assign_by_replay``, the full
+    replay that stays the reference, so outcomes and errors are the same.
     """
     ids = tuple(sorted(assignments))
-    moved = _moved(datum, assignments)
+    moved = None
+    if len(ids) == 1 and datum.has_point(ids[0]) and datum.clean_order:
+        p, v = datum.point(ids[0]), Fraction(assignments[ids[0]])
+        if 0 < v < 1 and _moves_locally(datum, p, v):
+            moved = datum.with_point(CriticalPoint(p.id, p.kind, p.index, v))
+    if moved is None:
+        moved = assign_by_replay(datum, assignments)
     record = MoveRecord(
         "rearrange", ids, tuple(Fraction(assignments[i]) for i in ids), note
     )
@@ -227,6 +256,11 @@ def realize_configuration(
     lift all points, in their current order, into a band above everything,
     then bring them down to their targets from the bottom up.
 
+    The targets are checked once by a full replay (``check_assignment``);
+    the park and place steps are single-point moves, so on a datum whose
+    ``clean_order`` holds each one takes the O(deg x) path of
+    ``assign_values``, and the full replay stays the reference for the rest.
+
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
     want = {}
@@ -245,13 +279,12 @@ def realize_configuration(
         if not is_admissible(datum.points, want):
             raise Inadmissible("target configuration violates the index order")
     else:
-        for z in datum.points:
-            for w in datum.points:
-                if z.index < w.index and not (want[z.id] < want[w.id]):
-                    raise Inadmissible(
-                        "codimension one targets must be index monotone "
-                        "(%s vs %s)" % (z.id, w.id)
-                    )
+        inversion = first_inversion(datum.points, want)
+        if inversion is not None:
+            raise Inadmissible(
+                "codimension one targets must be index monotone "
+                "(%s vs %s)" % (inversion[0].id, inversion[1].id)
+            )
 
     problem = check_assignment(datum, want)
     if problem is not None:
@@ -301,7 +334,7 @@ def realize_configuration(
 
 def _starving_pair(datum: MorseDatum, values: Mapping[str, Fraction]):
     """First (consumer, producer) pair out of order under the new values."""
-    producers = component_producers(datum)
+    producers = datum.slices.component_index.producer
     order = sorted(datum.points, key=lambda p: (values[p.id], p.id))
     seen = set()
     for c in datum.slices.bottom:
@@ -362,7 +395,7 @@ def cancel_pair(
     ez = datum.slices.effect_for(z_id)
     ew = datum.slices.effect_for(w_id)
     survivor, final = _inverse_pattern(z, ez, ew)
-    bits = component_wall_bits(datum)
+    bits = datum.slices.component_index.wall_bit
     if bits[survivor] != bits[final]:
         raise InvalidEffect(
             "effects at %s and %s are not inverse: wall bits of %r and %r differ"
@@ -524,19 +557,6 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     return out, MoveRecord("split", (z_id,))
 
 
-def _fresh_component_id(datum: MorseDatum) -> str:
-    taken = set()
-    for c in datum.slices.bottom:
-        taken.add(c.id)
-    for e in datum.slices.effects:
-        for c in e.outputs:
-            taken.add(c.id)
-    i = len(taken)
-    while "c%d" % i in taken:
-        i += 1
-    return "c%d" % i
-
-
 def _split_effects(datum: MorseDatum, z: CriticalPoint, zs_id: str, zu_id: str):
     """The attach pair replacing an interior effect, preserving its boundary.
 
@@ -552,9 +572,10 @@ def _split_effects(datum: MorseDatum, z: CriticalPoint, zs_id: str, zu_id: str):
     effect = datum.slices.effect_for(z.id)
     pre, _ = pre_states(datum.ambient, datum.points, datum.slices)
     state = pre[z.id]
-    mid = _fresh_component_id(datum)
+    components = datum.slices.component_index
+    mid = datum.slices.fresh_component_id()
     mid_comp = SliceComponent(mid, True)
-    producers = component_producers(datum)
+    producers = components.producer
     position = {p.id: i for i, p in enumerate(datum.points)}
 
     def produced_at(cid):
@@ -586,15 +607,11 @@ def _split_effects(datum: MorseDatum, z: CriticalPoint, zs_id: str, zu_id: str):
         if len(touching) == 1:
             direct = touching[0]  # the closed half must ride the unstable side
         else:
-            consumed_at = {}
-            for i, p in enumerate(datum.points):
-                e = datum.slices.effect_for(p.id)
-                for cid in e.inputs:
-                    consumed_at.setdefault(cid, i)
-            direct = min(
-                outs,
-                key=lambda c: (consumed_at.get(c.id, len(datum.points)), outs.index(c)),
-            )
+            used_at = [
+                position.get(components.consumer.get(c.id), len(datum.points))
+                for c in outs
+            ]
+            direct = outs[used_at.index(min(used_at))]
         other = [c for c in outs if c.id != direct.id][0]
         e_s = ComponentEffect(
             zs_id, EffectKind.BOUNDARY_ATTACH, effect.inputs, (direct, mid_comp)

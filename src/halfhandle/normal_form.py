@@ -22,11 +22,10 @@ from .errors import (
     PipelineBlocked,
     StuckNoJoinablePoint,
 )
-from .morse_data import Kind, MorseDatum
+from .morse_data import Kind, MorseDatum, first_inversion
 from .moves import (
     MoveRecord,
     assign_values,
-    component_wall_bits,
     realize_configuration,
     split_interior,
 )
@@ -121,14 +120,6 @@ def tsa_check(
     return True
 
 
-def _joinable(datum: MorseDatum, point_id: str) -> bool:
-    """Surgery input touching the wall; positional-free (wall bits are
-    fixed per component), unlike the general wall query."""
-    bits = component_wall_bits(datum)
-    effect = datum.slices.effect_for(point_id)
-    return any(bits[cid] for cid in effect.inputs)
-
-
 def _dependency_order(datum: MorseDatum, group_ids) -> List[str]:
     """Order a same-level group with producers before their consumers.
 
@@ -203,8 +194,9 @@ def ensure_joinable(
     if n > 1:
         separate([p.id for p in d_cur.interior_points(n, n)], True, "join_high")
 
+    wall_bit = d_cur.slices.component_index.wall_bit  # fixed over a lifetime
     for p in d_cur.interior_points(1, n):
-        if not _joinable(d_cur, p.id):
+        if not any(wall_bit[cid] for cid in d_cur.slices.effect_for(p.id).inputs):
             raise StuckNoJoinablePoint(
                 "interior point %s never joins the wall" % (p.id,)
             )
@@ -297,10 +289,8 @@ def derive_monotone_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
     n = datum.ambient.n
     if n < 2:
         return None
-    for z in datum.points:
-        for w in datum.points:
-            if z.index < w.index and not (z.value < w.value):
-                return None
+    if first_inversion(datum.points, datum.values()) is not None:
+        return None
     low = [p for p in datum.points if p.index <= 1]
     mids = [p for p in datum.points if 2 <= p.index <= n - 1]
     high = [p for p in datum.points if p.index >= n]

@@ -17,7 +17,8 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import (
     CriticalLevel,
@@ -87,9 +88,31 @@ class ComponentEffect:
         return tuple(c.id for c in self.outputs)
 
 
+class ComponentIndex(NamedTuple):
+    """Where each component id of a slice complex starts and ends.
+
+    ``producer`` maps every id to the point whose effect makes it (None for
+    a bottom component) and ``wall_bit`` to its wall bit; for an id made
+    twice the effect at the larger point id wins.  ``consumer`` maps an id
+    to the point whose effect takes it as input, the first in effect order
+    when there are several.  ``unique`` says that every id is made once and
+    consumed at most once, so that these maps tell the whole story.
+    """
+
+    producer: Dict[str, Optional[str]]
+    consumer: Dict[str, str]
+    wall_bit: Dict[str, bool]
+    unique: bool
+
+
 @dataclass(frozen=True)
 class SliceComplex:
-    """Bottom level set components plus one effect per critical point."""
+    """Bottom level set components plus one effect per critical point.
+
+    Both indexes below are built on first use and kept: the complex is
+    immutable, and a rearrangement keeps the complex it started from, so
+    every move of a session shares them.
+    """
 
     bottom: Tuple[SliceComponent, ...]
     effects: Tuple[ComponentEffect, ...]
@@ -107,14 +130,55 @@ class SliceComplex:
                 raise ValidationError("two effects at point %r" % (e.at,))
             seen.add(e.at)
 
-    def effect_for(self, point_id: str) -> ComponentEffect:
+    @cached_property
+    def effect_index(self) -> Dict[str, ComponentEffect]:
+        """Effect by point id."""
+        return {e.at: e for e in self.effects}
+
+    @cached_property
+    def component_index(self) -> ComponentIndex:
+        producer: Dict[str, Optional[str]] = {}
+        wall_bit = {}
+        consumer: Dict[str, str] = {}
+        for c in self.bottom:
+            producer[c.id] = None
+            wall_bit[c.id] = c.touches_wall
+        born = len(self.bottom)
+        used = 0
         for e in self.effects:
-            if e.at == point_id:
-                return e
-        raise UnknownId("no effect recorded at point %r" % (point_id,))
+            for c in e.outputs:
+                producer[c.id] = e.at
+                wall_bit[c.id] = c.touches_wall
+            born += len(e.outputs)
+            for cid in e.inputs:
+                consumer.setdefault(cid, e.at)
+            used += len(e.inputs)
+        unique = born == len(producer) and used == len(consumer)
+        return ComponentIndex(producer, consumer, wall_bit, unique)
+
+    def effect_for(self, point_id: str) -> ComponentEffect:
+        """The effect at a point: one lookup in ``effect_index``.
+
+        Replay calls this once per point, so a full replay is O(P); a
+        single-point move on a clean datum needs no replay at all (see
+        ``MorseDatum.clean_order``), and the full replay stays the
+        reference for every other move.
+        """
+        try:
+            return self.effect_index[point_id]
+        except KeyError:
+            raise UnknownId("no effect recorded at point %r" % (point_id,)) from None
 
     def has_effect(self, point_id: str) -> bool:
-        return any(e.at == point_id for e in self.effects)
+        return point_id in self.effect_index
+
+    def fresh_component_id(self) -> str:
+        """A component id of the form c<i> that no component carries yet."""
+        taken = self.component_index.producer
+        i = len(taken)
+        while "c%d" % i in taken:
+            i += 1
+        return "c%d" % i
 
     def replace_effects(self, drop=(), add=()) -> "SliceComplex":
         dropped = set(drop)
@@ -293,8 +357,12 @@ def replay(ambient: Ambient, points, complex: SliceComplex):
     return issues, pre, state
 
 
-def slice_issues(ambient: Ambient, points, complex: SliceComplex) -> list:
-    """Invariant report for the slice complex against the given points."""
+def slice_issues(points, complex: SliceComplex, replay_issues) -> list:
+    """Invariant report for the slice complex against the given points.
+
+    ``replay_issues`` are the issues of ``replay`` on the same points and
+    complex; they close the report.
+    """
     issues = []
     point_ids = {p.id for p in points}
     for e in complex.effects:
@@ -313,19 +381,15 @@ def slice_issues(ambient: Ambient, points, complex: SliceComplex) -> list:
                     % (c.id, e.at, born[c.id])
                 )
             born[c.id] = e.at
-
-    replay_issues, _, _ = replay(ambient, points, complex)
-    issues.extend(replay_issues)
-    return issues
+    return issues + list(replay_issues)
 
 
-def flag_issues(ambient: Ambient, points, complex: SliceComplex, flags) -> list:
-    """Check the asserted no-closed-component flags against the effects."""
+def flag_issues(complex: SliceComplex, flags, final: Dict[str, bool]) -> list:
+    """Check the asserted no-closed-component flags against the effects.
+
+    ``final`` is the top state of a replay that reported no issues.
+    """
     issues = []
-    replay_issues, _, final = replay(ambient, points, complex)
-    if replay_issues:
-        return issues  # already reported by slice_issues
-
     if flags.no_closed_bottom:
         for c in complex.bottom:
             if not c.touches_wall:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import CycleDetected, ValidationError
-from .morse_data import Ambient, CriticalPoint, Kind, dimension_profile
+from .morse_data import Ambient, CriticalPoint, Kind, dimension_profile, index_bounds
 
 
 class Locus(str, enum.Enum):
@@ -57,6 +58,15 @@ class FlowEdge:
         object.__setattr__(self, "locus", Locus(self.locus))
 
 
+class GraphIndex(NamedTuple):
+    """Edge by (src, dst), and the edges out of and into each point, in
+    edge order; built once per graph."""
+
+    edge: Dict[Tuple[str, str], FlowEdge]
+    out_edges: Dict[str, Tuple[FlowEdge, ...]]
+    in_edges: Dict[str, Tuple[FlowEdge, ...]]
+
+
 @dataclass(frozen=True)
 class TrajectoryGraph:
     edges: tuple
@@ -70,17 +80,23 @@ class TrajectoryGraph:
             seen.add((e.src, e.dst))
         object.__setattr__(self, "edges", edges)
 
-    def edge(self, src: str, dst: str) -> Optional[FlowEdge]:
+    @cached_property
+    def edge_index(self) -> GraphIndex:
+        out_edges: Dict[str, Tuple[FlowEdge, ...]] = {}
+        in_edges: Dict[str, Tuple[FlowEdge, ...]] = {}
         for e in self.edges:
-            if e.src == src and e.dst == dst:
-                return e
-        return None
+            out_edges[e.src] = out_edges.get(e.src, ()) + (e,)
+            in_edges[e.dst] = in_edges.get(e.dst, ()) + (e,)
+        return GraphIndex({(e.src, e.dst): e for e in self.edges}, out_edges, in_edges)
+
+    def edge(self, src: str, dst: str) -> Optional[FlowEdge]:
+        return self.edge_index.edge.get((src, dst))
 
     def successors(self, point_id: str):
-        return [e for e in self.edges if e.src == point_id]
+        return list(self.edge_index.out_edges.get(point_id, ()))
 
     def predecessors(self, point_id: str):
-        return [e for e in self.edges if e.dst == point_id]
+        return list(self.edge_index.in_edges.get(point_id, ()))
 
     def without_points(self, ids: Iterable[str]) -> "TrajectoryGraph":
         drop = set(ids)
@@ -230,8 +246,17 @@ def can_rearrange(graph: TrajectoryGraph, z_id: str, w_id: str) -> bool:
     return not has_path(graph, z_id, w_id)
 
 
+def _in_range(p: CriticalPoint, n: int) -> bool:
+    lo, hi = index_bounds(p.kind, n)
+    return lo <= p.index <= hi
+
+
 def graph_issues(ambient: Ambient, points, graph: TrajectoryGraph) -> list:
-    """Invariant report for the flow graph against the given points."""
+    """Invariant report for the flow graph against the given points.
+
+    An endpoint whose (kind, index) is out of range gets no genericity or
+    locus check: both need its dimension profile, which does not exist.
+    """
     issues = []
     by_id = {p.id: p for p in points}
     for e in graph.edges:
@@ -245,6 +270,8 @@ def graph_issues(ambient: Ambient, points, graph: TrajectoryGraph) -> list:
                 "%s: values %s >= %s, flow must strictly increase"
                 % (tag, z.value, w.value)
             )
+        if not (_in_range(z, ambient.n) and _in_range(w, ambient.n)):
+            continue  # validate_datum reports the bad (kind, index) already
         if generic_disjoint(z, w, ambient):
             issues.append("%s: genericity forces this pair apart" % tag)
         if e.locus is Locus.WALL:

@@ -5,6 +5,7 @@ of ``pytest -v`` doubles as the acceptance report.  The stated time budget
 for a criterion is asserted, not just reported.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -20,6 +21,7 @@ from halfhandle.cli_io import (
     parse_datum,
     parse_script,
     serialize_datum,
+    serialize_decomposition,
     serialize_script,
 )
 from halfhandle.errors import (
@@ -209,8 +211,24 @@ def test_criterion_3_schedule_admissibility(capsys):
     run(capsys, 3, body)
 
 
+# sha256 over every criterion 4 (and 5) run's output datum, script and
+# decomposition, as serialized: refactors must keep them byte for byte.  A
+# change that alters the generator or the driver on purpose updates these
+# and says why.
+CRITERION_4_DIGEST = "88549152cc6739424ad8eb3aad47356ec9bb6960e1a95536082fd765d07dca08"
+CRITERION_5_DIGEST = "d7d41bba2aa9e26398dc4bb1cab371ea89fdc6cdb9ade30b3c3cb02bdf8aa620"
+
+
+def digest_run(digest, out, dec, script):
+    for text in (serialize_datum(out), serialize_script(script),
+                 serialize_decomposition(dec)):
+        digest.update(text.encode("utf-8"))
+        digest.update(b"\0")
+
+
 def test_criterion_4_global_handle_splitting(capsys):
     def body():
+        digest = hashlib.sha256()
         for i in range(500):
             n = 1 + i % 4
             m = n + 2 + (i // 4) % 2
@@ -238,12 +256,15 @@ def test_criterion_4_global_handle_splitting(capsys):
                 [(Fraction(j, denom), Fraction(j + 1, denom))
                  for j in range(denom)]
             replay_byte_identical(d, script, out)
+            digest_run(digest, out, dec, script)
+        assert digest.hexdigest() == CRITERION_4_DIGEST
 
     run(capsys, 4, body)
 
 
 def test_criterion_5_codim_one_weakening(capsys):
     def body():
+        digest = hashlib.sha256()
         for i in range(200):
             n = 3 + i % 3
             spec = GeneratorSpec(n=n, m=n + 1, points=1 + (i * 5) % 8,
@@ -278,6 +299,8 @@ def test_criterion_5_codim_one_weakening(capsys):
             for rec in script:
                 assert not (rec.kind == "split" and rec.ids[0] in kept_ids)
             replay_byte_identical(d, script, out)
+            digest_run(digest, out, dec, script)
+        assert digest.hexdigest() == CRITERION_5_DIGEST
 
     run(capsys, 5, body)
 

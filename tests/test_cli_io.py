@@ -1,6 +1,10 @@
 """Text formats, the generator, the search oracle, and the CLI."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +306,38 @@ def test_cli_validate(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def out_of_range_datum():
+    """A stable point of index 0 with a flow line out of it, plus a closed
+    component that lives from bottom to top."""
+    return datum(
+        4, 2,
+        [comp("c0", True), comp("c9", False)],
+        [pt("a", Kind.BOUNDARY_STABLE, 0, Fraction(1, 3)),
+         pt("b", Kind.INTERIOR, 1, Fraction(2, 3))],
+        [edge("a", "b", 1, Locus.MEMBRANE)],
+        [eff("a", EffectKind.BOUNDARY_ATTACH, ("c0",), (comp("c1", True),)),
+         eff("b", EffectKind.INTERNAL, ("c1",), (comp("c2", True),))],
+    )
+
+
+OUT_OF_RANGE_ISSUES = [
+    "point a: index 0 out of range [1, 3] for boundary_stable with n=2",
+    "flag no_closed_bottom but bottom component 'c9' is closed",
+    "flag no_closed_top but top component 'c9' is closed",
+]
+
+
+def test_validate_lists_every_issue_past_an_out_of_range_index():
+    # the edge out of ``a`` gets no genericity check: ``a`` has no profile
+    assert validate_datum(out_of_range_datum()) == OUT_OF_RANGE_ISSUES
+
+
+def test_cli_validate_prints_every_issue(tmp_path, capsys):
+    path = write(tmp_path, "bad.hh", serialize_datum(out_of_range_datum()))
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out.splitlines() == OUT_OF_RANGE_ISSUES
+
+
 def test_cli_profile(capsys):
     assert main(["profile", "--kind", "interior", "--index", "1",
                  "--n", "2"]) == 0
@@ -409,3 +445,14 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
     assert main(["generate", "--n", "1", "--m", "3", "--points", "2",
                  "--seed", "0", "--leave-closed-component"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "halfhandle", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: halfhandle")
