@@ -297,14 +297,49 @@ class MorseDatum:
         issues, _, _ = slice_topology.replay(self.ambient, self.points, self.slices)
         return not issues
 
+    @cached_property
+    def valid(self) -> bool:
+        """Whether ``validate_datum`` finds nothing, worked out once per datum.
+
+        The precondition of the local check in ``moves.split_interior``,
+        and read nowhere else: ``validate_datum`` never looks at it.  A
+        move whose own checks keep a valid datum valid sets it on its
+        result (``with_point``, a split that passes its local checks).
+        """
+        return not validate_datum(self)
+
+    def derived(self, points, graph, slices, **cached) -> "MorseDatum":
+        """A datum of the same ambient and flags with the given fields.
+
+        For moves that build ``points`` already in (value, id) order with
+        distinct ids: nothing is re-sorted or re-checked.  ``cached`` fills
+        cached properties (``point_index``, ``clean_order``, ``valid``) that
+        the move has established.
+        """
+        out = object.__new__(MorseDatum)
+        vars(out).update(
+            ambient=self.ambient,
+            points=points,
+            graph=graph,
+            slices=slices,
+            flags=self.flags,
+            **cached,
+        )
+        return out
+
     def with_point(self, point: CriticalPoint) -> "MorseDatum":
         """This datum with ``point`` in place of the point of the same id.
 
         For a move already checked to keep ``clean_order`` (see
-        ``moves.assign_values``): the result is marked clean as it stands.
-        The new point is placed by bisection on the (value, id) order; the
-        other points are neither re-sorted nor re-validated, and the point
-        index is carried over.
+        ``moves.assign_values``): the result is marked clean as it stands,
+        and valid when this datum is known to be.  A move that keeps the
+        edges uphill and the replay clean keeps every clause of
+        ``validate_datum``: the rest does not look at the values, and with
+        every component id made once and used once the top state and the
+        flag union-find do not depend on the order.  The new point is
+        placed by bisection on the (value, id) order; the other points are
+        neither re-sorted nor re-validated, and the point index is carried
+        over.
         """
         key = CriticalPoint.sort_key
         points = self.points
@@ -313,17 +348,15 @@ class MorseDatum:
         j = bisect_left(points, key(point), key=key)
         index = dict(self.point_index)
         index[point.id] = point
-        out = object.__new__(MorseDatum)
-        vars(out).update(
-            ambient=self.ambient,
-            points=points[:j] + (point,) + points[j:],
-            graph=self.graph,
-            slices=self.slices,
-            flags=self.flags,
+        cached = {"valid": True} if vars(self).get("valid") is True else {}
+        return self.derived(
+            points[:j] + (point,) + points[j:],
+            self.graph,
+            self.slices,
             point_index=index,
             clean_order=True,
+            **cached,
         )
-        return out
 
     def values(self):
         return {p.id: p.value for p in self.points}

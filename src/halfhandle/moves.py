@@ -13,10 +13,23 @@ Three families of moves, each with exact side conditions:
 Every move returns the rewritten datum together with a replayable record.
 Failures raise a MoveError subclass naming the side condition; the input
 datum is never modified.
+
+Every move is checked.  The full checks are a slice replay for
+rearrangements and ``validate_datum`` on the result for cancellations and
+splits.  Two moves also have a local check, in time proportional to the
+degree of the point, on data where it is known to suffice: moving one
+point of a datum whose ``clean_order`` holds (``assign_values``), and
+splitting a point of a datum whose ``valid`` holds (``split_interior``).
+A split is local, as in the splitting theorem: it changes the flow lines
+and the surgery of one point and nothing else, so its result is valid
+when the new pair's flow lines and attach effects are.  The full checks
+stay the reference: whenever a local check does not pass, the full check
+decides, so outcomes and messages do not depend on the path taken.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Tuple
@@ -53,7 +66,9 @@ from .slice_topology import (
     EffectKind,
     SliceComplex,
     SliceComponent,
-    joinable_to_wall,
+    apply_effect,
+    effect_row_issues,
+    pre_states,
     replay,
 )
 from .trajectory import (
@@ -61,6 +76,7 @@ from .trajectory import (
     Locus,
     TrajectoryGraph,
     can_rearrange,
+    edge_issues,
     generic_disjoint,
     has_broken_path,
 )
@@ -500,6 +516,16 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     and finishes the original surgery, joined to its partner by a single
     flow line in the wall.  Incoming flow lines move to the stable half,
     outgoing ones to the unstable half.
+
+    The new datum is built the same way on every path: the pair takes z's
+    place in the point order, found by bisection, unchanged flow lines and
+    effects are kept, and the point index is carried over.  On a datum
+    whose ``valid`` holds, joinability is read off the wall bits of z's
+    inputs and the result is judged by ``_splits_locally``; a result that
+    passes is marked ``valid`` and ``clean_order``.  Other data, and
+    results the local check does not pass, go through the full
+    ``validate_datum``, which stays the reference, so outcomes and
+    messages do not depend on the path.
     """
     z = datum.point(z_id)
     n = datum.ambient.n
@@ -510,21 +536,29 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
             "split applies to indices 1..%d, point %r has index %d"
             % (n, z_id, z.index)
         )
-    if not joinable_to_wall(datum.ambient, datum.points, datum.slices, z_id):
+    known_valid = datum.valid
+    if known_valid:
+        bits = datum.slices.component_index.wall_bit  # fixed over a lifetime
+    else:
+        pre, _ = pre_states(datum.ambient, datum.points, datum.slices)
+        bits = pre[z_id]
+    effect = datum.slices.effect_for(z_id)
+    if not any(bits.get(cid, False) for cid in effect.inputs):
         raise NotJoinable(
             "the surgery at %r happens away from the wall" % (z_id,)
         )
-    below = [p.value for p in datum.points if p.value < z.value]
-    above = [p.value for p in datum.points if p.value > z.value]
-    if len(below) + len(above) != len(datum.points) - 1:
+    points = datum.points
+    i = bisect_left(points, z.sort_key(), key=CriticalPoint.sort_key)
+    below = points[i - 1].value if i > 0 else Fraction(0)
+    above = points[i + 1].value if i + 1 < len(points) else Fraction(1)
+    if z.value in (below, above):
         raise MoveError(
             "point %r shares its critical value; separate the points first"
             % (z_id,)
         )
-    gap_lo = z.value - max(below + [Fraction(0)])
-    gap_hi = min(above + [Fraction(1)]) - z.value
-    v_s = z.value - gap_lo / 2
-    v_u = z.value + gap_hi / 3  # thirds above, halves below: pairs never collide
+    # thirds above, halves below: pairs never collide
+    v_s = z.value - (z.value - below) / 2
+    v_u = z.value + (above - z.value) / 3
 
     zs_id, zu_id = z_id + "s", z_id + "u"
     while datum.has_point(zs_id):
@@ -534,21 +568,29 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     zs = CriticalPoint(zs_id, Kind.BOUNDARY_STABLE, z.index, v_s)
     zu = CriticalPoint(zu_id, Kind.BOUNDARY_UNSTABLE, z.index, v_u)
 
-    e_s, e_u = _split_effects(datum, z, zs_id, zu_id)
+    e_s, e_u = _split_effects(datum, effect, bits, zs_id, zu_id)
 
-    new_points = tuple(
-        p for p in datum.points if p.id != z_id
-    ) + (zs, zu)
-    moved_edges = []
-    for e in datum.graph.edges:
-        src = zu_id if e.src == z_id else e.src
-        dst = zs_id if e.dst == z_id else e.dst
-        moved_edges.append(FlowEdge(src, dst, e.count, e.locus))
-    new_graph = TrajectoryGraph(
-        tuple(moved_edges) + (FlowEdge(zs_id, zu_id, 1, Locus.WALL),)
-    )
+    index = dict(datum.point_index)
+    del index[z_id]
+    index[zs_id], index[zu_id] = zs, zu
+    graph = datum.graph
+    moved = tuple(
+        FlowEdge(e.src, zs_id, e.count, e.locus) for e in graph.predecessors(z_id)
+    ) + tuple(
+        FlowEdge(zu_id, e.dst, e.count, e.locus) for e in graph.successors(z_id)
+    ) + (FlowEdge(zs_id, zu_id, 1, Locus.WALL),)
+    kept = tuple(e for e in graph.edges if z_id not in (e.src, e.dst))
+    new_graph = TrajectoryGraph(kept + moved)
     new_slices = datum.slices.replace_effects(drop=(z_id,), add=(e_s, e_u))
-    out = MorseDatum(datum.ambient, new_points, new_graph, new_slices, datum.flags)
+    out = datum.derived(
+        points[:i] + (zs, zu) + points[i + 1 :],
+        new_graph,
+        new_slices,
+        point_index=index,
+    )
+    if known_valid and _splits_locally(datum, out, effect, bits, moved, e_s, e_u):
+        vars(out).update(valid=True, clean_order=True)
+        return out, MoveRecord("split", (z_id,))
     issues = validate_datum(out)
     if issues:
         raise InvalidEffect(
@@ -557,33 +599,60 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     return out, MoveRecord("split", (z_id,))
 
 
-def _split_effects(datum: MorseDatum, z: CriticalPoint, zs_id: str, zu_id: str):
+def _splits_locally(datum, out, effect, bits, moved, e_s, e_u) -> bool:
+    """Whether a split of a valid datum leaves a valid result, judged by
+    the pair alone in O(deg z).
+
+    The flow lines touching the pair, the new wall line included, must
+    pass ``edge_issues``; the other lines and points are as before, and
+    with every line uphill there is no cycle.  The two attach effects must
+    pass their rows of the validity table and apply in turn to the wall
+    bits of z's inputs, which on a valid datum are the components live
+    just below z.  The pair sits in z's gap and leaves the state above z
+    as it was, so the rest of the replay, the top state and the flags do
+    not change: the fresh component touches the wall inside z's piece,
+    which reaches it already.  The pair's indices are z's, in range for
+    both boundary kinds.
+    """
+    points = out.point_index
+    for e in moved:
+        if edge_issues(datum.ambient, points[e.src], points[e.dst], e):
+            return False
+    state = {cid: bits[cid] for cid in effect.inputs}
+    try:
+        for e in (e_s, e_u):
+            if effect_row_issues(points[e.at], datum.ambient.n, e, state):
+                return False
+            state = apply_effect(state, e)
+    except InvalidEffect:
+        return False
+    return True
+
+
+def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_id):
     """The attach pair replacing an interior effect, preserving its boundary.
 
-    The stable half grabs the wall with a tongue (a fresh half-open collar
-    component); the unstable half finishes the surgery, reproducing the
-    original output ids and bits so that no other effect needs rewriting.
-    For a merge the tongue attaches to the input that is not the witness
-    (the witness being the most recently created input touching the wall);
-    for a split the wall-touching output leaves at the stable half.
+    ``bits`` gives the wall bit of each input of the effect just below its
+    point.  The stable half grabs the wall with a tongue (a fresh half-open
+    collar component); the unstable half finishes the surgery, reproducing
+    the original output ids and bits so that no other effect needs
+    rewriting.  For a merge the tongue attaches to the input that is not
+    the witness (the witness being the most recently created input touching
+    the wall); for a split the wall-touching output leaves at the stable
+    half.
     """
-    from .slice_topology import pre_states
-
-    effect = datum.slices.effect_for(z.id)
-    pre, _ = pre_states(datum.ambient, datum.points, datum.slices)
-    state = pre[z.id]
     components = datum.slices.component_index
     mid = datum.slices.fresh_component_id()
     mid_comp = SliceComponent(mid, True)
     producers = components.producer
-    position = {p.id: i for i, p in enumerate(datum.points)}
+    points = datum.point_index
 
-    def produced_at(cid):
+    def produced_at(cid):  # bottom components first, then in point order
         owner = producers.get(cid)
-        return (-1, "") if owner is None else (position[owner], owner)
+        return (Fraction(0), "") if owner is None else points[owner].sort_key()
 
     if effect.kind is EffectKind.MERGE:
-        touching = [cid for cid in effect.inputs if state.get(cid, False)]
+        touching = [cid for cid in effect.inputs if bits.get(cid, False)]
         witness = max(touching, key=lambda cid: (produced_at(cid), cid))
         other = [cid for cid in effect.inputs if cid != witness][0]
         e_s = ComponentEffect(
@@ -606,10 +675,11 @@ def _split_effects(datum: MorseDatum, z: CriticalPoint, zs_id: str, zu_id: str):
         touching = [c for c in outs if c.touches_wall]
         if len(touching) == 1:
             direct = touching[0]  # the closed half must ride the unstable side
-        else:
+        else:  # the output used first, outputs never used last
+            never = (Fraction(1), "")
             used_at = [
-                position.get(components.consumer.get(c.id), len(datum.points))
-                for c in outs
+                points[user].sort_key() if user in points else never
+                for user in (components.consumer.get(c.id) for c in outs)
             ]
             direct = outs[used_at.index(min(used_at))]
         other = [c for c in outs if c.id != direct.id][0]

@@ -433,6 +433,20 @@ def _require_flags(datum: MorseDatum, stage: str):
         )
 
 
+def _run_stage(stage: str, fn, datum: MorseDatum, script: List[MoveRecord]):
+    """Run one pipeline stage ``fn(datum) -> (datum, records)``.
+
+    Appends the stage's records to ``script`` and returns its datum; a
+    refused move surfaces as PipelineBlocked naming the stage.
+    """
+    try:
+        datum, part = fn(datum)
+    except MoveError as exc:
+        raise PipelineBlocked(stage, exc) from exc
+    script.extend(part)
+    return datum
+
+
 def _global_split_deep(datum):
     dec = derive_half_handle_decomposition(datum)
     if dec is not None and verify_decomposition(datum, dec):
@@ -440,24 +454,24 @@ def _global_split_deep(datum):
     _require_flags(datum, "hypotheses")
     n = datum.ambient.n
     script: List[MoveRecord] = []
-    d = datum
-
-    def run(stage, fn):
-        nonlocal d
-        try:
-            d, part = fn(d)
-        except MoveError as exc:
-            raise PipelineBlocked(stage, exc) from exc
-        script.extend(part)
-
-    run("schedule", lambda cur: realize_configuration(cur, schedule_levels(cur)))
+    d = _run_stage(
+        "schedule",
+        lambda cur: realize_configuration(cur, schedule_levels(cur)),
+        datum,
+        script,
+    )
     cuts = band_levels(n)
     if not tsa_check(d, *cuts):
         raise PipelineBlocked("bands", "scheduling left a point out of its band")
-    run("joinability", lambda cur: ensure_joinable(cur, cuts))
-    run("separation", _separate_middle_levels)
-    run("split", _split_all_interior)
-    run("final", lambda cur: realize_configuration(cur, _segment_targets(cur)))
+    d = _run_stage("joinability", lambda cur: ensure_joinable(cur, cuts), d, script)
+    d = _run_stage("separation", _separate_middle_levels, d, script)
+    d = _run_stage("split", _split_all_interior, d, script)
+    d = _run_stage(
+        "final",
+        lambda cur: realize_configuration(cur, _segment_targets(cur)),
+        d,
+        script,
+    )
     dec = derive_half_handle_decomposition(d)
     if dec is None or not verify_decomposition(d, dec):
         raise PipelineBlocked("verify", "driver output is not in normal form")
@@ -534,15 +548,6 @@ def _global_split_codim_one(datum):
             return datum, dec, []
     _require_flags(datum, "hypotheses")
     script: List[MoveRecord] = []
-    d = datum
-
-    def run(stage, fn):
-        nonlocal d
-        try:
-            d, part = fn(d)
-        except MoveError as exc:
-            raise PipelineBlocked(stage, exc) from exc
-        script.extend(part)
 
     def spread(cur):
         ordered = sorted(cur.points, key=lambda p: (p.index, p.sort_key()))
@@ -552,7 +557,7 @@ def _global_split_codim_one(datum):
         }
         return realize_configuration(cur, targets)
 
-    run("order", spread)
+    d = _run_stage("order", spread, datum, script)
 
     def split_middles(cur):
         part: List[MoveRecord] = []
@@ -561,7 +566,7 @@ def _global_split_codim_one(datum):
             part.append(rec)
         return cur, part
 
-    run("split", split_middles)
+    d = _run_stage("split", split_middles, d, script)
     dec = derive_monotone_decomposition(d)
     if dec is None or not verify_decomposition(d, dec):
         raise PipelineBlocked("verify", "driver output is not in normal form")

@@ -223,18 +223,44 @@ def broken_closure(graph: TrajectoryGraph):
     return {k: v for k, v in reach.items() if v}
 
 
+def _reaches(graph: TrajectoryGraph, starts, dst: str) -> bool:
+    """Whether dst is one of ``starts`` or lies on a chain of edges from one.
+
+    One search over the edges out of each point reached, stopping at dst;
+    it visits no point twice, so it ends on cyclic input too.
+    """
+    out_edges = graph.edge_index.out_edges
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        node = stack.pop()
+        if node == dst:
+            return True
+        for e in out_edges.get(node, ()):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return False
+
+
 def has_path(graph: TrajectoryGraph, src: str, dst: str) -> bool:
-    """Whether a chain of one or more edges runs from src to dst."""
-    return dst in broken_closure(graph).get(src, frozenset())
+    """Whether a chain of one or more edges runs from src to dst.
+
+    A single search from the successors of src; ``broken_closure`` answers
+    the same question for every pair at once and stays the reference.
+    """
+    return _reaches(graph, [e.dst for e in graph.successors(src)], dst)
 
 
 def has_broken_path(graph: TrajectoryGraph, src: str, dst: str) -> bool:
-    """Whether a chain of two or more edges runs from src to dst."""
-    closure = broken_closure(graph)
-    for mid in closure.get(src, frozenset()):
-        if mid != dst and dst in closure.get(mid, frozenset()):
-            return True
-    return False
+    """Whether a chain of two or more edges runs from src to dst.
+
+    A single search from the points two edges above src.  On acyclic
+    graphs this is the closure test "some mid != dst with src -> mid and
+    mid -> dst", since a chain never returns to where it was.
+    """
+    second = [f.dst for e in graph.successors(src) for f in graph.successors(e.dst)]
+    return _reaches(graph, second, dst)
 
 
 def can_rearrange(graph: TrajectoryGraph, z_id: str, w_id: str) -> bool:
@@ -251,39 +277,50 @@ def _in_range(p: CriticalPoint, n: int) -> bool:
     return lo <= p.index <= hi
 
 
-def graph_issues(ambient: Ambient, points, graph: TrajectoryGraph) -> list:
-    """Invariant report for the flow graph against the given points.
+def edge_issues(
+    ambient: Ambient, z: CriticalPoint, w: CriticalPoint, e: FlowEdge
+) -> list:
+    """What is wrong with the flow edge e from point z to point w.
 
-    An endpoint whose (kind, index) is out of range gets no genericity or
-    locus check: both need its dimension profile, which does not exist.
+    The per-edge rule of ``graph_issues``: the value must strictly increase,
+    genericity must allow the pair, and the locus must suit both kinds.  An
+    endpoint whose (kind, index) is out of range gets no genericity or locus
+    check: both need its dimension profile, which does not exist.
     """
+    issues = []
+    tag = "edge %s->%s" % (e.src, e.dst)
+    if not (z.value < w.value):
+        issues.append(
+            "%s: values %s >= %s, flow must strictly increase"
+            % (tag, z.value, w.value)
+        )
+    if not (_in_range(z, ambient.n) and _in_range(w, ambient.n)):
+        return issues  # validate_datum reports the bad (kind, index) already
+    if generic_disjoint(z, w, ambient):
+        issues.append("%s: genericity forces this pair apart" % tag)
+    if e.locus is Locus.WALL:
+        if not (z.kind.is_boundary and w.kind.is_boundary):
+            issues.append("%s: wall locus needs boundary points" % tag)
+    elif e.locus is Locus.INNER:
+        pz = dimension_profile(z.kind, z.index, ambient.n)
+        pw = dimension_profile(w.kind, w.index, ambient.n)
+        if pz.unstable_inner is None or pw.stable_inner is None:
+            issues.append(
+                "%s: inner locus needs inner unstable and stable sets" % tag
+            )
+    return issues
+
+
+def graph_issues(ambient: Ambient, points, graph: TrajectoryGraph) -> list:
+    """Invariant report for the flow graph against the given points:
+    ``edge_issues`` for every edge between known points, then cycles."""
     issues = []
     by_id = {p.id: p for p in points}
     for e in graph.edges:
-        tag = "edge %s->%s" % (e.src, e.dst)
         if e.src not in by_id or e.dst not in by_id:
-            issues.append("%s: unknown endpoint" % tag)
+            issues.append("edge %s->%s: unknown endpoint" % (e.src, e.dst))
             continue
-        z, w = by_id[e.src], by_id[e.dst]
-        if not (z.value < w.value):
-            issues.append(
-                "%s: values %s >= %s, flow must strictly increase"
-                % (tag, z.value, w.value)
-            )
-        if not (_in_range(z, ambient.n) and _in_range(w, ambient.n)):
-            continue  # validate_datum reports the bad (kind, index) already
-        if generic_disjoint(z, w, ambient):
-            issues.append("%s: genericity forces this pair apart" % tag)
-        if e.locus is Locus.WALL:
-            if not (z.kind.is_boundary and w.kind.is_boundary):
-                issues.append("%s: wall locus needs boundary points" % tag)
-        elif e.locus is Locus.INNER:
-            pz = dimension_profile(z.kind, z.index, ambient.n)
-            pw = dimension_profile(w.kind, w.index, ambient.n)
-            if pz.unstable_inner is None or pw.stable_inner is None:
-                issues.append(
-                    "%s: inner locus needs inner unstable and stable sets" % tag
-                )
+        issues.extend(edge_issues(ambient, by_id[e.src], by_id[e.dst], e))
     try:
         broken_closure(graph)
     except CycleDetected as exc:

@@ -103,3 +103,26 @@ def attach_chain_pair(kind, k, n=3, m=None):
         [eff("p", EffectKind.BOUNDARY_ATTACH, ("c0",), (comp("c1", True),)),
          eff("q", EffectKind.BOUNDARY_ATTACH, ("c1",), (comp("c2", True),))],
     )
+
+
+def union(*data):
+    """Cobordisms side by side in one datum: the point, edge endpoint and
+    component ids of piece i get the prefix ``u<i>_``; a flag holds when it
+    holds for every piece.  All pieces share the first one's ambient."""
+    points, edges, bottom, effects = [], [], [], []
+    for i, d in enumerate(data):
+        pre = "u%d_" % i
+        points += [pt(pre + p.id, p.kind, p.index, p.value) for p in d.points]
+        edges += [edge(pre + e.src, pre + e.dst, e.count, e.locus)
+                  for e in d.graph.edges]
+        bottom += [comp(pre + c.id, c.touches_wall) for c in d.slices.bottom]
+        effects += [
+            eff(pre + e.at, e.kind, [pre + cid for cid in e.inputs],
+                [comp(pre + c.id, c.touches_wall) for c in e.outputs])
+            for e in d.slices.effects
+        ]
+    flags = Flags(*(all(getattr(d.flags, f) for d in data) for f in (
+        "no_closed_cobordism", "no_closed_bottom", "no_closed_top")))
+    return MorseDatum(data[0].ambient, tuple(points),
+                      TrajectoryGraph(tuple(edges)),
+                      SliceComplex(tuple(bottom), tuple(effects)), flags)

@@ -53,10 +53,14 @@ def test_closure_matches_path_enumeration(raw):
     for src in nodes:
         want = reachable_by_dfs(pairs, src)
         assert closure.get(src, frozenset()) == frozenset(want)
-        for dst in nodes:
-            assert has_path(graph, src, dst) == (dst in want)
-            long_way = any(dst in reachable_by_dfs(pairs, mid)
-                           for mid in want if mid != dst)
+        for dst in nodes | {"elsewhere"}:
+            # the single-source queries against the closure, their reference
+            reach = closure.get(src, frozenset())
+            assert has_path(graph, src, dst) == (dst in reach) == (dst in want)
+            long_way = any(dst in closure.get(mid, frozenset())
+                           for mid in reach if mid != dst)
+            assert long_way == any(dst in reachable_by_dfs(pairs, mid)
+                                   for mid in want if mid != dst)
             assert has_broken_path(graph, src, dst) == long_way
             assert can_rearrange(graph, src, dst) == (dst not in want)
 
@@ -67,6 +71,10 @@ def test_closure_rejects_cycles():
                              FlowEdge("c", "a", 1, Locus.MEMBRANE)))
     with pytest.raises(CycleDetected):
         broken_closure(graph)
+    # the single-source queries search from one point and do not look
+    # for cycles; they still end, and answer by reachability
+    assert has_path(graph, "a", "a") and not has_path(graph, "a", "elsewhere")
+    assert has_broken_path(graph, "a", "b")  # a -> b -> c -> a -> b
 
 
 def test_duplicate_and_loop_edges_rejected():
