@@ -49,7 +49,6 @@ from .morse_data import (
     dimension_profile,
     index_bounds,
     is_admissible,
-    is_valid_datum,
     validate_datum,
 )
 from .trajectory import (
@@ -58,8 +57,6 @@ from .trajectory import (
     TrajectoryGraph,
     broken_closure,
     can_rearrange,
-    dimension_sum_oracle,
-    empty_graph,
     generic_disjoint,
     has_broken_path,
     has_path,
@@ -72,7 +69,6 @@ from .slice_topology import (
     SliceComponent,
     joinable_to_wall,
     level_slices,
-    no_closed_components,
     replay,
     state_at_level,
 )

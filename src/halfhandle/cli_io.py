@@ -162,7 +162,7 @@ def parse_datum(text: str) -> MorseDatum:
                 count = None if attrs["count"] == "?" else _int(attrs["count"], num)
                 edges.append(
                     FlowEdge(
-                        attrs["src"], attrs["dst"], count, Locus.parse(attrs["locus"])
+                        attrs["src"], attrs["dst"], count, Locus(attrs["locus"])
                     )
                 )
             elif directive == "effect":
@@ -182,7 +182,7 @@ def parse_datum(text: str) -> MorseDatum:
                 effects.append(
                     ComponentEffect(
                         attrs["at"],
-                        EffectKind.parse(attrs["kind"]),
+                        EffectKind(attrs["kind"]),
                         inputs,
                         tuple(outputs),
                     )

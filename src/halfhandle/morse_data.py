@@ -273,38 +273,13 @@ class MorseDatum:
         return point_id in self.point_index
 
     @cached_property
-    def clean_order(self) -> bool:
-        """Whether a single-point move may be checked locally.
-
-        True when every flow line runs uphill between known points, every
-        point carries the one effect, the slice replay reports nothing, and
-        every component id is born once and consumed at most once.  Then
-        the replay only depends on each component being made before it is
-        used, so a move of one point can break nothing but the flow lines,
-        inputs and outputs of that point.
-        """
-        from . import slice_topology  # local import, avoids a cycle
-
-        index = self.point_index
-        if len(self.slices.effects) != len(index):
-            return False
-        if not self.slices.component_index.unique:
-            return False
-        for e in self.graph.edges:
-            z, w = index.get(e.src), index.get(e.dst)
-            if z is None or w is None or not z.value < w.value:
-                return False
-        issues, _, _ = slice_topology.replay(self.ambient, self.points, self.slices)
-        return not issues
-
-    @cached_property
     def valid(self) -> bool:
         """Whether ``validate_datum`` finds nothing, worked out once per datum.
 
-        The precondition of the local check in ``moves.split_interior``,
-        and read nowhere else: ``validate_datum`` never looks at it.  A
-        move whose own checks keep a valid datum valid sets it on its
-        result (``with_point``, a split that passes its local checks).
+        The precondition of the local checks of the moves (``assign_values``
+        and ``split_interior``); ``validate_datum`` stores its verdict here,
+        and a move whose own checks keep a valid datum valid sets it on its
+        result (``with_values``, a split that passes its local checks).
         """
         return not validate_datum(self)
 
@@ -313,8 +288,8 @@ class MorseDatum:
 
         For moves that build ``points`` already in (value, id) order with
         distinct ids: nothing is re-sorted or re-checked.  ``cached`` fills
-        cached properties (``point_index``, ``clean_order``, ``valid``) that
-        the move has established.
+        cached properties (``point_index``, ``valid``) that the move has
+        established.
         """
         out = object.__new__(MorseDatum)
         vars(out).update(
@@ -327,35 +302,32 @@ class MorseDatum:
         )
         return out
 
-    def with_point(self, point: CriticalPoint) -> "MorseDatum":
-        """This datum with ``point`` in place of the point of the same id.
+    def with_values(self, values: Mapping[str, Fraction]) -> "MorseDatum":
+        """This datum with each point named in ``values`` moved to its value
+        there, marked valid.
 
-        For a move already checked to keep ``clean_order`` (see
-        ``moves.assign_values``): the result is marked clean as it stands,
-        and valid when this datum is known to be.  A move that keeps the
-        edges uphill and the replay clean keeps every clause of
-        ``validate_datum``: the rest does not look at the values, and with
-        every component id made once and used once the top state and the
-        flag union-find do not depend on the order.  The new point is
-        placed by bisection on the (value, id) order; the other points are
-        neither re-sorted nor re-validated, and the point index is carried
-        over.
+        For a move of a valid datum already checked to keep its edges
+        uphill and its replay clean (see ``moves.assign_values``).  That
+        keeps every clause of ``validate_datum``: the rest does not look at
+        the values, and with every component id made once and used once the
+        top state and the flag union-find do not depend on the order.  Each
+        moved point is re-placed by bisection on the (value, id) order; the
+        other points are neither re-sorted nor re-validated, and the point
+        index is carried over.
         """
         key = CriticalPoint.sort_key
         points = self.points
-        i = bisect_left(points, key(self.point(point.id)), key=key)
-        points = points[:i] + points[i + 1 :]
-        j = bisect_left(points, key(point), key=key)
         index = dict(self.point_index)
-        index[point.id] = point
-        cached = {"valid": True} if vars(self).get("valid") is True else {}
+        for pid, value in values.items():
+            old = index[pid]
+            point = CriticalPoint(pid, old.kind, old.index, value)
+            i = bisect_left(points, key(old), key=key)
+            points = points[:i] + points[i + 1 :]
+            j = bisect_left(points, key(point), key=key)
+            points = points[:j] + (point,) + points[j:]
+            index[pid] = point
         return self.derived(
-            points[:j] + (point,) + points[j:],
-            self.graph,
-            self.slices,
-            point_index=index,
-            clean_order=True,
-            **cached,
+            points, self.graph, self.slices, point_index=index, valid=True
         )
 
     def values(self):
@@ -386,7 +358,8 @@ def validate_datum(datum: MorseDatum) -> list:
     A point whose (kind, index) is out of range is reported here and skips
     the flow graph checks that need its dimension profile, so the report
     goes on past it.  The slice effects are replayed once, for both the
-    slice and the flag reports.
+    slice and the flag reports.  The verdict is stored as the datum's
+    ``valid``, so a move on it need not validate it again.
     """
     from . import slice_topology, trajectory  # local import, avoids a cycle
 
@@ -406,8 +379,5 @@ def validate_datum(datum: MorseDatum) -> list:
     )
     if not replay_issues:  # a broken replay leaves no top state to judge
         issues.extend(slice_topology.flag_issues(datum.slices, datum.flags, final))
+    vars(datum)["valid"] = not issues
     return issues
-
-
-def is_valid_datum(datum: MorseDatum) -> bool:
-    return not validate_datum(datum)

@@ -16,15 +16,15 @@ datum is never modified.
 
 Every move is checked.  The full checks are a slice replay for
 rearrangements and ``validate_datum`` on the result for cancellations and
-splits.  Two moves also have a local check, in time proportional to the
-degree of the point, on data where it is known to suffice: moving one
-point of a datum whose ``clean_order`` holds (``assign_values``), and
-splitting a point of a datum whose ``valid`` holds (``split_interior``).
-A split is local, as in the splitting theorem: it changes the flow lines
-and the surgery of one point and nothing else, so its result is valid
-when the new pair's flow lines and attach effects are.  The full checks
-stay the reference: whenever a local check does not pass, the full check
-decides, so outcomes and messages do not depend on the path taken.
+splits.  On a datum whose ``valid`` holds, rearrangements of any number of
+points (``assign_values``) and splits (``split_interior``) also have a
+local check, in time proportional to the degree of the points moved.
+Both are local, as in the rearrangement and splitting theorems: a
+rearrangement is pinned only by the flow lines and surgery dependencies
+of the points it moves, and a split changes the flow lines and the
+surgery of one point and nothing else.  The full checks stay the
+reference: whenever a local check does not pass, the full check decides,
+so outcomes and messages do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -82,9 +82,20 @@ from .trajectory import (
 )
 
 
+_IDS_WANTED = {  # move kind -> fewest and most point ids, in words
+    "rearrange": (1, float("inf"), "one or more distinct point ids"),
+    "cancel": (2, 2, "two distinct point ids"),
+    "split": (1, 1, "one point id"),
+}
+
+
 @dataclass(frozen=True)
 class MoveRecord:
-    """One replayable move: kind, point ids, and target values (rearrange)."""
+    """One replayable move: kind, point ids, and target values (rearrange).
+
+    A cancel names two distinct points, a split one, and a rearrange one or
+    more distinct points, each with its value.
+    """
 
     kind: str  # "rearrange" | "cancel" | "split"
     ids: Tuple[str, ...]
@@ -92,10 +103,15 @@ class MoveRecord:
     note: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("rearrange", "cancel", "split"):
+        if self.kind not in _IDS_WANTED:
             raise ValidationError("unknown move kind %r" % (self.kind,))
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        lo, hi, wanted = _IDS_WANTED[self.kind]
+        if not lo <= len(self.ids) <= hi or len(set(self.ids)) != len(self.ids):
+            raise ValidationError(
+                "%s wants %s, got ids=%s" % (self.kind, wanted, ",".join(self.ids))
+            )
         if self.kind == "rearrange" and len(self.values) != len(self.ids):
             raise ValidationError("rearrange needs one value per id")
 
@@ -152,32 +168,37 @@ def assign_by_replay(
     return datum.replace(points=new_points)
 
 
-def _moves_locally(datum: MorseDatum, p: CriticalPoint, v: Fraction) -> bool:
-    """Whether moving p to v keeps a datum whose ``clean_order`` holds clean.
+def _moves_locally(datum: MorseDatum, values: Mapping[str, Fraction]) -> bool:
+    """Whether moving each point to its value in ``values`` keeps a valid
+    datum valid.
 
-    Looks only at what touches p, in O(deg p) index lookups: its flow lines
-    must stay uphill, and in replay order (value, id) the makers of its
-    inputs must come before (v, p) and the users of its outputs after it.
+    Looks only at what touches the moved points, in O(deg) index lookups
+    each, with every moved point at its new (value, id) key: their flow
+    lines must stay uphill, the makers of their inputs must come before
+    them and the users of their outputs after them.  On a valid datum every
+    component id is made once and used at most once, so nothing else pins
+    the replay order.
     """
     points = datum.point_index
+
+    def key(pid):
+        return (values[pid] if pid in values else points[pid].value, pid)
+
     edges = datum.graph.edge_index
-    for e in edges.out_edges.get(p.id, ()):
-        if not v < points[e.dst].value:
-            return False
-    for e in edges.in_edges.get(p.id, ()):
-        if not points[e.src].value < v:
-            return False
-    key = (v, p.id)
     components = datum.slices.component_index
-    effect = datum.slices.effect_index[p.id]
-    for cid in effect.inputs:
-        maker = components.producer[cid]
-        if maker is not None and not points[maker].sort_key() < key:
-            return False
-    for c in effect.outputs:
-        user = components.consumer.get(c.id)
-        if user is not None and not key < points[user].sort_key():
-            return False
+    for pid in values:
+        for e in edges.out_edges.get(pid, ()) + edges.in_edges.get(pid, ()):
+            if not key(e.src)[0] < key(e.dst)[0]:
+                return False
+        effect = datum.slices.effect_index[pid]
+        for cid in effect.inputs:
+            maker = components.producer[cid]
+            if maker is not None and not key(maker) < key(pid):
+                return False
+        for c in effect.outputs:
+            user = components.consumer.get(c.id)
+            if user is not None and not key(pid) < key(user):
+                return False
     return True
 
 
@@ -190,18 +211,18 @@ def assign_values(
     Checks edge order and slice replay, nothing else: points with no flow
     line or surgery dependency between them may pass each other freely.
 
-    Fast path: a single-point move of x on a datum whose ``clean_order``
-    holds is accepted after O(deg x) checks (``_moves_locally``) and only x
-    is re-placed; the result keeps ``clean_order``.  Multi-point moves,
-    other data and every refusal go through ``assign_by_replay``, the full
-    replay that stays the reference, so outcomes and errors are the same.
+    On a datum whose ``valid`` holds, a move of known points to values in
+    (0, 1) is accepted after ``_moves_locally`` checks the moved points
+    alone; only they are re-placed, and the result stays valid.  Other
+    data and every refusal go through ``assign_by_replay``, the full replay
+    that stays the reference, so outcomes and errors are the same.
     """
     ids = tuple(sorted(assignments))
     moved = None
-    if len(ids) == 1 and datum.has_point(ids[0]) and datum.clean_order:
-        p, v = datum.point(ids[0]), Fraction(assignments[ids[0]])
-        if 0 < v < 1 and _moves_locally(datum, p, v):
-            moved = datum.with_point(CriticalPoint(p.id, p.kind, p.index, v))
+    if all(datum.has_point(pid) for pid in ids) and datum.valid:
+        values = {pid: Fraction(v) for pid, v in assignments.items()}
+        if all(0 < v < 1 for v in values.values()) and _moves_locally(datum, values):
+            moved = datum.with_values(values)
     if moved is None:
         moved = assign_by_replay(datum, assignments)
     record = MoveRecord(
@@ -274,8 +295,8 @@ def realize_configuration(
 
     The targets are checked once by a full replay (``check_assignment``);
     the park and place steps are single-point moves, so on a datum whose
-    ``clean_order`` holds each one takes the O(deg x) path of
-    ``assign_values``, and the full replay stays the reference for the rest.
+    ``valid`` holds each one takes the O(deg x) path of ``assign_values``,
+    and the full replay stays the reference for the rest.
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -522,10 +543,9 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     effects are kept, and the point index is carried over.  On a datum
     whose ``valid`` holds, joinability is read off the wall bits of z's
     inputs and the result is judged by ``_splits_locally``; a result that
-    passes is marked ``valid`` and ``clean_order``.  Other data, and
-    results the local check does not pass, go through the full
-    ``validate_datum``, which stays the reference, so outcomes and
-    messages do not depend on the path.
+    passes is marked ``valid``.  Other data, and results the local check
+    does not pass, go through the full ``validate_datum``, which stays the
+    reference, so outcomes and messages do not depend on the path.
     """
     z = datum.point(z_id)
     n = datum.ambient.n
@@ -589,7 +609,7 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
         point_index=index,
     )
     if known_valid and _splits_locally(datum, out, effect, bits, moved, e_s, e_u):
-        vars(out).update(valid=True, clean_order=True)
+        vars(out)["valid"] = True
         return out, MoveRecord("split", (z_id,))
     issues = validate_datum(out)
     if issues:

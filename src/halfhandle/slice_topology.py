@@ -14,7 +14,6 @@ computable by a union-find over the effects.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,9 +26,7 @@ from .errors import (
     UnknownId,
     ValidationError,
 )
-from .morse_data import Ambient, CriticalPoint, Kind
-
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+from .morse_data import _ID_RE, Ambient, CriticalPoint, Kind
 
 
 class EffectKind(str, enum.Enum):
@@ -39,13 +36,6 @@ class EffectKind(str, enum.Enum):
     SPLIT = "split"
     INTERNAL = "internal"
     BOUNDARY_ATTACH = "boundary_attach"
-
-    @classmethod
-    def parse(cls, token: str) -> "EffectKind":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise ValidationError("unknown effect kind %r" % (token,))
 
 
 @dataclass(frozen=True)
@@ -95,14 +85,12 @@ class ComponentIndex(NamedTuple):
     a bottom component) and ``wall_bit`` to its wall bit; for an id made
     twice the effect at the larger point id wins.  ``consumer`` maps an id
     to the point whose effect takes it as input, the first in effect order
-    when there are several.  ``unique`` says that every id is made once and
-    consumed at most once, so that these maps tell the whole story.
+    when there are several.
     """
 
     producer: Dict[str, Optional[str]]
     consumer: Dict[str, str]
     wall_bit: Dict[str, bool]
-    unique: bool
 
 
 @dataclass(frozen=True)
@@ -143,26 +131,21 @@ class SliceComplex:
         for c in self.bottom:
             producer[c.id] = None
             wall_bit[c.id] = c.touches_wall
-        born = len(self.bottom)
-        used = 0
         for e in self.effects:
             for c in e.outputs:
                 producer[c.id] = e.at
                 wall_bit[c.id] = c.touches_wall
-            born += len(e.outputs)
             for cid in e.inputs:
                 consumer.setdefault(cid, e.at)
-            used += len(e.inputs)
-        unique = born == len(producer) and used == len(consumer)
-        return ComponentIndex(producer, consumer, wall_bit, unique)
+        return ComponentIndex(producer, consumer, wall_bit)
 
     def effect_for(self, point_id: str) -> ComponentEffect:
         """The effect at a point: one lookup in ``effect_index``.
 
         Replay calls this once per point, so a full replay is O(P); a
-        single-point move on a clean datum needs no replay at all (see
-        ``MorseDatum.clean_order``), and the full replay stays the
-        reference for every other move.
+        rearrangement of a valid datum needs no replay at all (see
+        ``MorseDatum.valid``), and the full replay stays the reference for
+        every other move.
         """
         try:
             return self.effect_index[point_id]
@@ -470,14 +453,6 @@ def state_at_level(ambient: Ambient, points, complex: SliceComplex, level: Fract
             break
         state = apply_effect(state, complex.effect_for(p.id))
     return state
-
-
-def no_closed_components(
-    ambient: Ambient, points, complex: SliceComplex, level: Fraction
-) -> bool:
-    """Whether every component of the level set at ``level`` touches the wall."""
-    state = state_at_level(ambient, points, complex, level)
-    return all(state.values())
 
 
 def level_slices(ambient: Ambient, points, complex: SliceComplex):

@@ -28,13 +28,6 @@ class Locus(str, enum.Enum):
     WALL = "boundary"  # inside the vertical boundary wall
     MEMBRANE = "ambient"  # only through the ambient membranes
 
-    @classmethod
-    def parse(cls, token: str) -> "Locus":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise ValidationError("unknown locus %r" % (token,))
-
 
 @dataclass(frozen=True)
 class FlowEdge:
@@ -108,10 +101,6 @@ class TrajectoryGraph:
         return TrajectoryGraph(self.edges + tuple(new_edges))
 
 
-def empty_graph() -> TrajectoryGraph:
-    return TrajectoryGraph(())
-
-
 def generic_disjoint(z: CriticalPoint, w: CriticalPoint, ambient: Ambient) -> bool:
     """Whether genericity forces the membranes of z and w to be disjoint.
 
@@ -145,31 +134,6 @@ def generic_disjoint(z: CriticalPoint, w: CriticalPoint, ambient: Ambient) -> bo
         if l - k <= m - n - 2:
             return True
     return False
-
-
-def dimension_sum_oracle(z: CriticalPoint, w: CriticalPoint, ambient: Ambient) -> bool:
-    """Disjointness by dimension count, computed from the profiles alone.
-
-    A generic intersection of the unstable set of z with the stable set of
-    w is empty when the dimensions sum to less than the dimension of the
-    space they meet in, for each of the three loci.  A locus with an empty
-    piece contributes nothing.  Agrees with ``generic_disjoint``; the test
-    suite checks the two exhaustively against each other.
-    """
-    m, n = ambient.m, ambient.n
-    pz = dimension_profile(z.kind, z.index, n)
-    pw = dimension_profile(w.kind, w.index, n)
-    checks = (
-        (pz.unstable_membrane, pw.stable_membrane, m + 1),
-        (pz.unstable_inner, pw.stable_inner, n + 1),
-        (pz.unstable_wall, pw.stable_wall, n),
-    )
-    for du, ds, dim in checks:
-        if du is None or ds is None:
-            continue
-        if du + ds > dim:
-            return False
-    return True
 
 
 def broken_closure(graph: TrajectoryGraph):

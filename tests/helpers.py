@@ -8,12 +8,14 @@ from halfhandle.morse_data import (
     Flags,
     Kind,
     MorseDatum,
+    dimension_profile,
 )
 from halfhandle.slice_topology import (
     ComponentEffect,
     EffectKind,
     SliceComplex,
     SliceComponent,
+    state_at_level,
 )
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
@@ -126,3 +128,33 @@ def union(*data):
     return MorseDatum(data[0].ambient, tuple(points),
                       TrajectoryGraph(tuple(edges)),
                       SliceComplex(tuple(bottom), tuple(effects)), flags)
+
+
+def dimension_sum_oracle(z, w, ambient):
+    """Disjointness by dimension count, computed from the profiles alone.
+
+    A generic intersection of the unstable set of z with the stable set of
+    w is empty when the dimensions sum to less than the dimension of the
+    space they meet in, for each of the three loci.  A locus with an empty
+    piece contributes nothing.  The tests check ``generic_disjoint``
+    exhaustively against it.
+    """
+    m, n = ambient.m, ambient.n
+    pz = dimension_profile(z.kind, z.index, n)
+    pw = dimension_profile(w.kind, w.index, n)
+    checks = (
+        (pz.unstable_membrane, pw.stable_membrane, m + 1),
+        (pz.unstable_inner, pw.stable_inner, n + 1),
+        (pz.unstable_wall, pw.stable_wall, n),
+    )
+    for du, ds, dim in checks:
+        if du is None or ds is None:
+            continue
+        if du + ds > dim:
+            return False
+    return True
+
+
+def no_closed_components(ambient, points, complex, level):
+    """Whether every component of the level set at ``level`` touches the wall."""
+    return all(state_at_level(ambient, points, complex, level).values())

@@ -61,7 +61,6 @@ from halfhandle.trajectory import (
     Locus,
     TrajectoryGraph,
     broken_closure,
-    dimension_sum_oracle,
     generic_disjoint,
 )
 
@@ -70,6 +69,7 @@ from helpers import (
     birth_merge_pair,
     comp,
     datum,
+    dimension_sum_oracle,
     edge,
     eff,
     internal_chain_pair,

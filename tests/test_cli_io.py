@@ -101,6 +101,21 @@ def test_parse_error_carries_line_numbers():
         parse_datum(good + "edge src=p dst=q count=x locus=inner")
     assert err.value.line == len(good.splitlines()) + 1
 
+    # an enum token outside its enum, and a move record of the wrong size
+    script_head = "format=halfhandle-script/1\n"
+    bad_lines = [
+        (parse_datum, good, "edge src=p dst=q count=1 locus=somewhere"),
+        (parse_datum, good, "effect at=x kind=teleport inputs=- outputs=-"),
+        (parse_script, script_head, "move kind=cancel ids=p values=- note=-"),
+        (parse_script, script_head, "move kind=split ids=q,p values=- note=-"),
+        (parse_script, script_head,
+         "move kind=rearrange ids=p,p values=1/3,1/4 note=-"),
+    ]
+    for parse, head, line in bad_lines:
+        with pytest.raises(ParseError) as err:
+            parse(head + line)
+        assert err.value.line == len(head.splitlines()) + 1, line
+
     with pytest.raises(ParseError):
         parse_datum("format=halfhandle-datum/1\nn=1\n")  # m missing
 
@@ -116,8 +131,7 @@ def test_script_roundtrip_and_note_mangling():
         MoveRecord("rearrange", ("p", "q"),
                    (Fraction(1, 3), Fraction(2, 3)), "swap step"),
         MoveRecord("cancel", ("z", "w"), (), ""),
-        MoveRecord("split", ("z", "zs", "zu"),
-                   (Fraction(1, 4), Fraction(3, 4)), "wall"),
+        MoveRecord("split", ("z",), (Fraction(1, 4), Fraction(3, 4)), "wall"),
     ]
     text = serialize_script(script)
     back = parse_script(text)
@@ -304,6 +318,14 @@ def test_cli_validate(tmp_path, capsys):
     garbage = write(tmp_path, "junk.hh", "not a datum\n")
     assert main(["validate", garbage]) == 1
     assert "error:" in capsys.readouterr().err
+
+    text = serialize_datum(rich_datum())
+    line = len(text.splitlines()) + 1
+    for extra in ("edge src=p dst=q count=1 locus=somewhere",
+                  "effect at=x kind=teleport inputs=- outputs=-"):
+        unknown = write(tmp_path, "unknown.hh", text + extra + "\n")
+        assert main(["validate", unknown]) == 1, extra
+        assert "error: line %d:" % line in capsys.readouterr().err, extra
 
 
 def out_of_range_datum():

@@ -1,9 +1,9 @@
 """The fast paths of the moves against their references.
 
-``assign_values`` accepts a one-point move on a datum whose ``clean_order``
-holds after looking only at the moved point; ``assign_by_replay`` checks the
-whole assignment by a full replay.  ``split_interior`` judges a split of a
-datum known to be valid by the pair alone; its full-validation path runs
+On a datum whose ``valid`` holds, ``assign_values`` accepts a move of one
+or more points after looking only at the moved points; ``assign_by_replay``
+checks the whole assignment by a full replay.  ``split_interior`` judges a
+split of a valid datum by the pair alone; its full-validation path runs
 ``validate_datum`` on the result.  Fast path and reference must agree on
 every move: the same accept or refuse, the same exception class and
 message, and equal results, as objects and as serialized bytes.
@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
 from halfhandle.cli_io import GeneratorSpec, generate, serialize_datum
-from halfhandle.errors import InfeasibleSpec, InvalidEffect
+from halfhandle.errors import InfeasibleSpec, InvalidEffect, MoveError
 from halfhandle.morse_data import CriticalPoint, Kind, MorseDatum, validate_datum
 from halfhandle.moves import (
     _moves_locally,
     apply_record,
     assign_by_replay,
     assign_values,
+    rearrange_pair,
     split_interior,
 )
 from halfhandle.slice_topology import (
@@ -38,20 +39,20 @@ from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 from helpers import comp, datum, edge, eff, pt, union
 
 
-def outcome(fn, d, pid, v):
+def outcome(fn, d, assignment):
     try:
-        out = fn(d, pid, v)
+        out = fn(d, assignment)
     except Exception as exc:  # the class and message are what is compared
         return ("refused", type(exc), str(exc))
     return ("accepted", out, serialize_datum(out))
 
 
-def fast(d, pid, v):
-    return assign_values(d, {pid: v})[0]
+def fast(d, assignment):
+    return assign_values(d, assignment)[0]
 
 
-def reference(d, pid, v):
-    return assign_by_replay(d, {pid: v})
+def reference(d, assignment):
+    return assign_by_replay(d, assignment)
 
 
 def related(d, pid):
@@ -138,21 +139,52 @@ def target(draw, d):
     return pid, (other.value + values[i + side]) / 2
 
 
+def assignment_of(draw, d):
+    """The points to move and their new values: one or two to three
+    ``target`` draws; two to three points each nudged halfway to a
+    neighbouring value; two points the data pin against each other, both
+    moved into the gap between them, where they may tie or cross; or two
+    points trading places as ``rearrange_pair`` moves them, each to the
+    other's value or just past it."""
+    way = draw(st.sampled_from(["one", "several", "nudge", "pinned", "swap"]))
+    values = sorted({p.value for p in d.points} | {Fraction(0), Fraction(1)})
+    if way == "pinned":
+        p = draw(st.sampled_from(d.points))
+        pool = related(d, p.id)
+        if pool:
+            q = d.point(draw(st.sampled_from(pool)))
+            mid, step = (p.value + q.value) / 2, abs(p.value - q.value) / 4
+            shifts = st.sampled_from([-step, Fraction(0), step])
+            return {p.id: mid + draw(shifts), q.id: mid + draw(shifts)}
+    if way == "swap" and len(d.points) >= 2:
+        z, w = sorted(draw(st.permutations(d.points))[:2], key=CriticalPoint.sort_key)
+        if draw(st.booleans()):
+            return {z.id: w.value, w.id: z.value}
+        above = values[values.index(w.value) + 1]
+        below = values[values.index(z.value) - 1]
+        return {z.id: (w.value + above) / 2, w.id: (z.value + below) / 2}
+    count = 1 if way == "one" else draw(st.integers(min_value=2, max_value=3))
+    if way == "nudge":
+        moved = draw(st.permutations(d.points))[:count]
+        return {p.id: (p.value + values[values.index(p.value)
+                                        + draw(st.sampled_from([-1, 1]))]) / 2
+                for p in moved}
+    return dict(target(draw, d) for _ in range(count))
+
+
 @settings(max_examples=150, deadline=None)
 @given(generated(), st.data())
 def test_single_point_moves_match_the_replay_reference(d, data):
     # a relabelled datum may tie two points in a new order and break its
     # replay; then every move goes to the reference, which is compared too
-    assert d.clean_order == (validate_datum(d) == [])
     for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
-        pid, v = target(data.draw, d)
-        got, want = outcome(fast, d, pid, v), outcome(reference, d, pid, v)
-        assert got == want, (pid, v)
+        assignment = assignment_of(data.draw, d)
+        got = outcome(fast, d, assignment)
+        assert got == outcome(reference, d, assignment), assignment
         if got[0] == "accepted":
             d = got[1]
             # the cached verdict and index agree with a fresh datum's
             fresh = dataclasses.replace(d)
-            assert d.clean_order == fresh.clean_order
             assert d.point_index == fresh.point_index
             if "valid" in vars(d):
                 assert d.valid == fresh.valid
@@ -202,20 +234,20 @@ def test_a_move_keeps_an_invalid_datum_invalid():
          internal("r", "c5", "c4")],
         edges=[edge("p", "q", None, Locus.MEMBRANE)])
     d = d.replace(points=(pt("p", Kind.INTERIOR, 2, Fraction(1, 4)),) + d.points[1:])
-    assert d.clean_order and not d.valid
+    assert not d.valid
     moved, _ = assign_values(d, {"r": Fraction(1, 8)})
-    assert "clean_order" in vars(moved) and not moved.valid
+    assert "valid" not in vars(moved) and not moved.valid
 
 
 def test_unclean_bases_fall_back_to_the_reference():
     for name, d, pid, v in unclean_bases():
-        assert not d.clean_order, name
+        assert not d.valid, name
         if d.slices.has_effect(pid):
             # the local check alone would let this move through
-            assert _moves_locally(d, d.point(pid), v), name
-        got = outcome(fast, d, pid, v)
+            assert _moves_locally(d, {pid: v}), name
+        got = outcome(fast, d, {pid: v})
         assert got[0] == "refused", name
-        assert got == outcome(reference, d, pid, v), name
+        assert got == outcome(reference, d, {pid: v}), name
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +347,8 @@ def check_accepted_split(d, z_id, out):
     assert set(out.points) == set(others) | {zs, zu}
     assert out == MorseDatum(out.ambient, out.points, out.graph, out.slices, out.flags)
     assert out.point_index == {p.id: p for p in out.points}
-    for name in ("valid", "clean_order"):
-        if name in vars(out):
-            assert vars(out)[name] == getattr(dataclasses.replace(out), name)
+    if "valid" in vars(out):
+        assert out.valid == dataclasses.replace(out).valid
 
 
 def split_target(draw, d, hint):
@@ -416,14 +447,14 @@ def pieces(n, m, seeds, allow_boundary=True):
     return out
 
 
-def split_stage_counts(monkeypatch, d):
-    """global_split of d; full validations and replays run inside its
-    splits, and the number of splits."""
-    counts, inside = Counter(), []
+def count_full_checks(monkeypatch, when=lambda: True):
+    """Counts of the ``replay`` and ``validate_datum`` calls made while
+    ``when()`` holds, from every module that refers to them."""
+    counts = Counter()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            if inside:
+            if when():
                 counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
@@ -433,6 +464,14 @@ def split_stage_counts(monkeypatch, d):
         for module in (morse_data, slice_topology, trajectory, moves, normal_form):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
+    return counts
+
+
+def split_stage_counts(monkeypatch, d):
+    """global_split of d; full validations and replays run inside its
+    splits, and the number of splits."""
+    inside = []
+    counts = count_full_checks(monkeypatch, lambda: bool(inside))
     split = normal_form.split_interior
 
     def splitting(*args):
@@ -459,8 +498,29 @@ def test_the_split_stage_validates_at_most_once(monkeypatch):
         assert counts["replay"] <= 1, (name, counts)
 
 
+def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
+    d = union(*pieces(2, 4, (0, 1)))
+    assert validate_datum(d) == []
+    counts = count_full_checks(monkeypatch)
+    first, second = [[p for p in d.points if p.id.startswith(pre)]
+                     for pre in ("u0_", "u1_")]
+    accepted = 0
+    for z in first:
+        for w in second:
+            if not z.value < w.value:
+                continue
+            counts.clear()
+            try:  # trade places, as rearrange_pair is used
+                rearrange_pair(d, z.id, w.id, w.value, z.value)
+            except MoveError:
+                continue  # refusals go to the full replay
+            accepted += 1
+            assert not counts, (z.id, w.id, counts)
+    assert accepted >= 10, accepted
+
+
 def test_cached_verdicts_hold_on_every_intermediate_datum():
-    checked = Counter()
+    checked = 0
     for n, m in ((1, 3), (2, 3), (2, 4), (3, 5), (4, 5)):
         for d in pieces(n, m, range(8)) + pieces(n, m, range(4), False):
             out, _, script = normal_form.global_split(d)
@@ -468,9 +528,8 @@ def test_cached_verdicts_hold_on_every_intermediate_datum():
             for record in script:
                 steps.append(apply_record(steps[-1], record))
             for x in steps + [out]:
-                fresh = MorseDatum(x.ambient, x.points, x.graph, x.slices, x.flags)
-                for name in ("valid", "clean_order"):
-                    if name in vars(x):
-                        assert vars(x)[name] == getattr(fresh, name), name
-                        checked[name] += 1
-    assert checked["valid"] > 100 and checked["clean_order"] > 100, checked
+                if "valid" in vars(x):
+                    fresh = MorseDatum(x.ambient, x.points, x.graph, x.slices, x.flags)
+                    assert x.valid == fresh.valid
+                    checked += 1
+    assert checked > 100, checked

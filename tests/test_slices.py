@@ -28,12 +28,11 @@ from halfhandle.slice_topology import (
     effect_row_issues,
     joinable_to_wall,
     level_slices,
-    no_closed_components,
     replay,
     state_at_level,
 )
 
-from helpers import datum, comp, pt, eff, edge
+from helpers import datum, comp, no_closed_components, pt, eff, edge
 from halfhandle.trajectory import Locus
 
 
