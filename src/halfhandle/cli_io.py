@@ -35,6 +35,7 @@ from .morse_data import (
     MorseDatum,
     dimension_profile,
     is_admissible,
+    require_valid,
     validate_datum,
 )
 from .moves import MoveRecord, cancel_pair, rearrange_pair, split_interior
@@ -139,7 +140,7 @@ def parse_datum(text: str) -> MorseDatum:
                 raise ParseError("unknown header %r" % (key,), num)
             if key in header:
                 raise ParseError("repeated header %r" % (key,), num)
-            header[key] = val
+            header[key] = (val, num)
             continue
         try:
             if directive == "component":
@@ -199,14 +200,13 @@ def parse_datum(text: str) -> MorseDatum:
     for key in ("m", "n"):
         if key not in header:
             raise ParseError("missing header %s" % (key,))
-    flags = Flags(
-        no_closed_cobordism=_bool(header.get("no_closed_cobordism", "true"), 0),
-        no_closed_bottom=_bool(header.get("no_closed_bottom", "true"), 0),
-        no_closed_top=_bool(header.get("no_closed_top", "true"), 0),
-    )
+    flags = Flags(**{
+        key: _bool(*header.get(key, ("true", None)))
+        for key in ("no_closed_cobordism", "no_closed_bottom", "no_closed_top")
+    })
     try:
         return MorseDatum(
-            Ambient(_int(header["m"], 0), _int(header["n"], 0)),
+            Ambient(_int(*header["m"]), _int(*header["n"])),
             tuple(points),
             TrajectoryGraph(tuple(edges)),
             SliceComplex(tuple(bottom), tuple(effects)),
@@ -739,7 +739,7 @@ def brute_force_reachability(
             CriticalPoint(p.id, p.kind, p.index, values[p.id])
             for p in datum.points
         )
-        issues, _, _ = replay(datum.ambient, candidate, datum.slices)
+        issues, _ = replay(datum.ambient, candidate, datum.slices)
         return not issues
 
     goal = tuple(want[pid] for pid in ids)
@@ -778,25 +778,31 @@ def brute_force_reachability(
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise EngineError("cannot read %s: %s" % (path, reason)) from None
 
 
 def _write_text(path: Optional[str], text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise EngineError("cannot write %s: %s" % (path, reason)) from None
 
 
 def _load_valid(path: str) -> MorseDatum:
     datum = parse_datum(_read_text(path))
-    issues = validate_datum(datum)
-    if issues:
-        raise ValidationError("invalid datum", issues)
+    require_valid(datum)
     return datum
 
 

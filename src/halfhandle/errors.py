@@ -119,7 +119,7 @@ class BadLevels(MoveError):
 
 
 class StuckNoJoinablePoint(MoveError):
-    """The joinability pass found no point it may legally move next."""
+    """The joinability pass found an interior point that never joins the wall."""
 
 
 class PipelineBlocked(MoveError):

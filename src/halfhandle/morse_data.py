@@ -276,10 +276,10 @@ class MorseDatum:
     def valid(self) -> bool:
         """Whether ``validate_datum`` finds nothing, worked out once per datum.
 
-        The precondition of the local checks of the moves (``assign_values``
-        and ``split_interior``); ``validate_datum`` stores its verdict here,
-        and a move whose own checks keep a valid datum valid sets it on its
-        result (``with_values``, a split that passes its local checks).
+        Every move and the normal form driver take only data for which this
+        holds (``require_valid``).  ``validate_datum`` stores its verdict
+        here, and a move sets it on its result, which its local checks keep
+        valid (``with_values``, ``split_interior``).
         """
         return not validate_datum(self)
 
@@ -371,7 +371,7 @@ def validate_datum(datum: MorseDatum) -> list:
         except InvalidIndexKind as exc:
             issues.append("point %s: %s" % (p.id, exc))
     issues.extend(trajectory.graph_issues(datum.ambient, datum.points, datum.graph))
-    replay_issues, _, final = slice_topology.replay(
+    replay_issues, final = slice_topology.replay(
         datum.ambient, datum.points, datum.slices
     )
     issues.extend(
@@ -381,3 +381,13 @@ def validate_datum(datum: MorseDatum) -> list:
         issues.extend(slice_topology.flag_issues(datum.slices, datum.flags, final))
     vars(datum)["valid"] = not issues
     return issues
+
+
+def require_valid(datum: MorseDatum) -> None:
+    """Raise ValidationError with the full issue list unless ``datum.valid``.
+
+    The gate of every move and of the normal form driver: the rearrangement,
+    cancellation and splitting theorems speak about valid data only.
+    """
+    if not datum.valid:
+        raise ValidationError("invalid datum", validate_datum(datum))

@@ -14,17 +14,17 @@ Every move returns the rewritten datum together with a replayable record.
 Failures raise a MoveError subclass naming the side condition; the input
 datum is never modified.
 
-Every move is checked.  The full checks are a slice replay for
-rearrangements and ``validate_datum`` on the result for cancellations and
-splits.  On a datum whose ``valid`` holds, rearrangements of any number of
-points (``assign_values``) and splits (``split_interior``) also have a
-local check, in time proportional to the degree of the points moved.
-Both are local, as in the rearrangement and splitting theorems: a
-rearrangement is pinned only by the flow lines and surgery dependencies
-of the points it moves, and a split changes the flow lines and the
-surgery of one point and nothing else.  The full checks stay the
-reference: whenever a local check does not pass, the full check decides,
-so outcomes and messages do not depend on the path taken.
+Every move takes valid data only: on a datum whose ``valid`` does not
+hold it raises ValidationError with the datum's full issue list
+(``require_valid``), as does ``realize_configuration``.  Every move is
+checked.  Rearrangements of any number of points (``assign_values``) and
+splits (``split_interior``) are checked locally, in time proportional to
+the degree of the points moved, as in the rearrangement and splitting
+theorems: a rearrangement is pinned only by the flow lines and surgery
+dependencies of the points it moves, and a split changes the flow lines
+and the surgery of one point and nothing else.  A rearrangement the local
+check refuses goes to the full replay, which names the reason;
+cancellations run ``validate_datum`` on the result.
 """
 
 from __future__ import annotations
@@ -54,11 +54,13 @@ from .errors import (
     ValidationError,
 )
 from .morse_data import (
+    _ID_RE,
     CriticalPoint,
     Kind,
     MorseDatum,
     first_inversion,
     is_admissible,
+    require_valid,
     validate_datum,
 )
 from .slice_topology import (
@@ -68,7 +70,6 @@ from .slice_topology import (
     SliceComponent,
     apply_effect,
     effect_row_issues,
-    pre_states,
     replay,
 )
 from .trajectory import (
@@ -94,7 +95,8 @@ class MoveRecord:
     """One replayable move: kind, point ids, and target values (rearrange).
 
     A cancel names two distinct points, a split one, and a rearrange one or
-    more distinct points, each with its value.
+    more distinct points, each with its value; only a rearrange carries
+    values.
     """
 
     kind: str  # "rearrange" | "cancel" | "split"
@@ -112,8 +114,13 @@ class MoveRecord:
             raise ValidationError(
                 "%s wants %s, got ids=%s" % (self.kind, wanted, ",".join(self.ids))
             )
+        for pid in self.ids:
+            if not _ID_RE.match(pid):
+                raise ValidationError("bad point id %r" % (pid,))
         if self.kind == "rearrange" and len(self.values) != len(self.ids):
             raise ValidationError("rearrange needs one value per id")
+        if self.kind != "rearrange" and self.values:
+            raise ValidationError("%s takes no values" % (self.kind,))
 
 
 def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
@@ -129,7 +136,7 @@ def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     candidate = tuple(
         CriticalPoint(p.id, p.kind, p.index, values[p.id]) for p in datum.points
     )
-    issues, _, _ = replay(datum.ambient, candidate, datum.slices)
+    issues, _ = replay(datum.ambient, candidate, datum.slices)
     if issues:
         return ("replay", issues[0])
     return None
@@ -211,15 +218,16 @@ def assign_values(
     Checks edge order and slice replay, nothing else: points with no flow
     line or surgery dependency between them may pass each other freely.
 
-    On a datum whose ``valid`` holds, a move of known points to values in
-    (0, 1) is accepted after ``_moves_locally`` checks the moved points
-    alone; only they are re-placed, and the result stays valid.  Other
-    data and every refusal go through ``assign_by_replay``, the full replay
-    that stays the reference, so outcomes and errors are the same.
+    Takes valid data only (``require_valid``).  A move of known points to
+    values in (0, 1) is accepted after ``_moves_locally`` checks the moved
+    points alone; only they are re-placed, and the result stays valid.
+    Every refusal goes through ``assign_by_replay``, the full replay that
+    names the reason.
     """
+    require_valid(datum)
     ids = tuple(sorted(assignments))
     moved = None
-    if all(datum.has_point(pid) for pid in ids) and datum.valid:
+    if all(datum.has_point(pid) for pid in ids):
         values = {pid: Fraction(v) for pid, v in assignments.items()}
         if all(0 < v < 1 for v in values.values()) and _moves_locally(datum, values):
             moved = datum.with_values(values)
@@ -240,6 +248,7 @@ def rearrange_pair(
     EdgeOrderViolation when a third point's flow line would run downhill,
     and with InvalidEffect when the new order breaks the slice replay.
     """
+    require_valid(datum)
     z, w = datum.point(z_id), datum.point(w_id)
     if z_id == w_id:
         raise MoveError("rearrange_pair wants two distinct points")
@@ -293,13 +302,13 @@ def realize_configuration(
     lift all points, in their current order, into a band above everything,
     then bring them down to their targets from the bottom up.
 
-    The targets are checked once by a full replay (``check_assignment``);
-    the park and place steps are single-point moves, so on a datum whose
-    ``valid`` holds each one takes the O(deg x) path of ``assign_values``,
-    and the full replay stays the reference for the rest.
+    Takes valid data only (``require_valid``).  The targets are checked
+    once by a full replay (``check_assignment``); the park and place steps
+    are single-point moves, each checked by ``assign_values`` in O(deg x).
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
+    require_valid(datum)
     want = {}
     for pid, v in targets.items():
         if not datum.has_point(pid):
@@ -370,20 +379,17 @@ def realize_configuration(
 
 
 def _starving_pair(datum: MorseDatum, values: Mapping[str, Fraction]):
-    """First (consumer, producer) pair out of order under the new values."""
+    """First (consumer, producer) pair out of order under the new values;
+    on a valid datum only such a starving surgery breaks the replay."""
     producers = datum.slices.component_index.producer
-    order = sorted(datum.points, key=lambda p: (values[p.id], p.id))
-    seen = set()
-    for c in datum.slices.bottom:
-        seen.add(c.id)
-    for p in order:
+    seen = {c.id for c in datum.slices.bottom}
+    for p in sorted(datum.points, key=lambda p: (values[p.id], p.id)):
         effect = datum.slices.effect_for(p.id)
         for cid in effect.inputs:
             if cid not in seen:
-                return p.id, producers.get(cid) or "?"
+                return p.id, producers[cid]
         for c in effect.outputs:
             seen.add(c.id)
-    return order[-1].id, "?"  # unreachable on data whose replay really broke
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +408,7 @@ def cancel_pair(
     through the pair: p -> w and z -> q combine to p -> q with unknown
     count whenever genericity and the value order allow a flow line at all.
     """
+    require_valid(datum)
     z, w = datum.point(z_id), datum.point(w_id)
     if z.kind is not w.kind:
         raise KindMismatch(
@@ -538,15 +545,14 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     flow line in the wall.  Incoming flow lines move to the stable half,
     outgoing ones to the unstable half.
 
-    The new datum is built the same way on every path: the pair takes z's
-    place in the point order, found by bisection, unchanged flow lines and
-    effects are kept, and the point index is carried over.  On a datum
-    whose ``valid`` holds, joinability is read off the wall bits of z's
-    inputs and the result is judged by ``_splits_locally``; a result that
-    passes is marked ``valid``.  Other data, and results the local check
-    does not pass, go through the full ``validate_datum``, which stays the
-    reference, so outcomes and messages do not depend on the path.
+    Takes valid data only (``require_valid``).  Joinability is read off the
+    wall bits of z's inputs.  The pair takes z's place in the point order,
+    found by bisection, unchanged flow lines and effects are kept, and the
+    point index is carried over.  The result is judged by
+    ``_splits_locally`` alone and marked ``valid``; the split is refused
+    with InvalidEffect naming the first issue that check finds.
     """
+    require_valid(datum)
     z = datum.point(z_id)
     n = datum.ambient.n
     if z.kind is not Kind.INTERIOR:
@@ -556,14 +562,9 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
             "split applies to indices 1..%d, point %r has index %d"
             % (n, z_id, z.index)
         )
-    known_valid = datum.valid
-    if known_valid:
-        bits = datum.slices.component_index.wall_bit  # fixed over a lifetime
-    else:
-        pre, _ = pre_states(datum.ambient, datum.points, datum.slices)
-        bits = pre[z_id]
+    bits = datum.slices.component_index.wall_bit  # fixed over a lifetime
     effect = datum.slices.effect_for(z_id)
-    if not any(bits.get(cid, False) for cid in effect.inputs):
+    if not any(bits[cid] for cid in effect.inputs):
         raise NotJoinable(
             "the surgery at %r happens away from the wall" % (z_id,)
         )
@@ -608,20 +609,16 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
         new_slices,
         point_index=index,
     )
-    if known_valid and _splits_locally(datum, out, effect, bits, moved, e_s, e_u):
-        vars(out)["valid"] = True
-        return out, MoveRecord("split", (z_id,))
-    issues = validate_datum(out)
-    if issues:
-        raise InvalidEffect(
-            "splitting would leave inconsistent data: %s" % (issues[0],)
-        )
+    issue = _splits_locally(datum, out, effect, bits, moved, e_s, e_u)
+    if issue is not None:
+        raise InvalidEffect("splitting would leave inconsistent data: %s" % (issue,))
+    vars(out)["valid"] = True
     return out, MoveRecord("split", (z_id,))
 
 
-def _splits_locally(datum, out, effect, bits, moved, e_s, e_u) -> bool:
-    """Whether a split of a valid datum leaves a valid result, judged by
-    the pair alone in O(deg z).
+def _splits_locally(datum, out, effect, bits, moved, e_s, e_u):
+    """The first issue of a split of a valid datum, or None when the result
+    is valid, judged by the pair alone in O(deg z).
 
     The flow lines touching the pair, the new wall line included, must
     pass ``edge_issues``; the other lines and points are as before, and
@@ -632,21 +629,21 @@ def _splits_locally(datum, out, effect, bits, moved, e_s, e_u) -> bool:
     as it was, so the rest of the replay, the top state and the flags do
     not change: the fresh component touches the wall inside z's piece,
     which reaches it already.  The pair's indices are z's, in range for
-    both boundary kinds.
+    both boundary kinds.  On a valid datum a joinable point's pair always
+    passes; the check guards the verdict cached on the result.
     """
     points = out.point_index
+    issues = []
     for e in moved:
-        if edge_issues(datum.ambient, points[e.src], points[e.dst], e):
-            return False
+        issues += edge_issues(datum.ambient, points[e.src], points[e.dst], e)
     state = {cid: bits[cid] for cid in effect.inputs}
     try:
         for e in (e_s, e_u):
-            if effect_row_issues(points[e.at], datum.ambient.n, e, state):
-                return False
+            issues += effect_row_issues(points[e.at], datum.ambient.n, e, state)
             state = apply_effect(state, e)
-    except InvalidEffect:
-        return False
-    return True
+    except InvalidEffect as exc:
+        issues.append(str(exc))
+    return issues[0] if issues else None
 
 
 def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_id):
@@ -659,7 +656,8 @@ def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_i
     rewriting.  For a merge the tongue attaches to the input that is not
     the witness (the witness being the most recently created input touching
     the wall); for a split the wall-touching output leaves at the stable
-    half.
+    half.  On a valid datum an interior point of index 1..n carries a
+    merge, an internal surgery or a split, so nothing else comes here.
     """
     components = datum.slices.component_index
     mid = datum.slices.fresh_component_id()
@@ -690,24 +688,21 @@ def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_i
             zu_id, EffectKind.BOUNDARY_ATTACH, (mid,), effect.outputs
         )
         return e_s, e_u
-    if effect.kind is EffectKind.SPLIT:
-        outs = list(effect.outputs)
-        touching = [c for c in outs if c.touches_wall]
-        if len(touching) == 1:
-            direct = touching[0]  # the closed half must ride the unstable side
-        else:  # the output used first, outputs never used last
-            never = (Fraction(1), "")
-            used_at = [
-                points[user].sort_key() if user in points else never
-                for user in (components.consumer.get(c.id) for c in outs)
-            ]
-            direct = outs[used_at.index(min(used_at))]
-        other = [c for c in outs if c.id != direct.id][0]
-        e_s = ComponentEffect(
-            zs_id, EffectKind.BOUNDARY_ATTACH, effect.inputs, (direct, mid_comp)
-        )
-        e_u = ComponentEffect(zu_id, EffectKind.BOUNDARY_ATTACH, (mid,), (other,))
-        return e_s, e_u
-    raise InvalidEffect(
-        "no attach pair replaces a %s effect" % (effect.kind.value,)
+    # a split
+    outs = list(effect.outputs)
+    touching = [c for c in outs if c.touches_wall]
+    if len(touching) == 1:
+        direct = touching[0]  # the closed half must ride the unstable side
+    else:  # the output used first, outputs never used last
+        never = (Fraction(1), "")
+        used_at = [
+            points[user].sort_key() if user in points else never
+            for user in (components.consumer.get(c.id) for c in outs)
+        ]
+        direct = outs[used_at.index(min(used_at))]
+    other = [c for c in outs if c.id != direct.id][0]
+    e_s = ComponentEffect(
+        zs_id, EffectKind.BOUNDARY_ATTACH, effect.inputs, (direct, mid_comp)
     )
+    e_u = ComponentEffect(zu_id, EffectKind.BOUNDARY_ATTACH, (mid,), (other,))
+    return e_s, e_u

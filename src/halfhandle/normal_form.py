@@ -22,7 +22,7 @@ from .errors import (
     PipelineBlocked,
     StuckNoJoinablePoint,
 )
-from .morse_data import Kind, MorseDatum, first_inversion
+from .morse_data import Kind, MorseDatum, first_inversion, require_valid
 from .moves import (
     MoveRecord,
     assign_values,
@@ -120,50 +120,20 @@ def tsa_check(
     return True
 
 
-def _dependency_order(datum: MorseDatum, group_ids) -> List[str]:
-    """Order a same-level group with producers before their consumers.
-
-    The replay at the shared level already runs in id order, so these
-    dependencies can never form a cycle on a consistent datum.  Ties go to
-    the smaller id, keeping the output deterministic.
-    """
-    ids = sorted(group_ids)
-    produced: Dict[str, str] = {}
-    for pid in ids:
-        for cid in datum.slices.effect_for(pid).output_ids():
-            produced[cid] = pid
-    deps = {pid: set() for pid in ids}
-    for pid in ids:
-        for cid in datum.slices.effect_for(pid).inputs:
-            maker = produced.get(cid)
-            if maker is not None and maker != pid:
-                deps[pid].add(maker)
-    order: List[str] = []
-    placed: set = set()
-    while len(order) < len(ids):
-        free = [p for p in ids if p not in placed and deps[p] <= placed]
-        if not free:
-            raise StuckNoJoinablePoint(
-                "circular surgery dependency at one level: %s"
-                % ", ".join(p for p in ids if p not in placed)
-            )
-        order.append(free[0])
-        placed.add(free[0])
-    return order
-
-
 def ensure_joinable(
     datum: MorseDatum, levels=None
 ) -> Tuple[MorseDatum, List[MoveRecord]]:
     """Pull the shared extreme-index levels apart so every point splits.
 
-    The interior index-1 points spread over distinct levels of (a, c) and
-    the interior index-n points over (d, b), producers below consumers so
-    the surgeries keep replaying; for n = 1 those are the same group and
-    the same band.  Every one of them, and every middle-index interior
-    point, must join the wall (some surgery input touching it); otherwise
-    StuckNoJoinablePoint.
+    Takes valid data only (``require_valid``).  The interior index-1 points
+    spread over distinct levels of (a, c) and the interior index-n points
+    over (d, b), in id order: a valid datum replays a shared level in id
+    order, so a maker in the group has the smaller id and the surgeries
+    keep replaying.  For n = 1 those are the same group and the same band.
+    Every one of them, and every middle-index interior point, must join the
+    wall (some surgery input touching it); otherwise StuckNoJoinablePoint.
     """
+    require_valid(datum)
     n = datum.ambient.n
     a, c, d, b = levels if levels is not None else band_levels(n)
     if not tsa_check(datum, a, c, d, b):
@@ -181,7 +151,7 @@ def ensure_joinable(
             return
         shared = d_cur.point(group[0]).value
         lo, hi = (shared, b) if upward else (a, shared)
-        order = _dependency_order(d_cur, group)
+        order = sorted(group)
         slots = {
             pid: lo + (hi - lo) * Fraction(t, len(order) + 1)
             for t, pid in enumerate(order, 1)
@@ -417,9 +387,12 @@ def global_split(
     Returns the rewritten datum, its decomposition, and the move script.
     Running it again on its own output returns the same decomposition with
     an empty script.  Needs all three no-closed-component flags (except in
-    the trivial codimension-one case n = 1).  Any refused step surfaces as
+    the trivial codimension-one case n = 1).  Takes valid data only: an
+    invalid datum raises ValidationError with its full issue list
+    (``require_valid``).  Any refused step on valid data surfaces as
     PipelineBlocked naming the stage and the original error.
     """
+    require_valid(datum)
     if datum.ambient.codim >= 2:
         return _global_split_deep(datum)
     return _global_split_codim_one(datum)

@@ -82,10 +82,8 @@ class ComponentIndex(NamedTuple):
     """Where each component id of a slice complex starts and ends.
 
     ``producer`` maps every id to the point whose effect makes it (None for
-    a bottom component) and ``wall_bit`` to its wall bit; for an id made
-    twice the effect at the larger point id wins.  ``consumer`` maps an id
-    to the point whose effect takes it as input, the first in effect order
-    when there are several.
+    a bottom component) and ``wall_bit`` to its wall bit.  ``consumer`` maps
+    an id to the point whose effect takes it as input.
     """
 
     producer: Dict[str, Optional[str]]
@@ -142,10 +140,9 @@ class SliceComplex:
     def effect_for(self, point_id: str) -> ComponentEffect:
         """The effect at a point: one lookup in ``effect_index``.
 
-        Replay calls this once per point, so a full replay is O(P); a
-        rearrangement of a valid datum needs no replay at all (see
-        ``MorseDatum.valid``), and the full replay stays the reference for
-        every other move.
+        Replay calls this once per point, so a full replay is O(P).  The
+        moves take valid data only, and an accepted rearrangement or split
+        needs no replay at all.
         """
         try:
             return self.effect_index[point_id]
@@ -314,30 +311,27 @@ def effect_row_issues(
 
 
 def replay(ambient: Ambient, points, complex: SliceComplex):
-    """Replay all effects in (value, id) order.
+    """Replay the effects of the given points in (value, id) order.
 
-    Returns (issues, pre_states, final_state) where pre_states maps each
-    point id to the live-component state just below its critical value.
-    Stops at the first structural failure, reporting it as an issue.
+    Returns (issues, state): the state is the live components (id -> wall
+    bit) above the last point replayed.  Stops at the first structural
+    failure, reporting it as an issue.
     """
     issues = []
-    pre = {}
     state = {c.id: c.touches_wall for c in complex.bottom}
-    ordered = sorted(points, key=lambda p: p.sort_key())
-    for p in ordered:
-        pre[p.id] = dict(state)
+    for p in sorted(points, key=CriticalPoint.sort_key):
         try:
             effect = complex.effect_for(p.id)
         except UnknownId:
             issues.append("point %s has no slice effect" % (p.id,))
-            return issues, pre, state
+            return issues, state
         issues.extend(effect_row_issues(p, ambient.n, effect, state))
         try:
             state = apply_effect(state, effect)
         except InvalidEffect as exc:
             issues.append(str(exc))
-            return issues, pre, state
-    return issues, pre, state
+            return issues, state
+    return issues, state
 
 
 def slice_issues(points, complex: SliceComplex, replay_issues) -> list:
@@ -432,13 +426,6 @@ def flag_issues(complex: SliceComplex, flags, final: Dict[str, bool]) -> list:
     return issues
 
 
-def pre_states(ambient: Ambient, points, complex: SliceComplex):
-    issues, pre, final = replay(ambient, points, complex)
-    if issues:
-        raise ValidationError("slice replay failed", issues=issues)
-    return pre, final
-
-
 def state_at_level(ambient: Ambient, points, complex: SliceComplex, level: Fraction):
     """Live components at a regular level strictly inside (0,1)."""
     level = Fraction(level)
@@ -482,18 +469,19 @@ def joinable_to_wall(ambient: Ambient, points, complex: SliceComplex, point_id: 
     """Whether the surgery at an interior point happens on a wall component.
 
     True when some input of the point's effect touches the wall just below
-    the point.  Births join nothing, deaths consume closed components, so
-    both come out False.  Raises NotInterior for boundary points.
+    the point, found by replaying the points below it.  Births join
+    nothing, deaths consume closed components, so both come out False.
+    Raises NotInterior for boundary points, and ValidationError when the
+    replay below the point fails.
     """
-    target = None
-    for p in points:
-        if p.id == point_id:
-            target = p
+    target = next((p for p in points if p.id == point_id), None)
     if target is None:
         raise UnknownId("no critical point with id %r" % (point_id,))
     if target.kind is not Kind.INTERIOR:
         raise NotInterior("point %r is a boundary point" % (point_id,))
-    pre, _ = pre_states(ambient, points, complex)
-    state = pre[point_id]
+    below = [p for p in points if p.sort_key() < target.sort_key()]
+    issues, state = replay(ambient, below, complex)
+    if issues:
+        raise ValidationError("slice replay failed", issues=issues)
     effect = complex.effect_for(point_id)
     return any(state.get(cid, False) for cid in effect.inputs)

@@ -101,7 +101,22 @@ def test_parse_error_carries_line_numbers():
         parse_datum(good + "edge src=p dst=q count=x locus=inner")
     assert err.value.line == len(good.splitlines()) + 1
 
-    # an enum token outside its enum, and a move record of the wrong size
+    # a bad header value names the header's own line
+    lines = good.splitlines()
+    for key, bad, fragment in (("m", "x", "bad integer 'x'"),
+                               ("n", "zz", "bad integer 'zz'"),
+                               ("no_closed_top", "maybe",
+                                "expected true or false, got 'maybe'")):
+        num = next(i for i, line in enumerate(lines, 1)
+                   if line.startswith(key + "="))
+        text = "\n".join(lines[:num - 1] + ["%s=%s" % (key, bad)] + lines[num:])
+        with pytest.raises(ParseError) as err:
+            parse_datum(text)
+        assert err.value.line == num, key
+        assert str(err.value) == "line %d: %s" % (num, fragment), key
+
+    # an enum token outside its enum, a move record of the wrong size, and
+    # move records with values they do not take or ids that are no ids
     script_head = "format=halfhandle-script/1\n"
     bad_lines = [
         (parse_datum, good, "edge src=p dst=q count=1 locus=somewhere"),
@@ -110,6 +125,11 @@ def test_parse_error_carries_line_numbers():
         (parse_script, script_head, "move kind=split ids=q,p values=- note=-"),
         (parse_script, script_head,
          "move kind=rearrange ids=p,p values=1/3,1/4 note=-"),
+        (parse_script, script_head, "move kind=cancel ids=p,q values=1/2,1/3 note=-"),
+        (parse_script, script_head, "move kind=split ids=q values=1/2 note=-"),
+        (parse_script, script_head, "move kind=split ids= values=- note=-"),
+        (parse_script, script_head, "move kind=rearrange ids= values=1/2 note=-"),
+        (parse_script, script_head, "move kind=rearrange ids=p, values=1/3,1/4 note=-"),
     ]
     for parse, head, line in bad_lines:
         with pytest.raises(ParseError) as err:
@@ -131,7 +151,7 @@ def test_script_roundtrip_and_note_mangling():
         MoveRecord("rearrange", ("p", "q"),
                    (Fraction(1, 3), Fraction(2, 3)), "swap step"),
         MoveRecord("cancel", ("z", "w"), (), ""),
-        MoveRecord("split", ("z",), (Fraction(1, 4), Fraction(3, 4)), "wall"),
+        MoveRecord("split", ("z",), (), "wall"),
     ]
     text = serialize_script(script)
     back = parse_script(text)
@@ -209,7 +229,7 @@ def test_generate_can_leave_a_closed_survivor():
     d = generate(GeneratorSpec(n=2, m=4, points=6, seed=2,
                                no_closed_top=False,
                                leave_closed_component=True))
-    issues, _, final = replay(d.ambient, d.points, d.slices)
+    issues, final = replay(d.ambient, d.points, d.slices)
     assert issues == []
     assert any(not bit for bit in final.values())
 
@@ -326,6 +346,45 @@ def test_cli_validate(tmp_path, capsys):
         unknown = write(tmp_path, "unknown.hh", text + extra + "\n")
         assert main(["validate", unknown]) == 1, extra
         assert "error: line %d:" % line in capsys.readouterr().err, extra
+
+
+def test_cli_moves_refuse_an_invalid_datum(tmp_path, capsys):
+    bad = rich_datum().replace(points=tuple(
+        pt(p.id, p.kind, p.index, Fraction(1, 7))
+        for p in rich_datum().points))
+    issues = validate_datum(bad)
+    assert issues
+    path = write(tmp_path, "bad.hh", serialize_datum(bad))
+    report = str(tmp_path / "r.hh")
+    for argv in (["rearrange", path, "p", "q", "1/3", "2/3"],
+                 ["cancel", path, "p", "q"],
+                 ["split", path, "q"],
+                 ["normal-form", path, "--report", report]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid datum"] + ["  " + i for i in issues], argv[0]
+    assert not os.path.exists(report)
+
+
+def test_cli_file_errors_end_in_an_error_line(tmp_path, capsys):
+    one = datum(
+        4, 2,
+        [comp("c0", True)],
+        [pt("p", Kind.INTERIOR, 1, Fraction(1, 2))],
+        [],
+        [eff("p", EffectKind.INTERNAL, ("c0",), (comp("c1", True),))],
+    )
+    src = write(tmp_path, "one.hh", serialize_datum(one))
+    latin = tmp_path / "latin.hh"
+    latin.write_bytes(serialize_datum(one).encode() + b"# caf\xe9\n")
+    for argv in (["validate", str(tmp_path / "missing.hh")],
+                 ["validate", str(latin)],
+                 ["normal-form", src, "--report",
+                  str(tmp_path / "no-such-dir" / "r.hh")]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot "), argv
+        assert "Traceback" not in err, argv
 
 
 def out_of_range_datum():

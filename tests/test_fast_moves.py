@@ -1,12 +1,13 @@
-"""The fast paths of the moves against their references.
+"""The local checks of the moves against whole-datum references.
 
-On a datum whose ``valid`` holds, ``assign_values`` accepts a move of one
-or more points after looking only at the moved points; ``assign_by_replay``
-checks the whole assignment by a full replay.  ``split_interior`` judges a
-split of a valid datum by the pair alone; its full-validation path runs
-``validate_datum`` on the result.  Fast path and reference must agree on
-every move: the same accept or refuse, the same exception class and
-message, and equal results, as objects and as serialized bytes.
+The moves take valid data only and refuse anything else at the gate.  On a
+valid datum ``assign_values`` accepts a move of one or more points after
+looking only at the moved points; ``assign_by_replay`` checks the whole
+assignment by a full replay.  The two must agree on every move: the same
+accept or refuse, the same exception class and message, and equal results,
+as objects and as serialized bytes.  ``split_interior`` judges a split by
+the pair alone; every split it accepts must be valid by full validation,
+and it refuses as not joinable exactly where ``joinable_to_wall`` says so.
 """
 
 import dataclasses
@@ -18,13 +19,21 @@ from hypothesis import strategies as st
 
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
 from halfhandle.cli_io import GeneratorSpec, generate, serialize_datum
-from halfhandle.errors import InfeasibleSpec, InvalidEffect, MoveError
+from halfhandle.errors import (
+    InfeasibleSpec,
+    InvalidEffect,
+    MoveError,
+    NotJoinable,
+    ValidationError,
+)
 from halfhandle.morse_data import CriticalPoint, Kind, MorseDatum, validate_datum
 from halfhandle.moves import (
     _moves_locally,
     apply_record,
     assign_by_replay,
     assign_values,
+    cancel_pair,
+    realize_configuration,
     rearrange_pair,
     split_interior,
 )
@@ -175,8 +184,7 @@ def assignment_of(draw, d):
 @settings(max_examples=150, deadline=None)
 @given(generated(), st.data())
 def test_single_point_moves_match_the_replay_reference(d, data):
-    # a relabelled datum may tie two points in a new order and break its
-    # replay; then every move goes to the reference, which is compared too
+    assume(d.valid)  # the moves take valid data only; the gate has its own test
     for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
         assignment = assignment_of(data.draw, d)
         got = outcome(fast, d, assignment)
@@ -191,7 +199,7 @@ def test_single_point_moves_match_the_replay_reference(d, data):
 
 
 # ---------------------------------------------------------------------------
-# bases the local check must not be trusted on
+# invalid bases: the local check must not be trusted on them
 
 
 def three_internal(effects, edges=()):
@@ -226,7 +234,7 @@ def unclean_bases():
         [internal("p", "c0", "c1"), internal("q", "c3", "c2")]), "q", Fraction(7, 8)
 
 
-def test_a_move_keeps_an_invalid_datum_invalid():
+def genericity_base():
     # clean, but an index-2 point has a flow line into an index-1 one,
     # which genericity rules out
     d = three_internal(
@@ -234,20 +242,37 @@ def test_a_move_keeps_an_invalid_datum_invalid():
          internal("r", "c5", "c4")],
         edges=[edge("p", "q", None, Locus.MEMBRANE)])
     d = d.replace(points=(pt("p", Kind.INTERIOR, 2, Fraction(1, 4)),) + d.points[1:])
-    assert not d.valid
-    moved, _ = assign_values(d, {"r": Fraction(1, 8)})
-    assert "valid" not in vars(moved) and not moved.valid
+    return "genericity", d, "r", Fraction(1, 8)
 
 
-def test_unclean_bases_fall_back_to_the_reference():
-    for name, d, pid, v in unclean_bases():
+def gated_moves(d, pid, v):
+    """Every entry point that takes valid data only, as (name, call)."""
+    return [
+        ("assign_values", lambda: assign_values(d, {pid: v})),
+        ("rearrange_pair", lambda: rearrange_pair(d, "p", "q", v, Fraction(15, 16))),
+        ("cancel_pair", lambda: cancel_pair(d, "p", "q")),
+        ("split_interior", lambda: split_interior(d, "q")),
+        ("realize_configuration", lambda: realize_configuration(d, d.values())),
+        ("ensure_joinable", lambda: normal_form.ensure_joinable(d)),
+        ("global_split", lambda: normal_form.global_split(d)),
+    ]
+
+
+def test_every_move_refuses_an_invalid_datum_at_the_gate():
+    for name, d, pid, v in list(unclean_bases()) + [genericity_base()]:
         assert not d.valid, name
         if d.slices.has_effect(pid):
             # the local check alone would let this move through
             assert _moves_locally(d, {pid: v}), name
-        got = outcome(fast, d, {pid: v})
-        assert got[0] == "refused", name
-        assert got == outcome(reference, d, {pid: v}), name
+        issues = validate_datum(d)
+        for move, call in gated_moves(d, pid, v):
+            try:
+                call()
+            except ValidationError as exc:
+                assert str(exc) == "invalid datum", (name, move)
+                assert exc.issues == issues, (name, move)
+            else:
+                raise AssertionError("%s accepted the %s base" % (move, name))
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +285,6 @@ def split_outcome(d, z_id):
     except Exception as exc:  # the class and message are what is compared
         return ("refused", type(exc), str(exc))
     return ("accepted", out, serialize_datum(out))
-
-
-def reference_path(d):
-    """A fresh copy of d whose cached ``valid`` says False: split_interior
-    takes its full-validation path on it, whatever d is."""
-    ref = dataclasses.replace(d)
-    vars(ref)["valid"] = False
-    return ref
 
 
 @st.composite
@@ -367,17 +384,27 @@ def split_target(draw, d, hint):
 @given(split_bases(), st.data())
 def test_splits_match_the_full_validation_path(base, data):
     d, hint = base
+    if not d.valid:
+        z_id = split_target(data.draw, d, hint)
+        assert split_outcome(d, z_id) == ("refused", ValidationError, "invalid datum")
+        return
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         z_id = split_target(data.draw, d, hint)
         got = split_outcome(d, z_id)
-        assert got == split_outcome(reference_path(d), z_id), z_id
+        # a split of a valid datum is refused for its point, never for
+        # leaving inconsistent data
+        assert got[:2] != ("refused", InvalidEffect), got
+        z = d.point(z_id) if d.has_point(z_id) else None
+        splittable = (z is not None and z.kind is Kind.INTERIOR
+                      and 1 <= z.index <= d.ambient.n)
+        if splittable:
+            joins = slice_topology.joinable_to_wall(d.ambient, d.points, d.slices, z_id)
+            assert (got[:2] == ("refused", NotJoinable)) is not joins, z_id
         if got[0] == "refused":
             continue
         out = got[1]
+        assert vars(out)["valid"] is True, z_id
         check_accepted_split(d, z_id, out)
-        # on a valid datum the local check accepts every split that full
-        # validation accepts; the fallback is for data it cannot vouch for
-        assert vars(out).get("valid") is d.valid, z_id
         d, hint = out, None
 
 

@@ -9,6 +9,7 @@ from halfhandle.errors import (
     BadLevels,
     PipelineBlocked,
     StuckNoJoinablePoint,
+    ValidationError,
 )
 from halfhandle.morse_data import (
     Flags,
@@ -64,10 +65,12 @@ def full_population(n, m):
         else:
             effects.append(eff(pid, EffectKind.BOUNDARY_ATTACH, (cin.id,),
                                (comp("o%02d" % i, True),)))
-    # the death needs a closed component nobody else wants
+    # the death needs a closed component nobody else wants, and the
+    # index-0 birth leaves a closed one at the top
     bottoms.append(comp("dead", False))
     return datum(m, n, bottoms, points, [], effects,
-                 Flags(no_closed_cobordism=False, no_closed_bottom=False))
+                 Flags(no_closed_cobordism=False, no_closed_bottom=False,
+                       no_closed_top=False))
 
 
 def test_schedule_levels_exact_fractions():
@@ -273,6 +276,12 @@ def test_global_split_needs_the_flags():
     with pytest.raises(PipelineBlocked) as info:
         global_split(d)
     assert info.value.stage == "hypotheses"
+    # an invalid datum is refused before any stage, the hypotheses included
+    tied = d.replace(points=tuple(pt(p.id, p.kind, p.index, Fraction(1, 2))
+                                  for p in d.points))
+    with pytest.raises(ValidationError) as invalid:
+        global_split(tied)
+    assert invalid.value.issues == validate_datum(tied) != []
 
 
 def test_global_split_blocks_on_unjoinable_point():
@@ -292,8 +301,10 @@ def test_global_split_blocks_on_unjoinable_point():
     )
     assert validate_datum(d) == []
     strict = d.replace(flags=Flags())
-    with pytest.raises(PipelineBlocked):
-        global_split(strict)  # flags fail first: the datum has closed parts
+    with pytest.raises(ValidationError) as invalid:
+        global_split(strict)  # the datum has closed parts the flags deny
+    assert invalid.value.issues == validate_datum(strict)
+    assert any("closed piece" in issue for issue in invalid.value.issues)
     with pytest.raises(PipelineBlocked) as info:
         global_split(d.replace(flags=Flags(no_closed_cobordism=False,
                                            no_closed_top=False)))

@@ -138,19 +138,25 @@ def two_step_datum():
 
 def test_replay_order_and_determinism():
     d = two_step_datum()
-    issues, pre, final = replay(d.ambient, d.points, d.slices)
+    issues, final = replay(d.ambient, d.points, d.slices)
     assert issues == []
-    assert pre["p"] == {"c0": True, "c1": False}
-    assert pre["q"] == {"c2": True}
     assert final == {"c3": True}
     again = replay(d.ambient, d.points, d.slices)
-    assert again == (issues, pre, final)
+    assert again == (issues, final)
+
+    def below(pid):  # the state just below a point: replay what is under it
+        z = d.point(pid)
+        return replay(d.ambient, [p for p in d.points if p.value < z.value],
+                      d.slices)
+
+    assert below("p") == ([], {"c0": True, "c1": False})
+    assert below("q") == ([], {"c2": True})
 
 
 def test_replay_reports_missing_effect():
     d = two_step_datum()
     stripped = d.slices.replace_effects(drop=("q",))
-    issues, _, _ = replay(d.ambient, d.points, stripped)
+    issues, _ = replay(d.ambient, d.points, stripped)
     assert any("no slice effect" in s for s in issues)
 
 
