@@ -258,21 +258,35 @@ def gated_moves(d, pid, v):
     ]
 
 
-def test_every_move_refuses_an_invalid_datum_at_the_gate():
-    for name, d, pid, v in list(unclean_bases()) + [genericity_base()]:
+def assert_refused_at_the_gate(name, d, pid, v):
+    """Every gated entry point refuses d with ``validate_datum``'s issues."""
+    issues = validate_datum(d)
+    for move, call in gated_moves(d, pid, v):
+        try:
+            call()
+        except ValidationError as exc:
+            assert str(exc) == "invalid datum", (name, move)
+            assert exc.issues == issues, (name, move)
+        else:
+            raise AssertionError("%s accepted the %s base" % (move, name))
+
+
+def test_a_move_keeps_an_invalid_datum_invalid():
+    # no move turns the genericity base into a datum, valid or not
+    name, d, pid, v = genericity_base()
+    assert not d.valid
+    assert_refused_at_the_gate(name, d, pid, v)
+    assert vars(d)["valid"] is False
+
+
+def test_unclean_bases_fall_back_to_the_reference():
+    # the local check alone would let these moves through; the gate refuses
+    # them by full validation, the reference
+    for name, d, pid, v in unclean_bases():
         assert not d.valid, name
         if d.slices.has_effect(pid):
-            # the local check alone would let this move through
             assert _moves_locally(d, {pid: v}), name
-        issues = validate_datum(d)
-        for move, call in gated_moves(d, pid, v):
-            try:
-                call()
-            except ValidationError as exc:
-                assert str(exc) == "invalid datum", (name, move)
-                assert exc.issues == issues, (name, move)
-            else:
-                raise AssertionError("%s accepted the %s base" % (move, name))
+        assert_refused_at_the_gate(name, d, pid, v)
 
 
 # ---------------------------------------------------------------------------
