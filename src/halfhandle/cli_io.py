@@ -204,9 +204,16 @@ def parse_datum(text: str) -> MorseDatum:
         key: _bool(*header.get(key, ("true", None)))
         for key in ("no_closed_cobordism", "no_closed_bottom", "no_closed_top")
     })
+    m, n = _int(*header["m"]), _int(*header["n"])
+    try:
+        ambient = Ambient(m, n)
+    except ValidationError as exc:  # names n when n < 1, else m
+        raise ParseError(
+            "inconsistent datum: %s" % (exc,), header["n" if n < 1 else "m"][1]
+        )
     try:
         return MorseDatum(
-            Ambient(_int(*header["m"]), _int(*header["n"])),
+            ambient,
             tuple(points),
             TrajectoryGraph(tuple(edges)),
             SliceComplex(tuple(bottom), tuple(effects)),
@@ -846,36 +853,26 @@ def _cmd_disjoint(args) -> int:
     return 0
 
 
-def _emit(args, datum: MorseDatum, script) -> int:
-    _write_text(args.out, serialize_datum(datum))
-    if getattr(args, "script", None):
-        _write_text(args.script, serialize_script(script))
+_MOVES = {  # command: (help, arguments after the file, the move)
+    "rearrange": ("move a pair to new values", ("z", "w", "a", "b"), lambda d, ns:
+                  rearrange_pair(d, ns.z, ns.w, _fraction(ns.a), _fraction(ns.b))),
+    "cancel": ("erase a cancelling pair", ("z", "w"),
+               lambda d, ns: cancel_pair(d, ns.z, ns.w)),
+    "split": ("split an interior point at the wall", ("z",),
+              lambda d, ns: split_interior(d, ns.z)),
+}
+
+
+def _cmd_move(args) -> int:
+    out, record = args.move(_load_valid(args.file), args)
+    _write_text(args.out, serialize_datum(out))
+    if args.script:
+        _write_text(args.script, serialize_script([record]))
     return 0
 
 
-def _cmd_rearrange(args) -> int:
-    datum = _load_valid(args.file)
-    moved, record = rearrange_pair(
-        datum, args.z, args.w, _fraction(args.a), _fraction(args.b)
-    )
-    return _emit(args, moved, [record])
-
-
-def _cmd_cancel(args) -> int:
-    datum = _load_valid(args.file)
-    out, record = cancel_pair(datum, args.z, args.w)
-    return _emit(args, out, [record])
-
-
-def _cmd_split(args) -> int:
-    datum = _load_valid(args.file)
-    out, record = split_interior(datum, args.z)
-    return _emit(args, out, [record])
-
-
 def _cmd_normal_form(args) -> int:
-    datum = _load_valid(args.file)
-    out, dec, script = global_split(datum)
+    out, dec, script = global_split(_load_valid(args.file))
     if args.out:
         _write_text(args.out, serialize_datum(out))
     if args.script:
@@ -939,30 +936,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("w")
     p.set_defaults(fn=_cmd_disjoint)
 
-    p = sub.add_parser("rearrange", help="move a pair to new values")
-    p.add_argument("file")
-    p.add_argument("z")
-    p.add_argument("w")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("-o", "--out")
-    p.add_argument("--script")
-    p.set_defaults(fn=_cmd_rearrange)
-
-    p = sub.add_parser("cancel", help="erase a cancelling pair")
-    p.add_argument("file")
-    p.add_argument("z")
-    p.add_argument("w")
-    p.add_argument("-o", "--out")
-    p.add_argument("--script")
-    p.set_defaults(fn=_cmd_cancel)
-
-    p = sub.add_parser("split", help="split an interior point at the wall")
-    p.add_argument("file")
-    p.add_argument("z")
-    p.add_argument("-o", "--out")
-    p.add_argument("--script")
-    p.set_defaults(fn=_cmd_split)
+    for name, (help_text, positionals, move) in _MOVES.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in ("file",) + positionals:
+            p.add_argument(arg)
+        p.add_argument("-o", "--out")
+        p.add_argument("--script")
+        p.set_defaults(fn=_cmd_move, move=move)
 
     p = sub.add_parser("normal-form", help="drive a datum to normal form")
     p.add_argument("file")

@@ -274,10 +274,8 @@ def apply_record(datum: MorseDatum, record: MoveRecord) -> MorseDatum:
     if record.kind == "cancel":
         out, _ = cancel_pair(datum, record.ids[0], record.ids[1])
         return out
-    if record.kind == "split":
-        out, _ = split_interior(datum, record.ids[0])
-        return out
-    raise ValidationError("unknown move kind %r" % (record.kind,))
+    out, _ = split_interior(datum, record.ids[0])  # MoveRecord admits no other kind
+    return out
 
 
 def apply_script(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
@@ -640,7 +638,7 @@ def _splits_locally(datum, out, effect, bits, moved, e_s, e_u):
     try:
         for e in (e_s, e_u):
             issues += effect_row_issues(points[e.at], datum.ambient.n, e, state)
-            state = apply_effect(state, e)
+            apply_effect(state, e)
     except InvalidEffect as exc:
         issues.append(str(exc))
     return issues[0] if issues else None

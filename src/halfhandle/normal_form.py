@@ -120,9 +120,7 @@ def tsa_check(
     return True
 
 
-def ensure_joinable(
-    datum: MorseDatum, levels=None
-) -> Tuple[MorseDatum, List[MoveRecord]]:
+def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
     """Pull the shared extreme-index levels apart so every point splits.
 
     Takes valid data only (``require_valid``).  The interior index-1 points
@@ -135,7 +133,7 @@ def ensure_joinable(
     """
     require_valid(datum)
     n = datum.ambient.n
-    a, c, d, b = levels if levels is not None else band_levels(n)
+    a, c, d, b = band_levels(n)
     if not tsa_check(datum, a, c, d, b):
         raise BadLevels("joinability pass needs the band structure in place")
 
@@ -391,64 +389,49 @@ def global_split(
     invalid datum raises ValidationError with its full issue list
     (``require_valid``).  Any refused step on valid data surfaces as
     PipelineBlocked naming the stage and the original error.
+
+    Codimension two and up runs the stages of ``_DEEP_STAGES`` and ends in
+    the half-handle decomposition; codimension one runs ``_CODIM_ONE_STAGES``
+    and ends in the weaker monotone one.
     """
     require_valid(datum)
-    if datum.ambient.codim >= 2:
-        return _global_split_deep(datum)
-    return _global_split_codim_one(datum)
-
-
-def _require_flags(datum: MorseDatum, stage: str):
+    deep = datum.ambient.codim >= 2
+    if not deep and datum.ambient.n == 1:
+        return datum, _trivial_decomposition(datum), []
+    derive = derive_half_handle_decomposition if deep else derive_monotone_decomposition
+    if not datum.interior_points(*_split_range(datum)):
+        dec = derive(datum)
+        if dec is not None and verify_decomposition(datum, dec):
+            return datum, dec, []
     f = datum.flags
     if not (f.no_closed_cobordism and f.no_closed_bottom and f.no_closed_top):
         raise PipelineBlocked(
-            stage, "driver needs all three no-closed-component flags"
+            "hypotheses", "driver needs all three no-closed-component flags"
         )
-
-
-def _run_stage(stage: str, fn, datum: MorseDatum, script: List[MoveRecord]):
-    """Run one pipeline stage ``fn(datum) -> (datum, records)``.
-
-    Appends the stage's records to ``script`` and returns its datum; a
-    refused move surfaces as PipelineBlocked naming the stage.
-    """
-    try:
-        datum, part = fn(datum)
-    except MoveError as exc:
-        raise PipelineBlocked(stage, exc) from exc
-    script.extend(part)
-    return datum
-
-
-def _global_split_deep(datum):
-    dec = derive_half_handle_decomposition(datum)
-    if dec is not None and verify_decomposition(datum, dec):
-        return datum, dec, []
-    _require_flags(datum, "hypotheses")
-    n = datum.ambient.n
     script: List[MoveRecord] = []
-    d = _run_stage(
-        "schedule",
-        lambda cur: realize_configuration(cur, schedule_levels(cur)),
-        datum,
-        script,
-    )
-    cuts = band_levels(n)
-    if not tsa_check(d, *cuts):
-        raise PipelineBlocked("bands", "scheduling left a point out of its band")
-    d = _run_stage("joinability", lambda cur: ensure_joinable(cur, cuts), d, script)
-    d = _run_stage("separation", _separate_middle_levels, d, script)
-    d = _run_stage("split", _split_all_interior, d, script)
-    d = _run_stage(
-        "final",
-        lambda cur: realize_configuration(cur, _segment_targets(cur)),
-        d,
-        script,
-    )
-    dec = derive_half_handle_decomposition(d)
-    if dec is None or not verify_decomposition(d, dec):
+    for stage, fn in _DEEP_STAGES if deep else _CODIM_ONE_STAGES:
+        try:
+            datum, part = fn(datum)
+        except MoveError as exc:
+            raise PipelineBlocked(stage, exc) from exc
+        script.extend(part)
+    dec = derive(datum)
+    if dec is None or not verify_decomposition(datum, dec):
         raise PipelineBlocked("verify", "driver output is not in normal form")
-    return d, dec, script
+    return datum, dec, script
+
+
+def _split_range(datum: MorseDatum) -> Tuple[int, int]:
+    """Indices of the interior points the normal form splits: 1..n in
+    codimension two and up, the middle indices 2..n-1 in codimension one."""
+    n = datum.ambient.n
+    return (1, n) if datum.ambient.codim >= 2 else (2, n - 1)
+
+
+def _check_bands(datum):
+    if not tsa_check(datum, *band_levels(datum.ambient.n)):
+        raise BadLevels("scheduling left a point out of its band")
+    return datum, []
 
 
 def _separate_middle_levels(datum):
@@ -482,15 +465,13 @@ def _separate_middle_levels(datum):
     return d, script
 
 
-def _split_all_interior(datum):
+def _split_all(datum):
+    """Split every interior point of ``_split_range``, lowest first."""
     script: List[MoveRecord] = []
-    d = datum
-    n = d.ambient.n
-    todo = sorted(d.interior_points(1, n), key=lambda p: p.sort_key())
-    for p in todo:
-        d, rec = split_interior(d, p.id)
+    for p in datum.interior_points(*_split_range(datum)):
+        datum, rec = split_interior(datum, p.id)
         script.append(rec)
-    return d, script
+    return datum, script
 
 
 def _segment_targets(datum) -> Dict[str, Fraction]:
@@ -511,36 +492,25 @@ def _segment_targets(datum) -> Dict[str, Fraction]:
     return targets
 
 
-def _global_split_codim_one(datum):
-    n = datum.ambient.n
-    if n == 1:
-        return datum, _trivial_decomposition(datum), []
-    if not datum.interior_points(2, n - 1):
-        dec = derive_monotone_decomposition(datum)
-        if dec is not None and verify_decomposition(datum, dec):
-            return datum, dec, []
-    _require_flags(datum, "hypotheses")
-    script: List[MoveRecord] = []
+def _index_order_targets(datum) -> Dict[str, Fraction]:
+    """Codimension one: every point on its own level, by index and then in
+    its current order, spread evenly over (0, 1)."""
+    ordered = sorted(datum.points, key=lambda p: p.index)  # stable
+    return {p.id: Fraction(i + 1, len(ordered) + 1) for i, p in enumerate(ordered)}
 
-    def spread(cur):
-        ordered = sorted(cur.points, key=lambda p: (p.index, p.sort_key()))
-        total = len(ordered)
-        targets = {
-            p.id: Fraction(i + 1, total + 1) for i, p in enumerate(ordered)
-        }
-        return realize_configuration(cur, targets)
 
-    d = _run_stage("order", spread, datum, script)
-
-    def split_middles(cur):
-        part: List[MoveRecord] = []
-        for p in sorted(cur.interior_points(2, n - 1), key=lambda q: q.sort_key()):
-            cur, rec = split_interior(cur, p.id)
-            part.append(rec)
-        return cur, part
-
-    d = _run_stage("split", split_middles, d, script)
-    dec = derive_monotone_decomposition(d)
-    if dec is None or not verify_decomposition(d, dec):
-        raise PipelineBlocked("verify", "driver output is not in normal form")
-    return d, dec, script
+# Each stage maps a datum to (datum, records).  The lambdas look their
+# callees up when they run, so a wrapper installed on this module later
+# (a tracer, say) sees every call.
+_DEEP_STAGES = (
+    ("schedule", lambda d: realize_configuration(d, schedule_levels(d))),
+    ("bands", _check_bands),
+    ("joinability", lambda d: ensure_joinable(d)),
+    ("separation", _separate_middle_levels),
+    ("split", _split_all),
+    ("final", lambda d: realize_configuration(d, _segment_targets(d))),
+)
+_CODIM_ONE_STAGES = (
+    ("order", lambda d: realize_configuration(d, _index_order_targets(d))),
+    ("split", _split_all),
+)

@@ -149,9 +149,6 @@ class SliceComplex:
         except KeyError:
             raise UnknownId("no effect recorded at point %r" % (point_id,)) from None
 
-    def has_effect(self, point_id: str) -> bool:
-        return point_id in self.effect_index
-
     def fresh_component_id(self) -> str:
         """A component id of the form c<i> that no component carries yet."""
         taken = self.component_index.producer
@@ -176,21 +173,42 @@ class Slice:
 
 
 def apply_effect(state: Dict[str, bool], effect: ComponentEffect) -> Dict[str, bool]:
-    """Apply one effect to a live-component state (id -> wall bit)."""
-    new = dict(state)
+    """Apply one effect to a live-component state (id -> wall bit) in place.
+
+    Checks every input and output first, so a refused effect leaves the
+    state as it was; returns the same dict.
+    """
     for cid in effect.inputs:
-        if cid not in new:
+        if cid not in state:
             raise InvalidEffect(
                 "effect at %r consumes missing component %r" % (effect.at, cid)
             )
-        del new[cid]
     for comp in effect.outputs:
-        if comp.id in new:
+        if comp.id in state and comp.id not in effect.inputs:
             raise InvalidEffect(
                 "effect at %r rebuilds live component %r" % (effect.at, comp.id)
             )
-        new[comp.id] = comp.touches_wall
-    return new
+    for cid in effect.inputs:
+        del state[cid]
+    for comp in effect.outputs:
+        state[comp.id] = comp.touches_wall
+    return state
+
+
+# interior effects: (inputs, outputs, name, wall rule).  Every interior
+# surgery keeps wall contact: some output touches the wall exactly when some
+# input does, so a birth is closed and only a closed component dies.
+_INTERIOR_ROWS = {
+    EffectKind.BIRTH: (0, 1, "birth", "a newborn sphere cannot touch the wall"),
+    EffectKind.DEATH: (1, 0, "death", "only a closed component can die"),
+    EffectKind.MERGE: (2, 1, "merge", "wall bit must be the or of the inputs"),
+    EffectKind.INTERNAL: (
+        1, 1, "internal surgery", "internal surgery keeps the wall bit"
+    ),
+    EffectKind.SPLIT: (
+        1, 2, "split", "outputs must carry the input's wall bit between them"
+    ),
+}
 
 
 def effect_row_issues(
@@ -217,56 +235,25 @@ def effect_row_issues(
     n_in, n_out = len(effect.inputs), len(effect.outputs)
 
     if point.kind is Kind.INTERIOR:
-        allowed = {
-            0: {EffectKind.BIRTH},
-            n + 1: {EffectKind.DEATH},
+        legal_at = {
+            EffectKind.BIRTH: k == 0,
+            EffectKind.DEATH: k == n + 1,
+            EffectKind.MERGE: k == 1,
+            EffectKind.INTERNAL: 1 <= k <= n,
+            EffectKind.SPLIT: k == n,
         }
-        if 1 <= k <= n:
-            middle = set()
-            if k == 1:
-                middle |= {EffectKind.MERGE, EffectKind.INTERNAL}
-            if k == n:
-                middle |= {EffectKind.SPLIT, EffectKind.INTERNAL}
-            if 1 < k < n:
-                middle = {EffectKind.INTERNAL}
-            allowed[k] = middle
-        if kind not in allowed.get(k, set()):
+        if not legal_at.get(kind, False):
             issues.append(
                 "%s: not a legal effect for an interior point of index %d" % (tag, k)
             )
             return issues
-        if kind is EffectKind.BIRTH:
-            if n_in != 0 or n_out != 1:
-                issues.append("%s: birth is 0 -> 1" % tag)
-            elif effect.outputs[0].touches_wall:
-                issues.append("%s: a newborn sphere cannot touch the wall" % tag)
-        elif kind is EffectKind.DEATH:
-            if n_in != 1 or n_out != 0:
-                issues.append("%s: death is 1 -> 0" % tag)
-            elif flag(effect.inputs[0]):
-                issues.append("%s: only a closed component can die" % tag)
-        elif kind is EffectKind.MERGE:
-            if n_in != 2 or n_out != 1:
-                issues.append("%s: merge is 2 -> 1" % tag)
-            else:
-                want = flag(effect.inputs[0]) or flag(effect.inputs[1])
-                if effect.outputs[0].touches_wall != want:
-                    issues.append("%s: wall bit must be the or of the inputs" % tag)
-        elif kind is EffectKind.INTERNAL:
-            if n_in != 1 or n_out != 1:
-                issues.append("%s: internal surgery is 1 -> 1" % tag)
-            elif effect.outputs[0].touches_wall != flag(effect.inputs[0]):
-                issues.append("%s: internal surgery keeps the wall bit" % tag)
-        elif kind is EffectKind.SPLIT:
-            if n_in != 1 or n_out != 2:
-                issues.append("%s: split is 1 -> 2" % tag)
-            else:
-                got = effect.outputs[0].touches_wall or effect.outputs[1].touches_wall
-                if got != flag(effect.inputs[0]):
-                    issues.append(
-                        "%s: outputs must carry the input's wall bit between them"
-                        % tag
-                    )
+        want_in, want_out, name, rule = _INTERIOR_ROWS[kind]
+        if (n_in, n_out) != (want_in, want_out):
+            issues.append("%s: %s is %d -> %d" % (tag, name, want_in, want_out))
+        elif any(c.touches_wall for c in effect.outputs) != any(
+            flag(cid) for cid in effect.inputs
+        ):
+            issues.append("%s: %s" % (tag, rule))
         return issues
 
     # boundary point: must be an attach effect
@@ -327,7 +314,7 @@ def replay(ambient: Ambient, points, complex: SliceComplex):
             return issues, state
         issues.extend(effect_row_issues(p, ambient.n, effect, state))
         try:
-            state = apply_effect(state, effect)
+            apply_effect(state, effect)
         except InvalidEffect as exc:
             issues.append(str(exc))
             return issues, state
@@ -438,7 +425,7 @@ def state_at_level(ambient: Ambient, points, complex: SliceComplex, level: Fract
     for p in sorted(points, key=lambda q: q.sort_key()):
         if p.value > level:
             break
-        state = apply_effect(state, complex.effect_for(p.id))
+        apply_effect(state, complex.effect_for(p.id))
     return state
 
 
@@ -456,7 +443,7 @@ def level_slices(ambient: Ambient, points, complex: SliceComplex):
     idx = 0
     for lo, hi in zip(cuts, cuts[1:]):
         while idx < len(ordered) and ordered[idx].value <= lo:
-            state = apply_effect(state, complex.effect_for(ordered[idx].id))
+            apply_effect(state, complex.effect_for(ordered[idx].id))
             idx += 1
         comps = tuple(
             SliceComponent(cid, touches) for cid, touches in sorted(state.items())

@@ -277,7 +277,12 @@ def edge_issues(
 
 def graph_issues(ambient: Ambient, points, graph: TrajectoryGraph) -> list:
     """Invariant report for the flow graph against the given points:
-    ``edge_issues`` for every edge between known points, then cycles."""
+    ``edge_issues`` for every edge between known points, then cycles.
+
+    Edges that all run strictly uphill between known points close no
+    cycle, and every other edge is an issue already, so the cycle search
+    runs only once some issue was found.
+    """
     issues = []
     by_id = {p.id: p for p in points}
     for e in graph.edges:
@@ -285,8 +290,9 @@ def graph_issues(ambient: Ambient, points, graph: TrajectoryGraph) -> list:
             issues.append("edge %s->%s: unknown endpoint" % (e.src, e.dst))
             continue
         issues.extend(edge_issues(ambient, by_id[e.src], by_id[e.dst], e))
-    try:
-        broken_closure(graph)
-    except CycleDetected as exc:
-        issues.append(str(exc))
+    if issues:
+        try:
+            broken_closure(graph)
+        except CycleDetected as exc:
+            issues.append(str(exc))
     return issues

@@ -101,12 +101,17 @@ def test_parse_error_carries_line_numbers():
         parse_datum(good + "edge src=p dst=q count=x locus=inner")
     assert err.value.line == len(good.splitlines()) + 1
 
-    # a bad header value names the header's own line
+    # a bad header value, or an ambient out of range, names the line of
+    # the header at fault
     lines = good.splitlines()
     for key, bad, fragment in (("m", "x", "bad integer 'x'"),
                                ("n", "zz", "bad integer 'zz'"),
                                ("no_closed_top", "maybe",
-                                "expected true or false, got 'maybe'")):
+                                "expected true or false, got 'maybe'"),
+                               ("n", "0", "inconsistent datum: "
+                                "need n >= 1, got n=0"),
+                               ("m", "2", "inconsistent datum: "
+                                "need m >= n+1, got m=2 with n=2")):
         num = next(i for i, line in enumerate(lines, 1)
                    if line.startswith(key + "="))
         text = "\n".join(lines[:num - 1] + ["%s=%s" % (key, bad)] + lines[num:])

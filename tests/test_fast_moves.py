@@ -284,7 +284,7 @@ def test_unclean_bases_fall_back_to_the_reference():
     # them by full validation, the reference
     for name, d, pid, v in unclean_bases():
         assert not d.valid, name
-        if d.slices.has_effect(pid):
+        if pid in d.slices.effect_index:
             assert _moves_locally(d, {pid: v}), name
         assert_refused_at_the_gate(name, d, pid, v)
 

@@ -1,5 +1,6 @@
 """Scheduling, bands, joinability, decompositions, and the full driver."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from halfhandle.errors import (
     BadLevels,
     PipelineBlocked,
     StuckNoJoinablePoint,
+    SwapBlocked,
     ValidationError,
 )
 from halfhandle.morse_data import (
@@ -311,6 +313,38 @@ def test_global_split_blocks_on_unjoinable_point():
     assert info.value.stage == "hypotheses"
 
 
+def test_global_split_names_the_stage_that_refuses():
+    # both data are valid with every flag set, so only a stage can refuse
+    closed_surgery = datum(
+        4, 2,
+        [comp("c0", True)],
+        [pt("p", Kind.INTERIOR, 0, Fraction(1, 4)),
+         pt("q", Kind.INTERIOR, 1, Fraction(1, 2)),
+         pt("r", Kind.INTERIOR, 1, Fraction(3, 4))],
+        [edge("p", "q", 1, Locus.INNER)],
+        [eff("p", EffectKind.BIRTH, (), (comp("c1", False),)),
+         eff("q", EffectKind.INTERNAL, ("c1",), (comp("c2", False),)),
+         eff("r", EffectKind.MERGE, ("c0", "c2"), (comp("c3", True),))],
+    )
+    split_then_merge = datum(
+        4, 3,
+        [comp("c0", True)],
+        [pt("a", Kind.INTERIOR, 3, Fraction(1, 3)),
+         pt("b", Kind.INTERIOR, 1, Fraction(2, 3))],
+        [],
+        [eff("a", EffectKind.SPLIT, ("c0",),
+             (comp("c1", True), comp("c2", True))),
+         eff("b", EffectKind.MERGE, ("c1", "c2"), (comp("c3", True),))],
+    )
+    for d, stage, cause in ((closed_surgery, "joinability", StuckNoJoinablePoint),
+                            (split_then_merge, "order", SwapBlocked)):
+        assert validate_datum(d) == [], stage
+        with pytest.raises(PipelineBlocked) as info:
+            global_split(d)
+        assert info.value.stage == stage
+        assert type(info.value.cause) is cause
+
+
 def test_verify_decomposition_rejects_tampering():
     d = two_point_input()
     out, dec, _ = global_split(d)
@@ -339,6 +373,98 @@ def test_verify_decomposition_rejects_tampering():
     assert not verify_decomposition(out, Decomposition("monotone",
                                                        dec.segments))
     assert not verify_decomposition(out, Decomposition("half_handle", ()))
+
+
+def test_verify_decomposition_refuses_every_fault():
+    out, dec, _ = global_split(two_point_input())  # n = 2, eight segments
+    segs = list(dec.segments)
+    assert [s.point_ids for s in segs[:2]] == [("p",), ()]
+
+    def half(*changes, data=out):
+        tampered = segs[:]
+        for i, kw in changes:
+            tampered[i] = replace(tampered[i], **kw)
+        return data, Decomposition("half_handle", tuple(tampered))
+
+    # p moved into the empty segment "0" by value and by listing
+    moved_p = out.replace(points=tuple(
+        pt(p.id, p.kind, p.index, Fraction(3, 16) if p.id == "p" else p.value)
+        for p in out.points))
+    merged = segs[:1] + [replace(segs[1], hi=segs[2].hi,
+                                 point_ids=segs[2].point_ids)] + segs[3:]
+    cases = [
+        ("unknown point", half((1, {"point_ids": ("ghost",)}))),
+        ("segment count", (out, Decomposition("half_handle", tuple(merged)))),
+        ("moved cut", half((1, {"hi": Fraction(5, 32)}),
+                           (2, {"lo": Fraction(5, 32)}))),
+        ("certificate", half((1, {"cert": ("interior", 1)}))),
+        ("point of the wrong cell", half((0, {"point_ids": ()}),
+                                         (1, {"point_ids": ("p",)}),
+                                         data=moved_p)),
+        ("unknown style", (out, Decomposition("spiral", dec.segments))),
+    ]
+
+    # codimension one, n = 4: a middle segment holds one point of index 2..3
+    mono_out, mono, _ = global_split(datum(
+        5, 4,
+        [comp("c0", True), comp("c1", True)],
+        [pt("a", Kind.INTERIOR, 2, Fraction(1, 3)),
+         pt("b", Kind.INTERIOR, 3, Fraction(2, 3))],
+        [],
+        [eff("a", EffectKind.INTERNAL, ("c0",), (comp("c2", True),)),
+         eff("b", EffectKind.INTERNAL, ("c1",), (comp("c3", True),))],
+    ))
+    assert verify_decomposition(mono_out, mono)
+    cases.append(("middle certificate", (mono_out, Decomposition(
+        "monotone", (mono.segments[0], replace(mono.segments[1], cert=("low",)))
+        + mono.segments[2:]))))
+
+    def monotone(cells, pieces):
+        """Points (id, index, value) and segments (lo, hi, ids, cert)."""
+        d = datum(5, 4, [], [pt(pid, Kind.INTERIOR, k, v) for pid, k, v in cells],
+                  [], [])
+        return d, Decomposition("monotone", tuple(
+            Segment("s%d" % i, Fraction(lo), Fraction(hi), ids, cert)
+            for i, (lo, hi, ids, cert) in enumerate(pieces)))
+
+    # the monotone checks look at no cut, so these faults show nowhere else
+    low, mid, high = ("low",), ("mid",), ("high",)
+    assert verify_decomposition(*monotone(
+        [("b", 2, Fraction(1, 2))],
+        [(0, "1/4", (), low), ("1/4", "3/4", ("b",), mid), ("3/4", 1, (), high)]))
+    cases += [
+        ("first cut above 0", monotone(
+            [("b", 2, Fraction(1, 2))],
+            [("1/100", "1/4", (), low), ("1/4", "3/4", ("b",), mid),
+             ("3/4", 1, (), high)])),
+        ("empty segment", monotone(
+            [("b", 2, Fraction(1, 2))],
+            [(0, 0, (), low), (0, "3/4", ("b",), mid), ("3/4", 1, (), high)])),
+        ("point outside its segment", monotone(
+            [("b", 2, Fraction(1, 10))],
+            [(0, "1/4", (), low), ("1/4", "3/4", ("b",), mid),
+             ("3/4", 1, (), high)])),
+        ("index 1 in a middle segment", monotone(
+            [("a", 1, Fraction(3, 10))],
+            [(0, "1/4", (), low), ("1/4", "1/2", ("a",), mid),
+             ("1/2", 1, (), high)])),
+        ("middle indices decrease", monotone(
+            [("b", 3, Fraction(3, 10)), ("c", 2, Fraction(6, 10))],
+            [(0, "1/5", (), low), ("1/5", "1/2", ("b",), mid),
+             ("1/2", "4/5", ("c",), mid), ("4/5", 1, (), high)])),
+        ("index 1 in the high segment", monotone(
+            [("a", 1, Fraction(9, 10))],
+            [(0, "1/2", (), low), ("1/2", 1, ("a",), high)])),
+        ("index n in the low segment", monotone(
+            [("d", 4, Fraction(1, 10))],
+            [(0, "1/2", ("d",), low), ("1/2", 1, (), high)])),
+        ("middle index in the low segment", monotone(
+            [("b", 2, Fraction(1, 10))],
+            [(0, "1/2", ("b",), low), ("1/2", 1, (), high)])),
+    ]
+    assert len(cases) == 15
+    for name, (d, tampered) in cases:
+        assert verify_decomposition(d, tampered) is False, name
 
 
 def test_monotone_decomposition_codim_one():

@@ -1,5 +1,6 @@
 """Level set effects: the validity table, replay, flags, joinability."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -76,9 +77,9 @@ def legal_row(kind, k, n, ekind, in_bits, out_bits):
     return True
 
 
-def bit_shapes(max_len):
+def bit_shapes(max_len, values=(False, True)):
     for size in range(max_len + 1):
-        for bits in itertools.product((False, True), repeat=size):
+        for bits in itertools.product(values, repeat=size):
             yield bits
 
 
@@ -110,6 +111,36 @@ def test_effect_rows_match_table_exhaustively():
     assert checked > 5000
 
 
+def test_effect_rows_match_the_pinned_digest():
+    # every issue list over the cells below, hashed in enumeration order;
+    # the digest was taken from the per-kind branches the interior rows
+    # replaced.  Inputs may be missing from the state (None).
+    rows = []
+    for ekind in EffectKind:
+        for in_bits in bit_shapes(3, (False, True, None)):
+            inputs = tuple("x%d" % i for i in range(len(in_bits)))
+            state = {cid: bit for cid, bit in zip(inputs, in_bits)
+                     if bit is not None}
+            for out_bits in bit_shapes(3):
+                outputs = tuple(SliceComponent("y%d" % i, bit)
+                                for i, bit in enumerate(out_bits))
+                rows.append((ComponentEffect("z", ekind, inputs, outputs),
+                             state))
+    digest = hashlib.sha256()
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for kind in Kind:
+            for k in range(n + 3):  # one index past the range of every kind
+                point = CriticalPoint("z", kind, k, Fraction(1, 2))
+                for effect, state in rows:
+                    issues = effect_row_issues(point, n, effect, state)
+                    digest.update(("%r\n" % (issues,)).encode())
+                    checked += 1
+    assert checked == 237600
+    assert digest.hexdigest() == (
+        "2e1f4c2490ff5272ce251fd5b6323659e8f99c829fc28185dd959a4aa283a893")
+
+
 def test_apply_effect_guards_liveness():
     merge = ComponentEffect("z", EffectKind.MERGE, ("a", "b"),
                             (SliceComponent("c", True),))
@@ -121,6 +152,30 @@ def test_apply_effect_guards_liveness():
                               (SliceComponent("b", True),))
     with pytest.raises(InvalidEffect):
         apply_effect({"a": True, "b": False}, rebuild)
+
+
+def test_apply_effect_works_in_place_and_refuses_without_a_change():
+    state = {"a": True, "b": False}
+    merge = ComponentEffect("z", EffectKind.MERGE, ("a", "b"),
+                            (SliceComponent("c", True),))
+    assert apply_effect(state, merge) is state
+    assert state == {"c": True}
+    # an input missing after a present one, and an output already live:
+    # both are refused before the state changes
+    for before, effect in (
+            ({"a": True}, merge),
+            ({"a": True, "b": False},
+             ComponentEffect("z", EffectKind.INTERNAL, ("a",),
+                             (SliceComponent("b", True),)))):
+        state = dict(before)
+        with pytest.raises(InvalidEffect):
+            apply_effect(state, effect)
+        assert state == before
+    # an output may take the id of an input it consumes
+    state = {"a": False}
+    renew = ComponentEffect("z", EffectKind.INTERNAL, ("a",),
+                            (SliceComponent("a", True),))
+    assert apply_effect(state, renew) == {"a": True}
 
 
 def two_step_datum():

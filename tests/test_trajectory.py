@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfhandle.errors import CycleDetected, ValidationError
 from halfhandle.morse_data import Ambient, CriticalPoint, Kind, index_bounds
 from halfhandle.trajectory import (
     FlowEdge,
+    edge_issues,
     Locus,
     TrajectoryGraph,
     broken_closure,
@@ -141,6 +142,51 @@ def test_graph_issues_flags_downhill_and_generic_edges():
     unknown = graph_issues(base.ambient, base.points,
                            TrajectoryGraph((edge("x", "q", 1, Locus.INNER),)))
     assert any("unknown endpoint" in issue for issue in unknown)
+
+
+def graph_issues_reference(ambient, points, graph):
+    """``graph_issues`` with the cycle search run on every graph."""
+    issues = []
+    by_id = {p.id: p for p in points}
+    for e in graph.edges:
+        if e.src not in by_id or e.dst not in by_id:
+            issues.append("edge %s->%s: unknown endpoint" % (e.src, e.dst))
+            continue
+        issues.extend(edge_issues(ambient, by_id[e.src], by_id[e.dst], e))
+    try:
+        broken_closure(graph)
+    except CycleDetected as exc:
+        issues.append(str(exc))
+    return issues
+
+
+CELLS = [(kind, k) for kind in Kind for k in range(5)]  # some out of range
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), extra=st.integers(1, 3),
+       cells=st.lists(st.tuples(st.sampled_from(CELLS), st.integers(1, 4)),
+                      min_size=1, max_size=6),
+       pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                st.sampled_from(list(Locus))), max_size=14))
+# a cycle among known points, one closed through an unknown point, a tie
+@example(n=2, extra=2, cells=[((Kind.INTERIOR, 1), 1), ((Kind.INTERIOR, 2), 2),
+                              ((Kind.INTERIOR, 3), 3)],
+         pairs=[(0, 1, Locus.INNER), (1, 2, Locus.INNER), (2, 0, Locus.INNER)])
+@example(n=2, extra=2, cells=[((Kind.INTERIOR, 1), 1), ((Kind.INTERIOR, 2), 2)],
+         pairs=[(0, 1, Locus.INNER), (1, 6, Locus.INNER), (6, 0, Locus.INNER)])
+@example(n=2, extra=1, cells=[((Kind.INTERIOR, 1), 2), ((Kind.INTERIOR, 2), 2)],
+         pairs=[(0, 1, Locus.MEMBRANE)])
+def test_graph_issues_matches_the_always_search_reference(n, extra, cells, pairs):
+    # values on a grid of fifths tie often; ids v6 and v7 name no point
+    points = [pt("v%d" % i, kind, k, Fraction(q, 5))
+              for i, ((kind, k), q) in enumerate(cells)]
+    edges = {(a, b): edge("v%d" % a, "v%d" % b, 1, locus)
+             for a, b, locus in pairs if a != b}
+    graph = TrajectoryGraph(tuple(edges.values()))
+    ambient = Ambient(n + extra, n)
+    assert graph_issues(ambient, points, graph) == \
+        graph_issues_reference(ambient, points, graph)
 
 
 def test_graph_issues_checks_locus_support():
