@@ -189,6 +189,52 @@ def first_inversion(points, values: Mapping[str, Fraction], rank=lambda p: p.ind
     return None
 
 
+def splice(items: tuple, drop, add, key) -> tuple:
+    """``items``, sorted by ``key`` with distinct keys, without the items in
+    ``drop`` (items of ``items`` themselves) and with those in ``add``, in
+    key order.
+
+    A few dropped items are found by bisection, many by one pass over the
+    items.  Finding one point by bisection costs as much as a pass over 60
+    (at 248 points) to 130 (at 5,120) of them, so a split's one or two
+    drops are up to 20x cheaper by bisection and a run that moves every
+    point up to 70x cheaper by the pass.  Each added item is placed by
+    bisection, so a patch of a few items costs O(log N) key comparisons
+    each and two copies of the tuple, not a re-sort.  The moves patch the
+    points, flow lines and effects of a datum with it.
+    """
+    if 100 * len(drop) < len(items):
+        kept, start = [], 0
+        for i in sorted(bisect_left(items, key(x), key=key) for x in drop):
+            kept += items[start:i]
+            start = i + 1
+        kept += items[start:]
+    else:
+        gone = set(map(id, drop))
+        kept = [x for x in items if id(x) not in gone]
+    out, start = [], 0
+    for x in sorted(add, key=key):
+        i = bisect_left(kept, key(x), start, key=key)
+        out += kept[start:i]
+        out.append(x)
+        start = i
+    out += kept[start:]
+    return tuple(out)
+
+
+def built_indexes(obj, names) -> dict:
+    """Those of the cached indexes ``names`` that ``obj`` has built: what a
+    patched copy of ``obj`` starts its own from."""
+    return {name: vars(obj)[name] for name in names if name in vars(obj)}
+
+
+def parent_index(obj, name):
+    """The parent's index ``name`` that the patched ``obj`` starts from, or
+    None; handed over once, so ``obj`` does not keep it once it has its
+    own."""
+    return vars(obj).get("_parents", {}).pop(name, None)
+
+
 def _boundary_rank(p: CriticalPoint):
     return (p.index, p.kind is Kind.BOUNDARY_UNSTABLE)
 
@@ -304,28 +350,30 @@ class MorseDatum:
 
     def with_values(self, values: Mapping[str, Fraction]) -> "MorseDatum":
         """This datum with each point named in ``values`` moved to its value
-        there, marked valid.
+        there, marked valid; the datum itself when nothing moves.
 
-        For a move of a valid datum already checked to keep its edges
-        uphill and its replay clean (see ``moves.assign_values``).  That
-        keeps every clause of ``validate_datum``: the rest does not look at
-        the values, and with every component id made once and used once the
-        top state and the flag union-find do not depend on the order.  Each
-        moved point is re-placed by bisection on the (value, id) order; the
-        other points are neither re-sorted nor re-validated, and the point
-        index is carried over.
+        For moves of a valid datum already checked to keep its edges uphill
+        and its replay clean (see ``moves.assign_values``).  That keeps
+        every clause of ``validate_datum``: the rest does not look at the
+        values, and with every component id made once and used once the top
+        state and the flag union-find do not depend on the order.  The moved
+        points are sorted once (fast when ``values`` lists them nearly in
+        order) and placed by bisection (``splice``); the other points are
+        neither re-sorted nor re-validated, and the point index is carried
+        over.
         """
-        key = CriticalPoint.sort_key
-        points = self.points
-        index = dict(self.point_index)
+        if not values:
+            return self
+        old = self.point_index
+        index = dict(old)
         for pid, value in values.items():
-            old = index[pid]
-            point = CriticalPoint(pid, old.kind, old.index, value)
-            i = bisect_left(points, key(old), key=key)
-            points = points[:i] + points[i + 1 :]
-            j = bisect_left(points, key(point), key=key)
-            points = points[:j] + (point,) + points[j:]
-            index[pid] = point
+            index[pid] = CriticalPoint(pid, old[pid].kind, old[pid].index, value)
+        points = splice(
+            self.points,
+            [old[pid] for pid in values],
+            [index[pid] for pid in values],
+            CriticalPoint.sort_key,
+        )
         return self.derived(
             points, self.graph, self.slices, point_index=index, valid=True
         )

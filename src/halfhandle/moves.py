@@ -22,9 +22,11 @@ splits (``split_interior``) are checked locally, in time proportional to
 the degree of the points moved, as in the rearrangement and splitting
 theorems: a rearrangement is pinned only by the flow lines and surgery
 dependencies of the points it moves, and a split changes the flow lines
-and the surgery of one point and nothing else.  A rearrangement the local
-check refuses goes to the full replay, which names the reason;
-cancellations run ``validate_datum`` on the result.
+and the surgery of one point and nothing else.  The drivers and script
+replay fold runs of rearrangements in one pass (``_rearrange_run``) that
+re-places the points once per run.  A rearrangement the local check
+refuses goes to the full replay, which names the reason; cancellations run
+``validate_datum`` on the result.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Tuple
+from itertools import groupby
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
     Blocked,
@@ -75,7 +79,6 @@ from .slice_topology import (
 from .trajectory import (
     FlowEdge,
     Locus,
-    TrajectoryGraph,
     can_rearrange,
     edge_issues,
     generic_disjoint,
@@ -121,6 +124,10 @@ class MoveRecord:
             raise ValidationError("rearrange needs one value per id")
         if self.kind != "rearrange" and self.values:
             raise ValidationError("%s takes no values" % (self.kind,))
+
+    def assignments(self) -> Dict[str, Fraction]:
+        """Target value by point id (empty unless a rearrange)."""
+        return dict(zip(self.ids, self.values))
 
 
 def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
@@ -175,7 +182,14 @@ def assign_by_replay(
     return datum.replace(points=new_points)
 
 
-def _moves_locally(datum: MorseDatum, values: Mapping[str, Fraction]) -> bool:
+_NO_OVERLAY: Mapping[str, Fraction] = MappingProxyType({})
+
+
+def _moves_locally(
+    datum: MorseDatum,
+    values: Mapping[str, Fraction],
+    overlay: Mapping[str, Fraction] = _NO_OVERLAY,
+) -> bool:
     """Whether moving each point to its value in ``values`` keeps a valid
     datum valid.
 
@@ -184,12 +198,15 @@ def _moves_locally(datum: MorseDatum, values: Mapping[str, Fraction]) -> bool:
     lines must stay uphill, the makers of their inputs must come before
     them and the users of their outputs after them.  On a valid datum every
     component id is made once and used at most once, so nothing else pins
-    the replay order.
+    the replay order.  ``overlay`` holds the values of earlier moves not
+    yet applied to ``datum`` (``_rearrange_run``).
     """
     points = datum.point_index
 
     def key(pid):
-        return (values[pid] if pid in values else points[pid].value, pid)
+        if pid in values:
+            return (values[pid], pid)
+        return (overlay[pid] if pid in overlay else points[pid].value, pid)
 
     edges = datum.graph.edge_index
     components = datum.slices.component_index
@@ -209,6 +226,18 @@ def _moves_locally(datum: MorseDatum, values: Mapping[str, Fraction]) -> bool:
     return True
 
 
+def _local_step(datum, assignments, overlay=_NO_OVERLAY):
+    """The exact values of a move of known points to values in (0, 1) that
+    ``_moves_locally`` accepts, with ``overlay`` as there; None otherwise."""
+    if all(datum.has_point(pid) for pid in assignments):
+        values = {pid: Fraction(v) for pid, v in assignments.items()}
+        if all(0 < v < 1 for v in values.values()) and _moves_locally(
+            datum, values, overlay
+        ):
+            return values
+    return None
+
+
 def assign_values(
     datum: MorseDatum, assignments: Mapping[str, Fraction], note: str = ""
 ) -> Tuple[MorseDatum, MoveRecord]:
@@ -220,23 +249,48 @@ def assign_values(
 
     Takes valid data only (``require_valid``).  A move of known points to
     values in (0, 1) is accepted after ``_moves_locally`` checks the moved
-    points alone; only they are re-placed, and the result stays valid.
-    Every refusal goes through ``assign_by_replay``, the full replay that
-    names the reason.
+    points alone; only they are re-placed, by bisection, and the result
+    stays valid.  Every refusal goes through ``assign_by_replay``, the full
+    replay that names the reason.
     """
     require_valid(datum)
-    ids = tuple(sorted(assignments))
-    moved = None
-    if all(datum.has_point(pid) for pid in ids):
-        values = {pid: Fraction(v) for pid, v in assignments.items()}
-        if all(0 < v < 1 for v in values.values()) and _moves_locally(datum, values):
-            moved = datum.with_values(values)
-    if moved is None:
+    values = _local_step(datum, assignments)
+    if values is None:
         moved = assign_by_replay(datum, assignments)
+    else:
+        moved = datum.with_values(values)
+    ids = tuple(sorted(assignments))
     record = MoveRecord(
         "rearrange", ids, tuple(Fraction(assignments[i]) for i in ids), note
     )
     return moved, record
+
+
+def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
+    """The datum the rearrange records of ``script`` make, one after another:
+    the left fold of ``apply_record`` over them, in one pass.
+
+    Each step is checked by ``_moves_locally`` with the values of the steps
+    before it held in an overlay, and the moved points are re-placed once,
+    at the end (``with_values``), so a run of s steps builds one points
+    tuple, not s.  At the first step the local check refuses, the datum the
+    earlier steps made is built and the step goes to ``assign_values``,
+    which raises what the fold raises there (or, should it accept, the run
+    goes on from its result).
+    """
+    d, overlay = datum, {}
+    for record in script:
+        if not overlay:
+            require_valid(d)
+        values = _local_step(d, record.assignments(), overlay)
+        if values is None:
+            d, _ = assign_values(d.with_values(overlay), record.assignments())
+            overlay = {}
+        else:  # keep the overlay in the order of last moves, mostly sorted
+            for pid in values:
+                overlay.pop(pid, None)
+            overlay.update(values)
+    return d.with_values(overlay)
 
 
 def rearrange_pair(
@@ -267,9 +321,7 @@ def rearrange_pair(
 def apply_record(datum: MorseDatum, record: MoveRecord) -> MorseDatum:
     """Replay one recorded move."""
     if record.kind == "rearrange":
-        moved, _ = assign_values(
-            datum, dict(zip(record.ids, record.values)), record.note
-        )
+        moved, _ = assign_values(datum, record.assignments(), record.note)
         return moved
     if record.kind == "cancel":
         out, _ = cancel_pair(datum, record.ids[0], record.ids[1])
@@ -279,8 +331,14 @@ def apply_record(datum: MorseDatum, record: MoveRecord) -> MorseDatum:
 
 
 def apply_script(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
-    for record in script:
-        datum = apply_record(datum, record)
+    """Replay a script: the fold of ``apply_record`` over it, each stretch
+    of consecutive rearrangements replayed as one ``_rearrange_run``."""
+    for rearranging, records in groupby(script, lambda r: r.kind == "rearrange"):
+        if rearranging:
+            datum = _rearrange_run(datum, records)
+            continue
+        for record in records:
+            datum = apply_record(datum, record)
     return datum
 
 
@@ -302,7 +360,8 @@ def realize_configuration(
 
     Takes valid data only (``require_valid``).  The targets are checked
     once by a full replay (``check_assignment``); the park and place steps
-    are single-point moves, each checked by ``assign_values`` in O(deg x).
+    are single-point moves, run as one ``_rearrange_run`` that checks each
+    step in O(deg x) and re-places the points once.
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -352,9 +411,6 @@ def realize_configuration(
     if all(want[p.id] == p.value for p in datum.points):
         return datum, []
 
-    script: List[MoveRecord] = []
-    d = datum
-
     # park everything above current values and targets, preserving order
     ceiling = max(
         [p.value for p in datum.points] + [v for v in want.values()]
@@ -365,15 +421,16 @@ def realize_configuration(
         p.id: ceiling + (1 - ceiling) * Fraction(i + 1, count + 2)
         for i, p in enumerate(ordered)
     }
-    for p in reversed(ordered):  # topmost first, so nothing is overtaken
-        d, rec = assign_values(d, {p.id: slots[p.id]}, "park")
-        script.append(rec)
-
+    script = [  # topmost first, so nothing is overtaken
+        MoveRecord("rearrange", (p.id,), (slots[p.id],), "park")
+        for p in reversed(ordered)
+    ]
     # place from the bottom up
-    for pid in sorted(want, key=lambda i: (want[i], i)):
-        d, rec = assign_values(d, {pid: want[pid]}, "place")
-        script.append(rec)
-    return d, script
+    script += [
+        MoveRecord("rearrange", (pid,), (want[pid],), "place")
+        for pid in sorted(want, key=lambda i: (want[i], i))
+    ]
+    return _rearrange_run(datum, script), script
 
 
 def _starving_pair(datum: MorseDatum, values: Mapping[str, Fraction]):
@@ -545,8 +602,10 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
 
     Takes valid data only (``require_valid``).  Joinability is read off the
     wall bits of z's inputs.  The pair takes z's place in the point order,
-    found by bisection, unchanged flow lines and effects are kept, and the
-    point index is carried over.  The result is judged by
+    found by bisection; the new flow lines and effects are placed by
+    bisection too (``_patched``), and the result patches its graph and
+    slice indexes from this datum's when first asked.  The point index is
+    carried over.  The result is judged by
     ``_splits_locally`` alone and marked ``valid``; the split is refused
     with InvalidEffect naming the first issue that check finds.
     """
@@ -592,19 +651,16 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     index = dict(datum.point_index)
     del index[z_id]
     index[zs_id], index[zu_id] = zs, zu
-    graph = datum.graph
+    into, out_of = datum.graph.predecessors(z_id), datum.graph.successors(z_id)
     moved = tuple(
-        FlowEdge(e.src, zs_id, e.count, e.locus) for e in graph.predecessors(z_id)
+        FlowEdge(e.src, zs_id, e.count, e.locus) for e in into
     ) + tuple(
-        FlowEdge(zu_id, e.dst, e.count, e.locus) for e in graph.successors(z_id)
+        FlowEdge(zu_id, e.dst, e.count, e.locus) for e in out_of
     ) + (FlowEdge(zs_id, zu_id, 1, Locus.WALL),)
-    kept = tuple(e for e in graph.edges if z_id not in (e.src, e.dst))
-    new_graph = TrajectoryGraph(kept + moved)
-    new_slices = datum.slices.replace_effects(drop=(z_id,), add=(e_s, e_u))
     out = datum.derived(
         points[:i] + (zs, zu) + points[i + 1 :],
-        new_graph,
-        new_slices,
+        datum.graph._patched(into + out_of, moved),
+        datum.slices._patched((effect,), (e_s, e_u)),
         point_index=index,
     )
     issue = _splits_locally(datum, out, effect, bits, moved, e_s, e_u)

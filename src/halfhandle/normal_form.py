@@ -25,7 +25,7 @@ from .errors import (
 from .morse_data import Kind, MorseDatum, first_inversion, require_valid
 from .moves import (
     MoveRecord,
-    assign_values,
+    _rearrange_run,
     realize_configuration,
     split_interior,
 )
@@ -130,6 +130,7 @@ def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
     keep replaying.  For n = 1 those are the same group and the same band.
     Every one of them, and every middle-index interior point, must join the
     wall (some surgery input touching it); otherwise StuckNoJoinablePoint.
+    All the moves run as one ``_rearrange_run``.
     """
     require_valid(datum)
     n = datum.ambient.n
@@ -137,30 +138,30 @@ def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
     if not tsa_check(datum, a, c, d, b):
         raise BadLevels("joinability pass needs the band structure in place")
 
-    script: List[MoveRecord] = []
-    d_cur = datum
-
     def separate(group, upward, note):
         # slots stay strictly on one side of the shared level, and points
         # leave it producers first (consumers first when going up), so no
         # intermediate state ever starves a surgery still waiting there
-        nonlocal d_cur
         if len(group) < 2:
-            return
-        shared = d_cur.point(group[0]).value
+            return []
+        shared = datum.point(group[0]).value
         lo, hi = (shared, b) if upward else (a, shared)
         order = sorted(group)
         slots = {
             pid: lo + (hi - lo) * Fraction(t, len(order) + 1)
             for t, pid in enumerate(order, 1)
         }
-        for pid in reversed(order) if upward else order:
-            d_cur, rec = assign_values(d_cur, {pid: slots[pid]}, note)
-            script.append(rec)
+        return [
+            MoveRecord("rearrange", (pid,), (slots[pid],), note)
+            for pid in (reversed(order) if upward else order)
+        ]
 
-    separate([p.id for p in d_cur.interior_points(1, 1)], False, "join_low")
+    script = separate([p.id for p in datum.interior_points(1, 1)], False, "join_low")
     if n > 1:
-        separate([p.id for p in d_cur.interior_points(n, n)], True, "join_high")
+        script += separate(
+            [p.id for p in datum.interior_points(n, n)], True, "join_high"
+        )
+    d_cur = _rearrange_run(datum, script)
 
     wall_bit = d_cur.slices.component_index.wall_bit  # fixed over a lifetime
     for p in d_cur.interior_points(1, n):
@@ -428,41 +429,40 @@ def _split_range(datum: MorseDatum) -> Tuple[int, int]:
     return (1, n) if datum.ambient.codim >= 2 else (2, n - 1)
 
 
-def _check_bands(datum):
-    if not tsa_check(datum, *band_levels(datum.ambient.n)):
-        raise BadLevels("scheduling left a point out of its band")
-    return datum, []
-
-
 def _separate_middle_levels(datum):
     """Give every interior point of middle index its own level.
 
     Points sharing a level keep their order; all but the last slide to
     fresh levels in the free gap just below, lowest first, so the replay
-    order never changes.
+    order never changes.  Some point stays on every level and the movers
+    land strictly between the level below and their own, so that gap is
+    bounded by the level below in the sorted list of levels.  All the
+    moves run as one ``_rearrange_run``.
     """
     n = datum.ambient.n
     script: List[MoveRecord] = []
-    d = datum
-    middle_ids = {p.id for p in d.interior_points(2, n - 1)} if n >= 3 else set()
+    middle_ids = {p.id for p in datum.interior_points(2, n - 1)} if n >= 3 else set()
     levels: Dict[Fraction, List[str]] = {}
-    for p in d.points:
+    for p in datum.points:
         levels.setdefault(p.value, []).append(p.id)
+    prev = Fraction(0)
     for v in sorted(levels):
         group = levels[v]
         movers = [pid for pid in group if pid in middle_ids]
-        if len(group) < 2 or not movers:
-            continue
-        if len(movers) == len(group):
-            movers = movers[:-1]  # the last one may keep the level
-        prev = max(
-            [p.value for p in d.points if p.value < v], default=Fraction(0)
-        )
-        for t, pid in enumerate(movers):
-            slot = prev + (v - prev) * Fraction(t + 1, len(movers) + 1)
-            d, rec = assign_values(d, {pid: slot}, "separate")
-            script.append(rec)
-    return d, script
+        if len(group) >= 2 and movers:
+            if len(movers) == len(group):
+                movers = movers[:-1]  # the last one may keep the level
+            script += [
+                MoveRecord(
+                    "rearrange",
+                    (pid,),
+                    (prev + (v - prev) * Fraction(t + 1, len(movers) + 1),),
+                    "separate",
+                )
+                for t, pid in enumerate(movers)
+            ]
+        prev = v
+    return _rearrange_run(datum, script), script
 
 
 def _split_all(datum):
@@ -504,7 +504,6 @@ def _index_order_targets(datum) -> Dict[str, Fraction]:
 # (a tracer, say) sees every call.
 _DEEP_STAGES = (
     ("schedule", lambda d: realize_configuration(d, schedule_levels(d))),
-    ("bands", _check_bands),
     ("joinability", lambda d: ensure_joinable(d)),
     ("separation", _separate_middle_levels),
     ("split", _split_all),

@@ -26,7 +26,15 @@ from .errors import (
     UnknownId,
     ValidationError,
 )
-from .morse_data import _ID_RE, Ambient, CriticalPoint, Kind
+from .morse_data import (
+    _ID_RE,
+    Ambient,
+    CriticalPoint,
+    Kind,
+    built_indexes,
+    parent_index,
+    splice,
+)
 
 
 class EffectKind(str, enum.Enum):
@@ -78,6 +86,10 @@ class ComponentEffect:
         return tuple(c.id for c in self.outputs)
 
 
+def _effect_at(e: ComponentEffect) -> str:
+    return e.at
+
+
 class ComponentIndex(NamedTuple):
     """Where each component id of a slice complex starts and ends.
 
@@ -97,7 +109,8 @@ class SliceComplex:
 
     Both indexes below are built on first use and kept: the complex is
     immutable, and a rearrangement keeps the complex it started from, so
-    every move of a session shares them.
+    every move of a session shares them.  A complex made by ``_patched``
+    (a split) builds them by patching its parent's indexes instead.
     """
 
     bottom: Tuple[SliceComponent, ...]
@@ -116,26 +129,59 @@ class SliceComplex:
                 raise ValidationError("two effects at point %r" % (e.at,))
             seen.add(e.at)
 
+    def _patched(self, drop, add) -> "SliceComplex":
+        """This complex without the effects ``drop`` and with ``add``, for
+        a move of valid data: as ``TrajectoryGraph._patched``, for both
+        indexes of this complex that are built."""
+        out = object.__new__(SliceComplex)
+        vars(out).update(
+            bottom=self.bottom,
+            effects=splice(self.effects, drop, add, _effect_at),
+            _moved=(tuple(drop), tuple(add)),
+            _parents=built_indexes(self, ("effect_index", "component_index")),
+        )
+        return out
+
     @cached_property
     def effect_index(self) -> Dict[str, ComponentEffect]:
         """Effect by point id."""
-        return {e.at: e for e in self.effects}
+        parent = parent_index(self, "effect_index")
+        if parent is None:
+            return {e.at: e for e in self.effects}
+        drop, add = self._moved
+        index = dict(parent)
+        for e in drop:
+            del index[e.at]
+        index.update((e.at, e) for e in add)
+        return index
 
     @cached_property
     def component_index(self) -> ComponentIndex:
-        producer: Dict[str, Optional[str]] = {}
-        wall_bit = {}
-        consumer: Dict[str, str] = {}
-        for c in self.bottom:
-            producer[c.id] = None
-            wall_bit[c.id] = c.touches_wall
-        for e in self.effects:
+        parent = parent_index(self, "component_index")
+        if parent is None:
+            index = ComponentIndex(
+                {c.id: None for c in self.bottom},
+                {},
+                {c.id: c.touches_wall for c in self.bottom},
+            )
+            drop, add = (), self.effects
+        else:
+            index = ComponentIndex(*(dict(part) for part in parent))
+            drop, add = self._moved
+        producer, consumer, wall_bit = index
+        for e in drop:
+            for c in e.outputs:
+                del producer[c.id], wall_bit[c.id]
+            for cid in e.inputs:
+                if consumer.get(cid) == e.at:
+                    del consumer[cid]
+        for e in add:
             for c in e.outputs:
                 producer[c.id] = e.at
                 wall_bit[c.id] = c.touches_wall
             for cid in e.inputs:
                 consumer.setdefault(cid, e.at)
-        return ComponentIndex(producer, consumer, wall_bit)
+        return index
 
     def effect_for(self, point_id: str) -> ComponentEffect:
         """The effect at a point: one lookup in ``effect_index``.
@@ -156,11 +202,6 @@ class SliceComplex:
         while "c%d" % i in taken:
             i += 1
         return "c%d" % i
-
-    def replace_effects(self, drop=(), add=()) -> "SliceComplex":
-        dropped = set(drop)
-        kept = [e for e in self.effects if e.at not in dropped]
-        return SliceComplex(self.bottom, tuple(kept) + tuple(add))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,14 @@ def edge(src, dst, count, locus):
     return FlowEdge(src, dst, count, locus)
 
 
+def replace_effects(slices, drop=(), add=()):
+    """``slices`` without the effects at the point ids ``drop`` and with
+    ``add``, through the public constructor (which re-sorts and re-checks)."""
+    dropped = set(drop)
+    kept = [e for e in slices.effects if e.at not in dropped]
+    return SliceComplex(slices.bottom, tuple(kept) + tuple(add))
+
+
 def datum(m, n, bottom, points, edges, effects, flags=None):
     return MorseDatum(
         Ambient(m, n),

@@ -74,6 +74,7 @@ from helpers import (
     eff,
     internal_chain_pair,
     pt,
+    replace_effects,
     split_death_pair,
 )
 
@@ -358,7 +359,7 @@ def _broken_chain_datum():
         graph=base.graph.with_edges([
             edge("p", "x", None, Locus.WALL),
             edge("x", "q", None, Locus.WALL)]),
-        slices=base.slices.replace_effects(add=(
+        slices=replace_effects(base.slices, add=(
             eff("x", EffectKind.BOUNDARY_ATTACH, ("c9",),
                 (comp("c8", True),)),)),
     )

@@ -1,4 +1,4 @@
-"""The local checks of the moves against whole-datum references.
+"""The local checks and patches of the moves against whole-datum references.
 
 The moves take valid data only and refuse anything else at the gate.  On a
 valid datum ``assign_values`` accepts a move of one or more points after
@@ -8,6 +8,9 @@ accept or refuse, the same exception class and message, and equal results,
 as objects and as serialized bytes.  ``split_interior`` judges a split by
 the pair alone; every split it accepts must be valid by full validation,
 and it refuses as not joinable exactly where ``joinable_to_wall`` says so.
+A run of rearrangements (``_rearrange_run``) must be the fold of
+``assign_values`` over its steps, and the indexes a split result patches
+from its parent's must be those a fresh build gives.
 """
 
 import dataclasses
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
 from halfhandle.cli_io import GeneratorSpec, generate, serialize_datum
 from halfhandle.errors import (
+    EngineError,
     InfeasibleSpec,
     InvalidEffect,
     MoveError,
@@ -28,7 +32,9 @@ from halfhandle.errors import (
 )
 from halfhandle.morse_data import CriticalPoint, Kind, MorseDatum, validate_datum
 from halfhandle.moves import (
+    MoveRecord,
     _moves_locally,
+    _rearrange_run,
     apply_record,
     assign_by_replay,
     assign_values,
@@ -45,7 +51,7 @@ from halfhandle.slice_topology import (
 )
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
-from helpers import comp, datum, edge, eff, pt, union
+from helpers import comp, datum, edge, eff, pt, replace_effects, union
 
 
 def outcome(fn, d, assignment):
@@ -253,6 +259,8 @@ def gated_moves(d, pid, v):
         ("cancel_pair", lambda: cancel_pair(d, "p", "q")),
         ("split_interior", lambda: split_interior(d, "q")),
         ("realize_configuration", lambda: realize_configuration(d, d.values())),
+        ("apply_script", lambda: moves.apply_script(
+            d, [MoveRecord("rearrange", (pid,), (v,))])),
         ("ensure_joinable", lambda: normal_form.ensure_joinable(d)),
         ("global_split", lambda: normal_form.global_split(d)),
     ]
@@ -331,7 +339,7 @@ def split_bases(draw):
         return relabel(d, name), hint
     if way == "no effect":
         gone = draw(st.sampled_from(d.points)).id
-        return d.replace(slices=d.slices.replace_effects(drop=(gone,))), hint
+        return d.replace(slices=replace_effects(d.slices, drop=(gone,))), hint
     if way == "downhill":
         a, b = sorted(draw(st.permutations(d.points))[:2],
                       key=lambda p: p.sort_key(), reverse=True)
@@ -440,7 +448,8 @@ def lie_about(d, fault, z, draw):
         e = d.slices.effect_for(z.id)
         closed = ComponentEffect(e.at, e.kind, e.inputs, tuple(
             SliceComponent(c.id, False) for c in e.outputs))
-        bad = d.replace(slices=d.slices.replace_effects(drop=(z.id,), add=(closed,)))
+        bad = d.replace(
+            slices=replace_effects(d.slices, drop=(z.id,), add=(closed,)))
     vars(bad)["valid"] = True
     return bad
 
@@ -574,3 +583,122 @@ def test_cached_verdicts_hold_on_every_intermediate_datum():
                     assert x.valid == fresh.valid
                     checked += 1
     assert checked > 100, checked
+
+
+# ---------------------------------------------------------------------------
+# rearrangement runs against the fold of single moves
+
+
+def fold_outcome(d, script):
+    """``assign_values`` over the script's steps one by one; the outcome and
+    the records made up to the first refusal."""
+    made = []
+    try:
+        for record in script:
+            d, made_record = assign_values(d, record.assignments(), record.note)
+            made.append(made_record)
+    except Exception as exc:  # the class and message are what is compared
+        return ("refused", type(exc), str(exc)), made
+    return ("accepted", d, serialize_datum(d)), made
+
+
+def run_outcome(d, script):
+    try:
+        out = _rearrange_run(d, script)
+    except Exception as exc:
+        return ("refused", type(exc), str(exc))
+    return ("accepted", out, serialize_datum(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated(), st.data())
+def test_runs_match_the_fold_of_single_moves(d, data):
+    # each step is drawn against the datum the accepted steps before it
+    # made; a refused step is kept in half the examples, so a run is either
+    # accepted whole or refused partway
+    keep_refused = data.draw(st.booleans())
+    script, current = [], d
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        assignment = assignment_of(data.draw, current)
+        ids = tuple(sorted(assignment))
+        script.append(MoveRecord(
+            "rearrange", ids, tuple(assignment[i] for i in ids),
+            data.draw(st.sampled_from(["", "park", "place"]))))
+        try:
+            current, _ = assign_values(current, assignment)
+        except EngineError:
+            if not keep_refused:
+                script.pop()
+    assume(script)
+    got = run_outcome(d, script)
+    want, made = fold_outcome(d, script)
+    assert got == want, script
+    assert made == script[:len(made)]
+    if got[0] == "accepted":
+        out = got[1]
+        assert out.point_index == {p.id: p for p in out.points}
+        assert out.valid == dataclasses.replace(out).valid
+
+
+def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
+    d = union(*pieces(2, 4, range(30))[:20])
+    assert len(d.points) == 160 and validate_datum(d) == []
+    derived = []
+    original = MorseDatum.derived
+
+    def counting(self, *args, **kwargs):
+        derived.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MorseDatum, "derived", counting)
+    out, script = realize_configuration(d, normal_form.schedule_levels(d))
+    assert len(script) == 2 * len(d.points)  # park and place every point
+    assert len(derived) == 1
+    monkeypatch.undo()
+    assert out == moves.apply_script(d, script)
+
+
+# ---------------------------------------------------------------------------
+# split results: patched indexes against a fresh build
+
+
+def assert_indexes_match_a_fresh_build(out):
+    graph = TrajectoryGraph(out.graph.edges)
+    slices = SliceComplex(out.slices.bottom, out.slices.effects)
+    assert out.graph.edges == graph.edges
+    assert out.graph.edge_index == graph.edge_index
+    assert out.slices.effects == slices.effects
+    assert out.slices.effect_index == slices.effect_index
+    assert out.slices.component_index == slices.component_index
+
+
+def test_split_results_patch_the_indexes_a_fresh_build_gives():
+    checked = 0
+    for n, m, boundary in ((2, 4, True), (3, 5, True), (2, 3, False),
+                           (4, 5, False), (3, 4, False)):
+        for d in pieces(n, m, range(12), boundary):
+            _, _, script = normal_form.global_split(d)
+            for record in script:
+                d = apply_record(d, record)
+                if record.kind == "split":
+                    assert_indexes_match_a_fresh_build(d)
+                    checked += 1
+    assert checked > 50, checked
+
+
+def test_a_split_result_builds_no_index_until_asked():
+    d = union(*pieces(2, 4, range(8)))
+    assert validate_datum(d) == []
+    z = next(p for p in d.interior_points(1, d.ambient.n)
+             if any(d.slices.component_index.wall_bit[cid]
+                    for cid in d.slices.effect_for(p.id).inputs))
+    out, _ = split_interior(d, z.id)
+    indexes = {"edge_index", "effect_index", "component_index"}
+    assert not indexes & (set(vars(out.graph)) | set(vars(out.slices)))
+    assert_indexes_match_a_fresh_build(out)
+    # once built, the result no longer refers to its parent's indexes
+    parent = {id(d.graph.edge_index), id(d.slices.effect_index),
+              id(d.slices.component_index)}
+    held = list(vars(out.graph).values()) + list(vars(out.slices).values())
+    held += [v for x in held if isinstance(x, dict) for v in x.values()]
+    assert not parent & {id(x) for x in held}

@@ -10,7 +10,7 @@ from halfhandle.cli_io import (
     serialize_script,
 )
 from halfhandle.morse_data import validate_datum
-from halfhandle.moves import apply_script
+from halfhandle.moves import apply_record, apply_script
 from halfhandle.normal_form import global_split, verify_decomposition
 
 FIX = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,3 +51,14 @@ def test_pipeline_fixtures_replay_and_rederive():
         assert rerun == script
         assert verify_decomposition(after, dec)
         assert serialize_decomposition(dec) == report
+
+
+def test_script_replay_equals_the_record_fold():
+    # apply_script replays each stretch of rearrangements as one run
+    for stem in ("two-surgeries", "monotone"):
+        before, script, after, _ = pipeline_files(stem)
+        folded = before
+        for record in script:
+            folded = apply_record(folded, record)
+        assert apply_script(before, script) == folded == after
+        assert serialize_datum(folded) == (FIX / (stem + ".split.datum")).read_text()

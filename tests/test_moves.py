@@ -46,6 +46,7 @@ from helpers import (
     eff,
     internal_chain_pair,
     pt,
+    replace_effects,
     split_death_pair,
 )
 
@@ -268,8 +269,8 @@ def test_cancel_renames_the_surviving_component():
     d = birth_merge_pair()
     extra = d.replace(
         points=d.points + (pt("r", Kind.INTERIOR, 1, Fraction(5, 6)),),
-        slices=d.slices.replace_effects(
-            add=(eff("r", EffectKind.INTERNAL, ("c2",), (comp("c3", True),)),)),
+        slices=replace_effects(d.slices, add=(
+            eff("r", EffectKind.INTERNAL, ("c2",), (comp("c3", True),)),)),
     )
     assert validate_datum(extra) == []
     out, _ = cancel_pair(extra, "p", "q")
@@ -288,7 +289,7 @@ def test_cancel_induces_edges_for_cut_chains():
         graph=base.graph.with_edges([
             edge("x", "q", None, Locus.INNER),
             edge("p", "y", None, Locus.INNER)]),
-        slices=base.slices.replace_effects(add=(
+        slices=replace_effects(base.slices, add=(
             eff("x", EffectKind.INTERNAL, ("c0x",), (comp("c1x", True),)),
             eff("y", EffectKind.INTERNAL, ("c1x",), (comp("c2x", True),)))),
     )
@@ -346,7 +347,7 @@ def test_cancel_refuses_extra_broken_chain():
         graph=base.graph.with_edges([
             edge("p", "x", None, Locus.WALL),
             edge("x", "q", None, Locus.WALL)]),
-        slices=base.slices.replace_effects(add=(
+        slices=replace_effects(base.slices, add=(
             eff("x", EffectKind.BOUNDARY_ATTACH, ("c9",),
                 (comp("c8", True),)),)),
     )
@@ -534,7 +535,7 @@ def test_split_fresh_ids_avoid_collisions():
     d = internal_chain_pair(n=3, k=2)
     taken = d.replace(
         points=d.points + (pt("ps", Kind.INTERIOR, 2, Fraction(1, 6)),),
-        slices=d.slices.replace_effects(add=(
+        slices=replace_effects(d.slices, add=(
             eff("ps", EffectKind.INTERNAL, ("c0y",), (comp("c1z", True),)),)),
     )
     taken = taken.replace(slices=type(taken.slices)(

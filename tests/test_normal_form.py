@@ -20,10 +20,11 @@ from halfhandle.morse_data import (
     is_admissible,
     validate_datum,
 )
-from halfhandle.moves import apply_script
+from halfhandle.moves import apply_script, assign_values
 from halfhandle.normal_form import (
     Decomposition,
     Segment,
+    _separate_middle_levels,
     band_levels,
     derive_half_handle_decomposition,
     derive_monotone_decomposition,
@@ -514,3 +515,63 @@ def test_joinability_regression_same_level_witness_chain():
     assert validate_datum(out) == []
     assert verify_decomposition(out, dec)
     assert apply_script(d, script) == out
+
+
+def shared_middle_levels():
+    """n = 3, codimension 2: interior index-2 points sharing three levels,
+    one of them with a stable attach.  a makes what b uses and e what f
+    uses, so each pair must keep its order."""
+    internal, attach = EffectKind.INTERNAL, EffectKind.BOUNDARY_ATTACH
+    rows = [  # id, kind, value, effect, input, output
+        ("a", Kind.INTERIOR, Fraction(1, 4), internal, "c0", "c10"),
+        ("b", Kind.INTERIOR, Fraction(1, 4), internal, "c10", "c11"),
+        ("c", Kind.INTERIOR, Fraction(1, 2), internal, "c1", "c12"),
+        ("d", Kind.BOUNDARY_STABLE, Fraction(1, 2), attach, "c2", "c13"),
+        ("e", Kind.INTERIOR, Fraction(3, 4), internal, "c3", "c14"),
+        ("f", Kind.INTERIOR, Fraction(3, 4), internal, "c14", "c15"),
+        ("g", Kind.INTERIOR, Fraction(3, 4), internal, "c4", "c16"),
+    ]
+    return datum(
+        5, 3,
+        [comp("c%d" % i) for i in range(5)],
+        [pt(pid, kind, 2, v) for pid, kind, v, *_ in rows],
+        [],
+        [eff(pid, e, (cin,), (comp(cout),)) for pid, _, _, e, cin, cout in rows],
+    )
+
+
+def separated_by_scan(d):
+    """The separation pass as single moves, with the gap below each shared
+    level found by scanning every point of the datum moved so far."""
+    middle = {p.id for p in d.interior_points(2, d.ambient.n - 1)}
+    levels = {}
+    for p in d.points:
+        levels.setdefault(p.value, []).append(p.id)
+    script = []
+    for v in sorted(levels):
+        movers = [pid for pid in levels[v] if pid in middle]
+        if len(levels[v]) < 2 or not movers:
+            continue
+        if len(movers) == len(levels[v]):
+            movers = movers[:-1]
+        prev = max([p.value for p in d.points if p.value < v], default=Fraction(0))
+        for t, pid in enumerate(movers):
+            slot = prev + (v - prev) * Fraction(t + 1, len(movers) + 1)
+            d, record = assign_values(d, {pid: slot}, "separate")
+            script.append(record)
+    return d, script
+
+
+def test_separation_takes_each_gap_from_the_level_below():
+    d = shared_middle_levels()
+    assert validate_datum(d) == []
+    out, script = _separate_middle_levels(d)
+    assert [(r.ids, r.values, r.note) for r in script] == [
+        (("a",), (Fraction(1, 8),), "separate"),
+        (("c",), (Fraction(3, 8),), "separate"),
+        (("e",), (Fraction(7, 12),), "separate"),
+        (("f",), (Fraction(2, 3),), "separate"),
+    ]
+    assert (out, script) == separated_by_scan(d)
+    assert apply_script(d, script) == out
+    assert validate_datum(out) == []

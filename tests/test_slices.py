@@ -33,7 +33,7 @@ from halfhandle.slice_topology import (
     state_at_level,
 )
 
-from helpers import datum, comp, no_closed_components, pt, eff, edge
+from helpers import datum, comp, no_closed_components, pt, eff, edge, replace_effects
 from halfhandle.trajectory import Locus
 
 
@@ -210,7 +210,7 @@ def test_replay_order_and_determinism():
 
 def test_replay_reports_missing_effect():
     d = two_step_datum()
-    stripped = d.slices.replace_effects(drop=("q",))
+    stripped = replace_effects(d.slices, drop=("q",))
     issues, _ = replay(d.ambient, d.points, stripped)
     assert any("no slice effect" in s for s in issues)
 
@@ -270,8 +270,8 @@ def test_joinable_to_wall():
 
 def test_component_ids_are_globally_fresh():
     d = two_step_datum()
-    reused = d.slices.replace_effects(
-        drop=("q",),
+    reused = replace_effects(
+        d.slices, drop=("q",),
         add=(eff("q", EffectKind.INTERNAL, ("c2",), (comp("c1", True),)),))
     issues = validate_datum(d.replace(slices=reused))
     assert any("reused" in s for s in issues)
