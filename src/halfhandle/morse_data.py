@@ -33,6 +33,12 @@ from .errors import (
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
+def exact(value) -> Fraction:
+    """``value`` as a Fraction: a Fraction is returned as it is, anything
+    else goes through ``Fraction(value)`` (and raises what that raises)."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class Kind(str, enum.Enum):
     """How a critical point sits relative to the vertical boundary wall.
 
@@ -106,7 +112,7 @@ class CriticalPoint:
             raise ValidationError("bad point id %r" % (self.id,))
         if not isinstance(self.index, int) or self.index < 0:
             raise ValidationError("bad index %r for point %r" % (self.index, self.id))
-        value = Fraction(self.value)
+        value = exact(self.value)
         if not (0 < value < 1):
             raise ValidationError(
                 "critical value %s of %r not strictly inside (0,1)" % (value, self.id)
@@ -116,6 +122,19 @@ class CriticalPoint:
 
     def sort_key(self):
         return (self.value, self.id)
+
+    def _at(self, value: Fraction) -> "CriticalPoint":
+        """This point moved to ``value``, a Fraction in (0, 1) that the move
+        has checked: the id, kind and index are this point's, already
+        valid, so ``__post_init__`` does not run again."""
+        # set one by one, in field order, as __init__ does: the instance
+        # keeps the compact shared-key layout, half the size of a dict
+        out, put = object.__new__(CriticalPoint), object.__setattr__
+        put(out, "id", self.id)
+        put(out, "kind", self.kind)
+        put(out, "index", self.index)
+        put(out, "value", value)
+        return out
 
 
 @dataclass(frozen=True)
@@ -256,7 +275,7 @@ def is_admissible(
         if values is None:
             vals[p.id] = p.value
         elif p.id in values:
-            vals[p.id] = Fraction(values[p.id])
+            vals[p.id] = exact(values[p.id])
         else:
             raise PartialConfiguration("no target value for point %r" % (p.id,))
     if first_inversion(points, vals) is not None:
@@ -360,14 +379,16 @@ class MorseDatum:
         points are sorted once (fast when ``values`` lists them nearly in
         order) and placed by bisection (``splice``); the other points are
         neither re-sorted nor re-validated, and the point index is carried
-        over.
+        over.  Each moved point is its old point at the new value
+        (``CriticalPoint._at``): ``values`` holds Fractions in (0, 1), as the
+        move's check made them, so the points are not checked again.
         """
         if not values:
             return self
         old = self.point_index
         index = dict(old)
         for pid, value in values.items():
-            index[pid] = CriticalPoint(pid, old[pid].kind, old[pid].index, value)
+            index[pid] = old[pid]._at(value)
         points = splice(
             self.points,
             [old[pid] for pid in values],

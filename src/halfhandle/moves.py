@@ -22,11 +22,14 @@ splits (``split_interior``) are checked locally, in time proportional to
 the degree of the points moved, as in the rearrangement and splitting
 theorems: a rearrangement is pinned only by the flow lines and surgery
 dependencies of the points it moves, and a split changes the flow lines
-and the surgery of one point and nothing else.  The drivers and script
-replay fold runs of rearrangements in one pass (``_rearrange_run``) that
-re-places the points once per run.  A rearrangement the local check
-refuses goes to the full replay, which names the reason; cancellations run
-``validate_datum`` on the result.
+and the surgery of one point and nothing else.  The target map of
+``realize_configuration`` is checked the same way, every point moved at
+once.  The drivers and script replay fold runs of rearrangements in one
+pass (``_rearrange_run``) that re-places the points once per run; a moved
+point is built from its old one at the checked value, not checked again.
+A rearrangement or target map the local check refuses goes to the full
+replay, which names the reason; cancellations run ``validate_datum`` on
+the result.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .morse_data import (
     CriticalPoint,
     Kind,
     MorseDatum,
+    exact,
     first_inversion,
     is_admissible,
     require_valid,
@@ -111,7 +115,7 @@ class MoveRecord:
         if self.kind not in _IDS_WANTED:
             raise ValidationError("unknown move kind %r" % (self.kind,))
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(exact, self.values)))
         lo, hi, wanted = _IDS_WANTED[self.kind]
         if not lo <= len(self.ids) <= hi or len(set(self.ids)) != len(self.ids):
             raise ValidationError(
@@ -163,7 +167,7 @@ def assign_by_replay(
             raise UnknownId("no critical point with id %r" % (pid,))
     values = datum.values()
     for pid, v in assignments.items():
-        v = Fraction(v)
+        v = exact(v)
         if not (0 < v < 1):
             raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
         values[pid] = v
@@ -203,25 +207,29 @@ def _moves_locally(
     """
     points = datum.point_index
 
-    def key(pid):
+    def value(pid):
         if pid in values:
-            return (values[pid], pid)
-        return (overlay[pid] if pid in overlay else points[pid].value, pid)
+            return values[pid]
+        return overlay[pid] if pid in overlay else points[pid].value
+
+    def before(a, b):  # (value, id) order without building key tuples
+        va, vb = value(a), value(b)
+        return va < vb or (a < b and va == vb)
 
     edges = datum.graph.edge_index
     components = datum.slices.component_index
     for pid in values:
         for e in edges.out_edges.get(pid, ()) + edges.in_edges.get(pid, ()):
-            if not key(e.src)[0] < key(e.dst)[0]:
+            if not value(e.src) < value(e.dst):
                 return False
         effect = datum.slices.effect_index[pid]
         for cid in effect.inputs:
             maker = components.producer[cid]
-            if maker is not None and not key(maker) < key(pid):
+            if maker is not None and not before(maker, pid):
                 return False
         for c in effect.outputs:
             user = components.consumer.get(c.id)
-            if user is not None and not key(pid) < key(user):
+            if user is not None and not before(pid, user):
                 return False
     return True
 
@@ -230,7 +238,7 @@ def _local_step(datum, assignments, overlay=_NO_OVERLAY):
     """The exact values of a move of known points to values in (0, 1) that
     ``_moves_locally`` accepts, with ``overlay`` as there; None otherwise."""
     if all(datum.has_point(pid) for pid in assignments):
-        values = {pid: Fraction(v) for pid, v in assignments.items()}
+        values = {pid: exact(v) for pid, v in assignments.items()}
         if all(0 < v < 1 for v in values.values()) and _moves_locally(
             datum, values, overlay
         ):
@@ -261,7 +269,7 @@ def assign_values(
         moved = datum.with_values(values)
     ids = tuple(sorted(assignments))
     record = MoveRecord(
-        "rearrange", ids, tuple(Fraction(assignments[i]) for i in ids), note
+        "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note
     )
     return moved, record
 
@@ -359,9 +367,11 @@ def realize_configuration(
     then bring them down to their targets from the bottom up.
 
     Takes valid data only (``require_valid``).  The targets are checked
-    once by a full replay (``check_assignment``); the park and place steps
-    are single-point moves, run as one ``_rearrange_run`` that checks each
-    step in O(deg x) and re-places the points once.
+    by ``_moves_locally`` with every point moved at once, in O(deg) per
+    point; only a refused target map goes to the full replay
+    (``check_assignment``), which names the blocked pair.  The park and
+    place steps are single-point moves, run as one ``_rearrange_run`` that
+    checks each step in O(deg x) and re-places the points once.
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -370,7 +380,7 @@ def realize_configuration(
     for pid, v in targets.items():
         if not datum.has_point(pid):
             raise UnknownId("no critical point with id %r" % (pid,))
-        want[pid] = Fraction(v)
+        want[pid] = exact(v)
     for p in datum.points:
         if p.id not in want:
             raise PartialConfiguration("no target value for point %r" % (p.id,))
@@ -389,7 +399,7 @@ def realize_configuration(
                 "(%s vs %s)" % (inversion[0].id, inversion[1].id)
             )
 
-    problem = check_assignment(datum, want)
+    problem = None if _moves_locally(datum, want) else check_assignment(datum, want)
     if problem is not None:
         kind, detail = problem
         if kind == "edge":
@@ -417,8 +427,10 @@ def realize_configuration(
     )
     count = len(datum.points)
     ordered = list(datum.points)  # canonical order
+    # ceiling + (1 - ceiling) * (i + 1) / (count + 2), one Fraction each
+    num, den = ceiling.numerator, ceiling.denominator
     slots = {
-        p.id: ceiling + (1 - ceiling) * Fraction(i + 1, count + 2)
+        p.id: Fraction(num * (count + 2) + (den - num) * (i + 1), den * (count + 2))
         for i, p in enumerate(ordered)
     }
     script = [  # topmost first, so nothing is overtaken

@@ -215,35 +215,43 @@ def _half_handle_cert(label: Fraction, n: int) -> Tuple:
     return (Kind.BOUNDARY_STABLE.value, int(label + Fraction(1, 2)))
 
 
+def _half_handle_bounds(n: int) -> Dict[Fraction, Tuple[Fraction, Fraction]]:
+    """(lo, hi) of the 2n+4 segments by label, from the bottom up: label
+    l = -1/2, 0, 1/2, ..., n+1 spans [2l + 1, 2l + 2] / (2n + 4)."""
+    denom = 2 * n + 4
+    return {
+        Fraction(i - 1, 2): (Fraction(i, denom), Fraction(i + 1, denom))
+        for i in range(denom)
+    }
+
+
 def derive_half_handle_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
     """Read the normal form decomposition off the values, if they show it.
 
-    The 2n+4 segments of equal width 1/(2n+4) carry labels -1/2, 0, 1/2,
-    ..., n+1; the segment labelled i holds the unstable index-i points,
-    i + 1/2 the stable index-(i+1) points, and the two extremes the
+    The 2n+4 segments of ``_half_handle_bounds`` carry labels -1/2, 0,
+    1/2, ..., n+1; the segment labelled i holds the unstable index-i
+    points, i + 1/2 the stable index-(i+1) points, and the two extremes the
     interior minima and maxima.  Returns None when some point is not
     strictly inside its segment or an interior point of index 1..n remains.
     """
     n = datum.ambient.n
-    denom = 2 * n + 4
-    labels = [Fraction(-1, 2) + Fraction(i, 2) for i in range(denom)]
-    members: Dict[Fraction, List[str]] = {lab: [] for lab in labels}
+    bounds = _half_handle_bounds(n)
+    members: Dict[Fraction, List[str]] = {lab: [] for lab in bounds}
     for p in datum.points:
         lab = _half_handle_label(p, n)
         if lab is None:
             return None
-        lo = Fraction(2 * lab + 1, denom)
-        hi = Fraction(2 * lab + 2, denom)
+        lo, hi = bounds[lab]
         if not (lo < p.value < hi):
             return None
         members[lab].append(p.id)
     segments = []
-    for lab in labels:
+    for lab, (lo, hi) in bounds.items():
         segments.append(
             Segment(
                 label=str(lab),
-                lo=Fraction(2 * lab + 1, denom),
-                hi=Fraction(2 * lab + 2, denom),
+                lo=lo,
+                hi=hi,
                 point_ids=tuple(members[lab]),
                 cert=_half_handle_cert(lab, n),
             )
@@ -328,16 +336,13 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
 
     n = datum.ambient.n
     if dec.style == "half_handle":
-        denom = 2 * n + 4
-        if len(segs) != denom:
+        bounds = _half_handle_bounds(n)
+        if len(segs) != len(bounds):
             return False
-        labels = [Fraction(-1, 2) + Fraction(i, 2) for i in range(denom)]
-        for lab, s in zip(labels, segs):
+        for (lab, (lo, hi)), s in zip(bounds.items(), segs):
             if s.label != str(lab):
                 return False
-            if s.lo != Fraction(2 * lab + 1, denom) or s.hi != Fraction(
-                2 * lab + 2, denom
-            ):
+            if s.lo != lo or s.hi != hi:
                 return False
             if s.cert != _half_handle_cert(lab, n):
                 return False
@@ -485,10 +490,10 @@ def _segment_targets(datum) -> Dict[str, Fraction]:
         groups.setdefault(lab, []).append(p.id)
     targets: Dict[str, Fraction] = {}
     for lab, ids in groups.items():
-        lo = Fraction(2 * lab + 1, denom)
-        hi = Fraction(2 * lab + 2, denom)
+        # (i + (t + 1) / (k + 1)) / denom in the segment (i, i + 1) / denom
+        i, k = int(2 * lab + 1), len(ids)
         for t, pid in enumerate(ids):
-            targets[pid] = lo + (hi - lo) * Fraction(t + 1, len(ids) + 1)
+            targets[pid] = Fraction(i * (k + 1) + t + 1, denom * (k + 1))
     return targets
 
 

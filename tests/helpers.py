@@ -2,6 +2,12 @@
 
 from fractions import Fraction
 
+from halfhandle.errors import (
+    Inadmissible,
+    PartialConfiguration,
+    SwapBlocked,
+    UnknownId,
+)
 from halfhandle.morse_data import (
     Ambient,
     CriticalPoint,
@@ -9,6 +15,15 @@ from halfhandle.morse_data import (
     Kind,
     MorseDatum,
     dimension_profile,
+    first_inversion,
+    is_admissible,
+    require_valid,
+)
+from halfhandle.moves import (
+    MoveRecord,
+    _starving_pair,
+    assign_by_replay,
+    check_assignment,
 )
 from halfhandle.slice_topology import (
     ComponentEffect,
@@ -113,6 +128,62 @@ def attach_chain_pair(kind, k, n=3, m=None):
         [eff("p", EffectKind.BOUNDARY_ATTACH, ("c0",), (comp("c1", True),)),
          eff("q", EffectKind.BOUNDARY_ATTACH, ("c1",), (comp("c2", True),))],
     )
+
+
+def realize_by_replay(d, targets):
+    """``realize_configuration`` with the whole target map checked by a full
+    replay (``check_assignment``): the reference for its local check.
+
+    The same gate, ids, range and admissibility come first.  The park slots
+    are worked out by plain Fraction arithmetic, and every park and place
+    step is applied by ``assign_by_replay``, one full replay each.
+    """
+    require_valid(d)
+    want = {}
+    for pid, v in targets.items():
+        if not d.has_point(pid):
+            raise UnknownId("no critical point with id %r" % (pid,))
+        want[pid] = Fraction(v)
+    for p in d.points:
+        if p.id not in want:
+            raise PartialConfiguration("no target value for point %r" % (p.id,))
+    for pid, v in want.items():
+        if not (0 < v < 1):
+            raise Inadmissible("target value %s for %r outside (0,1)" % (v, pid))
+    if d.ambient.codim >= 2:
+        if not is_admissible(d.points, want):
+            raise Inadmissible("target configuration violates the index order")
+    elif first_inversion(d.points, want) is not None:
+        z, w = first_inversion(d.points, want)
+        raise Inadmissible(
+            "codimension one targets must be index monotone (%s vs %s)" % (z.id, w.id))
+    problem = check_assignment(d, want)
+    if problem is not None:
+        kind, detail = problem
+        if kind == "edge":
+            raise SwapBlocked(
+                detail.src, detail.dst,
+                "flow line %s->%s pins the order, targets invert it"
+                % (detail.src, detail.dst))
+        consumer, producer = _starving_pair(d, want)
+        raise SwapBlocked(
+            consumer, producer,
+            "surgery at %s needs a component made at %s, targets put it below"
+            % (consumer, producer))
+    if all(want[p.id] == p.value for p in d.points):
+        return d, []
+    ceiling = max([p.value for p in d.points] + list(want.values()))
+    count = len(d.points)
+    script = [
+        MoveRecord("rearrange", (p.id,),
+                   (ceiling + (1 - ceiling) * Fraction(i + 1, count + 2),), "park")
+        for i, p in reversed(list(enumerate(d.points)))
+    ]
+    script += [MoveRecord("rearrange", (pid,), (want[pid],), "place")
+               for pid in sorted(want, key=lambda i: (want[i], i))]
+    for record in script:
+        d = assign_by_replay(d, record.assignments())
+    return d, script
 
 
 def union(*data):

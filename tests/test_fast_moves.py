@@ -11,13 +11,19 @@ and it refuses as not joinable exactly where ``joinable_to_wall`` says so.
 A run of rearrangements (``_rearrange_run``) must be the fold of
 ``assign_values`` over its steps, and the indexes a split result patches
 from its parent's must be those a fresh build gives.
+``realize_configuration`` checks its target map locally and must agree
+with ``realize_by_replay``, which checks it by a full replay, and a point a
+move builds without checking it must be the point the checked constructor
+builds.
 """
 
 import dataclasses
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
@@ -28,6 +34,7 @@ from halfhandle.errors import (
     InvalidEffect,
     MoveError,
     NotJoinable,
+    SwapBlocked,
     ValidationError,
 )
 from halfhandle.morse_data import CriticalPoint, Kind, MorseDatum, validate_datum
@@ -51,7 +58,17 @@ from halfhandle.slice_topology import (
 )
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
-from helpers import comp, datum, edge, eff, pt, replace_effects, union
+from helpers import (
+    birth_merge_pair,
+    comp,
+    datum,
+    edge,
+    eff,
+    pt,
+    realize_by_replay,
+    replace_effects,
+    union,
+)
 
 
 def outcome(fn, d, assignment):
@@ -640,20 +657,43 @@ def test_runs_match_the_fold_of_single_moves(d, data):
         assert out.valid == dataclasses.replace(out).valid
 
 
+def counted(monkeypatch, owner, name, calls):
+    """Count the calls of ``owner.name`` in ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
 def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
     d = union(*pieces(2, 4, range(30))[:20])
     assert len(d.points) == 160 and validate_datum(d) == []
-    derived = []
-    original = MorseDatum.derived
-
-    def counting(self, *args, **kwargs):
-        derived.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(MorseDatum, "derived", counting)
-    out, script = realize_configuration(d, normal_form.schedule_levels(d))
+    levels = normal_form.schedule_levels(d)
+    counts = count_full_checks(monkeypatch)
+    for owner, name in ((MorseDatum, "derived"), (CriticalPoint, "__post_init__"),
+                        (moves, "check_assignment")):
+        counted(monkeypatch, owner, name, counts)
+    out, script = realize_configuration(d, levels)
     assert len(script) == 2 * len(d.points)  # park and place every point
-    assert len(derived) == 1
+    # one points tuple, and no full check: the target map is checked
+    # locally and the moved points are built from the checked ones
+    assert counts == {"derived": 1}, counts
+
+    # a surgery put below the one that makes its input: refused, and the
+    # pair is named by the full replay
+    made_at = d.slices.component_index.producer
+    maker, user = next(
+        (made_at[cid], e.at) for e in d.slices.effects for cid in e.inputs
+        if made_at[cid] is not None and levels[made_at[cid]] == levels[e.at])
+    starved = {**levels, user: levels[user] - Fraction(1, 1000)}
+    counts.clear()
+    with pytest.raises(SwapBlocked) as refused:
+        realize_configuration(d, starved)
+    assert refused.value.pair == (user, maker)
+    assert counts["check_assignment"] == 1, counts
     monkeypatch.undo()
     assert out == moves.apply_script(d, script)
 
@@ -702,3 +742,138 @@ def test_a_split_result_builds_no_index_until_asked():
     held = list(vars(out.graph).values()) + list(vars(out.slices).values())
     held += [v for x in held if isinstance(x, dict) for v in x.values()]
     assert not parent & {id(x) for x in held}
+
+
+# ---------------------------------------------------------------------------
+# realize_configuration: the local target check against the full replay
+
+
+def target_map(draw, d):
+    """A full target map for d: its own values; the scheduled levels, where
+    a cell shares one level; its values dealt out at random; index order
+    with the points of each (index, stable before unstable) cell in random
+    order, which a deep datum admits but which may pin a flow line or starve
+    a surgery; its values with two points the data pin against each other
+    traded; or random values.  Now and then one value is put outside
+    (0, 1), a point is left out or an unknown id is added."""
+    points, values = d.points, d.values()
+    way = draw(st.sampled_from(
+        ["own", "schedule", "dealt", "index", "pinned", "random"]))
+    if way == "schedule":
+        values = normal_form.schedule_levels(d)
+    elif way == "dealt":
+        values = dict(zip(values, draw(st.permutations(list(values.values())))))
+    elif way == "index":
+        order = sorted(draw(st.permutations(points)),
+                       key=lambda p: (p.index, p.kind is Kind.BOUNDARY_UNSTABLE))
+        values = {p.id: Fraction(i + 1, len(order) + 1) for i, p in enumerate(order)}
+    elif way == "pinned":
+        p = draw(st.sampled_from(points))
+        pool = related(d, p.id)
+        if pool:
+            q = draw(st.sampled_from(pool))
+            values[p.id], values[q] = values[q], values[p.id]
+    elif way == "random":
+        values = {p.id: draw(st.fractions(min_value=Fraction(1, 1000),
+                                          max_value=Fraction(999, 1000)))
+                  for p in points}
+    spoil = draw(st.sampled_from([None] * 5 + ["outside", "missing", "unknown"]))
+    if spoil == "outside":
+        values[draw(st.sampled_from(points)).id] = draw(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2)]))
+    elif spoil == "missing":
+        del values[draw(st.sampled_from(points)).id]
+    elif spoil == "unknown":
+        values["nope"] = Fraction(1, 2)
+    return values
+
+
+def realize_outcome(fn, d, targets):
+    try:
+        out, script = fn(d, targets)
+    except Exception as exc:  # the class, message and pair are what is compared
+        return ("refused", type(exc), str(exc), getattr(exc, "pair", None))
+    return ("accepted", out, serialize_datum(out), script)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated(), st.data())
+def test_realize_configuration_matches_the_replay_reference(d, data):
+    assume(d.valid)
+    targets = target_map(data.draw, d)
+    got = realize_outcome(realize_configuration, d, targets)
+    assert got == realize_outcome(realize_by_replay, d, targets), targets
+    if got[0] == "accepted":
+        event("accepted, %s" % ("moved" if got[3] else "nothing to move"))
+    else:  # e.g. "SwapBlocked: flow", "SwapBlocked: surgery"
+        event("%s: %s" % (got[1].__name__, got[2].split()[0]))
+
+
+# ---------------------------------------------------------------------------
+# moved points are built unchecked: they must be the checked ones
+
+
+def assert_points_as_checked(x):
+    for p in x.points:
+        fresh = CriticalPoint(p.id, p.kind, p.index, p.value)
+        assert p == fresh and hash(p) == hash(fresh), p
+        assert vars(p) == vars(fresh) and type(p.value) is Fraction, p
+
+
+def test_moved_points_equal_the_checked_constructors():
+    walked = 0
+    for n, m, boundary in ((2, 4, True), (3, 5, True), (2, 3, False),
+                           (4, 5, False), (3, 4, False)):
+        for d in pieces(n, m, range(8), boundary):
+            out, _, script = normal_form.global_split(d)
+            assert_points_as_checked(out)
+            for record in script:
+                d = apply_record(d, record)
+                assert_points_as_checked(d)
+                walked += 1
+    assert walked > 500, walked
+
+
+RAW_VALUES = (
+    Fraction(1, 6), Fraction(5, 6), 0, 1, 2, -1, True, "1/6", "0.25", " 3/4 ",
+    "5/4", "abc", "", "1/0", 0.5, 0.1, Decimal("0.5"), float("nan"), None,
+)
+
+
+def raw_outcome(call):
+    """The outcome of ``call()`` with every value in it checked to be exact."""
+    try:
+        out = call()
+    except Exception as exc:  # the class and message are what is compared
+        return ("refused", type(exc), str(exc))
+    if isinstance(out, MoveRecord):
+        assert all(type(v) is Fraction for v in out.values)
+        return ("accepted", out)
+    moved, script = out
+    script = script if isinstance(script, list) else [script]
+    assert all(type(v) is Fraction for r in script for v in r.values)
+    assert_points_as_checked(moved)
+    return ("accepted", moved, serialize_datum(moved), script)
+
+
+def test_moves_convert_raw_values_as_before():
+    # each move with a raw value does what it does with Fraction(raw), or
+    # raises what Fraction(raw) raises
+    d = birth_merge_pair()
+    calls = {
+        "MoveRecord": lambda v: lambda: MoveRecord("rearrange", ("p",), (v,)),
+        "assign_values": lambda v: lambda: assign_values(d, {"p": v}),
+        "realize_configuration": lambda v: lambda: realize_configuration(
+            d, {"p": v, "q": Fraction(11, 12)}),
+    }
+    accepted = Counter()
+    for raw in RAW_VALUES:
+        try:
+            value, refused = Fraction(raw), None
+        except Exception as exc:
+            refused = ("refused", type(exc), str(exc))
+        for name, call in calls.items():
+            got = raw_outcome(call(raw))
+            assert got == (refused or raw_outcome(call(value))), (name, raw)
+            accepted[name] += got[0] == "accepted"
+    assert min(accepted.values()) >= 5, accepted

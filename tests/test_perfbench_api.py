@@ -1,35 +1,56 @@
-"""The benchmark's tracer wraps package functions by name; they must exist.
+"""The benchmark's view of the package: traced names and seed-1 outputs.
 
 ``perfbench/run.py`` lists the functions it times in ``SPANNED`` and counts
 calls of two methods.  A rename or removal in the package would otherwise
-show only when the benchmark runs with ``--trace 1``.
+show only when the benchmark runs with ``--trace 1``.  The seed-1 output
+digests of the split workloads are pinned in ``perfbench/BASELINE.json``;
+the driver's output must keep them byte for byte.
 """
 
+import json
 import pathlib
+import sys
 import types
 
 import halfhandle
 from halfhandle.morse_data import CriticalPoint
 from halfhandle.slice_topology import SliceComplex
 
-RUN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_run():
-    """perfbench/run.py as a module, compiled from its source so that no
-    bytecode cache is written next to it; its top level imports only the
-    standard library and runs nothing."""
-    module = types.ModuleType("perfbench_run")
-    module.__file__ = str(RUN)
-    exec(compile(RUN.read_text(), str(RUN), "exec"), vars(module))
+def load(name):
+    """perfbench/<name>.py as a module, compiled from its source so that no
+    bytecode cache is written next to it; the top level of each of its
+    modules defines names and runs nothing else."""
+    path = PERFBENCH / (name + ".py")
+    module = types.ModuleType("perfbench_" + name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
     return module
 
 
 def test_every_traced_name_resolves_on_the_package():
-    spanned = load_run().SPANNED
+    spanned = load("run").SPANNED
     assert spanned
     for module, attrs in spanned.items():
         for attr in attrs:
             assert callable(getattr(getattr(halfhandle, module), attr)), (module, attr)
     assert callable(SliceComplex.effect_for)
     assert callable(CriticalPoint.__post_init__)
+
+
+def test_split_workloads_keep_their_seed_1_output_digests(monkeypatch):
+    # one operation of each split workload, built and checked by the
+    # benchmark's own code: the union of the seed, global_split, the replay
+    # and every check, and the digest of the datum, script and report texts
+    corpus = load("corpus")
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # workloads imports it
+    workloads = load("workloads")
+    texts, planted = corpus.load_corpus()
+    pinned = json.loads((PERFBENCH / "BASELINE.json").read_text())["output_sha256_seed1"]
+    for name in ("split_deep", "split_codim1"):
+        rec = workloads.Recorder()
+        workloads.build(name, texts, planted, 1).step(rec)
+        assert (rec.attempted, rec.failed, rec.problems) == (1, 0, []), name
+        assert rec.digest.hexdigest() == pinned[name], name
