@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -88,9 +89,23 @@ def _bool(token: str, num: int) -> bool:
     raise ParseError("expected true or false, got %r" % (token,), num)
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
 def _fraction(token: str, num: Optional[int] = None) -> Fraction:
+    """``Fraction(token)``, or ParseError where it raises; an ASCII ``p/q``
+    from its two ints.  An exponent or value past the int digit limit is
+    refused, like a ``p/q`` past it, before ``10**exponent`` stalls."""
+    p, slash, q = token.partition("/")
     try:
-        return Fraction(token)
+        if slash and token.isascii() and p.isdigit() and q.isdigit():
+            return Fraction(int(p), int(q))
+        exponent, limit = _EXPONENT.search(token), sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError("exponent past the digit limit")
+        value = Fraction(token)
+        str(value)  # past the digit limit: ValueError
+        return value
     except (ValueError, ZeroDivisionError):
         raise ParseError("bad fraction %r" % (token,), num)
 

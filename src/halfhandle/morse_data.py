@@ -11,6 +11,12 @@ A full datum holds the critical points, the graph of flow lines between
 them, and a combinatorial record of how level set components change when a
 critical value is crossed.  Everything is immutable; rewriting steps build
 new data, which keeps move scripts replayable.
+
+Values are exact ``Fraction``s, ordered exactly at float speed:
+``order_key`` puts the float ``numerator / denominator`` before a value.
+Int division is correctly rounded and rounding is monotone, so a < b gives
+float(a) <= float(b): unequal floats order as their values do, and only
+equal floats fall through to the ``Fraction`` after them in the key.
 """
 
 from __future__ import annotations
@@ -31,6 +37,13 @@ from .errors import (
 )
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+
+
+def order_key(value: Fraction, *pid: str) -> tuple:
+    """``(float, value)``, or ``(float, value, id)`` with an id: the key
+    that orders a Fraction, or a point at it, exactly and at float speed
+    (see the module docstring).  Compare keys only with keys."""
+    return (value.numerator / value.denominator, value, *pid)
 
 
 def exact(value) -> Fraction:
@@ -119,21 +132,26 @@ class CriticalPoint:
             )
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "kind", Kind(self.kind))
+        object.__setattr__(self, "_float", value.numerator / value.denominator)
 
     def sort_key(self):
-        return (self.value, self.id)
+        """``order_key(value, id)`` from the cached float: exact (value, id)
+        order, where only equal floats compare the Fractions."""
+        return (self._float, self.value, self.id)
 
-    def _at(self, value: Fraction) -> "CriticalPoint":
-        """This point moved to ``value``, a Fraction in (0, 1) that the move
-        has checked: the id, kind and index are this point's, already
-        valid, so ``__post_init__`` does not run again."""
-        # set one by one, in field order, as __init__ does: the instance
+    def _at(self, key: tuple) -> "CriticalPoint":
+        """This point moved to the value of ``key`` (``order_key``), a
+        Fraction in (0, 1) that the move has checked: the id, kind and
+        index are this point's, already valid, so ``__post_init__`` does
+        not run again."""
+        # set one by one, as __init__ and __post_init__ do: the instance
         # keeps the compact shared-key layout, half the size of a dict
         out, put = object.__new__(CriticalPoint), object.__setattr__
         put(out, "id", self.id)
         put(out, "kind", self.kind)
         put(out, "index", self.index)
-        put(out, "value", value)
+        put(out, "value", key[1])
+        put(out, "_float", key[0])
         return out
 
 
@@ -268,14 +286,15 @@ def is_admissible(
     stable and a boundary unstable point share an index the stable one must
     sit strictly lower.  Equal-index, equal-value pairs are fine otherwise.
     With ``values`` given, judge that assignment instead of the stored
-    values; it must cover every point.
+    values; it must cover every point, each value below 2**1024 in size
+    (they are compared by their ``order_key``s).
     """
     vals = {}
     for p in points:
         if values is None:
-            vals[p.id] = p.value
+            vals[p.id] = p.sort_key()[:2]
         elif p.id in values:
-            vals[p.id] = exact(values[p.id])
+            vals[p.id] = order_key(exact(values[p.id]))
         else:
             raise PartialConfiguration("no target value for point %r" % (p.id,))
     if first_inversion(points, vals) is not None:
@@ -344,7 +363,7 @@ class MorseDatum:
         Every move and the normal form driver take only data for which this
         holds (``require_valid``).  ``validate_datum`` stores its verdict
         here, and a move sets it on its result, which its local checks keep
-        valid (``with_values``, ``split_interior``).
+        valid (``with_keys``, ``split_interior``).
         """
         return not validate_datum(self)
 
@@ -367,32 +386,33 @@ class MorseDatum:
         )
         return out
 
-    def with_values(self, values: Mapping[str, Fraction]) -> "MorseDatum":
-        """This datum with each point named in ``values`` moved to its value
-        there, marked valid; the datum itself when nothing moves.
+    def with_keys(self, keys: Mapping[str, tuple]) -> "MorseDatum":
+        """This datum with each point named in ``keys`` moved to the value
+        of its (value, id) key there (``order_key``), marked valid; the
+        datum itself when nothing moves.
 
         For moves of a valid datum already checked to keep its edges uphill
         and its replay clean (see ``moves.assign_values``).  That keeps
         every clause of ``validate_datum``: the rest does not look at the
         values, and with every component id made once and used once the top
         state and the flag union-find do not depend on the order.  The moved
-        points are sorted once (fast when ``values`` lists them nearly in
+        points are sorted once (fast when ``keys`` lists them nearly in
         order) and placed by bisection (``splice``); the other points are
         neither re-sorted nor re-validated, and the point index is carried
-        over.  Each moved point is its old point at the new value
-        (``CriticalPoint._at``): ``values`` holds Fractions in (0, 1), as the
+        over.  Each moved point is its old point at the new key
+        (``CriticalPoint._at``): the keys are of Fractions in (0, 1), as the
         move's check made them, so the points are not checked again.
         """
-        if not values:
+        if not keys:
             return self
         old = self.point_index
         index = dict(old)
-        for pid, value in values.items():
-            index[pid] = old[pid]._at(value)
+        for pid, key in keys.items():
+            index[pid] = old[pid]._at(key)
         points = splice(
             self.points,
-            [old[pid] for pid in values],
-            [index[pid] for pid in values],
+            [old[pid] for pid in keys],
+            [index[pid] for pid in keys],
             CriticalPoint.sort_key,
         )
         return self.derived(

@@ -26,10 +26,13 @@ and the surgery of one point and nothing else.  The target map of
 ``realize_configuration`` is checked the same way, every point moved at
 once.  The drivers and script replay fold runs of rearrangements in one
 pass (``_rearrange_run``) that re-places the points once per run; a moved
-point is built from its old one at the checked value, not checked again.
-A rearrangement or target map the local check refuses goes to the full
-replay, which names the reason; cancellations run ``validate_datum`` on
-the result.
+point is built from its old one at the checked value, not checked again,
+and a driver's one-point record is built unchecked (``MoveRecord._step``),
+its id from the valid datum, while records parsed from a script take every
+check.  Values are range-checked on their ints and ordered by their
+``order_key``s.  A rearrangement or target map the local check refuses
+goes to the full replay, which names the reason; cancellations run
+``validate_datum`` on the result.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .morse_data import (
     exact,
     first_inversion,
     is_admissible,
+    order_key,
     require_valid,
     validate_datum,
 )
@@ -128,6 +132,18 @@ class MoveRecord:
             raise ValidationError("rearrange needs one value per id")
         if self.kind != "rearrange" and self.values:
             raise ValidationError("%s takes no values" % (self.kind,))
+
+    @classmethod
+    def _step(cls, pid: str, value: Fraction, note: str) -> "MoveRecord":
+        """A driver's one-point rearrange, built without ``__post_init__``:
+        ``pid`` is from a valid datum, ``value`` an exact Fraction in (0, 1),
+        and the move is checked when it runs.  Fields go in as in __init__."""
+        out, put = object.__new__(cls), object.__setattr__
+        put(out, "kind", "rearrange")
+        put(out, "ids", (pid,))
+        put(out, "values", (value,))
+        put(out, "note", note)
+        return out
 
     def assignments(self) -> Dict[str, Fraction]:
         """Target value by point id (empty unless a rearrange)."""
@@ -191,58 +207,56 @@ _NO_OVERLAY: Mapping[str, Fraction] = MappingProxyType({})
 
 def _moves_locally(
     datum: MorseDatum,
-    values: Mapping[str, Fraction],
-    overlay: Mapping[str, Fraction] = _NO_OVERLAY,
+    keys: Mapping[str, tuple],
+    overlay: Mapping[str, tuple] = _NO_OVERLAY,
 ) -> bool:
-    """Whether moving each point to its value in ``values`` keeps a valid
-    datum valid.
+    """Whether moving each point to its (value, id) key in ``keys``
+    (``order_key``) keeps a valid datum valid.
 
     Looks only at what touches the moved points, in O(deg) index lookups
-    each, with every moved point at its new (value, id) key: their flow
-    lines must stay uphill, the makers of their inputs must come before
-    them and the users of their outputs after them.  On a valid datum every
-    component id is made once and used at most once, so nothing else pins
-    the replay order.  ``overlay`` holds the values of earlier moves not
-    yet applied to ``datum`` (``_rearrange_run``).
+    each, with every moved point at its new key: their flow lines must stay
+    uphill (the (float, value) prefixes of the keys), the makers of their
+    inputs must come before them and the users of their outputs after them
+    (the whole keys).  On a valid datum every component id is made once and
+    used at most once, so nothing else pins the replay order.  ``overlay``
+    holds the keys of earlier moves not yet applied to ``datum``
+    (``_rearrange_run``).
     """
     points = datum.point_index
 
-    def value(pid):
-        if pid in values:
-            return values[pid]
-        return overlay[pid] if pid in overlay else points[pid].value
-
-    def before(a, b):  # (value, id) order without building key tuples
-        va, vb = value(a), value(b)
-        return va < vb or (a < b and va == vb)
+    def key(pid):
+        if pid in keys:
+            return keys[pid]
+        return overlay[pid] if pid in overlay else points[pid].sort_key()
 
     edges = datum.graph.edge_index
     components = datum.slices.component_index
-    for pid in values:
+    for pid, at in keys.items():
         for e in edges.out_edges.get(pid, ()) + edges.in_edges.get(pid, ()):
-            if not value(e.src) < value(e.dst):
+            if not key(e.src)[:2] < key(e.dst)[:2]:
                 return False
         effect = datum.slices.effect_index[pid]
         for cid in effect.inputs:
             maker = components.producer[cid]
-            if maker is not None and not before(maker, pid):
+            if maker is not None and not key(maker) < at:
                 return False
         for c in effect.outputs:
             user = components.consumer.get(c.id)
-            if user is not None and not before(pid, user):
+            if user is not None and not at < key(user):
                 return False
     return True
 
 
 def _local_step(datum, assignments, overlay=_NO_OVERLAY):
-    """The exact values of a move of known points to values in (0, 1) that
-    ``_moves_locally`` accepts, with ``overlay`` as there; None otherwise."""
+    """The (value, id) keys of a move of known points to values in (0, 1)
+    that ``_moves_locally`` accepts, with ``overlay`` as there; None
+    otherwise.  The range is checked on ints (denominators are positive)."""
     if all(datum.has_point(pid) for pid in assignments):
         values = {pid: exact(v) for pid, v in assignments.items()}
-        if all(0 < v < 1 for v in values.values()) and _moves_locally(
-            datum, values, overlay
-        ):
-            return values
+        if all(0 < v.numerator < v.denominator for v in values.values()):
+            keys = {pid: order_key(v, pid) for pid, v in values.items()}
+            if _moves_locally(datum, keys, overlay):
+                return keys
     return None
 
 
@@ -262,11 +276,11 @@ def assign_values(
     replay that names the reason.
     """
     require_valid(datum)
-    values = _local_step(datum, assignments)
-    if values is None:
+    keys = _local_step(datum, assignments)
+    if keys is None:
         moved = assign_by_replay(datum, assignments)
     else:
-        moved = datum.with_values(values)
+        moved = datum.with_keys(keys)
     ids = tuple(sorted(assignments))
     record = MoveRecord(
         "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note
@@ -278,9 +292,9 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     """The datum the rearrange records of ``script`` make, one after another:
     the left fold of ``apply_record`` over them, in one pass.
 
-    Each step is checked by ``_moves_locally`` with the values of the steps
+    Each step is checked by ``_moves_locally`` with the keys of the steps
     before it held in an overlay, and the moved points are re-placed once,
-    at the end (``with_values``), so a run of s steps builds one points
+    at the end (``with_keys``), so a run of s steps builds one points
     tuple, not s.  At the first step the local check refuses, the datum the
     earlier steps made is built and the step goes to ``assign_values``,
     which raises what the fold raises there (or, should it accept, the run
@@ -290,15 +304,15 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     for record in script:
         if not overlay:
             require_valid(d)
-        values = _local_step(d, record.assignments(), overlay)
-        if values is None:
-            d, _ = assign_values(d.with_values(overlay), record.assignments())
+        keys = _local_step(d, record.assignments(), overlay)
+        if keys is None:
+            d, _ = assign_values(d.with_keys(overlay), record.assignments())
             overlay = {}
         else:  # keep the overlay in the order of last moves, mostly sorted
-            for pid in values:
+            for pid in keys:
                 overlay.pop(pid, None)
-            overlay.update(values)
-    return d.with_values(overlay)
+            overlay.update(keys)
+    return d.with_keys(overlay)
 
 
 def rearrange_pair(
@@ -385,21 +399,24 @@ def realize_configuration(
         if p.id not in want:
             raise PartialConfiguration("no target value for point %r" % (p.id,))
     for pid, v in want.items():
-        if not (0 < v < 1):
+        if not (0 < v.numerator < v.denominator):
             raise Inadmissible("target value %s for %r outside (0,1)" % (v, pid))
 
     if datum.ambient.codim >= 2:
         if not is_admissible(datum.points, want):
             raise Inadmissible("target configuration violates the index order")
     else:
-        inversion = first_inversion(datum.points, want)
+        inversion = first_inversion(
+            datum.points, {pid: order_key(v) for pid, v in want.items()}
+        )
         if inversion is not None:
             raise Inadmissible(
                 "codimension one targets must be index monotone "
                 "(%s vs %s)" % (inversion[0].id, inversion[1].id)
             )
 
-    problem = None if _moves_locally(datum, want) else check_assignment(datum, want)
+    keys = {pid: order_key(v, pid) for pid, v in want.items()}
+    problem = None if _moves_locally(datum, keys) else check_assignment(datum, want)
     if problem is not None:
         kind, detail = problem
         if kind == "edge":
@@ -422,9 +439,7 @@ def realize_configuration(
         return datum, []
 
     # park everything above current values and targets, preserving order
-    ceiling = max(
-        [p.value for p in datum.points] + [v for v in want.values()]
-    )
+    ceiling = max(datum.points[-1].sort_key(), max(keys.values()))[1]
     count = len(datum.points)
     ordered = list(datum.points)  # canonical order
     # ceiling + (1 - ceiling) * (i + 1) / (count + 2), one Fraction each
@@ -434,13 +449,11 @@ def realize_configuration(
         for i, p in enumerate(ordered)
     }
     script = [  # topmost first, so nothing is overtaken
-        MoveRecord("rearrange", (p.id,), (slots[p.id],), "park")
-        for p in reversed(ordered)
+        MoveRecord._step(p.id, slots[p.id], "park") for p in reversed(ordered)
     ]
     # place from the bottom up
     script += [
-        MoveRecord("rearrange", (pid,), (want[pid],), "place")
-        for pid in sorted(want, key=lambda i: (want[i], i))
+        MoveRecord._step(key[2], key[1], "place") for key in sorted(keys.values())
     ]
     return _rearrange_run(datum, script), script
 
@@ -523,7 +536,7 @@ def cancel_pair(
     new_slices = SliceComplex(datum.slices.bottom, tuple(new_effects))
     new_points = tuple(p for p in datum.points if p.id not in (z_id, w_id))
 
-    by_id = {p.id: p for p in datum.points}
+    by_id = datum.point_index
     base = datum.graph.without_points([z_id, w_id])
     induced = []
     for into_w in datum.graph.predecessors(w_id):
@@ -733,7 +746,7 @@ def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_i
 
     def produced_at(cid):  # bottom components first, then in point order
         owner = producers.get(cid)
-        return (Fraction(0), "") if owner is None else points[owner].sort_key()
+        return order_key(Fraction(0), "") if owner is None else points[owner].sort_key()
 
     if effect.kind is EffectKind.MERGE:
         touching = [cid for cid in effect.inputs if bits.get(cid, False)]
@@ -760,7 +773,7 @@ def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_i
     if len(touching) == 1:
         direct = touching[0]  # the closed half must ride the unstable side
     else:  # the output used first, outputs never used last
-        never = (Fraction(1), "")
+        never = order_key(Fraction(1), "")
         used_at = [
             points[user].sort_key() if user in points else never
             for user in (components.consumer.get(c.id) for c in outs)

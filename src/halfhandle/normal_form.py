@@ -22,7 +22,7 @@ from .errors import (
     PipelineBlocked,
     StuckNoJoinablePoint,
 )
-from .morse_data import Kind, MorseDatum, first_inversion, require_valid
+from .morse_data import Kind, MorseDatum, first_inversion, order_key, require_valid
 from .moves import (
     MoveRecord,
     _rearrange_run,
@@ -42,11 +42,11 @@ def scheduled_rank(kind: Kind, index: int) -> int:
 
 
 def schedule_levels(datum: MorseDatum) -> Dict[str, Fraction]:
-    """Target value for every point: its rank over a common denominator."""
+    """Target value for every point: its rank over a common denominator,
+    one Fraction per rank, so equal keys compare their values by identity."""
     denom = 3 * datum.ambient.n + 6
-    return {
-        p.id: Fraction(scheduled_rank(p.kind, p.index), denom) for p in datum.points
-    }
+    level = [Fraction(rank, denom) for rank in range(denom)]
+    return {p.id: level[scheduled_rank(p.kind, p.index)] for p in datum.points}
 
 
 def band_levels(n: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -99,23 +99,24 @@ def tsa_check(
     if not shape_ok:
         raise BadLevels("cuts %s, %s, %s, %s are not banded" % (a, c, d, b))
 
+    # (float, value) keys; a value on a cut lies outside every open band
+    ka, kc, kd, kb = map(order_key, (a, c, d, b))
     bands = {
-        "low": (Fraction(0), a),
-        "join_low": (a, c),
-        "middle": (c, d),
-        "join_high": (d, b),
-        "high": (b, Fraction(1)),
+        "low": (order_key(Fraction(0)), ka),
+        "join_low": (ka, kc),
+        "middle": (kc, kd),
+        "join_high": (kd, kb),
+        "high": (kb, order_key(Fraction(1))),
     }
-    shared: Dict[str, Fraction] = {}
+    shared: Dict[str, tuple] = {}
     for p in datum.points:
-        if p.value in (a, c, d, b):
-            return False
+        key = p.sort_key()[:2]
         cat = _category(p, n)
         lo, hi = bands[cat]
-        if not (lo < p.value < hi):
+        if not (lo < key < hi):
             return False
         if cat in ("join_low", "join_high"):
-            if shared.setdefault(cat, p.value) != p.value:
+            if shared.setdefault(cat, key) != key:
                 return False
     return True
 
@@ -152,7 +153,7 @@ def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
             for t, pid in enumerate(order, 1)
         }
         return [
-            MoveRecord("rearrange", (pid,), (slots[pid],), note)
+            MoveRecord._step(pid, slots[pid], note)
             for pid in (reversed(order) if upward else order)
         ]
 
@@ -193,36 +194,36 @@ class Decomposition:
     segments: Tuple[Segment, ...]
 
 
-def _half_handle_label(p, n: int) -> Optional[Fraction]:
+def _half_handle_slot(p, n: int) -> Optional[int]:
+    """Place 0..2n+3 of p's segment from the bottom up; the segment in
+    place i carries the label (i - 1) / 2."""
     if p.kind is Kind.INTERIOR:
         if p.index == 0:
-            return Fraction(-1, 2)
+            return 0
         if p.index == n + 1:
-            return Fraction(n + 1)
+            return 2 * n + 3
         return None  # interior 1..n still needs splitting
     if p.kind is Kind.BOUNDARY_UNSTABLE:
-        return Fraction(p.index)
-    return Fraction(2 * p.index - 1, 2)  # boundary stable
+        return 2 * p.index + 1
+    return 2 * p.index  # boundary stable
 
 
-def _half_handle_cert(label: Fraction, n: int) -> Tuple:
-    if label == Fraction(-1, 2):
+def _half_handle_cert(i: int, n: int) -> Tuple:
+    if i == 0:
         return (Kind.INTERIOR.value, 0)
-    if label == Fraction(n + 1):
+    if i == 2 * n + 3:
         return (Kind.INTERIOR.value, n + 1)
-    if label.denominator == 1:
-        return (Kind.BOUNDARY_UNSTABLE.value, int(label))
-    return (Kind.BOUNDARY_STABLE.value, int(label + Fraction(1, 2)))
+    if i % 2:
+        return (Kind.BOUNDARY_UNSTABLE.value, i // 2)
+    return (Kind.BOUNDARY_STABLE.value, i // 2)
 
 
-def _half_handle_bounds(n: int) -> Dict[Fraction, Tuple[Fraction, Fraction]]:
-    """(lo, hi) of the 2n+4 segments by label, from the bottom up: label
-    l = -1/2, 0, 1/2, ..., n+1 spans [2l + 1, 2l + 2] / (2n + 4)."""
+def _half_handle_bounds(n: int) -> List[Tuple[Fraction, Fraction]]:
+    """(lo, hi) of the 2n+4 segments by place i, from the bottom up: the
+    one labelled l = (i - 1) / 2 = -1/2, 0, 1/2, ..., n+1 spans
+    [i, i + 1] / (2n + 4)."""
     denom = 2 * n + 4
-    return {
-        Fraction(i - 1, 2): (Fraction(i, denom), Fraction(i + 1, denom))
-        for i in range(denom)
-    }
+    return [(Fraction(i, denom), Fraction(i + 1, denom)) for i in range(denom)]
 
 
 def derive_half_handle_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
@@ -236,24 +237,25 @@ def derive_half_handle_decomposition(datum: MorseDatum) -> Optional[Decompositio
     """
     n = datum.ambient.n
     bounds = _half_handle_bounds(n)
-    members: Dict[Fraction, List[str]] = {lab: [] for lab in bounds}
+    keys = [tuple(map(order_key, bound)) for bound in bounds]
+    members: List[List[str]] = [[] for _ in bounds]
     for p in datum.points:
-        lab = _half_handle_label(p, n)
-        if lab is None:
+        i = _half_handle_slot(p, n)
+        if i is None:
             return None
-        lo, hi = bounds[lab]
-        if not (lo < p.value < hi):
+        lo, hi = keys[i]
+        if not (lo < p.sort_key()[:2] < hi):
             return None
-        members[lab].append(p.id)
+        members[i].append(p.id)
     segments = []
-    for lab, (lo, hi) in bounds.items():
+    for i, (lo, hi) in enumerate(bounds):
         segments.append(
             Segment(
-                label=str(lab),
+                label=str(Fraction(i - 1, 2)),
                 lo=lo,
                 hi=hi,
-                point_ids=tuple(members[lab]),
-                cert=_half_handle_cert(lab, n),
+                point_ids=tuple(members[i]),
+                cert=_half_handle_cert(i, n),
             )
         )
     return Decomposition("half_handle", tuple(segments))
@@ -325,11 +327,12 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
     for s in segs:
         if not (s.lo < s.hi):
             return False
+        lo, hi = order_key(s.lo), order_key(s.hi)
         for pid in s.point_ids:
             if pid in placed or not datum.has_point(pid):
                 return False
             placed[pid] = s
-            if not (s.lo < datum.point(pid).value < s.hi):
+            if not (lo < datum.point(pid).sort_key()[:2] < hi):
                 return False
     if set(placed) != {p.id for p in datum.points}:
         return False
@@ -339,12 +342,12 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
         bounds = _half_handle_bounds(n)
         if len(segs) != len(bounds):
             return False
-        for (lab, (lo, hi)), s in zip(bounds.items(), segs):
-            if s.label != str(lab):
+        for i, ((lo, hi), s) in enumerate(zip(bounds, segs)):
+            if s.label != str(Fraction(i - 1, 2)):
                 return False
             if s.lo != lo or s.hi != hi:
                 return False
-            if s.cert != _half_handle_cert(lab, n):
+            if s.cert != _half_handle_cert(i, n):
                 return False
             for pid in s.point_ids:
                 p = datum.point(pid)
@@ -457,13 +460,9 @@ def _separate_middle_levels(datum):
         if len(group) >= 2 and movers:
             if len(movers) == len(group):
                 movers = movers[:-1]  # the last one may keep the level
+            step = (v - prev) / (len(movers) + 1)
             script += [
-                MoveRecord(
-                    "rearrange",
-                    (pid,),
-                    (prev + (v - prev) * Fraction(t + 1, len(movers) + 1),),
-                    "separate",
-                )
+                MoveRecord._step(pid, prev + step * (t + 1), "separate")
                 for t, pid in enumerate(movers)
             ]
         prev = v
@@ -484,14 +483,13 @@ def _segment_targets(datum) -> Dict[str, Fraction]:
     groups spread evenly in their current order."""
     n = datum.ambient.n
     denom = 2 * n + 4
-    groups: Dict[Fraction, List[str]] = {}
+    groups: Dict[int, List[str]] = {}
     for p in datum.points:  # canonical order, so groups stay stable
-        lab = _half_handle_label(p, n)
-        groups.setdefault(lab, []).append(p.id)
+        groups.setdefault(_half_handle_slot(p, n), []).append(p.id)
     targets: Dict[str, Fraction] = {}
-    for lab, ids in groups.items():
+    for i, ids in groups.items():
         # (i + (t + 1) / (k + 1)) / denom in the segment (i, i + 1) / denom
-        i, k = int(2 * lab + 1), len(ids)
+        k = len(ids)
         for t, pid in enumerate(ids):
             targets[pid] = Fraction(i * (k + 1) + t + 1, denom * (k + 1))
     return targets

@@ -186,6 +186,15 @@ def realize_by_replay(d, targets):
     return d, script
 
 
+def assert_records_as_checked(script):
+    """Each record, trusted ones (``MoveRecord._step``) included, equals the
+    record the checking constructor builds, down to its ``vars``."""
+    for r in script:
+        checked = MoveRecord(r.kind, r.ids, r.values, r.note)
+        assert r == checked and vars(r) == vars(checked), r
+        assert all(type(v) is Fraction for v in r.values), r
+
+
 def union(*data):
     """Cobordisms side by side in one datum: the point, edge endpoint and
     component ids of piece i get the prefix ``u<i>_``; a flag holds when it

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -542,3 +543,34 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: halfhandle")
+
+
+def test_huge_exponents_are_refused_at_once(tmp_path, capsys):
+    # Fraction("1e-30000000") computes 10**30000000 (tens of seconds); the
+    # parser refuses it as bad fraction, like a p/q past the digit limit
+    token = "1e-30000000"
+    good = write(tmp_path, "good.hh", serialize_datum(rich_datum()))
+    text = serialize_datum(rich_datum()).replace("value=1/7", "value=" + token)
+    path = write(tmp_path, "huge.hh", text)
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if token in row)
+    script = ("format=halfhandle-script/1\n"
+              "move kind=rearrange ids=p values=%s note=-\n" % token)
+    start = perf_counter()
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line %d: bad fraction %r\n" % (line, token)
+    with pytest.raises(ParseError) as err:
+        parse_script(script)
+    assert str(err.value) == "line 2: bad fraction %r" % (token,)
+    assert main(["rearrange", good, "p", "q", token, "1/2"]) == 1
+    assert capsys.readouterr().err == "error: bad fraction %r\n" % (token,)
+    assert perf_counter() - start < 1
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfhandle", "validate", path],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: line %d: bad fraction %r\n" % (line, token))

@@ -59,6 +59,7 @@ from halfhandle.slice_topology import (
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
 from helpers import (
+    assert_records_as_checked,
     birth_merge_pair,
     comp,
     datum,
@@ -310,7 +311,7 @@ def test_unclean_bases_fall_back_to_the_reference():
     for name, d, pid, v in unclean_bases():
         assert not d.valid, name
         if pid in d.slices.effect_index:
-            assert _moves_locally(d, {pid: v}), name
+            assert _moves_locally(d, {pid: morse_data.order_key(v, pid)}), name
         assert_refused_at_the_gate(name, d, pid, v)
 
 
@@ -818,6 +819,8 @@ def assert_points_as_checked(x):
         fresh = CriticalPoint(p.id, p.kind, p.index, p.value)
         assert p == fresh and hash(p) == hash(fresh), p
         assert vars(p) == vars(fresh) and type(p.value) is Fraction, p
+        # the cached float, on the moved point and the checked one alike
+        assert p.sort_key() == fresh.sort_key() == morse_data.order_key(p.value, p.id)
 
 
 def test_moved_points_equal_the_checked_constructors():
@@ -832,6 +835,20 @@ def test_moved_points_equal_the_checked_constructors():
                 assert_points_as_checked(d)
                 walked += 1
     assert walked > 500, walked
+
+
+def test_trusted_driver_records_equal_the_checked_constructor():
+    # the park, place and joinability steps skip the record check; each
+    # must be the record the checking constructor builds (the separation
+    # and join_low steps are checked so in test_normal_form)
+    notes = Counter()
+    for n, m, boundary in ((2, 4, True), (3, 5, True), (3, 6, True),
+                           (2, 3, False), (4, 5, False)):
+        for d in pieces(n, m, range(8), boundary):
+            _, _, script = normal_form.global_split(d)
+            assert_records_as_checked(script)
+            notes.update(r.note for r in script)
+    assert all(notes[note] > 10 for note in ("park", "place", "join_high")), notes
 
 
 RAW_VALUES = (

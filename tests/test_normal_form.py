@@ -38,7 +38,7 @@ from halfhandle.normal_form import (
 from halfhandle.slice_topology import EffectKind
 from halfhandle.trajectory import Locus
 
-from helpers import comp, datum, edge, eff, pt
+from helpers import assert_records_as_checked, comp, datum, edge, eff, pt
 
 
 def full_population(n, m):
@@ -176,6 +176,7 @@ def test_ensure_joinable_separates_and_checks_wall_contact():
     assert values[0] != values[1]
     assert all(a < v <= shared for v in values)
     assert apply_script(d, script) == out
+    assert_records_as_checked(script)
 
 
 def test_ensure_joinable_orders_producers_below_consumers():
@@ -574,4 +575,5 @@ def test_separation_takes_each_gap_from_the_level_below():
     ]
     assert (out, script) == separated_by_scan(d)
     assert apply_script(d, script) == out
+    assert_records_as_checked(script)
     assert validate_datum(out) == []
