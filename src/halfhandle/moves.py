@@ -29,7 +29,11 @@ pass (``_rearrange_run``) that re-places the points once per run; a moved
 point is built from its old one at the checked value, not checked again,
 and a driver's one-point record is built unchecked (``MoveRecord._step``),
 its id from the valid datum, while records parsed from a script take every
-check.  Values are range-checked on their ints and ordered by their
+check.  Runs of splits are folded the same way (``_split_run``, of which
+``split_interior`` is the one-record case): each split reads the splits
+before it through one overlay and is checked and refused in place, and
+the points, flow lines, effects and their indexes are patched once per
+run.  Values are range-checked on their ints and ordered by their
 ``order_key``s.  A rearrangement or target map the local check refuses
 goes to the full replay, which names the reason; cancellations run
 ``validate_datum`` on the result.
@@ -73,6 +77,7 @@ from .morse_data import (
     is_admissible,
     order_key,
     require_valid,
+    splice,
     validate_datum,
 )
 from .slice_topology import (
@@ -87,6 +92,7 @@ from .slice_topology import (
 from .trajectory import (
     FlowEdge,
     Locus,
+    _edge_key,
     can_rearrange,
     edge_issues,
     generic_disjoint,
@@ -304,7 +310,14 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     for record in script:
         if not overlay:
             require_valid(d)
-        keys = _local_step(d, record.assignments(), overlay)
+        if len(record.ids) == 1:  # one point, its value an exact Fraction
+            pid, v = record.ids[0], record.values[0]
+            keys = {pid: order_key(v, pid)}
+            if not (d.has_point(pid) and 0 < v.numerator < v.denominator
+                    and _moves_locally(d, keys, overlay)):
+                keys = None
+        else:
+            keys = _local_step(d, record.assignments(), overlay)
         if keys is None:
             d, _ = assign_values(d.with_keys(overlay), record.assignments())
             overlay = {}
@@ -354,13 +367,16 @@ def apply_record(datum: MorseDatum, record: MoveRecord) -> MorseDatum:
 
 def apply_script(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
     """Replay a script: the fold of ``apply_record`` over it, each stretch
-    of consecutive rearrangements replayed as one ``_rearrange_run``."""
-    for rearranging, records in groupby(script, lambda r: r.kind == "rearrange"):
-        if rearranging:
+    of consecutive rearrangements replayed as one ``_rearrange_run`` and
+    each stretch of consecutive splits as one ``_split_run``."""
+    for kind, records in groupby(script, lambda r: r.kind):
+        if kind == "rearrange":
             datum = _rearrange_run(datum, records)
-            continue
-        for record in records:
-            datum = apply_record(datum, record)
+        elif kind == "split":
+            datum = _split_run(datum, [r.ids[0] for r in records])
+        else:
+            for record in records:
+                datum = apply_record(datum, record)
     return datum
 
 
@@ -625,79 +641,163 @@ def split_interior(datum: MorseDatum, z_id: str) -> Tuple[MorseDatum, MoveRecord
     flow line in the wall.  Incoming flow lines move to the stable half,
     outgoing ones to the unstable half.
 
-    Takes valid data only (``require_valid``).  Joinability is read off the
-    wall bits of z's inputs.  The pair takes z's place in the point order,
-    found by bisection; the new flow lines and effects are placed by
-    bisection too (``_patched``), and the result patches its graph and
-    slice indexes from this datum's when first asked.  The point index is
-    carried over.  The result is judged by
-    ``_splits_locally`` alone and marked ``valid``; the split is refused
-    with InvalidEffect naming the first issue that check finds.
+    The one-record ``_split_run``, which checks and builds the result.
     """
+    return _split_run(datum, (z_id,)), MoveRecord("split", (z_id,))
+
+
+def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
+    """The datum the splits of the points ``ids`` make, one after another:
+    the left fold of ``split_interior`` over them, in one pass.
+
+    Takes valid data only (``require_valid``).  Each split sees the datum
+    the splits before it made through one overlay on ``datum``: the pairs
+    made so far, which may be z's neighbours (ids come in any order) and
+    the new ends of z's flow lines (lines into a split point end at its
+    stable half, lines out of it leave from its unstable half); the new
+    makers and users of components; and the number of components made.
+    Joinability is read off the wall bits of z's inputs, and the pair takes
+    z's place in the point order, found by bisection.  Each split is judged
+    by ``_splits_locally`` alone and refused in place, with the class and
+    message the fold raises: the overlay answers every question the fold
+    asks of its datum as that datum does.
+
+    The run gathers every dropped and added point, flow line and effect and
+    patches once, at the end: one ``splice`` of the points, one
+    ``_patched`` graph and slice complex, whose indexes are patched from
+    this datum's when first asked, and one copy of the point index.  The
+    result is marked ``valid``.
+    """
+    ids = tuple(ids)
+    if not ids:
+        return datum
     require_valid(datum)
-    z = datum.point(z_id)
     n = datum.ambient.n
-    if z.kind is not Kind.INTERIOR:
-        raise NotInterior("point %r is not interior" % (z_id,))
-    if not (1 <= z.index <= n):
-        raise ExtremalIndex(
-            "split applies to indices 1..%d, point %r has index %d"
-            % (n, z_id, z.index)
-        )
-    bits = datum.slices.component_index.wall_bit  # fixed over a lifetime
-    effect = datum.slices.effect_for(z_id)
-    if not any(bits[cid] for cid in effect.inputs):
-        raise NotJoinable(
-            "the surgery at %r happens away from the wall" % (z_id,)
-        )
-    points = datum.points
-    i = bisect_left(points, z.sort_key(), key=CriticalPoint.sort_key)
-    below = points[i - 1].value if i > 0 else Fraction(0)
-    above = points[i + 1].value if i + 1 < len(points) else Fraction(1)
-    if z.value in (below, above):
-        raise MoveError(
-            "point %r shares its critical value; separate the points first"
-            % (z_id,)
-        )
-    # thirds above, halves below: pairs never collide
-    v_s = z.value - (z.value - below) / 2
-    v_u = z.value + (above - z.value) / 3
+    points, index = datum.points, datum.point_index
+    edges, slices = datum.graph.edge_index, datum.slices
+    # wall bits as the run leaves them: a tongue is no interior point's input
+    producer, consumer, bits = slices.component_index
+    pairs: Dict[str, Tuple[CriticalPoint, CriticalPoint]] = {}  # by split id
+    halves: Dict[str, CriticalPoint] = {}
+    made: Dict[str, str] = {}  # component id -> its new maker
+    used: Dict[str, str] = {}  # component id -> its new user
+    drop_edges, add_edges = [], {}
+    drop_effects, add_effects = [], []
 
-    zs_id, zu_id = z_id + "s", z_id + "u"
-    while datum.has_point(zs_id):
-        zs_id += "_"
-    while datum.has_point(zu_id):
-        zu_id += "_"
-    zs = CriticalPoint(zs_id, Kind.BOUNDARY_STABLE, z.index, v_s)
-    zu = CriticalPoint(zu_id, Kind.BOUNDARY_UNSTABLE, z.index, v_u)
+    def point(pid):  # the point of the datum the splits so far made, or None
+        if pid in halves:
+            return halves[pid]
+        return None if pid in pairs else index.get(pid)
 
-    e_s, e_u = _split_effects(datum, effect, bits, zs_id, zu_id)
+    def maker(cid):
+        return point(made.get(cid) or producer.get(cid))
 
-    index = dict(datum.point_index)
-    del index[z_id]
-    index[zs_id], index[zu_id] = zs, zu
-    into, out_of = datum.graph.predecessors(z_id), datum.graph.successors(z_id)
-    moved = tuple(
-        FlowEdge(e.src, zs_id, e.count, e.locus) for e in into
-    ) + tuple(
-        FlowEdge(zu_id, e.dst, e.count, e.locus) for e in out_of
-    ) + (FlowEdge(zs_id, zu_id, 1, Locus.WALL),)
-    out = datum.derived(
-        points[:i] + (zs, zu) + points[i + 1 :],
-        datum.graph._patched(into + out_of, moved),
-        datum.slices._patched((effect,), (e_s, e_u)),
-        point_index=index,
+    def user(cid):
+        return point(used.get(cid) or consumer.get(cid))
+
+    for z_id in ids:
+        z = point(z_id)
+        if z is None:
+            raise UnknownId("no critical point with id %r" % (z_id,))
+        if z.kind is not Kind.INTERIOR:
+            raise NotInterior("point %r is not interior" % (z_id,))
+        if not (1 <= z.index <= n):
+            raise ExtremalIndex(
+                "split applies to indices 1..%d, point %r has index %d"
+                % (n, z_id, z.index)
+            )
+        effect = slices.effect_for(z_id)  # an unsplit point keeps its effect
+        if not any(bits[cid] for cid in effect.inputs):
+            raise NotJoinable(
+                "the surgery at %r happens away from the wall" % (z_id,)
+            )
+        # z is a point of ``datum``; a split neighbour's near half is next
+        i = bisect_left(points, z.sort_key(), key=CriticalPoint.sort_key)
+        below, above = Fraction(0), Fraction(1)
+        if i > 0:
+            y = points[i - 1]
+            below = pairs[y.id][1].value if y.id in pairs else y.value
+        if i + 1 < len(points):
+            y = points[i + 1]
+            above = pairs[y.id][0].value if y.id in pairs else y.value
+        if z.value in (below, above):
+            raise MoveError(
+                "point %r shares its critical value; separate the points first"
+                % (z_id,)
+            )
+        # thirds above, halves below: pairs never collide
+        v_s = z.value - (z.value - below) / 2
+        v_u = z.value + (above - z.value) / 3
+
+        zs_id, zu_id = z_id + "s", z_id + "u"
+        while point(zs_id) is not None:
+            zs_id += "_"
+        while point(zu_id) is not None:
+            zu_id += "_"
+        zs = CriticalPoint(zs_id, Kind.BOUNDARY_STABLE, z.index, v_s)
+        zu = CriticalPoint(zu_id, Kind.BOUNDARY_UNSTABLE, z.index, v_u)
+
+        # the first c<i> no component carries, from i = the number of
+        # components made so far: the datum's and one tongue per split
+        j = len(producer) + len(pairs)
+        while "c%d" % j in producer or "c%d" % j in made:
+            j += 1
+        e_s, e_u = _split_effects(effect, bits, zs_id, zu_id, "c%d" % j, maker, user)
+
+        # z's flow lines as the datum so far has them, in edge order
+        into, out_of = [], []
+        for e in edges.in_edges.get(z_id, ()):
+            if e.src in pairs:
+                e = add_edges.pop((pairs[e.src][1].id, z_id))
+            else:
+                drop_edges.append(e)
+            into.append(e)
+        for e in edges.out_edges.get(z_id, ()):
+            if e.dst in pairs:
+                e = add_edges.pop((z_id, pairs[e.dst][0].id))
+            else:
+                drop_edges.append(e)
+            out_of.append(e)
+        moved = tuple(
+            FlowEdge(e.src, zs_id, e.count, e.locus)
+            for e in sorted(into, key=_edge_key)
+        ) + tuple(
+            FlowEdge(zu_id, e.dst, e.count, e.locus)
+            for e in sorted(out_of, key=_edge_key)
+        ) + (FlowEdge(zs_id, zu_id, 1, Locus.WALL),)
+
+        pairs[z_id] = zs, zu
+        halves[zs_id], halves[zu_id] = zs, zu
+        issue = _splits_locally(datum.ambient, point, effect, bits, moved, e_s, e_u)
+        if issue is not None:
+            raise InvalidEffect(
+                "splitting would leave inconsistent data: %s" % (issue,)
+            )
+        add_edges.update((_edge_key(e), e) for e in moved)
+        drop_effects.append(effect)
+        for e in (e_s, e_u):
+            add_effects.append(e)
+            made.update((c.id, e.at) for c in e.outputs)
+            used.update((cid, e.at) for cid in e.inputs)
+
+    new_index = dict(index)
+    for z_id in pairs:
+        del new_index[z_id]
+    new_index.update(halves)
+    return datum.derived(
+        splice(points, [index[z_id] for z_id in pairs], list(halves.values()),
+               CriticalPoint.sort_key),
+        datum.graph._patched(drop_edges, add_edges.values()),
+        slices._patched(drop_effects, add_effects),
+        point_index=new_index,
+        valid=True,
     )
-    issue = _splits_locally(datum, out, effect, bits, moved, e_s, e_u)
-    if issue is not None:
-        raise InvalidEffect("splitting would leave inconsistent data: %s" % (issue,))
-    vars(out)["valid"] = True
-    return out, MoveRecord("split", (z_id,))
 
 
-def _splits_locally(datum, out, effect, bits, moved, e_s, e_u):
+def _splits_locally(ambient, point, effect, bits, moved, e_s, e_u):
     """The first issue of a split of a valid datum, or None when the result
-    is valid, judged by the pair alone in O(deg z).
+    is valid, judged by the pair alone in O(deg z); ``point`` looks up the
+    points of the result.
 
     The flow lines touching the pair, the new wall line included, must
     pass ``edge_issues``; the other lines and points are as before, and
@@ -711,42 +811,40 @@ def _splits_locally(datum, out, effect, bits, moved, e_s, e_u):
     both boundary kinds.  On a valid datum a joinable point's pair always
     passes; the check guards the verdict cached on the result.
     """
-    points = out.point_index
     issues = []
     for e in moved:
-        issues += edge_issues(datum.ambient, points[e.src], points[e.dst], e)
+        issues += edge_issues(ambient, point(e.src), point(e.dst), e)
     state = {cid: bits[cid] for cid in effect.inputs}
     try:
         for e in (e_s, e_u):
-            issues += effect_row_issues(points[e.at], datum.ambient.n, e, state)
+            issues += effect_row_issues(point(e.at), ambient.n, e, state)
             apply_effect(state, e)
     except InvalidEffect as exc:
         issues.append(str(exc))
     return issues[0] if issues else None
 
 
-def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_id):
+def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user):
     """The attach pair replacing an interior effect, preserving its boundary.
 
     ``bits`` gives the wall bit of each input of the effect just below its
-    point.  The stable half grabs the wall with a tongue (a fresh half-open
-    collar component); the unstable half finishes the surgery, reproducing
-    the original output ids and bits so that no other effect needs
-    rewriting.  For a merge the tongue attaches to the input that is not
-    the witness (the witness being the most recently created input touching
-    the wall); for a split the wall-touching output leaves at the stable
-    half.  On a valid datum an interior point of index 1..n carries a
-    merge, an internal surgery or a split, so nothing else comes here.
+    point, ``mid`` is a fresh component id, and ``maker`` and ``user`` give
+    the point that makes and the point that uses a component (None for a
+    bottom or an unused one).  The stable half grabs the wall with a tongue
+    (the fresh half-open collar component ``mid``); the unstable half
+    finishes the surgery, reproducing the original output ids and bits so
+    that no other effect needs rewriting.  For a merge the tongue attaches
+    to the input that is not the witness (the witness being the most
+    recently created input touching the wall); for a split the
+    wall-touching output leaves at the stable half.  On a valid datum an
+    interior point of index 1..n carries a merge, an internal surgery or a
+    split, so nothing else comes here.
     """
-    components = datum.slices.component_index
-    mid = datum.slices.fresh_component_id()
     mid_comp = SliceComponent(mid, True)
-    producers = components.producer
-    points = datum.point_index
 
     def produced_at(cid):  # bottom components first, then in point order
-        owner = producers.get(cid)
-        return order_key(Fraction(0), "") if owner is None else points[owner].sort_key()
+        owner = maker(cid)
+        return order_key(Fraction(0), "") if owner is None else owner.sort_key()
 
     if effect.kind is EffectKind.MERGE:
         touching = [cid for cid in effect.inputs if bits.get(cid, False)]
@@ -775,8 +873,7 @@ def _split_effects(datum: MorseDatum, effect: ComponentEffect, bits, zs_id, zu_i
     else:  # the output used first, outputs never used last
         never = order_key(Fraction(1), "")
         used_at = [
-            points[user].sort_key() if user in points else never
-            for user in (components.consumer.get(c.id) for c in outs)
+            never if p is None else p.sort_key() for p in (user(c.id) for c in outs)
         ]
         direct = outs[used_at.index(min(used_at))]
     other = [c for c in outs if c.id != direct.id][0]

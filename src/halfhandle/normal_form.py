@@ -26,8 +26,8 @@ from .morse_data import Kind, MorseDatum, first_inversion, order_key, require_va
 from .moves import (
     MoveRecord,
     _rearrange_run,
+    _split_run,
     realize_configuration,
-    split_interior,
 )
 
 def scheduled_rank(kind: Kind, index: int) -> int:
@@ -268,7 +268,8 @@ def derive_monotone_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
     n = datum.ambient.n
     if n < 2:
         return None
-    if first_inversion(datum.points, datum.values()) is not None:
+    keys = {p.id: p.sort_key()[:2] for p in datum.points}  # (float, value)
+    if first_inversion(datum.points, keys) is not None:
         return None
     low = [p for p in datum.points if p.index <= 1]
     mids = [p for p in datum.points if 2 <= p.index <= n - 1]
@@ -276,8 +277,8 @@ def derive_monotone_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
     vals = [p.value for p in mids]
     if len(set(vals)) != len(vals):
         return None  # two middle points share a level, no singleton segments
-    low_hi = max([p.value for p in low], default=Fraction(0))
-    high_lo = min([p.value for p in high], default=Fraction(1))
+    low_hi = max([keys[p.id] for p in low], default=order_key(Fraction(0)))[1]
+    high_lo = min([keys[p.id] for p in high], default=order_key(Fraction(1)))[1]
     cuts = [Fraction(0)]
     anchors = [low_hi] + [p.value for p in mids] + [high_lo]
     for x, y in zip(anchors, anchors[1:]):
@@ -325,9 +326,9 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
             return False
     placed = {}
     for s in segs:
-        if not (s.lo < s.hi):
-            return False
         lo, hi = order_key(s.lo), order_key(s.hi)
+        if not (lo < hi):
+            return False
         for pid in s.point_ids:
             if pid in placed or not datum.has_point(pid):
                 return False
@@ -470,12 +471,10 @@ def _separate_middle_levels(datum):
 
 
 def _split_all(datum):
-    """Split every interior point of ``_split_range``, lowest first."""
-    script: List[MoveRecord] = []
-    for p in datum.interior_points(*_split_range(datum)):
-        datum, rec = split_interior(datum, p.id)
-        script.append(rec)
-    return datum, script
+    """Split every interior point of ``_split_range``, lowest first, as one
+    ``_split_run``."""
+    ids = [p.id for p in datum.interior_points(*_split_range(datum))]
+    return _split_run(datum, ids), [MoveRecord("split", (pid,)) for pid in ids]
 
 
 def _segment_targets(datum) -> Dict[str, Fraction]:

@@ -110,7 +110,7 @@ class SliceComplex:
     Both indexes below are built on first use and kept: the complex is
     immutable, and a rearrangement keeps the complex it started from, so
     every move of a session shares them.  A complex made by ``_patched``
-    (a split) builds them by patching its parent's indexes instead.
+    (a run of splits) builds them by patching its parent's indexes instead.
     """
 
     bottom: Tuple[SliceComponent, ...]
@@ -194,14 +194,6 @@ class SliceComplex:
             return self.effect_index[point_id]
         except KeyError:
             raise UnknownId("no effect recorded at point %r" % (point_id,)) from None
-
-    def fresh_component_id(self) -> str:
-        """A component id of the form c<i> that no component carries yet."""
-        taken = self.component_index.producer
-        i = len(taken)
-        while "c%d" % i in taken:
-            i += 1
-        return "c%d" % i
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def edge_issues(
     """
     issues = []
     tag = "edge %s->%s" % (e.src, e.dst)
-    if not (z.value < w.value):
+    if not (z.sort_key()[:2] < w.sort_key()[:2]):
         issues.append(
             "%s: values %s >= %s, flow must strictly increase"
             % (tag, z.value, w.value)

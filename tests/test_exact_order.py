@@ -7,7 +7,9 @@ comparison.  Key order and key equality must be (value, id) order and
 equality exactly, also where the floats of distinct values collide, where
 numerator and denominator have a thousand digits, and where the float
 underflows to 0.0; sorting and ``splice`` by ``sort_key`` must give the
-sequence that sorting by (value, id) gives.
+sequence that sorting by (value, id) gives.  The uphill test of a flow
+line (``edge_issues``) and the codimension-one decomposition, derived and
+verified, compare the keys too and must decide as the values do.
 
 ``cli_io._fraction`` builds an ASCII ``p/q`` from its two ints and hands
 every other token to ``Fraction(token)``; it must give the same value, or a
@@ -16,6 +18,7 @@ purpose: a token whose exponent or value needs more digits than the
 interpreter's int conversion limit is refused, as a ``p/q`` past it is.
 """
 
+import dataclasses
 import re
 import sys
 from fractions import Fraction
@@ -26,7 +29,18 @@ from hypothesis import strategies as st
 
 from halfhandle.cli_io import _fraction
 from halfhandle.errors import ParseError
-from halfhandle.morse_data import CriticalPoint, Kind, order_key, splice
+from halfhandle.morse_data import (
+    Ambient,
+    CriticalPoint,
+    Kind,
+    MorseDatum,
+    first_inversion,
+    order_key,
+    splice,
+)
+from halfhandle.normal_form import derive_monotone_decomposition, verify_decomposition
+from halfhandle.slice_topology import SliceComplex
+from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph, edge_issues
 
 
 # ordinary values, values of up to about a thousand digits, values whose
@@ -176,3 +190,111 @@ def test_tokens_past_the_digit_limit_are_refused():
         with pytest.raises(ParseError, match="bad fraction"):
             _fraction(token)
     assert _fraction("1e-%d" % (limit - 1)) == Fraction(1, 10 ** (limit - 1))
+
+
+# ---------------------------------------------------------------------------
+# the codimension-one decomposition and the uphill test of a flow line
+
+
+def edge_reference(z, w):
+    """``edge_issues``' uphill issue, by comparing the Fractions."""
+    if z.value < w.value:
+        return []
+    return ["edge %s->%s: values %s >= %s, flow must strictly increase"
+            % (z.id, w.id, z.value, w.value)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(colliding(), st.tuples(values, values), st.tuples(tiny, tiny)),
+       st.booleans())
+def test_the_uphill_test_of_a_flow_line_is_exact(pair, flip):
+    a, b = reversed(pair) if flip else pair
+    # a membrane line from index 1 up to index 2 in codimension 2: the
+    # uphill test is the only issue it can have
+    z, w = point(a, "z"), CriticalPoint("w", Kind.INTERIOR, 2, b)
+    got = edge_issues(Ambient(4, 2), z, w, FlowEdge("z", "w", None, Locus.MEMBRANE))
+    assert got == edge_reference(z, w)
+
+
+def monotone_reference(datum):
+    """``derive_monotone_decomposition`` with every compare on Fractions."""
+    n = datum.ambient.n
+    if first_inversion(datum.points, datum.values()) is not None:
+        return None
+    low = [p for p in datum.points if p.index <= 1]
+    mids = [p for p in datum.points if 2 <= p.index <= n - 1]
+    high = [p for p in datum.points if p.index >= n]
+    vals = [p.value for p in mids]
+    if len(set(vals)) != len(vals):
+        return None
+    anchors = [max([p.value for p in low], default=Fraction(0))]
+    anchors += vals + [min([p.value for p in high], default=Fraction(1))]
+    cuts = [Fraction(0)] + [(x + y) / 2 for x, y in zip(anchors, anchors[1:])]
+    cuts.append(Fraction(1))
+    return cuts, [p.id for p in low], [p.id for p in mids], [p.id for p in high]
+
+
+@st.composite
+def codim_one_data(draw):
+    """Codimension-one data (n = 4) over near or tied values, whose floats
+    collide or underflow, mostly put in index order."""
+    base = draw(st.lists(st.one_of(colliding().map(lambda ab: ab[1]), tiny, values),
+                         min_size=1, max_size=5))
+    vals = draw(st.lists(st.sampled_from(base), min_size=1, max_size=10))
+    near = [v + Fraction(1, 10**30) for v in vals if v + Fraction(1, 10**30) < 1]
+    vals = draw(st.permutations(vals + near[:draw(st.integers(0, len(near)))]))
+    indices = draw(st.lists(st.integers(0, 5), min_size=len(vals), max_size=len(vals)))
+    if draw(st.booleans()):
+        vals, indices = sorted(vals), sorted(indices)
+    points = tuple(CriticalPoint("p%d" % k, Kind.INTERIOR, i, v)
+                   for k, (i, v) in enumerate(zip(indices, vals)))
+    return MorseDatum(Ambient(5, 4), points, TrajectoryGraph(()), SliceComplex((), ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(codim_one_data())
+def test_the_monotone_decomposition_is_exact(d):
+    dec = derive_monotone_decomposition(d)
+    want = monotone_reference(d)
+    if want is None:
+        assert dec is None
+        return
+    cuts, low, mids, high = want
+    assert [s.lo for s in dec.segments] + [dec.segments[-1].hi] == cuts
+    assert [list(s.point_ids) for s in dec.segments] == [low] + [[m] for m in mids] + [high]
+    assert verify_decomposition(d, dec)
+
+
+@pytest.mark.parametrize("base, step", [
+    (Fraction(1, 3), Fraction(1, 10**40)),  # the floats collide
+    (Fraction(0), Fraction(1, 10**400)),  # the floats underflow to 0.0
+])
+def test_decompositions_over_colliding_floats_are_derived_and_verified_exactly(
+        base, step):
+    x1, x2, x3 = (base + k * step for k in (1, 2, 3))
+
+    def codim_one(*points):
+        return MorseDatum(Ambient(5, 4), tuple(
+            CriticalPoint(pid, Kind.INTERIOR, index, v) for pid, index, v in points),
+            TrajectoryGraph(()), SliceComplex((), ()))
+
+    d = codim_one(("a", 0, x1), ("b", 2, x2), ("c", 5, x3))
+    dec = derive_monotone_decomposition(d)
+    assert [s.point_ids for s in dec.segments] == [("a",), ("b",), ("c",)]
+    assert [s.hi for s in dec.segments] == [(x1 + x2) / 2, (x2 + x3) / 2, 1]
+    assert verify_decomposition(d, dec)
+    # the middle segment turned over, by less than the float spacing
+    low, mid, high = dec.segments
+    flipped = (dataclasses.replace(low, hi=mid.hi),
+               dataclasses.replace(mid, lo=mid.hi, hi=mid.lo),
+               dataclasses.replace(high, lo=mid.lo))
+    assert not verify_decomposition(d, dataclasses.replace(dec, segments=flipped))
+    # index 0 above index 2, by less than the float spacing
+    assert derive_monotone_decomposition(
+        codim_one(("a", 0, x2), ("b", 2, x1), ("c", 5, x3))) is None
+    # the highest low point and the lowest high point set the outer cuts
+    d = codim_one(("a", 0, x1), ("a1", 1, x2), ("b", 2, x3),
+                  ("c", 4, x3 + step), ("c1", 5, x3 + 2 * step))
+    dec = derive_monotone_decomposition(d)
+    assert [s.hi for s in dec.segments] == [(x2 + x3) / 2, (2 * x3 + step) / 2, 1]
+    assert verify_decomposition(d, dec)

@@ -9,8 +9,10 @@ as objects and as serialized bytes.  ``split_interior`` judges a split by
 the pair alone; every split it accepts must be valid by full validation,
 and it refuses as not joinable exactly where ``joinable_to_wall`` says so.
 A run of rearrangements (``_rearrange_run``) must be the fold of
-``assign_values`` over its steps, and the indexes a split result patches
-from its parent's must be those a fresh build gives.
+``assign_values`` over its steps, a run of splits (``_split_run``) the fold
+of ``split_interior`` over its points, with the same records, and the
+indexes a split result patches from its parent's must be those a fresh
+build gives.
 ``realize_configuration`` checks its target map locally and must agree
 with ``realize_by_replay``, which checks it by a full replay, and a point a
 move builds without checking it must be the point the checked constructor
@@ -500,6 +502,112 @@ def test_a_fault_at_the_pair_is_caught_even_when_the_cache_lies(d, data):
 
 
 # ---------------------------------------------------------------------------
+# split runs against the fold of single splits
+
+
+@st.composite
+def split_run_bases(draw):
+    """A generated or ``split_bases`` datum, now and then side by side with
+    one or two more generated pieces of its dimensions, so that a run has
+    more to split."""
+    d = draw(st.one_of(generated(), split_bases().map(lambda base: base[0])))
+    more = []
+    for _ in range(draw(st.sampled_from([0, 1, 2]))):
+        spec = GeneratorSpec(
+            n=d.ambient.n, m=d.ambient.m,
+            points=draw(st.integers(min_value=4, max_value=10)),
+            seed=draw(st.integers(min_value=0, max_value=10**6)))
+        try:
+            more.append(generate(spec))
+        except InfeasibleSpec:
+            pass
+    return union(d, *more) if more else d
+
+
+def split_run_ids(draw, d):
+    """The interior points of splittable index, or those of them that
+    join the wall at a value of their own, in random order; or a random
+    list of ids: such points (repeated), any point, the names the halves of
+    a point take, and an id the datum does not have."""
+    inner = [p.id for p in d.interior_points(1, d.ambient.n)]
+    way = draw(st.sampled_from(["all", "splittable", "drawn"]))
+    if way == "splittable" and d.valid:
+        values = Counter(p.value for p in d.points)
+        bits = d.slices.component_index.wall_bit
+        inner = [pid for pid in inner if values[d.point(pid).value] == 1
+                 and any(bits[c] for c in d.slices.effect_for(pid).inputs)]
+    if inner and way != "drawn":
+        return draw(st.permutations(inner))
+    pool = inner * 3 + [p.id for p in d.points] + ["nope"]
+    pool += [pid + half for pid in inner for half in ("s", "u", "s_")]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+def split_fold_outcome(d, ids):
+    """``split_interior`` over the ids one by one; the outcome and the
+    records made up to the first refusal."""
+    made = []
+    try:
+        for z_id in ids:
+            d, record = split_interior(d, z_id)
+            made.append(record)
+    except Exception as exc:  # the class and message are what is compared
+        return ("refused", type(exc), str(exc)), made
+    return ("accepted", d, serialize_datum(d)), made
+
+
+def split_run_outcome(fn, d, ids):
+    try:
+        out = fn(d, ids)
+    except Exception as exc:
+        return ("refused", type(exc), str(exc))
+    return ("accepted", out, serialize_datum(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_run_bases(), st.data())
+def test_split_runs_match_the_fold_of_single_splits(d, data):
+    ids = split_run_ids(data.draw, d)
+    want, made = split_fold_outcome(d, ids)
+    records = [MoveRecord("split", (z_id,)) for z_id in ids]
+    assert made == records[:len(made)]
+    got = split_run_outcome(moves._split_run, d, ids)
+    assert got == want, ids
+    # a script of the same splits is replayed as one grouped run
+    assert split_run_outcome(moves.apply_script, d, records) == want, ids
+    if got[0] == "refused":
+        event("refused after %d: %s" % (min(len(made), 3), got[1].__name__))
+        return
+    event("accepted, %s splits" % (len(ids) if len(ids) < 3 else "3+"))
+    out = got[1]
+    assert vars(out)["valid"] is True and out.valid == dataclasses.replace(out).valid
+    assert out.point_index == {p.id: p for p in out.points}
+    assert_indexes_match_a_fresh_build(out)
+
+
+def test_split_runs_read_makers_and_users_through_the_overlay():
+    # z splits c0 into two wall components that y merges (n = 1, so both
+    # have index 1).  Whichever splits first hands the two components to
+    # different halves, and that decides the witness of y's merge, or the
+    # output of z that leaves at its stable half: the run must read the
+    # halves, not z and y, as makers and users
+    d = datum(
+        3, 1,
+        [comp("c0")],
+        [pt("z", Kind.INTERIOR, 1, Fraction(1, 3)),
+         pt("y", Kind.INTERIOR, 1, Fraction(2, 3))],
+        [],
+        [eff("z", EffectKind.SPLIT, ("c0",), (comp("c2"), comp("c1"))),
+         eff("y", EffectKind.MERGE, ("c1", "c2"), (comp("c3"),))],
+    )
+    assert validate_datum(d) == []
+    for ids in (["z", "y"], ["y", "z"]):
+        want, made = split_fold_outcome(d, ids)
+        assert want[0] == "accepted" and len(made) == 2
+        assert split_run_outcome(moves._split_run, d, ids) == want, ids
+
+
+# ---------------------------------------------------------------------------
 # the split stage by counts, and the cached verdicts by rebuilding
 
 
@@ -536,22 +644,25 @@ def count_full_checks(monkeypatch, when=lambda: True):
 
 
 def split_stage_counts(monkeypatch, d):
-    """global_split of d; full validations and replays run inside its
-    splits, and the number of splits."""
-    inside = []
+    """global_split of d; full validations and replays run inside its split
+    runs, the points of its split records and the points its split runs
+    were given."""
+    inside, seen = [], []
     counts = count_full_checks(monkeypatch, lambda: bool(inside))
-    split = normal_form.split_interior
+    run = normal_form._split_run
 
-    def splitting(*args):
-        inside.append(args[1])
+    def splitting(datum, ids):
+        ids = list(ids)
+        inside.append(ids)
+        seen.extend(ids)
         try:
-            return split(*args)
+            return run(datum, ids)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(normal_form, "split_interior", splitting)
+    monkeypatch.setattr(normal_form, "_split_run", splitting)
     _, _, script = normal_form.global_split(d)
-    return counts, sum(1 for r in script if r.kind == "split")
+    return counts, [r.ids[0] for r in script if r.kind == "split"], seen
 
 
 def test_the_split_stage_validates_at_most_once(monkeypatch):
@@ -560,10 +671,43 @@ def test_the_split_stage_validates_at_most_once(monkeypatch):
         "codim 2": union(*pieces(2, 4, (0, 1, 6, 10, 12, 13))),
     }
     for name, d in unions.items():
-        counts, splits = split_stage_counts(monkeypatch, d)
-        assert splits >= 10, name
+        counts, splits, seen = split_stage_counts(monkeypatch, d)
+        assert len(splits) >= 10, name
+        assert seen == splits, name  # every split ran inside a split run
         assert counts["validate_datum"] <= 1, (name, counts)
         assert counts["replay"] <= 1, (name, counts)
+
+
+def test_a_split_run_patches_each_structure_once(monkeypatch):
+    # the split stage, and its replay, splice the points once, patch the
+    # flow graph and the slice complex once, and build one datum; asked
+    # for, each index of the result is patched once from its parent's
+    for d in (union(*pieces(4, 5, (5, 7, 9), allow_boundary=False)),
+              union(*pieces(2, 4, (0, 1, 6, 10, 12, 13)))):
+        staged = d
+        for stage, fn in (normal_form._DEEP_STAGES if d.ambient.codim >= 2
+                          else normal_form._CODIM_ONE_STAGES):
+            if stage == "split":
+                break
+            staged, _ = fn(staged)
+        calls = Counter()
+        for owner, name, key in ((TrajectoryGraph, "_patched", "graph"),
+                                 (SliceComplex, "_patched", "slices"),
+                                 (moves, "splice", "points"),
+                                 (MorseDatum, "derived", "datum"),
+                                 (trajectory, "_patched_index", "edge_index")):
+            counted(monkeypatch, owner, name, calls, key)
+        out, script = normal_form._split_all(staged)
+        assert len(script) >= 10
+        assert calls == dict.fromkeys(("graph", "slices", "points", "datum"), 1)
+        again = moves.apply_script(staged, script)
+        assert calls == dict.fromkeys(("graph", "slices", "points", "datum"), 2)
+        for x in (out, again):
+            calls.clear()
+            assert_indexes_match_a_fresh_build(x)
+            assert calls == {"edge_index": 1}, calls
+        monkeypatch.undo()
+        assert serialize_datum(again) == serialize_datum(out)
 
 
 def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
@@ -658,12 +802,12 @@ def test_runs_match_the_fold_of_single_moves(d, data):
         assert out.valid == dataclasses.replace(out).valid
 
 
-def counted(monkeypatch, owner, name, calls):
-    """Count the calls of ``owner.name`` in ``calls[name]``."""
+def counted(monkeypatch, owner, name, calls, key=None):
+    """Count the calls of ``owner.name`` in ``calls[key or name]``."""
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls[name] += 1
+        calls[key or name] += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -714,17 +858,24 @@ def assert_indexes_match_a_fresh_build(out):
 
 
 def test_split_results_patch_the_indexes_a_fresh_build_gives():
-    checked = 0
+    # single splits, split runs (the normal form, whose final stage keeps
+    # the graph and complex of its split run) and grouped script replays
+    checked = Counter()
     for n, m, boundary in ((2, 4, True), (3, 5, True), (2, 3, False),
                            (4, 5, False), (3, 4, False)):
         for d in pieces(n, m, range(12), boundary):
-            _, _, script = normal_form.global_split(d)
+            out, _, script = normal_form.global_split(d)
+            if not any(r.kind == "split" for r in script):
+                continue
+            for x in (out, moves.apply_script(d, script)):
+                assert_indexes_match_a_fresh_build(x)
+                checked["run"] += 1
             for record in script:
                 d = apply_record(d, record)
                 if record.kind == "split":
                     assert_indexes_match_a_fresh_build(d)
-                    checked += 1
-    assert checked > 50, checked
+                    checked["split"] += 1
+    assert checked["split"] > 50 and checked["run"] > 20, checked
 
 
 def test_a_split_result_builds_no_index_until_asked():

@@ -13,7 +13,9 @@ Standard library only.  Run from the root of a source checkout::
     python3 tools/scale.py --points 160
 
 Prints one line per pool and size, and checks that the replay reproduces
-the driver's result.
+the driver's result.  The ``growth`` column holds the ``global_split`` and
+the ``apply_script`` time over those of the previous size of the same
+pool (``-`` for the first size).
 """
 
 import argparse
@@ -61,13 +63,18 @@ def main(argv=None):
     parser.add_argument("--points", type=int, nargs="+", default=[320, 1280, 5120])
     args = parser.parse_args(argv)
     texts, _ = load_corpus()
-    print("%-13s %6s %6s %6s %14s %14s"
-          % ("pool", "P", "splits", "moves", "global_split_s", "apply_script_s"))
+    print("%-13s %6s %6s %6s %14s %14s %12s" % (
+        "pool", "P", "splits", "moves", "global_split_s", "apply_script_s", "growth"))
     for pool in POOLS:
         pieces = [cli_io.parse_datum(t) for t in texts[pool]]
+        before = None
         for points in args.points:
-            print("%-13s %6d %6d %6d %14.3f %14.3f"
-                  % ((pool,) + measure(pieces, points)), flush=True)
+            row = measure(pieces, points)
+            growth = "-" if before is None else "%.1fx/%.1fx" % (
+                row[3] / before[3], row[4] / before[4])
+            print("%-13s %6d %6d %6d %14.3f %14.3f %12s"
+                  % ((pool,) + row + (growth,)), flush=True)
+            before = row
     return 0
 
 
