@@ -186,9 +186,12 @@ class DimensionProfile:
 def dimension_profile(kind: Kind, index: int, n: int) -> DimensionProfile:
     """Dimension profile of a critical point of the given kind and index.
 
-    Raises InvalidIndexKind when the (kind, index) pair cannot occur on an
+    Raises ValidationError for n < 1, as ``Ambient`` does, and
+    InvalidIndexKind when the (kind, index) pair cannot occur on an
     n-dimensional level set.  Valid pairs never produce negative entries.
     """
+    if n < 1:
+        raise ValidationError("need n >= 1, got n=%r" % (n,))
     kind = Kind(kind)
     check_index_kind(kind, index, n)
     k = index
@@ -257,19 +260,6 @@ def splice(items: tuple, drop, add, key) -> tuple:
         start = i
     out += kept[start:]
     return tuple(out)
-
-
-def built_indexes(obj, names) -> dict:
-    """Those of the cached indexes ``names`` that ``obj`` has built: what a
-    patched copy of ``obj`` starts its own from."""
-    return {name: vars(obj)[name] for name in names if name in vars(obj)}
-
-
-def parent_index(obj, name):
-    """The parent's index ``name`` that the patched ``obj`` starts from, or
-    None; handed over once, so ``obj`` does not keep it once it has its
-    own."""
-    return vars(obj).get("_parents", {}).pop(name, None)
 
 
 def _boundary_rank(p: CriticalPoint):

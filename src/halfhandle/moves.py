@@ -32,11 +32,12 @@ its id from the valid datum, while records parsed from a script take every
 check.  Runs of splits are folded the same way (``_split_run``, of which
 ``split_interior`` is the one-record case): each split reads the splits
 before it through one overlay and is checked and refused in place, and
-the points, flow lines, effects and their indexes are patched once per
-run.  Values are range-checked on their ints and ordered by their
-``order_key``s.  A rearrangement or target map the local check refuses
-goes to the full replay, which names the reason; cancellations run
-``validate_datum`` on the result.
+the points, flow lines and effects are patched once per run; the result
+builds its indexes on first use.  Values are range-checked on their ints
+and ordered by their ``order_key``s.  Only the local check accepts a
+rearrangement or target map; one it refuses raises the reason the full
+replay names (``_refusal``).  Cancellations run ``validate_datum`` on the
+result.
 """
 
 from __future__ import annotations
@@ -175,39 +176,6 @@ def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     return None
 
 
-def assign_by_replay(
-    datum: MorseDatum, assignments: Mapping[str, Fraction]
-) -> MorseDatum:
-    """Datum with new critical values; raises if the result is inconsistent.
-
-    The reference check behind ``assign_values``: the whole assignment goes
-    through ``check_assignment``, a full replay, and every point is rebuilt
-    at its new value.
-    """
-    for pid in assignments:
-        if not datum.has_point(pid):
-            raise UnknownId("no critical point with id %r" % (pid,))
-    values = datum.values()
-    for pid, v in assignments.items():
-        v = exact(v)
-        if not (0 < v < 1):
-            raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
-        values[pid] = v
-    problem = check_assignment(datum, values)
-    if problem is not None:
-        kind, detail = problem
-        if kind == "edge":
-            raise EdgeOrderViolation(
-                "flow line %s->%s would run downhill (%s >= %s)"
-                % (detail.src, detail.dst, values[detail.src], values[detail.dst])
-            )
-        raise InvalidEffect("new order breaks the slice replay: %s" % (detail,))
-    new_points = tuple(
-        CriticalPoint(p.id, p.kind, p.index, values[p.id]) for p in datum.points
-    )
-    return datum.replace(points=new_points)
-
-
 _NO_OVERLAY: Mapping[str, Fraction] = MappingProxyType({})
 
 
@@ -253,17 +221,58 @@ def _moves_locally(
     return True
 
 
-def _local_step(datum, assignments, overlay=_NO_OVERLAY):
-    """The (value, id) keys of a move of known points to values in (0, 1)
-    that ``_moves_locally`` accepts, with ``overlay`` as there; None
-    otherwise.  The range is checked on ints (denominators are positive)."""
-    if all(datum.has_point(pid) for pid in assignments):
-        values = {pid: exact(v) for pid, v in assignments.items()}
-        if all(0 < v.numerator < v.denominator for v in values.values()):
-            keys = {pid: order_key(v, pid) for pid, v in values.items()}
-            if _moves_locally(datum, keys, overlay):
-                return keys
-    return None
+def _local_step(datum, ids, values, overlay=_NO_OVERLAY):
+    """The (value, id) keys of a move of the points ``ids`` to ``values``
+    (the two in step), with ``overlay`` as in ``_moves_locally``, or None
+    when that check refuses the move.  Raises UnknownId for an id the datum
+    does not have, then MoveError for a value outside (0, 1), checked on
+    ints (denominators are positive)."""
+    points = datum.point_index
+    for pid in ids:
+        if pid not in points:
+            raise UnknownId("no critical point with id %r" % (pid,))
+    keys = {}
+    for pid, v in zip(ids, values):
+        v = exact(v)
+        if not 0 < v.numerator < v.denominator:
+            raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
+        keys[pid] = order_key(v, pid)
+    return keys if _moves_locally(datum, keys, overlay) else None
+
+
+def _refusal(datum, assignments, targets=False) -> MoveError:
+    """The error for a move of known points to values in (0, 1) that
+    ``_moves_locally`` refuses, named by the full replay
+    (``check_assignment``): EdgeOrderViolation for the first flow line it
+    runs downhill, else InvalidEffect with the first replay issue.  With
+    ``targets`` (``realize_configuration``), SwapBlocked naming the pair
+    that line or the first starving surgery (``_starving_pair``) pins.
+
+    On a valid datum the local check and the full replay refuse the same
+    moves, so the replay always names a reason.
+    """
+    values = datum.values()
+    values.update((pid, exact(v)) for pid, v in assignments.items())
+    kind, detail = check_assignment(datum, values)
+    if kind == "edge":
+        src, dst = detail.src, detail.dst
+        if targets:
+            return SwapBlocked(
+                src, dst, "flow line %s->%s pins the order, targets invert it"
+                % (src, dst)
+            )
+        return EdgeOrderViolation(
+            "flow line %s->%s would run downhill (%s >= %s)"
+            % (src, dst, values[src], values[dst])
+        )
+    if targets:
+        consumer, producer = _starving_pair(datum, values)
+        return SwapBlocked(
+            consumer, producer,
+            "surgery at %s needs a component made at %s, targets put it below"
+            % (consumer, producer),
+        )
+    return InvalidEffect("new order breaks the slice replay: %s" % (detail,))
 
 
 def assign_values(
@@ -275,57 +284,44 @@ def assign_values(
     Checks edge order and slice replay, nothing else: points with no flow
     line or surgery dependency between them may pass each other freely.
 
-    Takes valid data only (``require_valid``).  A move of known points to
-    values in (0, 1) is accepted after ``_moves_locally`` checks the moved
-    points alone; only they are re-placed, by bisection, and the result
-    stays valid.  Every refusal goes through ``assign_by_replay``, the full
-    replay that names the reason.
+    Takes valid data only (``require_valid``).  The move is decided by
+    ``_local_step``, which looks at the moved points alone; only they are
+    re-placed, by bisection, and the result stays valid.  A refused move
+    raises the error ``_refusal`` names.
     """
     require_valid(datum)
-    keys = _local_step(datum, assignments)
+    keys = _local_step(datum, assignments, assignments.values())
     if keys is None:
-        moved = assign_by_replay(datum, assignments)
-    else:
-        moved = datum.with_keys(keys)
+        raise _refusal(datum, assignments)
     ids = tuple(sorted(assignments))
     record = MoveRecord(
         "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note
     )
-    return moved, record
+    return datum.with_keys(keys), record
 
 
 def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
     """The datum the rearrange records of ``script`` make, one after another:
     the left fold of ``apply_record`` over them, in one pass.
 
-    Each step is checked by ``_moves_locally`` with the keys of the steps
+    Each step is checked by ``_local_step`` with the keys of the steps
     before it held in an overlay, and the moved points are re-placed once,
     at the end (``with_keys``), so a run of s steps builds one points
-    tuple, not s.  At the first step the local check refuses, the datum the
-    earlier steps made is built and the step goes to ``assign_values``,
-    which raises what the fold raises there (or, should it accept, the run
-    goes on from its result).
+    tuple, not s.  At the first step the check refuses, the run raises what
+    the fold raises there: ``_refusal`` on the datum the earlier steps made.
     """
-    d, overlay = datum, {}
+    overlay = {}
     for record in script:
         if not overlay:
-            require_valid(d)
-        if len(record.ids) == 1:  # one point, its value an exact Fraction
-            pid, v = record.ids[0], record.values[0]
-            keys = {pid: order_key(v, pid)}
-            if not (d.has_point(pid) and 0 < v.numerator < v.denominator
-                    and _moves_locally(d, keys, overlay)):
-                keys = None
-        else:
-            keys = _local_step(d, record.assignments(), overlay)
+            require_valid(datum)
+        keys = _local_step(datum, record.ids, record.values, overlay)
         if keys is None:
-            d, _ = assign_values(d.with_keys(overlay), record.assignments())
-            overlay = {}
-        else:  # keep the overlay in the order of last moves, mostly sorted
-            for pid in keys:
-                overlay.pop(pid, None)
-            overlay.update(keys)
-    return d.with_keys(overlay)
+            raise _refusal(datum.with_keys(overlay), record.assignments())
+        # keep the overlay in the order of last moves, mostly sorted
+        for pid in keys:
+            overlay.pop(pid, None)
+        overlay.update(keys)
+    return datum.with_keys(overlay)
 
 
 def rearrange_pair(
@@ -398,8 +394,8 @@ def realize_configuration(
 
     Takes valid data only (``require_valid``).  The targets are checked
     by ``_moves_locally`` with every point moved at once, in O(deg) per
-    point; only a refused target map goes to the full replay
-    (``check_assignment``), which names the blocked pair.  The park and
+    point; a refused target map raises the SwapBlocked ``_refusal`` names
+    by the full replay.  The park and
     place steps are single-point moves, run as one ``_rearrange_run`` that
     checks each step in O(deg x) and re-places the points once.
 
@@ -432,24 +428,8 @@ def realize_configuration(
             )
 
     keys = {pid: order_key(v, pid) for pid, v in want.items()}
-    problem = None if _moves_locally(datum, keys) else check_assignment(datum, want)
-    if problem is not None:
-        kind, detail = problem
-        if kind == "edge":
-            raise SwapBlocked(
-                detail.src,
-                detail.dst,
-                "flow line %s->%s pins the order, targets invert it"
-                % (detail.src, detail.dst),
-            )
-        # replay broke: the first starving effect names the blocked pair
-        consumer, producer = _starving_pair(datum, want)
-        raise SwapBlocked(
-            consumer,
-            producer,
-            "surgery at %s needs a component made at %s, targets put it below"
-            % (consumer, producer),
-        )
+    if not _moves_locally(datum, keys):
+        raise _refusal(datum, want, targets=True)
 
     if all(want[p.id] == p.value for p in datum.points):
         return datum, []
@@ -664,9 +644,9 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
 
     The run gathers every dropped and added point, flow line and effect and
     patches once, at the end: one ``splice`` of the points, one
-    ``_patched`` graph and slice complex, whose indexes are patched from
-    this datum's when first asked, and one copy of the point index.  The
-    result is marked ``valid``.
+    ``_patched`` graph and slice complex, which build their indexes when
+    first asked, and one copy of the point index.  The result is marked
+    ``valid``.
     """
     ids = tuple(ids)
     if not ids:

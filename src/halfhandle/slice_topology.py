@@ -31,8 +31,6 @@ from .morse_data import (
     Ambient,
     CriticalPoint,
     Kind,
-    built_indexes,
-    parent_index,
     splice,
 )
 
@@ -110,7 +108,7 @@ class SliceComplex:
     Both indexes below are built on first use and kept: the complex is
     immutable, and a rearrangement keeps the complex it started from, so
     every move of a session shares them.  A complex made by ``_patched``
-    (a run of splits) builds them by patching its parent's indexes instead.
+    (a run of splits) builds its own the same way.
     """
 
     bottom: Tuple[SliceComponent, ...]
@@ -131,51 +129,27 @@ class SliceComplex:
 
     def _patched(self, drop, add) -> "SliceComplex":
         """This complex without the effects ``drop`` and with ``add``, for
-        a move of valid data: as ``TrajectoryGraph._patched``, for both
-        indexes of this complex that are built."""
+        a move of valid data: as ``TrajectoryGraph._patched``."""
         out = object.__new__(SliceComplex)
         vars(out).update(
-            bottom=self.bottom,
-            effects=splice(self.effects, drop, add, _effect_at),
-            _moved=(tuple(drop), tuple(add)),
-            _parents=built_indexes(self, ("effect_index", "component_index")),
+            bottom=self.bottom, effects=splice(self.effects, drop, add, _effect_at)
         )
         return out
 
     @cached_property
     def effect_index(self) -> Dict[str, ComponentEffect]:
         """Effect by point id."""
-        parent = parent_index(self, "effect_index")
-        if parent is None:
-            return {e.at: e for e in self.effects}
-        drop, add = self._moved
-        index = dict(parent)
-        for e in drop:
-            del index[e.at]
-        index.update((e.at, e) for e in add)
-        return index
+        return {e.at: e for e in self.effects}
 
     @cached_property
     def component_index(self) -> ComponentIndex:
-        parent = parent_index(self, "component_index")
-        if parent is None:
-            index = ComponentIndex(
-                {c.id: None for c in self.bottom},
-                {},
-                {c.id: c.touches_wall for c in self.bottom},
-            )
-            drop, add = (), self.effects
-        else:
-            index = ComponentIndex(*(dict(part) for part in parent))
-            drop, add = self._moved
+        index = ComponentIndex(
+            {c.id: None for c in self.bottom},
+            {},
+            {c.id: c.touches_wall for c in self.bottom},
+        )
         producer, consumer, wall_bit = index
-        for e in drop:
-            for c in e.outputs:
-                del producer[c.id], wall_bit[c.id]
-            for cid in e.inputs:
-                if consumer.get(cid) == e.at:
-                    del consumer[cid]
-        for e in add:
+        for e in self.effects:
             for c in e.outputs:
                 producer[c.id] = e.at
                 wall_bit[c.id] = c.touches_wall

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import CycleDetected, ValidationError
 from .morse_data import Ambient, CriticalPoint, Kind, dimension_profile
-from .morse_data import built_indexes, index_bounds, parent_index, splice
+from .morse_data import index_bounds, splice
 
 
 class Locus(str, enum.Enum):
@@ -54,7 +54,7 @@ class FlowEdge:
 
 class GraphIndex(NamedTuple):
     """Edge by (src, dst), and the edges out of and into each point, in
-    edge order; built once per graph, or patched from its parent's."""
+    edge order; built once per graph, on first use."""
 
     edge: Dict[Tuple[str, str], FlowEdge]
     out_edges: Dict[str, Tuple[FlowEdge, ...]]
@@ -68,7 +68,7 @@ def _edge_key(e: FlowEdge):
 @dataclass(frozen=True)
 class TrajectoryGraph:
     """Flow edges in (src, dst) order, at most one per pair; the index is
-    built on first use, by ``_patched`` graphs from their parent's."""
+    built on first use."""
 
     edges: tuple
 
@@ -84,22 +84,13 @@ class TrajectoryGraph:
     def _patched(self, drop, add) -> "TrajectoryGraph":
         """This graph without the edges ``drop`` and with ``add``, for a
         move of valid data: the edges are placed by bisection (``splice``),
-        nothing is re-sorted or re-checked.  The new graph holds this
-        graph's index, if built, until it patches a copy of it in O(deg) on
-        first use of its own."""
+        nothing is re-sorted or re-checked."""
         out = object.__new__(TrajectoryGraph)
-        vars(out).update(
-            edges=splice(self.edges, drop, add, _edge_key),
-            _moved=(tuple(drop), tuple(add)),
-            _parents=built_indexes(self, ("edge_index",)),
-        )
+        vars(out)["edges"] = splice(self.edges, drop, add, _edge_key)
         return out
 
     @cached_property
     def edge_index(self) -> GraphIndex:
-        parent = parent_index(self, "edge_index")
-        if parent is not None:
-            return _patched_index(parent, *self._moved)
         out_edges: Dict[str, Tuple[FlowEdge, ...]] = {}
         in_edges: Dict[str, Tuple[FlowEdge, ...]] = {}
         for e in self.edges:
@@ -124,32 +115,6 @@ class TrajectoryGraph:
 
     def with_edges(self, new_edges: Iterable[FlowEdge]) -> "TrajectoryGraph":
         return TrajectoryGraph(self.edges + tuple(new_edges))
-
-
-def _patched_index(parent: GraphIndex, drop, add) -> GraphIndex:
-    """``parent`` without the edges ``drop`` and with ``add``; the rows of
-    the points they touch are rebuilt in edge order, the rest shared."""
-    edge = dict(parent.edge)
-    for e in drop:
-        del edge[_edge_key(e)]
-    for e in add:
-        edge[_edge_key(e)] = e
-    gone = {_edge_key(e) for e in drop}
-    rows = []
-    for old, end in ((parent.out_edges, "src"), (parent.in_edges, "dst")):
-        new = dict(old)
-        touched = {getattr(e, end): [] for e in drop}
-        for e in add:
-            touched.setdefault(getattr(e, end), []).append(e)
-        for pid, extra in touched.items():
-            kept = [e for e in old.get(pid, ()) if _edge_key(e) not in gone]
-            row = tuple(sorted(kept + extra, key=_edge_key))
-            if row:
-                new[pid] = row
-            else:
-                new.pop(pid, None)
-        rows.append(new)
-    return GraphIndex(edge, *rows)
 
 
 def generic_disjoint(z: CriticalPoint, w: CriticalPoint, ambient: Ambient) -> bool:

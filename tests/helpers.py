@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 from halfhandle.errors import (
+    EdgeOrderViolation,
     Inadmissible,
+    InvalidEffect,
+    MoveError,
     PartialConfiguration,
     SwapBlocked,
     UnknownId,
@@ -15,16 +18,12 @@ from halfhandle.morse_data import (
     Kind,
     MorseDatum,
     dimension_profile,
+    exact,
     first_inversion,
     is_admissible,
     require_valid,
 )
-from halfhandle.moves import (
-    MoveRecord,
-    _starving_pair,
-    assign_by_replay,
-    check_assignment,
-)
+from halfhandle.moves import MoveRecord, _starving_pair, check_assignment
 from halfhandle.slice_topology import (
     ComponentEffect,
     EffectKind,
@@ -128,6 +127,37 @@ def attach_chain_pair(kind, k, n=3, m=None):
         [eff("p", EffectKind.BOUNDARY_ATTACH, ("c0",), (comp("c1", True),)),
          eff("q", EffectKind.BOUNDARY_ATTACH, ("c1",), (comp("c2", True),))],
     )
+
+
+def assign_by_replay(datum, assignments):
+    """Datum with new critical values; raises if the result is inconsistent.
+
+    The reference for ``assign_values``: the whole assignment goes through
+    ``check_assignment``, a full replay, and every point is rebuilt at its
+    new value by the checking constructor.
+    """
+    for pid in assignments:
+        if not datum.has_point(pid):
+            raise UnknownId("no critical point with id %r" % (pid,))
+    values = datum.values()
+    for pid, v in assignments.items():
+        v = exact(v)
+        if not (0 < v < 1):
+            raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
+        values[pid] = v
+    problem = check_assignment(datum, values)
+    if problem is not None:
+        kind, detail = problem
+        if kind == "edge":
+            raise EdgeOrderViolation(
+                "flow line %s->%s would run downhill (%s >= %s)"
+                % (detail.src, detail.dst, values[detail.src], values[detail.dst])
+            )
+        raise InvalidEffect("new order breaks the slice replay: %s" % (detail,))
+    new_points = tuple(
+        CriticalPoint(p.id, p.kind, p.index, values[p.id]) for p in datum.points
+    )
+    return datum.replace(points=new_points)
 
 
 def realize_by_replay(d, targets):

@@ -434,6 +434,13 @@ def test_cli_profile(capsys):
     assert main(["profile", "--kind", "boundary_stable", "--index", "0",
                  "--n", "2"]) == 1
     assert main(["profile", "--kind", "wiggly", "--index", "0", "--n", "2"]) == 1
+    capsys.readouterr()
+    for n in ("0", "-1"):  # no level set below dimension one, as in Ambient
+        assert main(["profile", "--kind", "interior", "--index", "0",
+                     "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need n >= 1, got n=%s" % n in captured.err
 
 
 def test_cli_disjoint(tmp_path, capsys):

@@ -1,18 +1,21 @@
 """The local checks and patches of the moves against whole-datum references.
 
 The moves take valid data only and refuse anything else at the gate.  On a
-valid datum ``assign_values`` accepts a move of one or more points after
-looking only at the moved points; ``assign_by_replay`` checks the whole
-assignment by a full replay.  The two must agree on every move: the same
-accept or refuse, the same exception class and message, and equal results,
-as objects and as serialized bytes.  ``split_interior`` judges a split by
-the pair alone; every split it accepts must be valid by full validation,
-and it refuses as not joinable exactly where ``joinable_to_wall`` says so.
+valid datum ``assign_values`` decides a move of one or more points by
+looking only at the moved points; ``assign_by_replay`` (in ``helpers``)
+checks the whole assignment by a full replay.  The two must agree on every
+move: the same accept or refuse, the same exception class and message, and
+equal results, as objects and as serialized bytes.  The local check itself
+(``_moves_locally``) must accept exactly the moves, of one point, several
+or all, that the full replay (``check_assignment``) accepts.
+``split_interior`` judges a split by the pair alone; every split it
+accepts must be valid by full validation, and it refuses as not joinable
+exactly where ``joinable_to_wall`` says so.
 A run of rearrangements (``_rearrange_run``) must be the fold of
 ``assign_values`` over its steps, a run of splits (``_split_run``) the fold
 of ``split_interior`` over its points, with the same records, and the
-indexes a split result patches from its parent's must be those a fresh
-build gives.
+indexes a split result builds on first use must be those a fresh build
+gives.
 ``realize_configuration`` checks its target map locally and must agree
 with ``realize_by_replay``, which checks it by a full replay, and a point a
 move builds without checking it must be the point the checked constructor
@@ -23,6 +26,7 @@ import dataclasses
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -45,9 +49,9 @@ from halfhandle.moves import (
     _moves_locally,
     _rearrange_run,
     apply_record,
-    assign_by_replay,
     assign_values,
     cancel_pair,
+    check_assignment,
     realize_configuration,
     rearrange_pair,
     split_interior,
@@ -62,6 +66,7 @@ from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
 from helpers import (
     assert_records_as_checked,
+    assign_by_replay,
     birth_merge_pair,
     comp,
     datum,
@@ -680,8 +685,8 @@ def test_the_split_stage_validates_at_most_once(monkeypatch):
 
 def test_a_split_run_patches_each_structure_once(monkeypatch):
     # the split stage, and its replay, splice the points once, patch the
-    # flow graph and the slice complex once, and build one datum; asked
-    # for, each index of the result is patched once from its parent's
+    # flow graph and the slice complex once, and build one datum; each
+    # index of the result is built once, on first use
     for d in (union(*pieces(4, 5, (5, 7, 9), allow_boundary=False)),
               union(*pieces(2, 4, (0, 1, 6, 10, 12, 13)))):
         staged = d
@@ -694,18 +699,16 @@ def test_a_split_run_patches_each_structure_once(monkeypatch):
         for owner, name, key in ((TrajectoryGraph, "_patched", "graph"),
                                  (SliceComplex, "_patched", "slices"),
                                  (moves, "splice", "points"),
-                                 (MorseDatum, "derived", "datum"),
-                                 (trajectory, "_patched_index", "edge_index")):
+                                 (MorseDatum, "derived", "datum")):
             counted(monkeypatch, owner, name, calls, key)
+        builds = count_index_builds(monkeypatch)
         out, script = normal_form._split_all(staged)
         assert len(script) >= 10
         assert calls == dict.fromkeys(("graph", "slices", "points", "datum"), 1)
         again = moves.apply_script(staged, script)
         assert calls == dict.fromkeys(("graph", "slices", "points", "datum"), 2)
         for x in (out, again):
-            calls.clear()
-            assert_indexes_match_a_fresh_build(x)
-            assert calls == {"edge_index": 1}, calls
+            assert_each_index_built_once_on_first_use(x, builds)
         monkeypatch.undo()
         assert serialize_datum(again) == serialize_datum(out)
 
@@ -857,6 +860,37 @@ def assert_indexes_match_a_fresh_build(out):
     assert out.slices.component_index == slices.component_index
 
 
+INDEXES = ((TrajectoryGraph, "edge_index"), (SliceComplex, "effect_index"),
+           (SliceComplex, "component_index"))
+
+
+def count_index_builds(monkeypatch):
+    """A Counter of the builds of every graph and complex index from now
+    on, by (index name, id of the graph or complex)."""
+    builds, counted_objects = Counter(), []
+    for owner, name in INDEXES:
+        def counting(self, build=vars(owner)[name].func, name=name):
+            counted_objects.append(self)  # kept alive: no id is reused
+            builds[name, id(self)] += 1
+            return build(self)
+        prop = cached_property(counting)
+        prop.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, prop)
+    return builds
+
+
+def assert_each_index_built_once_on_first_use(out, builds):
+    """No index of ``out`` built yet; asked for twice, each is built once
+    and equals a fresh build."""
+    mine = {(name, id(x)) for x, name in ((out.graph, "edge_index"),
+                                          (out.slices, "effect_index"),
+                                          (out.slices, "component_index"))}
+    assert not mine & set(builds), builds
+    assert_indexes_match_a_fresh_build(out)
+    assert_indexes_match_a_fresh_build(out)
+    assert {k: builds[k] for k in mine} == dict.fromkeys(mine, 1), builds
+
+
 def test_split_results_patch_the_indexes_a_fresh_build_gives():
     # single splits, split runs (the normal form, whose final stage keeps
     # the graph and complex of its split run) and grouped script replays
@@ -878,22 +912,17 @@ def test_split_results_patch_the_indexes_a_fresh_build_gives():
     assert checked["split"] > 50 and checked["run"] > 20, checked
 
 
-def test_a_split_result_builds_no_index_until_asked():
+def test_a_split_result_builds_no_index_until_asked(monkeypatch):
     d = union(*pieces(2, 4, range(8)))
     assert validate_datum(d) == []
     z = next(p for p in d.interior_points(1, d.ambient.n)
              if any(d.slices.component_index.wall_bit[cid]
                     for cid in d.slices.effect_for(p.id).inputs))
+    builds = count_index_builds(monkeypatch)
     out, _ = split_interior(d, z.id)
     indexes = {"edge_index", "effect_index", "component_index"}
     assert not indexes & (set(vars(out.graph)) | set(vars(out.slices)))
-    assert_indexes_match_a_fresh_build(out)
-    # once built, the result no longer refers to its parent's indexes
-    parent = {id(d.graph.edge_index), id(d.slices.effect_index),
-              id(d.slices.component_index)}
-    held = list(vars(out.graph).values()) + list(vars(out.slices).values())
-    held += [v for x in held if isinstance(x, dict) for v in x.values()]
-    assert not parent & {id(x) for x in held}
+    assert_each_index_built_once_on_first_use(out, builds)
 
 
 # ---------------------------------------------------------------------------
@@ -959,6 +988,43 @@ def test_realize_configuration_matches_the_replay_reference(d, data):
         event("accepted, %s" % ("moved" if got[3] else "nothing to move"))
     else:  # e.g. "SwapBlocked: flow", "SwapBlocked: surgery"
         event("%s: %s" % (got[1].__name__, got[2].split()[0]))
+
+
+def local_move(draw, d):
+    """How a move is drawn, and a move of known points of d to values in
+    (0, 1): one point (``target``), several (``assignment_of``) or all
+    (``target_map``); None when the draw leaves that domain."""
+    way = draw(st.sampled_from(["one point", "several", "all"]))
+    if way == "one point":
+        move = dict([target(draw, d)])
+    elif way == "several":
+        move = assignment_of(draw, d)
+    else:
+        move = target_map(draw, d)
+        if len(move) != len(d.points):
+            return way, None
+    if all(d.has_point(pid) and 0 < v < 1 for pid, v in move.items()):
+        return way, move
+    return way, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated(), st.data())
+def test_the_local_check_accepts_exactly_what_the_full_replay_accepts(d, data):
+    # both directions: a move the local check refuses and the full replay
+    # accepts would be refused for no reason, the converse would break the
+    # datum; an accepted move is applied, so later moves start from it
+    assume(d.valid)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        way, move = local_move(data.draw, d)
+        if move is None:
+            continue
+        keys = {pid: morse_data.order_key(v, pid) for pid, v in move.items()}
+        local = _moves_locally(d, keys)
+        assert local == (check_assignment(d, {**d.values(), **move}) is None), move
+        event("%s: %s" % (way, "accepted" if local else "refused"))
+        if local:
+            d = d.with_keys(keys)
 
 
 # ---------------------------------------------------------------------------

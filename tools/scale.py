@@ -2,7 +2,8 @@
 
 Builds disjoint unions of the frozen benchmark pieces (``perfbench/corpus``,
 digest checked), each split pool in file order and repeated until the union
-has P points, and times on each, by the wall clock:
+has P points, and times on each, by the wall clock, the median of ``RUNS``
+runs:
 
 * ``global_split`` of a freshly built union, its validation included;
 * ``apply_script`` of the script it returned, onto another fresh union.
@@ -19,6 +20,7 @@ pool (``-`` for the first size).
 """
 
 import argparse
+import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -30,6 +32,7 @@ from corpus import disjoint_union, load_corpus  # noqa: E402
 from halfhandle import cli_io, moves, normal_form  # noqa: E402
 
 POOLS = ("split_deep", "split_codim1")
+RUNS = 5  # single runs of one size spread too widely to read a growth from
 
 
 def union_of(pieces, points):
@@ -43,19 +46,23 @@ def union_of(pieces, points):
 
 
 def measure(pieces, points):
-    """(points, splits, moves, global_split seconds, apply_script seconds)."""
-    datum = union_of(pieces, points)
-    start = perf_counter()
-    out, _, script = normal_form.global_split(datum)
-    split_s = perf_counter() - start
-    again = union_of(pieces, points)
-    start = perf_counter()
-    replayed = moves.apply_script(again, script)
-    replay_s = perf_counter() - start
-    if cli_io.serialize_datum(replayed) != cli_io.serialize_datum(out):
-        raise SystemExit("replaying the script does not give the normal form")
+    """(points, splits, moves, global_split seconds, apply_script seconds),
+    the times the medians of ``RUNS`` runs."""
+    split_s, replay_s = [], []
+    for _ in range(RUNS):
+        datum = union_of(pieces, points)
+        start = perf_counter()
+        out, _, script = normal_form.global_split(datum)
+        split_s.append(perf_counter() - start)
+        again = union_of(pieces, points)
+        start = perf_counter()
+        replayed = moves.apply_script(again, script)
+        replay_s.append(perf_counter() - start)
+        if cli_io.serialize_datum(replayed) != cli_io.serialize_datum(out):
+            raise SystemExit("replaying the script does not give the normal form")
     splits = sum(1 for r in script if r.kind == "split")
-    return len(datum.points), splits, len(script), split_s, replay_s
+    return (len(datum.points), splits, len(script),
+            statistics.median(split_s), statistics.median(replay_s))
 
 
 def main(argv=None):
