@@ -5,6 +5,13 @@ one line per bottom component, critical point, flow edge, and slice effect.
 Blank lines and ``#`` comments are ignored; serialization is canonical, so
 parse followed by serialize is byte stable.  Move scripts use the same
 token style with one ``move`` line per rewriting step.
+
+The parsers read each line in one pass: every token is split once, and the
+line's key set is compared with its directive's.  The message for a bad
+token, a missing key or a stray one is only worked out for a line that has
+one.  Each object is then checked once, by its constructor: a record by
+``MoveRecord``, which keeps a tuple of Fractions as it is, and a point by
+``CriticalPoint``, which keeps the ``Kind`` the parser built.
 """
 
 from __future__ import annotations
@@ -59,26 +66,41 @@ DECOMPOSITION_FORMAT = "halfhandle-decomposition/1"
 # parsing
 
 
-def _split_directive(line: str, num: int):
-    tokens = line.split()
+_KEYS = {  # directive -> its keys, as a dict: a keys view compares as a set
+    "component": dict.fromkeys(("id", "touches_wall")),
+    "point": dict.fromkeys(("id", "kind", "index", "value")),
+    "edge": dict.fromkeys(("src", "dst", "count", "locus")),
+    "effect": dict.fromkeys(("at", "kind", "inputs", "outputs")),
+    "move": dict.fromkeys(("kind", "ids", "values", "note")),
+}
+
+
+def _attrs(tokens, num: int) -> Dict[str, str]:
+    """The ``key=value`` tokens after a line's first token, by key, each
+    split once; ParseError for the first token without ``=`` or with a key
+    seen before it."""
     attrs: Dict[str, str] = {}
     for tok in tokens[1:]:
-        if "=" not in tok:
+        key, eq, value = tok.partition("=")
+        if not eq:
             raise ParseError("expected key=value, got %r" % (tok,), num)
-        key, _, val = tok.partition("=")
         if key in attrs:
             raise ParseError("repeated key %r" % (key,), num)
-        attrs[key] = val
-    return tokens[0], attrs
+        attrs[key] = value
+    return attrs
 
 
-def _need(attrs: Dict[str, str], keys, num: int, what: str):
+def _check_keys(attrs: Dict[str, str], what: str, num: int) -> None:
+    """Raise ParseError unless ``attrs`` holds exactly the keys of a
+    ``what`` line: the missing keys first, then the stray ones."""
+    keys = _KEYS[what]
+    if attrs.keys() == keys.keys():
+        return
     missing = [k for k in keys if k not in attrs]
     if missing:
         raise ParseError("%s line lacks %s" % (what, ", ".join(missing)), num)
     extra = [k for k in attrs if k not in keys]
-    if extra:
-        raise ParseError("%s line has stray %s" % (what, ", ".join(extra)), num)
+    raise ParseError("%s line has stray %s" % (what, ", ".join(extra)), num)
 
 
 def _bool(token: str, num: int) -> bool:
@@ -146,7 +168,9 @@ def parse_datum(text: str) -> MorseDatum:
                 raise ParseError("expected format=" + DATUM_FORMAT, num)
             saw_format = True
             continue
-        directive, attrs = _split_directive(line, num)
+        tokens = line.split()
+        attrs = _attrs(tokens, num)
+        directive = tokens[0]
         if "=" in directive:
             key, _, val = directive.partition("=")
             if attrs:
@@ -157,14 +181,15 @@ def parse_datum(text: str) -> MorseDatum:
                 raise ParseError("repeated header %r" % (key,), num)
             header[key] = (val, num)
             continue
+        if directive not in ("component", "point", "edge", "effect"):
+            raise ParseError("unknown directive %r" % (directive,), num)
+        _check_keys(attrs, directive, num)
         try:
             if directive == "component":
-                _need(attrs, ("id", "touches_wall"), num, "component")
                 bottom.append(
                     SliceComponent(attrs["id"], _bool(attrs["touches_wall"], num))
                 )
             elif directive == "point":
-                _need(attrs, ("id", "kind", "index", "value"), num, "point")
                 points.append(
                     CriticalPoint(
                         attrs["id"],
@@ -174,15 +199,13 @@ def parse_datum(text: str) -> MorseDatum:
                     )
                 )
             elif directive == "edge":
-                _need(attrs, ("src", "dst", "count", "locus"), num, "edge")
                 count = None if attrs["count"] == "?" else _int(attrs["count"], num)
                 edges.append(
                     FlowEdge(
                         attrs["src"], attrs["dst"], count, Locus(attrs["locus"])
                     )
                 )
-            elif directive == "effect":
-                _need(attrs, ("at", "kind", "inputs", "outputs"), num, "effect")
+            else:
                 inputs = ()
                 if attrs["inputs"] != "-":
                     inputs = tuple(attrs["inputs"].split(","))
@@ -203,8 +226,6 @@ def parse_datum(text: str) -> MorseDatum:
                         tuple(outputs),
                     )
                 )
-            else:
-                raise ParseError("unknown directive %r" % (directive,), num)
         except ValidationError as exc:
             raise ParseError(str(exc), num)
         except ValueError as exc:
@@ -290,16 +311,17 @@ def parse_script(text: str) -> List[MoveRecord]:
                 raise ParseError("expected format=" + SCRIPT_FORMAT, num)
             saw_format = True
             continue
-        directive, attrs = _split_directive(line, num)
-        if directive != "move":
-            raise ParseError("unknown directive %r" % (directive,), num)
-        _need(attrs, ("kind", "ids", "values", "note"), num, "move")
+        tokens = line.split()
+        attrs = _attrs(tokens, num)
+        if tokens[0] != "move":
+            raise ParseError("unknown directive %r" % (tokens[0],), num)
+        _check_keys(attrs, "move", num)
         ids = tuple(attrs["ids"].split(","))
         values = ()
         if attrs["values"] != "-":
-            values = tuple(_fraction(tok, num) for tok in attrs["values"].split(","))
+            values = tuple([_fraction(tok, num) for tok in attrs["values"].split(",")])
         note = "" if attrs["note"] == "-" else attrs["note"]
-        try:
+        try:  # MoveRecord checks the record, once
             records.append(MoveRecord(attrs["kind"], ids, values, note))
         except ValidationError as exc:
             raise ParseError(str(exc), num)

@@ -26,7 +26,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import (
@@ -126,13 +126,15 @@ class CriticalPoint:
         if not isinstance(self.index, int) or self.index < 0:
             raise ValidationError("bad index %r for point %r" % (self.index, self.id))
         value = exact(self.value)
-        if not (0 < value < 1):
+        num, den = value.numerator, value.denominator
+        if not 0 < num < den:  # checked on ints: denominators are positive
             raise ValidationError(
                 "critical value %s of %r not strictly inside (0,1)" % (value, self.id)
             )
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "kind", Kind(self.kind))
-        object.__setattr__(self, "_float", value.numerator / value.denominator)
+        if type(self.kind) is not Kind:  # a parsed point's Kind is kept as it is
+            object.__setattr__(self, "kind", Kind(self.kind))
+        object.__setattr__(self, "_float", num / den)
 
     def sort_key(self):
         """``order_key(value, id)`` from the cached float: exact (value, id)
@@ -183,12 +185,15 @@ class DimensionProfile:
         )
 
 
+@lru_cache(maxsize=1024, typed=True)  # far more than the cells of any n in use
 def dimension_profile(kind: Kind, index: int, n: int) -> DimensionProfile:
     """Dimension profile of a critical point of the given kind and index.
 
     Raises ValidationError for n < 1, as ``Ambient`` does, and
     InvalidIndexKind when the (kind, index) pair cannot occur on an
     n-dimensional level set.  Valid pairs never produce negative entries.
+    A profile is built once and shared while it stays in the cache (it is
+    frozen); a refused pair is refused on every call.
     """
     if n < 1:
         raise ValidationError("need n >= 1, got n=%r" % (n,))

@@ -25,11 +25,14 @@ dependencies of the points it moves, and a split changes the flow lines
 and the surgery of one point and nothing else.  The target map of
 ``realize_configuration`` is checked the same way, every point moved at
 once.  The drivers and script replay fold runs of rearrangements in one
-pass (``_rearrange_run``) that re-places the points once per run; a moved
-point is built from its old one at the checked value, not checked again,
-and a driver's one-point record is built unchecked (``MoveRecord._step``),
-its id from the valid datum, while records parsed from a script take every
-check.  Runs of splits are folded the same way (``_split_run``, of which
+pass (``_rearrange_run``): each step puts its keys into the run's one
+overlay and is checked there (``_local_step``), a refused step is taken
+out again, and the points are re-placed once per run.  A moved point is
+built from its old one at the checked value, not checked again, and a
+driver's one-point record is built unchecked (``MoveRecord._step``), its
+id from the valid datum, while records parsed from a script take every
+check, once (``MoveRecord`` keeps a tuple of Fractions as it is).  Runs of
+splits are folded the same way (``_split_run``, of which
 ``split_interior`` is the one-record case): each split reads the splits
 before it through one overlay and is checked and refused in place, and
 the points, flow lines and effects are patched once per run; the result
@@ -46,8 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import (
     Blocked,
@@ -123,22 +125,33 @@ class MoveRecord:
     note: str = ""
 
     def __post_init__(self):
-        if self.kind not in _IDS_WANTED:
-            raise ValidationError("unknown move kind %r" % (self.kind,))
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "values", tuple(map(exact, self.values)))
-        lo, hi, wanted = _IDS_WANTED[self.kind]
-        if not lo <= len(self.ids) <= hi or len(set(self.ids)) != len(self.ids):
+        kind, ids, values = self.kind, self.ids, self.values
+        if kind not in _IDS_WANTED:
+            raise ValidationError("unknown move kind %r" % (kind,))
+        if type(ids) is not tuple:
+            ids = tuple(ids)
+            object.__setattr__(self, "ids", ids)
+        kept = type(values) is tuple  # a tuple of Fractions is kept as it is
+        for v in values if kept else ():
+            if type(v) is not Fraction:
+                kept = False
+                break
+        if not kept:
+            values = tuple(map(exact, values))
+            object.__setattr__(self, "values", values)
+        lo, hi, wanted = _IDS_WANTED[kind]
+        if not lo <= len(ids) <= hi or 1 < len(ids) != len(set(ids)):
             raise ValidationError(
-                "%s wants %s, got ids=%s" % (self.kind, wanted, ",".join(self.ids))
+                "%s wants %s, got ids=%s" % (kind, wanted, ",".join(ids))
             )
-        for pid in self.ids:
+        for pid in ids:
             if not _ID_RE.match(pid):
                 raise ValidationError("bad point id %r" % (pid,))
-        if self.kind == "rearrange" and len(self.values) != len(self.ids):
-            raise ValidationError("rearrange needs one value per id")
-        if self.kind != "rearrange" and self.values:
-            raise ValidationError("%s takes no values" % (self.kind,))
+        if kind == "rearrange":
+            if len(values) != len(ids):
+                raise ValidationError("rearrange needs one value per id")
+        elif values:
+            raise ValidationError("%s takes no values" % (kind,))
 
     @classmethod
     def _step(cls, pid: str, value: Fraction, note: str) -> "MoveRecord":
@@ -176,68 +189,86 @@ def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     return None
 
 
-_NO_OVERLAY: Mapping[str, Fraction] = MappingProxyType({})
-
-
 def _moves_locally(
-    datum: MorseDatum,
-    keys: Mapping[str, tuple],
-    overlay: Mapping[str, tuple] = _NO_OVERLAY,
+    datum: MorseDatum, keys: Mapping[str, tuple], ids: Optional[Iterable[str]] = None
 ) -> bool:
-    """Whether moving each point to its (value, id) key in ``keys``
-    (``order_key``) keeps a valid datum valid.
+    """Whether moving each point of ``ids`` (by default every point of
+    ``keys``) to its (value, id) key in ``keys`` (``order_key``) keeps a
+    valid datum valid, the other points of ``keys`` at their keys there.
 
-    Looks only at what touches the moved points, in O(deg) index lookups
-    each, with every moved point at its new key: their flow lines must stay
-    uphill (the (float, value) prefixes of the keys), the makers of their
-    inputs must come before them and the users of their outputs after them
-    (the whole keys).  On a valid datum every component id is made once and
-    used at most once, so nothing else pins the replay order.  ``overlay``
-    holds the keys of earlier moves not yet applied to ``datum``
-    (``_rearrange_run``).
+    Looks only at what touches the points of ``ids``, in O(deg) index
+    lookups each: their flow lines must stay uphill (the (float, value)
+    prefixes of the keys, compared in place), the makers of their inputs
+    must come before them and the users of their outputs after them (the
+    whole keys).  On a valid datum every component id is made once and used
+    at most once, so nothing else pins the replay order.  ``keys`` may hold
+    the moves of earlier steps not yet applied to ``datum``: it is the
+    overlay of ``_rearrange_run`` and ``assign_values``.
     """
     points = datum.point_index
-
-    def key(pid):
-        if pid in keys:
-            return keys[pid]
-        return overlay[pid] if pid in overlay else points[pid].sort_key()
-
+    key = keys.get
     edges = datum.graph.edge_index
-    components = datum.slices.component_index
-    for pid, at in keys.items():
-        for e in edges.out_edges.get(pid, ()) + edges.in_edges.get(pid, ()):
-            if not key(e.src)[:2] < key(e.dst)[:2]:
+    out_edges, in_edges = edges.out_edges, edges.in_edges
+    effects = datum.slices.effect_index
+    producer, consumer, _ = datum.slices.component_index
+    for pid in keys if ids is None else ids:
+        at = keys[pid]
+        f, v = at[0], at[1]
+        for e in out_edges.get(pid, ()):
+            up = key(e.dst) or points[e.dst].sort_key()
+            if not (f < up[0] or f == up[0] and v < up[1]):
                 return False
-        effect = datum.slices.effect_index[pid]
+        for e in in_edges.get(pid, ()):
+            down = key(e.src) or points[e.src].sort_key()
+            if not (down[0] < f or down[0] == f and down[1] < v):
+                return False
+        effect = effects[pid]
         for cid in effect.inputs:
-            maker = components.producer[cid]
-            if maker is not None and not key(maker) < at:
+            maker = producer[cid]
+            if maker is None:
+                continue
+            if not (key(maker) or points[maker].sort_key()) < at:
                 return False
         for c in effect.outputs:
-            user = components.consumer.get(c.id)
-            if user is not None and not at < key(user):
+            user = consumer.get(c.id)
+            if user is None:
+                continue
+            if not at < (key(user) or points[user].sort_key()):
                 return False
     return True
 
 
-def _local_step(datum, ids, values, overlay=_NO_OVERLAY):
-    """The (value, id) keys of a move of the points ``ids`` to ``values``
-    (the two in step), with ``overlay`` as in ``_moves_locally``, or None
-    when that check refuses the move.  Raises UnknownId for an id the datum
-    does not have, then MoveError for a value outside (0, 1), checked on
-    ints (denominators are positive)."""
+def _local_step(datum, overlay, ids, values) -> bool:
+    """Put the move of the points ``ids`` to ``values`` (the two in step)
+    into ``overlay``, their (value, id) keys over any earlier ones, and
+    check it there (``_moves_locally``); a move the check refuses is taken
+    out of ``overlay`` again and False returned.
+
+    Raises UnknownId for an id the datum does not have, then MoveError for
+    a value outside (0, 1), checked on ints (denominators are positive);
+    ``overlay`` is not to be used after either.
+    """
     points = datum.point_index
     for pid in ids:
         if pid not in points:
             raise UnknownId("no critical point with id %r" % (pid,))
-    keys = {}
+    before = []
     for pid, v in zip(ids, values):
         v = exact(v)
-        if not 0 < v.numerator < v.denominator:
+        num, den = v.numerator, v.denominator
+        if not 0 < num < den:
             raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
-        keys[pid] = order_key(v, pid)
-    return keys if _moves_locally(datum, keys, overlay) else None
+        # re-inserted, so the overlay keeps the order of last moves
+        before.append(overlay.pop(pid, None))
+        overlay[pid] = (num / den, v, pid)  # order_key(v, pid)
+    if _moves_locally(datum, overlay, ids):
+        return True
+    for pid, key in zip(ids, before):
+        if key is None:
+            del overlay[pid]
+        else:
+            overlay[pid] = key
+    return False
 
 
 def _refusal(datum, assignments, targets=False) -> MoveError:
@@ -290,8 +321,8 @@ def assign_values(
     raises the error ``_refusal`` names.
     """
     require_valid(datum)
-    keys = _local_step(datum, assignments, assignments.values())
-    if keys is None:
+    keys = {}
+    if not _local_step(datum, keys, assignments, assignments.values()):
         raise _refusal(datum, assignments)
     ids = tuple(sorted(assignments))
     record = MoveRecord(
@@ -304,23 +335,20 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     """The datum the rearrange records of ``script`` make, one after another:
     the left fold of ``apply_record`` over them, in one pass.
 
-    Each step is checked by ``_local_step`` with the keys of the steps
-    before it held in an overlay, and the moved points are re-placed once,
-    at the end (``with_keys``), so a run of s steps builds one points
-    tuple, not s.  At the first step the check refuses, the run raises what
-    the fold raises there: ``_refusal`` on the datum the earlier steps made.
+    Each step puts its keys into one overlay, over those of the steps
+    before it, and is checked there (``_local_step``); the moved points are
+    re-placed once, at the end (``with_keys``), so a run of s steps builds
+    one points tuple, not s, and a step builds no key map of its own.  A
+    step the check refuses is taken out of the overlay again, and the run
+    raises what the fold raises there: ``_refusal`` on the datum the
+    earlier steps made.
     """
     overlay = {}
     for record in script:
         if not overlay:
             require_valid(datum)
-        keys = _local_step(datum, record.ids, record.values, overlay)
-        if keys is None:
+        if not _local_step(datum, overlay, record.ids, record.values):
             raise _refusal(datum.with_keys(overlay), record.assignments())
-        # keep the overlay in the order of last moves, mostly sorted
-        for pid in keys:
-            overlay.pop(pid, None)
-        overlay.update(keys)
     return datum.with_keys(overlay)
 
 

@@ -71,7 +71,8 @@ class ComponentEffect:
     outputs: Tuple[SliceComponent, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", EffectKind(self.kind))
+        if type(self.kind) is not EffectKind:  # a parsed effect's is kept
+            object.__setattr__(self, "kind", EffectKind(self.kind))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if len(set(self.inputs)) != len(self.inputs):
@@ -232,11 +233,6 @@ def effect_row_issues(
     that no longer does.
     """
     issues = []
-    tag = "effect at %s (%s)" % (point.id, effect.kind.value)
-
-    def flag(cid):
-        return state.get(cid, False)
-
     k = point.index
     kind = effect.kind
     n_in, n_out = len(effect.inputs), len(effect.outputs)
@@ -250,58 +246,57 @@ def effect_row_issues(
             EffectKind.SPLIT: k == n,
         }
         if not legal_at.get(kind, False):
-            issues.append(
-                "%s: not a legal effect for an interior point of index %d" % (tag, k)
-            )
-            return issues
+            issues.append("not a legal effect for an interior point of index %d" % k)
+            return _tagged(point, effect, issues)
         want_in, want_out, name, rule = _INTERIOR_ROWS[kind]
         if (n_in, n_out) != (want_in, want_out):
-            issues.append("%s: %s is %d -> %d" % (tag, name, want_in, want_out))
+            issues.append("%s is %d -> %d" % (name, want_in, want_out))
         elif any(c.touches_wall for c in effect.outputs) != any(
-            flag(cid) for cid in effect.inputs
+            state.get(cid, False) for cid in effect.inputs
         ):
-            issues.append("%s: %s" % (tag, rule))
-        return issues
+            issues.append(rule)
+        return _tagged(point, effect, issues)
 
     # boundary point: must be an attach effect
     if kind is not EffectKind.BOUNDARY_ATTACH:
-        issues.append("%s: boundary points carry attach effects only" % tag)
-        return issues
+        issues.append("boundary points carry attach effects only")
+        return _tagged(point, effect, issues)
     if point.kind is Kind.BOUNDARY_STABLE:
         if n_in != 1:
-            issues.append("%s: a stable attach consumes exactly one component" % tag)
+            issues.append("a stable attach consumes exactly one component")
         if n_out not in (1, 2):
-            issues.append("%s: a stable attach emits one or two components" % tag)
+            issues.append("a stable attach emits one or two components")
         elif n_out == 2 and k != n:
-            issues.append(
-                "%s: a stable attach splits only at index n (= %d)" % (tag, n)
-            )
+            issues.append("a stable attach splits only at index n (= %d)" % n)
         for comp in effect.outputs:
             if not comp.touches_wall:
                 issues.append(
-                    "%s: stable attach outputs touch the wall (got %r closed)"
-                    % (tag, comp.id)
+                    "stable attach outputs touch the wall (got %r closed)" % (comp.id,)
                 )
     else:  # boundary unstable
         if n_out != 1:
-            issues.append("%s: an unstable attach emits exactly one component" % tag)
+            issues.append("an unstable attach emits exactly one component")
         if n_in not in (1, 2):
-            issues.append(
-                "%s: an unstable attach consumes one or two components" % tag
-            )
+            issues.append("an unstable attach consumes one or two components")
         elif n_in == 2 and k != 1:
-            issues.append(
-                "%s: an unstable attach merges only at index 1 (got %d)" % (tag, k)
-            )
+            issues.append("an unstable attach merges only at index 1 (got %d)" % k)
         for cid in effect.inputs:
-            if not flag(cid):
+            if not state.get(cid, False):
                 issues.append(
-                    "%s: unstable attach inputs touch the wall (got %r closed)"
-                    % (tag, cid)
+                    "unstable attach inputs touch the wall (got %r closed)" % (cid,)
                 )
         if n_in == 2 and n_out == 1 and not effect.outputs[0].touches_wall:
-            issues.append("%s: merging two wall components keeps the wall bit" % tag)
-    return issues
+            issues.append("merging two wall components keeps the wall bit")
+    return _tagged(point, effect, issues)
+
+
+def _tagged(point, effect, issues):
+    """``issues`` of the effect at ``point``, each tagged with the point and
+    the effect kind; the tag is only written when there is an issue."""
+    if not issues:
+        return issues
+    tag = "effect at %s (%s)" % (point.id, effect.kind.value)
+    return ["%s: %s" % (tag, issue) for issue in issues]
 
 
 def replay(ambient: Ambient, points, complex: SliceComplex):

@@ -49,7 +49,8 @@ class FlowEdge:
                 "edge %s->%s: count must be a positive integer or unknown"
                 % (self.src, self.dst)
             )
-        object.__setattr__(self, "locus", Locus(self.locus))
+        if type(self.locus) is not Locus:  # a parsed edge's is kept
+            object.__setattr__(self, "locus", Locus(self.locus))
 
 
 class GraphIndex(NamedTuple):
@@ -265,30 +266,29 @@ def edge_issues(
     The per-edge rule of ``graph_issues``: the value must strictly increase,
     genericity must allow the pair, and the locus must suit both kinds.  An
     endpoint whose (kind, index) is out of range gets no genericity or locus
-    check: both need its dimension profile, which does not exist.
+    check: both need its dimension profile, which does not exist.  The
+    ``edge src->dst`` tag is written only when there is an issue to tag.
     """
     issues = []
-    tag = "edge %s->%s" % (e.src, e.dst)
-    if not (z.sort_key()[:2] < w.sort_key()[:2]):
+    if not (z._float < w._float or z._float == w._float and z.value < w.value):
         issues.append(
-            "%s: values %s >= %s, flow must strictly increase"
-            % (tag, z.value, w.value)
+            "values %s >= %s, flow must strictly increase" % (z.value, w.value)
         )
-    if not (_in_range(z, ambient.n) and _in_range(w, ambient.n)):
-        return issues  # validate_datum reports the bad (kind, index) already
-    if generic_disjoint(z, w, ambient):
-        issues.append("%s: genericity forces this pair apart" % tag)
-    if e.locus is Locus.WALL:
-        if not (z.kind.is_boundary and w.kind.is_boundary):
-            issues.append("%s: wall locus needs boundary points" % tag)
-    elif e.locus is Locus.INNER:
-        pz = dimension_profile(z.kind, z.index, ambient.n)
-        pw = dimension_profile(w.kind, w.index, ambient.n)
-        if pz.unstable_inner is None or pw.stable_inner is None:
-            issues.append(
-                "%s: inner locus needs inner unstable and stable sets" % tag
-            )
-    return issues
+    # validate_datum reports an endpoint's bad (kind, index) already
+    if _in_range(z, ambient.n) and _in_range(w, ambient.n):
+        if generic_disjoint(z, w, ambient):
+            issues.append("genericity forces this pair apart")
+        if e.locus is Locus.WALL:
+            if not (z.kind.is_boundary and w.kind.is_boundary):
+                issues.append("wall locus needs boundary points")
+        elif e.locus is Locus.INNER:
+            pz = dimension_profile(z.kind, z.index, ambient.n)
+            pw = dimension_profile(w.kind, w.index, ambient.n)
+            if pz.unstable_inner is None or pw.stable_inner is None:
+                issues.append("inner locus needs inner unstable and stable sets")
+    if not issues:
+        return issues
+    return ["edge %s->%s: %s" % (e.src, e.dst, issue) for issue in issues]
 
 
 def graph_issues(ambient: Ambient, points, graph: TrajectoryGraph) -> list:

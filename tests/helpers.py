@@ -1,15 +1,26 @@
-"""Shared builders for hand-made test data."""
+"""Shared builders for hand-made test data, and slow references."""
 
 from fractions import Fraction
+from typing import Dict, List
 
+from halfhandle.cli_io import (
+    DATUM_FORMAT,
+    SCRIPT_FORMAT,
+    _bool,
+    _content_lines,
+    _fraction,
+    _int,
+)
 from halfhandle.errors import (
     EdgeOrderViolation,
     Inadmissible,
     InvalidEffect,
     MoveError,
+    ParseError,
     PartialConfiguration,
     SwapBlocked,
     UnknownId,
+    ValidationError,
 )
 from halfhandle.morse_data import (
     Ambient,
@@ -276,3 +287,175 @@ def dimension_sum_oracle(z, w, ambient):
 def no_closed_components(ambient, points, complex, level):
     """Whether every component of the level set at ``level`` touches the wall."""
     return all(state_at_level(ambient, points, complex, level).values())
+
+
+# ---------------------------------------------------------------------------
+# the text parsers as they were before the one-pass tokenizer: the reference
+# for ``cli_io.parse_datum`` and ``cli_io.parse_script``
+
+
+def split_directive(line: str, num: int):
+    tokens = line.split()
+    attrs: Dict[str, str] = {}
+    for tok in tokens[1:]:
+        if "=" not in tok:
+            raise ParseError("expected key=value, got %r" % (tok,), num)
+        key, _, val = tok.partition("=")
+        if key in attrs:
+            raise ParseError("repeated key %r" % (key,), num)
+        attrs[key] = val
+    return tokens[0], attrs
+
+
+def need(attrs: Dict[str, str], keys, num: int, what: str):
+    missing = [k for k in keys if k not in attrs]
+    if missing:
+        raise ParseError("%s line lacks %s" % (what, ", ".join(missing)), num)
+    extra = [k for k in attrs if k not in keys]
+    if extra:
+        raise ParseError("%s line has stray %s" % (what, ", ".join(extra)), num)
+
+
+def parse_datum_by_reference(text: str) -> MorseDatum:
+    """The datum parser token by token, each line through ``split_directive``
+    and ``need`` and each object through its checking constructor."""
+    header: Dict[str, str] = {}
+    bottom: List[SliceComponent] = []
+    points: List[CriticalPoint] = []
+    edges: List[FlowEdge] = []
+    effects: List[ComponentEffect] = []
+    saw_format = False
+    header_keys = {
+        "m",
+        "n",
+        "no_closed_cobordism",
+        "no_closed_bottom",
+        "no_closed_top",
+    }
+
+    for num, line in _content_lines(text):
+        if not saw_format:
+            if line != "format=" + DATUM_FORMAT:
+                raise ParseError("expected format=" + DATUM_FORMAT, num)
+            saw_format = True
+            continue
+        directive, attrs = split_directive(line, num)
+        if "=" in directive:
+            key, _, val = directive.partition("=")
+            if attrs:
+                raise ParseError("stray tokens after %s" % (key,), num)
+            if key not in header_keys:
+                raise ParseError("unknown header %r" % (key,), num)
+            if key in header:
+                raise ParseError("repeated header %r" % (key,), num)
+            header[key] = (val, num)
+            continue
+        try:
+            if directive == "component":
+                need(attrs, ("id", "touches_wall"), num, "component")
+                bottom.append(
+                    SliceComponent(attrs["id"], _bool(attrs["touches_wall"], num))
+                )
+            elif directive == "point":
+                need(attrs, ("id", "kind", "index", "value"), num, "point")
+                points.append(
+                    CriticalPoint(
+                        attrs["id"],
+                        Kind(attrs["kind"]),
+                        _int(attrs["index"], num),
+                        _fraction(attrs["value"], num),
+                    )
+                )
+            elif directive == "edge":
+                need(attrs, ("src", "dst", "count", "locus"), num, "edge")
+                count = None if attrs["count"] == "?" else _int(attrs["count"], num)
+                edges.append(
+                    FlowEdge(
+                        attrs["src"], attrs["dst"], count, Locus(attrs["locus"])
+                    )
+                )
+            elif directive == "effect":
+                need(attrs, ("at", "kind", "inputs", "outputs"), num, "effect")
+                inputs = ()
+                if attrs["inputs"] != "-":
+                    inputs = tuple(attrs["inputs"].split(","))
+                outputs = []
+                if attrs["outputs"] != "-":
+                    for item in attrs["outputs"].split(","):
+                        cid, _, bit = item.partition(":")
+                        if not bit:
+                            raise ParseError(
+                                "output %r lacks its wall bit" % (item,), num
+                            )
+                        outputs.append(SliceComponent(cid, _bool(bit, num)))
+                effects.append(
+                    ComponentEffect(
+                        attrs["at"],
+                        EffectKind(attrs["kind"]),
+                        inputs,
+                        tuple(outputs),
+                    )
+                )
+            else:
+                raise ParseError("unknown directive %r" % (directive,), num)
+        except ValidationError as exc:
+            raise ParseError(str(exc), num)
+        except ValueError as exc:
+            raise ParseError(str(exc), num)
+
+    if not saw_format:
+        raise ParseError("missing format=" + DATUM_FORMAT)
+    for key in ("m", "n"):
+        if key not in header:
+            raise ParseError("missing header %s" % (key,))
+    flags = Flags(**{
+        key: _bool(*header.get(key, ("true", None)))
+        for key in ("no_closed_cobordism", "no_closed_bottom", "no_closed_top")
+    })
+    m, n = _int(*header["m"]), _int(*header["n"])
+    try:
+        ambient = Ambient(m, n)
+    except ValidationError as exc:  # names n when n < 1, else m
+        raise ParseError(
+            "inconsistent datum: %s" % (exc,), header["n" if n < 1 else "m"][1]
+        )
+    try:
+        return MorseDatum(
+            ambient,
+            tuple(points),
+            TrajectoryGraph(tuple(edges)),
+            SliceComplex(tuple(bottom), tuple(effects)),
+            flags,
+        )
+    except ValidationError as exc:
+        raise ParseError("inconsistent datum: %s" % (exc,))
+
+
+def parse_script_by_reference(text: str) -> List[MoveRecord]:
+    """The script parser token by token, each line through
+    ``split_directive`` and ``need``; ids and values go to ``MoveRecord``
+    as lists, so it converts and checks every one of them."""
+    records: List[MoveRecord] = []
+    saw_format = False
+    for num, line in _content_lines(text):
+        if not saw_format:
+            if line != "format=" + SCRIPT_FORMAT:
+                raise ParseError("expected format=" + SCRIPT_FORMAT, num)
+            saw_format = True
+            continue
+        directive, attrs = split_directive(line, num)
+        if directive != "move":
+            raise ParseError("unknown directive %r" % (directive,), num)
+        need(attrs, ("kind", "ids", "values", "note"), num, "move")
+        ids = attrs["ids"].split(",")
+        values = []
+        if attrs["values"] != "-":
+            values = [_fraction(tok, num) for tok in attrs["values"].split(",")]
+        note = "" if attrs["note"] == "-" else attrs["note"]
+        try:
+            records.append(MoveRecord(attrs["kind"], ids, values, note))
+        except ValidationError as exc:
+            raise ParseError(str(exc), num)
+    if not saw_format:
+        raise ParseError("missing format=" + SCRIPT_FORMAT)
+    return records

@@ -56,6 +56,17 @@ def test_index_bounds_per_kind():
         assert index_bounds(Kind.BOUNDARY_UNSTABLE, n) == (0, n)
 
 
+def test_profiles_are_built_once_and_refusals_repeat():
+    # a profile is shared between calls (it is frozen); a refused pair is
+    # refused on every call, the error not kept
+    for n in range(1, 7):
+        for kind, k in valid_cells(n):
+            assert dimension_profile(kind, k, n) is dimension_profile(kind, k, n)
+    for _ in range(2):
+        with pytest.raises(InvalidIndexKind):
+            dimension_profile(Kind.BOUNDARY_STABLE, 0, 3)
+
+
 def test_out_of_range_rejected():
     with pytest.raises(InvalidIndexKind):
         dimension_profile(Kind.BOUNDARY_STABLE, 0, 3)

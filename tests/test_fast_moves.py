@@ -755,24 +755,36 @@ def test_cached_verdicts_hold_on_every_intermediate_datum():
 
 
 def fold_outcome(d, script):
-    """``assign_values`` over the script's steps one by one; the outcome and
-    the records made up to the first refusal."""
+    """``assign_values`` over the script's steps one by one; the outcome,
+    the records made up to the first refusal and the datum they made."""
     made = []
     try:
         for record in script:
             d, made_record = assign_values(d, record.assignments(), record.note)
             made.append(made_record)
     except Exception as exc:  # the class and message are what is compared
-        return ("refused", type(exc), str(exc)), made
-    return ("accepted", d, serialize_datum(d)), made
+        return ("refused", type(exc), str(exc)), made, serialize_datum(d)
+    return ("accepted", d, serialize_datum(d)), made, serialize_datum(d)
 
 
 def run_outcome(d, script):
+    """``_rearrange_run`` over the script; the outcome and the datum the run
+    hands to ``_refusal``, serialized (None when it does not ask it)."""
+    named = []
+    original = moves._refusal
+
+    def naming(datum, assignments, targets=False):
+        named.append(serialize_datum(datum))
+        return original(datum, assignments, targets)
+
+    moves._refusal = naming
     try:
         out = _rearrange_run(d, script)
     except Exception as exc:
-        return ("refused", type(exc), str(exc))
-    return ("accepted", out, serialize_datum(out))
+        return ("refused", type(exc), str(exc)), (named or [None])[0]
+    finally:
+        moves._refusal = original
+    return ("accepted", out, serialize_datum(out)), None
 
 
 @settings(max_examples=150, deadline=None)
@@ -795,14 +807,43 @@ def test_runs_match_the_fold_of_single_moves(d, data):
             if not keep_refused:
                 script.pop()
     assume(script)
-    got = run_outcome(d, script)
-    want, made = fold_outcome(d, script)
+    got, named = run_outcome(d, script)
+    want, made, before = fold_outcome(d, script)
     assert got == want, script
     assert made == script[:len(made)]
+    # a refused step is named on the datum the steps before it made
+    assert named in (None, before), script
     if got[0] == "accepted":
         out = got[1]
         assert out.point_index == {p.id: p for p in out.points}
         assert out.valid == dataclasses.replace(out).valid
+
+
+def test_a_refused_step_leaves_no_key_in_the_run_overlay():
+    # p makes c1 for q, q makes c2 for r: p < q < r is pinned, nothing else
+    d = three_internal([internal("p", "c0", "c1"), internal("q", "c1", "c2"),
+                        internal("r", "c2", "c4")])
+    assert d.valid
+
+    def step(ids, values):
+        return MoveRecord("rearrange", ids, tuple(map(Fraction, values)))
+
+    runs = {
+        # p moved, then moved again past its user q
+        "moved, then refused": [step(("p",), ("1/8",)), step(("p",), ("5/8",))],
+        # p passes, q then lands past its user r; p was moved before
+        "second id refused": [step(("p",), ("1/8",)),
+                              step(("p", "q"), ("1/16", "7/8"))],
+        # the same with nothing moved before
+        "first step refused": [step(("p", "q"), ("1/16", "7/8"))],
+    }
+    for name, script in runs.items():
+        got, named = run_outcome(d, script)
+        want, made, before = fold_outcome(d, script)
+        assert got == want, name
+        assert got[:2] == ("refused", InvalidEffect), name
+        assert made == script[:-1], name
+        assert named == before, name
 
 
 def counted(monkeypatch, owner, name, calls, key=None):

@@ -6,17 +6,20 @@ has P points, and times on each, by the wall clock, the median of ``RUNS``
 runs:
 
 * ``global_split`` of a freshly built union, its validation included;
-* ``apply_script`` of the script it returned, onto another fresh union.
+* ``apply_script`` of the script it returned, onto another fresh union;
+* the text replay the benchmark's ``replay_mid_s`` times: the union and
+  the script are serialized (untimed), then both texts are parsed and the
+  script applied.
 
 Standard library only.  Run from the root of a source checkout::
 
     python3 tools/scale.py                  # P = 320, 1280, 5120
     python3 tools/scale.py --points 160
 
-Prints one line per pool and size, and checks that the replay reproduces
-the driver's result.  The ``growth`` column holds the ``global_split`` and
-the ``apply_script`` time over those of the previous size of the same
-pool (``-`` for the first size).
+Prints one line per pool and size, and checks that both replays reproduce
+the driver's result.  The ``growth`` column holds the ``global_split``,
+``apply_script`` and text replay times over those of the previous size of
+the same pool (``-`` for the first size).
 """
 
 import argparse
@@ -46,9 +49,9 @@ def union_of(pieces, points):
 
 
 def measure(pieces, points):
-    """(points, splits, moves, global_split seconds, apply_script seconds),
-    the times the medians of ``RUNS`` runs."""
-    split_s, replay_s = [], []
+    """(points, splits, moves, global_split seconds, apply_script seconds,
+    text replay seconds), the times the medians of ``RUNS`` runs."""
+    split_s, replay_s, text_s = [], [], []
     for _ in range(RUNS):
         datum = union_of(pieces, points)
         start = perf_counter()
@@ -58,11 +61,17 @@ def measure(pieces, points):
         start = perf_counter()
         replayed = moves.apply_script(again, script)
         replay_s.append(perf_counter() - start)
-        if cli_io.serialize_datum(replayed) != cli_io.serialize_datum(out):
+        texts = cli_io.serialize_datum(again), cli_io.serialize_script(script)
+        start = perf_counter()
+        from_text = moves.apply_script(
+            cli_io.parse_datum(texts[0]), cli_io.parse_script(texts[1]))
+        text_s.append(perf_counter() - start)
+        want = cli_io.serialize_datum(out)
+        if any(cli_io.serialize_datum(d) != want for d in (replayed, from_text)):
             raise SystemExit("replaying the script does not give the normal form")
     splits = sum(1 for r in script if r.kind == "split")
-    return (len(datum.points), splits, len(script),
-            statistics.median(split_s), statistics.median(replay_s))
+    return (len(datum.points), splits, len(script), statistics.median(split_s),
+            statistics.median(replay_s), statistics.median(text_s))
 
 
 def main(argv=None):
@@ -70,16 +79,17 @@ def main(argv=None):
     parser.add_argument("--points", type=int, nargs="+", default=[320, 1280, 5120])
     args = parser.parse_args(argv)
     texts, _ = load_corpus()
-    print("%-13s %6s %6s %6s %14s %14s %12s" % (
-        "pool", "P", "splits", "moves", "global_split_s", "apply_script_s", "growth"))
+    print("%-13s %6s %6s %6s %14s %14s %14s %18s" % (
+        "pool", "P", "splits", "moves", "global_split_s", "apply_script_s",
+        "replay_text_s", "growth"))
     for pool in POOLS:
         pieces = [cli_io.parse_datum(t) for t in texts[pool]]
         before = None
         for points in args.points:
             row = measure(pieces, points)
-            growth = "-" if before is None else "%.1fx/%.1fx" % (
-                row[3] / before[3], row[4] / before[4])
-            print("%-13s %6d %6d %6d %14.3f %14.3f %12s"
+            growth = "-" if before is None else "/".join(
+                "%.1fx" % (row[i] / before[i]) for i in (3, 4, 5))
+            print("%-13s %6d %6d %6d %14.3f %14.3f %14.3f %18s"
                   % ((pool,) + row + (growth,)), flush=True)
             before = row
     return 0
