@@ -46,14 +46,14 @@ from .morse_data import (
     require_valid,
     validate_datum,
 )
-from .moves import MoveRecord, cancel_pair, rearrange_pair, split_interior
+from .moves import MoveRecord, cancel_pair, check_assignment, rearrange_pair
+from .moves import split_interior
 from .normal_form import Decomposition, global_split, scheduled_rank
 from .slice_topology import (
     ComponentEffect,
     EffectKind,
     SliceComplex,
     SliceComponent,
-    replay,
 )
 from .trajectory import FlowEdge, Locus, TrajectoryGraph, generic_disjoint
 
@@ -748,10 +748,10 @@ def brute_force_reachability(
     Answers the same question as realize_configuration but by breadth
     first search: states assign each point either its original or its
     target value, moves change one point at a time, and every intermediate
-    state must keep edges uphill and the slice replay consistent.  Targets
-    must satisfy the same admissibility contract realize_configuration
-    enforces, otherwise the answer is False.  Raises BoundExceeded when
-    more than ``bound`` states get explored.
+    state must keep edges uphill and the slice replay consistent
+    (``check_assignment``).  Targets must satisfy the same admissibility
+    contract realize_configuration enforces, otherwise the answer is False.
+    Raises BoundExceeded when more than ``bound`` states get explored.
     """
     ids = [p.id for p in datum.points]
     want: Dict[str, Fraction] = {}
@@ -775,19 +775,8 @@ def brute_force_reachability(
                 if z.index < w.index and not (want[z.id] < want[w.id]):
                     return False
 
-    def ok(values: Dict[str, Fraction]) -> bool:
-        for e in datum.graph.edges:
-            if not (values[e.src] < values[e.dst]):
-                return False
-        candidate = tuple(
-            CriticalPoint(p.id, p.kind, p.index, values[p.id])
-            for p in datum.points
-        )
-        issues, _ = replay(datum.ambient, candidate, datum.slices)
-        return not issues
-
     goal = tuple(want[pid] for pid in ids)
-    if not ok(dict(zip(ids, goal))):
+    if check_assignment(datum, dict(zip(ids, goal))) is not None:
         return False
     start = tuple(p.value for p in datum.points)
     menu = [
@@ -811,7 +800,7 @@ def brute_force_reachability(
                     raise BoundExceeded(
                         "gave up after exploring %d states" % len(seen)
                     )
-                if ok(dict(zip(ids, succ))):
+                if check_assignment(datum, dict(zip(ids, succ))) is None:
                     seen.add(succ)
                     queue.append(succ)
     return False

@@ -39,8 +39,10 @@ the points, flow lines and effects are patched once per run; the result
 builds its indexes on first use.  Values are range-checked on their ints
 and ordered by their ``order_key``s.  Only the local check accepts a
 rearrangement or target map; one it refuses raises the reason the full
-replay names (``_refusal``).  Cancellations run ``validate_datum`` on the
-result.
+replay names (``_refusal``).  A cancellation is patched at its pair the
+same way, its induced flow lines checked by ``edge_issues``
+(``cancel_pair``); no move validates its result or rebuilds the whole
+datum.
 """
 
 from __future__ import annotations
@@ -81,12 +83,10 @@ from .morse_data import (
     order_key,
     require_valid,
     splice,
-    validate_datum,
 )
 from .slice_topology import (
     ComponentEffect,
     EffectKind,
-    SliceComplex,
     SliceComponent,
     apply_effect,
     effect_row_issues,
@@ -333,7 +333,7 @@ def assign_values(
 
 def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
     """The datum the rearrange records of ``script`` make, one after another:
-    the left fold of ``apply_record`` over them, in one pass.
+    the left fold of ``assign_values`` over them, in one pass.
 
     Each step puts its keys into one overlay, over those of the steps
     before it, and is checked there (``_local_step``); the moved points are
@@ -378,29 +378,22 @@ def rearrange_pair(
 
 
 def apply_record(datum: MorseDatum, record: MoveRecord) -> MorseDatum:
-    """Replay one recorded move."""
-    if record.kind == "rearrange":
-        moved, _ = assign_values(datum, record.assignments(), record.note)
-        return moved
-    if record.kind == "cancel":
-        out, _ = cancel_pair(datum, record.ids[0], record.ids[1])
-        return out
-    out, _ = split_interior(datum, record.ids[0])  # MoveRecord admits no other kind
-    return out
+    """Replay one recorded move: the script of that one record."""
+    return apply_script(datum, (record,))
 
 
 def apply_script(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
-    """Replay a script: the fold of ``apply_record`` over it, each stretch
-    of consecutive rearrangements replayed as one ``_rearrange_run`` and
-    each stretch of consecutive splits as one ``_split_run``."""
+    """Replay a script: each stretch of consecutive rearrangements as one
+    ``_rearrange_run``, each stretch of consecutive splits as one
+    ``_split_run``, and each cancel by ``cancel_pair``."""
     for kind, records in groupby(script, lambda r: r.kind):
         if kind == "rearrange":
             datum = _rearrange_run(datum, records)
         elif kind == "split":
             datum = _split_run(datum, [r.ids[0] for r in records])
-        else:
+        else:  # MoveRecord admits no other kind
             for record in records:
-                datum = apply_record(datum, record)
+                datum, _ = cancel_pair(datum, *record.ids)
     return datum
 
 
@@ -511,6 +504,15 @@ def cancel_pair(
     entered z).  New flow lines are induced for chains that used to run
     through the pair: p -> w and z -> q combine to p -> q with unknown
     count whenever genericity and the value order allow a flow line at all.
+
+    Takes valid data only (``require_valid``).  Past the side conditions
+    only the pair changes, and the result is patched as ``_split_run``
+    patches its own: the points lose z and w (``splice``), the graph their
+    flow lines, and the complex their effects, with the one input of the
+    final output's user renamed.  On a valid datum that keeps the replay,
+    the top state and the flags as they were (the survivor lives on with
+    the final output's wall bit, in the same piece), so only the induced
+    flow lines are checked (``edge_issues``).  The result is marked valid.
     """
     require_valid(datum)
     z, w = datum.point(z_id), datum.point(w_id)
@@ -540,43 +542,42 @@ def cancel_pair(
             "a broken chain of flow lines also joins %s to %s" % (z_id, w_id)
         )
 
-    ez = datum.slices.effect_for(z_id)
-    ew = datum.slices.effect_for(w_id)
+    slices = datum.slices
+    ez = slices.effect_for(z_id)
+    ew = slices.effect_for(w_id)
     survivor, final = _inverse_pattern(z, ez, ew)
-    bits = datum.slices.component_index.wall_bit
+    _, consumer, bits = slices.component_index
     if bits[survivor] != bits[final]:
         raise InvalidEffect(
             "effects at %s and %s are not inverse: wall bits of %r and %r differ"
             % (z_id, w_id, survivor, final)
         )
 
-    rename = {final: survivor}
-    new_effects = []
-    for e in datum.slices.effects:
-        if e.at in (z_id, w_id):
-            continue
-        new_inputs = tuple(rename.get(cid, cid) for cid in e.inputs)
-        new_effects.append(ComponentEffect(e.at, e.kind, new_inputs, e.outputs))
-    new_slices = SliceComplex(datum.slices.bottom, tuple(new_effects))
-    new_points = tuple(p for p in datum.points if p.id not in (z_id, w_id))
+    drop_effects, add_effects = [ez, ew], []
+    user = consumer.get(final)
+    if user is not None:
+        e = slices.effect_index[user]
+        drop_effects.append(e)
+        inputs = tuple(survivor if cid == final else cid for cid in e.inputs)
+        add_effects.append(ComponentEffect(e.at, e.kind, inputs, e.outputs))
 
-    by_id = datum.point_index
-    base = datum.graph.without_points([z_id, w_id])
+    by_id, edges = datum.point_index, datum.graph.edge_index
+    drop_edges = {e for pid in (z_id, w_id)
+                  for e in edges.in_edges.get(pid, ()) + edges.out_edges.get(pid, ())}
+    # in edge order, as lines into w come by source and out of z by target;
+    # p == q would be a broken chain z -> p -> w, refused above
     induced = []
-    for into_w in datum.graph.predecessors(w_id):
+    for into_w in edges.in_edges.get(w_id, ()):
         if into_w.src == z_id:
             continue
-        for from_z in datum.graph.successors(z_id):
-            if from_z.dst == w_id:
+        p = by_id[into_w.src]
+        for from_z in edges.out_edges.get(z_id, ()):
+            if from_z.dst == w_id or (p.id, from_z.dst) in edges.edge:
                 continue
-            p, q = into_w.src, from_z.dst
-            if p == q or base.edge(p, q) is not None:
-                continue
-            if any(e.src == p and e.dst == q for e in induced):
-                continue
-            if not (by_id[p].value < by_id[q].value):
+            q = by_id[from_z.dst]
+            if not (p._float < q._float or p._float == q._float and p.value < q.value):
                 continue  # flow runs uphill, so such a chain cannot survive
-            if generic_disjoint(by_id[p], by_id[q], datum.ambient):
+            if generic_disjoint(p, q, datum.ambient):
                 continue
             if into_w.locus is Locus.WALL and from_z.locus is Locus.WALL:
                 locus = Locus.WALL
@@ -584,15 +585,23 @@ def cancel_pair(
                 locus = Locus.INNER
             else:
                 locus = Locus.MEMBRANE
-            induced.append(FlowEdge(p, q, None, locus))
-    new_graph = base.with_edges(induced)
+            induced.append(FlowEdge(p.id, q.id, None, locus))
+    for e in induced:
+        issues = edge_issues(datum.ambient, by_id[e.src], by_id[e.dst], e)
+        if issues:
+            raise InvalidEffect(
+                "cancellation would leave inconsistent data: %s" % (issues[0],)
+            )
 
-    out = MorseDatum(datum.ambient, new_points, new_graph, new_slices, datum.flags)
-    issues = validate_datum(out)
-    if issues:
-        raise InvalidEffect(
-            "cancellation would leave inconsistent data: %s" % (issues[0],)
-        )
+    index = dict(by_id)
+    del index[z_id], index[w_id]
+    out = datum.derived(
+        splice(datum.points, [z, w], (), CriticalPoint.sort_key),
+        datum.graph._patched(drop_edges, induced),
+        slices._patched(drop_effects, add_effects),
+        point_index=index,
+        valid=True,
+    )
     return out, MoveRecord("cancel", (z_id, w_id))
 
 

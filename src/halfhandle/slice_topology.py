@@ -363,11 +363,8 @@ def flag_issues(complex: SliceComplex, flags, final: Dict[str, bool]) -> list:
                     "flag no_closed_bottom but bottom component %r is closed" % (c.id,)
                 )
     if flags.no_closed_top:
-        for cid, touches in sorted(final.items()):
-            if not touches:
-                issues.append(
-                    "flag no_closed_top but top component %r is closed" % (cid,)
-                )
+        for cid in sorted(cid for cid, touches in final.items() if not touches):
+            issues.append("flag no_closed_top but top component %r is closed" % (cid,))
 
     if flags.no_closed_cobordism:
         # Union-find over component lifetimes: every effect glues together

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import CycleDetected, ValidationError
 from .morse_data import Ambient, CriticalPoint, Kind, dimension_profile
@@ -104,18 +104,6 @@ class TrajectoryGraph:
 
     def successors(self, point_id: str):
         return list(self.edge_index.out_edges.get(point_id, ()))
-
-    def predecessors(self, point_id: str):
-        return list(self.edge_index.in_edges.get(point_id, ()))
-
-    def without_points(self, ids: Iterable[str]) -> "TrajectoryGraph":
-        drop = set(ids)
-        return TrajectoryGraph(
-            tuple(e for e in self.edges if e.src not in drop and e.dst not in drop)
-        )
-
-    def with_edges(self, new_edges: Iterable[FlowEdge]) -> "TrajectoryGraph":
-        return TrajectoryGraph(self.edges + tuple(new_edges))
 
 
 def generic_disjoint(z: CriticalPoint, w: CriticalPoint, ambient: Ambient) -> bool:

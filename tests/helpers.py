@@ -12,10 +12,15 @@ from halfhandle.cli_io import (
     _int,
 )
 from halfhandle.errors import (
+    BrokenTrajectoryExists,
     EdgeOrderViolation,
     Inadmissible,
+    IndexMismatch,
     InvalidEffect,
+    KindMismatch,
+    LocusViolation,
     MoveError,
+    NotSingleTrajectory,
     ParseError,
     PartialConfiguration,
     SwapBlocked,
@@ -33,8 +38,14 @@ from halfhandle.morse_data import (
     first_inversion,
     is_admissible,
     require_valid,
+    validate_datum,
 )
-from halfhandle.moves import MoveRecord, _starving_pair, check_assignment
+from halfhandle.moves import (
+    MoveRecord,
+    _inverse_pattern,
+    _starving_pair,
+    check_assignment,
+)
 from halfhandle.slice_topology import (
     ComponentEffect,
     EffectKind,
@@ -42,7 +53,13 @@ from halfhandle.slice_topology import (
     SliceComponent,
     state_at_level,
 )
-from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
+from halfhandle.trajectory import (
+    FlowEdge,
+    Locus,
+    TrajectoryGraph,
+    generic_disjoint,
+    has_broken_path,
+)
 
 
 def comp(cid, touch=True):
@@ -225,6 +242,87 @@ def realize_by_replay(d, targets):
     for record in script:
         d = assign_by_replay(d, record.assignments())
     return d, script
+
+
+def cancel_by_rebuild(datum, z_id, w_id):
+    """``cancel_pair`` by rebuilding: the same side conditions, then every
+    point, flow line and effect of the result goes through its checking
+    constructor and the result through ``validate_datum``.  The reference
+    for its patch and its local check of the induced flow lines."""
+    require_valid(datum)
+    z, w = datum.point(z_id), datum.point(w_id)
+    if z.kind is not w.kind:
+        raise KindMismatch(
+            "cancelling pair must share a kind (%s vs %s)"
+            % (z.kind.value, w.kind.value))
+    if w.index != z.index + 1:
+        raise IndexMismatch(
+            "cancelling pair wants indices k, k+1; got %d, %d" % (z.index, w.index))
+    link = datum.graph.edge(z_id, w_id)
+    if link is None or link.count != 1:
+        raise NotSingleTrajectory(
+            "cancellation wants exactly one flow line %s->%s" % (z_id, w_id))
+    expected_locus = Locus.INNER if z.kind is Kind.INTERIOR else Locus.WALL
+    if link.locus is not expected_locus:
+        raise LocusViolation(
+            "the connecting flow line must run in locus %r, not %r"
+            % (expected_locus.value, link.locus.value))
+    if has_broken_path(datum.graph, z_id, w_id):
+        raise BrokenTrajectoryExists(
+            "a broken chain of flow lines also joins %s to %s" % (z_id, w_id))
+
+    ez = datum.slices.effect_for(z_id)
+    ew = datum.slices.effect_for(w_id)
+    survivor, final = _inverse_pattern(z, ez, ew)
+    bits = datum.slices.component_index.wall_bit
+    if bits[survivor] != bits[final]:
+        raise InvalidEffect(
+            "effects at %s and %s are not inverse: wall bits of %r and %r differ"
+            % (z_id, w_id, survivor, final))
+
+    rename = {final: survivor}
+    new_effects = [
+        ComponentEffect(e.at, e.kind, tuple(rename.get(c, c) for c in e.inputs),
+                        e.outputs)
+        for e in datum.slices.effects if e.at not in (z_id, w_id)
+    ]
+    new_points = tuple(p for p in datum.points if p.id not in (z_id, w_id))
+    by_id = datum.point_index
+    base = [e for e in datum.graph.edges
+            if not {e.src, e.dst} & {z_id, w_id}]
+    taken = {(e.src, e.dst) for e in base}
+    induced = []
+    for into_w in (e for e in datum.graph.edges if e.dst == w_id):
+        if into_w.src == z_id:
+            continue
+        for from_z in (e for e in datum.graph.edges if e.src == z_id):
+            if from_z.dst == w_id:
+                continue
+            p, q = into_w.src, from_z.dst
+            if p == q or (p, q) in taken:
+                continue
+            if any(e.src == p and e.dst == q for e in induced):
+                continue
+            if not (by_id[p].value < by_id[q].value):
+                continue  # flow runs uphill, so such a chain cannot survive
+            if generic_disjoint(by_id[p], by_id[q], datum.ambient):
+                continue
+            if into_w.locus is Locus.WALL and from_z.locus is Locus.WALL:
+                locus = Locus.WALL
+            elif into_w.locus is Locus.INNER and from_z.locus is Locus.INNER:
+                locus = Locus.INNER
+            else:
+                locus = Locus.MEMBRANE
+            induced.append(FlowEdge(p, q, None, locus))
+    out = MorseDatum(datum.ambient, new_points,
+                     TrajectoryGraph(tuple(base + induced)),
+                     SliceComplex(datum.slices.bottom, tuple(new_effects)),
+                     datum.flags)
+    issues = validate_datum(out)
+    if issues:
+        raise InvalidEffect(
+            "cancellation would leave inconsistent data: %s" % (issues[0],))
+    return out, MoveRecord("cancel", (z_id, w_id))
 
 
 def assert_records_as_checked(script):

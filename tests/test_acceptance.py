@@ -356,9 +356,9 @@ def _broken_chain_datum():
     mid = pt("x", Kind.BOUNDARY_UNSTABLE, 1, Fraction(1, 2))
     d = base.replace(
         points=base.points + (mid,),
-        graph=base.graph.with_edges([
+        graph=TrajectoryGraph(base.graph.edges + (
             edge("p", "x", None, Locus.WALL),
-            edge("x", "q", None, Locus.WALL)]),
+            edge("x", "q", None, Locus.WALL))),
         slices=replace_effects(base.slices, add=(
             eff("x", EffectKind.BOUNDARY_ATTACH, ("c9",),
                 (comp("c8", True),)),)),

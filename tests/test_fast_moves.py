@@ -16,6 +16,9 @@ A run of rearrangements (``_rearrange_run``) must be the fold of
 of ``split_interior`` over its points, with the same records, and the
 indexes a split result builds on first use must be those a fresh build
 gives.
+``cancel_pair`` patches its result and checks only the flow lines it
+induces; it must agree with ``cancel_by_rebuild``, which rebuilds the
+result and validates it whole.
 ``realize_configuration`` checks its target map locally and must agree
 with ``realize_by_replay``, which checks it by a full replay, and a point a
 move builds without checking it must be the point the checked constructor
@@ -67,14 +70,18 @@ from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 from helpers import (
     assert_records_as_checked,
     assign_by_replay,
+    attach_chain_pair,
     birth_merge_pair,
+    cancel_by_rebuild,
     comp,
     datum,
     edge,
     eff,
+    internal_chain_pair,
     pt,
     realize_by_replay,
     replace_effects,
+    split_death_pair,
     union,
 )
 
@@ -369,8 +376,8 @@ def split_bases(draw):
         a, b = sorted(draw(st.permutations(d.points))[:2],
                       key=lambda p: p.sort_key(), reverse=True)
         if d.graph.edge(a.id, b.id) is None:
-            return d.replace(graph=d.graph.with_edges(
-                [FlowEdge(a.id, b.id, None, Locus.MEMBRANE)])), hint
+            return d.replace(graph=TrajectoryGraph(d.graph.edges + (
+                FlowEdge(a.id, b.id, None, Locus.MEMBRANE),))), hint
     return d, hint
 
 
@@ -462,13 +469,13 @@ def lie_about(d, fault, z, draw):
     if fault == "flow line from above":
         p = draw(st.sampled_from(
             [p for p in d.points if p.value > z.value]))
-        bad = d.replace(graph=d.graph.with_edges(
-            [FlowEdge(p.id, z.id, None, Locus.MEMBRANE)]))
+        bad = d.replace(graph=TrajectoryGraph(d.graph.edges + (
+            FlowEdge(p.id, z.id, None, Locus.MEMBRANE),)))
     elif fault == "flow line to below":
         q = draw(st.sampled_from(
             [q for q in d.points if q.value < z.value]))
-        bad = d.replace(graph=d.graph.with_edges(
-            [FlowEdge(z.id, q.id, None, Locus.MEMBRANE)]))
+        bad = d.replace(graph=TrajectoryGraph(d.graph.edges + (
+            FlowEdge(z.id, q.id, None, Locus.MEMBRANE),)))
     else:  # closed outputs: the attach pair cannot leave the wall
         e = d.slices.effect_for(z.id)
         closed = ComponentEffect(e.at, e.kind, e.inputs, tuple(
@@ -628,6 +635,31 @@ def pieces(n, m, seeds, allow_boundary=True):
     return out
 
 
+def pair_family(name, n, m, k=1):
+    """The cancellable pair ``name`` of ``helpers`` at (n, m), p below q;
+    ``k`` is the lower index of a chain, clamped to its range."""
+    if name == "birth-merge":
+        return birth_merge_pair(n, m)
+    if name == "split-death":
+        return split_death_pair(n, m)
+    if name == "internal":
+        return internal_chain_pair(n, min(max(k, 1), n - 1), m)
+    if name == "stable attach":
+        return attach_chain_pair(Kind.BOUNDARY_STABLE, min(max(k, 1), n), n, m)
+    return attach_chain_pair(Kind.BOUNDARY_UNSTABLE, min(k, n - 1), n, m)
+
+
+PAIR_FAMILIES = ("birth-merge", "internal", "split-death", "stable attach",
+                 "unstable attach")
+
+
+def pair_families(n, m):
+    """Every pair family that exists at (n, m): an internal chain needs
+    n >= 2."""
+    return [pair_family(name, n, m) for name in PAIR_FAMILIES
+            if name != "internal" or n >= 2]
+
+
 def count_full_checks(monkeypatch, when=lambda: True):
     """Counts of the ``replay`` and ``validate_datum`` calls made while
     ``when()`` holds, from every module that refers to them."""
@@ -714,9 +746,21 @@ def test_a_split_run_patches_each_structure_once(monkeypatch):
 
 
 def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
-    d = union(*pieces(2, 4, (0, 1)))
+    d = union(*pieces(2, 4, (0, 1)), *pair_families(2, 4))
     assert validate_datum(d) == []
     counts = count_full_checks(monkeypatch)
+    cancelled = 0
+    for e in d.graph.edges:  # the five pairs, and every other flow line
+        counts.clear()
+        try:
+            out, _ = cancel_pair(d, e.src, e.dst)
+        except MoveError:
+            continue  # refused for a side condition, by no full check either
+        finally:
+            assert not counts, (e, counts)
+        cancelled += 1
+        assert vars(out)["valid"] is True
+    assert cancelled >= 5, cancelled
     first, second = [[p for p in d.points if p.id.startswith(pre)]
                      for pre in ("u0_", "u1_")]
     accepted = 0
@@ -950,7 +994,14 @@ def test_split_results_patch_the_indexes_a_fresh_build_gives():
                 if record.kind == "split":
                     assert_indexes_match_a_fresh_build(d)
                     checked["split"] += 1
+        # cancels: each pair family beside two pieces
+        for pair in pair_families(n, m):
+            d = union(pair, *pieces(n, m, range(2), boundary))
+            if d.valid:
+                assert_indexes_match_a_fresh_build(cancel_pair(d, "u0_p", "u0_q")[0])
+                checked["cancel"] += 1
     assert checked["split"] > 50 and checked["run"] > 20, checked
+    assert checked["cancel"] >= 15, checked
 
 
 def test_a_split_result_builds_no_index_until_asked(monkeypatch):
@@ -964,6 +1015,140 @@ def test_a_split_result_builds_no_index_until_asked(monkeypatch):
     indexes = {"edge_index", "effect_index", "component_index"}
     assert not indexes & (set(vars(out.graph)) | set(vars(out.slices)))
     assert_each_index_built_once_on_first_use(out, builds)
+
+
+# ---------------------------------------------------------------------------
+# cancellations: the patch against the rebuild
+
+
+def cancel_outcome(fn, d, z_id, w_id):
+    try:
+        out, record = fn(d, z_id, w_id)
+    except Exception as exc:  # the class and message are what is compared
+        return ("refused", type(exc), str(exc))
+    return ("accepted", out, serialize_datum(out), record)
+
+
+def assert_cancels_match_the_rebuild(d, pairs=None):
+    """``cancel_pair`` and ``cancel_by_rebuild`` on each (z, w) of
+    ``pairs``, by default every flow line of d: an equal datum and record,
+    or the same refusal class and message.  Returns the accepted
+    results."""
+    accepted = []
+    for z_id, w_id in pairs or [(e.src, e.dst) for e in d.graph.edges]:
+        got = cancel_outcome(cancel_pair, d, z_id, w_id)
+        assert got == cancel_outcome(cancel_by_rebuild, d, z_id, w_id), (z_id, w_id)
+        if got[0] == "refused":
+            event("refused: %s" % (got[1].__name__,))
+            continue
+        out = got[1]
+        assert vars(out)["valid"] is True and dataclasses.replace(out).valid
+        assert out.point_index == {p.id: p for p in out.points}
+        assert_indexes_match_a_fresh_build(out)
+        accepted.append(out)
+    return accepted
+
+
+@st.composite
+def cancel_bases(draw):
+    """A pair family of ``helpers`` (as z = u0_p below w = u0_q) side by
+    side with up to two generated pieces of its dimensions.  Chains p -> w,
+    z -> q through the pair, for piece points p and q, are added line by
+    line where the datum stays valid, so that the cancel induces flow
+    lines; now and then p is first moved to q's value, so that the value
+    order rules out the induced line p -> q."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = n + draw(st.integers(min_value=1, max_value=3))
+    names = [f for f in PAIR_FAMILIES if f != "internal" or n >= 2]
+    pair = pair_family(draw(st.sampled_from(names)), n, m,
+                       draw(st.integers(min_value=0, max_value=n)))
+    more = []
+    for _ in range(draw(st.sampled_from([0, 1, 2]))):
+        try:
+            more.append(generate(GeneratorSpec(
+                n=n, m=m, points=draw(st.integers(min_value=4, max_value=8)),
+                seed=draw(st.integers(min_value=0, max_value=10**6)))))
+        except InfeasibleSpec:
+            pass
+    d = union(pair, *more)
+    z, w = d.point("u0_p"), d.point("u0_q")
+    others = [p for p in d.points if p not in (z, w)]
+    below = [p for p in others if p.value < w.value]
+    above = [q for q in others if z.value < q.value]
+    chains = [(draw(st.sampled_from(below)).id, draw(st.sampled_from(above)).id)
+              for _ in range(draw(st.integers(min_value=0, max_value=4))
+                             if below and above else 0)]
+    middle = [q for q in above if q.value < w.value]
+    tie = None
+    if middle and len(others) >= 2 and draw(st.booleans()):
+        q = draw(st.sampled_from(middle))
+        p = draw(st.sampled_from([p for p in others if p is not q]))
+        tied = d.replace(points=tuple(
+            pt(x.id, x.kind, x.index, q.value) if x is p else x for x in d.points))
+        if tied.valid:
+            d, tie = tied, (p.id, q.id)
+            chains.append(tie)
+    for p_id, q_id in chains:  # p -> w and z -> q, each kept if d stays valid
+        for src, dst in ((p_id, w.id), (z.id, q_id)):
+            if d.graph.edge(src, dst) is not None:
+                continue
+            locus = draw(st.sampled_from(list(Locus)))
+            more_lines = d.replace(graph=TrajectoryGraph(
+                d.graph.edges + (FlowEdge(src, dst, None, locus),)))
+            if more_lines.valid:
+                d = more_lines
+    if tie and d.graph.edge(tie[0], w.id) and d.graph.edge(z.id, tie[1]):
+        event("a chain through the pair between equal values")
+    return d
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(cancel_bases(), generated()))
+def test_cancels_match_the_rebuild_reference(d):
+    # every flow line, a planted pair's among them, and every flow line of
+    # each result
+    for out in assert_cancels_match_the_rebuild(d):
+        event("induced %s" % min(len(set(out.graph.edges) - set(d.graph.edges)), 3))
+        assert_cancels_match_the_rebuild(out)
+
+
+def through_the_pair(x_id, y_id, x_value, y_value, locus):
+    """An internal chain p -> q of indices 2, 3 with lines x -> q and
+    p -> y in ``locus``, for interior points x (index 1) and y (index 4)
+    of their own pieces."""
+    base = internal_chain_pair(n=4, k=2)
+    return base.replace(
+        points=base.points + (pt(x_id, Kind.INTERIOR, 1, x_value),
+                              pt(y_id, Kind.INTERIOR, 4, y_value)),
+        graph=TrajectoryGraph(base.graph.edges + (
+            edge(x_id, "q", None, locus), edge("p", y_id, None, locus))),
+        slices=SliceComplex(
+            base.slices.bottom + (comp("c5"), comp("c7")),
+            base.slices.effects + (internal(x_id, "c5", "c6"),
+                                   internal(y_id, "c7", "c8"))),
+    )
+
+
+def test_a_cancel_induces_no_flow_line_between_equal_values():
+    # x and y at one value: the chain x -> y through the pair cannot
+    # survive, whatever the order of their ids
+    for x_id, y_id in (("x", "y"), ("y", "x")):
+        d = through_the_pair(x_id, y_id, Fraction(1, 2), Fraction(1, 2), Locus.INNER)
+        assert validate_datum(d) == []
+        [out] = assert_cancels_match_the_rebuild(d, [("p", "q")])
+        assert out.graph.edges == ()
+
+
+def test_a_fault_through_the_pair_is_caught_even_when_the_cache_lies():
+    # wall lines between interior points, with a cached verdict that says
+    # the datum is valid: the cancel carries the fault to x -> y
+    d = through_the_pair("x", "y", Fraction(1, 6), Fraction(5, 6), Locus.WALL)
+    assert validate_datum(d) != []
+    vars(d)["valid"] = True
+    got = cancel_outcome(cancel_pair, d, "p", "q")
+    assert got == cancel_outcome(cancel_by_rebuild, d, "p", "q")
+    assert got == ("refused", InvalidEffect, "cancellation would leave inconsistent "
+                   "data: edge x->y: wall locus needs boundary points")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from halfhandle.moves import (
     split_interior,
 )
 from halfhandle.slice_topology import EffectKind
-from halfhandle.trajectory import Locus, broken_closure
+from halfhandle.trajectory import Locus, TrajectoryGraph, broken_closure
 
 from helpers import (
     attach_chain_pair,
@@ -83,7 +83,6 @@ def test_assign_values_guards_replay():
 
 
 def broken_free_graph():
-    from halfhandle.trajectory import TrajectoryGraph
     return TrajectoryGraph(())
 
 
@@ -286,9 +285,9 @@ def test_cancel_induces_edges_for_cut_chains():
     y = pt("y", Kind.INTERIOR, 4, Fraction(5, 6))
     d = base.replace(
         points=base.points + (x, y),
-        graph=base.graph.with_edges([
+        graph=TrajectoryGraph(base.graph.edges + (
             edge("x", "q", None, Locus.INNER),
-            edge("p", "y", None, Locus.INNER)]),
+            edge("p", "y", None, Locus.INNER))),
         slices=replace_effects(base.slices, add=(
             eff("x", EffectKind.INTERNAL, ("c0x",), (comp("c1x", True),)),
             eff("y", EffectKind.INTERNAL, ("c1x",), (comp("c2x", True),)))),
@@ -344,9 +343,9 @@ def test_cancel_refuses_extra_broken_chain():
     mid = pt("x", Kind.BOUNDARY_UNSTABLE, 1, Fraction(1, 2))
     d = base.replace(
         points=base.points + (mid,),
-        graph=base.graph.with_edges([
+        graph=TrajectoryGraph(base.graph.edges + (
             edge("p", "x", None, Locus.WALL),
-            edge("x", "q", None, Locus.WALL)]),
+            edge("x", "q", None, Locus.WALL))),
         slices=replace_effects(base.slices, add=(
             eff("x", EffectKind.BOUNDARY_ATTACH, ("c9",),
                 (comp("c8", True),)),)),
