@@ -2,6 +2,6 @@
 
 import sys
 
-from halfhandle.cli_io import main
+from .cli_io import main
 
 sys.exit(main())

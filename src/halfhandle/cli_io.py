@@ -21,7 +21,7 @@ import random
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional
 
@@ -226,9 +226,7 @@ def parse_datum(text: str) -> MorseDatum:
                         tuple(outputs),
                     )
                 )
-        except ValidationError as exc:
-            raise ParseError(str(exc), num)
-        except ValueError as exc:
+        except (ValidationError, ValueError) as exc:
             raise ParseError(str(exc), num)
 
     if not saw_format:
@@ -857,16 +855,9 @@ def _cmd_profile(args) -> int:
         raise ParseError("unknown kind %r" % (args.kind,))
     prof = dimension_profile(kind, args.index, args.n)
     parts = []
-    for name in (
-        "stable_membrane",
-        "unstable_membrane",
-        "stable_inner",
-        "unstable_inner",
-        "stable_wall",
-        "unstable_wall",
-    ):
-        val = getattr(prof, name)
-        parts.append("%s=%s" % (name, "-" if val is None else val))
+    for field in fields(prof):
+        val = getattr(prof, field.name)
+        parts.append("%s=%s" % (field.name, "-" if val is None else val))
     print(" ".join(parts))
     return 0
 

@@ -174,16 +174,6 @@ class DimensionProfile:
     stable_wall: Optional[int]
     unstable_wall: Optional[int]
 
-    def as_tuple(self):
-        return (
-            self.stable_membrane,
-            self.unstable_membrane,
-            self.stable_inner,
-            self.unstable_inner,
-            self.stable_wall,
-            self.unstable_wall,
-        )
-
 
 @lru_cache(maxsize=1024, typed=True)  # far more than the cells of any n in use
 def dimension_profile(kind: Kind, index: int, n: int) -> DimensionProfile:
@@ -357,61 +347,61 @@ class MorseDatum:
 
         Every move and the normal form driver take only data for which this
         holds (``require_valid``).  ``validate_datum`` stores its verdict
-        here, and a move sets it on its result, which its local checks keep
-        valid (``with_keys``, ``split_interior``).
+        here, and a move sets it on the result its local checks keep valid
+        (``_patched``).
         """
         return not validate_datum(self)
 
-    def derived(self, points, graph, slices, **cached) -> "MorseDatum":
-        """A datum of the same ambient and flags with the given fields.
+    def _patched(self, drop, add, graph=None, slices=None) -> "MorseDatum":
+        """This datum without the points ``drop`` (its own) and with
+        ``add``, with ``graph`` and ``slices`` in place of its own when
+        given: the one builder of a move's result.
 
-        For moves that build ``points`` already in (value, id) order with
-        distinct ids: nothing is re-sorted or re-checked.  ``cached`` fills
-        cached properties (``point_index``, ``valid``) that the move has
-        established.
+        A move of a valid datum calls it once its local checks have shown
+        that the patch keeps the datum valid, so the result is marked
+        ``valid``.  The points are placed by bisection (``splice``), the
+        point index is carried over with only the dropped and added ids
+        changed (a moved point's entry overwritten in place), and nothing
+        is re-sorted or re-checked.
         """
+        index = dict(self.point_index)
+        for p in add:
+            index[p.id] = p
+        for p in drop:
+            if index[p.id] is p:  # dropped, not moved
+                del index[p.id]
         out = object.__new__(MorseDatum)
         vars(out).update(
             ambient=self.ambient,
-            points=points,
-            graph=graph,
-            slices=slices,
+            points=splice(self.points, drop, add, CriticalPoint.sort_key),
+            graph=self.graph if graph is None else graph,
+            slices=self.slices if slices is None else slices,
             flags=self.flags,
-            **cached,
+            point_index=index,
+            valid=True,
         )
         return out
 
     def with_keys(self, keys: Mapping[str, tuple]) -> "MorseDatum":
         """This datum with each point named in ``keys`` moved to the value
-        of its (value, id) key there (``order_key``), marked valid; the
+        of its (value, id) key there (``order_key``), by ``_patched``; the
         datum itself when nothing moves.
 
         For moves of a valid datum already checked to keep its edges uphill
         and its replay clean (see ``moves.assign_values``).  That keeps
         every clause of ``validate_datum``: the rest does not look at the
         values, and with every component id made once and used once the top
-        state and the flag union-find do not depend on the order.  The moved
-        points are sorted once (fast when ``keys`` lists them nearly in
-        order) and placed by bisection (``splice``); the other points are
-        neither re-sorted nor re-validated, and the point index is carried
-        over.  Each moved point is its old point at the new key
-        (``CriticalPoint._at``): the keys are of Fractions in (0, 1), as the
-        move's check made them, so the points are not checked again.
+        state and the flag union-find do not depend on the order.  Each
+        moved point is its old point at the new key (``CriticalPoint._at``):
+        the keys are of Fractions in (0, 1), as the move's check made them,
+        so the points are not checked again.
         """
         if not keys:
             return self
         old = self.point_index
-        index = dict(old)
-        for pid, key in keys.items():
-            index[pid] = old[pid]._at(key)
-        points = splice(
-            self.points,
+        return self._patched(
             [old[pid] for pid in keys],
-            [index[pid] for pid in keys],
-            CriticalPoint.sort_key,
-        )
-        return self.derived(
-            points, self.graph, self.slices, point_index=index, valid=True
+            [old[pid]._at(key) for pid, key in keys.items()],
         )
 
     def values(self):

@@ -35,14 +35,14 @@ check, once (``MoveRecord`` keeps a tuple of Fractions as it is).  Runs of
 splits are folded the same way (``_split_run``, of which
 ``split_interior`` is the one-record case): each split reads the splits
 before it through one overlay and is checked and refused in place, and
-the points, flow lines and effects are patched once per run; the result
-builds its indexes on first use.  Values are range-checked on their ints
-and ordered by their ``order_key``s.  Only the local check accepts a
-rearrangement or target map; one it refuses raises the reason the full
-replay names (``_refusal``).  A cancellation is patched at its pair the
-same way, its induced flow lines checked by ``edge_issues``
-(``cancel_pair``); no move validates its result or rebuilds the whole
-datum.
+the points, flow lines and effects are patched once per run.  Values are
+range-checked on their ints and ordered by their ``order_key``s.  Only the
+local check accepts a rearrangement or target map; one it refuses raises
+the reason the full replay names (``_refusal``).  A cancellation is
+checked at its pair, its induced flow lines by ``edge_issues``
+(``cancel_pair``).  Every move builds its result with
+``MorseDatum._patched``, which states what a patch keeps; no move
+validates its result or rebuilds the whole datum.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from .morse_data import (
     is_admissible,
     order_key,
     require_valid,
-    splice,
 )
 from .slice_topology import (
     ComponentEffect,
@@ -506,13 +505,13 @@ def cancel_pair(
     count whenever genericity and the value order allow a flow line at all.
 
     Takes valid data only (``require_valid``).  Past the side conditions
-    only the pair changes, and the result is patched as ``_split_run``
-    patches its own: the points lose z and w (``splice``), the graph their
+    only the pair changes, and the result is patched there
+    (``MorseDatum._patched``): the points lose z and w, the graph their
     flow lines, and the complex their effects, with the one input of the
     final output's user renamed.  On a valid datum that keeps the replay,
     the top state and the flags as they were (the survivor lives on with
     the final output's wall bit, in the same piece), so only the induced
-    flow lines are checked (``edge_issues``).  The result is marked valid.
+    flow lines are checked (``edge_issues``).
     """
     require_valid(datum)
     z, w = datum.point(z_id), datum.point(w_id)
@@ -593,14 +592,10 @@ def cancel_pair(
                 "cancellation would leave inconsistent data: %s" % (issues[0],)
             )
 
-    index = dict(by_id)
-    del index[z_id], index[w_id]
-    out = datum.derived(
-        splice(datum.points, [z, w], (), CriticalPoint.sort_key),
+    out = datum._patched(
+        [z, w], (),
         datum.graph._patched(drop_edges, induced),
         slices._patched(drop_effects, add_effects),
-        point_index=index,
-        valid=True,
     )
     return out, MoveRecord("cancel", (z_id, w_id))
 
@@ -680,10 +675,8 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     asks of its datum as that datum does.
 
     The run gathers every dropped and added point, flow line and effect and
-    patches once, at the end: one ``splice`` of the points, one
-    ``_patched`` graph and slice complex, which build their indexes when
-    first asked, and one copy of the point index.  The result is marked
-    ``valid``.
+    patches once, at the end (``MorseDatum._patched``); the patched graph
+    and slice complex build their indexes when first asked.
     """
     ids = tuple(ids)
     if not ids:
@@ -797,17 +790,10 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
             made.update((c.id, e.at) for c in e.outputs)
             used.update((cid, e.at) for cid in e.inputs)
 
-    new_index = dict(index)
-    for z_id in pairs:
-        del new_index[z_id]
-    new_index.update(halves)
-    return datum.derived(
-        splice(points, [index[z_id] for z_id in pairs], list(halves.values()),
-               CriticalPoint.sort_key),
+    return datum._patched(
+        [index[z_id] for z_id in pairs], list(halves.values()),
         datum.graph._patched(drop_edges, add_edges.values()),
         slices._patched(drop_effects, add_effects),
-        point_index=new_index,
-        valid=True,
     )
 
 

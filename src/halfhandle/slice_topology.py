@@ -370,46 +370,42 @@ def flag_issues(complex: SliceComplex, flags, final: Dict[str, bool]) -> list:
         # Union-find over component lifetimes: every effect glues together
         # all components it involves.  A class with no wall contact that
         # also avoids bottom and top would be a closed piece of cobordism.
-        parent = {}
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
+        # Effects come in point order, not replay order, so a component may
+        # be used before its maker is reached: only roots get a parent.
+        parent: Dict[str, str] = {}
         wall_bit = {c.id: c.touches_wall for c in complex.bottom}
         for e in complex.effects:
+            glue = _find(parent, e.inputs[0] if e.inputs else e.outputs[0].id)
+            for cid in e.inputs:
+                root = _find(parent, cid)
+                if root != glue:
+                    parent[root] = glue
             for c in e.outputs:
                 wall_bit[c.id] = c.touches_wall
-        for e in complex.effects:
-            involved = list(e.inputs) + [c.id for c in e.outputs]
-            for a, b in zip(involved, involved[1:]):
-                union(a, b)
-        open_roots = set()
-        for c in complex.bottom:
-            open_roots.add(find(c.id))
-        for cid in final:
-            open_roots.add(find(cid))
-        for cid, touches in wall_bit.items():
-            if touches:
-                open_roots.add(find(cid))
-        closed = sorted(
-            cid for cid in wall_bit if find(cid) not in open_roots
-        )
+                root = _find(parent, c.id)
+                if root != glue:
+                    parent[root] = glue
+        root_of = {cid: _find(parent, cid) for cid in wall_bit}
+        open_roots = {root_of[cid] for cid, touches in wall_bit.items() if touches}
+        open_roots.update(root_of[c.id] for c in complex.bottom)
+        open_roots.update(_find(parent, cid) for cid in final)
+        closed = sorted(cid for cid, r in root_of.items() if r not in open_roots)
         for cid in closed:
             issues.append(
                 "flag no_closed_cobordism but component %r sits in a closed piece"
                 % (cid,)
             )
     return issues
+
+
+def _find(parent: Dict[str, str], cid: str) -> str:
+    """The root of ``cid`` in the forest ``parent``, where an id without a
+    parent is a root; the path is halved on the way."""
+    up = parent.get(cid, cid)
+    while up != cid:
+        parent[cid] = top = parent.get(up, up)  # cid skips a step
+        cid, up = top, parent.get(top, top)
+    return cid
 
 
 def state_at_level(ambient: Ambient, points, complex: SliceComplex, level: Fraction):

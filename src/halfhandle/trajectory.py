@@ -102,9 +102,6 @@ class TrajectoryGraph:
     def edge(self, src: str, dst: str) -> Optional[FlowEdge]:
         return self.edge_index.edge.get((src, dst))
 
-    def successors(self, point_id: str):
-        return list(self.edge_index.out_edges.get(point_id, ()))
-
 
 def generic_disjoint(z: CriticalPoint, w: CriticalPoint, ambient: Ambient) -> bool:
     """Whether genericity forces the membranes of z and w to be disjoint.
@@ -218,7 +215,8 @@ def has_path(graph: TrajectoryGraph, src: str, dst: str) -> bool:
     A single search from the successors of src; ``broken_closure`` answers
     the same question for every pair at once and stays the reference.
     """
-    return _reaches(graph, [e.dst for e in graph.successors(src)], dst)
+    first = graph.edge_index.out_edges.get(src, ())
+    return _reaches(graph, [e.dst for e in first], dst)
 
 
 def has_broken_path(graph: TrajectoryGraph, src: str, dst: str) -> bool:
@@ -228,7 +226,8 @@ def has_broken_path(graph: TrajectoryGraph, src: str, dst: str) -> bool:
     graphs this is the closure test "some mid != dst with src -> mid and
     mid -> dst", since a chain never returns to where it was.
     """
-    second = [f.dst for e in graph.successors(src) for f in graph.successors(e.dst)]
+    out_edges = graph.edge_index.out_edges
+    second = [f.dst for e in out_edges.get(src, ()) for f in out_edges.get(e.dst, ())]
     return _reaches(graph, second, dst)
 
 

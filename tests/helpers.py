@@ -387,6 +387,61 @@ def no_closed_components(ambient, points, complex, level):
     return all(state_at_level(ambient, points, complex, level).values())
 
 
+def flag_issues_by_reference(complex, flags, final):
+    """``slice_topology.flag_issues`` as it was before its one-pass
+    no-closed-cobordism check: the wall bits gathered in their own pass,
+    then nested ``find`` and ``union`` closures over every effect's inputs
+    and outputs.  The reference for the one-pass union-find."""
+    issues = []
+    if flags.no_closed_bottom:
+        for c in complex.bottom:
+            if not c.touches_wall:
+                issues.append(
+                    "flag no_closed_bottom but bottom component %r is closed" % (c.id,))
+    if flags.no_closed_top:
+        for cid in sorted(cid for cid, touches in final.items() if not touches):
+            issues.append("flag no_closed_top but top component %r is closed" % (cid,))
+
+    if flags.no_closed_cobordism:
+        parent = {}
+
+        def find(x):
+            root = x
+            while parent.get(root, root) != root:
+                root = parent[root]
+            while parent.get(x, x) != x:
+                parent[x], x = root, parent[x]
+            return root
+
+        def union(a, b):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+
+        wall_bit = {c.id: c.touches_wall for c in complex.bottom}
+        for e in complex.effects:
+            for c in e.outputs:
+                wall_bit[c.id] = c.touches_wall
+        for e in complex.effects:
+            involved = list(e.inputs) + [c.id for c in e.outputs]
+            for a, b in zip(involved, involved[1:]):
+                union(a, b)
+        open_roots = set()
+        for c in complex.bottom:
+            open_roots.add(find(c.id))
+        for cid in final:
+            open_roots.add(find(cid))
+        for cid, touches in wall_bit.items():
+            if touches:
+                open_roots.add(find(cid))
+        closed = sorted(cid for cid in wall_bit if find(cid) not in open_roots)
+        for cid in closed:
+            issues.append(
+                "flag no_closed_cobordism but component %r sits in a closed piece"
+                % (cid,))
+    return issues
+
+
 # ---------------------------------------------------------------------------
 # the text parsers as they were before the one-pass tokenizer: the reference
 # for ``cli_io.parse_datum`` and ``cli_io.parse_script``

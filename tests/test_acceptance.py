@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -129,7 +130,7 @@ def test_criterion_1_dimension_table(capsys):
     def body():
         for n in range(1, 7):
             for kind, k in cells(n):
-                got = dimension_profile(kind, k, n).as_tuple()
+                got = astuple(dimension_profile(kind, k, n))
                 assert got == hand_table(kind, k, n), (kind, k, n)
 
     run(capsys, 1, body)

@@ -1,5 +1,6 @@
 """Dimension profile table, index bounds, and admissibility order."""
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -36,16 +37,16 @@ def valid_cells(n):
 def test_profiles_match_hand_coded_table():
     for n in range(1, 7):
         for kind, k in valid_cells(n):
-            got = dimension_profile(kind, k, n).as_tuple()
+            got = astuple(dimension_profile(kind, k, n))
             assert got == expected_profile(kind, k, n), (kind, k, n)
 
 
 def test_worked_rows():
-    assert dimension_profile(Kind.INTERIOR, 1, 2).as_tuple() == (
+    assert astuple(dimension_profile(Kind.INTERIOR, 1, 2)) == (
         2, 3, 1, 2, None, None)
-    assert dimension_profile(Kind.BOUNDARY_STABLE, 1, 2).as_tuple() == (
+    assert astuple(dimension_profile(Kind.BOUNDARY_STABLE, 1, 2)) == (
         2, 3, 1, None, 0, 2)
-    assert dimension_profile(Kind.BOUNDARY_UNSTABLE, 0, 2).as_tuple() == (
+    assert astuple(dimension_profile(Kind.BOUNDARY_UNSTABLE, 0, 2)) == (
         1, 4, None, 3, 0, 2)
 
 
@@ -81,7 +82,7 @@ def test_out_of_range_rejected():
 def test_valid_cells_have_nonnegative_entries():
     for n in range(1, 7):
         for kind, k in valid_cells(n):
-            for entry in dimension_profile(kind, k, n).as_tuple():
+            for entry in astuple(dimension_profile(kind, k, n)):
                 assert entry is None or entry >= 0
 
 

@@ -23,6 +23,8 @@ result and validates it whole.
 with ``realize_by_replay``, which checks it by a full replay, and a point a
 move builds without checking it must be the point the checked constructor
 builds.
+``flag_issues`` joins the components in one pass over the effects and must
+report what ``flag_issues_by_reference``, the union-find it replaced, does.
 """
 
 import dataclasses
@@ -46,7 +48,13 @@ from halfhandle.errors import (
     SwapBlocked,
     ValidationError,
 )
-from halfhandle.morse_data import CriticalPoint, Kind, MorseDatum, validate_datum
+from halfhandle.morse_data import (
+    CriticalPoint,
+    Flags,
+    Kind,
+    MorseDatum,
+    validate_datum,
+)
 from halfhandle.moves import (
     MoveRecord,
     _moves_locally,
@@ -64,6 +72,8 @@ from halfhandle.slice_topology import (
     EffectKind,
     SliceComplex,
     SliceComponent,
+    flag_issues,
+    replay,
 )
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
@@ -77,6 +87,7 @@ from helpers import (
     datum,
     edge,
     eff,
+    flag_issues_by_reference,
     internal_chain_pair,
     pt,
     realize_by_replay,
@@ -730,8 +741,8 @@ def test_a_split_run_patches_each_structure_once(monkeypatch):
         calls = Counter()
         for owner, name, key in ((TrajectoryGraph, "_patched", "graph"),
                                  (SliceComplex, "_patched", "slices"),
-                                 (moves, "splice", "points"),
-                                 (MorseDatum, "derived", "datum")):
+                                 (morse_data, "splice", "points"),
+                                 (MorseDatum, "_patched", "datum")):
             counted(monkeypatch, owner, name, calls, key)
         builds = count_index_builds(monkeypatch)
         out, script = normal_form._split_all(staged)
@@ -749,6 +760,8 @@ def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
     d = union(*pieces(2, 4, (0, 1)), *pair_families(2, 4))
     assert validate_datum(d) == []
     counts = count_full_checks(monkeypatch)
+    builds = Counter()
+    counted(monkeypatch, MorseDatum, "_patched", builds)
     cancelled = 0
     for e in d.graph.edges:  # the five pairs, and every other flow line
         counts.clear()
@@ -759,6 +772,7 @@ def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
         finally:
             assert not counts, (e, counts)
         cancelled += 1
+        assert builds["_patched"] == cancelled, (e, builds)
         assert vars(out)["valid"] is True
     assert cancelled >= 5, cancelled
     first, second = [[p for p in d.points if p.id.startswith(pre)]
@@ -906,14 +920,15 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
     assert len(d.points) == 160 and validate_datum(d) == []
     levels = normal_form.schedule_levels(d)
     counts = count_full_checks(monkeypatch)
-    for owner, name in ((MorseDatum, "derived"), (CriticalPoint, "__post_init__"),
+    for owner, name in ((MorseDatum, "_patched"), (morse_data, "splice"),
+                        (CriticalPoint, "__post_init__"),
                         (moves, "check_assignment")):
         counted(monkeypatch, owner, name, counts)
     out, script = realize_configuration(d, levels)
     assert len(script) == 2 * len(d.points)  # park and place every point
     # one points tuple, and no full check: the target map is checked
     # locally and the moved points are built from the checked ones
-    assert counts == {"derived": 1}, counts
+    assert counts == {"_patched": 1, "splice": 1}, counts
 
     # a surgery put below the one that makes its input: refused, and the
     # pair is named by the full replay
@@ -1337,3 +1352,74 @@ def test_moves_convert_raw_values_as_before():
             assert got == (refused or raw_outcome(call(value))), (name, raw)
             accepted[name] += got[0] == "accepted"
     assert min(accepted.values()) >= 5, accepted
+
+
+# ---------------------------------------------------------------------------
+# the flag check: the one-pass union-find against the reference
+
+
+def with_late_join(d, draw):
+    """d and two closed spheres, born at kb and kc; the one born at kc
+    changes at k2 and then merges with the other at k1 into a component
+    left at the top.  Effects come in point order, so the merge is read
+    before the surgery that makes its input: one open piece only if that
+    surgery joins its output's root, not its output, to its input's."""
+    v = sorted(draw(st.lists(
+        st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000)),
+        min_size=4, max_size=4, unique=True)))
+    return MorseDatum(
+        d.ambient,
+        d.points + (pt("kb", Kind.INTERIOR, 0, v[0]), pt("kc", Kind.INTERIOR, 0, v[1]),
+                    pt("k2", Kind.INTERIOR, 1, v[2]), pt("k1", Kind.INTERIOR, 1, v[3])),
+        d.graph,
+        SliceComplex(d.slices.bottom, d.slices.effects + (
+            eff("kb", EffectKind.BIRTH, (), (comp("y0", False),)),
+            eff("kc", EffectKind.BIRTH, (), (comp("y1", False),)),
+            eff("k2", EffectKind.INTERNAL, ("y1",), (comp("y2", False),)),
+            eff("k1", EffectKind.MERGE, ("y0", "y2"), (comp("y3", False),)))),
+        d.flags,
+    )
+
+
+@st.composite
+def flagged_complexes(draw):
+    """A generated complex, with a closed piece (``with_closed_piece``) or
+    a late join (``with_late_join``) planted or as it is, with up to three
+    wall bits flipped, and the top state its replay leaves.  Flipped bits
+    may break the wall rules of the rows but not the replay's structure,
+    so the top state is complete."""
+    d = draw(generated())
+    plant = draw(st.sampled_from([None, with_closed_piece, with_late_join]))
+    if plant is not None:
+        d = plant(d, draw)
+    ids = [c.id for c in d.slices.bottom]
+    ids += [c.id for e in d.slices.effects for c in e.outputs]
+    flip = set(draw(st.lists(st.sampled_from(ids), max_size=3)))
+
+    def flipped(c):
+        return SliceComponent(c.id, c.touches_wall != (c.id in flip))
+
+    complex = SliceComplex(
+        tuple(map(flipped, d.slices.bottom)),
+        tuple(ComponentEffect(e.at, e.kind, e.inputs, tuple(map(flipped, e.outputs)))
+              for e in d.slices.effects))
+    _, final = replay(d.ambient, d.points, complex)
+    return complex, final
+
+
+def test_flag_issues_agree_with_the_union_find_reference():
+    closed = []
+
+    # effects come in point order: a planted piece's death (cd) comes
+    # before the surgery that makes its input (cz)
+    @settings(max_examples=300, deadline=None)
+    @given(flagged_complexes(), st.builds(Flags, st.booleans(), st.booleans(),
+                                          st.booleans()))
+    def agree(case, flags):
+        complex, final = case
+        got = flag_issues(complex, flags, final)
+        assert got == flag_issues_by_reference(complex, flags, final)
+        closed.append(any("closed piece" in issue for issue in got))
+
+    agree()
+    assert sum(closed) >= 10, (sum(closed), len(closed))
