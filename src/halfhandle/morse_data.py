@@ -352,10 +352,10 @@ class MorseDatum:
         """
         return not validate_datum(self)
 
-    def _patched(self, drop, add, graph=None, slices=None) -> "MorseDatum":
+    def _patched(self, drop, add, graph, slices) -> "MorseDatum":
         """This datum without the points ``drop`` (its own) and with
-        ``add``, with ``graph`` and ``slices`` in place of its own when
-        given: the one builder of a move's result.
+        ``add``, with ``graph`` and ``slices`` in place of its own: the one
+        builder of a move's result.
 
         A move of a valid datum calls it once its local checks have shown
         that the patch keeps the datum valid, so the result is marked
@@ -374,8 +374,8 @@ class MorseDatum:
         vars(out).update(
             ambient=self.ambient,
             points=splice(self.points, drop, add, CriticalPoint.sort_key),
-            graph=self.graph if graph is None else graph,
-            slices=self.slices if slices is None else slices,
+            graph=graph,
+            slices=slices,
             flags=self.flags,
             point_index=index,
             valid=True,
@@ -402,6 +402,7 @@ class MorseDatum:
         return self._patched(
             [old[pid] for pid in keys],
             [old[pid]._at(key) for pid, key in keys.items()],
+            self.graph, self.slices,
         )
 
     def values(self):

@@ -375,6 +375,8 @@ def flag_issues(complex: SliceComplex, flags, final: Dict[str, bool]) -> list:
         parent: Dict[str, str] = {}
         wall_bit = {c.id: c.touches_wall for c in complex.bottom}
         for e in complex.effects:
+            if not (e.inputs or e.outputs):  # at an unknown point: no glue
+                continue
             glue = _find(parent, e.inputs[0] if e.inputs else e.outputs[0].id)
             for cid in e.inputs:
                 root = _find(parent, cid)

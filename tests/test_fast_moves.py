@@ -38,7 +38,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
-from halfhandle.cli_io import GeneratorSpec, generate, serialize_datum
+from halfhandle.cli_io import GeneratorSpec, generate, parse_datum, serialize_datum
 from halfhandle.errors import (
     EngineError,
     InfeasibleSpec,
@@ -1381,11 +1381,23 @@ def with_late_join(d, draw):
     )
 
 
+def ghost_effects(ids, draw):
+    """No effect, or one at the unknown point ``ghost``, with up to two of
+    ``ids`` as inputs and none or one new output: the replay walks only
+    real points and never reaches it, so the flags are still judged."""
+    if not draw(st.booleans()):
+        return ()
+    inputs = tuple(draw(st.lists(st.sampled_from(ids), max_size=2, unique=True)))
+    outputs = draw(st.sampled_from([(), (comp("g0", False),), (comp("g0", True),)]))
+    return (eff("ghost", EffectKind.BIRTH, inputs, outputs),)
+
+
 @st.composite
 def flagged_complexes(draw):
     """A generated complex, with a closed piece (``with_closed_piece``) or
     a late join (``with_late_join``) planted or as it is, with up to three
-    wall bits flipped, and the top state its replay leaves.  Flipped bits
+    wall bits flipped and maybe an effect at an unknown point
+    (``ghost_effects``), and the top state its replay leaves.  Flipped bits
     may break the wall rules of the rows but not the replay's structure,
     so the top state is complete."""
     d = draw(generated())
@@ -1402,7 +1414,7 @@ def flagged_complexes(draw):
     complex = SliceComplex(
         tuple(map(flipped, d.slices.bottom)),
         tuple(ComponentEffect(e.at, e.kind, e.inputs, tuple(map(flipped, e.outputs)))
-              for e in d.slices.effects))
+              for e in d.slices.effects) + ghost_effects(ids, draw))
     _, final = replay(d.ambient, d.points, complex)
     return complex, final
 
@@ -1423,3 +1435,21 @@ def test_flag_issues_agree_with_the_union_find_reference():
 
     agree()
     assert sum(closed) >= 10, (sum(closed), len(closed))
+
+
+def test_an_effect_without_components_at_an_unknown_point_glues_nothing():
+    # parsed as it stands; the replay never reaches it, so the flags are
+    # judged too, and the report names only the unknown point
+    text = "\n".join([
+        "format=halfhandle-datum/1", "m=5", "n=4", "no_closed_cobordism=true",
+        "component id=c0 touches_wall=true",
+        "point id=a kind=interior index=1 value=1/4",
+        "effect at=a kind=internal inputs=c0 outputs=c1:true",
+        "effect at=ghost kind=birth inputs=- outputs=-",
+    ])
+    d = parse_datum(text)
+    replay_issues, final = replay(d.ambient, d.points, d.slices)
+    assert replay_issues == []
+    assert flag_issues(d.slices, d.flags, final) == []
+    assert flag_issues_by_reference(d.slices, d.flags, final) == []
+    assert validate_datum(d) == ["effect at unknown point 'ghost'"]
