@@ -74,7 +74,6 @@ from .slice_topology import (
 )
 from .moves import (
     MoveRecord,
-    apply_record,
     apply_script,
     assign_values,
     cancel_pair,

@@ -6,10 +6,20 @@ Blank lines and ``#`` comments are ignored; serialization is canonical, so
 parse followed by serialize is byte stable.  Move scripts use the same
 token style with one ``move`` line per rewriting step.
 
-The parsers read each line in one pass: every token is split once, and the
-line's key set is compared with its directive's.  The message for a bad
-token, a missing key or a stray one is only worked out for a line that has
-one.  Each object is then checked once, by its constructor: a record by
+A line in the shape the serializers write (single spaces, keys in order,
+ASCII ids and digits) is built from one pattern match (``_fast_line``): a
+one-point ``rearrange`` move, a ``point``, ``effect``, ``edge`` or
+``component``.  The match proves every check ``MoveRecord`` makes on such a
+record, so it is built by ``MoveRecord._step``; a datum line's fields go to
+its checking constructor, whose checks all run.  Any other line, and a
+matched one whose conversion or constructor raises (``1/00``, an int past
+the digit limit, an unknown kind word), falls back to the general path,
+which raises its own ParseError with the same message and line.
+
+The general path reads a line in one pass: every token is split once, and
+the line's key set is compared with its directive's.  The message for a
+bad token, a missing key or a stray one is only worked out for a line that
+has one.  Each object is then checked once, by its constructor: a record by
 ``MoveRecord``, which keeps a tuple of Fractions as it is, and a point by
 ``CriticalPoint``, which keeps the ``Kind`` the parser built.
 """
@@ -146,6 +156,91 @@ def _content_lines(text: str):
             yield num, line
 
 
+# The canonical lines, as the serializers write them: single spaces, the
+# keys in ``_KEYS`` order, ids and words of ASCII ``\w``, a note of
+# printable ASCII, ``p/q`` fractions of ASCII digits.  The general path
+# reads such a line as these builders do: the same tokens, each key once,
+# ids that pass ``_ID_RE``, enum members by their words, and ints and
+# Fractions from the same digits.
+_MOVE_LINE = re.compile(
+    r"move kind=rearrange ids=(\w+) values=(\d+)/(\d+) note=([!-~]+)", re.ASCII
+)
+_POINT_LINE = re.compile(
+    r"point id=(\w+) kind=(\w+) index=(\d+) value=(\d+)/(\d+)", re.ASCII
+)
+_EFFECT_LINE = re.compile(
+    r"effect at=(\w+) kind=(\w+) inputs=(-|\w+(?:,\w+)*)"
+    r" outputs=(-|\w+:(?:true|false)(?:,\w+:(?:true|false))*)",
+    re.ASCII,
+)
+_EDGE_LINE = re.compile(
+    r"edge src=(\w+) dst=(\w+) count=(\d+|\?) locus=(\w+)", re.ASCII
+)
+_COMPONENT_LINE = re.compile(
+    r"component id=(\w+) touches_wall=(true|false)", re.ASCII
+)
+_KINDS, _EFFECT_KINDS, _LOCI = (
+    {member.value: member for member in enum} for enum in (Kind, EffectKind, Locus)
+)
+# what a matched line's conversion or check may raise: 1/0, an int past the
+# digit limit, an unknown kind word, or a constructor's refusal
+_MISSES = (KeyError, ValueError, ZeroDivisionError, ValidationError)
+
+
+def _move(match) -> MoveRecord:
+    """The record of a canonical rearrange line; the match proves every
+    check ``MoveRecord.__post_init__`` makes on it."""
+    note = match[4]
+    value = Fraction(int(match[2]), int(match[3]))
+    return MoveRecord._step(match[1], value, "" if note == "-" else note)
+
+
+def _point(match) -> CriticalPoint:
+    kind, index = _KINDS[match[2]], int(match[3])
+    value = Fraction(int(match[4]), int(match[5]))
+    return CriticalPoint(match[1], kind, index, value)
+
+
+def _effect(match) -> ComponentEffect:
+    inputs, outputs = match[3], match[4]
+    return ComponentEffect(
+        match[1],
+        _EFFECT_KINDS[match[2]],
+        () if inputs == "-" else tuple(inputs.split(",")),
+        () if outputs == "-" else tuple(
+            SliceComponent(cid, bit == "true")
+            for cid, bit in (item.split(":") for item in outputs.split(","))
+        ),
+    )
+
+
+def _edge(match) -> FlowEdge:
+    count = match[3]
+    return FlowEdge(
+        match[1], match[2], None if count == "?" else int(count), _LOCI[match[4]]
+    )
+
+
+def _component(match) -> SliceComponent:
+    return SliceComponent(match[1], match[2] == "true")
+
+
+def _fast_line(line: str, shapes) -> bool:
+    """Whether ``line`` is canonical and its object was built and kept:
+    ``shapes`` pairs each line pattern with its builder and the list its
+    objects go to.  False sends the line to the general path, which then
+    raises its own ParseError if the line is bad."""
+    for pattern, build, out in shapes:
+        match = pattern.fullmatch(line)
+        if match:
+            try:
+                out.append(build(match))
+            except _MISSES:
+                return False
+            return True
+    return False
+
+
 def parse_datum(text: str) -> MorseDatum:
     """Parse the datum format; raises ParseError with a line number."""
     header: Dict[str, str] = {}
@@ -161,12 +256,20 @@ def parse_datum(text: str) -> MorseDatum:
         "no_closed_bottom",
         "no_closed_top",
     }
+    shapes = (
+        (_POINT_LINE, _point, points),
+        (_EFFECT_LINE, _effect, effects),
+        (_EDGE_LINE, _edge, edges),
+        (_COMPONENT_LINE, _component, bottom),
+    )
 
     for num, line in _content_lines(text):
         if not saw_format:
             if line != "format=" + DATUM_FORMAT:
                 raise ParseError("expected format=" + DATUM_FORMAT, num)
             saw_format = True
+            continue
+        if _fast_line(line, shapes):
             continue
         tokens = line.split()
         attrs = _attrs(tokens, num)
@@ -303,11 +406,14 @@ def serialize_datum(datum: MorseDatum) -> str:
 def parse_script(text: str) -> List[MoveRecord]:
     records: List[MoveRecord] = []
     saw_format = False
+    shapes = ((_MOVE_LINE, _move, records),)
     for num, line in _content_lines(text):
         if not saw_format:
             if line != "format=" + SCRIPT_FORMAT:
                 raise ParseError("expected format=" + SCRIPT_FORMAT, num)
             saw_format = True
+            continue
+        if _fast_line(line, shapes):
             continue
         tokens = line.split()
         attrs = _attrs(tokens, num)

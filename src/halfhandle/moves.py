@@ -30,18 +30,19 @@ overlay and is checked there (``_local_step``), a refused step is taken
 out again, and the points are re-placed once per run.  A moved point is
 built from its old one at the checked value, not checked again, and a
 driver's one-point record is built unchecked (``MoveRecord._step``), its
-id from the valid datum, while records parsed from a script take every
-check, once (``MoveRecord`` keeps a tuple of Fractions as it is).  Runs of
-splits are folded the same way (``_split_run``, of which
-``split_interior`` is the one-record case): each split reads the splits
-before it through one overlay and is checked and refused in place, and
-the points, flow lines and effects are patched once per run.  Values are
-range-checked on their ints and ordered by their ``order_key``s.  Only the
-local check accepts a rearrangement or target map; one it refuses raises
-the reason the full replay names (``_refusal``).  A cancellation is
-checked at its pair, its induced flow lines by ``edge_issues``
-(``cancel_pair``).  Every move builds its result with
-``MorseDatum._patched``, which states what a patch keeps; no move
+id from the valid datum.  So is a parsed one-point rearrange line in the
+serializer's shape, whose pattern match proves the record's checks; any
+other parsed record takes every check, once (``MoveRecord`` keeps a tuple
+of Fractions as it is).  Runs of splits are folded the same way
+(``_split_run``, of which ``split_interior`` is the one-record case): each
+split reads the splits before it through one overlay and is checked and
+refused in place, and the points, flow lines and effects are patched once
+per run.  Values are range-checked on their ints and ordered by their
+``order_key``s.  Only the local check accepts a rearrangement or target
+map; one it refuses raises the reason the full replay names
+(``_refusal``).  A cancellation is checked at its pair, its induced flow
+lines by ``edge_issues`` (``cancel_pair``).  Every move builds its result
+with ``MorseDatum._patched``, which states what a patch keeps; no move
 validates its result or rebuilds the whole datum.
 """
 
@@ -154,9 +155,11 @@ class MoveRecord:
 
     @classmethod
     def _step(cls, pid: str, value: Fraction, note: str) -> "MoveRecord":
-        """A driver's one-point rearrange, built without ``__post_init__``:
-        ``pid`` is from a valid datum, ``value`` an exact Fraction in (0, 1),
-        and the move is checked when it runs.  Fields go in as in __init__."""
+        """A one-point rearrange, built without ``__post_init__``, whose
+        caller has made its checks: ``pid`` passes ``_ID_RE`` and ``value``
+        is a Fraction.  A driver's ``pid`` is from a valid datum; a parsed
+        line's, like its digits, is proved by its match (``cli_io``).  The
+        move is checked when it runs.  Fields go in as in __init__."""
         out, put = object.__new__(cls), object.__setattr__
         put(out, "kind", "rearrange")
         put(out, "ids", (pid,))
@@ -374,11 +377,6 @@ def rearrange_pair(
             "a chain of flow lines runs from %s to %s" % (z_id, w_id)
         )
     return assign_values(datum, {z_id: a, w_id: b})
-
-
-def apply_record(datum: MorseDatum, record: MoveRecord) -> MorseDatum:
-    """Replay one recorded move: the script of that one record."""
-    return apply_script(datum, (record,))
 
 
 def apply_script(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:

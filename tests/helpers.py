@@ -44,6 +44,7 @@ from halfhandle.moves import (
     MoveRecord,
     _inverse_pattern,
     _starving_pair,
+    apply_script,
     check_assignment,
 )
 from halfhandle.slice_topology import (
@@ -323,6 +324,11 @@ def cancel_by_rebuild(datum, z_id, w_id):
         raise InvalidEffect(
             "cancellation would leave inconsistent data: %s" % (issues[0],))
     return out, MoveRecord("cancel", (z_id, w_id))
+
+
+def apply_record(datum, record):
+    """Replay one recorded move: the script of that one record."""
+    return apply_script(datum, (record,))
 
 
 def assert_records_as_checked(script):

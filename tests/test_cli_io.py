@@ -581,3 +581,20 @@ def test_huge_exponents_are_refused_at_once(tmp_path, capsys):
     )
     assert (proc.returncode, proc.stderr) == (
         1, "error: line %d: bad fraction %r\n" % (line, token))
+
+
+def test_zero_denominators_end_as_parse_errors(tmp_path, capsys):
+    # "1/00" has the canonical p/q shape; its Fraction raises, and the line
+    # ends in the general path's ParseError, never in ZeroDivisionError
+    for token in ("1/00", "1/0", "0/0"):
+        text = serialize_datum(rich_datum()).replace("value=1/7", "value=" + token)
+        path = write(tmp_path, "zero.hh", text)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if token in row)
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err == "error: line %d: bad fraction %r\n" % (
+            line, token)
+        script = ("format=halfhandle-script/1\n"
+                  "move kind=rearrange ids=p values=%s note=park\n" % token)
+        with pytest.raises(ParseError) as err:
+            parse_script(script)
+        assert str(err.value) == "line 2: bad fraction %r" % (token,)

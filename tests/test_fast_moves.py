@@ -59,7 +59,6 @@ from halfhandle.moves import (
     MoveRecord,
     _moves_locally,
     _rearrange_run,
-    apply_record,
     assign_values,
     cancel_pair,
     check_assignment,
@@ -78,6 +77,7 @@ from halfhandle.slice_topology import (
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
 from helpers import (
+    apply_record,
     assert_records_as_checked,
     assign_by_replay,
     attach_chain_pair,

@@ -10,8 +10,10 @@ from halfhandle.cli_io import (
     serialize_script,
 )
 from halfhandle.morse_data import validate_datum
-from halfhandle.moves import apply_record, apply_script
+from halfhandle.moves import apply_script
 from halfhandle.normal_form import global_split, verify_decomposition
+
+from helpers import apply_record
 
 FIX = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

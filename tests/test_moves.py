@@ -26,7 +26,6 @@ from halfhandle.errors import (
 from halfhandle.morse_data import Flags, Kind, validate_datum
 from halfhandle.moves import (
     MoveRecord,
-    apply_record,
     apply_script,
     assign_values,
     cancel_pair,
@@ -38,6 +37,7 @@ from halfhandle.slice_topology import EffectKind
 from halfhandle.trajectory import Locus, TrajectoryGraph, broken_closure
 
 from helpers import (
+    apply_record,
     attach_chain_pair,
     birth_merge_pair,
     comp,

@@ -1,25 +1,33 @@
 """The one-pass parsers against the token-by-token reference.
 
-``parse_datum`` and ``parse_script`` read each line in one pass and leave
-the record checks to ``MoveRecord``; ``parse_datum_by_reference`` and
+``parse_datum`` and ``parse_script`` build a canonical line from one
+pattern match and read any other line in one pass, leaving the record
+checks to ``MoveRecord``; ``parse_datum_by_reference`` and
 ``parse_script_by_reference`` (in ``helpers``) are the parsers as they were
 before, each token through ``split_directive`` and ``need``.  On the
 fixtures, on small pieces of the benchmark corpus and on their normal form
-scripts, with one token of one line mutated, the two must return equal
-objects or raise the same ParseError, message and line alike.
+scripts, with one token of one line mutated or one separator changed, the
+two must return equal objects or raise the same ParseError, message and
+line alike.
 """
 
 import pathlib
+import sys
 from fractions import Fraction
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from halfhandle import cli_io
 from halfhandle.cli_io import parse_datum, parse_script, serialize_script
 from halfhandle.errors import ParseError
 from halfhandle.normal_form import global_split
 
-from helpers import parse_datum_by_reference, parse_script_by_reference
+from helpers import (
+    assert_records_as_checked,
+    parse_datum_by_reference,
+    parse_script_by_reference,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HEADER = "format=halfhandle-datum/1\n"
@@ -40,16 +48,22 @@ SCRIPTS = [p.read_text() for p in sorted((ROOT / "fixtures").glob("*.script"))]
 SCRIPTS += [serialize_script(global_split(parse_datum(t))[2]) for t in PIECES]
 SCRIPTS = [text for text in SCRIPTS if text.count("\n") > 1]  # with a move
 
+LIMIT = sys.get_int_max_str_digits() or 4300  # 0: no limit, still long
 FRACTIONS = (
     "1/3", "2/3", "0", "1", "3/2", "-1/2", "1/0", "0/5", "2/4", "1/2/3", "abc",
     "", "0.5", "1e-3", "1e-30000000", "1e400000", "1_0/30", "١/٢",
     "nan", "inf", "1/" + "9" * 5000, " 1/3",
+    "1/00", "00/1", "01/3", "0/0",  # zeros the p/q digits may hold
+    # a numerator and a denominator at and one past the int digit limit
+    "1" * LIMIT + "/" + "9" * LIMIT, "1" * (LIMIT + 1) + "/" + "9" * LIMIT,
+    "1/" + "9" * LIMIT, "1/" + "9" * (LIMIT + 1),
 )
 IDS = ("p", "q1", "a-b", "", "é", "x,y", "x,x", "x,y,z", "-", "c0:true", "u00_p1")
 WORDS = (
     "rearrange", "cancel", "split", "bogus", "-", "?", "true", "false", "interior",
     "boundary_stable", "wall", "boundary", "merge", "birth", "c1:true", "c1:maybe",
     "c1,c2", "c1,c1", "c1", "7", "-1", "x",
+    "a\x1fb", "a\xa0b",  # whitespace to str.split, not to an ASCII \S
 )
 DIRECTIVES = ("point", "edge", "effect", "component", "move", "bogus", "m=4", "n=0")
 
@@ -66,7 +80,11 @@ def mutated_text(draw, texts):
     key, eq, _ = tokens[at].partition("=")
     way = draw(st.sampled_from([
         "drop", "repeat", "no_equals", "fraction", "id", "word", "ids", "values",
-        "stray", "directive"]))
+        "stray", "directive"] + ["tab", "double_space", "swap"] * (len(tokens) > 2)))
+    if way in ("tab", "double_space", "swap"):  # the tokens as they are
+        lines[num] = off_shape(tokens, way, max(at, 1 + (way == "swap")))
+        event(way)
+        return "\n".join(lines)
     if way == "drop":
         del tokens[at]
     elif way == "repeat":  # the key again, with its value or another one
@@ -89,6 +107,27 @@ def mutated_text(draw, texts):
     event(way)
     lines[num] = " ".join(tokens)
     return "\n".join(lines)
+
+
+def off_shape(tokens, way, at):
+    """The line of ``tokens`` with the separator before token ``at`` (from
+    1) a tab or two spaces, or with the keys at ``at`` and the one before it
+    swapped (from 2)."""
+    tokens = list(tokens)
+    if way == "swap":
+        tokens[at - 1], tokens[at] = tokens[at], tokens[at - 1]
+        return " ".join(tokens)
+    sep = "\t" if way == "tab" else "  "
+    return " ".join(tokens[:at]) + sep + " ".join(tokens[at:])
+
+
+SHAPES = (cli_io._MOVE_LINE, cli_io._POINT_LINE, cli_io._EFFECT_LINE,
+          cli_io._EDGE_LINE, cli_io._COMPONENT_LINE)
+
+
+def canonical(line):
+    """Whether ``line`` has a shape the parsers build from one match."""
+    return any(pattern.fullmatch(line) for pattern in SHAPES)
 
 
 def outcome(parse, text):
@@ -121,10 +160,60 @@ def test_the_reference_parses_every_base_text_as_the_parsers_do():
         assert check_against_reference(
             parse_script, parse_script_by_reference, text) == "parsed"
         assert all(type(v) is Fraction for r in parse_script(text) for v in r.values)
+    # the base texts take the fast path: every body line of a datum, and
+    # every one-point rearrange of a script, has a canonical shape
+    for text in DATA:
+        body = [line for line in text.splitlines()[1:] if " " in line]
+        assert body and all(canonical(line) for line in body)
+    moves = [line for text in SCRIPTS for line in text.splitlines()
+             if "kind=rearrange" in line and "," not in line]
+    assert moves and all(canonical(line) for line in moves)
+
+
+def test_parsed_records_pass_the_checking_constructor_and_roundtrip():
+    for text in SCRIPTS:
+        records = parse_script(text)
+        assert_records_as_checked(records)
+        assert serialize_script(records) == text
+
+
+def test_lines_off_the_canonical_shape_miss_the_fast_path_and_parse_alike():
+    # a tab, a doubled space or two swapped tokens on each line with a key
+    # after its directive; the general path reads the line as the reference
+    cases = [(text, parse_datum, parse_datum_by_reference) for text in DATA]
+    cases += [(text, parse_script, parse_script_by_reference) for text in SCRIPTS]
+    seen = 0
+    for text, parse, reference in cases:
+        lines = text.split("\n")
+        for num, line in enumerate(lines):
+            tokens = line.split()
+            if len(tokens) < 3:
+                continue
+            for way, at in (("tab", 1), ("double_space", len(tokens) - 1),
+                            ("swap", 2), ("swap", len(tokens) - 1)):
+                changed = off_shape(tokens, way, at)
+                assert not canonical(changed), changed
+                mutated = "\n".join(lines[:num] + [changed] + lines[num + 1:])
+                assert check_against_reference(parse, reference, mutated) == "parsed"
+                seen += 1
+    assert seen > 400
+
+
+DATUM = HEADER + "m=4\nn=2\n%s\n"
 
 
 @settings(max_examples=400, deadline=None)
 @given(mutated_text(DATA))
+# canonical lines whose conversion or constructor refuses them
+@example(DATUM % "point id=p kind=interior index=1 value=3/2")
+@example(DATUM % "point id=p kind=interior index=1 value=1/00")
+@example(DATUM % "point id=p kind=sideways index=1 value=1/2")
+@example(DATUM % ("point id=p kind=interior index=%s value=1/2" % ("1" * (LIMIT + 1))))
+@example(DATUM % "edge src=p dst=p count=1 locus=interior")
+@example(DATUM % "edge src=p dst=q count=0 locus=interior")
+@example(DATUM % "edge src=p dst=q count=1 locus=nowhere")
+@example(DATUM % "effect at=p kind=merge inputs=c,c outputs=d:true")
+@example(DATUM % "effect at=p kind=merge inputs=c outputs=d:true,d:false")
 def test_datum_parser_matches_the_reference_on_mutated_lines(text):
     event(check_against_reference(parse_datum, parse_datum_by_reference, text))
 
@@ -140,5 +229,8 @@ SCRIPT = "format=halfhandle-script/1\nmove kind=%s ids=%s values=%s note=-\n"
 @example(SCRIPT % ("rearrange", "p,q", "1/2"))
 @example(SCRIPT % ("rearrange", "p", "1e-30000000"))  # huge exponent
 @example(SCRIPT % ("rearrange", "p,p", "1/2,1/3"))
+@example(SCRIPT % ("rearrange", "p", "1/00"))  # matches, then 1/0 falls back
+@example(SCRIPT % ("rearrange", "p", "1" * (LIMIT + 1) + "/3"))
+@example(SCRIPT.replace("note=-", "note=a\x1fb") % ("rearrange", "p", "1/2"))
 def test_script_parser_matches_the_reference_on_mutated_lines(text):
     event(check_against_reference(parse_script, parse_script_by_reference, text))

@@ -18,14 +18,16 @@ def test_scale_script_reports_both_pools_at_160_points():
     header, *rows = proc.stdout.splitlines()
     assert header.split() == [
         "pool", "P", "splits", "moves", "global_split_s", "apply_script_s",
-        "replay_text_s", "growth"]
+        "replay_text_s", "parse_text_s", "growth"]
     assert [row.split()[:2] for row in rows] == [
         ["split_deep", "80"], ["split_deep", "160"],
         ["split_codim1", "80"], ["split_codim1", "160"]]
     for row in rows:
-        splits, moves, split_s, replay_s, text_s, growth = row.split()[2:]
+        splits, moves, split_s, replay_s, text_s, parse_s, growth = row.split()[2:]
         assert int(splits) > 0 and int(moves) > int(splits)
         assert float(split_s) > 0 and float(replay_s) > 0 and float(text_s) > 0
+        # each run's parse is part of its text replay, so their medians order alike
+        assert 0 < float(parse_s) <= float(text_s)
         if row.split()[1] == "80":  # the first size of its pool
             assert growth == "-"
         else:  # the three times over those of the row above

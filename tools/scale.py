@@ -9,7 +9,9 @@ runs:
 * ``apply_script`` of the script it returned, onto another fresh union;
 * the text replay the benchmark's ``replay_mid_s`` times: the union and
   the script are serialized (untimed), then both texts are parsed and the
-  script applied.
+  script applied;
+* the parse within that replay: ``parse_datum`` and ``parse_script`` on
+  the two texts.
 
 Standard library only.  Run from the root of a source checkout::
 
@@ -50,8 +52,9 @@ def union_of(pieces, points):
 
 def measure(pieces, points):
     """(points, splits, moves, global_split seconds, apply_script seconds,
-    text replay seconds), the times the medians of ``RUNS`` runs."""
-    split_s, replay_s, text_s = [], [], []
+    text replay seconds, text parse seconds), the times the medians of
+    ``RUNS`` runs."""
+    split_s, replay_s, text_s, parse_s = [], [], [], []
     for _ in range(RUNS):
         datum = union_of(pieces, points)
         start = perf_counter()
@@ -63,15 +66,17 @@ def measure(pieces, points):
         replay_s.append(perf_counter() - start)
         texts = cli_io.serialize_datum(again), cli_io.serialize_script(script)
         start = perf_counter()
-        from_text = moves.apply_script(
-            cli_io.parse_datum(texts[0]), cli_io.parse_script(texts[1]))
+        parsed = cli_io.parse_datum(texts[0]), cli_io.parse_script(texts[1])
+        parse_s.append(perf_counter() - start)
+        from_text = moves.apply_script(*parsed)
         text_s.append(perf_counter() - start)
         want = cli_io.serialize_datum(out)
         if any(cli_io.serialize_datum(d) != want for d in (replayed, from_text)):
             raise SystemExit("replaying the script does not give the normal form")
     splits = sum(1 for r in script if r.kind == "split")
     return (len(datum.points), splits, len(script), statistics.median(split_s),
-            statistics.median(replay_s), statistics.median(text_s))
+            statistics.median(replay_s), statistics.median(text_s),
+            statistics.median(parse_s))
 
 
 def main(argv=None):
@@ -79,9 +84,9 @@ def main(argv=None):
     parser.add_argument("--points", type=int, nargs="+", default=[320, 1280, 5120])
     args = parser.parse_args(argv)
     texts, _ = load_corpus()
-    print("%-13s %6s %6s %6s %14s %14s %14s %18s" % (
+    print("%-13s %6s %6s %6s %14s %14s %14s %14s %18s" % (
         "pool", "P", "splits", "moves", "global_split_s", "apply_script_s",
-        "replay_text_s", "growth"))
+        "replay_text_s", "parse_text_s", "growth"))
     for pool in POOLS:
         pieces = [cli_io.parse_datum(t) for t in texts[pool]]
         before = None
@@ -89,7 +94,7 @@ def main(argv=None):
             row = measure(pieces, points)
             growth = "-" if before is None else "/".join(
                 "%.1fx" % (row[i] / before[i]) for i in (3, 4, 5))
-            print("%-13s %6d %6d %6d %14.3f %14.3f %14.3f %18s"
+            print("%-13s %6d %6d %6d %14.3f %14.3f %14.3f %14.3f %18s"
                   % ((pool,) + row + (growth,)), flush=True)
             before = row
     return 0
