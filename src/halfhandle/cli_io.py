@@ -52,6 +52,7 @@ from .morse_data import (
     Kind,
     MorseDatum,
     dimension_profile,
+    first_inversion,
     is_admissible,
     require_valid,
     validate_datum,
@@ -525,55 +526,80 @@ def generate(spec: GeneratorSpec) -> MorseDatum:
     raise InfeasibleSpec("no datum found for this spec (%s)" % (last,))
 
 
-def _edge_src_rank(p: CriticalPoint, n: int) -> int:
+def _edge_rank(p: CriticalPoint, n: int, offset: int) -> int:
+    # the rank a flow line's end counts at: an interior point of index 1..n
+    # sends as late as its index's unstable cell (offset 3) and receives as
+    # early as its stable cell (offset 1)
     if p.kind is Kind.INTERIOR and 1 <= p.index <= n:
-        return 3 * p.index + 3
-    return scheduled_rank(p.kind, p.index)
-
-
-def _edge_dst_rank(p: CriticalPoint, n: int) -> int:
-    if p.kind is Kind.INTERIOR and 1 <= p.index <= n:
-        return 3 * p.index + 1
+        return 3 * p.index + offset
     return scheduled_rank(p.kind, p.index)
 
 
 def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
     n = ambient.n
     P = spec.points
-    fc, fb, ft = (
-        spec.no_closed_cobordism,
-        spec.no_closed_bottom,
-        spec.no_closed_top,
-    )
+    fc, fb, ft = spec.no_closed_cobordism, spec.no_closed_bottom, spec.no_closed_top
+    born = "connect" if fc else "close"  # what a new closed sphere owes
+    I, S, U = Kind.INTERIOR, Kind.BOUNDARY_STABLE, Kind.BOUNDARY_UNSTABLE
+    E = EffectKind
 
     bits: Dict[str, bool] = {}
     prs: Dict[str, int] = {}
     producer: Dict[str, Optional[str]] = {}
-    counter = [0]
+    live: set = set()
+    pending: Dict[str, str] = {}  # closed component -> "connect" | "close"
+    edges: List[FlowEdge] = []
 
     def new_comp(touch: bool, pr: int, made_by: Optional[str]) -> SliceComponent:
-        cid = "c%d" % counter[0]
-        counter[0] += 1
+        cid = "c%d" % len(bits)
         bits[cid] = touch
         prs[cid] = pr
         producer[cid] = made_by
+        live.add(cid)
         return SliceComponent(cid, touch)
 
-    live: set = set()
-    pending: Dict[str, str] = {}  # closed component -> "connect" | "close"
+    def below(pool: List[str], rank: int) -> List[str]:
+        return [c for c in pool if prs[c] <= rank]
+
+    def effect(kind, inputs, outputs, mode=None, swap=False) -> ComponentEffect:
+        # the current point ``pid`` consumes ``inputs`` and makes one
+        # component per (wall bit, rank) of ``outputs``, the last owing
+        # ``mode``; ``swap`` draws the order of the pair among the inputs or
+        # the outputs; a settled pending input gets a flow line from its maker
+        outs = [new_comp(touch, pr, pid) for touch, pr in outputs]
+        if mode is not None:
+            pending[outs[-1].id] = mode
+        if swap and rng.random() >= 0.5:
+            inputs, outs = inputs[::-1], outs[::-1]
+        for cid in inputs:
+            live.discard(cid)
+            if pending.pop(cid, None) and producer[cid] is not None:
+                count = 1 if kind is E.MERGE else None
+                edges.append(FlowEdge(producer[cid], pid, count, Locus.INNER))
+        return ComponentEffect(pid, kind, tuple(inputs), tuple(outs))
+
+    # merges: the touching input is the witness later splits route by, so
+    # the merged component touches too
+    def merge(others: List[str], witnesses: List[str]) -> ComponentEffect:
+        other = rng.choice(others)
+        witness = rng.choice([c for c in witnesses if c != other])
+        return effect(E.MERGE, (witness, other), [(True, 6)], swap=True)
+
+    # stable attaches; a second output only at index n
+    def stable(pool: List[str], k: int) -> ComponentEffect:
+        cid = rng.choice(pool)
+        two = k == n and rng.random() < 0.3
+        return effect(E.BOUNDARY_ATTACH, (cid,), [(True, 3 * k + 1)] * (1 + two))
 
     bottom: List[SliceComponent] = []
     for b in range(rng.randint(1, 3)):
         touch = True if (fb or b == 0) else rng.random() < 0.6
-        comp = new_comp(touch, 0, None)
-        bottom.append(comp)
-        live.add(comp.id)
+        bottom.append(new_comp(touch, 0, None))
         if not touch:
-            pending[comp.id] = "connect" if fc else "close"
+            pending[bottom[-1].id] = born
 
     points: List[CriticalPoint] = []
     effects: List[ComponentEffect] = []
-    edges: List[FlowEdge] = []
     denom = 8 * P + 8
     nums = sorted(rng.sample(range(1, denom), P)) if P else []
     width = max(2, len(str(max(P - 1, 1))))
@@ -583,226 +609,97 @@ def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
 
     for i in range(P):
         pid = "p%0*d" % (width, i)
-        value = Fraction(nums[i], denom)
-        remaining = P - i - 1
         connects = sorted(c for c, mode in pending.items() if mode == "connect")
         closes = sorted(c for c, mode in pending.items() if mode == "close")
         touchers = sorted(c for c in live if bits[c])
-        options = []
+        # a leftover closed component wants more sheds and fewer retirements
+        shed_weight = 5 if (want_leftover and not closes) else 2
+        retire_weight = 1 if want_leftover and len(closes) == 1 else 3
+        keep_or_shed = ((3, 0, None), (shed_weight, 1, "close"))
 
-        def feasible(d_connect: int, d_close: int, rank: int) -> bool:
-            nc = len(connects) + d_connect
-            ncl = len(closes) + d_close
-            need = nc + (ncl if ft else 0)
-            if need > remaining:
-                return False
-            if nc and rank > max_connect_rank:
-                return False
-            return True
+        # one row (kind, index, weight, d_connect, d_close, build) per
+        # option; the builds run after the table is made, so each binds
+        # its loop variables as default arguments.  First the birth of a
+        # closed sphere
+        rows = [(I, 0, 3, int(fc), int(not fc),
+                 lambda: effect(E.BIRTH, (), [(False, 3)], born))]
 
-        def add(kind, index, weight, d_connect, d_close, build):
-            rank = scheduled_rank(kind, index)
-            if rank < last_rank or weight <= 0:
-                return
-            if not feasible(d_connect, d_close, rank):
-                return
-            options.append((weight, rank, kind, index, build))
-
-        def mandatory_edge(item: str, closer: str, merge: bool):
-            src = producer[item]
-            if src is not None:
-                edges.append(
-                    FlowEdge(src, closer, 1 if merge else None, Locus.INNER)
-                )
-
-        # birth of a closed sphere
-        def build_birth():
-            comp = new_comp(False, 3, pid)
-            live.add(comp.id)
-            pending[comp.id] = "connect" if fc else "close"
-            return ComponentEffect(pid, EffectKind.BIRTH, (), (comp,))
-
-        add(
-            Kind.INTERIOR,
-            0,
-            3,
-            1 if fc else 0,
-            0 if fc else 1,
-            build_birth,
-        )
-
-        # merges: the touching input is the witness later splits route by
-        witness_pool = [c for c in touchers if prs[c] <= 6]
-        plain_others = [c for c in touchers if prs[c] <= 4]
-        closed_others = [c for c in closes if prs[c] <= 4]
-
-        def build_merge(other_pool):
-            def build():
-                other = rng.choice(other_pool)
-                witness = rng.choice([c for c in witness_pool if c != other])
-                touch = bits[witness] or bits[other]
-                out = new_comp(touch, 6, pid)
-                inputs = (witness, other) if rng.random() < 0.5 else (other, witness)
-                live.discard(witness)
-                live.discard(other)
-                live.add(out.id)
-                if other in pending:
-                    del pending[other]
-                    mandatory_edge(other, pid, merge=True)
-                return ComponentEffect(pid, EffectKind.MERGE, inputs, (out,))
-
-            return build
-
-        if witness_pool and connects:
-            add(Kind.INTERIOR, 1, 6, -1, 0, build_merge(connects))
-        if witness_pool and closed_others:
-            add(Kind.INTERIOR, 1, 3, 0, -1, build_merge(closed_others))
-        if plain_others and len(witness_pool) >= 2:
-            # plain_others all touch, so they sit inside witness_pool too
-            add(Kind.INTERIOR, 1, 3, 0, 0, build_merge(plain_others))
+        # merges with a connecting, a closing or a touching other input
+        witnesses = below(touchers, 6)
+        for others, weight, d_connect, d_close, enough in (
+            (connects, 6, -1, 0, witnesses),
+            (below(closes, 4), 3, 0, -1, witnesses),
+            # these others all touch, so they sit among the witnesses too
+            (below(touchers, 4), 3, 0, 0, len(witnesses) >= 2),
+        ):
+            if others and enough:
+                rows.append((I, 1, weight, d_connect, d_close,
+                             lambda others=others: merge(others, witnesses)))
 
         # internal surgeries on a wall component
         for k in range(1, n + 1):
-            pool = [c for c in touchers if prs[c] <= 3 * k + 1]
-            if not pool:
-                continue
-
-            def build_internal(pool=pool, k=k):
-                cid = rng.choice(pool)
-                out = new_comp(True, 3 * k + 3, pid)
-                live.discard(cid)
-                live.add(out.id)
-                return ComponentEffect(pid, EffectKind.INTERNAL, (cid,), (out,))
-
-            add(Kind.INTERIOR, k, 4, 0, 0, build_internal)
+            pool = below(touchers, 3 * k + 1)
+            if pool:
+                rows.append((I, k, 4, 0, 0, lambda pool=pool, k=k: effect(
+                    E.INTERNAL, (rng.choice(pool),), [(True, 3 * k + 3)])))
 
         # split at top interior index, optionally shedding a closed piece
-        split_pool = [c for c in touchers if prs[c] <= 3 * n + 1]
-        if split_pool:
-
-            def build_split(shed: bool):
-                def build():
-                    cid = rng.choice(split_pool)
-                    first = new_comp(True, 3 * n + 3, pid)
-                    second = new_comp(not shed, 3 * n + 3, pid)
-                    live.discard(cid)
-                    live.add(first.id)
-                    live.add(second.id)
-                    if shed:
-                        pending[second.id] = "close"
-                    outs = (first, second) if rng.random() < 0.5 else (second, first)
-                    return ComponentEffect(pid, EffectKind.SPLIT, (cid,), outs)
-
-                return build
-
-            add(Kind.INTERIOR, n, 3, 0, 0, build_split(False))
-            shed_weight = 5 if (want_leftover and not closes) else 2
-            add(Kind.INTERIOR, n, shed_weight, 0, 1, build_split(True))
+        splittable = below(touchers, 3 * n + 1)
+        for weight, d_close, mode in keep_or_shed if splittable else ():
+            rows.append((I, n, weight, 0, d_close, lambda mode=mode: effect(
+                E.SPLIT, (rng.choice(splittable),),
+                [(True, 3 * n + 3), (mode is None, 3 * n + 3)], mode, swap=True)))
 
         # death of a closed component whose family already meets the wall
         if closes:
+            rows.append((I, n + 1, retire_weight, 0, -1,
+                         lambda: effect(E.DEATH, (rng.choice(closes),), [])))
 
-            def build_death():
-                cid = rng.choice(closes)
-                live.discard(cid)
-                del pending[cid]
-                mandatory_edge(cid, pid, merge=False)
-                return ComponentEffect(pid, EffectKind.DEATH, (cid,), ())
+        # stable attaches; the absorbing forms retire closed components
+        for k in range(1, n + 2) if spec.allow_boundary else ():
+            for pool, weight, d_connect, d_close in (
+                (connects, 5, -1, 0),
+                (closes, retire_weight, 0, -1),
+                (touchers, 2, 0, 0),
+            ):
+                pool = below(pool, 3 * k + 1)
+                if pool:
+                    rows.append((S, k, weight, d_connect, d_close,
+                                 lambda pool=pool, k=k: stable(pool, k)))
 
-            death_weight = 1 if want_leftover and len(closes) == 1 else 3
-            add(Kind.INTERIOR, n + 1, death_weight, 0, -1, build_death)
+        # unstable attaches; a release sheds a wall component inward
+        for k in range(0, n + 1) if spec.allow_boundary else ():
+            pool = below(touchers, 3 * k + 3)
+            for weight, d_close, mode in keep_or_shed if pool else ():
+                rows.append((U, k, weight, 0, d_close,
+                             lambda pool=pool, k=k, mode=mode: effect(
+                                 E.BOUNDARY_ATTACH, (rng.choice(pool),),
+                                 [(mode is None, 3 * k + 3)], mode)))
+            if k == 1 and len(pool) >= 2:
+                rows.append((U, 1, 2, 0, 0, lambda pool=pool: effect(
+                    E.BOUNDARY_ATTACH, tuple(rng.sample(pool, 2)), [(True, 6)])))
 
-        if spec.allow_boundary:
-            # stable attaches; the absorbing forms retire closed components
-            for k in range(1, n + 2):
-
-                def build_bs(pool, is_pending, k=k):
-                    def build():
-                        cid = rng.choice(pool)
-                        two = k == n and rng.random() < 0.3
-                        outs = tuple(
-                            new_comp(True, 3 * k + 1, pid)
-                            for _ in range(2 if two else 1)
-                        )
-                        live.discard(cid)
-                        for c in outs:
-                            live.add(c.id)
-                        if is_pending:
-                            del pending[cid]
-                            mandatory_edge(cid, pid, merge=False)
-                        return ComponentEffect(
-                            pid, EffectKind.BOUNDARY_ATTACH, (cid,), outs
-                        )
-
-                    return build
-
-                conn_pool = [c for c in connects if prs[c] <= 3 * k + 1]
-                if conn_pool:
-                    add(
-                        Kind.BOUNDARY_STABLE, k, 5, -1, 0, build_bs(conn_pool, True)
-                    )
-                close_pool = [c for c in closes if prs[c] <= 3 * k + 1]
-                if close_pool:
-                    bs_close_weight = 1 if want_leftover and len(closes) == 1 else 3
-                    add(
-                        Kind.BOUNDARY_STABLE,
-                        k,
-                        bs_close_weight,
-                        0,
-                        -1,
-                        build_bs(close_pool, True),
-                    )
-                plain_pool = [c for c in touchers if prs[c] <= 3 * k + 1]
-                if plain_pool:
-                    add(
-                        Kind.BOUNDARY_STABLE, k, 2, 0, 0, build_bs(plain_pool, False)
-                    )
-
-            # unstable attaches; a release sheds a wall component inward
-            for k in range(0, n + 1):
-                pool = [c for c in touchers if prs[c] <= 3 * k + 3]
-                if not pool:
-                    continue
-
-                def build_bu(two: bool, release: bool, pool=pool, k=k):
-                    def build():
-                        if two:
-                            ins = tuple(rng.sample(pool, 2))
-                        else:
-                            ins = (rng.choice(pool),)
-                        out = new_comp(not release, 3 * k + 3, pid)
-                        for cid in ins:
-                            live.discard(cid)
-                        live.add(out.id)
-                        if release:
-                            pending[out.id] = "close"
-                        return ComponentEffect(
-                            pid, EffectKind.BOUNDARY_ATTACH, ins, (out,)
-                        )
-
-                    return build
-
-                add(Kind.BOUNDARY_UNSTABLE, k, 3, 0, 0, build_bu(False, False))
-                rel_weight = 5 if (want_leftover and not closes) else 2
-                add(Kind.BOUNDARY_UNSTABLE, k, rel_weight, 0, 1, build_bu(False, True))
-                if k == 1 and len(pool) >= 2:
-                    add(Kind.BOUNDARY_UNSTABLE, 1, 2, 0, 0, build_bu(True, False))
-
+        options = []
+        for kind, index, weight, d_connect, d_close, build in rows:
+            rank = scheduled_rank(kind, index)
+            nc = len(connects) + d_connect
+            need = nc + (len(closes) + d_close if ft else 0)
+            if rank < last_rank or need > P - i - 1:
+                continue
+            if not (nc and rank > max_connect_rank):
+                options.append((weight, rank, kind, index, build))
         if not options:
             raise _Restart("walk has no legal continuation at point %d" % i)
-        total = sum(w for w, _, _, _, _ in options)
-        pick = rng.random() * total
-        for w, rank, kind, index, build in options:
-            pick -= w
+        pick = rng.random() * sum(option[0] for option in options)
+        for weight, rank, kind, index, build in options:
+            pick -= weight
             if pick <= 0:
                 break
         effects.append(build())
-        points.append(CriticalPoint(pid, kind, index, value))
+        points.append(CriticalPoint(pid, kind, index, Fraction(nums[i], denom)))
         last_rank = rank
 
-    if want_leftover and not any(
-        mode == "close" for mode in pending.values()
-    ):
+    if want_leftover and "close" not in pending.values():
         raise _Restart("no closed component survived to the top")
 
     # sprinkle extra flow edges wherever genericity allows them
@@ -813,7 +710,7 @@ def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
                 continue
             if generic_disjoint(z, w, ambient):
                 continue
-            if _edge_src_rank(z, n) > _edge_dst_rank(w, n):
+            if _edge_rank(z, n, 3) > _edge_rank(w, n, 1):
                 continue
             if rng.random() >= spec.edge_probability:
                 continue
@@ -824,11 +721,8 @@ def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
                 menu.append(Locus.INNER)
             if z.kind.is_boundary and w.kind.is_boundary:
                 menu.append(Locus.WALL)
-            edges.append(
-                FlowEdge(
-                    z.id, w.id, rng.choice([None, 1, 2]), rng.choice(menu)
-                )
-            )
+            count = rng.choice([None, 1, 2])
+            edges.append(FlowEdge(z.id, w.id, count, rng.choice(menu)))
             existing.add((z.id, w.id))
 
     return MorseDatum(
@@ -873,11 +767,8 @@ def brute_force_reachability(
     if datum.ambient.codim >= 2:
         if not is_admissible(datum.points, want):
             return False
-    else:
-        for z in datum.points:
-            for w in datum.points:
-                if z.index < w.index and not (want[z.id] < want[w.id]):
-                    return False
+    elif first_inversion(datum.points, want) is not None:
+        return False
 
     goal = tuple(want[pid] for pid in ids)
     if check_assignment(datum, dict(zip(ids, goal))) is not None:
@@ -1029,6 +920,8 @@ def _cmd_oracle(args) -> int:
         pid, _, val = item.partition("=")
         if not val:
             raise ParseError("expected id=value, got %r" % (item,))
+        if pid in targets:
+            raise ParseError("repeated target %r" % (pid,))
         targets[pid] = _fraction(val)
     reachable = brute_force_reachability(datum, targets, bound=args.bound)
     print("reachable" if reachable else "unreachable")
@@ -1104,13 +997,11 @@ def main(argv=None) -> int:
     except MoveError as exc:
         print("move refused: %s" % (exc,), file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        for issue in getattr(exc, "issues", None) or []:
-            print("  " + issue, file=sys.stderr)
-        return 1
     except EngineError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
+        issues = getattr(exc, "issues", [])  # a bare ValidationError lists itself
+        for issue in issues if issues != [str(exc)] else ():
+            print("  " + issue, file=sys.stderr)
         return 1
 
 

@@ -7,6 +7,7 @@ digests of the split workloads are pinned in ``perfbench/BASELINE.json``;
 the driver's output must keep them byte for byte.
 """
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -54,3 +55,15 @@ def test_split_workloads_keep_their_seed_1_output_digests(monkeypatch):
         workloads.build(name, texts, planted, 1).step(rec)
         assert (rec.attempted, rec.failed, rec.problems) == (1, 0, []), name
         assert rec.digest.hexdigest() == pinned[name], name
+
+
+def test_make_corpus_rebuilds_every_pinned_corpus_file(monkeypatch):
+    # the corpus is frozen bytes made by the generator and the hand-built
+    # planted pairs: a generator rewrite must rebuild every file exactly
+    monkeypatch.setattr(sys, "path", list(sys.path))  # make_corpus prepends src/
+    blobs = load("make_corpus").build()
+    sums = (PERFBENCH / "corpus" / "SHA256SUMS").read_text().split("\n")
+    pinned = dict(reversed(line.split("  ")) for line in sums if line)
+    assert set(blobs) == set(pinned)
+    for name, text in blobs.items():
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned[name], name
