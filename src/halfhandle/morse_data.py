@@ -274,19 +274,24 @@ def is_admissible(
     values; it must cover every point, each value below 2**1024 in size
     (they are compared by their ``order_key``s).
     """
-    vals = {}
+    keys = {}
     for p in points:
         if values is None:
-            vals[p.id] = p.sort_key()[:2]
+            keys[p.id] = p.sort_key()[:2]
         elif p.id in values:
-            vals[p.id] = order_key(exact(values[p.id]))
+            keys[p.id] = order_key(exact(values[p.id]))
         else:
             raise PartialConfiguration("no target value for point %r" % (p.id,))
-    if first_inversion(points, vals) is not None:
+    return admissible_keys(points, keys)
+
+
+def admissible_keys(points: Sequence[CriticalPoint], keys: Mapping[str, tuple]) -> bool:
+    """``is_admissible`` judged on every point's ``order_key`` in ``keys``."""
+    if first_inversion(points, keys) is not None:
         return False
     # among boundary points, (index, stable before unstable) must be monotone
     boundary = [p for p in points if p.kind.is_boundary]
-    return first_inversion(boundary, vals, _boundary_rank) is None
+    return first_inversion(boundary, keys, _boundary_rank) is None
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,12 @@ theorems: a rearrangement is pinned only by the flow lines and surgery
 dependencies of the points it moves, and a split changes the flow lines
 and the surgery of one point and nothing else.  The target map of
 ``realize_configuration`` is checked the same way, every point moved at
-once.  The drivers and script replay fold runs of rearrangements in one
-pass (``_rearrange_run``): each step puts its keys into the run's one
-overlay and is checked there (``_local_step``), a refused step is taken
-out again, and the points are re-placed once per run.  A moved point is
+once (``_moves_locally``).  The drivers, script replay and
+``assign_values`` fold runs of rearrangements in one pass
+(``_rearrange_run``): the run looks up the datum's indexes once, each
+step puts its keys into the run's one overlay and is checked there,
+inline, a refused step is taken out again, and the points are re-placed
+once per run.  A moved point is
 built from its old one at the checked value, not checked again, and a
 driver's one-point record is built unchecked (``MoveRecord._step``), its
 id from the valid datum.  So is a parsed one-point rearrange line in the
@@ -52,7 +54,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import (
     Blocked,
@@ -78,9 +80,9 @@ from .morse_data import (
     CriticalPoint,
     Kind,
     MorseDatum,
+    admissible_keys,
     exact,
     first_inversion,
-    is_admissible,
     order_key,
     require_valid,
 )
@@ -191,21 +193,18 @@ def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     return None
 
 
-def _moves_locally(
-    datum: MorseDatum, keys: Mapping[str, tuple], ids: Optional[Iterable[str]] = None
-) -> bool:
-    """Whether moving each point of ``ids`` (by default every point of
-    ``keys``) to its (value, id) key in ``keys`` (``order_key``) keeps a
-    valid datum valid, the other points of ``keys`` at their keys there.
+def _moves_locally(datum: MorseDatum, keys: Mapping[str, tuple]) -> bool:
+    """Whether moving each point of ``keys`` to its (value, id) key there
+    (``order_key``), all at once, keeps a valid datum valid.
 
-    Looks only at what touches the points of ``ids``, in O(deg) index
-    lookups each: their flow lines must stay uphill (the (float, value)
-    prefixes of the keys, compared in place), the makers of their inputs
-    must come before them and the users of their outputs after them (the
-    whole keys).  On a valid datum every component id is made once and used
-    at most once, so nothing else pins the replay order.  ``keys`` may hold
-    the moves of earlier steps not yet applied to ``datum``: it is the
-    overlay of ``_rearrange_run`` and ``assign_values``.
+    Looks only at what touches the moved points, in O(deg) index lookups
+    each: their flow lines must stay uphill (the (float, value) prefixes of
+    the keys, compared in place), the makers of their inputs must come
+    before them and the users of their outputs after them (the whole keys).
+    On a valid datum every component id is made once and used at most
+    once, so nothing else pins the replay order.  ``realize_configuration``
+    checks its target map with it; ``_rearrange_run`` checks each step with
+    the same predicate, inline.
     """
     points = datum.point_index
     key = keys.get
@@ -213,8 +212,7 @@ def _moves_locally(
     out_edges, in_edges = edges.out_edges, edges.in_edges
     effects = datum.slices.effect_index
     producer, consumer, _ = datum.slices.component_index
-    for pid in keys if ids is None else ids:
-        at = keys[pid]
+    for pid, at in keys.items():
         f, v = at[0], at[1]
         for e in out_edges.get(pid, ()):
             up = key(e.dst) or points[e.dst].sort_key()
@@ -238,39 +236,6 @@ def _moves_locally(
             if not at < (key(user) or points[user].sort_key()):
                 return False
     return True
-
-
-def _local_step(datum, overlay, ids, values) -> bool:
-    """Put the move of the points ``ids`` to ``values`` (the two in step)
-    into ``overlay``, their (value, id) keys over any earlier ones, and
-    check it there (``_moves_locally``); a move the check refuses is taken
-    out of ``overlay`` again and False returned.
-
-    Raises UnknownId for an id the datum does not have, then MoveError for
-    a value outside (0, 1), checked on ints (denominators are positive);
-    ``overlay`` is not to be used after either.
-    """
-    points = datum.point_index
-    for pid in ids:
-        if pid not in points:
-            raise UnknownId("no critical point with id %r" % (pid,))
-    before = []
-    for pid, v in zip(ids, values):
-        v = exact(v)
-        num, den = v.numerator, v.denominator
-        if not 0 < num < den:
-            raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
-        # re-inserted, so the overlay keeps the order of last moves
-        before.append(overlay.pop(pid, None))
-        overlay[pid] = (num / den, v, pid)  # order_key(v, pid)
-    if _moves_locally(datum, overlay, ids):
-        return True
-    for pid, key in zip(ids, before):
-        if key is None:
-            del overlay[pid]
-        else:
-            overlay[pid] = key
-    return False
 
 
 def _refusal(datum, assignments, targets=False) -> MoveError:
@@ -317,40 +282,94 @@ def assign_values(
     Checks edge order and slice replay, nothing else: points with no flow
     line or surgery dependency between them may pass each other freely.
 
-    Takes valid data only (``require_valid``).  The move is decided by
-    ``_local_step``, which looks at the moved points alone; only they are
-    re-placed, by bisection, and the result stays valid.  A refused move
-    raises the error ``_refusal`` names.
+    Takes valid data only (``require_valid``).  The move is the run of one
+    record (``_rearrange_run``), checked at the moved points alone and in
+    the caller's order: UnknownId for any id first, then MoveError for the
+    first value outside (0, 1).  Only the moved points are re-placed, by
+    bisection, and the result stays valid.  A refused move raises the error
+    ``_refusal(datum, assignments)`` names.
     """
-    require_valid(datum)
-    keys = {}
-    if not _local_step(datum, keys, assignments, assignments.values()):
-        raise _refusal(datum, assignments)
+    step = object.__new__(MoveRecord)  # raw values, made exact as it runs
+    vars(step).update(kind="rearrange", ids=tuple(assignments),
+                      values=tuple(assignments.values()), note=note)
+    out = _rearrange_run(datum, (step,))
     ids = tuple(sorted(assignments))
-    record = MoveRecord(
-        "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note
-    )
-    return datum.with_keys(keys), record
+    return out, MoveRecord(
+        "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note)
 
 
 def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
     """The datum the rearrange records of ``script`` make, one after another:
-    the left fold of ``assign_values`` over them, in one pass.
+    the left fold of single checked moves over them, in one pass.
 
-    Each step puts its keys into one overlay, over those of the steps
-    before it, and is checked there (``_local_step``); the moved points are
-    re-placed once, at the end (``with_keys``), so a run of s steps builds
-    one points tuple, not s, and a step builds no key map of its own.  A
-    step the check refuses is taken out of the overlay again, and the run
-    raises what the fold raises there: ``_refusal`` on the datum the
+    At the first record the run passes the gate (``require_valid``) and
+    looks up the datum's indexes, once.  Each record raises UnknownId for
+    an id the datum does not have, then MoveError for a value outside
+    (0, 1), checked on ints.  It puts its (value, id) keys into the run's
+    one overlay, over those of the steps before it, and each moved point is
+    checked there, inline, by the predicate of ``_moves_locally``; records
+    of any length take this one loop, which builds a one-point record no
+    list, zip or key map.  The moved points are re-placed once, at the end
+    (``with_keys``).  A refused step is taken back out of the overlay, and
+    the run raises what the fold raises: ``_refusal`` on the datum the
     earlier steps made.
     """
-    overlay = {}
+    overlay, undo = {}, {}  # each moved point's key; the key its step replaced
+    key = overlay.get
+
+    def refused(record):
+        for pid in record.ids:
+            if undo[pid] is None:
+                del overlay[pid]
+            else:
+                overlay[pid] = undo[pid]
+        return _refusal(datum.with_keys(overlay), record.assignments())
+
     for record in script:
-        if not overlay:
+        if not overlay:  # the first record
             require_valid(datum)
-        if not _local_step(datum, overlay, record.ids, record.values):
-            raise _refusal(datum.with_keys(overlay), record.assignments())
+            points = datum.point_index
+            edges = datum.graph.edge_index
+            out_edges, in_edges = edges.out_edges, edges.in_edges
+            effects = datum.slices.effect_index
+            producer, consumer, _ = datum.slices.component_index
+        ids, values = record.ids, record.values
+        for pid in ids:
+            if pid not in points:
+                raise UnknownId("no critical point with id %r" % (pid,))
+        i = 0
+        for pid in ids:
+            v = values[i]
+            i += 1
+            if type(v) is not Fraction:  # a raw value of assign_values
+                v = Fraction(v)
+            num, den = v.numerator, v.denominator
+            if not 0 < num < den:
+                raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
+            undo[pid] = key(pid)
+            overlay[pid] = (num / den, v, pid)  # order_key(v, pid)
+        for pid in ids:
+            at = overlay[pid]
+            f, v = at[0], at[1]
+            for e in out_edges.get(pid, ()):
+                up = key(e.dst) or points[e.dst].sort_key()
+                if not (f < up[0] or f == up[0] and v < up[1]):
+                    raise refused(record)
+            for e in in_edges.get(pid, ()):
+                down = key(e.src) or points[e.src].sort_key()
+                if not (down[0] < f or down[0] == f and down[1] < v):
+                    raise refused(record)
+            effect = effects[pid]
+            for cid in effect.inputs:
+                maker = producer[cid]
+                if maker is not None and not (
+                        key(maker) or points[maker].sort_key()) < at:
+                    raise refused(record)
+            for c in effect.outputs:
+                user = consumer.get(c.id)
+                if user is not None and not at < (
+                        key(user) or points[user].sort_key()):
+                    raise refused(record)
     return datum.with_keys(overlay)
 
 
@@ -410,12 +429,12 @@ def realize_configuration(
     lift all points, in their current order, into a band above everything,
     then bring them down to their targets from the bottom up.
 
-    Takes valid data only (``require_valid``).  The targets are checked
-    by ``_moves_locally`` with every point moved at once, in O(deg) per
-    point; a refused target map raises the SwapBlocked ``_refusal`` names
-    by the full replay.  The park and
-    place steps are single-point moves, run as one ``_rearrange_run`` that
-    checks each step in O(deg x) and re-places the points once.
+    Takes valid data only (``require_valid``).  Each target's order key is
+    worked out once, for the admissibility check, the local check and the
+    place order.  The targets are checked by ``_moves_locally`` with every
+    point moved at once, in O(deg) per point; a refused target map raises
+    the SwapBlocked ``_refusal`` names by the full replay.  The park and
+    place steps run as one ``_rearrange_run``, which checks each in O(deg).
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -428,24 +447,25 @@ def realize_configuration(
     for p in datum.points:
         if p.id not in want:
             raise PartialConfiguration("no target value for point %r" % (p.id,))
+    ranks, keys = {}, {}  # order_key(v) and order_key(v, pid), one float each
     for pid, v in want.items():
-        if not (0 < v.numerator < v.denominator):
+        num, den = v.numerator, v.denominator
+        if not 0 < num < den:
             raise Inadmissible("target value %s for %r outside (0,1)" % (v, pid))
+        f = num / den
+        ranks[pid], keys[pid] = (f, v), (f, v, pid)
 
     if datum.ambient.codim >= 2:
-        if not is_admissible(datum.points, want):
+        if not admissible_keys(datum.points, ranks):
             raise Inadmissible("target configuration violates the index order")
     else:
-        inversion = first_inversion(
-            datum.points, {pid: order_key(v) for pid, v in want.items()}
-        )
+        inversion = first_inversion(datum.points, ranks)
         if inversion is not None:
             raise Inadmissible(
                 "codimension one targets must be index monotone "
                 "(%s vs %s)" % (inversion[0].id, inversion[1].id)
             )
 
-    keys = {pid: order_key(v, pid) for pid, v in want.items()}
     if not _moves_locally(datum, keys):
         raise _refusal(datum, want, targets=True)
 
@@ -513,6 +533,8 @@ def cancel_pair(
     """
     require_valid(datum)
     z, w = datum.point(z_id), datum.point(w_id)
+    if z_id == w_id:
+        raise MoveError("cancel_pair wants two distinct points")
     if z.kind is not w.kind:
         raise KindMismatch(
             "cancelling pair must share a kind (%s vs %s)"

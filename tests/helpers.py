@@ -1,8 +1,12 @@
 """Shared builders for hand-made test data, and slow references."""
 
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List
 
+from halfhandle import moves
 from halfhandle.cli_io import (
     DATUM_FORMAT,
     SCRIPT_FORMAT,
@@ -37,12 +41,14 @@ from halfhandle.morse_data import (
     exact,
     first_inversion,
     is_admissible,
+    order_key,
     require_valid,
     validate_datum,
 )
 from halfhandle.moves import (
     MoveRecord,
     _inverse_pattern,
+    _moves_locally,
     _starving_pair,
     apply_script,
     check_assignment,
@@ -189,6 +195,44 @@ def assign_by_replay(datum, assignments):
     return datum.replace(points=new_points)
 
 
+def rearrange_by_steps(datum, script):
+    """The datum the rearrange records of ``script`` make, checked step by
+    step: the reference for ``moves._rearrange_run``, which checks each
+    step inline with the datum's indexes looked up once per run.
+
+    Each step puts its (value, id) keys into one overlay, over those of the
+    steps before it, and the overlay is checked whole by
+    ``_moves_locally``, which looks the indexes up again on every step.  On
+    a valid datum that is the verdict of the step's own points: what does
+    not touch them held after the step before.  The gate, UnknownId for
+    any id of a step, then MoveError for its first value outside (0, 1),
+    and a refusal named by ``moves._refusal`` on the datum the earlier
+    steps made are the run's.
+    """
+    overlay = {}
+    for record in script:
+        if not overlay:
+            require_valid(datum)
+        for pid in record.ids:
+            if not datum.has_point(pid):
+                raise UnknownId("no critical point with id %r" % (pid,))
+        before = {}
+        for pid, v in zip(record.ids, record.values):
+            v = exact(v)
+            if not 0 < v < 1:
+                raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
+            before[pid] = overlay.get(pid)
+            overlay[pid] = order_key(v, pid)
+        if not _moves_locally(datum, overlay):
+            for pid, key in before.items():
+                if key is None:
+                    del overlay[pid]
+                else:
+                    overlay[pid] = key
+            raise moves._refusal(datum.with_keys(overlay), record.assignments())
+    return datum.with_keys(overlay)
+
+
 def realize_by_replay(d, targets):
     """``realize_configuration`` with the whole target map checked by a full
     replay (``check_assignment``): the reference for its local check.
@@ -252,6 +296,8 @@ def cancel_by_rebuild(datum, z_id, w_id):
     for its patch and its local check of the induced flow lines."""
     require_valid(datum)
     z, w = datum.point(z_id), datum.point(w_id)
+    if z_id == w_id:
+        raise MoveError("cancel_pair wants two distinct points")
     if z.kind is not w.kind:
         raise KindMismatch(
             "cancelling pair must share a kind (%s vs %s)"
@@ -618,3 +664,27 @@ def parse_script_by_reference(text: str) -> List[MoveRecord]:
     if not saw_format:
         raise ParseError("missing format=" + SCRIPT_FORMAT)
     return records
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py as a module, compiled from its source so that no
+    bytecode cache is written next to it; the top level of each of its
+    modules defines names and runs nothing else."""
+    path = PERFBENCH / (name + ".py")
+    module = types.ModuleType("perfbench_" + name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+def benchmark_workload(monkeypatch, name, seed):
+    """(the workloads module, the benchmark's workload ``name`` built for
+    ``seed`` from the frozen corpus), by the benchmark's own code."""
+    corpus = perfbench_module("corpus")
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # workloads imports it
+    workloads = perfbench_module("workloads")
+    texts, planted = corpus.load_corpus()
+    return workloads, workloads.build(name, texts, planted, seed)

@@ -524,6 +524,9 @@ def test_cli_cancel_exit_codes(tmp_path, capsys):
 
     assert main(["cancel", src, "w", "z"]) == 2
     assert "move refused" in capsys.readouterr().err
+    assert main(["cancel", src, "z", "z"]) == 2
+    assert capsys.readouterr().err == (
+        "move refused: cancel_pair wants two distinct points\n")
 
 
 def test_cli_split_and_normal_form(tmp_path, capsys):

@@ -11,11 +11,12 @@ or all, that the full replay (``check_assignment``) accepts.
 ``split_interior`` judges a split by the pair alone; every split it
 accepts must be valid by full validation, and it refuses as not joinable
 exactly where ``joinable_to_wall`` says so.
-A run of rearrangements (``_rearrange_run``) must be the fold of
-``assign_values`` over its steps, a run of splits (``_split_run``) the fold
-of ``split_interior`` over its points, with the same records, and the
-indexes a split result builds on first use must be those a fresh build
-gives.
+A run of rearrangements (``_rearrange_run``) checks each step inline; it
+must do what ``rearrange_by_steps`` (in ``helpers``), which checks every
+step with ``_moves_locally``, does, and be the fold of ``assign_values``
+over its steps with the same records.  A run of splits (``_split_run``)
+must be the fold of ``split_interior`` over its points, and the indexes a
+split result builds on first use must be those a fresh build gives.
 ``cancel_pair`` patches its result and checks only the flow lines it
 induces; it must agree with ``cancel_by_rebuild``, which rebuilds the
 result and validates it whole.
@@ -32,6 +33,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -40,12 +42,14 @@ from hypothesis import strategies as st
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
 from halfhandle.cli_io import GeneratorSpec, generate, parse_datum, serialize_datum
 from halfhandle.errors import (
+    EdgeOrderViolation,
     EngineError,
     InfeasibleSpec,
     InvalidEffect,
     MoveError,
     NotJoinable,
     SwapBlocked,
+    UnknownId,
     ValidationError,
 )
 from halfhandle.morse_data import (
@@ -81,6 +85,7 @@ from helpers import (
     assert_records_as_checked,
     assign_by_replay,
     attach_chain_pair,
+    benchmark_workload,
     birth_merge_pair,
     cancel_by_rebuild,
     comp,
@@ -91,6 +96,7 @@ from helpers import (
     internal_chain_pair,
     pt,
     realize_by_replay,
+    rearrange_by_steps,
     replace_effects,
     split_death_pair,
     union,
@@ -825,9 +831,10 @@ def fold_outcome(d, script):
     return ("accepted", d, serialize_datum(d)), made, serialize_datum(d)
 
 
-def run_outcome(d, script):
-    """``_rearrange_run`` over the script; the outcome and the datum the run
-    hands to ``_refusal``, serialized (None when it does not ask it)."""
+def run_outcome(d, script, run=_rearrange_run):
+    """``run`` (by default ``_rearrange_run``) over the script; the outcome
+    and the datum the run hands to ``_refusal``, serialized (None when it
+    does not ask it)."""
     named = []
     original = moves._refusal
 
@@ -837,7 +844,7 @@ def run_outcome(d, script):
 
     moves._refusal = naming
     try:
-        out = _rearrange_run(d, script)
+        out = run(d, script)
     except Exception as exc:
         return ("refused", type(exc), str(exc)), (named or [None])[0]
     finally:
@@ -902,6 +909,104 @@ def test_a_refused_step_leaves_no_key_in_the_run_overlay():
         assert got[:2] == ("refused", InvalidEffect), name
         assert made == script[:-1], name
         assert named == before, name
+        assert run_outcome(d, script, rearrange_by_steps) == (got, named), name
+
+
+# ---------------------------------------------------------------------------
+# rearrangement runs against the step-by-step reference
+
+
+def planted_union():
+    """Generated pieces side by side with every pair family at (2, 4)."""
+    return union(*pieces(2, 4, (0, 1)), *pair_families(2, 4))
+
+
+def unknown_and_outside(draw, d):
+    """An id the datum does not have next to a value outside (0, 1) for one
+    it has: the run must name the unknown id."""
+    pid = draw(st.sampled_from([p.id for p in d.points]))
+    bad = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2)]))
+    return {"nope": Fraction(1, 2), pid: bad}
+
+
+def run_script(draw, d):
+    """Rearrange records for a run from ``d``, each drawn against the datum
+    the accepted records before it made: an ``assignment_of`` or, now and
+    then, ``unknown_and_outside``.  A refused record is kept in half the
+    scripts, so a run is either accepted whole or refused partway."""
+    keep_refused = draw(st.booleans())
+    script, current = [], d
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            assignment = unknown_and_outside(draw, current)
+        else:
+            assignment = assignment_of(draw, current)
+        ids = tuple(sorted(assignment))
+        script.append(MoveRecord(
+            "rearrange", ids, tuple(assignment[i] for i in ids),
+            draw(st.sampled_from(["", "park", "place"]))))
+        try:
+            current = rearrange_by_steps(current, script[-1:])
+        except EngineError:
+            if not keep_refused:
+                script.pop()
+    return script
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(generated(), st.builds(planted_union)), st.data())
+def test_runs_match_the_step_by_step_reference(d, data):
+    # the accepted datum, as an object and as bytes, or the refusal class,
+    # message and the datum handed to _refusal
+    script = run_script(data.draw, d)
+    assume(script)
+    got = run_outcome(d, script)
+    assert got == run_outcome(d, script, rearrange_by_steps), script
+    if any(len(r.ids) > 1 for r in script):
+        event("a record of several points")
+    if got[0][0] == "refused":
+        event("refused: %s" % (got[0][1].__name__,))
+        if got[1] is not None and len(script) > 1:
+            event("refused partway, named on the earlier steps' datum")
+
+
+def test_runs_refuse_as_the_reference_on_the_planted_union():
+    d = planted_union()
+    assert d.valid
+    top = d.points[-1]
+    made_at = d.slices.component_index.producer
+    maker, user = next((made_at[cid], e.at) for e in d.slices.effects
+                       for cid in e.inputs if made_at[cid] is not None)
+
+    def step(assignment):
+        ids = tuple(sorted(assignment))
+        return MoveRecord("rearrange", ids, tuple(assignment[i] for i in ids))
+
+    lift = step({top.id: (top.value + 1) / 2})
+    starve = step({maker: (d.point(user).value + 1) / 2})
+    line = next(e for e in d.graph.edges if top.id not in (e.src, e.dst))
+    tie = step({line.src: d.point(line.dst).value})  # a flow line made level
+    runs = {  # name -> script, the class refused before the local check
+        "unknown id next to a value outside (0, 1)": (
+            [lift, step({"nope": Fraction(1, 2), top.id: Fraction(3, 2)})],
+            UnknownId),
+        "value outside (0, 1)": ([lift, step({top.id: Fraction(1)})], MoveError),
+        "several points, refused partway": (
+            [lift, step({maker: Fraction(1, 3), user: Fraction(1, 4)})], None),
+        "refused partway": ([lift, lift, starve], None),
+        "tie on a flow line": ([lift, tie], None),
+    }
+    for name, (script, gate) in runs.items():
+        got = run_outcome(d, script)
+        assert got == run_outcome(d, script, rearrange_by_steps), name
+        if gate is not None:
+            assert got[0][1] is gate and got[1] is None, (name, got)
+        else:  # named by the full replay, on the datum the lifts made
+            assert got[0][1] in (EdgeOrderViolation, InvalidEffect), (name, got)
+            assert got[1] == serialize_datum(run_outcome(d, script[:-1])[0][1])
+    accepted = run_outcome(d, [lift, lift])
+    assert accepted[0][0] == "accepted"
+    assert accepted == run_outcome(d, [lift, lift], rearrange_by_steps)
 
 
 def counted(monkeypatch, owner, name, calls, key=None):
@@ -944,6 +1049,39 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
     assert counts["check_assignment"] == 1, counts
     monkeypatch.undo()
     assert out == moves.apply_script(d, script)
+
+
+def test_run_steps_call_no_checker(monkeypatch):
+    # each step of a run is checked inline: realize_configuration calls the
+    # local check once, for its target map, and a replay calls no checker
+    # per step, only the gate once per stretch of records of one kind
+    d = union(*pieces(2, 4, range(30))[:20])
+    assert len(d.points) == 160 and d.valid
+    levels = normal_form.schedule_levels(d)
+    calls = Counter()
+    checkers = ("_moves_locally", "check_assignment", "_refusal", "require_valid")
+    for name in checkers:
+        counted(monkeypatch, moves, name, calls)
+    counted(monkeypatch, morse_data, "validate_datum", calls)
+    _, script = realize_configuration(d, levels)
+    assert len(script) == 320
+    # the gates of realize_configuration and of its one run
+    assert calls == {"_moves_locally": 1, "require_valid": 2}, calls
+
+    monkeypatch.undo()
+    _, workload = benchmark_workload(monkeypatch, "split_deep", 1)
+    base = workload.datum
+    out, _, script = normal_form.global_split(base)
+    stretches = len(list(groupby(r.kind for r in script)))
+    steps = sum(1 for r in script if r.kind == "rearrange")
+    assert steps >= 600 and stretches < 10, (steps, stretches)
+    assert base.valid  # the gate's verdict is cached
+    calls.clear()
+    for name in checkers:
+        counted(monkeypatch, moves, name, calls)
+    counted(monkeypatch, morse_data, "validate_datum", calls)
+    assert moves.apply_script(base, script) == out
+    assert calls == {"require_valid": stretches}, calls
 
 
 # ---------------------------------------------------------------------------

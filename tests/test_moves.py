@@ -307,6 +307,13 @@ def test_cancel_refusals_name_the_side_condition():
     d = birth_merge_pair()
     with pytest.raises(IndexMismatch):
         cancel_pair(d, "q", "p")
+    for pid in ("p", "q"):  # a point is no pair with itself
+        with pytest.raises(MoveError) as refused:
+            cancel_pair(d, pid, pid)
+        assert type(refused.value) is MoveError
+        assert str(refused.value) == "cancel_pair wants two distinct points"
+    with pytest.raises(UnknownId):  # the points are looked up first
+        cancel_pair(d, "nope", "nope")
 
     mixed = attach_chain_pair(Kind.BOUNDARY_STABLE, 1)
     crossed = mixed.replace(points=(

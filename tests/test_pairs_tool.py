@@ -61,3 +61,44 @@ def test_a_run_without_a_result_is_flagged_and_left_out():
     lines, flags = pairs.summarize(parent, change, END_TO_END)
     assert flags == ["parent run 1 gave no JSON result"]
     assert row(lines, "op_mid_ms")[-1] == "1/1"
+
+
+def test_several_workloads_print_one_table_each_and_any_flag_fails(
+        monkeypatch, capsys, tmp_path):
+    canned = {  # (workload, side) -> the result of every run
+        ("split_deep", "parent"): result(30.0, 20.0),
+        ("split_deep", "change"): result(27.0, 20.0),
+        ("small_batch", "parent"): result(10.0, 20.0),
+        ("small_batch", "change"): result(10.0, 23.0),  # memory past its bound
+    }
+    started = []
+
+    def bench(checkout, workload, args):
+        side = "parent" if checkout == ROOT else "change"
+        started.append((workload, side))
+        return canned[workload, side]
+
+    monkeypatch.setattr(pairs, "bench", bench)
+    argv = [str(ROOT), str(tmp_path), "--pairs", "2", "--seconds", "1",
+            "--workload"]
+    assert pairs.main(argv + ["split_deep", "small_batch"]) == 1
+    assert started == [
+        ("split_deep", "parent"), ("split_deep", "change"),
+        ("split_deep", "change"), ("split_deep", "parent"),
+        ("small_batch", "parent"), ("small_batch", "change"),
+        ("small_batch", "change"), ("small_batch", "parent"),
+    ]
+    out = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(out) if line.startswith("workload ")]
+    assert [out[i] for i in heads] == [
+        "workload split_deep seed 1, 2 pairs of 1 s",
+        "workload small_batch seed 1, 2 pairs of 1 s",
+    ]
+    deep, small = out[heads[0]:heads[1]], out[heads[1]:]
+    assert row(deep, "op_mid_ms")[-2:] == ["-10.0%", "2/2"]
+    assert not any(line.startswith("FLAG:") for line in deep)
+    assert [line for line in small if line.startswith("FLAG:")] == [
+        "FLAG: peak_rss_mb: median +15.0% against the parent, past its bound of 10%",
+    ]
+    # the same workload alone, with nothing flagged, exits 0
+    assert pairs.main(argv + ["split_deep"]) == 0

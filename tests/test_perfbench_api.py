@@ -9,26 +9,14 @@ the driver's output must keep them byte for byte.
 
 import hashlib
 import json
-import pathlib
 import sys
-import types
 
 import halfhandle
 from halfhandle.morse_data import CriticalPoint
 from halfhandle.slice_topology import SliceComplex
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load(name):
-    """perfbench/<name>.py as a module, compiled from its source so that no
-    bytecode cache is written next to it; the top level of each of its
-    modules defines names and runs nothing else."""
-    path = PERFBENCH / (name + ".py")
-    module = types.ModuleType("perfbench_" + name)
-    module.__file__ = str(path)
-    exec(compile(path.read_text(), str(path), "exec"), vars(module))
-    return module
+from helpers import PERFBENCH, benchmark_workload
+from helpers import perfbench_module as load
 
 
 def test_every_traced_name_resolves_on_the_package():
@@ -45,14 +33,11 @@ def test_split_workloads_keep_their_seed_1_output_digests(monkeypatch):
     # one operation of each split workload, built and checked by the
     # benchmark's own code: the union of the seed, global_split, the replay
     # and every check, and the digest of the datum, script and report texts
-    corpus = load("corpus")
-    monkeypatch.setitem(sys.modules, "corpus", corpus)  # workloads imports it
-    workloads = load("workloads")
-    texts, planted = corpus.load_corpus()
     pinned = json.loads((PERFBENCH / "BASELINE.json").read_text())["output_sha256_seed1"]
     for name in ("split_deep", "split_codim1"):
+        workloads, workload = benchmark_workload(monkeypatch, name, 1)
         rec = workloads.Recorder()
-        workloads.build(name, texts, planted, 1).step(rec)
+        workload.step(rec)
         assert (rec.attempted, rec.failed, rec.problems) == (1, 0, []), name
         assert rec.digest.hexdigest() == pinned[name], name
 

@@ -1,20 +1,23 @@
 """Alternating pairs of benchmark runs of two checkouts, summarized.
 
 Runs ``perfbench/run.py --trace 0`` in a parent checkout and in a changed
-one, N times each, and compares their end-to-end metrics::
+one, N times each, and compares their end-to-end metrics, for one or more
+workloads::
 
     python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload split_deep \\
-        --seed 1 --pairs 10 --seconds 20
+        split_codim1 --seed 1 --pairs 10 --seconds 20
 
-Pair i runs the parent first when i is even and the change first when it
-is odd, so a drift of the host's speed falls on both sides alike.  The last
+The workloads are measured one after another, each in its own pairs.  Pair
+i runs the parent first when i is even and the change first when it is
+odd, so a drift of the host's speed falls on both sides alike.  The last
 line of each run's output is its JSON result.  For every end-to-end metric
-of the parent's ``BENCHMARK.json`` the summary prints the median and the
-quartiles of each side, the change of the median in percent, and the pairs
-in which the change is better in the metric's ``better`` direction.  It
-flags a metric whose median is worse than the parent's by more than its
-bound, and any run that failed, had failed operations or was not correct;
-the exit status is 1 when anything is flagged.
+of the parent's ``BENCHMARK.json`` the summary prints, one table per
+workload, the median and the quartiles of each side, the change of the
+median in percent, and the pairs in which the change is better in the
+metric's ``better`` direction.  It flags a metric whose median is worse
+than the parent's by more than its bound, and any run that failed, had
+failed operations or was not correct; the exit status is 1 when anything
+is flagged in any workload.
 
 Standard library only.  The runs are started with ``-B``, so they
 leave no bytecode cache in either checkout.
@@ -90,8 +93,8 @@ def last_json(text):
     return result if isinstance(result, dict) else None
 
 
-def bench(checkout, args):
-    command = [sys.executable, "-B", "perfbench/run.py", "--workload", args.workload,
+def bench(checkout, workload, args):
+    command = [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
                           timeout=10 * args.seconds + 600)
@@ -105,28 +108,31 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
-    parent, change = [], []
-    for i in range(args.pairs):
-        sides = [("parent", args.parent, parent), ("change", args.change, change)]
-        for side, checkout, results in sides[:: 1 if i % 2 == 0 else -1]:
-            results.append(bench(checkout, args))
-            value = (results[-1] or {}).get("metrics", {}).get("op_mid_ms", {})
-            print("pair %d %s op_mid_ms %s" % (i, side, value.get("value")),
-                  file=sys.stderr, flush=True)
-    lines, flags = summarize(parent, change, end_to_end)
-    print("workload %s seed %d, %d pairs of %g s" % (
-        args.workload, args.seed, args.pairs, args.seconds))
-    for line in lines:
-        print(line)
-    for flag in flags:
-        print("FLAG: " + flag)
-    return 1 if flags else 0
+    flagged = False
+    for workload in args.workload:
+        parent, change = [], []
+        for i in range(args.pairs):
+            sides = [("parent", args.parent, parent), ("change", args.change, change)]
+            for side, checkout, results in sides[:: 1 if i % 2 == 0 else -1]:
+                results.append(bench(checkout, workload, args))
+                value = (results[-1] or {}).get("metrics", {}).get("op_mid_ms", {})
+                print("%s pair %d %s op_mid_ms %s" % (
+                    workload, i, side, value.get("value")), file=sys.stderr, flush=True)
+        lines, flags = summarize(parent, change, end_to_end)
+        print("workload %s seed %d, %d pairs of %g s" % (
+            workload, args.seed, args.pairs, args.seconds))
+        for line in lines:
+            print(line)
+        for flag in flags:
+            print("FLAG: " + flag)
+        flagged = flagged or bool(flags)
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
