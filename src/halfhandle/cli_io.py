@@ -923,7 +923,10 @@ def _cmd_oracle(args) -> int:
         if pid in targets:
             raise ParseError("repeated target %r" % (pid,))
         targets[pid] = _fraction(val)
-    reachable = brute_force_reachability(datum, targets, bound=args.bound)
+    try:
+        reachable = brute_force_reachability(datum, targets, bound=args.bound)
+    except PartialConfiguration as exc:  # bad input, not a refused move
+        raise EngineError(str(exc)) from None
     print("reachable" if reachable else "unreachable")
     return 0
 

@@ -22,14 +22,12 @@ splits (``split_interior``) are checked locally, in time proportional to
 the degree of the points moved, as in the rearrangement and splitting
 theorems: a rearrangement is pinned only by the flow lines and surgery
 dependencies of the points it moves, and a split changes the flow lines
-and the surgery of one point and nothing else.  The target map of
-``realize_configuration`` is checked the same way, every point moved at
-once (``_moves_locally``).  The drivers, script replay and
-``assign_values`` fold runs of rearrangements in one pass
-(``_rearrange_run``): the run looks up the datum's indexes once, each
-step puts its keys into the run's one overlay and is checked there,
-inline, a refused step is taken out again, and the points are re-placed
-once per run.  A moved point is
+and the surgery of one point and nothing else.  The drivers, script
+replay, ``assign_values`` and ``realize_configuration`` fold runs of
+rearrangements in one pass (``_rearrange_run``): the run looks up the
+datum's indexes once, each step puts its keys into the run's one overlay
+and is checked there, inline, a refused step is taken out again, and the
+points are re-placed once per run.  A moved point is
 built from its old one at the checked value, not checked again, and a
 driver's one-point record is built unchecked (``MoveRecord._step``), its
 id from the valid datum.  So is a parsed one-point rearrange line in the
@@ -40,11 +38,11 @@ of Fractions as it is).  Runs of splits are folded the same way
 split reads the splits before it through one overlay and is checked and
 refused in place, and the points, flow lines and effects are patched once
 per run.  Values are range-checked on their ints and ordered by their
-``order_key``s.  Only the local check accepts a rearrangement or target
-map; one it refuses raises the reason the full replay names
-(``_refusal``).  A cancellation is checked at its pair, its induced flow
-lines by ``edge_issues`` (``cancel_pair``).  Every move builds its result
-with ``MorseDatum._patched``, which states what a patch keeps; no move
+``order_key``s.  Only the run accepts a rearrangement or target map;
+one it refuses raises the reason the full replay names (``_refusal``).
+A cancellation is checked at its pair, its induced flow lines by
+``edge_issues`` (``cancel_pair``).  Every move builds its result with
+``MorseDatum._patched``, which states what a patch keeps; no move
 validates its result or rebuilds the whole datum.
 """
 
@@ -193,61 +191,18 @@ def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     return None
 
 
-def _moves_locally(datum: MorseDatum, keys: Mapping[str, tuple]) -> bool:
-    """Whether moving each point of ``keys`` to its (value, id) key there
-    (``order_key``), all at once, keeps a valid datum valid.
-
-    Looks only at what touches the moved points, in O(deg) index lookups
-    each: their flow lines must stay uphill (the (float, value) prefixes of
-    the keys, compared in place), the makers of their inputs must come
-    before them and the users of their outputs after them (the whole keys).
-    On a valid datum every component id is made once and used at most
-    once, so nothing else pins the replay order.  ``realize_configuration``
-    checks its target map with it; ``_rearrange_run`` checks each step with
-    the same predicate, inline.
-    """
-    points = datum.point_index
-    key = keys.get
-    edges = datum.graph.edge_index
-    out_edges, in_edges = edges.out_edges, edges.in_edges
-    effects = datum.slices.effect_index
-    producer, consumer, _ = datum.slices.component_index
-    for pid, at in keys.items():
-        f, v = at[0], at[1]
-        for e in out_edges.get(pid, ()):
-            up = key(e.dst) or points[e.dst].sort_key()
-            if not (f < up[0] or f == up[0] and v < up[1]):
-                return False
-        for e in in_edges.get(pid, ()):
-            down = key(e.src) or points[e.src].sort_key()
-            if not (down[0] < f or down[0] == f and down[1] < v):
-                return False
-        effect = effects[pid]
-        for cid in effect.inputs:
-            maker = producer[cid]
-            if maker is None:
-                continue
-            if not (key(maker) or points[maker].sort_key()) < at:
-                return False
-        for c in effect.outputs:
-            user = consumer.get(c.id)
-            if user is None:
-                continue
-            if not at < (key(user) or points[user].sort_key()):
-                return False
-    return True
-
-
 def _refusal(datum, assignments, targets=False) -> MoveError:
-    """The error for a move of known points to values in (0, 1) that
-    ``_moves_locally`` refuses, named by the full replay
+    """The error for a move of known points to values in (0, 1) that a
+    step of ``_rearrange_run`` refuses, named by the full replay
     (``check_assignment``): EdgeOrderViolation for the first flow line it
     runs downhill, else InvalidEffect with the first replay issue.  With
-    ``targets`` (``realize_configuration``), SwapBlocked naming the pair
-    that line or the first starving surgery (``_starving_pair``) pins.
+    ``targets`` (a whole target map of ``realize_configuration``),
+    SwapBlocked naming the pair that line or the first starving surgery
+    (``_starving_pair``) pins.
 
-    On a valid datum the local check and the full replay refuse the same
-    moves, so the replay always names a reason.
+    On a valid datum the step check and the full replay refuse the same
+    moves, and a park and place run refuses exactly the illegal maps, so
+    the replay always names a reason.
     """
     values = datum.values()
     values.update((pid, exact(v)) for pid, v in assignments.items())
@@ -298,7 +253,9 @@ def assign_values(
         "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note)
 
 
-def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
+def _rearrange_run(
+    datum: MorseDatum, script: Iterable[MoveRecord], targets=None
+) -> MorseDatum:
     """The datum the rearrange records of ``script`` make, one after another:
     the left fold of single checked moves over them, in one pass.
 
@@ -307,17 +264,23 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     an id the datum does not have, then MoveError for a value outside
     (0, 1), checked on ints.  It puts its (value, id) keys into the run's
     one overlay, over those of the steps before it, and each moved point is
-    checked there, inline, by the predicate of ``_moves_locally``; records
-    of any length take this one loop, which builds a one-point record no
-    list, zip or key map.  The moved points are re-placed once, at the end
+    checked there, inline: its flow lines must stay uphill, the makers of
+    its inputs must come before it and the users of its outputs after it.
+    On a valid datum every component id is made once and used at most
+    once, so nothing else pins the replay order.  Records of any length
+    take this one loop, which builds a one-point record no list, zip or
+    key map.  The moved points are re-placed once, at the end
     (``with_keys``).  A refused step is taken back out of the overlay, and
     the run raises what the fold raises: ``_refusal`` on the datum the
-    earlier steps made.
+    earlier steps made, or with ``targets`` (``realize_configuration``'s
+    map) ``_refusal(datum, targets, targets=True)``.
     """
     overlay, undo = {}, {}  # each moved point's key; the key its step replaced
     key = overlay.get
 
     def refused(record):
+        if targets is not None:
+            return _refusal(datum, targets, targets=True)
         for pid in record.ids:
             if undo[pid] is None:
                 del overlay[pid]
@@ -430,11 +393,12 @@ def realize_configuration(
     then bring them down to their targets from the bottom up.
 
     Takes valid data only (``require_valid``).  Each target's order key is
-    worked out once, for the admissibility check, the local check and the
-    place order.  The targets are checked by ``_moves_locally`` with every
-    point moved at once, in O(deg) per point; a refused target map raises
-    the SwapBlocked ``_refusal`` names by the full replay.  The park and
-    place steps run as one ``_rearrange_run``, which checks each in O(deg).
+    worked out once, for the admissibility check and the place order.  The
+    park and place steps run as one ``_rearrange_run``, which checks each
+    in O(deg) and alone accepts the map: a run whose steps all pass leaves
+    every point at its target in a valid datum, and a legal map always gets
+    there.  A refused step raises the SwapBlocked ``_refusal`` names for
+    the whole map by the full replay.
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -466,9 +430,6 @@ def realize_configuration(
                 "(%s vs %s)" % (inversion[0].id, inversion[1].id)
             )
 
-    if not _moves_locally(datum, keys):
-        raise _refusal(datum, want, targets=True)
-
     if all(want[p.id] == p.value for p in datum.points):
         return datum, []
 
@@ -489,7 +450,7 @@ def realize_configuration(
     script += [
         MoveRecord._step(key[2], key[1], "place") for key in sorted(keys.values())
     ]
-    return _rearrange_run(datum, script), script
+    return _rearrange_run(datum, script, want), script
 
 
 def _starving_pair(datum: MorseDatum, values: Mapping[str, Fraction]):

@@ -4,7 +4,7 @@ import sys
 import types
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Mapping
 
 from halfhandle import moves
 from halfhandle.cli_io import (
@@ -48,7 +48,6 @@ from halfhandle.morse_data import (
 from halfhandle.moves import (
     MoveRecord,
     _inverse_pattern,
-    _moves_locally,
     _starving_pair,
     apply_script,
     check_assignment,
@@ -195,6 +194,50 @@ def assign_by_replay(datum, assignments):
     return datum.replace(points=new_points)
 
 
+def _moves_locally(datum: MorseDatum, keys: Mapping[str, tuple]) -> bool:
+    """Whether moving each point of ``keys`` to its (value, id) key there
+    (``order_key``), all at once, keeps a valid datum valid.
+
+    Looks only at what touches the moved points, in O(deg) index lookups
+    each: their flow lines must stay uphill (the (float, value) prefixes of
+    the keys, compared in place), the makers of their inputs must come
+    before them and the users of their outputs after them (the whole keys).
+    On a valid datum every component id is made once and used at most
+    once, so nothing else pins the replay order.  The reference predicate
+    that ``moves._rearrange_run`` checks each step by, inline.
+    """
+    points = datum.point_index
+    key = keys.get
+    edges = datum.graph.edge_index
+    out_edges, in_edges = edges.out_edges, edges.in_edges
+    effects = datum.slices.effect_index
+    producer, consumer, _ = datum.slices.component_index
+    for pid, at in keys.items():
+        f, v = at[0], at[1]
+        for e in out_edges.get(pid, ()):
+            up = key(e.dst) or points[e.dst].sort_key()
+            if not (f < up[0] or f == up[0] and v < up[1]):
+                return False
+        for e in in_edges.get(pid, ()):
+            down = key(e.src) or points[e.src].sort_key()
+            if not (down[0] < f or down[0] == f and down[1] < v):
+                return False
+        effect = effects[pid]
+        for cid in effect.inputs:
+            maker = producer[cid]
+            if maker is None:
+                continue
+            if not (key(maker) or points[maker].sort_key()) < at:
+                return False
+        for c in effect.outputs:
+            user = consumer.get(c.id)
+            if user is None:
+                continue
+            if not at < (key(user) or points[user].sort_key()):
+                return False
+    return True
+
+
 def rearrange_by_steps(datum, script):
     """The datum the rearrange records of ``script`` make, checked step by
     step: the reference for ``moves._rearrange_run``, which checks each
@@ -235,7 +278,8 @@ def rearrange_by_steps(datum, script):
 
 def realize_by_replay(d, targets):
     """``realize_configuration`` with the whole target map checked by a full
-    replay (``check_assignment``): the reference for its local check.
+    replay (``check_assignment``) up front: the reference for its park and
+    place run, which alone accepts or refuses the map.
 
     The same gate, ids, range and admissibility come first.  The park slots
     are worked out by plain Fraction arithmetic, and every park and place

@@ -582,6 +582,14 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: repeated target 'p'\n"
+    # an incomplete target list is bad input: exit 1, and an unknown id is
+    # still reported first
+    assert main(["oracle", src, "p=1/8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no target value for point 'q'\n"
+    assert main(["oracle", src, "p=1/8", "x=1/2"]) == 1
+    assert capsys.readouterr().err == "error: no critical point with id 'x'\n"
     assert main(["generate", "--n", "1", "--m", "3", "--points", "2",
                  "--seed", "0", "--leave-closed-component"]) == 1
     assert "error:" in capsys.readouterr().err

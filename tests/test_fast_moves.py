@@ -5,25 +5,26 @@ valid datum ``assign_values`` decides a move of one or more points by
 looking only at the moved points; ``assign_by_replay`` (in ``helpers``)
 checks the whole assignment by a full replay.  The two must agree on every
 move: the same accept or refuse, the same exception class and message, and
-equal results, as objects and as serialized bytes.  The local check itself
-(``_moves_locally``) must accept exactly the moves, of one point, several
-or all, that the full replay (``check_assignment``) accepts.
+equal results, as objects and as serialized bytes.  ``assign_values`` must
+accept exactly the moves, of one point, several or all, that the full
+replay (``check_assignment``) accepts.
 ``split_interior`` judges a split by the pair alone; every split it
 accepts must be valid by full validation, and it refuses as not joinable
 exactly where ``joinable_to_wall`` says so.
 A run of rearrangements (``_rearrange_run``) checks each step inline; it
 must do what ``rearrange_by_steps`` (in ``helpers``), which checks every
-step with ``_moves_locally``, does, and be the fold of ``assign_values``
-over its steps with the same records.  A run of splits (``_split_run``)
-must be the fold of ``split_interior`` over its points, and the indexes a
-split result builds on first use must be those a fresh build gives.
+step with the reference predicate ``_moves_locally``, does, and be the
+fold of ``assign_values`` over its steps with the same records.  A run of
+splits (``_split_run``) must be the fold of ``split_interior`` over its
+points, and the indexes a split result builds on first use must be those
+a fresh build gives.
 ``cancel_pair`` patches its result and checks only the flow lines it
 induces; it must agree with ``cancel_by_rebuild``, which rebuilds the
 result and validates it whole.
-``realize_configuration`` checks its target map locally and must agree
-with ``realize_by_replay``, which checks it by a full replay, and a point a
-move builds without checking it must be the point the checked constructor
-builds.
+``realize_configuration`` lets its park and place run accept or refuse its
+target map and must agree with ``realize_by_replay``, which checks it by a
+full replay, and a point a move builds without checking it must be the
+point the checked constructor builds.
 ``flag_issues`` joins the components in one pass over the effects and must
 report what ``flag_issues_by_reference``, the union-find it replaced, does.
 """
@@ -61,7 +62,6 @@ from halfhandle.morse_data import (
 )
 from halfhandle.moves import (
     MoveRecord,
-    _moves_locally,
     _rearrange_run,
     assign_values,
     cancel_pair,
@@ -81,6 +81,7 @@ from halfhandle.slice_topology import (
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
 
 from helpers import (
+    _moves_locally,
     apply_record,
     assert_records_as_checked,
     assign_by_replay,
@@ -1031,8 +1032,8 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
         counted(monkeypatch, owner, name, counts)
     out, script = realize_configuration(d, levels)
     assert len(script) == 2 * len(d.points)  # park and place every point
-    # one points tuple, and no full check: the target map is checked
-    # locally and the moved points are built from the checked ones
+    # one points tuple, and no full check: the run accepts the target map
+    # and the moved points are built from the checked ones
     assert counts == {"_patched": 1, "splice": 1}, counts
 
     # a surgery put below the one that makes its input: refused, and the
@@ -1052,21 +1053,21 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
 
 
 def test_run_steps_call_no_checker(monkeypatch):
-    # each step of a run is checked inline: realize_configuration calls the
-    # local check once, for its target map, and a replay calls no checker
-    # per step, only the gate once per stretch of records of one kind
+    # each step of a run is checked inline: realize_configuration calls no
+    # checker for an accepted target map, and a replay calls no checker per
+    # step, only the gate once per stretch of records of one kind
     d = union(*pieces(2, 4, range(30))[:20])
     assert len(d.points) == 160 and d.valid
     levels = normal_form.schedule_levels(d)
     calls = Counter()
-    checkers = ("_moves_locally", "check_assignment", "_refusal", "require_valid")
+    checkers = ("check_assignment", "_refusal", "require_valid")
     for name in checkers:
         counted(monkeypatch, moves, name, calls)
     counted(monkeypatch, morse_data, "validate_datum", calls)
     _, script = realize_configuration(d, levels)
     assert len(script) == 320
     # the gates of realize_configuration and of its one run
-    assert calls == {"_moves_locally": 1, "require_valid": 2}, calls
+    assert calls == {"require_valid": 2}, calls
 
     monkeypatch.undo()
     _, workload = benchmark_workload(monkeypatch, "split_deep", 1)
@@ -1390,20 +1391,26 @@ def local_move(draw, d):
 @settings(max_examples=200, deadline=None)
 @given(generated(), st.data())
 def test_the_local_check_accepts_exactly_what_the_full_replay_accepts(d, data):
-    # both directions: a move the local check refuses and the full replay
-    # accepts would be refused for no reason, the converse would break the
-    # datum; an accepted move is applied, so later moves start from it
+    # both directions, on the package's own path (assign_values): a move it
+    # refuses and the full replay accepts would be refused for no reason,
+    # the converse would break the datum; an accepted move is applied, so
+    # later moves start from its result
     assume(d.valid)
     for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
         way, move = local_move(data.draw, d)
         if move is None:
             continue
-        keys = {pid: morse_data.order_key(v, pid) for pid, v in move.items()}
-        local = _moves_locally(d, keys)
-        assert local == (check_assignment(d, {**d.values(), **move}) is None), move
-        event("%s: %s" % (way, "accepted" if local else "refused"))
-        if local:
-            d = d.with_keys(keys)
+        legal = check_assignment(d, {**d.values(), **move}) is None
+        try:
+            out, _ = assign_values(d, move)
+        except (EdgeOrderViolation, InvalidEffect):
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == legal, move
+        event("%s: %s" % (way, "accepted" if accepted else "refused"))
+        if accepted:
+            d = out
 
 
 # ---------------------------------------------------------------------------

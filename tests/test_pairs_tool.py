@@ -63,6 +63,32 @@ def test_a_run_without_a_result_is_flagged_and_left_out():
     assert row(lines, "op_mid_ms")[-1] == "1/1"
 
 
+def test_a_run_that_times_out_is_flagged_and_the_series_kept(
+        monkeypatch, capsys, tmp_path):
+    # subprocess.run is replaced, so no benchmark is started: the parent's
+    # second run hangs, every other run gives its result
+    parent_runs = []
+
+    def run(command, cwd, timeout, **kwargs):
+        if cwd == ROOT:
+            parent_runs.append(command)
+            if len(parent_runs) == 2:
+                raise pairs.subprocess.TimeoutExpired(command, timeout)
+        value = 30.0 if cwd == ROOT else 27.0
+        return pairs.subprocess.CompletedProcess(
+            command, 0, json.dumps(result(value, 20.0)) + "\n", "")
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    argv = [str(ROOT), str(tmp_path), "--pairs", "3", "--seconds", "1",
+            "--workload", "split_deep"]
+    assert pairs.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "%s: split_deep timed out after 610 s" % (ROOT,) in captured.err
+    out = captured.out.splitlines()
+    assert "FLAG: parent run 1 gave no JSON result" in out
+    assert row(out, "op_mid_ms")[-2:] == ["-10.0%", "2/2"]
+
+
 def test_several_workloads_print_one_table_each_and_any_flag_fails(
         monkeypatch, capsys, tmp_path):
     canned = {  # (workload, side) -> the result of every run

@@ -10,14 +10,15 @@ workloads::
 The workloads are measured one after another, each in its own pairs.  Pair
 i runs the parent first when i is even and the change first when it is
 odd, so a drift of the host's speed falls on both sides alike.  The last
-line of each run's output is its JSON result.  For every end-to-end metric
-of the parent's ``BENCHMARK.json`` the summary prints, one table per
-workload, the median and the quartiles of each side, the change of the
-median in percent, and the pairs in which the change is better in the
-metric's ``better`` direction.  It flags a metric whose median is worse
-than the parent's by more than its bound, and any run that failed, had
-failed operations or was not correct; the exit status is 1 when anything
-is flagged in any workload.
+line of each run's output is its JSON result; a run that fails or times
+out has none.  For every end-to-end metric of the parent's
+``BENCHMARK.json`` the summary prints, one table per workload, the median
+and the quartiles of each side, the change of the median in percent, and
+the pairs in which the change is better in the metric's ``better``
+direction.  It flags a metric whose median is worse than the parent's by
+more than its bound, and any run that failed, had failed operations or
+was not correct; the exit status is 1 when anything is flagged in any
+workload.
 
 Standard library only.  The runs are started with ``-B``, so they
 leave no bytecode cache in either checkout.
@@ -96,8 +97,13 @@ def last_json(text):
 def bench(checkout, workload, args):
     command = [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
-                          timeout=10 * args.seconds + 600)
+    try:
+        proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                              text=True, timeout=10 * args.seconds + 600)
+    except subprocess.TimeoutExpired as exc:  # a run without a result
+        print("%s: %s timed out after %g s" % (checkout, workload, exc.timeout),
+              file=sys.stderr)
+        return None
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr, end="")
         return None
