@@ -6,15 +6,20 @@ Blank lines and ``#`` comments are ignored; serialization is canonical, so
 parse followed by serialize is byte stable.  Move scripts use the same
 token style with one ``move`` line per rewriting step.
 
+Both formats are read by one reader, ``_read``, driven by one table of line
+kinds, ``_LINES``: each directive (``point``, ``effect``, ``edge``,
+``component``, ``move``) has its keys, its canonical pattern, the builder
+of a match and the builder of its checked ``key=value`` tokens.  A format
+offers only its own directives; any other is an unknown directive there.
+
 A line in the shape the serializers write (single spaces, keys in order,
-ASCII ids and digits) is built from one pattern match (``_fast_line``): a
-one-point ``rearrange`` move, a ``point``, ``effect``, ``edge`` or
-``component``.  The match proves every check ``MoveRecord`` makes on such a
-record, so it is built by ``MoveRecord._step``; a datum line's fields go to
-its checking constructor, whose checks all run.  Any other line, and a
-matched one whose conversion or constructor raises (``1/00``, an int past
-the digit limit, an unknown kind word), falls back to the general path,
-which raises its own ParseError with the same message and line.
+ASCII ids and digits) is built from one pattern match.  The match proves
+every check ``MoveRecord`` makes on a one-point ``rearrange`` record, so it
+is built by ``MoveRecord._step``; a datum line's fields go to its checking
+constructor, whose checks all run.  Any other line, and a matched one whose
+build raises one of ``_MISSES`` (``1/00``, an int past the digit limit, an
+unknown kind word), falls back to the general path, which raises its own
+ParseError with the same message and line.
 
 The general path reads a line in one pass: every token is split once, and
 the line's key set is compared with its directive's.  The message for a
@@ -77,15 +82,6 @@ DECOMPOSITION_FORMAT = "halfhandle-decomposition/1"
 # parsing
 
 
-_KEYS = {  # directive -> its keys, as a dict: a keys view compares as a set
-    "component": dict.fromkeys(("id", "touches_wall")),
-    "point": dict.fromkeys(("id", "kind", "index", "value")),
-    "edge": dict.fromkeys(("src", "dst", "count", "locus")),
-    "effect": dict.fromkeys(("at", "kind", "inputs", "outputs")),
-    "move": dict.fromkeys(("kind", "ids", "values", "note")),
-}
-
-
 def _attrs(tokens, num: int) -> Dict[str, str]:
     """The ``key=value`` tokens after a line's first token, by key, each
     split once; ParseError for the first token without ``=`` or with a key
@@ -101,10 +97,9 @@ def _attrs(tokens, num: int) -> Dict[str, str]:
     return attrs
 
 
-def _check_keys(attrs: Dict[str, str], what: str, num: int) -> None:
-    """Raise ParseError unless ``attrs`` holds exactly the keys of a
-    ``what`` line: the missing keys first, then the stray ones."""
-    keys = _KEYS[what]
+def _check_keys(attrs: Dict[str, str], keys, what: str, num: int) -> None:
+    """Raise ParseError unless ``attrs`` holds exactly ``keys``, the keys of
+    a ``what`` line: the missing keys first, then the stray ones."""
     if attrs.keys() == keys.keys():
         return
     missing = [k for k in keys if k not in attrs]
@@ -158,7 +153,7 @@ def _content_lines(text: str):
 
 
 # The canonical lines, as the serializers write them: single spaces, the
-# keys in ``_KEYS`` order, ids and words of ASCII ``\w``, a note of
+# keys in ``_LINES`` order, ids and words of ASCII ``\w``, a note of
 # printable ASCII, ``p/q`` fractions of ASCII digits.  The general path
 # reads such a line as these builders do: the same tokens, each key once,
 # ids that pass ``_ID_RE``, enum members by their words, and ints and
@@ -226,121 +221,133 @@ def _component(match) -> SliceComponent:
     return SliceComponent(match[1], match[2] == "true")
 
 
-def _fast_line(line: str, shapes) -> bool:
-    """Whether ``line`` is canonical and its object was built and kept:
-    ``shapes`` pairs each line pattern with its builder and the list its
-    objects go to.  False sends the line to the general path, which then
-    raises its own ParseError if the line is bad."""
-    for pattern, build, out in shapes:
-        match = pattern.fullmatch(line)
-        if match:
-            try:
-                out.append(build(match))
-            except _MISSES:
-                return False
-            return True
-    return False
+def _move_attrs(attrs, num: int) -> MoveRecord:
+    ids = tuple(attrs["ids"].split(","))
+    values = ()
+    if attrs["values"] != "-":
+        values = tuple([_fraction(tok, num) for tok in attrs["values"].split(",")])
+    note = "" if attrs["note"] == "-" else attrs["note"]
+    return MoveRecord(attrs["kind"], ids, values, note)  # checked once, here
+
+
+def _point_attrs(attrs, num: int) -> CriticalPoint:
+    return CriticalPoint(
+        attrs["id"],
+        Kind(attrs["kind"]),
+        _int(attrs["index"], num),
+        _fraction(attrs["value"], num),
+    )
+
+
+def _effect_attrs(attrs, num: int) -> ComponentEffect:
+    outputs = []
+    for item in () if attrs["outputs"] == "-" else attrs["outputs"].split(","):
+        cid, _, bit = item.partition(":")
+        if not bit:
+            raise ParseError("output %r lacks its wall bit" % (item,), num)
+        outputs.append(SliceComponent(cid, _bool(bit, num)))
+    inputs = attrs["inputs"]
+    return ComponentEffect(
+        attrs["at"],
+        EffectKind(attrs["kind"]),
+        () if inputs == "-" else tuple(inputs.split(",")),
+        tuple(outputs),
+    )
+
+
+def _edge_attrs(attrs, num: int) -> FlowEdge:
+    count = None if attrs["count"] == "?" else _int(attrs["count"], num)
+    return FlowEdge(attrs["src"], attrs["dst"], count, Locus(attrs["locus"]))
+
+
+def _component_attrs(attrs, num: int) -> SliceComponent:
+    return SliceComponent(attrs["id"], _bool(attrs["touches_wall"], num))
+
+
+# directive -> (its keys, as a dict: a keys view compares as a set; its
+# canonical pattern; the builder of a match; the builder of its key=value
+# tokens, which may raise ValidationError or ValueError)
+_LINES = {
+    directive: (dict.fromkeys(keys.split()), pattern, from_match, from_attrs)
+    for directive, keys, pattern, from_match, from_attrs in (
+        ("move", "kind ids values note", _MOVE_LINE, _move, _move_attrs),
+        ("point", "id kind index value", _POINT_LINE, _point, _point_attrs),
+        ("effect", "at kind inputs outputs", _EFFECT_LINE, _effect, _effect_attrs),
+        ("edge", "src dst count locus", _EDGE_LINE, _edge, _edge_attrs),
+        ("component", "id touches_wall", _COMPONENT_LINE, _component, _component_attrs),
+    )
+}
+
+
+def _read(text: str, fmt: str, directives, header=None) -> Dict[str, list]:
+    """The objects of a ``fmt`` text's lines, in a list per directive of
+    ``directives``; ParseError with its line number for the first bad line.
+
+    The first content line must be ``format=fmt``.  A later line whose
+    first word is one of ``directives`` and whose shape is canonical is
+    built from its match.  Any other line is split into its ``key=value``
+    tokens (``_attrs``); one whose first token holds ``=`` goes to
+    ``header(token, attrs, num)`` if a header is read, and any other must
+    be one of ``directives``, with exactly its keys, and is built from its
+    tokens."""
+    lines = _content_lines(text)
+    for num, line in lines:
+        if line != "format=" + fmt:
+            raise ParseError("expected format=" + fmt, num)
+        break
+    else:
+        raise ParseError("missing format=" + fmt)
+    out = {directive: [] for directive in directives}
+    for num, line in lines:
+        directive = line.partition(" ")[0]
+        if directive in out:
+            _, pattern, from_match, _ = _LINES[directive]
+            match = pattern.fullmatch(line)
+            if match:
+                try:
+                    out[directive].append(from_match(match))
+                    continue
+                except _MISSES:  # the general path raises its own error
+                    pass
+        tokens = line.split()
+        attrs = _attrs(tokens, num)
+        directive = tokens[0]
+        if header and "=" in directive:
+            header(directive, attrs, num)
+            continue
+        if directive not in out:
+            raise ParseError("unknown directive %r" % (directive,), num)
+        keys, _, _, from_attrs = _LINES[directive]
+        _check_keys(attrs, keys, directive, num)
+        try:
+            out[directive].append(from_attrs(attrs, num))
+        except (ValidationError, ValueError) as exc:
+            raise ParseError(str(exc), num)
+    return out
 
 
 def parse_datum(text: str) -> MorseDatum:
     """Parse the datum format; raises ParseError with a line number."""
-    header: Dict[str, str] = {}
-    bottom: List[SliceComponent] = []
-    points: List[CriticalPoint] = []
-    edges: List[FlowEdge] = []
-    effects: List[ComponentEffect] = []
-    saw_format = False
-    header_keys = {
-        "m",
-        "n",
-        "no_closed_cobordism",
-        "no_closed_bottom",
-        "no_closed_top",
-    }
-    shapes = (
-        (_POINT_LINE, _point, points),
-        (_EFFECT_LINE, _effect, effects),
-        (_EDGE_LINE, _edge, edges),
-        (_COMPONENT_LINE, _component, bottom),
-    )
+    header: Dict[str, tuple] = {}
+    flag_keys = ("no_closed_cobordism", "no_closed_bottom", "no_closed_top")
 
-    for num, line in _content_lines(text):
-        if not saw_format:
-            if line != "format=" + DATUM_FORMAT:
-                raise ParseError("expected format=" + DATUM_FORMAT, num)
-            saw_format = True
-            continue
-        if _fast_line(line, shapes):
-            continue
-        tokens = line.split()
-        attrs = _attrs(tokens, num)
-        directive = tokens[0]
-        if "=" in directive:
-            key, _, val = directive.partition("=")
-            if attrs:
-                raise ParseError("stray tokens after %s" % (key,), num)
-            if key not in header_keys:
-                raise ParseError("unknown header %r" % (key,), num)
-            if key in header:
-                raise ParseError("repeated header %r" % (key,), num)
-            header[key] = (val, num)
-            continue
-        if directive not in ("component", "point", "edge", "effect"):
-            raise ParseError("unknown directive %r" % (directive,), num)
-        _check_keys(attrs, directive, num)
-        try:
-            if directive == "component":
-                bottom.append(
-                    SliceComponent(attrs["id"], _bool(attrs["touches_wall"], num))
-                )
-            elif directive == "point":
-                points.append(
-                    CriticalPoint(
-                        attrs["id"],
-                        Kind(attrs["kind"]),
-                        _int(attrs["index"], num),
-                        _fraction(attrs["value"], num),
-                    )
-                )
-            elif directive == "edge":
-                count = None if attrs["count"] == "?" else _int(attrs["count"], num)
-                edges.append(
-                    FlowEdge(
-                        attrs["src"], attrs["dst"], count, Locus(attrs["locus"])
-                    )
-                )
-            else:
-                inputs = ()
-                if attrs["inputs"] != "-":
-                    inputs = tuple(attrs["inputs"].split(","))
-                outputs = []
-                if attrs["outputs"] != "-":
-                    for item in attrs["outputs"].split(","):
-                        cid, _, bit = item.partition(":")
-                        if not bit:
-                            raise ParseError(
-                                "output %r lacks its wall bit" % (item,), num
-                            )
-                        outputs.append(SliceComponent(cid, _bool(bit, num)))
-                effects.append(
-                    ComponentEffect(
-                        attrs["at"],
-                        EffectKind(attrs["kind"]),
-                        inputs,
-                        tuple(outputs),
-                    )
-                )
-        except (ValidationError, ValueError) as exc:
-            raise ParseError(str(exc), num)
+    def read_header(token: str, attrs, num: int) -> None:
+        key, _, val = token.partition("=")
+        if attrs:
+            raise ParseError("stray tokens after %s" % (key,), num)
+        if key not in ("m", "n") + flag_keys:
+            raise ParseError("unknown header %r" % (key,), num)
+        if key in header:
+            raise ParseError("repeated header %r" % (key,), num)
+        header[key] = (val, num)
 
-    if not saw_format:
-        raise ParseError("missing format=" + DATUM_FORMAT)
+    directives = ("component", "point", "edge", "effect")
+    out = _read(text, DATUM_FORMAT, directives, read_header)
     for key in ("m", "n"):
         if key not in header:
             raise ParseError("missing header %s" % (key,))
     flags = Flags(**{
-        key: _bool(*header.get(key, ("true", None)))
-        for key in ("no_closed_cobordism", "no_closed_bottom", "no_closed_top")
+        key: _bool(*header.get(key, ("true", None))) for key in flag_keys
     })
     m, n = _int(*header["m"]), _int(*header["n"])
     try:
@@ -352,9 +359,9 @@ def parse_datum(text: str) -> MorseDatum:
     try:
         return MorseDatum(
             ambient,
-            tuple(points),
-            TrajectoryGraph(tuple(edges)),
-            SliceComplex(tuple(bottom), tuple(effects)),
+            tuple(out["point"]),
+            TrajectoryGraph(tuple(out["edge"])),
+            SliceComplex(tuple(out["component"]), tuple(out["effect"])),
             flags,
         )
     except ValidationError as exc:
@@ -405,34 +412,8 @@ def serialize_datum(datum: MorseDatum) -> str:
 
 
 def parse_script(text: str) -> List[MoveRecord]:
-    records: List[MoveRecord] = []
-    saw_format = False
-    shapes = ((_MOVE_LINE, _move, records),)
-    for num, line in _content_lines(text):
-        if not saw_format:
-            if line != "format=" + SCRIPT_FORMAT:
-                raise ParseError("expected format=" + SCRIPT_FORMAT, num)
-            saw_format = True
-            continue
-        if _fast_line(line, shapes):
-            continue
-        tokens = line.split()
-        attrs = _attrs(tokens, num)
-        if tokens[0] != "move":
-            raise ParseError("unknown directive %r" % (tokens[0],), num)
-        _check_keys(attrs, "move", num)
-        ids = tuple(attrs["ids"].split(","))
-        values = ()
-        if attrs["values"] != "-":
-            values = tuple([_fraction(tok, num) for tok in attrs["values"].split(",")])
-        note = "" if attrs["note"] == "-" else attrs["note"]
-        try:  # MoveRecord checks the record, once
-            records.append(MoveRecord(attrs["kind"], ids, values, note))
-        except ValidationError as exc:
-            raise ParseError(str(exc), num)
-    if not saw_format:
-        raise ParseError("missing format=" + SCRIPT_FORMAT)
-    return records
+    """Parse the script format; raises ParseError with a line number."""
+    return _read(text, SCRIPT_FORMAT, ("move",))["move"]
 
 
 def serialize_script(script) -> str:

@@ -144,6 +144,22 @@ def test_parse_error_carries_line_numbers():
             parse(head + line)
         assert err.value.line == len(head.splitlines()) + 1, line
 
+    # a canonical line of the other format, or a header in a script, is an
+    # unknown directive there: each format reads only its own line kinds,
+    # and no line is dropped
+    cross_format = [
+        (parse_datum, good, "move kind=rearrange ids=p values=1/2 note=-", "move"),
+        (parse_script, script_head, "point id=p kind=interior index=1 value=1/2",
+         "point"),
+        (parse_script, script_head, "m=4", "m=4"),
+    ]
+    for parse, head, line, directive in cross_format:
+        num = len(head.splitlines()) + 1
+        with pytest.raises(ParseError) as err:
+            parse(head + line)
+        assert err.value.line == num, line
+        assert str(err.value) == "line %d: unknown directive %r" % (num, directive)
+
     with pytest.raises(ParseError):
         parse_datum("format=halfhandle-datum/1\nn=1\n")  # m missing
 

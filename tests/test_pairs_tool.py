@@ -34,9 +34,49 @@ def test_summary_reports_medians_changes_and_wins():
     assert lines[0].split()[:2] == ["metric", "unit"]
     op = row(lines, "op_mid_ms")
     assert op[2:5] == ["30", "[29.75,", "30.25]"]  # parent median [q1, q3]
-    assert op[5] == "24.5" and op[-2:] == ["-18.3%", "3/4"]
-    assert row(lines, "setup_s")[-2:] == ["+0.0%", "0/4"]  # ties are no wins
-    assert row(lines, "peak_rss_mb")[-2] == "+1.0%"
+    assert op[5] == "24.5" and op[-3:] == ["-18.3%", "3/4", "-"]
+    assert row(lines, "setup_s")[-3:] == ["+0.0%", "0/4", "-"]  # ties are no wins
+    assert row(lines, "peak_rss_mb")[-3] == "+1.0%"
+
+
+PARENT = [30, 31, 29, 30, 32, 28, 30, 31, 29, 30]  # median 30, q1 29.25, q3 30.75
+
+
+def test_verdict_is_a_gain_on_9_of_10_wins_past_the_parents_spread():
+    def op(parent, change):  # op_mid_ms: bound 0.18, lower is better
+        return pairs.verdict(list(zip(parent, change)), 0.18, True)
+
+    better = [p - 5 for p in PARENT]
+    assert op(PARENT, better) == "gain"
+    assert op(PARENT, better[:9] + [31]) == "gain"  # 9/10
+    assert op(PARENT, better[:9] + [30]) == "gain"  # a tie is no win and no loss
+    assert op(PARENT, better[:8] + [31, 32]) == "-"  # 8/10
+    assert op(PARENT, better[:8] + [29, 30]) == "-"  # 8 wins and 2 ties
+    # 10/10 wins, but the median moves by no more than the parent's spread
+    assert op(PARENT, [p - 1.5 for p in PARENT]) == "-"
+    assert op(PARENT, [p - 1.6 for p in PARENT]) == "gain"
+    # a higher-is-better metric is read the other way round
+    assert pairs.verdict(list(zip(PARENT, better)), 0.18, False) == "-"
+    assert pairs.verdict(list(zip(better, PARENT)), 0.18, False) == "gain"
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_past_the_bound():
+    noisy = [20, 40, 20, 40, 20, 40, 20, 40, 20, 40]  # q1 20, median 30, q3 40
+    assert pairs.verdict(list(zip(noisy, [p - 1 for p in noisy])), 0.18, True) \
+        == "unresolved"
+    # the same spread within a wider bound reads as no verdict
+    assert pairs.verdict(list(zip(noisy, [p - 1 for p in noisy])), 0.7, True) == "-"
+    # every change run better than every parent run: resolved, though no gain
+    assert pairs.verdict(list(zip(noisy, [19] * 10)), 0.18, True) == "-"
+    # the column in the table: a noisy parent's op_mid_ms, and a steady
+    # peak_rss_mb that the change cuts in every pair
+    parent = [result(p, 20.0) for p in noisy]
+    change = [result(p - 1, 19.0) for p in noisy]
+    lines, flags = pairs.summarize(parent, change, END_TO_END)
+    assert flags == [] and lines[0].split()[-1] == "verdict"
+    assert row(lines, "op_mid_ms")[-3:] == ["-3.3%", "10/10", "unresolved"]
+    assert row(lines, "peak_rss_mb")[-3:] == ["-5.0%", "10/10", "gain"]
+    assert row(lines, "setup_s")[-1] == "-"
 
 
 def test_summary_flags_a_metric_past_its_bound_and_bad_runs():
@@ -50,7 +90,7 @@ def test_summary_flags_a_metric_past_its_bound_and_bad_runs():
         "op_mid_ms: median +20.0% against the parent, past its bound of 18%",
         "peak_rss_mb: median +15.0% against the parent, past its bound of 10%",
     ]
-    assert row(lines, "op_mid_ms")[-1] == "0/3"
+    assert row(lines, "op_mid_ms")[-2:] == ["0/3", "-"]
 
 
 def test_a_run_without_a_result_is_flagged_and_left_out():
@@ -60,7 +100,7 @@ def test_a_run_without_a_result_is_flagged_and_left_out():
     change = [result(27.0, 20.0), result(27.0, 20.0)]
     lines, flags = pairs.summarize(parent, change, END_TO_END)
     assert flags == ["parent run 1 gave no JSON result"]
-    assert row(lines, "op_mid_ms")[-1] == "1/1"
+    assert row(lines, "op_mid_ms")[-2:] == ["1/1", "gain"]
 
 
 def test_a_run_that_times_out_is_flagged_and_the_series_kept(
@@ -86,7 +126,7 @@ def test_a_run_that_times_out_is_flagged_and_the_series_kept(
     assert "%s: split_deep timed out after 610 s" % (ROOT,) in captured.err
     out = captured.out.splitlines()
     assert "FLAG: parent run 1 gave no JSON result" in out
-    assert row(out, "op_mid_ms")[-2:] == ["-10.0%", "2/2"]
+    assert row(out, "op_mid_ms")[-3:] == ["-10.0%", "2/2", "gain"]
 
 
 def test_several_workloads_print_one_table_each_and_any_flag_fails(
@@ -121,7 +161,7 @@ def test_several_workloads_print_one_table_each_and_any_flag_fails(
         "workload small_batch seed 1, 2 pairs of 1 s",
     ]
     deep, small = out[heads[0]:heads[1]], out[heads[1]:]
-    assert row(deep, "op_mid_ms")[-2:] == ["-10.0%", "2/2"]
+    assert row(deep, "op_mid_ms")[-3:] == ["-10.0%", "2/2", "gain"]
     assert not any(line.startswith("FLAG:") for line in deep)
     assert [line for line in small if line.startswith("FLAG:")] == [
         "FLAG: peak_rss_mb: median +15.0% against the parent, past its bound of 10%",

@@ -1,14 +1,19 @@
 """The benchmark's view of the package: traced names and seed-1 outputs.
 
 ``perfbench/run.py`` lists the functions it times in ``SPANNED`` and counts
-calls of two methods.  A rename or removal in the package would otherwise
-show only when the benchmark runs with ``--trace 1``.  The seed-1 output
+calls of two methods, and the benchmark's scripts import names from the
+top-level package or read them off it.  A rename or removal in the package
+would otherwise show only when the benchmark runs with ``--trace 1``, or
+when its corpus is rebuilt or its self test runs.  The seed-1 output
 digests of the split workloads are pinned in ``perfbench/BASELINE.json``;
 the driver's output must keep them byte for byte.
 """
 
+import ast
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import halfhandle
@@ -19,6 +24,20 @@ from helpers import PERFBENCH, benchmark_workload
 from helpers import perfbench_module as load
 
 
+def package_names_in_perfbench():
+    """The names ``perfbench/*.py`` imports from the top-level package
+    (``from halfhandle import ...``) or reads off it (``halfhandle.<name>``)."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "halfhandle":
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "halfhandle"):
+                names.add(node.attr)
+    return names
+
+
 def test_every_traced_name_resolves_on_the_package():
     spanned = load("run").SPANNED
     assert spanned
@@ -27,6 +46,18 @@ def test_every_traced_name_resolves_on_the_package():
             assert callable(getattr(getattr(halfhandle, module), attr)), (module, attr)
     assert callable(SliceComplex.effect_for)
     assert callable(CriticalPoint.__post_init__)
+    # every name the benchmark takes from the top level, and every module
+    # it reads there with getattr, in a fresh interpreter: here a module
+    # another test imported is an attribute of the package already
+    names = package_names_in_perfbench() | set(spanned)
+    assert {"generate", "parse_datum", "global_split", "normal_form"} <= names
+    probe = ("import sys, halfhandle; "
+             "print(sorted(n for n in sys.argv[1:] if not hasattr(halfhandle, n)))")
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", probe] + sorted(names),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_split_workloads_keep_their_seed_1_output_digests(monkeypatch):

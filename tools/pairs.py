@@ -15,10 +15,19 @@ out has none.  For every end-to-end metric of the parent's
 ``BENCHMARK.json`` the summary prints, one table per workload, the median
 and the quartiles of each side, the change of the median in percent, and
 the pairs in which the change is better in the metric's ``better``
-direction.  It flags a metric whose median is worse than the parent's by
-more than its bound, and any run that failed, had failed operations or
-was not correct; the exit status is 1 when anything is flagged in any
-workload.
+direction, and a verdict:
+
+* ``gain``: the change is better in at least 9 of 10 pairs (a tie is a win
+  for neither side), and its median is better than the parent's by more
+  than the parent's interquartile range;
+* ``unresolved``: no gain, the parent's interquartile range is wider than
+  the metric's bound times the parent's median, and not every run of the
+  change is better than every run of the parent;
+* ``-``: neither.
+
+It flags a metric whose median is worse than the parent's by more than its
+bound, and any run that failed, had failed operations or was not correct;
+the exit status is 1 when anything is flagged in any workload.
 
 Standard library only.  The runs are started with ``-B``, so they
 leave no bytecode cache in either checkout.
@@ -50,6 +59,22 @@ def run_flags(side, i, result):
     return []
 
 
+def verdict(got, bound, lower):
+    """``gain``, ``unresolved`` or ``-`` (see the module docstring) for the
+    (parent, change) value pairs ``got`` of a metric with this ``bound``,
+    where ``lower`` says a lower value is better."""
+    sign = -1 if lower else 1
+    q1, median, q3 = quartiles([p for p, _ in got])
+    change = quartiles([c for _, c in got])[1]
+    wins = sum(1 for p, c in got if sign * (c - p) > 0)
+    if 10 * wins >= 9 * len(got) and sign * (change - median) > q3 - q1:
+        return "gain"
+    beats_all = min(sign * c for _, c in got) > max(sign * p for p, _ in got)
+    if q3 - q1 > bound * median and not beats_all:
+        return "unresolved"
+    return "-"
+
+
 def summarize(parent, change, end_to_end):
     """(table lines, flags) for the paired JSON results ``parent[i]`` and
     ``change[i]`` (None for a run without a result) under the
@@ -59,9 +84,9 @@ def summarize(parent, change, end_to_end):
         for i, result in enumerate(results):
             flags += run_flags(side, i, result)
     pairs = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
-    lines = ["%-13s %-5s %28s %28s %9s %7s" % (
+    lines = ["%-13s %-5s %28s %28s %9s %7s %s" % (
         "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
-        "change", "wins")]
+        "change", "wins", "verdict")]
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         got = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -72,11 +97,11 @@ def summarize(parent, change, end_to_end):
         before, after = quartiles([p for p, _ in got]), quartiles([c for _, c in got])
         change_pct = 100.0 * (after[1] - before[1]) / before[1] if before[1] else 0.0
         wins = sum(1 for p, c in got if (c < p if lower else c > p))
-        lines.append("%-13s %-5s %28s %28s %+8.1f%% %3d/%-3d" % (
+        lines.append("%-13s %-5s %28s %28s %+8.1f%% %3d/%-3d %s" % (
             name, metric["unit"],
             "%.4g [%.4g, %.4g]" % (before[1], before[0], before[2]),
             "%.4g [%.4g, %.4g]" % (after[1], after[0], after[2]),
-            change_pct, wins, len(got)))
+            change_pct, wins, len(got), verdict(got, metric["bound"], lower)))
         worse = change_pct if lower else -change_pct
         if worse > 100.0 * metric["bound"]:
             flags.append("%s: median %+.1f%% against the parent, past its bound of %g%%"
