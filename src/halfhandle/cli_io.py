@@ -1,4 +1,4 @@
-"""Text formats, random data generation, a search oracle, and the CLI.
+"""Text formats and the CLI.
 
 The datum format is line oriented: one ``key=value`` header per line, then
 one line per bottom component, critical point, flow edge, and slice effect.
@@ -31,23 +31,17 @@ has one.  Each object is then checked once, by its constructor: a record by
 
 from __future__ import annotations
 
-import argparse
-import random
 import re
 import sys
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from .errors import (
-    BoundExceeded,
     EngineError,
-    InfeasibleSpec,
     MoveError,
     ParseError,
     PartialConfiguration,
-    UnknownId,
     ValidationError,
 )
 from .morse_data import (
@@ -57,14 +51,11 @@ from .morse_data import (
     Kind,
     MorseDatum,
     dimension_profile,
-    first_inversion,
-    is_admissible,
     require_valid,
     validate_datum,
 )
-from .moves import MoveRecord, cancel_pair, check_assignment, rearrange_pair
-from .moves import split_interior
-from .normal_form import Decomposition, global_split, scheduled_rank
+from .moves import MoveRecord, cancel_pair, rearrange_pair, split_interior
+from .normal_form import Decomposition, global_split
 from .slice_topology import (
     ComponentEffect,
     EffectKind,
@@ -442,347 +433,6 @@ def serialize_decomposition(dec: Decomposition) -> str:
 
 
 # ---------------------------------------------------------------------------
-# random data
-
-
-@dataclass
-class GeneratorSpec:
-    """Knobs for the random datum generator.
-
-    The three no_closed flags are baked into the output datum; with all of
-    them set the generator only emits data the normal form driver accepts.
-    ``leave_closed_component`` asks for a closed component surviving to the
-    top slice, which needs ``no_closed_top=False``.
-    """
-
-    n: int
-    m: int
-    points: int = 6
-    seed: int = 0
-    no_closed_cobordism: bool = True
-    no_closed_bottom: bool = True
-    no_closed_top: bool = True
-    allow_boundary: bool = True
-    leave_closed_component: bool = False
-    edge_probability: float = 0.25
-
-
-class _Restart(Exception):
-    pass
-
-
-def generate(spec: GeneratorSpec) -> MorseDatum:
-    """Build a random valid datum matching the requested knobs.
-
-    Raises InfeasibleSpec when the knobs contradict each other or no datum
-    was found after many attempts.
-    """
-    if spec.points < 0:
-        raise InfeasibleSpec("points must be nonnegative")
-    if not (0 <= spec.edge_probability <= 1):
-        raise InfeasibleSpec("edge_probability must sit in [0, 1]")
-    if spec.leave_closed_component and spec.no_closed_top:
-        raise InfeasibleSpec(
-            "a surviving closed component contradicts no_closed_top"
-        )
-    if spec.leave_closed_component and spec.points == 0:
-        raise InfeasibleSpec("a closed component needs at least one point")
-    try:
-        ambient = Ambient(spec.m, spec.n)
-    except ValidationError as exc:
-        raise InfeasibleSpec(str(exc))
-    last: Optional[Exception] = None
-    for attempt in range(80):
-        rng = random.Random(spec.seed * 1000003 + attempt)
-        try:
-            datum = _generate_once(spec, ambient, rng)
-        except _Restart as exc:
-            last = exc
-            continue
-        issues = validate_datum(datum)
-        if issues:
-            last = _Restart("generated an invalid datum: " + issues[0])
-            continue
-        return datum
-    raise InfeasibleSpec("no datum found for this spec (%s)" % (last,))
-
-
-def _edge_rank(p: CriticalPoint, n: int, offset: int) -> int:
-    # the rank a flow line's end counts at: an interior point of index 1..n
-    # sends as late as its index's unstable cell (offset 3) and receives as
-    # early as its stable cell (offset 1)
-    if p.kind is Kind.INTERIOR and 1 <= p.index <= n:
-        return 3 * p.index + offset
-    return scheduled_rank(p.kind, p.index)
-
-
-def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
-    n = ambient.n
-    P = spec.points
-    fc, fb, ft = spec.no_closed_cobordism, spec.no_closed_bottom, spec.no_closed_top
-    born = "connect" if fc else "close"  # what a new closed sphere owes
-    I, S, U = Kind.INTERIOR, Kind.BOUNDARY_STABLE, Kind.BOUNDARY_UNSTABLE
-    E = EffectKind
-
-    bits: Dict[str, bool] = {}
-    prs: Dict[str, int] = {}
-    producer: Dict[str, Optional[str]] = {}
-    live: set = set()
-    pending: Dict[str, str] = {}  # closed component -> "connect" | "close"
-    edges: List[FlowEdge] = []
-
-    def new_comp(touch: bool, pr: int, made_by: Optional[str]) -> SliceComponent:
-        cid = "c%d" % len(bits)
-        bits[cid] = touch
-        prs[cid] = pr
-        producer[cid] = made_by
-        live.add(cid)
-        return SliceComponent(cid, touch)
-
-    def below(pool: List[str], rank: int) -> List[str]:
-        return [c for c in pool if prs[c] <= rank]
-
-    def effect(kind, inputs, outputs, mode=None, swap=False) -> ComponentEffect:
-        # the current point ``pid`` consumes ``inputs`` and makes one
-        # component per (wall bit, rank) of ``outputs``, the last owing
-        # ``mode``; ``swap`` draws the order of the pair among the inputs or
-        # the outputs; a settled pending input gets a flow line from its maker
-        outs = [new_comp(touch, pr, pid) for touch, pr in outputs]
-        if mode is not None:
-            pending[outs[-1].id] = mode
-        if swap and rng.random() >= 0.5:
-            inputs, outs = inputs[::-1], outs[::-1]
-        for cid in inputs:
-            live.discard(cid)
-            if pending.pop(cid, None) and producer[cid] is not None:
-                count = 1 if kind is E.MERGE else None
-                edges.append(FlowEdge(producer[cid], pid, count, Locus.INNER))
-        return ComponentEffect(pid, kind, tuple(inputs), tuple(outs))
-
-    # merges: the touching input is the witness later splits route by, so
-    # the merged component touches too
-    def merge(others: List[str], witnesses: List[str]) -> ComponentEffect:
-        other = rng.choice(others)
-        witness = rng.choice([c for c in witnesses if c != other])
-        return effect(E.MERGE, (witness, other), [(True, 6)], swap=True)
-
-    # stable attaches; a second output only at index n
-    def stable(pool: List[str], k: int) -> ComponentEffect:
-        cid = rng.choice(pool)
-        two = k == n and rng.random() < 0.3
-        return effect(E.BOUNDARY_ATTACH, (cid,), [(True, 3 * k + 1)] * (1 + two))
-
-    bottom: List[SliceComponent] = []
-    for b in range(rng.randint(1, 3)):
-        touch = True if (fb or b == 0) else rng.random() < 0.6
-        bottom.append(new_comp(touch, 0, None))
-        if not touch:
-            pending[bottom[-1].id] = born
-
-    points: List[CriticalPoint] = []
-    effects: List[ComponentEffect] = []
-    denom = 8 * P + 8
-    nums = sorted(rng.sample(range(1, denom), P)) if P else []
-    width = max(2, len(str(max(P - 1, 1))))
-    last_rank = 0
-    max_connect_rank = (3 * (n + 1) + 1) if spec.allow_boundary else 5
-    want_leftover = spec.leave_closed_component
-
-    for i in range(P):
-        pid = "p%0*d" % (width, i)
-        connects = sorted(c for c, mode in pending.items() if mode == "connect")
-        closes = sorted(c for c, mode in pending.items() if mode == "close")
-        touchers = sorted(c for c in live if bits[c])
-        # a leftover closed component wants more sheds and fewer retirements
-        shed_weight = 5 if (want_leftover and not closes) else 2
-        retire_weight = 1 if want_leftover and len(closes) == 1 else 3
-        keep_or_shed = ((3, 0, None), (shed_weight, 1, "close"))
-
-        # one row (kind, index, weight, d_connect, d_close, build) per
-        # option; the builds run after the table is made, so each binds
-        # its loop variables as default arguments.  First the birth of a
-        # closed sphere
-        rows = [(I, 0, 3, int(fc), int(not fc),
-                 lambda: effect(E.BIRTH, (), [(False, 3)], born))]
-
-        # merges with a connecting, a closing or a touching other input
-        witnesses = below(touchers, 6)
-        for others, weight, d_connect, d_close, enough in (
-            (connects, 6, -1, 0, witnesses),
-            (below(closes, 4), 3, 0, -1, witnesses),
-            # these others all touch, so they sit among the witnesses too
-            (below(touchers, 4), 3, 0, 0, len(witnesses) >= 2),
-        ):
-            if others and enough:
-                rows.append((I, 1, weight, d_connect, d_close,
-                             lambda others=others: merge(others, witnesses)))
-
-        # internal surgeries on a wall component
-        for k in range(1, n + 1):
-            pool = below(touchers, 3 * k + 1)
-            if pool:
-                rows.append((I, k, 4, 0, 0, lambda pool=pool, k=k: effect(
-                    E.INTERNAL, (rng.choice(pool),), [(True, 3 * k + 3)])))
-
-        # split at top interior index, optionally shedding a closed piece
-        splittable = below(touchers, 3 * n + 1)
-        for weight, d_close, mode in keep_or_shed if splittable else ():
-            rows.append((I, n, weight, 0, d_close, lambda mode=mode: effect(
-                E.SPLIT, (rng.choice(splittable),),
-                [(True, 3 * n + 3), (mode is None, 3 * n + 3)], mode, swap=True)))
-
-        # death of a closed component whose family already meets the wall
-        if closes:
-            rows.append((I, n + 1, retire_weight, 0, -1,
-                         lambda: effect(E.DEATH, (rng.choice(closes),), [])))
-
-        # stable attaches; the absorbing forms retire closed components
-        for k in range(1, n + 2) if spec.allow_boundary else ():
-            for pool, weight, d_connect, d_close in (
-                (connects, 5, -1, 0),
-                (closes, retire_weight, 0, -1),
-                (touchers, 2, 0, 0),
-            ):
-                pool = below(pool, 3 * k + 1)
-                if pool:
-                    rows.append((S, k, weight, d_connect, d_close,
-                                 lambda pool=pool, k=k: stable(pool, k)))
-
-        # unstable attaches; a release sheds a wall component inward
-        for k in range(0, n + 1) if spec.allow_boundary else ():
-            pool = below(touchers, 3 * k + 3)
-            for weight, d_close, mode in keep_or_shed if pool else ():
-                rows.append((U, k, weight, 0, d_close,
-                             lambda pool=pool, k=k, mode=mode: effect(
-                                 E.BOUNDARY_ATTACH, (rng.choice(pool),),
-                                 [(mode is None, 3 * k + 3)], mode)))
-            if k == 1 and len(pool) >= 2:
-                rows.append((U, 1, 2, 0, 0, lambda pool=pool: effect(
-                    E.BOUNDARY_ATTACH, tuple(rng.sample(pool, 2)), [(True, 6)])))
-
-        options = []
-        for kind, index, weight, d_connect, d_close, build in rows:
-            rank = scheduled_rank(kind, index)
-            nc = len(connects) + d_connect
-            need = nc + (len(closes) + d_close if ft else 0)
-            if rank < last_rank or need > P - i - 1:
-                continue
-            if not (nc and rank > max_connect_rank):
-                options.append((weight, rank, kind, index, build))
-        if not options:
-            raise _Restart("walk has no legal continuation at point %d" % i)
-        pick = rng.random() * sum(option[0] for option in options)
-        for weight, rank, kind, index, build in options:
-            pick -= weight
-            if pick <= 0:
-                break
-        effects.append(build())
-        points.append(CriticalPoint(pid, kind, index, Fraction(nums[i], denom)))
-        last_rank = rank
-
-    if want_leftover and "close" not in pending.values():
-        raise _Restart("no closed component survived to the top")
-
-    # sprinkle extra flow edges wherever genericity allows them
-    existing = {(e.src, e.dst) for e in edges}
-    for i, z in enumerate(points):
-        for w in points[i + 1 :]:
-            if (z.id, w.id) in existing:
-                continue
-            if generic_disjoint(z, w, ambient):
-                continue
-            if _edge_rank(z, n, 3) > _edge_rank(w, n, 1):
-                continue
-            if rng.random() >= spec.edge_probability:
-                continue
-            menu = [Locus.MEMBRANE]
-            pz = dimension_profile(z.kind, z.index, n)
-            pw = dimension_profile(w.kind, w.index, n)
-            if pz.unstable_inner is not None and pw.stable_inner is not None:
-                menu.append(Locus.INNER)
-            if z.kind.is_boundary and w.kind.is_boundary:
-                menu.append(Locus.WALL)
-            count = rng.choice([None, 1, 2])
-            edges.append(FlowEdge(z.id, w.id, count, rng.choice(menu)))
-            existing.add((z.id, w.id))
-
-    return MorseDatum(
-        ambient,
-        tuple(points),
-        TrajectoryGraph(tuple(edges)),
-        SliceComplex(tuple(bottom), tuple(effects)),
-        Flags(fc, fb, ft),
-    )
-
-
-# ---------------------------------------------------------------------------
-# search oracle
-
-
-def brute_force_reachability(
-    datum: MorseDatum, targets: Mapping[str, Fraction], bound: int = 10000
-) -> bool:
-    """Whether single-point rearrangements can reach the target values.
-
-    Answers the same question as realize_configuration but by breadth
-    first search: states assign each point either its original or its
-    target value, moves change one point at a time, and every intermediate
-    state must keep edges uphill and the slice replay consistent
-    (``check_assignment``).  Targets must satisfy the same admissibility
-    contract realize_configuration enforces, otherwise the answer is False.
-    Raises BoundExceeded when more than ``bound`` states get explored.
-    """
-    ids = [p.id for p in datum.points]
-    want: Dict[str, Fraction] = {}
-    for pid, v in targets.items():
-        if pid not in ids:
-            raise UnknownId("no critical point with id %r" % (pid,))
-        want[pid] = Fraction(v)
-    for pid in ids:
-        if pid not in want:
-            raise PartialConfiguration("no target value for point %r" % (pid,))
-
-    for v in want.values():
-        if not (0 < v < 1):
-            return False
-    if datum.ambient.codim >= 2:
-        if not is_admissible(datum.points, want):
-            return False
-    elif first_inversion(datum.points, want) is not None:
-        return False
-
-    goal = tuple(want[pid] for pid in ids)
-    if check_assignment(datum, dict(zip(ids, goal))) is not None:
-        return False
-    start = tuple(p.value for p in datum.points)
-    menu = [
-        (start[i],) if start[i] == goal[i] else (start[i], goal[i])
-        for i in range(len(ids))
-    ]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        if state == goal:
-            return True
-        for i in range(len(ids)):
-            for v in menu[i]:
-                if v == state[i]:
-                    continue
-                succ = state[:i] + (v,) + state[i + 1 :]
-                if succ in seen:
-                    continue
-                if len(seen) >= bound:
-                    raise BoundExceeded(
-                        "gave up after exploring %d states" % len(seen)
-                    )
-                if check_assignment(datum, dict(zip(ids, succ))) is None:
-                    seen.add(succ)
-                    queue.append(succ)
-    return False
-
-
-# ---------------------------------------------------------------------------
 # command line
 
 
@@ -844,6 +494,8 @@ def _cmd_disjoint(args) -> int:
     datum = _load_valid(args.file)
     z = datum.point(args.z)
     w = datum.point(args.w)
+    if z is w:  # a point is not a pair, as in cancel_pair and oracle
+        raise ParseError("repeated point %r" % (args.z,))
     print("disjoint=" + _bool_str(generic_disjoint(z, w, datum.ambient)))
     return 0
 
@@ -877,6 +529,8 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generator import GeneratorSpec, generate
+
     spec = GeneratorSpec(
         n=args.n,
         m=args.m,
@@ -895,6 +549,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .generator import brute_force_reachability
+
     datum = _load_valid(args.file)
     targets = {}
     for item in args.targets:
@@ -912,7 +568,9 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # here, not at the top: importing the package needs no CLI
+
     parser = argparse.ArgumentParser(
         prog="halfhandle",
         description="Symbolic rewriting engine for Morse data of embedded "

@@ -16,9 +16,6 @@ from fractions import Fraction
 import pytest
 
 from halfhandle.cli_io import (
-    GeneratorSpec,
-    brute_force_reachability,
-    generate,
     parse_datum,
     parse_script,
     serialize_datum,
@@ -35,6 +32,7 @@ from halfhandle.errors import (
     NotSingleTrajectory,
     UnknownId,
 )
+from halfhandle.generator import GeneratorSpec, brute_force_reachability, generate
 from halfhandle.morse_data import (
     Ambient,
     CriticalPoint,

@@ -12,9 +12,6 @@ from time import perf_counter
 import pytest
 
 from halfhandle.cli_io import (
-    GeneratorSpec,
-    brute_force_reachability,
-    generate,
     main,
     parse_datum,
     parse_script,
@@ -29,6 +26,7 @@ from halfhandle.errors import (
     PartialConfiguration,
     UnknownId,
 )
+from halfhandle.generator import GeneratorSpec, brute_force_reachability, generate
 from halfhandle.morse_data import Flags, Kind, validate_datum
 from halfhandle.moves import MoveRecord, apply_script, realize_configuration
 from halfhandle.normal_form import global_split
@@ -502,6 +500,14 @@ def test_cli_disjoint(tmp_path, capsys):
     assert capsys.readouterr().out == "disjoint=false\n"
     assert main(["disjoint", path, "r", "p"]) == 0
     assert capsys.readouterr().out == "disjoint=true\n"
+    # a repeated id is refused, not answered for a pair of one point; an
+    # unknown id is still reported first
+    assert main(["disjoint", path, "p", "p"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated point 'p'\n"
+    assert main(["disjoint", path, "x", "x"]) == 1
+    assert capsys.readouterr().err == "error: no critical point with id 'x'\n"
 
 
 def test_cli_rearrange_and_replay(tmp_path, capsys):
@@ -609,6 +615,28 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
     assert main(["generate", "--n", "1", "--m", "3", "--points", "2",
                  "--seed", "0", "--leave-closed-component"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_generates_and_answers_the_oracle(tmp_path):
+    # the two commands that load the generator on first use, in a fresh
+    # interpreter: the generated text is pinned by its sha256
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def cli(*args):
+        proc = subprocess.run([sys.executable, "-B", "-m", "halfhandle", *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    text = cli("generate", "--n", "2", "--m", "4", "--seed", "1")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "9891e99d2124745d29a9303caad4f5dc9256773dd44e5f14a2b7aa11dcf74975")
+    path = write(tmp_path, "g.hh", text)
+    kept = ["p00=1/56", "p01=5/28", "p02=11/56", "p05=25/28"]
+    # p03 and p04 swap past each other; p00 would sit above its line to p02
+    assert cli("oracle", path, *kept, "p03=23/56", "p04=1/4") == "reachable\n"
+    assert cli("oracle", path, "p00=1/2", *kept[1:], "p03=1/4", "p04=23/56") == (
+        "unreachable\n")
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():

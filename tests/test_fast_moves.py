@@ -41,7 +41,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
-from halfhandle.cli_io import GeneratorSpec, generate, parse_datum, serialize_datum
+from halfhandle.cli_io import parse_datum, serialize_datum
 from halfhandle.errors import (
     EdgeOrderViolation,
     EngineError,
@@ -53,6 +53,7 @@ from halfhandle.errors import (
     UnknownId,
     ValidationError,
 )
+from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.morse_data import (
     CriticalPoint,
     Flags,
@@ -78,7 +79,7 @@ from halfhandle.slice_topology import (
     flag_issues,
     replay,
 )
-from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph
+from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph, generic_disjoint
 
 from helpers import (
     _moves_locally,
@@ -1266,14 +1267,14 @@ def test_cancels_match_the_rebuild_reference(d):
         assert_cancels_match_the_rebuild(out)
 
 
-def through_the_pair(x_id, y_id, x_value, y_value, locus):
-    """An internal chain p -> q of indices 2, 3 with lines x -> q and
-    p -> y in ``locus``, for interior points x (index 1) and y (index 4)
-    of their own pieces."""
-    base = internal_chain_pair(n=4, k=2)
+def through_the_pair(x_id, y_id, x_value, y_value, locus, m=6, x_index=1, y_index=4):
+    """An internal chain p -> q of indices 2, 3 (n = 4) with lines x -> q
+    and p -> y in ``locus``, for interior points x and y of their own
+    pieces."""
+    base = internal_chain_pair(n=4, k=2, m=m)
     return base.replace(
-        points=base.points + (pt(x_id, Kind.INTERIOR, 1, x_value),
-                              pt(y_id, Kind.INTERIOR, 4, y_value)),
+        points=base.points + (pt(x_id, Kind.INTERIOR, x_index, x_value),
+                              pt(y_id, Kind.INTERIOR, y_index, y_value)),
         graph=TrajectoryGraph(base.graph.edges + (
             edge(x_id, "q", None, locus), edge("p", y_id, None, locus))),
         slices=SliceComplex(
@@ -1291,6 +1292,19 @@ def test_a_cancel_induces_no_flow_line_between_equal_values():
         assert validate_datum(d) == []
         [out] = assert_cancels_match_the_rebuild(d, [("p", "q")])
         assert out.graph.edges == ()
+
+
+def test_a_cancel_induces_no_flow_line_that_genericity_rules_out():
+    # codimension 1: x -> q (indices 3, 3) and p -> y (2, 2) may exist, but
+    # the chain x -> y through the pair would fall from index 3 to 2, where
+    # genericity keeps the membranes apart.  The cancel drops the chain; a
+    # cancel that induced the line anyway would be refused by its check
+    d = through_the_pair("x", "y", Fraction(1, 6), Fraction(5, 6), Locus.INNER,
+                         m=5, x_index=3, y_index=2)
+    assert validate_datum(d) == []
+    assert generic_disjoint(d.point("x"), d.point("y"), d.ambient)
+    [out] = assert_cancels_match_the_rebuild(d, [("p", "q")])
+    assert out.graph.edges == ()
 
 
 def test_a_fault_through_the_pair_is_caught_even_when_the_cache_lies():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from halfhandle.cli_io import GeneratorSpec, generate
+from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.errors import (
     BadLevels,
     PipelineBlocked,

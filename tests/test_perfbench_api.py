@@ -60,6 +60,20 @@ def test_every_traced_name_resolves_on_the_package():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_neither_the_generator_nor_argparse():
+    # the benchmark's setup_s times ``import halfhandle`` in a fresh
+    # interpreter: it loads the engine only, and the generator's two
+    # top-level names load their module on first use
+    probe = ("import sys, halfhandle; "
+             "print(sorted({'argparse', 'halfhandle.generator'} & set(sys.modules))); "
+             "print(halfhandle.generate.__module__, halfhandle.GeneratorSpec.__module__)")
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nhalfhandle.generator halfhandle.generator\n"
+
+
 def test_split_workloads_keep_their_seed_1_output_digests(monkeypatch):
     # one operation of each split workload, built and checked by the
     # benchmark's own code: the union of the seed, global_split, the replay

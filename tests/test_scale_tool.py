@@ -1,5 +1,7 @@
-"""``tools/scale.py`` runs and reports both split pools (smoke size)."""
+"""``tools/scale.py`` runs and reports both split pools (smoke size), alone
+and against a second checkout."""
 
+import os
 import pathlib
 import re
 import subprocess
@@ -32,3 +34,34 @@ def test_scale_script_reports_both_pools_at_160_points():
             assert growth == "-"
         else:  # the three times over those of the row above
             assert re.fullmatch(r"\d+\.\dx/\d+\.\dx/\d+\.\dx", growth), growth
+
+
+def test_against_times_both_checkouts_and_prints_their_ratio():
+    # this checkout against itself: a row per side and a ratio row per size
+    root = str(SCALE.parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-B", str(SCALE), "--points", "80", "--against", root],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["growth", "side"]
+    assert [row.split()[:2] + row.split()[-1:] for row in rows] == [
+        [pool, "80", side] for pool in ("split_deep", "split_codim1")
+        for side in ("against", "this", "ratio")]
+    for against, this, ratio in zip(rows[::3], rows[1::3], rows[2::3]):
+        assert against.split()[2:4] == this.split()[2:4]  # splits and moves
+        assert ratio.split()[2:4] == ["-", "-"] and ratio.split()[-2] == "-"
+        for cell in ratio.split()[4:8]:
+            assert re.fullmatch(r"\d+\.\d{3}x", cell), cell
+
+
+def test_against_refuses_a_directory_whose_package_was_not_imported(tmp_path):
+    # tmp_path has no src/halfhandle, so its runs would import the package
+    # from the path this checkout's src/ is on
+    env = dict(os.environ, PYTHONPATH=str(SCALE.parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(SCALE), "--points", "80", "--against", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode != 0
+    assert "halfhandle came from" in proc.stderr

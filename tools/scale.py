@@ -22,10 +22,25 @@ Prints one line per pool and size, and checks that both replays reproduce
 the driver's result.  The ``growth`` column holds the ``global_split``,
 ``apply_script`` and text replay times over those of the previous size of
 the same pool (``-`` for the first size).
+
+To compare two checkouts, say a parent and a change, run the change's copy
+of this script with the parent's root::
+
+    python3 tools/scale.py --against PARENT_DIR --points 1280 5120
+
+Each run is then a process of its own, on this checkout's corpus and
+harness with the package of one side.  Run i of a size times ``DIR``
+first when i is even and this checkout first when it is odd, as
+``tools/pairs.py`` alternates its pairs, so a drift of the host's speed
+falls on both sides alike.  Each size prints a row for ``DIR``
+(``against``), one for this checkout (``this``), each the medians of its
+runs, and a ``ratio`` row of this checkout's times over ``DIR``'s.
 """
 
 import argparse
+import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -38,6 +53,14 @@ from halfhandle import cli_io, moves, normal_form  # noqa: E402
 
 POOLS = ("split_deep", "split_codim1")
 RUNS = 5  # single runs of one size spread too widely to read a growth from
+# one run of --against in a fresh interpreter: the package is imported from
+# its side's src/ first, so the harness's own src/ entry never serves it
+ONE_RUN = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import halfhandle; "
+    "sys.path.insert(0, sys.argv[2]); import scale; scale.one_run(sys.argv[1], *sys.argv[3:])"
+)
+HEADER = "%-13s %6s %6s %6s %14s %14s %14s %14s %18s"
+ROW = "%-13s %6d %6d %6d %14.3f %14.3f %14.3f %14.3f %18s"
 
 
 def union_of(pieces, points):
@@ -50,12 +73,12 @@ def union_of(pieces, points):
     return disjoint_union(*chosen)
 
 
-def measure(pieces, points):
+def measure(pieces, points, runs=RUNS):
     """(points, splits, moves, global_split seconds, apply_script seconds,
     text replay seconds, text parse seconds), the times the medians of
-    ``RUNS`` runs."""
+    ``runs`` runs."""
     split_s, replay_s, text_s, parse_s = [], [], [], []
-    for _ in range(RUNS):
+    for _ in range(runs):
         datum = union_of(pieces, points)
         start = perf_counter()
         out, _, script = normal_form.global_split(datum)
@@ -79,24 +102,67 @@ def measure(pieces, points):
             statistics.median(parse_s))
 
 
+def one_run(src, pool, points):
+    """Print one run of ``measure`` on ``pool`` at ``points`` as JSON, for
+    the package in ``src``, which must be the one imported."""
+    import halfhandle
+
+    if Path(halfhandle.__file__).resolve().parent.parent != Path(src).resolve():
+        raise SystemExit("halfhandle came from %s, not %s" % (halfhandle.__file__, src))
+    texts, _ = load_corpus()
+    pieces = [cli_io.parse_datum(t) for t in texts[pool]]
+    print(json.dumps(measure(pieces, int(points), runs=1)))
+
+
+def alternate(against, pool, points):
+    """The rows of ``against`` and of this checkout at one size, from
+    ``RUNS`` alternating runs of each in processes of their own."""
+    sides = (("against", against / "src"), ("this", ROOT / "src"))
+    got = {side: [] for side, _ in sides}
+    for i in range(RUNS):
+        for side, src in sides[:: 1 if i % 2 == 0 else -1]:
+            proc = subprocess.run(
+                [sys.executable, "-B", "-c", ONE_RUN, str(src), str(ROOT / "tools"),
+                 pool, str(points)], capture_output=True, text=True, timeout=600)
+            if proc.returncode != 0:
+                raise SystemExit("%s run of %s at %d failed:\n%s"
+                                 % (side, pool, points, proc.stderr))
+            got[side].append(json.loads(proc.stdout))
+    return [tuple(runs[0][:3]) + tuple(statistics.median(r[i] for r in runs)
+                                       for i in range(3, 7))
+            for runs in got.values()]
+
+
+def growth(row, before):
+    return "-" if before is None else "/".join(
+        "%.1fx" % (row[i] / before[i]) for i in (3, 4, 5))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--points", type=int, nargs="+", default=[320, 1280, 5120])
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="root of a second checkout, timed alternately with this one")
     args = parser.parse_args(argv)
     texts, _ = load_corpus()
-    print("%-13s %6s %6s %6s %14s %14s %14s %14s %18s" % (
+    print(HEADER % (
         "pool", "P", "splits", "moves", "global_split_s", "apply_script_s",
-        "replay_text_s", "parse_text_s", "growth"))
+        "replay_text_s", "parse_text_s", "growth") + ("" if args.against is None else " side"))
     for pool in POOLS:
         pieces = [cli_io.parse_datum(t) for t in texts[pool]]
         before = None
         for points in args.points:
-            row = measure(pieces, points)
-            growth = "-" if before is None else "/".join(
-                "%.1fx" % (row[i] / before[i]) for i in (3, 4, 5))
-            print("%-13s %6d %6d %6d %14.3f %14.3f %14.3f %14.3f %18s"
-                  % ((pool,) + row + (growth,)), flush=True)
-            before = row
+            if args.against is None:
+                row = measure(pieces, points)
+                print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
+                before = row
+                continue
+            rows = alternate(args.against, pool, points)
+            for side, row, last in zip(("against", "this"), rows, before or (None, None)):
+                print(ROW % ((pool,) + row + (growth(row, last),)) + " " + side)
+            ratio = tuple("%.3fx" % (rows[1][i] / rows[0][i]) for i in range(3, 7))
+            print(HEADER % ((pool, points, "-", "-") + ratio + ("-",)) + " ratio", flush=True)
+            before = rows
     return 0
 
 
