@@ -529,22 +529,13 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from dataclasses import fields
+
     from .generator import GeneratorSpec, generate
 
-    spec = GeneratorSpec(
-        n=args.n,
-        m=args.m,
-        points=args.points,
-        seed=args.seed,
-        no_closed_cobordism=not args.allow_closed_cobordism,
-        no_closed_bottom=not args.allow_closed_bottom,
-        no_closed_top=not args.allow_closed_top,
-        allow_boundary=not args.no_boundary,
-        leave_closed_component=args.leave_closed_component,
-        edge_probability=args.edge_probability,
-    )
-    datum = generate(spec)
-    _write_text(args.out, serialize_datum(datum))
+    spec = GeneratorSpec(**{f.name: getattr(args, f.name)
+                            for f in fields(GeneratorSpec)})
+    _write_text(args.out, serialize_datum(generate(spec)))
     return 0
 
 
@@ -615,11 +606,14 @@ def _build_parser():
     p.add_argument("--points", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-probability", type=float, default=0.25)
-    p.add_argument("--allow-closed-cobordism", action="store_true")
-    p.add_argument("--allow-closed-bottom", action="store_true")
-    p.add_argument("--allow-closed-top", action="store_true")
+    # each dest is the GeneratorSpec field: _cmd_generate reads them by name
+    p.add_argument("--allow-closed-cobordism", dest="no_closed_cobordism",
+                   action="store_false")
+    p.add_argument("--allow-closed-bottom", dest="no_closed_bottom",
+                   action="store_false")
+    p.add_argument("--allow-closed-top", dest="no_closed_top", action="store_false")
     p.add_argument("--leave-closed-component", action="store_true")
-    p.add_argument("--no-boundary", action="store_true")
+    p.add_argument("--no-boundary", dest="allow_boundary", action="store_false")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_generate)
 

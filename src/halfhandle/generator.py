@@ -50,6 +50,11 @@ class GeneratorSpec:
     edge_probability: float = 0.25
 
 
+# the walk and the edge sprinkle are quadratic in the points (3 s at 2,000):
+# a spec of more points is refused before anything is drawn
+MAX_POINTS = 10_000
+
+
 class _Restart(Exception):
     pass
 
@@ -57,11 +62,13 @@ class _Restart(Exception):
 def generate(spec: GeneratorSpec) -> MorseDatum:
     """Build a random valid datum matching the requested knobs.
 
-    Raises InfeasibleSpec when the knobs contradict each other or no datum
-    was found after many attempts.
+    Raises InfeasibleSpec when the knobs contradict each other, ask for more
+    than MAX_POINTS points, or no datum was found after many attempts.
     """
     if spec.points < 0:
         raise InfeasibleSpec("points must be nonnegative")
+    if spec.points > MAX_POINTS:
+        raise InfeasibleSpec("points must be at most %d" % (MAX_POINTS,))
     if not (0 <= spec.edge_probability <= 1):
         raise InfeasibleSpec("edge_probability must sit in [0, 1]")
     if spec.leave_closed_component and spec.no_closed_top:

@@ -26,22 +26,24 @@ and the surgery of one point and nothing else.  The drivers, script
 replay, ``assign_values`` and ``realize_configuration`` fold runs of
 rearrangements in one pass (``_rearrange_run``): the run looks up the
 datum's indexes once, each step puts its keys into the run's one overlay
-and is checked there, inline, a refused step is taken out again, and the
-points are re-placed once per run.  A moved point is
-built from its old one at the checked value, not checked again, and a
-driver's one-point record is built unchecked (``MoveRecord._step``), its
-id from the valid datum.  So is a parsed one-point rearrange line in the
-serializer's shape, whose pattern match proves the record's checks; any
-other parsed record takes every check, once (``MoveRecord`` keeps a tuple
-of Fractions as it is).  Runs of splits are folded the same way
-(``_split_run``, of which ``split_interior`` is the one-record case): each
-split reads the splits before it through one overlay and is checked and
-refused in place, and the points, flow lines and effects are patched once
-per run.  Values are range-checked on their ints and ordered by their
-``order_key``s.  Only the run accepts a rearrangement or target map;
-one it refuses raises the reason the full replay names (``_refusal``).
-A cancellation is checked at its pair, its induced flow lines by
-``edge_issues`` (``cancel_pair``).  Every move builds its result with
+and is checked there, inline, and the points are re-placed once per run.
+A moved point is built from its old one at the checked value, not
+checked again, and a driver's one-point record is built unchecked
+(``MoveRecord._step``), its id from the valid datum.  So is a parsed
+one-point rearrange line in the serializer's shape, whose pattern match
+proves the record's checks; any other parsed record takes every check,
+once (``MoveRecord`` keeps a tuple of Fractions as it is).  Runs of
+splits are folded the same way (``_split_run``, of which
+``split_interior`` is the one-record case): each split reads the splits
+before it through one overlay and is checked and refused in place, and
+the points, flow lines and effects are patched once per run.  Values are
+range-checked on their ints and ordered by their ``order_key``s.  Only
+the run accepts a rearrangement or target map.  A refused step raises
+the reason the full replay names for the run's input datum at the
+overlay's values (``_refusal``); a refused target map raises the
+SwapBlocked its map alone names (``_swap_blocked``).  A cancellation is
+checked at its pair, its induced flow lines by ``edge_issues``
+(``cancel_pair``).  Every move builds its result with
 ``MorseDatum._patched``, which states what a patch keeps; no move
 validates its result or rebuilds the whole datum.
 """
@@ -191,39 +193,22 @@ def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
     return None
 
 
-def _refusal(datum, assignments, targets=False) -> MoveError:
+def _refusal(datum, assignments) -> MoveError:
     """The error for a move of known points to values in (0, 1) that a
     step of ``_rearrange_run`` refuses, named by the full replay
     (``check_assignment``): EdgeOrderViolation for the first flow line it
-    runs downhill, else InvalidEffect with the first replay issue.  With
-    ``targets`` (a whole target map of ``realize_configuration``),
-    SwapBlocked naming the pair that line or the first starving surgery
-    (``_starving_pair``) pins.
+    runs downhill, else InvalidEffect with the first replay issue.
 
     On a valid datum the step check and the full replay refuse the same
-    moves, and a park and place run refuses exactly the illegal maps, so
-    the replay always names a reason.
+    moves, so the replay always names a reason.
     """
     values = datum.values()
     values.update((pid, exact(v)) for pid, v in assignments.items())
     kind, detail = check_assignment(datum, values)
     if kind == "edge":
-        src, dst = detail.src, detail.dst
-        if targets:
-            return SwapBlocked(
-                src, dst, "flow line %s->%s pins the order, targets invert it"
-                % (src, dst)
-            )
         return EdgeOrderViolation(
             "flow line %s->%s would run downhill (%s >= %s)"
-            % (src, dst, values[src], values[dst])
-        )
-    if targets:
-        consumer, producer = _starving_pair(datum, values)
-        return SwapBlocked(
-            consumer, producer,
-            "surgery at %s needs a component made at %s, targets put it below"
-            % (consumer, producer),
+            % (detail.src, detail.dst, values[detail.src], values[detail.dst])
         )
     return InvalidEffect("new order breaks the slice replay: %s" % (detail,))
 
@@ -253,9 +238,7 @@ def assign_values(
         "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note)
 
 
-def _rearrange_run(
-    datum: MorseDatum, script: Iterable[MoveRecord], targets=None
-) -> MorseDatum:
+def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
     """The datum the rearrange records of ``script`` make, one after another:
     the left fold of single checked moves over them, in one pass.
 
@@ -270,23 +253,16 @@ def _rearrange_run(
     once, so nothing else pins the replay order.  Records of any length
     take this one loop, which builds a one-point record no list, zip or
     key map.  The moved points are re-placed once, at the end
-    (``with_keys``).  A refused step is taken back out of the overlay, and
-    the run raises what the fold raises: ``_refusal`` on the datum the
-    earlier steps made, or with ``targets`` (``realize_configuration``'s
-    map) ``_refusal(datum, targets, targets=True)``.
+    (``with_keys``).  A refused step raises what the fold raises:
+    ``_refusal`` on ``datum`` with the values of the whole overlay, which
+    holds the earlier steps and every id of the refused record, so it names
+    the same value map as the datum the earlier steps made plus the record.
     """
-    overlay, undo = {}, {}  # each moved point's key; the key its step replaced
+    overlay = {}  # each moved point's key
     key = overlay.get
 
-    def refused(record):
-        if targets is not None:
-            return _refusal(datum, targets, targets=True)
-        for pid in record.ids:
-            if undo[pid] is None:
-                del overlay[pid]
-            else:
-                overlay[pid] = undo[pid]
-        return _refusal(datum.with_keys(overlay), record.assignments())
+    def refused():
+        return _refusal(datum, {pid: at[1] for pid, at in overlay.items()})
 
     for record in script:
         if not overlay:  # the first record
@@ -309,7 +285,6 @@ def _rearrange_run(
             num, den = v.numerator, v.denominator
             if not 0 < num < den:
                 raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
-            undo[pid] = key(pid)
             overlay[pid] = (num / den, v, pid)  # order_key(v, pid)
         for pid in ids:
             at = overlay[pid]
@@ -317,22 +292,22 @@ def _rearrange_run(
             for e in out_edges.get(pid, ()):
                 up = key(e.dst) or points[e.dst].sort_key()
                 if not (f < up[0] or f == up[0] and v < up[1]):
-                    raise refused(record)
+                    raise refused()
             for e in in_edges.get(pid, ()):
                 down = key(e.src) or points[e.src].sort_key()
                 if not (down[0] < f or down[0] == f and down[1] < v):
-                    raise refused(record)
+                    raise refused()
             effect = effects[pid]
             for cid in effect.inputs:
                 maker = producer[cid]
                 if maker is not None and not (
                         key(maker) or points[maker].sort_key()) < at:
-                    raise refused(record)
+                    raise refused()
             for c in effect.outputs:
                 user = consumer.get(c.id)
                 if user is not None and not at < (
                         key(user) or points[user].sort_key()):
-                    raise refused(record)
+                    raise refused()
     return datum.with_keys(overlay)
 
 
@@ -397,8 +372,7 @@ def realize_configuration(
     park and place steps run as one ``_rearrange_run``, which checks each
     in O(deg) and alone accepts the map: a run whose steps all pass leaves
     every point at its target in a valid datum, and a legal map always gets
-    there.  A refused step raises the SwapBlocked ``_refusal`` names for
-    the whole map by the full replay.
+    there.  A refused run is named from the map alone (``_swap_blocked``).
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -450,21 +424,36 @@ def realize_configuration(
     script += [
         MoveRecord._step(key[2], key[1], "place") for key in sorted(keys.values())
     ]
-    return _rearrange_run(datum, script, want), script
+    try:
+        return _rearrange_run(datum, script), script
+    except MoveError:
+        raise _swap_blocked(datum, want) from None
 
 
-def _starving_pair(datum: MorseDatum, values: Mapping[str, Fraction]):
-    """First (consumer, producer) pair out of order under the new values;
-    on a valid datum only such a starving surgery breaks the replay."""
+def _swap_blocked(datum: MorseDatum, values: Mapping[str, Fraction]) -> SwapBlocked:
+    """The SwapBlocked for an illegal target map of a valid datum: the
+    first flow line it runs downhill, in edge order, else the first surgery,
+    in (value, id) order, whose input is made above it.  Component ids are
+    made once and wall bits are fixed per id, so only such a surgery breaks
+    the replay of a map whose flow lines run uphill."""
+    for e in datum.graph.edges:
+        if not values[e.src] < values[e.dst]:
+            return SwapBlocked(
+                e.src, e.dst, "flow line %s->%s pins the order, targets invert it"
+                % (e.src, e.dst)
+            )
     producers = datum.slices.component_index.producer
     seen = {c.id for c in datum.slices.bottom}
     for p in sorted(datum.points, key=lambda p: (values[p.id], p.id)):
         effect = datum.slices.effect_for(p.id)
         for cid in effect.inputs:
             if cid not in seen:
-                return p.id, producers[cid]
-        for c in effect.outputs:
-            seen.add(c.id)
+                return SwapBlocked(
+                    p.id, producers[cid],
+                    "surgery at %s needs a component made at %s, targets put "
+                    "it below" % (p.id, producers[cid]),
+                )
+        seen.update(effect.output_ids())
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from halfhandle.morse_data import (
 from halfhandle.moves import (
     MoveRecord,
     _inverse_pattern,
-    _starving_pair,
     apply_script,
     check_assignment,
 )
@@ -250,7 +249,9 @@ def rearrange_by_steps(datum, script):
     not touch them held after the step before.  The gate, UnknownId for
     any id of a step, then MoveError for its first value outside (0, 1),
     and a refusal named by ``moves._refusal`` on the datum the earlier
-    steps made are the run's.
+    steps made plus the record's values are the run's: the run names it on
+    its input datum with the values of its whole overlay, the same value
+    map.
     """
     overlay = {}
     for record in script:
@@ -274,6 +275,22 @@ def rearrange_by_steps(datum, script):
                     overlay[pid] = key
             raise moves._refusal(datum.with_keys(overlay), record.assignments())
     return datum.with_keys(overlay)
+
+
+def starving_pair(datum, values):
+    """First (consumer, producer) pair out of order under ``values``: the
+    first point, in (value, id) order, with an input no point below it or
+    the bottom slice made."""
+    producers = datum.slices.component_index.producer
+    seen = {c.id for c in datum.slices.bottom}
+    for p in sorted(datum.points, key=lambda p: (values[p.id], p.id)):
+        effect = datum.slices.effect_for(p.id)
+        for cid in effect.inputs:
+            if cid not in seen:
+                return p.id, producers[cid]
+        for c in effect.outputs:
+            seen.add(c.id)
+    return None
 
 
 def realize_by_replay(d, targets):
@@ -312,7 +329,7 @@ def realize_by_replay(d, targets):
                 detail.src, detail.dst,
                 "flow line %s->%s pins the order, targets invert it"
                 % (detail.src, detail.dst))
-        consumer, producer = _starving_pair(d, want)
+        consumer, producer = starving_pair(d, want)
         raise SwapBlocked(
             consumer, producer,
             "surgery at %s needs a component made at %s, targets put it below"

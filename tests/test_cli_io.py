@@ -1,17 +1,21 @@
 """Text formats, the generator, the search oracle, and the CLI."""
 
 import hashlib
+import io
 import itertools
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+from halfhandle import generator
 from halfhandle.cli_io import (
+    _build_parser,
     main,
     parse_datum,
     parse_script,
@@ -162,6 +166,14 @@ def test_parse_error_carries_line_numbers():
         parse_datum("format=halfhandle-datum/1\nn=1\n")  # m missing
 
 
+def test_parse_refuses_two_effects_at_one_point():
+    twice = "effect at=p kind=birth inputs=- outputs=c9:false\n"
+    text = serialize_datum(rich_datum()) + twice
+    with pytest.raises(ParseError) as err:
+        parse_datum(text)
+    assert str(err.value) == "inconsistent datum: two effects at point 'p'"
+
+
 def test_unknown_count_serializes_as_question_mark():
     text = serialize_datum(rich_datum())
     assert "count=?" in text
@@ -272,6 +284,42 @@ def test_generate_rejects_contradictory_specs():
     with pytest.raises(InfeasibleSpec):
         generate(GeneratorSpec(n=3, m=3, points=4, seed=0))
 
+
+def test_generate_refuses_more_points_than_its_cap(monkeypatch, capsys):
+    # refused before anything is drawn: a draw at the cap raises Drawn
+    class Drawn(Exception):
+        pass
+
+    def drawing(spec, ambient, rng):
+        raise Drawn
+
+    monkeypatch.setattr(generator, "_generate_once", drawing)
+    with pytest.raises(Drawn):
+        generate(GeneratorSpec(n=2, m=4, points=generator.MAX_POINTS))
+    with pytest.raises(InfeasibleSpec) as refused:
+        generate(GeneratorSpec(n=2, m=4, points=10**8))
+    assert str(refused.value) == "points must be at most 10000"
+    assert main(["generate", "--n", "2", "--m", "4", "--points", "100000000"]) == 1
+    assert capsys.readouterr().err == "error: points must be at most 10000\n"
+
+
+def test_cli_generate_flags_set_the_spec_fields():
+    parser = _build_parser()
+
+    def parsed(*flags):
+        args = parser.parse_args(["generate", "--n", "2", "--m", "4", *flags])
+        return {f.name: getattr(args, f.name) for f in fields(GeneratorSpec)}
+
+    default = asdict(GeneratorSpec(n=2, m=4))
+    assert parsed() == default
+    assert parsed("--points", "9", "--seed", "3", "--edge-probability", "0.5") == {
+        **default, "points": 9, "seed": 3, "edge_probability": 0.5}
+    for flag, field in (("--allow-closed-cobordism", "no_closed_cobordism"),
+                        ("--allow-closed-bottom", "no_closed_bottom"),
+                        ("--allow-closed-top", "no_closed_top"),
+                        ("--leave-closed-component", "leave_closed_component"),
+                        ("--no-boundary", "allow_boundary")):
+        assert parsed(flag) == {**default, field: not default[field]}, flag
 
 
 # sha256 over the serialized output of ``generate`` for every spec of the
@@ -580,6 +628,12 @@ def test_cli_split_and_normal_form(tmp_path, capsys):
     loose_path = write(tmp_path, "loose.hh", serialize_datum(loose))
     assert main(["normal-form", loose_path, "--report",
                  str(tmp_path / "r.hh")]) == 2
+
+
+def test_cli_validate_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_datum(rich_datum())))
+    assert main(["validate", "-"]) == 0
+    assert capsys.readouterr().out == "ok\n"
 
 
 def test_cli_generate_and_oracle(tmp_path, capsys):

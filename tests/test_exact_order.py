@@ -22,6 +22,7 @@ import dataclasses
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -127,6 +128,25 @@ def test_sorted_and_spliced_by_key_as_by_value_and_id(points, data):
     assert not taken & {p.id for p in add}
     spliced = splice(items, drop, add, CriticalPoint.sort_key)
     assert list(spliced) == exact_order(kept + add)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(101, 400), st.randoms(use_true_random=False), st.data())
+def test_splice_by_bisection_as_the_plain_rebuild(size, rng, data):
+    # fewer than one drop per hundred items: the drops are found by
+    # bisection, as for a split or a cancel on a large datum
+    items = tuple((k, "old") for k in sorted(rng.sample(range(10**6), size)))
+    drop = data.draw(st.lists(st.sampled_from(items), min_size=1,
+                              max_size=min(3, (size - 1) // 100), unique=True))
+    assert 100 * len(drop) < len(items)
+    kept = [x for x in items if x not in drop]
+    taken = {k for k, _ in kept}
+    free = st.integers(0, 10**6).filter(lambda k: k not in taken)
+    again = st.sampled_from([k for k, _ in drop])  # a dropped key, re-added
+    add = [(k, "new") for k in data.draw(
+        st.lists(st.one_of(free, again), max_size=4, unique=True))]
+    key = itemgetter(0)
+    assert splice(items, drop, add, key) == tuple(sorted(kept + add, key=key))
 
 
 def test_the_cached_float_is_the_float_of_the_value():

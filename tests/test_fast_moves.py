@@ -59,6 +59,7 @@ from halfhandle.morse_data import (
     Flags,
     Kind,
     MorseDatum,
+    exact,
     validate_datum,
 )
 from halfhandle.moves import (
@@ -638,6 +639,21 @@ def test_split_runs_read_makers_and_users_through_the_overlay():
         assert split_run_outcome(moves._split_run, d, ids) == want, ids
 
 
+def test_split_runs_carry_a_flow_line_between_two_split_points():
+    # an inner flow line p -> q between two joinable interior points: the
+    # second split finds the line already moved to the first split's half,
+    # as the line into q (p first) or the line out of p (q first)
+    d = internal_chain_pair(n=4, k=1)
+    assert validate_datum(d) == []
+    for ids in (["q", "p"], ["p", "q"]):
+        want, made = split_fold_outcome(d, ids)
+        assert want[0] == "accepted" and len(made) == 2
+        assert edge("pu", "qs", 1, Locus.INNER) in want[1].graph.edges
+        assert split_run_outcome(moves._split_run, d, ids) == want, ids
+        records = [MoveRecord("split", (z_id,)) for z_id in ids]
+        assert split_run_outcome(moves.apply_script, d, records) == want, ids
+
+
 # ---------------------------------------------------------------------------
 # the split stage by counts, and the cached verdicts by rebuilding
 
@@ -822,27 +838,32 @@ def test_cached_verdicts_hold_on_every_intermediate_datum():
 
 def fold_outcome(d, script):
     """``assign_values`` over the script's steps one by one; the outcome,
-    the records made up to the first refusal and the datum they made."""
+    the records made up to the first refusal, and the values of the datum
+    they made, updated with the refused record's values (with those of the
+    datum they made when none is refused)."""
     made = []
     try:
         for record in script:
             d, made_record = assign_values(d, record.assignments(), record.note)
             made.append(made_record)
     except Exception as exc:  # the class and message are what is compared
-        return ("refused", type(exc), str(exc)), made, serialize_datum(d)
-    return ("accepted", d, serialize_datum(d)), made, serialize_datum(d)
+        return ("refused", type(exc), str(exc)), made, {
+            **d.values(), **record.assignments()}
+    return ("accepted", d, serialize_datum(d)), made, d.values()
 
 
 def run_outcome(d, script, run=_rearrange_run):
     """``run`` (by default ``_rearrange_run``) over the script; the outcome
-    and the datum the run hands to ``_refusal``, serialized (None when it
+    and the value map the run names a refusal on: the values of the datum
+    it hands to ``_refusal``, updated with the assignments (None when it
     does not ask it)."""
     named = []
     original = moves._refusal
 
-    def naming(datum, assignments, targets=False):
-        named.append(serialize_datum(datum))
-        return original(datum, assignments, targets)
+    def naming(datum, assignments):
+        named.append({**datum.values(),
+                      **{pid: exact(v) for pid, v in assignments.items()}})
+        return original(datum, assignments)
 
     moves._refusal = naming
     try:
@@ -878,7 +899,8 @@ def test_runs_match_the_fold_of_single_moves(d, data):
     want, made, before = fold_outcome(d, script)
     assert got == want, script
     assert made == script[:len(made)]
-    # a refused step is named on the datum the steps before it made
+    # a refused step is named on the values of the datum the steps before
+    # it made, updated with its own
     assert named in (None, before), script
     if got[0] == "accepted":
         out = got[1]
@@ -959,7 +981,7 @@ def run_script(draw, d):
 @given(st.one_of(generated(), st.builds(planted_union)), st.data())
 def test_runs_match_the_step_by_step_reference(d, data):
     # the accepted datum, as an object and as bytes, or the refusal class,
-    # message and the datum handed to _refusal
+    # message and the value map _refusal names it on
     script = run_script(data.draw, d)
     assume(script)
     got = run_outcome(d, script)
@@ -969,7 +991,7 @@ def test_runs_match_the_step_by_step_reference(d, data):
     if got[0][0] == "refused":
         event("refused: %s" % (got[0][1].__name__,))
         if got[1] is not None and len(script) > 1:
-            event("refused partway, named on the earlier steps' datum")
+            event("refused partway, named on the earlier steps' values")
 
 
 def test_runs_refuse_as_the_reference_on_the_planted_union():
@@ -1003,9 +1025,10 @@ def test_runs_refuse_as_the_reference_on_the_planted_union():
         assert got == run_outcome(d, script, rearrange_by_steps), name
         if gate is not None:
             assert got[0][1] is gate and got[1] is None, (name, got)
-        else:  # named by the full replay, on the datum the lifts made
+        else:  # named by the full replay, on the values the lifts made
             assert got[0][1] in (EdgeOrderViolation, InvalidEffect), (name, got)
-            assert got[1] == serialize_datum(run_outcome(d, script[:-1])[0][1])
+            made = run_outcome(d, script[:-1])[0][1]
+            assert got[1] == {**made.values(), **script[-1].assignments()}
     accepted = run_outcome(d, [lift, lift])
     assert accepted[0][0] == "accepted"
     assert accepted == run_outcome(d, [lift, lift], rearrange_by_steps)

@@ -394,6 +394,42 @@ def test_cancel_refuses_non_inverse_effects():
         cancel_pair(parallel, "p", "q")
 
 
+def test_cancel_refuses_effects_that_do_not_chain():
+    # a split, then the death of another closed component: the bottom one
+    unrelated = datum(
+        4, 2,
+        [comp("c0", True), comp("c1", False)],
+        [pt("p", Kind.INTERIOR, 2, Fraction(1, 3)),
+         pt("q", Kind.INTERIOR, 3, Fraction(2, 3))],
+        [edge("p", "q", 1, Locus.INNER)],
+        [eff("p", EffectKind.SPLIT, ("c0",), (comp("c2", True), comp("c3", False))),
+         eff("q", EffectKind.DEATH, ("c1",), ())],
+        Flags(no_closed_cobordism=False, no_closed_bottom=False, no_closed_top=False),
+    )
+
+    def upper_attach(kind, k, bottom, inputs, outputs):
+        # two chained attaches, the upper one with the given components
+        base = attach_chain_pair(kind, k)
+        return datum(5, 3, [comp(c) for c in bottom], base.points, base.graph.edges,
+                     [base.slices.effect_for("p"),
+                      eff("q", EffectKind.BOUNDARY_ATTACH, inputs,
+                          [comp(c) for c in outputs])])
+
+    refusals = [
+        (unrelated, "the death does not consume a split output"),
+        # the upper attach splits its input in two, or merges two inputs
+        (upper_attach(Kind.BOUNDARY_STABLE, 2, ["c0"], ["c1"], ["c2", "c3"]),
+         "only chained one-to-one attaches cancel"),
+        (upper_attach(Kind.BOUNDARY_UNSTABLE, 0, ["c0", "c3"], ["c1", "c3"], ["c2"]),
+         "only chained one-to-one attaches cancel"),
+    ]
+    for d, message in refusals:
+        assert validate_datum(d) == []
+        with pytest.raises(InvalidEffect) as refused:
+            cancel_pair(d, "p", "q")
+        assert str(refused.value) == message
+
+
 def test_cancel_refuses_wall_bit_mismatch():
     d = datum(
         5, 3,
