@@ -529,8 +529,6 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from dataclasses import fields
-
     from .generator import GeneratorSpec, generate
 
     spec = GeneratorSpec(**{f.name: getattr(args, f.name)

@@ -46,10 +46,6 @@ class UnknownId(EngineError):
     """A point or component id that the datum does not contain."""
 
 
-class CriticalLevel(EngineError):
-    """A slice was requested exactly at a critical value."""
-
-
 class MoveError(EngineError):
     """A move refused because one of its side conditions fails."""
 
@@ -73,8 +69,8 @@ class Inadmissible(MoveError):
 class SwapBlocked(MoveError):
     """Realizing a configuration needs a swap that the data forbids."""
 
-    def __init__(self, lower, upper, message=None):
-        super().__init__(message or "cannot move %r past %r" % (lower, upper))
+    def __init__(self, lower, upper, message):
+        super().__init__(message)
         self.pair = (lower, upper)
 
 
@@ -115,7 +111,7 @@ class InvalidEffect(MoveError):
 
 
 class BadLevels(MoveError):
-    """Band boundaries that are not ordered the way the driver needs."""
+    """Values that do not show the band structure the driver needs."""
 
 
 class StuckNoJoinablePoint(MoveError):

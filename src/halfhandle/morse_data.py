@@ -413,18 +413,10 @@ class MorseDatum:
     def values(self):
         return {p.id: p.value for p in self.points}
 
-    def interior_points(self, lo=None, hi=None):
-        """Interior points, optionally restricted to an index range."""
-        out = []
-        for p in self.points:
-            if p.kind is not Kind.INTERIOR:
-                continue
-            if lo is not None and p.index < lo:
-                continue
-            if hi is not None and p.index > hi:
-                continue
-            out.append(p)
-        return out
+    def interior_points(self, lo: int, hi: int):
+        """Interior points of index lo..hi, in datum order."""
+        return [p for p in self.points
+                if p.kind is Kind.INTERIOR and lo <= p.index <= hi]
 
     def replace(self, **kw) -> "MorseDatum":
         return replace(self, **kw)

@@ -79,28 +79,16 @@ def _category(p, n: int) -> str:
     return "middle"
 
 
-def tsa_check(
-    datum: MorseDatum, a: Fraction, c: Fraction, d: Fraction, b: Fraction
-) -> bool:
+def tsa_check(datum: MorseDatum) -> bool:
     """Whether the values show the band structure the driver relies on.
 
-    The four cuts must satisfy 0 < a < c <= d < b < 1 (with a = d and
-    c = b when n = 1); otherwise BadLevels.  Returns True when every point
-    sits strictly inside the band of its category and the interior points
-    of index 1, and of index n, each share a single level.
+    The cuts are ``band_levels(n)``.  Returns True when every point sits
+    strictly inside the band of its category and the interior points of
+    index 1, and of index n, each share a single level.
     """
     n = datum.ambient.n
-    a, c, d, b = Fraction(a), Fraction(c), Fraction(d), Fraction(b)
-    shape_ok = 0 < a < c < 1 and 0 < d < b < 1
-    if n == 1:
-        shape_ok = shape_ok and a == d and c == b
-    else:
-        shape_ok = shape_ok and c <= d
-    if not shape_ok:
-        raise BadLevels("cuts %s, %s, %s, %s are not banded" % (a, c, d, b))
-
     # (float, value) keys; a value on a cut lies outside every open band
-    ka, kc, kd, kb = map(order_key, (a, c, d, b))
+    ka, kc, kd, kb = map(order_key, band_levels(n))
     bands = {
         "low": (order_key(Fraction(0)), ka),
         "join_low": (ka, kc),
@@ -124,7 +112,8 @@ def tsa_check(
 def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
     """Pull the shared extreme-index levels apart so every point splits.
 
-    Takes valid data only (``require_valid``).  The interior index-1 points
+    Takes valid data only (``require_valid``), with the band structure in
+    place (``tsa_check``, otherwise BadLevels).  The interior index-1 points
     spread over distinct levels of (a, c) and the interior index-n points
     over (d, b), in id order: a valid datum replays a shared level in id
     order, so a maker in the group has the smaller id and the surgeries
@@ -136,7 +125,7 @@ def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
     require_valid(datum)
     n = datum.ambient.n
     a, c, d, b = band_levels(n)
-    if not tsa_check(datum, a, c, d, b):
+    if not tsa_check(datum):
         raise BadLevels("joinability pass needs the band structure in place")
 
     def separate(group, upward, note):

@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import (
-    CriticalLevel,
     InvalidEffect,
     NotInterior,
     UnknownId,
@@ -410,23 +409,7 @@ def _find(parent: Dict[str, str], cid: str) -> str:
     return cid
 
 
-def state_at_level(ambient: Ambient, points, complex: SliceComplex, level: Fraction):
-    """Live components at a regular level strictly inside (0,1)."""
-    level = Fraction(level)
-    if not (0 < level < 1):
-        raise ValidationError("level %s outside (0,1)" % (level,))
-    for p in points:
-        if p.value == level:
-            raise CriticalLevel("level %s is the critical value of %s" % (level, p.id))
-    state = {c.id: c.touches_wall for c in complex.bottom}
-    for p in sorted(points, key=lambda q: q.sort_key()):
-        if p.value > level:
-            break
-        apply_effect(state, complex.effect_for(p.id))
-    return state
-
-
-def level_slices(ambient: Ambient, points, complex: SliceComplex):
+def level_slices(points, complex: SliceComplex):
     """All distinct slices, as intervals of regular values with components."""
     ordered = sorted(points, key=lambda p: p.sort_key())
     cuts = [Fraction(0)]

@@ -209,16 +209,6 @@ def _reaches(graph: TrajectoryGraph, starts, dst: str) -> bool:
     return False
 
 
-def has_path(graph: TrajectoryGraph, src: str, dst: str) -> bool:
-    """Whether a chain of one or more edges runs from src to dst.
-
-    A single search from the successors of src; ``broken_closure`` answers
-    the same question for every pair at once and stays the reference.
-    """
-    first = graph.edge_index.out_edges.get(src, ())
-    return _reaches(graph, [e.dst for e in first], dst)
-
-
 def has_broken_path(graph: TrajectoryGraph, src: str, dst: str) -> bool:
     """Whether a chain of two or more edges runs from src to dst.
 
@@ -235,9 +225,12 @@ def can_rearrange(graph: TrajectoryGraph, z_id: str, w_id: str) -> bool:
     """Whether the order of z (below) and w (above) is free to change.
 
     True unless some chain of flow lines runs from z up to w; such a chain
-    pins the order of their critical values.
+    pins the order of their critical values.  A single search from the
+    successors of z; ``broken_closure`` answers the same question for every
+    pair at once and stays the reference.
     """
-    return not has_path(graph, z_id, w_id)
+    first = graph.edge_index.out_edges.get(z_id, ())
+    return not _reaches(graph, [e.dst for e in first], w_id)
 
 
 def _in_range(p: CriticalPoint, n: int) -> bool:

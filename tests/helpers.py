@@ -1,5 +1,6 @@
 """Shared builders for hand-made test data, and slow references."""
 
+import functools
 import sys
 import types
 from fractions import Fraction
@@ -56,7 +57,7 @@ from halfhandle.slice_topology import (
     EffectKind,
     SliceComplex,
     SliceComponent,
-    state_at_level,
+    level_slices,
 )
 from halfhandle.trajectory import (
     FlowEdge,
@@ -447,29 +448,6 @@ def assert_records_as_checked(script):
         assert all(type(v) is Fraction for v in r.values), r
 
 
-def union(*data):
-    """Cobordisms side by side in one datum: the point, edge endpoint and
-    component ids of piece i get the prefix ``u<i>_``; a flag holds when it
-    holds for every piece.  All pieces share the first one's ambient."""
-    points, edges, bottom, effects = [], [], [], []
-    for i, d in enumerate(data):
-        pre = "u%d_" % i
-        points += [pt(pre + p.id, p.kind, p.index, p.value) for p in d.points]
-        edges += [edge(pre + e.src, pre + e.dst, e.count, e.locus)
-                  for e in d.graph.edges]
-        bottom += [comp(pre + c.id, c.touches_wall) for c in d.slices.bottom]
-        effects += [
-            eff(pre + e.at, e.kind, [pre + cid for cid in e.inputs],
-                [comp(pre + c.id, c.touches_wall) for c in e.outputs])
-            for e in d.slices.effects
-        ]
-    flags = Flags(*(all(getattr(d.flags, f) for d in data) for f in (
-        "no_closed_cobordism", "no_closed_bottom", "no_closed_top")))
-    return MorseDatum(data[0].ambient, tuple(points),
-                      TrajectoryGraph(tuple(edges)),
-                      SliceComplex(tuple(bottom), tuple(effects)), flags)
-
-
 def dimension_sum_oracle(z, w, ambient):
     """Disjointness by dimension count, computed from the profiles alone.
 
@@ -495,9 +473,11 @@ def dimension_sum_oracle(z, w, ambient):
     return True
 
 
-def no_closed_components(ambient, points, complex, level):
-    """Whether every component of the level set at ``level`` touches the wall."""
-    return all(state_at_level(ambient, points, complex, level).values())
+def no_closed_components(points, complex, level):
+    """Whether every component of the level set at the regular ``level``
+    touches the wall."""
+    at = next(s for s in level_slices(points, complex) if s.lo < level < s.hi)
+    return all(c.touches_wall for c in at.components)
 
 
 def flag_issues_by_reference(complex, flags, final):
@@ -739,6 +719,19 @@ def perfbench_module(name):
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), vars(module))
     return module
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus():
+    return perfbench_module("corpus")
+
+
+def union(*data):
+    """Cobordisms side by side in one datum, by the benchmark's own builder
+    ``perfbench/corpus.disjoint_union``: the ids of piece i get the prefix
+    ``u<ii>_`` (``u00_``, ``u01_``, ...); a flag holds when it holds for
+    every piece.  All pieces share one ambient."""
+    return _corpus().disjoint_union(*data)
 
 
 def benchmark_workload(monkeypatch, name, seed):

@@ -303,6 +303,14 @@ def test_generate_refuses_more_points_than_its_cap(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: points must be at most 10000\n"
 
 
+def test_generate_never_returns_a_datum_its_validation_refuses(monkeypatch):
+    monkeypatch.setattr(generator, "validate_datum", lambda d: ["a fault"])
+    with pytest.raises(InfeasibleSpec) as refused:
+        generate(GeneratorSpec(n=2, m=4, points=4, seed=0))
+    assert str(refused.value) == (
+        "no datum found for this spec (generated an invalid datum: a fault)")
+
+
 def test_cli_generate_flags_set_the_spec_fields():
     parser = _build_parser()
 

@@ -800,7 +800,7 @@ def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
         assert vars(out)["valid"] is True
     assert cancelled >= 5, cancelled
     first, second = [[p for p in d.points if p.id.startswith(pre)]
-                     for pre in ("u0_", "u1_")]
+                     for pre in ("u00_", "u01_")]
     accepted = 0
     for z in first:
         for w in second:
@@ -1176,7 +1176,7 @@ def test_split_results_patch_the_indexes_a_fresh_build_gives():
         for pair in pair_families(n, m):
             d = union(pair, *pieces(n, m, range(2), boundary))
             if d.valid:
-                assert_indexes_match_a_fresh_build(cancel_pair(d, "u0_p", "u0_q")[0])
+                assert_indexes_match_a_fresh_build(cancel_pair(d, "u00_p", "u00_q")[0])
                 checked["cancel"] += 1
     assert checked["split"] > 50 and checked["run"] > 20, checked
     assert checked["cancel"] >= 15, checked
@@ -1229,7 +1229,7 @@ def assert_cancels_match_the_rebuild(d, pairs=None):
 
 @st.composite
 def cancel_bases(draw):
-    """A pair family of ``helpers`` (as z = u0_p below w = u0_q) side by
+    """A pair family of ``helpers`` (as z = u00_p below w = u00_q) side by
     side with up to two generated pieces of its dimensions.  Chains p -> w,
     z -> q through the pair, for piece points p and q, are added line by
     line where the datum stays valid, so that the cancel induces flow
@@ -1249,7 +1249,7 @@ def cancel_bases(draw):
         except InfeasibleSpec:
             pass
     d = union(pair, *more)
-    z, w = d.point("u0_p"), d.point("u0_q")
+    z, w = d.point("u00_p"), d.point("u00_q")
     others = [p for p in d.points if p not in (z, w)]
     below = [p for p in others if p.value < w.value]
     above = [q for q in others if z.value < q.value]

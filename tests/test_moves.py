@@ -415,13 +415,22 @@ def test_cancel_refuses_effects_that_do_not_chain():
                       eff("q", EffectKind.BOUNDARY_ATTACH, inputs,
                           [comp(c) for c in outputs])])
 
+    chain = attach_chain_pair(Kind.BOUNDARY_UNSTABLE, 1)
     refusals = [
         (unrelated, "the death does not consume a split output"),
-        # the upper attach splits its input in two, or merges two inputs
+        # the lower attach merges two components, or the upper one splits
+        # its input in two or merges two inputs
+        (datum(5, 3, [comp("c0"), comp("c3")], chain.points, chain.graph.edges,
+               [eff("p", EffectKind.BOUNDARY_ATTACH, ("c0", "c3"), (comp("c1"),)),
+                chain.slices.effect_for("q")]),
+         "only chained one-to-one attaches cancel"),
         (upper_attach(Kind.BOUNDARY_STABLE, 2, ["c0"], ["c1"], ["c2", "c3"]),
          "only chained one-to-one attaches cancel"),
         (upper_attach(Kind.BOUNDARY_UNSTABLE, 0, ["c0", "c3"], ["c1", "c3"], ["c2"]),
          "only chained one-to-one attaches cancel"),
+        # the upper attach takes a bottom component, not the lower's output
+        (upper_attach(Kind.BOUNDARY_STABLE, 2, ["c0", "c3"], ["c3"], ["c2"]),
+         "the attaches do not chain"),
     ]
     for d, message in refusals:
         assert validate_datum(d) == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfhandle import normal_form
 from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.errors import (
     BadLevels,
@@ -116,27 +117,23 @@ def scheduled(n, m):
 def test_tsa_check_accepts_the_schedule():
     for n in range(1, 6):
         d = scheduled(n, n + 2)
-        assert tsa_check(d, *band_levels(n))
+        assert tsa_check(d)
 
 
 def test_tsa_check_rejects_misplaced_points():
     n = 2
     d = scheduled(n, n + 2)
-    a, c, dd, b = band_levels(n)
+    a = band_levels(n)[0]
     # drag an interior index-1 point out of its band
     moved = d.replace(points=tuple(
         p if not (p.kind is Kind.INTERIOR and p.index == 1)
         else pt(p.id, p.kind, p.index, Fraction(1, 100)) for p in d.points))
-    assert not tsa_check(moved, a, c, dd, b)
+    assert not tsa_check(moved)
     # a point sitting exactly on a cut fails too
     on_cut = d.replace(points=tuple(
         p if not (p.kind is Kind.INTERIOR and p.index == 1)
         else pt(p.id, p.kind, p.index, a) for p in d.points))
-    assert not tsa_check(on_cut, a, c, dd, b)
-    with pytest.raises(BadLevels):
-        tsa_check(d, c, a, dd, b)
-    with pytest.raises(BadLevels):  # n > 1 needs the low cut pair first
-        tsa_check(d, a, dd, c, b)
+    assert not tsa_check(on_cut)
 
 
 def test_tsa_check_wants_shared_join_levels():
@@ -150,10 +147,10 @@ def test_tsa_check_wants_shared_join_levels():
         [eff("p", EffectKind.INTERNAL, ("c0",), (comp("c2", True),)),
          eff("q", EffectKind.INTERNAL, ("c1",), (comp("c3", True),))],
     )
-    assert not tsa_check(base, *band_levels(n))  # distinct join levels
+    assert not tsa_check(base)  # distinct join levels
     together = base.replace(points=tuple(
         pt(p.id, p.kind, p.index, Fraction(19, 48)) for p in base.points))
-    assert tsa_check(together, *band_levels(n))
+    assert tsa_check(together)
 
 
 def test_ensure_joinable_separates_and_checks_wall_contact():
@@ -244,6 +241,11 @@ def two_point_input():
 def test_global_split_two_point_example():
     d = two_point_input()
     assert derive_half_handle_decomposition(d) is None
+    # p already inside its segment: the unsplit q alone rules the shape out
+    placed = d.replace(points=(pt("p", Kind.INTERIOR, 0, Fraction(1, 16)),
+                               d.point("q")))
+    assert validate_datum(placed) == []
+    assert derive_half_handle_decomposition(placed) is None
     out, dec, script = global_split(d)
     assert validate_datum(out) == []
     assert verify_decomposition(out, dec)
@@ -345,6 +347,17 @@ def test_global_split_names_the_stage_that_refuses():
             global_split(d)
         assert info.value.stage == stage
         assert type(info.value.cause) is cause
+
+
+def test_global_split_refuses_an_output_that_fails_verification(monkeypatch):
+    # the stages always end in the normal form; were one to miss it, the
+    # driver reports a block at "verify" and returns no decomposition
+    monkeypatch.setattr(normal_form, "verify_decomposition", lambda d, dec: False)
+    with pytest.raises(PipelineBlocked) as info:
+        global_split(two_point_input())
+    assert info.value.stage == "verify"
+    assert str(info.value) == (
+        "stage 'verify' blocked: driver output is not in normal form")
 
 
 def test_verify_decomposition_rejects_tampering():
@@ -497,6 +510,11 @@ def test_monotone_decomposition_codim_one():
     mid_indices = [out.point(s.point_ids[0]).index for s in mids]
     assert mid_indices == sorted(mid_indices)
     assert all(2 <= i <= 3 for i in mid_indices)
+    # two middle points on one level leave no singleton segments
+    tied = d.replace(points=tuple(
+        pt(p.id, p.kind, p.index, Fraction(1, 2)) if p.id in ("b", "c") else p
+        for p in d.points))
+    assert derive_monotone_decomposition(tied) is None
 
 
 def test_codim_one_n_one_is_trivial():
@@ -504,6 +522,7 @@ def test_codim_one_n_one_is_trivial():
     out, dec, script = global_split(d)
     assert out == d and script == []
     assert dec.style == "trivial"
+    assert derive_monotone_decomposition(d) is None  # no middle at n = 1
     assert verify_decomposition(out, dec)
 
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from halfhandle.errors import (
-    CriticalLevel,
     InvalidEffect,
     NotInterior,
     UnknownId,
@@ -30,7 +29,6 @@ from halfhandle.slice_topology import (
     joinable_to_wall,
     level_slices,
     replay,
-    state_at_level,
 )
 
 from helpers import datum, comp, no_closed_components, pt, eff, edge, replace_effects
@@ -217,18 +215,9 @@ def test_replay_reports_missing_effect():
 
 def test_state_at_level_and_slices():
     d = two_step_datum()
-    assert state_at_level(d.ambient, d.points, d.slices, Fraction(1, 8)) == \
-        {"c0": True, "c1": False}
-    assert state_at_level(d.ambient, d.points, d.slices, Fraction(1, 2)) == \
-        {"c2": True}
-    with pytest.raises(CriticalLevel):
-        state_at_level(d.ambient, d.points, d.slices, Fraction(1, 4))
-    with pytest.raises(ValidationError):
-        state_at_level(d.ambient, d.points, d.slices, Fraction(2))
-    assert not no_closed_components(d.ambient, d.points, d.slices,
-                                    Fraction(1, 8))
-    assert no_closed_components(d.ambient, d.points, d.slices, Fraction(1, 2))
-    slices = level_slices(d.ambient, d.points, d.slices)
+    assert not no_closed_components(d.points, d.slices, Fraction(1, 8))
+    assert no_closed_components(d.points, d.slices, Fraction(1, 2))
+    slices = level_slices(d.points, d.slices)
     assert [(s.lo, s.hi) for s in slices] == [
         (Fraction(0), Fraction(1, 4)),
         (Fraction(1, 4), Fraction(3, 4)),
@@ -243,6 +232,9 @@ def test_joinable_to_wall():
     assert joinable_to_wall(d.ambient, d.points, d.slices, "q")
     with pytest.raises(UnknownId):
         joinable_to_wall(d.ambient, d.points, d.slices, "zz")
+    with pytest.raises(ValidationError, match="slice replay failed"):
+        joinable_to_wall(d.ambient, d.points,
+                         replace_effects(d.slices, drop=("p",)), "q")
 
     away = datum(
         4, 2,

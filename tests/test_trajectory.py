@@ -20,11 +20,10 @@ from halfhandle.trajectory import (
     generic_disjoint,
     graph_issues,
     has_broken_path,
-    has_path,
 )
 
 from helpers import datum, comp, dimension_sum_oracle, pt, eff, edge
-from halfhandle.slice_topology import EffectKind
+from halfhandle.slice_topology import ComponentEffect, EffectKind
 
 
 def reachable_by_dfs(edges, src):
@@ -56,7 +55,8 @@ def test_closure_matches_path_enumeration(raw):
         for dst in nodes | {"elsewhere"}:
             # the single-source queries against the closure, their reference
             reach = closure.get(src, frozenset())
-            assert has_path(graph, src, dst) == (dst in reach) == (dst in want)
+            blocked = not can_rearrange(graph, src, dst)
+            assert blocked == (dst in reach) == (dst in want)
             long_way = any(dst in closure.get(mid, frozenset())
                            for mid in reach if mid != dst)
             assert long_way == any(dst in reachable_by_dfs(pairs, mid)
@@ -73,7 +73,7 @@ def test_closure_rejects_cycles():
         broken_closure(graph)
     # the single-source queries search from one point and do not look
     # for cycles; they still end, and answer by reachability
-    assert has_path(graph, "a", "a") and not has_path(graph, "a", "elsewhere")
+    assert not can_rearrange(graph, "a", "a") and can_rearrange(graph, "a", "elsewhere")
     assert has_broken_path(graph, "a", "b")  # a -> b -> c -> a -> b
 
 
@@ -85,6 +85,18 @@ def test_duplicate_and_loop_edges_rejected():
         FlowEdge("a", "a", 1, Locus.MEMBRANE)
     with pytest.raises(ValidationError):
         FlowEdge("a", "b", 0, Locus.MEMBRANE)
+
+
+def test_constructors_check_their_fields_and_read_words():
+    with pytest.raises(ValidationError, match="must be integers"):
+        Ambient(4.0, 2)
+    for index in (-1, 1.0, "1"):
+        with pytest.raises(ValidationError, match="bad index"):
+            CriticalPoint("p", Kind.INTERIOR, index, Fraction(1, 2))
+    # a kind, effect kind or locus given as its word becomes the member
+    assert CriticalPoint("p", "interior", 1, Fraction(1, 2)).kind is Kind.INTERIOR
+    assert ComponentEffect("p", "birth", (), ()).kind is EffectKind.BIRTH
+    assert FlowEdge("a", "b", 1, "boundary").locus is Locus.WALL
 
 
 def all_cells(n):
