@@ -540,6 +540,8 @@ def _cmd_generate(args) -> int:
 def _cmd_oracle(args) -> int:
     from .generator import brute_force_reachability
 
+    if args.bound < 0:  # the search would answer for the start state alone
+        raise ParseError("--bound must be 0 or more, got %d" % (args.bound,))
     datum = _load_valid(args.file)
     targets = {}
     for item in args.targets:

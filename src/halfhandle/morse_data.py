@@ -16,7 +16,9 @@ Values are exact ``Fraction``s, ordered exactly at float speed:
 ``order_key`` puts the float ``numerator / denominator`` before a value.
 Int division is correctly rounded and rounding is monotone, so a < b gives
 float(a) <= float(b): unequal floats order as their values do, and only
-equal floats fall through to the ``Fraction`` after them in the key.
+equal floats fall through to the ``Fraction`` after them in the key.  A
+value the drivers interpolate between two others is worked out on their
+ints by ``between`` and normalized once.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def exact(value) -> Fraction:
     """``value`` as a Fraction: a Fraction is returned as it is, anything
     else goes through ``Fraction(value)`` (and raises what that raises)."""
     return value if type(value) is Fraction else Fraction(value)
+
+
+def between(lo, hi, t: int, k: int) -> Fraction:
+    """``lo + (hi - lo) * t / k`` as one normalized Fraction, for Fractions
+    or ints ``lo`` and ``hi``: built from the four ints of the ends, with
+    one gcd, and none of the ``Fraction`` operators' own."""
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return Fraction(a * d * (k - t) + c * b * t, b * d * k)
 
 
 class Kind(str, enum.Enum):

@@ -81,6 +81,7 @@ from .morse_data import (
     Kind,
     MorseDatum,
     admissible_keys,
+    between,
     exact,
     first_inversion,
     order_key,
@@ -367,31 +368,36 @@ def realize_configuration(
     lift all points, in their current order, into a band above everything,
     then bring them down to their targets from the bottom up.
 
-    Takes valid data only (``require_valid``).  Each target's order key is
-    worked out once, for the admissibility check and the place order.  The
-    park and place steps run as one ``_rearrange_run``, which checks each
-    in O(deg) and alone accepts the map: a run whose steps all pass leaves
-    every point at its target in a valid datum, and a legal map always gets
-    there.  A refused run is named from the map alone (``_swap_blocked``).
+    Takes valid data only (``require_valid``).  One pass over the targets
+    checks each id, makes each value exact and works out its order key,
+    once, for the admissibility check and the place order; it refuses, in
+    this order, the first unknown id, the first point without a target and
+    the first value outside (0, 1).  The park and place steps run as one
+    ``_rearrange_run``, which checks each in O(deg) and alone accepts the
+    map: a run whose steps all pass leaves every point at its target in a
+    valid datum, and a legal map always gets there.  A refused run is named
+    from the map alone (``_swap_blocked``).
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
     require_valid(datum)
-    want = {}
-    for pid, v in targets.items():
-        if not datum.has_point(pid):
-            raise UnknownId("no critical point with id %r" % (pid,))
-        want[pid] = exact(v)
-    for p in datum.points:
-        if p.id not in want:
-            raise PartialConfiguration("no target value for point %r" % (p.id,))
+    index, outside = datum.point_index, None
     ranks, keys = {}, {}  # order_key(v) and order_key(v, pid), one float each
-    for pid, v in want.items():
+    for pid, v in targets.items():
+        if pid not in index:
+            raise UnknownId("no critical point with id %r" % (pid,))
+        v = exact(v)
         num, den = v.numerator, v.denominator
-        if not 0 < num < den:
-            raise Inadmissible("target value %s for %r outside (0,1)" % (v, pid))
-        f = num / den
-        ranks[pid], keys[pid] = (f, v), (f, v, pid)
+        if 0 < num < den:
+            f = num / den
+            ranks[pid], keys[pid] = (f, v), (f, v, pid)
+        elif outside is None:
+            outside = Inadmissible("target value %s for %r outside (0,1)" % (v, pid))
+    if len(targets) < len(index):  # every target id is a distinct point's
+        missing = next(p.id for p in datum.points if p.id not in targets)
+        raise PartialConfiguration("no target value for point %r" % (missing,))
+    if outside is not None:
+        raise outside
 
     if datum.ambient.codim >= 2:
         if not admissible_keys(datum.points, ranks):
@@ -404,21 +410,16 @@ def realize_configuration(
                 "(%s vs %s)" % (inversion[0].id, inversion[1].id)
             )
 
-    if all(want[p.id] == p.value for p in datum.points):
+    if all(ranks[p.id] == p.sort_key()[:2] for p in datum.points):
         return datum, []
 
-    # park everything above current values and targets, preserving order
+    # park everything above current values and targets, preserving order,
+    # the point in place i (canonical order) at slot i + 1 of count + 2
     ceiling = max(datum.points[-1].sort_key(), max(keys.values()))[1]
     count = len(datum.points)
-    ordered = list(datum.points)  # canonical order
-    # ceiling + (1 - ceiling) * (i + 1) / (count + 2), one Fraction each
-    num, den = ceiling.numerator, ceiling.denominator
-    slots = {
-        p.id: Fraction(num * (count + 2) + (den - num) * (i + 1), den * (count + 2))
-        for i, p in enumerate(ordered)
-    }
     script = [  # topmost first, so nothing is overtaken
-        MoveRecord._step(p.id, slots[p.id], "park") for p in reversed(ordered)
+        MoveRecord._step(p.id, between(ceiling, 1, i + 1, count + 2), "park")
+        for i, p in reversed(list(enumerate(datum.points)))
     ]
     # place from the bottom up
     script += [
@@ -427,15 +428,16 @@ def realize_configuration(
     try:
         return _rearrange_run(datum, script), script
     except MoveError:
-        raise _swap_blocked(datum, want) from None
+        raise _swap_blocked(datum, ranks) from None
 
 
-def _swap_blocked(datum: MorseDatum, values: Mapping[str, Fraction]) -> SwapBlocked:
-    """The SwapBlocked for an illegal target map of a valid datum: the
-    first flow line it runs downhill, in edge order, else the first surgery,
-    in (value, id) order, whose input is made above it.  Component ids are
-    made once and wall bits are fixed per id, so only such a surgery breaks
-    the replay of a map whose flow lines run uphill."""
+def _swap_blocked(datum: MorseDatum, values: Mapping[str, tuple]) -> SwapBlocked:
+    """The SwapBlocked for an illegal target map of a valid datum, given
+    by the ``order_key`` of each target: the first flow line it runs
+    downhill, in edge order, else the first surgery, in (value, id) order,
+    whose input is made above it.  Component ids are made once and wall
+    bits are fixed per id, so only such a surgery breaks the replay of a
+    map whose flow lines run uphill."""
     for e in datum.graph.edges:
         if not values[e.src] < values[e.dst]:
             return SwapBlocked(
@@ -693,21 +695,22 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
             )
         # z is a point of ``datum``; a split neighbour's near half is next
         i = bisect_left(points, z.sort_key(), key=CriticalPoint.sort_key)
-        below, above = Fraction(0), Fraction(1)
+        v, below, above = z.value, 0, 1
         if i > 0:
             y = points[i - 1]
             below = pairs[y.id][1].value if y.id in pairs else y.value
         if i + 1 < len(points):
             y = points[i + 1]
             above = pairs[y.id][0].value if y.id in pairs else y.value
-        if z.value in (below, above):
+        num, den = v.numerator, v.denominator
+        if (num * below.denominator == below.numerator * den
+                or num * above.denominator == above.numerator * den):
             raise MoveError(
                 "point %r shares its critical value; separate the points first"
                 % (z_id,)
             )
         # thirds above, halves below: pairs never collide
-        v_s = z.value - (z.value - below) / 2
-        v_u = z.value + (above - z.value) / 3
+        v_s, v_u = between(below, v, 1, 2), between(v, above, 1, 3)
 
         zs_id, zu_id = z_id + "s", z_id + "u"
         while point(zs_id) is not None:

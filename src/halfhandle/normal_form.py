@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -22,7 +23,14 @@ from .errors import (
     PipelineBlocked,
     StuckNoJoinablePoint,
 )
-from .morse_data import Kind, MorseDatum, first_inversion, order_key, require_valid
+from .morse_data import (
+    Kind,
+    MorseDatum,
+    between,
+    first_inversion,
+    order_key,
+    require_valid,
+)
 from .moves import (
     MoveRecord,
     _rearrange_run,
@@ -137,13 +145,11 @@ def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
         shared = datum.point(group[0]).value
         lo, hi = (shared, b) if upward else (a, shared)
         order = sorted(group)
-        slots = {
-            pid: lo + (hi - lo) * Fraction(t, len(order) + 1)
-            for t, pid in enumerate(order, 1)
-        }
+        slots = [(pid, between(lo, hi, t, len(order) + 1))
+                 for t, pid in enumerate(order, 1)]
         return [
-            MoveRecord._step(pid, slots[pid], note)
-            for pid in (reversed(order) if upward else order)
+            MoveRecord._step(pid, slot, note)
+            for pid, slot in (reversed(slots) if upward else slots)
         ]
 
     script = separate([p.id for p in datum.interior_points(1, 1)], False, "join_low")
@@ -263,15 +269,14 @@ def derive_monotone_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
     low = [p for p in datum.points if p.index <= 1]
     mids = [p for p in datum.points if 2 <= p.index <= n - 1]
     high = [p for p in datum.points if p.index >= n]
-    vals = [p.value for p in mids]
-    if len(set(vals)) != len(vals):
-        return None  # two middle points share a level, no singleton segments
+    for p, q in zip(mids, mids[1:]):  # in value order, so a shared level is adjacent
+        if keys[p.id] == keys[q.id]:
+            return None  # two middle points share a level, no singleton segments
     low_hi = max([keys[p.id] for p in low], default=order_key(Fraction(0)))[1]
     high_lo = min([keys[p.id] for p in high], default=order_key(Fraction(1)))[1]
-    cuts = [Fraction(0)]
     anchors = [low_hi] + [p.value for p in mids] + [high_lo]
-    for x, y in zip(anchors, anchors[1:]):
-        cuts.append((x + y) / 2)
+    cuts = [Fraction(0)]
+    cuts += [between(x, y, 1, 2) for x, y in zip(anchors, anchors[1:])]
     cuts.append(Fraction(1))
     segments = [
         Segment(
@@ -437,25 +442,22 @@ def _separate_middle_levels(datum):
     bounded by the level below in the sorted list of levels.  All the
     moves run as one ``_rearrange_run``.
     """
-    n = datum.ambient.n
+    middle_ids = {p.id for p in datum.interior_points(2, datum.ambient.n - 1)}
     script: List[MoveRecord] = []
-    middle_ids = {p.id for p in datum.interior_points(2, n - 1)} if n >= 3 else set()
-    levels: Dict[Fraction, List[str]] = {}
-    for p in datum.points:
-        levels.setdefault(p.value, []).append(p.id)
-    prev = Fraction(0)
-    for v in sorted(levels):
-        group = levels[v]
+    prev = 0
+    # the points are in (value, id) order, so each level is one run of keys
+    for key, group in groupby(datum.points, lambda p: p.sort_key()[:2]):
+        group = [p.id for p in group]
         movers = [pid for pid in group if pid in middle_ids]
         if len(group) >= 2 and movers:
             if len(movers) == len(group):
                 movers = movers[:-1]  # the last one may keep the level
-            step = (v - prev) / (len(movers) + 1)
             script += [
-                MoveRecord._step(pid, prev + step * (t + 1), "separate")
-                for t, pid in enumerate(movers)
+                MoveRecord._step(pid, between(prev, key[1], t, len(movers) + 1),
+                                 "separate")
+                for t, pid in enumerate(movers, 1)
             ]
-        prev = v
+        prev = key[1]
     return _rearrange_run(datum, script), script
 
 

@@ -674,6 +674,17 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
     assert captured.err == "error: no target value for point 'q'\n"
     assert main(["oracle", src, "p=1/8", "x=1/2"]) == 1
     assert capsys.readouterr().err == "error: no critical point with id 'x'\n"
+    # a negative bound is refused before any search, whatever the targets;
+    # a bound of 0 answers a start state that is the goal, and gives up on
+    # any other
+    monotone = str(Path(__file__).resolve().parent.parent / "fixtures" / "monotone.datum")
+    for targets in (["a=1/4", "b=1/2", "c=3/4"], ["a=1/5", "b=1/2", "c=3/4"]):
+        assert main(["oracle", monotone, *targets, "--bound", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: --bound must be 0 or more, got -1\n")
+    assert main(["oracle", monotone, "a=1/4", "b=1/2", "c=3/4", "--bound", "0"]) == 0
+    assert capsys.readouterr() == ("reachable\n", "")
+    assert main(["oracle", monotone, "a=1/5", "b=1/2", "c=3/4", "--bound", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: gave up after exploring 1 states\n")
     assert main(["generate", "--n", "1", "--m", "3", "--points", "2",
                  "--seed", "0", "--leave-closed-component"]) == 1
     assert "error:" in capsys.readouterr().err

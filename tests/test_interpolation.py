@@ -1,0 +1,156 @@
+"""Interpolated values worked out on ints, against the ``Fraction``
+arithmetic they replace.
+
+``morse_data.between(lo, hi, t, k)`` builds ``lo + (hi - lo) * t / k`` from
+the ints of its ends, normalized once.  It must equal the ``Fraction``
+formula as a value and print as it does, for random ends in [0, 1] and the
+int ends 0 and 1, and so must each expression the drivers used to write
+out: the split halves, the midpoint cuts of the codimension-one
+decomposition, and the park, joinability and separation slots.
+
+``realize_configuration`` checks, converts and keys its targets in one
+pass; with several defects in one map it must still refuse the one the
+replay reference (``realize_by_replay``) refuses first, with its class and
+message.
+
+The driver's outputs are pinned at 1,280 points, where the denominators
+the interpolation builds grow: ``global_split`` on the unions of both split
+pools that ``tools/scale.py`` builds must serialize to the recorded
+digests.
+"""
+
+import hashlib
+import itertools
+import sys
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halfhandle.cli_io import (
+    parse_datum,
+    serialize_datum,
+    serialize_decomposition,
+    serialize_script,
+)
+from halfhandle.morse_data import between
+from halfhandle.moves import realize_configuration
+from halfhandle.normal_form import global_split
+
+from helpers import perfbench_module, realize_by_replay
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ends = st.one_of(
+    st.sampled_from([0, 1]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+)
+
+
+@st.composite
+def steps(draw):
+    """(t, k) with 1 <= t < k."""
+    k = draw(st.integers(2, 10**6))
+    return draw(st.integers(1, k - 1)), k
+
+
+def same(got, want):
+    assert type(got) is Fraction
+    assert got == want and str(got) == str(want)
+
+
+@settings(deadline=None, max_examples=500)
+@given(ends, ends, steps())
+def test_between_is_the_fraction_formula(lo, hi, tk):
+    t, k = tk
+    same(between(lo, hi, t, k), lo + (hi - lo) * Fraction(t, k))
+
+
+@settings(deadline=None, max_examples=300)
+@given(ends, ends, ends, steps())
+def test_each_old_expression_equals_its_between_form(below, z, above, tk):
+    t, k = tk
+    z = Fraction(z)
+    # the split halves of moves._split_run
+    same(between(below, z, 1, 2), z - (z - below) / 2)
+    same(between(z, above, 1, 3), z + (above - z) / 3)
+    # the midpoint cuts of derive_monotone_decomposition
+    same(between(below, above, 1, 2), (Fraction(below) + above) / 2)
+    # the park slots of realize_configuration, slot t of k above the ceiling
+    num, den = z.numerator, z.denominator
+    same(between(z, 1, t, k), Fraction(num * k + (den - num) * t, den * k))
+    # the slots of ensure_joinable and of _separate_middle_levels (from a
+    # level below, 0 at first, in steps of (level - below) / k)
+    same(between(below, z, t, k), below + (z - below) * Fraction(t, k))
+    step = (z - below) / k
+    same(between(below, z, t, k), below + step * t)
+
+
+def monotone():
+    return parse_datum((ROOT / "fixtures" / "monotone.datum").read_text())
+
+
+def refusal(fn, d, targets):
+    with pytest.raises(Exception) as info:
+        fn(d, targets)
+    return type(info.value), str(info.value)
+
+
+def test_realize_configuration_refuses_the_first_defect_of_several():
+    d = monotone()
+    good = {"a": Fraction(1, 4), "b": Fraction(1, 2), "c": Fraction(3, 4)}
+    defects = {  # each spoils the map in one way, and each in its place
+        "outside": lambda m: m.update(b=Fraction(3, 2)),
+        "outside first": lambda m: m.update(a=Fraction(0)),
+        "missing": lambda m: m.pop("c"),
+        "unknown": lambda m: m.update(x=Fraction(1, 3)),
+    }
+    seen = set()
+    for size in range(1, len(defects) + 1):
+        for chosen in itertools.permutations(defects, size):
+            targets = dict(good)
+            for name in chosen:
+                defects[name](targets)
+            want = refusal(realize_by_replay, d, targets)
+            assert refusal(realize_configuration, d, targets) == want, chosen
+            seen.add(want[0].__name__)
+    assert seen == {"Inadmissible", "PartialConfiguration", "UnknownId"}
+
+
+def scale_tool(monkeypatch):
+    """``tools/scale.py`` as a module, compiled from its source with the
+    benchmark's corpus module in place, so that no bytecode cache is written
+    next to either."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # scale.py prepends src/
+    monkeypatch.setitem(sys.modules, "corpus", perfbench_module("corpus"))
+    path = ROOT / "tools" / "scale.py"
+    module = types.ModuleType("scale")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+# sha256 of the serialized datum, script and report of ``global_split`` on
+# each 1,280-point union, each text followed by a zero byte
+DIGESTS_1280 = {
+    "split_deep": (5600, "f6fc03c19bdf4df66adb6e525c77c2829fc4790ef814ad9a71f52196e5853609"),
+    "split_codim1": (2816, "72081e9cdbf46e9bd001be5ef6c240a798407b5ae88ffb6ddbb6cc8c07b4dadd"),
+}
+
+
+def test_global_split_keeps_its_outputs_on_the_1280_point_unions(monkeypatch):
+    scale = scale_tool(monkeypatch)
+    texts, _ = scale.load_corpus()
+    for pool in scale.POOLS:
+        d = scale.union_of([parse_datum(t) for t in texts[pool]], 1280)
+        assert len(d.points) == 1280
+        out, dec, script = global_split(d)
+        digest = hashlib.sha256()
+        for text in (serialize_datum(out), serialize_script(script),
+                     serialize_decomposition(dec)):
+            digest.update(text.encode("utf-8"))
+            digest.update(b"\0")
+        assert (len(script), digest.hexdigest()) == DIGESTS_1280[pool], pool

@@ -1,6 +1,5 @@
 """Rewriting moves: rearrangement, cancellation, splitting, replay."""
 
-import random
 from fractions import Fraction
 
 import pytest

@@ -1,11 +1,14 @@
-"""``tools/scale.py`` runs and reports both split pools (smoke size), alone
-and against a second checkout."""
+"""``tools/scale.py`` runs and reports both split pools (smoke size), with
+the seconds of each ``global_split`` stage, alone and against a second
+checkout."""
 
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+from halfhandle import normal_form
 
 SCALE = pathlib.Path(__file__).resolve().parent.parent / "tools" / "scale.py"
 
@@ -34,6 +37,28 @@ def test_scale_script_reports_both_pools_at_160_points():
             assert growth == "-"
         else:  # the three times over those of the row above
             assert re.fullmatch(r"\d+\.\dx/\d+\.\dx/\d+\.\dx", growth), growth
+
+
+def test_scale_script_reports_the_seconds_of_each_stage():
+    # one line on stderr after each row: the stages of the driver's table
+    # for the pool, each timed, together within the row's global_split_s
+    tables = {"split_deep": normal_form._DEEP_STAGES,
+              "split_codim1": normal_form._CODIM_ONE_STAGES}
+    proc = subprocess.run(
+        [sys.executable, "-B", str(SCALE), "--points", "80"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = proc.stdout.splitlines()[1:]
+    lines = proc.stderr.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        [pool, "80", "stages"] for pool in ("split_deep", "split_codim1")]
+    for row, line in zip(rows, lines):
+        cells = [cell.split("=") for cell in line.split()[3:]]
+        assert [name for name, _ in cells] == [
+            stage for stage, _ in tables[row.split()[0]]]
+        seconds = [float(value) for _, value in cells]
+        assert all(s > 0 for s in seconds)
+        assert sum(seconds) <= float(row.split()[4])
 
 
 def test_against_times_both_checkouts_and_prints_their_ratio():

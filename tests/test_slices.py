@@ -13,7 +13,6 @@ from halfhandle.errors import (
     ValidationError,
 )
 from halfhandle.morse_data import (
-    Ambient,
     CriticalPoint,
     Flags,
     Kind,

@@ -1,7 +1,6 @@
 """Flow graph closure, disjointness, and rearrangement freedom."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest

@@ -21,7 +21,14 @@ Standard library only.  Run from the root of a source checkout::
 Prints one line per pool and size, and checks that both replays reproduce
 the driver's result.  The ``growth`` column holds the ``global_split``,
 ``apply_script`` and text replay times over those of the previous size of
-the same pool (``-`` for the first size).
+the same pool (``-`` for the first size).  After each row a second line,
+on standard error so that standard output stays the table, gives the
+median seconds of each ``global_split`` stage, in the driver's order::
+
+    split_deep 1280 stages schedule=0.012345 joinability=0.001234 ...
+
+The stages are the entries of ``normal_form._DEEP_STAGES`` and
+``_CODIM_ONE_STAGES``, each wrapped in a timer while the pool is measured.
 
 To compare two checkouts, say a parent and a change, run the change's copy
 of this script with the parent's root::
@@ -42,6 +49,7 @@ import json
 import statistics
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -71,6 +79,32 @@ def union_of(pieces, points):
         chosen.append(piece)
         total += len(piece.points)
     return disjoint_union(*chosen)
+
+
+@contextmanager
+def timed_stages():
+    """Time every ``global_split`` stage while the block runs: yields a dict
+    to which each stage call appends its seconds, under the stage's name.
+    The entries of ``normal_form._DEEP_STAGES`` and ``_CODIM_ONE_STAGES``
+    are wrapped for the block and put back after it."""
+    seconds = {}
+
+    def wrap(stage, fn):
+        def run(datum):
+            start = perf_counter()
+            try:
+                return fn(datum)
+            finally:
+                seconds.setdefault(stage, []).append(perf_counter() - start)
+        return run
+
+    tables = normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES
+    normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES = (
+        tuple((stage, wrap(stage, fn)) for stage, fn in table) for table in tables)
+    try:
+        yield seconds
+    finally:
+        normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES = tables
 
 
 def measure(pieces, points, runs=RUNS):
@@ -153,8 +187,12 @@ def main(argv=None):
         before = None
         for points in args.points:
             if args.against is None:
-                row = measure(pieces, points)
+                with timed_stages() as stage_s:
+                    row = measure(pieces, points)
                 print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
+                print(pool, points, "stages", *("%s=%.6f" % (stage, statistics.median(s))
+                                                for stage, s in stage_s.items()),
+                      file=sys.stderr, flush=True)
                 before = row
                 continue
             rows = alternate(args.against, pool, points)
