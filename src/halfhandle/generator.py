@@ -16,8 +16,8 @@ from typing import Dict, List, Mapping, Optional
 from .errors import (BoundExceeded, InfeasibleSpec, PartialConfiguration, UnknownId,
                      ValidationError)
 from .morse_data import (Ambient, CriticalPoint, Flags, Kind, MorseDatum,
-                         dimension_profile, first_inversion, is_admissible,
-                         validate_datum)
+                         admissible_keys, dimension_profile, first_inversion,
+                         order_key, validate_datum)
 from .moves import check_assignment
 from .normal_form import scheduled_rank
 from .slice_topology import ComponentEffect, EffectKind, SliceComplex, SliceComponent
@@ -336,7 +336,8 @@ def brute_force_reachability(
         if not (0 < v < 1):
             return False
     if datum.ambient.codim >= 2:
-        if not is_admissible(datum.points, want):
+        keys = {pid: order_key(v) for pid, v in want.items()}
+        if not admissible_keys(datum.points, keys):
             return False
     elif first_inversion(datum.points, want) is not None:
         return False

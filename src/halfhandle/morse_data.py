@@ -33,7 +33,6 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import (
     InvalidIndexKind,
-    PartialConfiguration,
     UnknownId,
     ValidationError,
 )
@@ -271,32 +270,11 @@ def _boundary_rank(p: CriticalPoint):
     return (p.index, p.kind is Kind.BOUNDARY_UNSTABLE)
 
 
-def is_admissible(
-    points: Sequence[CriticalPoint],
-    values: Optional[Mapping[str, Fraction]] = None,
-) -> bool:
-    """Whether the point values follow the admissible order.
-
-    Lower index must sit at a strictly lower value, and when a boundary
-    stable and a boundary unstable point share an index the stable one must
-    sit strictly lower.  Equal-index, equal-value pairs are fine otherwise.
-    With ``values`` given, judge that assignment instead of the stored
-    values; it must cover every point, each value below 2**1024 in size
-    (they are compared by their ``order_key``s).
-    """
-    keys = {}
-    for p in points:
-        if values is None:
-            keys[p.id] = p.sort_key()[:2]
-        elif p.id in values:
-            keys[p.id] = order_key(exact(values[p.id]))
-        else:
-            raise PartialConfiguration("no target value for point %r" % (p.id,))
-    return admissible_keys(points, keys)
-
-
 def admissible_keys(points: Sequence[CriticalPoint], keys: Mapping[str, tuple]) -> bool:
-    """``is_admissible`` judged on every point's ``order_key`` in ``keys``."""
+    """Whether the points, each at its ``order_key`` in ``keys``, follow the
+    admissible order: a lower index sits strictly lower, and so does a
+    boundary stable point below a boundary unstable one of equal index.
+    Equal-index, equal-value pairs are fine otherwise."""
     if first_inversion(points, keys) is not None:
         return False
     # among boundary points, (index, stable before unstable) must be monotone

@@ -40,7 +40,7 @@ the points, flow lines and effects are patched once per run.  Values are
 range-checked on their ints and ordered by their ``order_key``s.  Only
 the run accepts a rearrangement or target map.  A refused step raises
 the reason the full replay names for the run's input datum at the
-overlay's values (``_refusal``); a refused target map raises the
+overlay's values (``check_assignment``); a refused target map raises the
 SwapBlocked its map alone names (``_swap_blocked``).  A cancellation is
 checked at its pair, its induced flow lines by ``edge_issues``
 (``cancel_pair``).  Every move builds its result with
@@ -54,7 +54,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import (
     Blocked,
@@ -175,43 +175,30 @@ class MoveRecord:
         return dict(zip(self.ids, self.values))
 
 
-def check_assignment(datum: MorseDatum, values: Mapping[str, Fraction]):
+def check_assignment(
+    datum: MorseDatum, values: Mapping[str, Fraction]
+) -> Optional[MoveError]:
     """Why the given full value assignment is illegal, or None if it is fine.
 
-    Checks only what moving values can break: edge order and effect replay.
-    Returns a (reason, detail) pair; reason is "edge" with the offending
-    edge or "replay" with the first replay issue.
+    Checks only what moving values can break, by a full replay: returns
+    EdgeOrderViolation for the first flow line, in edge order, the values
+    run downhill, else InvalidEffect with the first replay issue.  On a
+    valid datum it refuses exactly the moves a step of ``_rearrange_run``
+    refuses, so it names the reason of every refused step.
     """
     for e in datum.graph.edges:
         if not (values[e.src] < values[e.dst]):
-            return ("edge", e)
+            return EdgeOrderViolation(
+                "flow line %s->%s would run downhill (%s >= %s)"
+                % (e.src, e.dst, values[e.src], values[e.dst])
+            )
     candidate = tuple(
         CriticalPoint(p.id, p.kind, p.index, values[p.id]) for p in datum.points
     )
     issues, _ = replay(datum.ambient, candidate, datum.slices)
     if issues:
-        return ("replay", issues[0])
+        return InvalidEffect("new order breaks the slice replay: %s" % (issues[0],))
     return None
-
-
-def _refusal(datum, assignments) -> MoveError:
-    """The error for a move of known points to values in (0, 1) that a
-    step of ``_rearrange_run`` refuses, named by the full replay
-    (``check_assignment``): EdgeOrderViolation for the first flow line it
-    runs downhill, else InvalidEffect with the first replay issue.
-
-    On a valid datum the step check and the full replay refuse the same
-    moves, so the replay always names a reason.
-    """
-    values = datum.values()
-    values.update((pid, exact(v)) for pid, v in assignments.items())
-    kind, detail = check_assignment(datum, values)
-    if kind == "edge":
-        return EdgeOrderViolation(
-            "flow line %s->%s would run downhill (%s >= %s)"
-            % (detail.src, detail.dst, values[detail.src], values[detail.dst])
-        )
-    return InvalidEffect("new order breaks the slice replay: %s" % (detail,))
 
 
 def assign_values(
@@ -228,7 +215,8 @@ def assign_values(
     the caller's order: UnknownId for any id first, then MoveError for the
     first value outside (0, 1).  Only the moved points are re-placed, by
     bisection, and the result stays valid.  A refused move raises the error
-    ``_refusal(datum, assignments)`` names.
+    ``check_assignment`` names for the datum's values updated with
+    ``assignments``.
     """
     step = object.__new__(MoveRecord)  # raw values, made exact as it runs
     vars(step).update(kind="rearrange", ids=tuple(assignments),
@@ -255,15 +243,18 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     take this one loop, which builds a one-point record no list, zip or
     key map.  The moved points are re-placed once, at the end
     (``with_keys``).  A refused step raises what the fold raises:
-    ``_refusal`` on ``datum`` with the values of the whole overlay, which
-    holds the earlier steps and every id of the refused record, so it names
-    the same value map as the datum the earlier steps made plus the record.
+    ``check_assignment`` on ``datum`` with its values updated by the whole
+    overlay, which holds the earlier steps and every id of the refused
+    record: the same value map as the datum the earlier steps made plus the
+    record.
     """
     overlay = {}  # each moved point's key
     key = overlay.get
 
     def refused():
-        return _refusal(datum, {pid: at[1] for pid, at in overlay.items()})
+        values = datum.values()
+        values.update((pid, at[1]) for pid, at in overlay.items())
+        return check_assignment(datum, values)
 
     for record in script:
         if not overlay:  # the first record

@@ -369,7 +369,7 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
                 return False
             if p.index >= n and seg is not segs[-1]:
                 return False
-            if 2 <= p.index <= n - 1 and seg in (segs[0], segs[-1]):
+            if 2 <= p.index <= n - 1 and (seg is segs[0] or seg is segs[-1]):
                 return False
         return True
     if dec.style == "trivial":
@@ -472,16 +472,15 @@ def _segment_targets(datum) -> Dict[str, Fraction]:
     """Final values: every point strictly inside its labelled segment,
     groups spread evenly in their current order."""
     n = datum.ambient.n
-    denom = 2 * n + 4
+    bounds = _half_handle_bounds(n)
     groups: Dict[int, List[str]] = {}
     for p in datum.points:  # canonical order, so groups stay stable
         groups.setdefault(_half_handle_slot(p, n), []).append(p.id)
     targets: Dict[str, Fraction] = {}
     for i, ids in groups.items():
-        # (i + (t + 1) / (k + 1)) / denom in the segment (i, i + 1) / denom
-        k = len(ids)
+        k = len(ids)  # slot t + 1 of k + 1 in segment i
         for t, pid in enumerate(ids):
-            targets[pid] = Fraction(i * (k + 1) + t + 1, denom * (k + 1))
+            targets[pid] = between(*bounds[i], t + 1, k + 1)
     return targets
 
 

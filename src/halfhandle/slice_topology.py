@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -168,15 +167,6 @@ class SliceComplex:
             return self.effect_index[point_id]
         except KeyError:
             raise UnknownId("no effect recorded at point %r" % (point_id,)) from None
-
-
-@dataclass(frozen=True)
-class Slice:
-    """Components of every level set in an open interval of regular values."""
-
-    lo: Fraction
-    hi: Fraction
-    components: Tuple[SliceComponent, ...]
 
 
 def apply_effect(state: Dict[str, bool], effect: ComponentEffect) -> Dict[str, bool]:
@@ -407,29 +397,6 @@ def _find(parent: Dict[str, str], cid: str) -> str:
         parent[cid] = top = parent.get(up, up)  # cid skips a step
         cid, up = top, parent.get(top, top)
     return cid
-
-
-def level_slices(points, complex: SliceComplex):
-    """All distinct slices, as intervals of regular values with components."""
-    ordered = sorted(points, key=lambda p: p.sort_key())
-    cuts = [Fraction(0)]
-    for p in ordered:
-        if p.value != cuts[-1]:
-            cuts.append(p.value)
-    if cuts[-1] != 1:
-        cuts.append(Fraction(1))
-    out = []
-    state = {c.id: c.touches_wall for c in complex.bottom}
-    idx = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        while idx < len(ordered) and ordered[idx].value <= lo:
-            apply_effect(state, complex.effect_for(ordered[idx].id))
-            idx += 1
-        comps = tuple(
-            SliceComponent(cid, touches) for cid, touches in sorted(state.items())
-        )
-        out.append(Slice(lo, hi, comps))
-    return tuple(out)
 
 
 def joinable_to_wall(ambient: Ambient, points, complex: SliceComplex, point_id: str):

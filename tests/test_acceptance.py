@@ -40,7 +40,6 @@ from halfhandle.morse_data import (
     Kind,
     dimension_profile,
     index_bounds,
-    is_admissible,
     validate_datum,
 )
 from halfhandle.moves import (
@@ -72,6 +71,7 @@ from helpers import (
     edge,
     eff,
     internal_chain_pair,
+    is_admissible,
     pt,
     replace_effects,
     split_death_pair,

@@ -14,8 +14,9 @@ from halfhandle.morse_data import (
     check_index_kind,
     dimension_profile,
     index_bounds,
-    is_admissible,
 )
+
+from helpers import is_admissible
 
 
 def expected_profile(kind, k, n):

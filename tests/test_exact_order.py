@@ -185,6 +185,27 @@ TOKENS = [
 ]
 
 
+def past_the_digit_limit(token):
+    """Whether ``token`` has an exponent past the int digit limit, or one
+    of five digits or more, or ``Fraction(token)`` has a numerator or a
+    denominator past it.  ``_fraction`` refuses such a token, though
+    ``Fraction`` may read it: 0E5000 is 0 and 1e4300 is 10**4300.  An
+    exponent of five digits or more is not read here, since ``Fraction``
+    would compute up to 10**99999999."""
+    limit = sys.get_int_max_str_digits()
+    for exponent in re.findall(r"[eE][-+]?([\d_]+)", token):
+        digits = exponent.replace("_", "") or "0"
+        if len(exponent) >= 5 or limit and int(digits) > limit:
+            return True
+    outcome = fraction_outcome(token)
+    if outcome[0] == "value":
+        try:
+            str(outcome[1])
+        except ValueError:  # a numerator or denominator past the limit
+            return True
+    return False
+
+
 @pytest.mark.parametrize("token", TOKENS)
 def test_value_tokens_parse_as_the_fraction_constructor(token):
     assert parsed_outcome(token) == fraction_outcome(token)
@@ -197,16 +218,16 @@ def test_value_tokens_parse_as_the_fraction_constructor(token):
     st.builds("{}/{}".format, st.integers(0, 10**30), st.integers(0, 10**30)),
 ))
 def test_value_tokens_of_any_text_parse_as_the_fraction_constructor(token):
-    # an exponent of five digits or more makes Fraction(token) compute up
-    # to 10**99999999 and past the digit limit; those are refused (below)
-    assume(not re.search(r"[eE][-+]?[\d_]{5}", token))
+    assume(not past_the_digit_limit(token))  # refused, below
     assert parsed_outcome(token) == fraction_outcome(token)
 
 
 def test_tokens_past_the_digit_limit_are_refused():
     limit = sys.get_int_max_str_digits()
     for token in ("1e-%d" % (limit + 1), "0e-%d" % (10 * limit), "1e-30000000",
-                  "1e30000000", "0.%s1" % ("0" * (limit - 1)), "1e-%d" % limit):
+                  "1e30000000", "0.%s1" % ("0" * (limit - 1)), "1e-%d" % limit,
+                  "0E5000", "0e%d" % (limit + 1)):  # Fraction reads both as 0
+        assert past_the_digit_limit(token)
         with pytest.raises(ParseError, match="bad fraction"):
             _fraction(token)
     assert _fraction("1e-%d" % (limit - 1)) == Fraction(1, 10 ** (limit - 1))

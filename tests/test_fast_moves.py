@@ -59,7 +59,6 @@ from halfhandle.morse_data import (
     Flags,
     Kind,
     MorseDatum,
-    exact,
     validate_datum,
 )
 from halfhandle.moves import (
@@ -854,24 +853,22 @@ def fold_outcome(d, script):
 
 def run_outcome(d, script, run=_rearrange_run):
     """``run`` (by default ``_rearrange_run``) over the script; the outcome
-    and the value map the run names a refusal on: the values of the datum
-    it hands to ``_refusal``, updated with the assignments (None when it
-    does not ask it)."""
+    and the value map the run names a refusal on: the one it hands to
+    ``moves.check_assignment`` (None when it does not ask it)."""
     named = []
-    original = moves._refusal
+    original = moves.check_assignment
 
-    def naming(datum, assignments):
-        named.append({**datum.values(),
-                      **{pid: exact(v) for pid, v in assignments.items()}})
-        return original(datum, assignments)
+    def naming(datum, values):
+        named.append(dict(values))
+        return original(datum, values)
 
-    moves._refusal = naming
+    moves.check_assignment = naming
     try:
         out = run(d, script)
     except Exception as exc:
         return ("refused", type(exc), str(exc)), (named or [None])[0]
     finally:
-        moves._refusal = original
+        moves.check_assignment = original
     return ("accepted", out, serialize_datum(out)), None
 
 
@@ -981,7 +978,7 @@ def run_script(draw, d):
 @given(st.one_of(generated(), st.builds(planted_union)), st.data())
 def test_runs_match_the_step_by_step_reference(d, data):
     # the accepted datum, as an object and as bytes, or the refusal class,
-    # message and the value map _refusal names it on
+    # message and the value map check_assignment names it on
     script = run_script(data.draw, d)
     assume(script)
     got = run_outcome(d, script)
@@ -1084,7 +1081,7 @@ def test_run_steps_call_no_checker(monkeypatch):
     assert len(d.points) == 160 and d.valid
     levels = normal_form.schedule_levels(d)
     calls = Counter()
-    checkers = ("check_assignment", "_refusal", "require_valid")
+    checkers = ("check_assignment", "require_valid")
     for name in checkers:
         counted(monkeypatch, moves, name, calls)
     counted(monkeypatch, morse_data, "validate_datum", calls)

@@ -6,7 +6,8 @@ the ints of its ends, normalized once.  It must equal the ``Fraction``
 formula as a value and print as it does, for random ends in [0, 1] and the
 int ends 0 and 1, and so must each expression the drivers used to write
 out: the split halves, the midpoint cuts of the codimension-one
-decomposition, and the park, joinability and separation slots.
+decomposition, and the park, joinability, separation and final segment
+slots.
 
 ``realize_configuration`` checks, converts and keys its targets in one
 pass; with several defects in one map it must still refuse the one the
@@ -38,7 +39,7 @@ from halfhandle.cli_io import (
 )
 from halfhandle.morse_data import between
 from halfhandle.moves import realize_configuration
-from halfhandle.normal_form import global_split
+from halfhandle.normal_form import _half_handle_bounds, global_split
 
 from helpers import perfbench_module, realize_by_replay
 
@@ -70,8 +71,8 @@ def test_between_is_the_fraction_formula(lo, hi, tk):
 
 
 @settings(deadline=None, max_examples=300)
-@given(ends, ends, ends, steps())
-def test_each_old_expression_equals_its_between_form(below, z, above, tk):
+@given(ends, ends, ends, steps(), st.integers(1, 20))
+def test_each_old_expression_equals_its_between_form(below, z, above, tk, n):
     t, k = tk
     z = Fraction(z)
     # the split halves of moves._split_run
@@ -87,6 +88,14 @@ def test_each_old_expression_equals_its_between_form(below, z, above, tk):
     same(between(below, z, t, k), below + (z - below) * Fraction(t, k))
     step = (z - below) / k
     same(between(below, z, t, k), below + step * t)
+    # the final slots of _segment_targets: point j of a group of g in
+    # segment i of _half_handle_bounds(n), against the formula it had with
+    # its own denominator
+    g, j = k - 1, t - 1
+    denom = 2 * n + 4
+    for i, (lo, hi) in enumerate(_half_handle_bounds(n)):
+        same(between(lo, hi, j + 1, g + 1),
+             Fraction(i * (g + 1) + j + 1, denom * (g + 1)))
 
 
 def monotone():

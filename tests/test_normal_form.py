@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from halfhandle import normal_form
+from halfhandle.cli_io import parse_datum
 from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.errors import (
     BadLevels,
@@ -18,7 +19,6 @@ from halfhandle.morse_data import (
     Flags,
     Kind,
     index_bounds,
-    is_admissible,
     validate_datum,
 )
 from halfhandle.moves import apply_script, assign_values
@@ -39,7 +39,10 @@ from halfhandle.normal_form import (
 from halfhandle.slice_topology import EffectKind
 from halfhandle.trajectory import Locus
 
-from helpers import assert_records_as_checked, comp, datum, edge, eff, pt
+from helpers import (
+    assert_records_as_checked, comp, datum, edge, eff, is_admissible, perfbench_module,
+    pt, union,
+)
 
 
 def full_population(n, m):
@@ -388,6 +391,22 @@ def test_verify_decomposition_rejects_tampering():
     assert not verify_decomposition(out, Decomposition("monotone",
                                                        dec.segments))
     assert not verify_decomposition(out, Decomposition("half_handle", ()))
+
+
+def test_the_monotone_check_tells_segments_apart_by_identity(monkeypatch):
+    # the union of every split_codim1 corpus piece: each middle point's
+    # segment is told from the outer two without the dataclass __eq__,
+    # which compares field tuples of Fractions
+    texts, _ = perfbench_module("corpus").load_corpus()
+    d = union(*map(parse_datum, texts["split_codim1"]))
+    assert len(d.points) == 320
+    out, dec, _ = global_split(d)
+    assert dec.style == "monotone"
+    calls = []
+    equal = Segment.__eq__
+    monkeypatch.setattr(Segment, "__eq__", lambda a, b: calls.append(b) or equal(a, b))
+    assert verify_decomposition(out, dec)
+    assert calls == []
 
 
 def test_verify_decomposition_refuses_every_fault():

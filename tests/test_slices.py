@@ -26,11 +26,12 @@ from halfhandle.slice_topology import (
     apply_effect,
     effect_row_issues,
     joinable_to_wall,
-    level_slices,
     replay,
 )
 
-from helpers import datum, comp, no_closed_components, pt, eff, edge, replace_effects
+from helpers import (
+    comp, datum, edge, eff, level_slices, no_closed_components, pt, replace_effects,
+)
 from halfhandle.trajectory import Locus
 
 
