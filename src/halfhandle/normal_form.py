@@ -8,12 +8,19 @@ stable / unstable pair, and finally packs every point into its own labelled
 segment of [0,1].  The result is a decomposition into elementary pieces,
 each holding the points of a single kind and index, together with the full
 move script that got there.
+
+What depends on n alone is built once per n and shared: the schedule
+levels, the band cuts and their keys, and the half-handle frame (each
+segment's bounds, their keys, its label and its certificate), which derive,
+verify and the final targets all read.  A report derived here holds the
+frame's own objects; one from elsewhere is checked by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
@@ -52,11 +59,17 @@ def scheduled_rank(kind: Kind, index: int) -> int:
 def schedule_levels(datum: MorseDatum) -> Dict[str, Fraction]:
     """Target value for every point: its rank over a common denominator,
     one Fraction per rank, so equal keys compare their values by identity."""
-    denom = 3 * datum.ambient.n + 6
-    level = [Fraction(rank, denom) for rank in range(denom)]
+    level = _schedule_levels(datum.ambient.n)
     return {p.id: level[scheduled_rank(p.kind, p.index)] for p in datum.points}
 
 
+@lru_cache(maxsize=64)  # far more than the n of any datum in use
+def _schedule_levels(n: int) -> Tuple[Fraction, ...]:
+    denom = 3 * n + 6
+    return tuple(Fraction(rank, denom) for rank in range(denom))
+
+
+@lru_cache(maxsize=64)
 def band_levels(n: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """Cuts (a, c, d, b) bounding the bands of the scheduled configuration.
 
@@ -87,6 +100,20 @@ def _category(p, n: int) -> str:
     return "middle"
 
 
+@lru_cache(maxsize=64)
+def _band_keys(n: int) -> Tuple[Tuple[str, Tuple[tuple, tuple]], ...]:
+    """(category, (lo, hi)) of each open band, as (float, value) keys: a
+    value on a cut lies outside every open band."""
+    ka, kc, kd, kb = map(order_key, band_levels(n))
+    return (
+        ("low", (order_key(Fraction(0)), ka)),
+        ("join_low", (ka, kc)),
+        ("middle", (kc, kd)),
+        ("join_high", (kd, kb)),
+        ("high", (kb, order_key(Fraction(1)))),
+    )
+
+
 def tsa_check(datum: MorseDatum) -> bool:
     """Whether the values show the band structure the driver relies on.
 
@@ -95,15 +122,7 @@ def tsa_check(datum: MorseDatum) -> bool:
     index 1, and of index n, each share a single level.
     """
     n = datum.ambient.n
-    # (float, value) keys; a value on a cut lies outside every open band
-    ka, kc, kd, kb = map(order_key, band_levels(n))
-    bands = {
-        "low": (order_key(Fraction(0)), ka),
-        "join_low": (ka, kc),
-        "middle": (kc, kd),
-        "join_high": (kd, kb),
-        "high": (kb, order_key(Fraction(1))),
-    }
+    bands = dict(_band_keys(n))
     shared: Dict[str, tuple] = {}
     for p in datum.points:
         key = p.sort_key()[:2]
@@ -213,12 +232,24 @@ def _half_handle_cert(i: int, n: int) -> Tuple:
     return (Kind.BOUNDARY_STABLE.value, i // 2)
 
 
-def _half_handle_bounds(n: int) -> List[Tuple[Fraction, Fraction]]:
+def _half_handle_bounds(n: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """(lo, hi) of the 2n+4 segments by place i, from the bottom up: the
     one labelled l = (i - 1) / 2 = -1/2, 0, 1/2, ..., n+1 spans
     [i, i + 1] / (2n + 4)."""
     denom = 2 * n + 4
-    return [(Fraction(i, denom), Fraction(i + 1, denom)) for i in range(denom)]
+    return tuple((Fraction(i, denom), Fraction(i + 1, denom)) for i in range(denom))
+
+
+@lru_cache(maxsize=64)
+def _half_handle_frame(n: int) -> Tuple[tuple, ...]:
+    """``(lo, hi, order_key(lo), order_key(hi), label, cert)`` of each
+    segment of ``_half_handle_bounds(n)`` by place, built once per n and
+    shared, every entry immutable, by derive, verify and the final targets."""
+    return tuple(
+        (lo, hi, order_key(lo), order_key(hi), str(Fraction(i - 1, 2)),
+         _half_handle_cert(i, n))
+        for i, (lo, hi) in enumerate(_half_handle_bounds(n))
+    )
 
 
 def derive_half_handle_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
@@ -231,29 +262,20 @@ def derive_half_handle_decomposition(datum: MorseDatum) -> Optional[Decompositio
     strictly inside its segment or an interior point of index 1..n remains.
     """
     n = datum.ambient.n
-    bounds = _half_handle_bounds(n)
-    keys = [tuple(map(order_key, bound)) for bound in bounds]
-    members: List[List[str]] = [[] for _ in bounds]
+    frame = _half_handle_frame(n)
+    members: List[List[str]] = [[] for _ in frame]
     for p in datum.points:
         i = _half_handle_slot(p, n)
         if i is None:
             return None
-        lo, hi = keys[i]
+        _, _, lo, hi, _, _ = frame[i]
         if not (lo < p.sort_key()[:2] < hi):
             return None
         members[i].append(p.id)
-    segments = []
-    for i, (lo, hi) in enumerate(bounds):
-        segments.append(
-            Segment(
-                label=str(Fraction(i - 1, 2)),
-                lo=lo,
-                hi=hi,
-                point_ids=tuple(members[i]),
-                cert=_half_handle_cert(i, n),
-            )
-        )
-    return Decomposition("half_handle", tuple(segments))
+    return Decomposition("half_handle", tuple(
+        Segment(label, lo, hi, tuple(ids), cert)
+        for (lo, hi, _, _, label, cert), ids in zip(frame, members)
+    ))
 
 
 def derive_monotone_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
@@ -334,19 +356,17 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
 
     n = datum.ambient.n
     if dec.style == "half_handle":
-        bounds = _half_handle_bounds(n)
-        if len(segs) != len(bounds):
+        frame = _half_handle_frame(n)
+        if len(segs) != len(frame):
             return False
-        for i, ((lo, hi), s) in enumerate(zip(bounds, segs)):
-            if s.label != str(Fraction(i - 1, 2)):
-                return False
-            if s.lo != lo or s.hi != hi:
-                return False
-            if s.cert != _half_handle_cert(i, n):
+        for (lo, hi, _, _, label, cert), s in zip(frame, segs):
+            # one tuple compare: a report derive made holds the frame's own
+            # objects and passes by identity, any other one is read by value
+            if (s.label, s.lo, s.hi, s.cert) != (label, lo, hi, cert):
                 return False
             for pid in s.point_ids:
                 p = datum.point(pid)
-                if (p.kind.value, p.index) != s.cert:
+                if (p.kind.value, p.index) != cert:
                     return False
         return True
     if dec.style == "monotone":
@@ -472,15 +492,16 @@ def _segment_targets(datum) -> Dict[str, Fraction]:
     """Final values: every point strictly inside its labelled segment,
     groups spread evenly in their current order."""
     n = datum.ambient.n
-    bounds = _half_handle_bounds(n)
+    frame = _half_handle_frame(n)
     groups: Dict[int, List[str]] = {}
     for p in datum.points:  # canonical order, so groups stay stable
         groups.setdefault(_half_handle_slot(p, n), []).append(p.id)
     targets: Dict[str, Fraction] = {}
     for i, ids in groups.items():
+        lo, hi = frame[i][:2]
         k = len(ids)  # slot t + 1 of k + 1 in segment i
         for t, pid in enumerate(ids):
-            targets[pid] = between(*bounds[i], t + 1, k + 1)
+            targets[pid] = between(lo, hi, t + 1, k + 1)
     return targets
 
 

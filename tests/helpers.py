@@ -3,6 +3,7 @@
 import functools
 import sys
 import types
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -492,6 +493,29 @@ def dimension_sum_oracle(z, w, ambient):
         if du + ds > dim:
             return False
     return True
+
+
+def invariants(datum):
+    """(chi(Omega, Omega_0), chi(Y, Y_0), wall bits of the top state) of a
+    datum, read off its points and effects without any move code; every
+    legal move keeps all three.
+
+    chi(Omega, Omega_0) sums (-1)^index over the interior and the stable
+    boundary points; chi(Y, Y_0) sums (-1)^(index - 1) over the stable and
+    (-1)^index over the unstable boundary points (Borodzik, Nemethi and
+    Ranicki, *Morse theory for manifolds with boundary*).  The top state is
+    every component, at the bottom or made by an effect, that no effect
+    takes as input; its ``touches_wall`` bits are counted as a multiset.
+    """
+    omega = sum((-1) ** p.index for p in datum.points
+                if p.kind is not Kind.BOUNDARY_UNSTABLE)
+    wall = sum((-1) ** (p.index - (p.kind is Kind.BOUNDARY_STABLE))
+               for p in datum.points if p.kind is not Kind.INTERIOR)
+    made = {c.id: c.touches_wall for c in datum.slices.bottom}
+    made.update((c.id, c.touches_wall)
+                for e in datum.slices.effects for c in e.outputs)
+    taken = {cid for e in datum.slices.effects for cid in e.inputs}
+    return omega, wall, Counter(bit for cid, bit in made.items() if cid not in taken)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from halfhandle.morse_data import (
     Flags,
     Kind,
     index_bounds,
+    order_key,
     validate_datum,
 )
 from halfhandle.moves import apply_script, assign_values
@@ -40,8 +41,8 @@ from halfhandle.slice_topology import EffectKind
 from halfhandle.trajectory import Locus
 
 from helpers import (
-    assert_records_as_checked, comp, datum, edge, eff, is_admissible, perfbench_module,
-    pt, union,
+    assert_records_as_checked, benchmark_workload, comp, datum, edge, eff, is_admissible,
+    perfbench_module, pt, union,
 )
 
 
@@ -499,6 +500,72 @@ def test_verify_decomposition_refuses_every_fault():
     assert len(cases) == 15
     for name, (d, tampered) in cases:
         assert verify_decomposition(d, tampered) is False, name
+
+
+def test_a_warm_derive_and_verify_construct_no_fraction(monkeypatch):
+    # the seed-1 split_deep union's normal form: once the frame of its n is
+    # built, reading the report off the values and checking it takes every
+    # bound, key, label and certificate from the frame (48 at the parent)
+    _, workload = benchmark_workload(monkeypatch, "split_deep", 1)
+    out, dec, _ = global_split(workload.datum)
+    assert verify_decomposition(out, derive_half_handle_decomposition(out))
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: calls.append(a) or new(cls, *a, **k))
+    again = derive_half_handle_decomposition(out)
+    assert verify_decomposition(out, again)
+    assert calls == []
+    monkeypatch.undo()
+    assert again == dec
+
+
+def test_the_half_handle_frame_is_its_formula():
+    for n in range(1, 21):
+        denom = 2 * n + 4
+        frame = normal_form._half_handle_frame(n)
+        assert normal_form._half_handle_frame(n) is frame
+        assert len(frame) == denom
+        for i, entry in enumerate(frame):
+            lo, hi = Fraction(i, denom), Fraction(i + 1, denom)
+            cert = (("interior", 0) if i == 0 else
+                    ("interior", n + 1) if i == denom - 1 else
+                    ("boundary_unstable" if i % 2 else "boundary_stable", i // 2))
+            assert entry == (lo, hi, order_key(lo), order_key(hi),
+                             str(Fraction(i - 1, 2)), cert)
+
+
+def test_verify_decomposition_reads_a_report_from_elsewhere_by_value():
+    # a report rebuilt from value-equal copies, none of them the frame's own
+    # objects, is accepted; a copy that differs in one value is refused
+    out, dec, _ = global_split(two_point_input())
+
+    def copied(s, **kw):
+        fields = dict(
+            label="".join(list(s.label)),
+            lo=Fraction(s.lo.numerator, s.lo.denominator),
+            hi=Fraction(s.hi.numerator, s.hi.denominator),
+            point_ids=s.point_ids,
+            cert=tuple(list(s.cert)),
+        )
+        fields.update(kw)
+        return Segment(**fields)
+
+    rebuilt = Decomposition("half_handle", tuple(copied(s) for s in dec.segments))
+    for s, t in zip(dec.segments, rebuilt.segments):
+        assert s == t and s.lo is not t.lo and s.hi is not t.hi
+        assert s.cert is not t.cert
+    assert verify_decomposition(out, rebuilt)
+    # each fault passes the checks every style shares and shows only against
+    # the frame: a label, a cut moved on both sides, a certificate, its type
+    segs = dec.segments
+    for changes in [{3: {"label": "3/2"}},
+                    {1: {"hi": Fraction(9, 32)}, 2: {"lo": Fraction(9, 32)}},
+                    {5: {"cert": ("boundary_stable", 2)}},
+                    {0: {"cert": ["interior", 0]}}]:
+        tampered = [copied(s, **changes.get(i, {})) for i, s in enumerate(segs)]
+        assert not verify_decomposition(
+            out, Decomposition("half_handle", tuple(tampered))), changes
 
 
 def test_monotone_decomposition_codim_one():

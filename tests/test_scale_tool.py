@@ -41,7 +41,8 @@ def test_scale_script_reports_both_pools_at_160_points():
 
 def test_scale_script_reports_the_seconds_of_each_stage():
     # one line on stderr after each row: the stages of the driver's table
-    # for the pool, each timed, together within the row's global_split_s
+    # for the pool, then its closing derive and verify, each timed, together
+    # within the row's global_split_s
     tables = {"split_deep": normal_form._DEEP_STAGES,
               "split_codim1": normal_form._CODIM_ONE_STAGES}
     proc = subprocess.run(
@@ -55,7 +56,7 @@ def test_scale_script_reports_the_seconds_of_each_stage():
     for row, line in zip(rows, lines):
         cells = [cell.split("=") for cell in line.split()[3:]]
         assert [name for name, _ in cells] == [
-            stage for stage, _ in tables[row.split()[0]]]
+            stage for stage, _ in tables[row.split()[0]]] + ["derive", "verify"]
         seconds = [float(value) for _, value in cells]
         assert all(s > 0 for s in seconds)
         assert sum(seconds) <= float(row.split()[4])

@@ -23,12 +23,16 @@ the driver's result.  The ``growth`` column holds the ``global_split``,
 ``apply_script`` and text replay times over those of the previous size of
 the same pool (``-`` for the first size).  After each row a second line,
 on standard error so that standard output stays the table, gives the
-median seconds of each ``global_split`` stage, in the driver's order::
+median seconds of each ``global_split`` stage, in the driver's order, and
+then of the closing derive and verify of the decomposition::
 
-    split_deep 1280 stages schedule=0.012345 joinability=0.001234 ...
+    split_deep 1280 stages schedule=0.012345 ... final=0.023456 derive=0.000123 verify=0.000234
 
 The stages are the entries of ``normal_form._DEEP_STAGES`` and
-``_CODIM_ONE_STAGES``, each wrapped in a timer while the pool is measured.
+``_CODIM_ONE_STAGES``; ``derive`` is a call of
+``derive_half_handle_decomposition`` or ``derive_monotone_decomposition``
+and ``verify`` one of ``verify_decomposition``.  Each is wrapped in a timer
+while the pool is measured.
 
 To compare two checkouts, say a parent and a change, run the change's copy
 of this script with the parent's root::
@@ -60,6 +64,14 @@ from corpus import disjoint_union, load_corpus  # noqa: E402
 from halfhandle import cli_io, moves, normal_form  # noqa: E402
 
 POOLS = ("split_deep", "split_codim1")
+# the functions global_split closes with, timed under these names after the
+# stages; it looks them up on its module when it runs, so a wrapper there
+# sees every call
+CLOSING = {
+    "derive_half_handle_decomposition": "derive",
+    "derive_monotone_decomposition": "derive",
+    "verify_decomposition": "verify",
+}
 RUNS = 5  # single runs of one size spread too widely to read a growth from
 # one run of --against in a fresh interpreter: the package is imported from
 # its side's src/ first, so the harness's own src/ entry never serves it
@@ -84,27 +96,34 @@ def union_of(pieces, points):
 @contextmanager
 def timed_stages():
     """Time every ``global_split`` stage while the block runs: yields a dict
-    to which each stage call appends its seconds, under the stage's name.
-    The entries of ``normal_form._DEEP_STAGES`` and ``_CODIM_ONE_STAGES``
-    are wrapped for the block and put back after it."""
+    to which each stage call appends its seconds, under the stage's name,
+    and each call of a ``CLOSING`` function under its name there.  The
+    entries of ``normal_form._DEEP_STAGES`` and ``_CODIM_ONE_STAGES`` and
+    the ``CLOSING`` functions are wrapped for the block and put back after
+    it."""
     seconds = {}
 
     def wrap(stage, fn):
-        def run(datum):
+        def run(*args):
             start = perf_counter()
             try:
-                return fn(datum)
+                return fn(*args)
             finally:
                 seconds.setdefault(stage, []).append(perf_counter() - start)
         return run
 
     tables = normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES
+    closing = {name: getattr(normal_form, name) for name in CLOSING}
     normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES = (
         tuple((stage, wrap(stage, fn)) for stage, fn in table) for table in tables)
+    for name, fn in closing.items():
+        setattr(normal_form, name, wrap(CLOSING[name], fn))
     try:
         yield seconds
     finally:
         normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES = tables
+        for name, fn in closing.items():
+            setattr(normal_form, name, fn)
 
 
 def measure(pieces, points, runs=RUNS):
@@ -190,8 +209,10 @@ def main(argv=None):
                 with timed_stages() as stage_s:
                     row = measure(pieces, points)
                 print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
-                print(pool, points, "stages", *("%s=%.6f" % (stage, statistics.median(s))
-                                                for stage, s in stage_s.items()),
+                last = list(dict.fromkeys(CLOSING.values()))  # derive, verify
+                names = [stage for stage in stage_s if stage not in last] + last
+                print(pool, points, "stages", *("%s=%.6f" % (name, statistics.median(stage_s[name]))
+                                                for name in names),
                       file=sys.stderr, flush=True)
                 before = row
                 continue
