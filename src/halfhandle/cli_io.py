@@ -13,13 +13,15 @@ of a match and the builder of its checked ``key=value`` tokens.  A format
 offers only its own directives; any other is an unknown directive there.
 
 A line in the shape the serializers write (single spaces, keys in order,
-ASCII ids and digits) is built from one pattern match.  The match proves
-every check ``MoveRecord`` makes on a one-point ``rearrange`` record, so it
-is built by ``MoveRecord._step``; a datum line's fields go to its checking
-constructor, whose checks all run.  Any other line, and a matched one whose
-build raises one of ``_MISSES`` (``1/00``, an int past the digit limit, an
-unknown kind word), falls back to the general path, which raises its own
-ParseError with the same message and line.
+ASCII ids and digits) is built from one pattern match, without the checks
+of its constructor: the match proves them, but for those its builder makes
+on the fields (a value inside (0, 1), an edge's ends and count, an effect's
+ids each once, a kind or locus word).  A one-point ``rearrange`` record is
+built by ``MoveRecord._step``.  A text's values come from one pool, a
+``Fraction`` per ``p/q`` token, so equal tokens give one object.  Any
+other line, and a matched one whose build raises one of ``_MISSES``, falls
+back to the general path, which raises its own ParseError with the same
+message and line.
 
 The general path reads a line in one pass: every token is split once, and
 the line's key set is compared with its directive's.  The message for a
@@ -150,10 +152,10 @@ def _content_lines(text: str):
 # ids that pass ``_ID_RE``, enum members by their words, and ints and
 # Fractions from the same digits.
 _MOVE_LINE = re.compile(
-    r"move kind=rearrange ids=(\w+) values=(\d+)/(\d+) note=([!-~]+)", re.ASCII
+    r"move kind=rearrange ids=(\w+) values=(\d+/\d+) note=([!-~]+)", re.ASCII
 )
 _POINT_LINE = re.compile(
-    r"point id=(\w+) kind=(\w+) index=(\d+) value=(\d+)/(\d+)", re.ASCII
+    r"point id=(\w+) kind=(\w+) index=(\d+) value=(\d+/\d+)", re.ASCII
 )
 _EFFECT_LINE = re.compile(
     r"effect at=(\w+) kind=(\w+) inputs=(-|\w+(?:,\w+)*)"
@@ -169,47 +171,81 @@ _COMPONENT_LINE = re.compile(
 _KINDS, _EFFECT_KINDS, _LOCI = (
     {member.value: member for member in enum} for enum in (Kind, EffectKind, Locus)
 )
-# what a matched line's conversion or check may raise: 1/0, an int past the
-# digit limit, an unknown kind word, or a constructor's refusal
-_MISSES = (KeyError, ValueError, ZeroDivisionError, ValidationError)
+# what a matched line's build may raise: 1/0, a too long int, a bad word or field
+_MISSES = (KeyError, ValueError, ZeroDivisionError)
 
 
-def _move(match) -> MoveRecord:
+class _Pool(dict):
+    """A text's values by their ``p/q`` tokens: one Fraction per token."""
+
+    def __missing__(self, token):
+        p, _, q = token.partition("/")
+        value = self[token] = Fraction(int(p), int(q))
+        return value
+
+
+def _move(match, pool) -> MoveRecord:
     """The record of a canonical rearrange line; the match proves every
     check ``MoveRecord.__post_init__`` makes on it."""
-    note = match[4]
-    value = Fraction(int(match[2]), int(match[3]))
-    return MoveRecord._step(match[1], value, "" if note == "-" else note)
+    note = "" if match[3] == "-" else match[3]
+    return MoveRecord._step(match[1], pool[match[2]], note)
 
 
-def _point(match) -> CriticalPoint:
-    kind, index = _KINDS[match[2]], int(match[3])
-    value = Fraction(int(match[4]), int(match[5]))
-    return CriticalPoint(match[1], kind, index, value)
+def _point(match, pool) -> CriticalPoint:
+    """Checked here: the kind word, and the value inside (0, 1)."""
+    kind, value = _KINDS[match[2]], pool[match[4]]
+    num, den = value.numerator, value.denominator
+    if not 0 < num < den:
+        raise ValueError("not inside (0, 1)")
+    out, put = object.__new__(CriticalPoint), object.__setattr__
+    put(out, "id", match[1])
+    put(out, "kind", kind)
+    put(out, "index", int(match[3]))
+    put(out, "value", value)
+    put(out, "_float", num / den)
+    return out
 
 
-def _effect(match) -> ComponentEffect:
-    inputs, outputs = match[3], match[4]
-    return ComponentEffect(
-        match[1],
-        _EFFECT_KINDS[match[2]],
-        () if inputs == "-" else tuple(inputs.split(",")),
-        () if outputs == "-" else tuple(
-            SliceComponent(cid, bit == "true")
-            for cid, bit in (item.split(":") for item in outputs.split(","))
-        ),
+def _effect(match, pool) -> ComponentEffect:
+    """Checked here: the kind word, and no input or output id twice."""
+    inputs = () if match[3] == "-" else tuple(match[3].split(","))
+    outputs = () if match[4] == "-" else tuple(
+        _slice_component(cid, bit == "true")
+        for cid, bit in (item.split(":") for item in match[4].split(","))
     )
+    if len(set(inputs)) < len(inputs) or len({c.id for c in outputs}) < len(outputs):
+        raise ValueError("a repeated id")
+    out, put = object.__new__(ComponentEffect), object.__setattr__
+    put(out, "at", match[1])
+    put(out, "kind", _EFFECT_KINDS[match[2]])
+    put(out, "inputs", inputs)
+    put(out, "outputs", outputs)
+    return out
 
 
-def _edge(match) -> FlowEdge:
-    count = match[3]
-    return FlowEdge(
-        match[1], match[2], None if count == "?" else int(count), _LOCI[match[4]]
-    )
+def _edge(match, pool) -> FlowEdge:
+    """Checked here: the locus word, two ends, and a count of 1 or more."""
+    src, dst, count = match[1], match[2], None if match[3] == "?" else int(match[3])
+    if src == dst or count == 0:
+        raise ValueError("a loop or no flow line")
+    out, put = object.__new__(FlowEdge), object.__setattr__
+    put(out, "src", src)
+    put(out, "dst", dst)
+    put(out, "count", count)
+    put(out, "locus", _LOCI[match[4]])
+    return out
 
 
-def _component(match) -> SliceComponent:
-    return SliceComponent(match[1], match[2] == "true")
+def _slice_component(cid: str, touches_wall: bool) -> SliceComponent:
+    """A matched component: its id passes ``_ID_RE``, its bit is a bool."""
+    out = object.__new__(SliceComponent)
+    object.__setattr__(out, "id", cid)
+    object.__setattr__(out, "touches_wall", touches_wall)
+    return out
+
+
+def _component(match, pool) -> SliceComponent:
+    return _slice_component(match[1], match[2] == "true")
 
 
 def _move_attrs(attrs, num: int) -> MoveRecord:
@@ -256,8 +292,8 @@ def _component_attrs(attrs, num: int) -> SliceComponent:
 
 
 # directive -> (its keys, as a dict: a keys view compares as a set; its
-# canonical pattern; the builder of a match; the builder of its key=value
-# tokens, which may raise ValidationError or ValueError)
+# canonical pattern; the builder of a match and the text's pool; the builder
+# of its key=value tokens, which may raise ValidationError or ValueError)
 _LINES = {
     directive: (dict.fromkeys(keys.split()), pattern, from_match, from_attrs)
     for directive, keys, pattern, from_match, from_attrs in (
@@ -276,11 +312,11 @@ def _read(text: str, fmt: str, directives, header=None) -> Dict[str, list]:
 
     The first content line must be ``format=fmt``.  A later line whose
     first word is one of ``directives`` and whose shape is canonical is
-    built from its match.  Any other line is split into its ``key=value``
-    tokens (``_attrs``); one whose first token holds ``=`` goes to
-    ``header(token, attrs, num)`` if a header is read, and any other must
-    be one of ``directives``, with exactly its keys, and is built from its
-    tokens."""
+    built from its match, its values from the text's one ``_Pool``.  Any
+    other line is split into its ``key=value`` tokens (``_attrs``); one
+    whose first token holds ``=`` goes to ``header(token, attrs, num)`` if
+    a header is read, and any other must be one of ``directives``, with
+    exactly its keys, and is built from its tokens."""
     lines = _content_lines(text)
     for num, line in lines:
         if line != "format=" + fmt:
@@ -289,6 +325,7 @@ def _read(text: str, fmt: str, directives, header=None) -> Dict[str, list]:
     else:
         raise ParseError("missing format=" + fmt)
     out = {directive: [] for directive in directives}
+    pool = _Pool()
     for num, line in lines:
         directive = line.partition(" ")[0]
         if directive in out:
@@ -296,7 +333,7 @@ def _read(text: str, fmt: str, directives, header=None) -> Dict[str, list]:
             match = pattern.fullmatch(line)
             if match:
                 try:
-                    out[directive].append(from_match(match))
+                    out[directive].append(from_match(match, pool))
                     continue
                 except _MISSES:  # the general path raises its own error
                     pass

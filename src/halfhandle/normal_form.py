@@ -45,6 +45,9 @@ from .moves import (
     realize_configuration,
 )
 
+_RANK_OFFSET = {Kind.BOUNDARY_STABLE: 1, Kind.INTERIOR: 2, Kind.BOUNDARY_UNSTABLE: 3}
+
+
 def scheduled_rank(kind: Kind, index: int) -> int:
     """Position of a (kind, index) cell in the scheduled vertical order.
 
@@ -52,8 +55,7 @@ def scheduled_rank(kind: Kind, index: int) -> int:
     attaches third.  Surgery dependencies in well formed data only point
     from lower rank to higher rank (or within one cell, upward in value).
     """
-    offset = {Kind.BOUNDARY_STABLE: 1, Kind.INTERIOR: 2, Kind.BOUNDARY_UNSTABLE: 3}
-    return 3 * index + offset[Kind(kind)]
+    return 3 * index + _RANK_OFFSET[kind if type(kind) is Kind else Kind(kind)]
 
 
 def schedule_levels(datum: MorseDatum) -> Dict[str, Fraction]:

@@ -102,6 +102,15 @@ def test_scheduled_rank_orders_kinds_within_an_index():
         assert s < i < u < scheduled_rank(Kind.BOUNDARY_STABLE, k + 1)
 
 
+def test_scheduled_rank_takes_a_kind_or_its_word_and_refuses_the_rest():
+    for kind in Kind:
+        for k in range(0, 5):
+            assert scheduled_rank(kind.value, k) == scheduled_rank(kind, k)
+    for bad in ("bogus", None, 7, ["interior"]):
+        with pytest.raises(ValueError):
+            scheduled_rank(bad, 1)
+
+
 def test_band_levels_collapse_at_n_one():
     a, c, d, b = band_levels(1)
     assert (a, c, d, b) == (Fraction(1, 2), Fraction(11, 18),

@@ -8,10 +8,13 @@ before, each token through ``split_directive`` and ``need``.  On the
 fixtures, on small pieces of the benchmark corpus and on their normal form
 scripts, with one token of one line mutated or one separator changed, the
 two must return equal objects or raise the same ParseError, message and
-line alike.
+line alike.  An object built from a match, without its constructor's
+checks, must equal the one the checking constructor builds, and the values
+of one text share one ``Fraction`` per token.
 """
 
 import pathlib
+import re
 import sys
 from fractions import Fraction
 
@@ -21,10 +24,14 @@ from hypothesis import strategies as st
 from halfhandle import cli_io
 from halfhandle.cli_io import parse_datum, parse_script, serialize_script
 from halfhandle.errors import ParseError
+from halfhandle.morse_data import CriticalPoint, order_key
 from halfhandle.normal_form import global_split
+from halfhandle.slice_topology import ComponentEffect, SliceComponent
+from halfhandle.trajectory import FlowEdge
 
 from helpers import (
     assert_records_as_checked,
+    benchmark_workload,
     parse_datum_by_reference,
     parse_script_by_reference,
 )
@@ -206,6 +213,9 @@ DATUM = HEADER + "m=4\nn=2\n%s\n"
 @given(mutated_text(DATA))
 # canonical lines whose conversion or constructor refuses them
 @example(DATUM % "point id=p kind=interior index=1 value=3/2")
+@example(DATUM % "point id=p kind=interior index=1 value=0/5")
+@example(DATUM % "point id=p kind=interior index=1 value=5/5")
+@example(DATUM % "point id=p kind=interior index=1 value=7/3")
 @example(DATUM % "point id=p kind=interior index=1 value=1/00")
 @example(DATUM % "point id=p kind=sideways index=1 value=1/2")
 @example(DATUM % ("point id=p kind=interior index=%s value=1/2" % ("1" * (LIMIT + 1))))
@@ -214,6 +224,7 @@ DATUM = HEADER + "m=4\nn=2\n%s\n"
 @example(DATUM % "edge src=p dst=q count=1 locus=nowhere")
 @example(DATUM % "effect at=p kind=merge inputs=c,c outputs=d:true")
 @example(DATUM % "effect at=p kind=merge inputs=c outputs=d:true,d:false")
+@example(DATUM % "effect at=p kind=sideways inputs=c outputs=d:true")
 def test_datum_parser_matches_the_reference_on_mutated_lines(text):
     event(check_against_reference(parse_datum, parse_datum_by_reference, text))
 
@@ -234,3 +245,86 @@ SCRIPT = "format=halfhandle-script/1\nmove kind=%s ids=%s values=%s note=-\n"
 @example(SCRIPT.replace("note=-", "note=a\x1fb") % ("rearrange", "p", "1/2"))
 def test_script_parser_matches_the_reference_on_mutated_lines(text):
     event(check_against_reference(parse_script, parse_script_by_reference, text))
+
+
+def assert_as_checked(datum):
+    """Each point, edge, effect and component of ``datum`` equals the one
+    its checking constructor builds, in hash and down to its ``vars``."""
+    outputs = [c for e in datum.slices.effects for c in e.outputs]
+    pairs = [(p, CriticalPoint(p.id, p.kind.value, p.index, p.value)) for p in datum.points]
+    pairs += [(e, FlowEdge(e.src, e.dst, e.count, e.locus.value)) for e in datum.graph.edges]
+    pairs += [(c, SliceComponent(c.id, c.touches_wall))
+              for c in datum.slices.bottom + tuple(outputs)]
+    pairs += [(e, ComponentEffect(e.at, e.kind.value, list(e.inputs), [
+        SliceComponent(c.id, c.touches_wall) for c in e.outputs]))
+        for e in datum.slices.effects]
+    for got, checked in pairs:
+        assert got == checked and hash(got) == hash(checked), got
+        assert vars(got) == vars(checked), got
+    assert all(p.sort_key() == order_key(p.value, p.id) for p in datum.points)
+    return len(pairs)
+
+
+def counting_post_init(monkeypatch):
+    """A list that gets one entry per ``CriticalPoint.__post_init__`` run."""
+    runs, post_init = [], CriticalPoint.__post_init__
+    monkeypatch.setattr(CriticalPoint, "__post_init__",
+                        lambda self: runs.append(self.id) or post_init(self))
+    return runs
+
+
+def test_objects_built_from_a_match_equal_the_checking_constructors(monkeypatch):
+    # every body line of these texts is canonical (see the first test), so
+    # no point runs its checks; a point line off the shape still runs them
+    seen = 0
+    for text in DATA[:-len(PIECES)] + corpus_pieces(per_file=400):  # all of them
+        with monkeypatch.context() as patch:
+            runs = counting_post_init(patch)
+            datum = parse_datum(text)
+        assert runs == []
+        seen += assert_as_checked(datum)
+    assert seen > 10000, seen
+    with monkeypatch.context() as patch:
+        runs = counting_post_init(patch)
+        parse_datum(DATUM % "point id=p kind=interior  index=1 value=1/2")
+    assert runs == ["p"]
+
+
+def seed_1_split_deep_texts(monkeypatch):
+    """The seed-1 split_deep union's text, and its normal form script's."""
+    _, workload = benchmark_workload(monkeypatch, "split_deep", 1)
+    return workload.text, serialize_script(global_split(workload.datum)[2])
+
+
+def test_equal_value_tokens_of_one_text_give_one_fraction(monkeypatch):
+    # each distinct p/q token of a text is built once, as one Fraction, and
+    # every line that repeats the token holds that very object
+    datum_text, script_text = seed_1_split_deep_texts(monkeypatch)
+    for parse, text, values_of in (
+        (parse_datum, datum_text, lambda d: [p.value for p in d.points]),
+        (parse_script, script_text, lambda s: [v for r in s for v in r.values]),
+    ):
+        tokens = re.findall(r" values?=(\d+/\d+)\s", text)
+        calls, new = [], Fraction.__new__
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__",
+                          lambda cls, *a, **k: calls.append(a) or new(cls, *a, **k))
+            values = values_of(parse(text))
+        assert len(values) == len(tokens) > len(set(tokens)) == len(calls)
+        by_token = {}
+        for value in values:
+            assert by_token.setdefault(str(value), value) is value
+        assert by_token.keys() == set(tokens)
+    assert (len(tokens), len(set(tokens))) == (685, 533)  # the script's
+
+
+def test_equal_values_of_unequal_tokens_stay_apart():
+    # the pool goes by the token: 2/4 and 1/2 are equal values, built
+    # twice, and each point holds its value as the checking constructor has it
+    datum = parse_datum(DATUM % "\n".join(
+        "point id=%s kind=interior index=1 value=%s" % pair
+        for pair in (("p", "2/4"), ("q", "1/2"), ("r", "2/4"))))
+    p, q, r = (datum.point(pid).value for pid in "pqr")
+    assert p == q == r == Fraction(1, 2)
+    assert p is r and p is not q
+    assert_as_checked(datum)

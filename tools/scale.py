@@ -23,16 +23,20 @@ the driver's result.  The ``growth`` column holds the ``global_split``,
 ``apply_script`` and text replay times over those of the previous size of
 the same pool (``-`` for the first size).  After each row a second line,
 on standard error so that standard output stays the table, gives the
-median seconds of each ``global_split`` stage, in the driver's order, and
-then of the closing derive and verify of the decomposition::
+median seconds of each ``global_split`` stage, in the driver's order, then
+of the closing derive and verify of the decomposition, and last of the two
+parses of the text replay::
 
-    split_deep 1280 stages schedule=0.012345 ... final=0.023456 derive=0.000123 verify=0.000234
+    split_deep 1280 stages schedule=0.012345 ... verify=0.000234 parse_datum=0.01 parse_script=0.02
 
 The stages are the entries of ``normal_form._DEEP_STAGES`` and
 ``_CODIM_ONE_STAGES``; ``derive`` is a call of
 ``derive_half_handle_decomposition`` or ``derive_monotone_decomposition``
 and ``verify`` one of ``verify_decomposition``.  Each is wrapped in a timer
-while the pool is measured.
+while the pool is measured, and so are ``cli_io.parse_datum`` and
+``parse_script``.  The parses lie outside ``global_split`` and its stage
+sum.  ``replay_text_s`` less ``parse_datum`` is the text replay without
+the parse of the input, which ``global_split`` does not do.
 
 To compare two checkouts, say a parent and a change, run the change's copy
 of this script with the parent's root::
@@ -72,6 +76,7 @@ CLOSING = {
     "derive_monotone_decomposition": "derive",
     "verify_decomposition": "verify",
 }
+PARSES = ("parse_datum", "parse_script")  # of cli_io, in the text replay
 RUNS = 5  # single runs of one size spread too widely to read a growth from
 # one run of --against in a fresh interpreter: the package is imported from
 # its side's src/ first, so the harness's own src/ entry never serves it
@@ -97,10 +102,10 @@ def union_of(pieces, points):
 def timed_stages():
     """Time every ``global_split`` stage while the block runs: yields a dict
     to which each stage call appends its seconds, under the stage's name,
-    and each call of a ``CLOSING`` function under its name there.  The
-    entries of ``normal_form._DEEP_STAGES`` and ``_CODIM_ONE_STAGES`` and
-    the ``CLOSING`` functions are wrapped for the block and put back after
-    it."""
+    each call of a ``CLOSING`` function under its name there, and each call
+    of a ``PARSES`` function under its own.  The entries of
+    ``normal_form._DEEP_STAGES`` and ``_CODIM_ONE_STAGES`` and those
+    functions are wrapped for the block and put back after it."""
     seconds = {}
 
     def wrap(stage, fn):
@@ -114,16 +119,21 @@ def timed_stages():
 
     tables = normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES
     closing = {name: getattr(normal_form, name) for name in CLOSING}
+    parses = {name: getattr(cli_io, name) for name in PARSES}
     normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES = (
         tuple((stage, wrap(stage, fn)) for stage, fn in table) for table in tables)
     for name, fn in closing.items():
         setattr(normal_form, name, wrap(CLOSING[name], fn))
+    for name, fn in parses.items():
+        setattr(cli_io, name, wrap(name, fn))
     try:
         yield seconds
     finally:
         normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES = tables
         for name, fn in closing.items():
             setattr(normal_form, name, fn)
+        for name, fn in parses.items():
+            setattr(cli_io, name, fn)
 
 
 def measure(pieces, points, runs=RUNS):
@@ -209,7 +219,7 @@ def main(argv=None):
                 with timed_stages() as stage_s:
                     row = measure(pieces, points)
                 print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
-                last = list(dict.fromkeys(CLOSING.values()))  # derive, verify
+                last = list(dict.fromkeys(CLOSING.values())) + list(PARSES)
                 names = [stage for stage in stage_s if stage not in last] + last
                 print(pool, points, "stages", *("%s=%.6f" % (name, statistics.median(stage_s[name]))
                                                 for name in names),
