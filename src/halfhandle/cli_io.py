@@ -12,16 +12,18 @@ kinds, ``_LINES``: each directive (``point``, ``effect``, ``edge``,
 of a match and the builder of its checked ``key=value`` tokens.  A format
 offers only its own directives; any other is an unknown directive there.
 
-A line in the shape the serializers write (single spaces, keys in order,
-ASCII ids and digits) is built from one pattern match, without the checks
-of its constructor: the match proves them, but for those its builder makes
-on the fields (a value inside (0, 1), an edge's ends and count, an effect's
-ids each once, a kind or locus word).  A one-point ``rearrange`` record is
-built by ``MoveRecord._step``.  A text's values come from one pool, a
-``Fraction`` per ``p/q`` token, so equal tokens give one object.  Any
-other line, and a matched one whose build raises one of ``_MISSES``, falls
-back to the general path, which raises its own ParseError with the same
-message and line.
+Each format has one fast path for the shape the serializers write (single
+spaces, keys in order, ASCII ids and digits).  A datum line in that shape is
+built from one pattern match, without the checks of its constructor: the
+match proves them, but for those its builder makes on the fields (a value
+inside (0, 1), an edge's ends and count, an effect's ids each once, a kind
+or locus word).  A script of such lines only is read by one scan
+(``_scan_script``): a one-point ``rearrange`` row is built by
+``MoveRecord._step``, any other by the checking ``MoveRecord``.  A text's
+values come from one pool, one ``Fraction`` per ``p/q`` token built by
+``morse_data.ratio``, so equal tokens give one object.  Any other line or
+script, and one whose build raises, goes to the general path, which raises
+its own ParseError with the same message and line.
 
 The general path reads a line in one pass: every token is split once, and
 the line's key set is compared with its directive's.  The message for a
@@ -53,6 +55,7 @@ from .morse_data import (
     Kind,
     MorseDatum,
     dimension_profile,
+    ratio,
     require_valid,
     validate_datum,
 )
@@ -120,7 +123,7 @@ def _fraction(token: str, num: Optional[int] = None) -> Fraction:
     p, slash, q = token.partition("/")
     try:
         if slash and token.isascii() and p.isdigit() and q.isdigit():
-            return Fraction(int(p), int(q))
+            return ratio(int(p), int(q))
         exponent, limit = _EXPONENT.search(token), sys.get_int_max_str_digits()
         if exponent and limit and abs(int(exponent[1])) > limit:
             raise ValueError("exponent past the digit limit")
@@ -150,9 +153,12 @@ def _content_lines(text: str):
 # printable ASCII, ``p/q`` fractions of ASCII digits.  The general path
 # reads such a line as these builders do: the same tokens, each key once,
 # ids that pass ``_ID_RE``, enum members by their words, and ints and
-# Fractions from the same digits.
-_MOVE_LINE = re.compile(
-    r"move kind=rearrange ids=(\w+) values=(\d+/\d+) note=([!-~]+)", re.ASCII
+# Fractions from the same digits.  A row holds no line break of
+# ``str.splitlines``, so a text of rows is a text of the same lines there.
+_MOVE_ROW = re.compile(
+    r"^move kind=(rearrange|cancel|split) ids=(\w+(?:,\w+)*)"
+    r" values=(-|\d+/\d+(?:,\d+/\d+)*) note=([!-~]+)$",
+    re.ASCII | re.MULTILINE,
 )
 _POINT_LINE = re.compile(
     r"point id=(\w+) kind=(\w+) index=(\d+) value=(\d+/\d+)", re.ASCII
@@ -180,15 +186,8 @@ class _Pool(dict):
 
     def __missing__(self, token):
         p, _, q = token.partition("/")
-        value = self[token] = Fraction(int(p), int(q))
+        value = self[token] = ratio(int(p), int(q))
         return value
-
-
-def _move(match, pool) -> MoveRecord:
-    """The record of a canonical rearrange line; the match proves every
-    check ``MoveRecord.__post_init__`` makes on it."""
-    note = "" if match[3] == "-" else match[3]
-    return MoveRecord._step(match[1], pool[match[2]], note)
 
 
 def _point(match, pool) -> CriticalPoint:
@@ -292,12 +291,13 @@ def _component_attrs(attrs, num: int) -> SliceComponent:
 
 
 # directive -> (its keys, as a dict: a keys view compares as a set; its
-# canonical pattern; the builder of a match and the text's pool; the builder
-# of its key=value tokens, which may raise ValidationError or ValueError)
+# canonical pattern and the builder of a match and the text's pool, or None
+# for a move, whose canonical lines ``_scan_script`` reads; the builder of
+# its key=value tokens, which may raise ValidationError or ValueError)
 _LINES = {
     directive: (dict.fromkeys(keys.split()), pattern, from_match, from_attrs)
     for directive, keys, pattern, from_match, from_attrs in (
-        ("move", "kind ids values note", _MOVE_LINE, _move, _move_attrs),
+        ("move", "kind ids values note", None, None, _move_attrs),
         ("point", "id kind index value", _POINT_LINE, _point, _point_attrs),
         ("effect", "at kind inputs outputs", _EFFECT_LINE, _effect, _effect_attrs),
         ("edge", "src dst count locus", _EDGE_LINE, _edge, _edge_attrs),
@@ -311,9 +311,9 @@ def _read(text: str, fmt: str, directives, header=None) -> Dict[str, list]:
     ``directives``; ParseError with its line number for the first bad line.
 
     The first content line must be ``format=fmt``.  A later line whose
-    first word is one of ``directives`` and whose shape is canonical is
-    built from its match, its values from the text's one ``_Pool``.  Any
-    other line is split into its ``key=value`` tokens (``_attrs``); one
+    first word is one of ``directives`` with a pattern, and whose shape is
+    canonical, is built from its match, its values from the text's one
+    ``_Pool``.  Any other line is split into its ``key=value`` tokens (``_attrs``); one
     whose first token holds ``=`` goes to ``header(token, attrs, num)`` if
     a header is read, and any other must be one of ``directives``, with
     exactly its keys, and is built from its tokens."""
@@ -330,7 +330,7 @@ def _read(text: str, fmt: str, directives, header=None) -> Dict[str, list]:
         directive = line.partition(" ")[0]
         if directive in out:
             _, pattern, from_match, _ = _LINES[directive]
-            match = pattern.fullmatch(line)
+            match = pattern and pattern.fullmatch(line)
             if match:
                 try:
                     out[directive].append(from_match(match, pool))
@@ -439,9 +439,40 @@ def serialize_datum(datum: MorseDatum) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCRIPT_HEAD = "format=%s\n" % SCRIPT_FORMAT
+
+
+def _scan_script(text: str) -> Optional[List[MoveRecord]]:
+    """The records of a script that is its format line and canonical
+    ``move`` lines, each ended by a newline, read by one scan of the text;
+    None for any other text, and for one with a row whose build raises
+    ValidationError or one of ``_MISSES`` (so a one-point rearrange whose
+    values are a list or ``-``, which fail their int in the pool)."""
+    if not (text.startswith(_SCRIPT_HEAD) and text.endswith("\n")):
+        return None
+    rows = _MOVE_ROW.findall(text)
+    if len(rows) != text.count("\n") - 1:  # a line that is not a row
+        return None
+    pool, out = _Pool(), []
+    try:
+        for kind, ids, values, note in rows:
+            note = "" if note == "-" else note
+            if kind == "rearrange" and "," not in ids:
+                out.append(MoveRecord._step(ids, pool[values], note))
+                continue
+            values = [] if values == "-" else [pool[v] for v in values.split(",")]
+            out.append(MoveRecord(kind, tuple(ids.split(",")), tuple(values), note))
+    except (ValidationError, *_MISSES):  # _read raises its own error
+        return None
+    return out
+
+
 def parse_script(text: str) -> List[MoveRecord]:
-    """Parse the script format; raises ParseError with a line number."""
-    return _read(text, SCRIPT_FORMAT, ("move",))["move"]
+    """Parse the script format; raises ParseError with a line number.  A
+    text of canonical lines is read by ``_scan_script``, any other by
+    ``_read``."""
+    records = _scan_script(text)
+    return _read(text, SCRIPT_FORMAT, ("move",))["move"] if records is None else records
 
 
 def serialize_script(script) -> str:

@@ -16,9 +16,13 @@ Values are exact ``Fraction``s, ordered exactly at float speed:
 ``order_key`` puts the float ``numerator / denominator`` before a value.
 Int division is correctly rounded and rounding is monotone, so a < b gives
 float(a) <= float(b): unequal floats order as their values do, and only
-equal floats fall through to the ``Fraction`` after them in the key.  A
-value the drivers interpolate between two others is worked out on their
-ints by ``between`` and normalized once.
+equal floats fall through to the ``Fraction`` after them in the key.
+
+Every value the engine builds from two ints comes from ``ratio``: one gcd,
+and the two slots of a ``Fraction`` set directly, where the pure-Python
+``Fraction.__new__`` would first ask what its arguments are.  A value the
+drivers interpolate between two others is worked out on their ints by
+``between``, and the parser builds each ``p/q`` token by ``ratio``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import (
@@ -53,12 +58,28 @@ def exact(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def ratio(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for ints: normalized by one gcd, the sign on
+    the numerator, and ZeroDivisionError for ``den == 0``, as there.  It is
+    ``object.__new__(Fraction)`` with the two slots set that
+    ``Fraction.__new__`` sets (a test pins that layout)."""
+    if not den:
+        raise ZeroDivisionError("Fraction(%s, 0)" % (num,))
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    out = object.__new__(Fraction)
+    out._numerator = num // g
+    out._denominator = den // g
+    return out
+
+
 def between(lo, hi, t: int, k: int) -> Fraction:
     """``lo + (hi - lo) * t / k`` as one normalized Fraction, for Fractions
-    or ints ``lo`` and ``hi``: built from the four ints of the ends, with
-    one gcd, and none of the ``Fraction`` operators' own."""
+    or ints ``lo`` and ``hi``: built from the four ints of the ends by
+    ``ratio``, and none of the ``Fraction`` operators' own."""
     a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    return Fraction(a * d * (k - t) + c * b * t, b * d * k)
+    return ratio(a * d * (k - t) + c * b * t, b * d * k)
 
 
 class Kind(str, enum.Enum):

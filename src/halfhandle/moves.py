@@ -791,6 +791,10 @@ def _splits_locally(ambient, point, effect, bits, moved, e_s, e_u):
     return issues[0] if issues else None
 
 
+# the keys of a component made below every point and of one never used
+_BOTTOM_KEY, _NEVER_KEY = order_key(Fraction(0), ""), order_key(Fraction(1), "")
+
+
 def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user):
     """The attach pair replacing an interior effect, preserving its boundary.
 
@@ -811,7 +815,7 @@ def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user
 
     def produced_at(cid):  # bottom components first, then in point order
         owner = maker(cid)
-        return order_key(Fraction(0), "") if owner is None else owner.sort_key()
+        return _BOTTOM_KEY if owner is None else owner.sort_key()
 
     if effect.kind is EffectKind.MERGE:
         touching = [cid for cid in effect.inputs if bits.get(cid, False)]
@@ -838,10 +842,8 @@ def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user
     if len(touching) == 1:
         direct = touching[0]  # the closed half must ride the unstable side
     else:  # the output used first, outputs never used last
-        never = order_key(Fraction(1), "")
-        used_at = [
-            never if p is None else p.sort_key() for p in (user(c.id) for c in outs)
-        ]
+        users = [user(c.id) for c in outs]
+        used_at = [_NEVER_KEY if p is None else p.sort_key() for p in users]
         direct = outs[used_at.index(min(used_at))]
     other = [c for c in outs if c.id != direct.id][0]
     e_s = ComponentEffect(

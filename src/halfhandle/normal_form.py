@@ -36,6 +36,7 @@ from .morse_data import (
     between,
     first_inversion,
     order_key,
+    ratio,
     require_valid,
 )
 from .moves import (
@@ -44,6 +45,10 @@ from .moves import (
     _split_run,
     realize_configuration,
 )
+
+# the ends of [0, 1], and their (float, value) keys, built once
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO_KEY, _ONE_KEY = order_key(_ZERO), order_key(_ONE)
 
 _RANK_OFFSET = {Kind.BOUNDARY_STABLE: 1, Kind.INTERIOR: 2, Kind.BOUNDARY_UNSTABLE: 3}
 
@@ -108,11 +113,11 @@ def _band_keys(n: int) -> Tuple[Tuple[str, Tuple[tuple, tuple]], ...]:
     value on a cut lies outside every open band."""
     ka, kc, kd, kb = map(order_key, band_levels(n))
     return (
-        ("low", (order_key(Fraction(0)), ka)),
+        ("low", (_ZERO_KEY, ka)),
         ("join_low", (ka, kc)),
         ("middle", (kc, kd)),
         ("join_high", (kd, kb)),
-        ("high", (kb, order_key(Fraction(1)))),
+        ("high", (kb, _ONE_KEY)),
     )
 
 
@@ -296,12 +301,12 @@ def derive_monotone_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
     for p, q in zip(mids, mids[1:]):  # in value order, so a shared level is adjacent
         if keys[p.id] == keys[q.id]:
             return None  # two middle points share a level, no singleton segments
-    low_hi = max([keys[p.id] for p in low], default=order_key(Fraction(0)))[1]
-    high_lo = min([keys[p.id] for p in high], default=order_key(Fraction(1)))[1]
+    low_hi = max([keys[p.id] for p in low], default=_ZERO_KEY)[1]
+    high_lo = min([keys[p.id] for p in high], default=_ONE_KEY)[1]
     anchors = [low_hi] + [p.value for p in mids] + [high_lo]
-    cuts = [Fraction(0)]
+    cuts = [_ZERO]
     cuts += [between(x, y, 1, 2) for x, y in zip(anchors, anchors[1:])]
-    cuts.append(Fraction(1))
+    cuts.append(_ONE)
     segments = [
         Segment(
             "low", cuts[0], cuts[1], tuple(p.id for p in low), ("low",)
@@ -323,8 +328,8 @@ def _trivial_decomposition(datum: MorseDatum) -> Decomposition:
         (
             Segment(
                 "all",
-                Fraction(0),
-                Fraction(1),
+                _ZERO,
+                _ONE,
                 tuple(p.id for p in datum.points),
                 ("any",),
             ),
@@ -511,7 +516,7 @@ def _index_order_targets(datum) -> Dict[str, Fraction]:
     """Codimension one: every point on its own level, by index and then in
     its current order, spread evenly over (0, 1)."""
     ordered = sorted(datum.points, key=lambda p: p.index)  # stable
-    return {p.id: Fraction(i + 1, len(ordered) + 1) for i, p in enumerate(ordered)}
+    return {p.id: ratio(i + 1, len(ordered) + 1) for i, p in enumerate(ordered)}
 
 
 # Each stage maps a datum to (datum, records).  The lambdas look their

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from halfhandle import moves
+from halfhandle import morse_data, moves
 from halfhandle.cli_io import (
     DATUM_FORMAT,
     SCRIPT_FORMAT,
@@ -819,3 +819,23 @@ def benchmark_workload(monkeypatch, name, seed):
     workloads = perfbench_module("workloads")
     texts, planted = corpus.load_corpus()
     return workloads, workloads.build(name, texts, planted, seed)
+
+
+def spy_on_value_builds(monkeypatch):
+    """A list that gets ``("Fraction", args)`` for each ``Fraction.__new__``
+    call and ``("ratio", args)`` for each ``morse_data.ratio`` call, by
+    whichever name a loaded ``halfhandle`` module calls it; both still
+    build their value."""
+    calls, new, ratio = [], Fraction.__new__, morse_data.ratio
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k:
+                        calls.append(("Fraction", a)) or new(cls, *a, **k))
+
+    def spy(num, den):
+        calls.append(("ratio", (num, den)))
+        return ratio(num, den)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "ratio", None)
+        if name.partition(".")[0] == "halfhandle" and bound is ratio:
+            monkeypatch.setattr(module, "ratio", spy)
+    return calls

@@ -1,8 +1,16 @@
 """Interpolated values worked out on ints, against the ``Fraction``
 arithmetic they replace.
 
+``morse_data.ratio(num, den)`` builds a ``Fraction`` from two ints without
+``Fraction.__new__``.  For any ints, zero, pairs with a common factor and
+ints of hundreds of digits among them, it must give what
+``Fraction(num, den)`` gives, down to the type, the hash, the printed forms,
+the two ints and the results of comparisons and arithmetic with Fractions
+built the usual way, and raise the same ZeroDivisionError for a zero
+denominator; it relies on the two slots of ``Fraction``, which a test pins.
+
 ``morse_data.between(lo, hi, t, k)`` builds ``lo + (hi - lo) * t / k`` from
-the ints of its ends, normalized once.  It must equal the ``Fraction``
+the ints of its ends, normalized once by ``ratio``.  It must equal the ``Fraction``
 formula as a value and print as it does, for random ends in [0, 1] and the
 int ends 0 and 1, and so must each expression the drivers used to write
 out: the split halves, the midpoint cuts of the codimension-one
@@ -22,13 +30,15 @@ digests.
 
 import hashlib
 import itertools
+import operator
+import pickle
 import sys
 import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfhandle.cli_io import (
@@ -37,7 +47,7 @@ from halfhandle.cli_io import (
     serialize_decomposition,
     serialize_script,
 )
-from halfhandle.morse_data import between
+from halfhandle.morse_data import between, ratio
 from halfhandle.moves import realize_configuration
 from halfhandle.normal_form import _half_handle_bounds, global_split
 
@@ -61,6 +71,91 @@ def steps(draw):
 def same(got, want):
     assert type(got) is Fraction
     assert got == want and str(got) == str(want)
+
+
+def test_the_fraction_layout_ratio_builds_on():
+    # ratio sets these two slots on an object.__new__ Fraction, as
+    # Fraction.__new__ does; a Python whose Fraction differs needs a new ratio
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    assert not hasattr(Fraction(1, 2), "__dict__")
+
+
+OTHERS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-7, 2),
+          Fraction(10**30 + 1, 3), 0, 1, -2, 10**40)
+OPERATORS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
+             operator.ne, operator.add, operator.sub, operator.mul,
+             operator.truediv, operator.floordiv, operator.mod, divmod)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value and type, or its error."""
+    try:
+        value = fn(*args)
+    except ZeroDivisionError as exc:
+        return ("raised", str(exc))
+    return ("gave", value, type(value), str(value))
+
+
+def assert_alike(got, want):
+    """``got``, a Fraction ``ratio`` or ``between`` built, behaves as
+    ``want``, one ``Fraction(num, den)`` built."""
+    assert type(got) is type(want) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.denominator > 0
+    assert type(got.numerator) is type(got.denominator) is int
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert pickle.loads(pickle.dumps(got)) == want and float(got) == float(want)
+    assert (int(got), round(got), abs(got), -got) == (int(want), round(want),
+                                                      abs(want), -want)
+    for other in OTHERS:
+        for op in OPERATORS:
+            assert outcome(op, got, other) == outcome(op, want, other), (op, other)
+            assert outcome(op, other, got) == outcome(op, other, want), (op, other)
+    assert {got: 1}[want] == 1 and {want: 1}[got] == 1
+
+
+int_pairs = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    st.tuples(st.integers(-10**300, 10**300), st.integers(-10**300, 10**300)),
+    st.tuples(st.sampled_from([0, 1, -1]), st.integers(-3, 3)),
+    st.builds(lambda a, b, g: (a * g, b * g), st.integers(-10**9, 10**9),  # not coprime
+              st.integers(-10**9, 10**9), st.integers(2, 10**12)),
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(int_pairs)
+@example((0, 5))
+@example((0, -5))
+@example((6, 4))
+@example((-6, -4))
+@example((6, -4))
+@example((3, 0))
+@example((0, 0))
+@example((-3, 0))
+@example((2 ** 4000 * 3, 2 ** 3999 * 9))
+@example((7 ** 1000 + 1, 7 ** 1000))
+def test_ratio_is_the_fraction_constructor(pair):
+    num, den = pair
+    if den == 0:
+        assert outcome(ratio, num, den) == outcome(Fraction, num, den)
+        assert outcome(ratio, num, den)[0] == "raised"
+        return
+    assert_alike(ratio(num, den), Fraction(num, den))
+
+
+@settings(deadline=None, max_examples=200)
+@given(ends, ends, steps())
+@example(0, 1, (1, 2))
+@example(Fraction(1, 3), Fraction(1, 3), (1, 2))
+@example(Fraction(10**50 - 1, 10**50), 1, (999_999, 10**6))
+def test_between_builds_what_the_fraction_constructor_builds(lo, hi, tk):
+    t, k = tk
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    assert_alike(between(lo, hi, t, k),
+                 Fraction(a * d * (k - t) + c * b * t, b * d * k))
+    assert outcome(between, lo, hi, t, 0) == outcome(Fraction, (c * b - a * d) * t, 0)
 
 
 @settings(deadline=None, max_examples=500)

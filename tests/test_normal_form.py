@@ -1,12 +1,13 @@
 """Scheduling, bands, joinability, decompositions, and the full driver."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from halfhandle import normal_form
-from halfhandle.cli_io import parse_datum
+from halfhandle.cli_io import parse_datum, serialize_datum, serialize_script
 from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.errors import (
     BadLevels,
@@ -42,7 +43,7 @@ from halfhandle.trajectory import Locus
 
 from helpers import (
     assert_records_as_checked, benchmark_workload, comp, datum, edge, eff, is_admissible,
-    perfbench_module, pt, union,
+    perfbench_module, pt, spy_on_value_builds, union,
 )
 
 
@@ -518,15 +519,32 @@ def test_a_warm_derive_and_verify_construct_no_fraction(monkeypatch):
     _, workload = benchmark_workload(monkeypatch, "split_deep", 1)
     out, dec, _ = global_split(workload.datum)
     assert verify_decomposition(out, derive_half_handle_decomposition(out))
-    calls = []
-    new = Fraction.__new__
-    monkeypatch.setattr(Fraction, "__new__",
-                        lambda cls, *a, **k: calls.append(a) or new(cls, *a, **k))
+    calls = spy_on_value_builds(monkeypatch)  # Fraction.__new__ and ratio
     again = derive_half_handle_decomposition(out)
     assert verify_decomposition(out, again)
     assert calls == []
     monkeypatch.undo()
     assert again == dec
+
+
+@pytest.mark.parametrize("name", ["split_deep", "split_codim1"])
+def test_a_warm_split_and_text_replay_construct_no_fraction(monkeypatch, name):
+    # the seed-1 union of each split pool: once a first run has built the
+    # frame of its n, the driver and the benchmark's text replay of its
+    # script build every value by ratio, none by Fraction.__new__ (561 and
+    # 633 calls on split_deep, 453 and 448 on split_codim1, before ratio)
+    workloads, workload = benchmark_workload(monkeypatch, name, 1)
+    out, dec, script = global_split(workload.datum)
+    texts = (workload.text, serialize_script(script))
+    workloads.replay_texts(*texts)
+    with monkeypatch.context() as patch:
+        calls = spy_on_value_builds(patch)
+        again = global_split(workload.datum)
+        replayed = workloads.replay_texts(*texts)
+    builds = Counter(builder for builder, _ in calls)
+    assert builds["Fraction"] == 0 and builds["ratio"] > 500, builds
+    assert again == (out, dec, script)
+    assert serialize_datum(replayed) == serialize_datum(out)
 
 
 def test_the_half_handle_frame_is_its_formula():

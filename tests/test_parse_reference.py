@@ -13,11 +13,13 @@ checks, must equal the one the checking constructor builds, and the values
 of one text share one ``Fraction`` per token.
 """
 
+import functools
 import pathlib
 import re
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +36,7 @@ from helpers import (
     benchmark_workload,
     parse_datum_by_reference,
     parse_script_by_reference,
+    spy_on_value_builds,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -128,7 +131,7 @@ def off_shape(tokens, way, at):
     return " ".join(tokens[:at]) + sep + " ".join(tokens[at:])
 
 
-SHAPES = (cli_io._MOVE_LINE, cli_io._POINT_LINE, cli_io._EFFECT_LINE,
+SHAPES = (cli_io._MOVE_ROW, cli_io._POINT_LINE, cli_io._EFFECT_LINE,
           cli_io._EDGE_LINE, cli_io._COMPONENT_LINE)
 
 
@@ -168,13 +171,12 @@ def test_the_reference_parses_every_base_text_as_the_parsers_do():
             parse_script, parse_script_by_reference, text) == "parsed"
         assert all(type(v) is Fraction for r in parse_script(text) for v in r.values)
     # the base texts take the fast path: every body line of a datum, and
-    # every one-point rearrange of a script, has a canonical shape
+    # every line of a script after its format line, has a canonical shape
     for text in DATA:
         body = [line for line in text.splitlines()[1:] if " " in line]
         assert body and all(canonical(line) for line in body)
-    moves = [line for text in SCRIPTS for line in text.splitlines()
-             if "kind=rearrange" in line and "," not in line]
-    assert moves and all(canonical(line) for line in moves)
+    for text in SCRIPTS:
+        assert all(canonical(line) for line in text.splitlines()[1:])
 
 
 def test_parsed_records_pass_the_checking_constructor_and_roundtrip():
@@ -297,25 +299,27 @@ def seed_1_split_deep_texts(monkeypatch):
 
 
 def test_equal_value_tokens_of_one_text_give_one_fraction(monkeypatch):
-    # each distinct p/q token of a text is built once, as one Fraction, and
-    # every line that repeats the token holds that very object
+    # each distinct p/q token of a text is built once, as one Fraction by
+    # ratio, never by Fraction.__new__, and every line that repeats the
+    # token holds that very object
     datum_text, script_text = seed_1_split_deep_texts(monkeypatch)
+    sizes = []
     for parse, text, values_of in (
         (parse_datum, datum_text, lambda d: [p.value for p in d.points]),
         (parse_script, script_text, lambda s: [v for r in s for v in r.values]),
     ):
         tokens = re.findall(r" values?=(\d+/\d+)\s", text)
-        calls, new = [], Fraction.__new__
         with monkeypatch.context() as patch:
-            patch.setattr(Fraction, "__new__",
-                          lambda cls, *a, **k: calls.append(a) or new(cls, *a, **k))
+            calls = spy_on_value_builds(patch)
             values = values_of(parse(text))
-        assert len(values) == len(tokens) > len(set(tokens)) == len(calls)
+        assert [name for name, _ in calls] == ["ratio"] * len(set(tokens))
+        assert len(values) == len(tokens) > len(set(tokens))
         by_token = {}
         for value in values:
             assert by_token.setdefault(str(value), value) is value
         assert by_token.keys() == set(tokens)
-    assert (len(tokens), len(set(tokens))) == (685, 533)  # the script's
+        sizes.append((len(tokens), len(set(tokens))))
+    assert sizes == [(160, 64), (685, 533)]  # the datum's and the script's
 
 
 def test_equal_values_of_unequal_tokens_stay_apart():
@@ -328,3 +332,107 @@ def test_equal_values_of_unequal_tokens_stay_apart():
     assert p == q == r == Fraction(1, 2)
     assert p is r and p is not q
     assert_as_checked(datum)
+
+
+@functools.lru_cache(maxsize=None)
+def scan_bases():
+    """Every script above, and the normal form scripts of the seed-1
+    split_deep and split_codim1 unions."""
+    texts = list(SCRIPTS)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("split_deep", "split_codim1"):
+            _, workload = benchmark_workload(patch, name, 1)
+            texts.append(serialize_script(global_split(workload.datum)[2]))
+    return texts
+
+
+MOVE_LINES = {  # a canonical move line of each kind, valid or not
+    "multi_rearrange": ["move kind=rearrange ids=%s values=%s note=-" % pair for pair in (
+        ("p,q", "1/2,1/3"), ("p,q,r", "1/2,1/2,2/4"), ("p,p", "1/2,1/3"),
+        ("p,q", "1/2"), ("p", "1/2,1/3"), ("p", "-"), ("p,q", "-"))],
+    "cancel": ["move kind=cancel ids=%s values=%s note=x" % pair for pair in (
+        ("p,q", "-"), ("p,p", "-"), ("p", "-"), ("p,q,r", "-"), ("p,q", "1/2,1/3"))],
+    "split": ["move kind=split ids=%s values=%s note=-" % pair for pair in (
+        ("p", "-"), ("p,q", "-"), ("p", "1/2"))],
+}
+
+
+@st.composite
+def scan_mutation(draw):
+    """A script of ``scan_bases`` as it is or with one change: the final
+    newline gone, CRLF line ends, a comment or blank line, a move line of
+    another kind or arity, a ``1/0`` or a value past the digit limit, or
+    no ids."""
+    lines = draw(st.sampled_from(scan_bases())).split("\n")  # the last one ""
+    way = draw(st.sampled_from(["none", "no_final_newline", "crlf", "comment", "blank",
+                                "value", "ids"] + sorted(MOVE_LINES)))
+    event(way)
+    at = draw(st.integers(1, len(lines) - 1))
+    if way == "no_final_newline":
+        return "\n".join(lines)[:-1]
+    if way == "crlf":
+        if draw(st.booleans()):
+            return "\r\n".join(lines)
+        lines[at - 1] += "\r"
+    elif way in ("comment", "blank"):
+        lines.insert(at, draw(st.sampled_from(
+            ["# a comment", " # indented"] if way == "comment" else ["", "  ", "\t"])))
+    elif way in MOVE_LINES:
+        lines.insert(at, draw(st.sampled_from(MOVE_LINES[way])))
+    elif way != "none" and at < len(lines) - 1:  # a move line to change
+        if way == "value":
+            value = draw(st.sampled_from(
+                ["1/0", "0/0", "1" * (LIMIT + 1) + "/3", "1/" + "9" * (LIMIT + 1)]))
+            lines[at] = re.sub(r"values=\d+/\d+", "values=" + value, lines[at], count=1)
+        else:
+            lines[at] = re.sub(r"ids=\S+", "ids=", lines[at], count=1)
+    return "\n".join(lines)
+
+
+def read_by_lines(text):
+    """The script as ``_read`` reads it, line by line, with no scan."""
+    return cli_io._read(text, cli_io.SCRIPT_FORMAT, ("move",))["move"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_mutation())
+@example("format=halfhandle-script/1\nmove kind=split ids= values=- note=-")
+@example("format=halfhandle-script/1\nmove kind=split ids= values=- note=-\n")
+@example("format=halfhandle-script/1\n")
+@example("format=halfhandle-script/1")
+@example(SCRIPT % ("rearrange", "p", "1/0"))
+@example(SCRIPT % ("rearrange", "p,q,r", "1/2,2/4,1/2"))  # equal values, two tokens
+@example(SCRIPT % ("rearrange", "p", "1/2") + "\n")
+def test_the_one_scan_reads_a_script_as_its_lines_are_read(text):
+    # parse_script, the scan and its fallback, against the line reader: the
+    # same records and value types, or the same ParseError, message and
+    # line; a text the scan reads gives one object per value token
+    got, want = outcome(parse_script, text), outcome(read_by_lines, text)
+    assert got == want, text
+    assert got[0] == "parsed" or got[1] is ParseError, got
+    scanned = cli_io._scan_script(text)
+    if scanned is None:
+        event("read by lines")
+        return
+    event("scanned")
+    assert outcome(lambda _: scanned, text) == want
+    tokens = [token for row in re.findall(r" values=(\S+) ", text) if row != "-"
+              for token in row.split(",")]
+    values = [value for record in scanned for value in record.values]
+    assert len(tokens) == len(values)
+    by_token = {}
+    for token, value in zip(tokens, values):
+        assert by_token.setdefault(token, value) is value
+
+
+def test_the_scan_reads_every_base_script_and_leaves_a_bad_line_to_the_reader():
+    # the bare text with no ids counts one line and matches no row; read by
+    # lines, it raises at line 2 with or without its final newline
+    for text in scan_bases():
+        assert cli_io._scan_script(text) == read_by_lines(text)
+    bare = "format=halfhandle-script/1\nmove kind=split ids= values=- note=-"
+    for text in (bare, bare + "\n"):
+        assert cli_io._scan_script(text) is None
+        with pytest.raises(ParseError) as err:
+            parse_script(text)
+        assert (str(err.value), err.value.line) == ("line 2: bad point id ''", 2)
