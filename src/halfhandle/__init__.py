@@ -12,7 +12,7 @@ The top level re-exports the data model and the entry points; every other
 function is imported from its module.  The engine's modules are imported
 here, so each is an attribute of the package.  The random generator
 (``halfhandle.generator``) is not: ``generate`` and ``GeneratorSpec``
-import it on first use.
+import it on first use, and of the CLI's commands only ``generate`` does.
 """
 
 from . import cli_io, errors, morse_data, moves, normal_form, slice_topology, trajectory

@@ -43,9 +43,11 @@ from typing import Dict, List, Optional
 
 from .errors import (
     EngineError,
+    Inadmissible,
     MoveError,
     ParseError,
     PartialConfiguration,
+    SwapBlocked,
     ValidationError,
 )
 from .morse_data import (
@@ -59,7 +61,13 @@ from .morse_data import (
     require_valid,
     validate_datum,
 )
-from .moves import MoveRecord, cancel_pair, rearrange_pair, split_interior
+from .moves import (
+    MoveRecord,
+    cancel_pair,
+    realize_configuration,
+    rearrange_pair,
+    split_interior,
+)
 from .normal_form import Decomposition, global_split
 from .slice_topology import (
     ComponentEffect,
@@ -606,10 +614,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .generator import brute_force_reachability
-
-    if args.bound < 0:  # the search would answer for the start state alone
-        raise ParseError("--bound must be 0 or more, got %d" % (args.bound,))
     datum = _load_valid(args.file)
     targets = {}
     for item in args.targets:
@@ -619,11 +623,16 @@ def _cmd_oracle(args) -> int:
         if pid in targets:
             raise ParseError("repeated target %r" % (pid,))
         targets[pid] = _fraction(val)
+    # the rearrangement theorem: a map is reachable exactly when it is
+    # admissible and no flow line or surgery pins an order it inverts
     try:
-        reachable = brute_force_reachability(datum, targets, bound=args.bound)
+        realize_configuration(datum, targets)
     except PartialConfiguration as exc:  # bad input, not a refused move
         raise EngineError(str(exc)) from None
-    print("reachable" if reachable else "unreachable")
+    except (Inadmissible, SwapBlocked):
+        print("unreachable")
+    else:
+        print("reachable")
     return 0
 
 
@@ -685,10 +694,9 @@ def _build_parser():
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_generate)
 
-    p = sub.add_parser("oracle", help="brute force reachability check")
+    p = sub.add_parser("oracle", help="decide if rearrangement reaches target values")
     p.add_argument("file")
     p.add_argument("targets", nargs="+", metavar="id=value")
-    p.add_argument("--bound", type=int, default=10000)
     p.set_defaults(fn=_cmd_oracle)
 
     return parser

@@ -129,7 +129,3 @@ class PipelineBlocked(MoveError):
 
 class InfeasibleSpec(EngineError):
     """The random generator cannot satisfy the requested constraints."""
-
-
-class BoundExceeded(EngineError):
-    """The brute force search hit its state budget."""

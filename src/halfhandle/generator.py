@@ -1,31 +1,23 @@
-"""Random valid data and a brute-force search oracle, for tests and benchmarks.
+"""Random valid data, for tests and benchmarks.
 
-Neither is part of the rewriting engine, so ``import halfhandle`` does not
+It is not part of the rewriting engine, so ``import halfhandle`` does not
 load this module: the package's ``generate`` and ``GeneratorSpec`` and the
-CLI's ``generate`` and ``oracle`` commands import it on first use.
+CLI's ``generate`` command import it on first use.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
-from .errors import (BoundExceeded, InfeasibleSpec, PartialConfiguration, UnknownId,
-                     ValidationError)
+from .errors import InfeasibleSpec, ValidationError
 from .morse_data import (Ambient, CriticalPoint, Flags, Kind, MorseDatum,
-                         admissible_keys, dimension_profile, first_inversion,
-                         order_key, validate_datum)
-from .moves import check_assignment
+                         dimension_profile, validate_datum)
 from .normal_form import scheduled_rank
 from .slice_topology import ComponentEffect, EffectKind, SliceComplex, SliceComponent
 from .trajectory import FlowEdge, Locus, TrajectoryGraph, generic_disjoint
-
-
-# ---------------------------------------------------------------------------
-# random data
 
 
 @dataclass
@@ -303,71 +295,3 @@ def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
         SliceComplex(tuple(bottom), tuple(effects)),
         Flags(fc, fb, ft),
     )
-
-
-# ---------------------------------------------------------------------------
-# search oracle
-
-
-def brute_force_reachability(
-    datum: MorseDatum, targets: Mapping[str, Fraction], bound: int = 10000
-) -> bool:
-    """Whether single-point rearrangements can reach the target values.
-
-    Answers the same question as realize_configuration but by breadth
-    first search: states assign each point either its original or its
-    target value, moves change one point at a time, and every intermediate
-    state must keep edges uphill and the slice replay consistent
-    (``check_assignment``).  Targets must satisfy the same admissibility
-    contract realize_configuration enforces, otherwise the answer is False.
-    Raises BoundExceeded when more than ``bound`` states get explored.
-    """
-    ids = [p.id for p in datum.points]
-    want: Dict[str, Fraction] = {}
-    for pid, v in targets.items():
-        if pid not in ids:
-            raise UnknownId("no critical point with id %r" % (pid,))
-        want[pid] = Fraction(v)
-    for pid in ids:
-        if pid not in want:
-            raise PartialConfiguration("no target value for point %r" % (pid,))
-
-    for v in want.values():
-        if not (0 < v < 1):
-            return False
-    if datum.ambient.codim >= 2:
-        keys = {pid: order_key(v) for pid, v in want.items()}
-        if not admissible_keys(datum.points, keys):
-            return False
-    elif first_inversion(datum.points, want) is not None:
-        return False
-
-    goal = tuple(want[pid] for pid in ids)
-    if check_assignment(datum, dict(zip(ids, goal))) is not None:
-        return False
-    start = tuple(p.value for p in datum.points)
-    menu = [
-        (start[i],) if start[i] == goal[i] else (start[i], goal[i])
-        for i in range(len(ids))
-    ]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        if state == goal:
-            return True
-        for i in range(len(ids)):
-            for v in menu[i]:
-                if v == state[i]:
-                    continue
-                succ = state[:i] + (v,) + state[i + 1 :]
-                if succ in seen:
-                    continue
-                if len(seen) >= bound:
-                    raise BoundExceeded(
-                        "gave up after exploring %d states" % len(seen)
-                    )
-                if check_assignment(datum, dict(zip(ids, succ))) is None:
-                    seen.add(succ)
-                    queue.append(succ)
-    return False

@@ -184,7 +184,8 @@ def check_assignment(
     EdgeOrderViolation for the first flow line, in edge order, the values
     run downhill, else InvalidEffect with the first replay issue.  On a
     valid datum it refuses exactly the moves a step of ``_rearrange_run``
-    refuses, so it names the reason of every refused step.
+    refuses, so it names the reason of every refused step: its one caller
+    in the package is that refused step.
     """
     for e in datum.graph.edges:
         if not (values[e.src] < values[e.dst]):

@@ -3,7 +3,7 @@
 import functools
 import sys
 import types
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -371,6 +371,66 @@ def realize_by_replay(d, targets):
     for record in script:
         d = assign_by_replay(d, record.assignments())
     return d, script
+
+
+def brute_force_reachability(datum: MorseDatum, targets: Mapping[str, Fraction]) -> bool:
+    """Whether single-point rearrangements can reach the target values.
+
+    The reference ``realize_configuration`` is compared against, and with
+    it ``halfhandle oracle``: the same question answered by breadth first
+    search.  States assign each point either its original or its target
+    value, moves change one point at a time, and every intermediate state
+    must keep edges uphill and the slice replay consistent
+    (``check_assignment``).  Targets must satisfy the same admissibility
+    contract realize_configuration enforces, otherwise the answer is False.
+    The search is uncapped: its callers give at most 7 points, so at most
+    2^7 states.
+    """
+    ids = [p.id for p in datum.points]
+    want: Dict[str, Fraction] = {}
+    for pid, v in targets.items():
+        if pid not in ids:
+            raise UnknownId("no critical point with id %r" % (pid,))
+        want[pid] = Fraction(v)
+    for pid in ids:
+        if pid not in want:
+            raise PartialConfiguration("no target value for point %r" % (pid,))
+
+    for v in want.values():
+        if not (0 < v < 1):
+            return False
+    if datum.ambient.codim >= 2:
+        keys = {pid: order_key(v) for pid, v in want.items()}
+        if not admissible_keys(datum.points, keys):
+            return False
+    elif first_inversion(datum.points, want) is not None:
+        return False
+
+    goal = tuple(want[pid] for pid in ids)
+    if check_assignment(datum, dict(zip(ids, goal))) is not None:
+        return False
+    start = tuple(p.value for p in datum.points)
+    menu = [
+        (start[i],) if start[i] == goal[i] else (start[i], goal[i])
+        for i in range(len(ids))
+    ]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state == goal:
+            return True
+        for i in range(len(ids)):
+            for v in menu[i]:
+                if v == state[i]:
+                    continue
+                succ = state[:i] + (v,) + state[i + 1 :]
+                if succ in seen:
+                    continue
+                if check_assignment(datum, dict(zip(ids, succ))) is None:
+                    seen.add(succ)
+                    queue.append(succ)
+    return False
 
 
 def cancel_by_rebuild(datum, z_id, w_id):

@@ -32,7 +32,7 @@ from halfhandle.errors import (
     NotSingleTrajectory,
     UnknownId,
 )
-from halfhandle.generator import GeneratorSpec, brute_force_reachability, generate
+from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.morse_data import (
     Ambient,
     CriticalPoint,
@@ -65,6 +65,7 @@ from halfhandle.trajectory import (
 from helpers import (
     attach_chain_pair,
     birth_merge_pair,
+    brute_force_reachability,
     comp,
     datum,
     dimension_sum_oracle,

@@ -1,4 +1,4 @@
-"""Text formats, the generator, the search oracle, and the CLI."""
+"""Text formats, the generator, the reachability oracle, and the CLI."""
 
 import hashlib
 import io
@@ -12,6 +12,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfhandle import generator
 from halfhandle.cli_io import (
@@ -24,20 +26,21 @@ from halfhandle.cli_io import (
     serialize_script,
 )
 from halfhandle.errors import (
-    BoundExceeded,
+    Inadmissible,
     InfeasibleSpec,
     ParseError,
     PartialConfiguration,
+    SwapBlocked,
     UnknownId,
 )
-from halfhandle.generator import GeneratorSpec, brute_force_reachability, generate
+from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.morse_data import Flags, Kind, validate_datum
 from halfhandle.moves import MoveRecord, apply_script, realize_configuration
-from halfhandle.normal_form import global_split
+from halfhandle.normal_form import global_split, schedule_levels
 from halfhandle.slice_topology import EffectKind, replay
 from halfhandle.trajectory import Locus
 
-from helpers import comp, datum, edge, eff, pt
+from helpers import brute_force_reachability, comp, datum, edge, eff, pt
 
 
 def rich_datum():
@@ -361,7 +364,7 @@ def test_generator_output_is_pinned_over_every_knob():
 
 
 # ---------------------------------------------------------------------------
-# search oracle
+# reachability oracle
 
 
 def oracle_datum(chained=False):
@@ -402,9 +405,9 @@ def test_oracle_rejects_bad_targets():
         brute_force_reachability(d, {"p": Fraction(1, 2)})
 
 
-def test_oracle_bound_is_enforced():
+def test_oracle_answers_an_all_swap_without_a_cap(tmp_path, capsys):
     # four independent points: every intermediate state is valid, so the
-    # search would happily enumerate 2^4 states without the budget
+    # search enumerates all 2^4 states, and the CLI answers by the theorem
     P = 4
     d = datum(
         4, 2,
@@ -418,8 +421,39 @@ def test_oracle_bound_is_enforced():
     assert validate_datum(d) == []
     targets = {"p%d" % i: Fraction(P - i, P + 2) for i in range(P)}
     assert brute_force_reachability(d, targets)
-    with pytest.raises(BoundExceeded):
-        brute_force_reachability(d, targets, bound=2)
+    src = write(tmp_path, "swap.hh", serialize_datum(d))
+    assert main(["oracle", src, *("%s=%s" % kv for kv in targets.items())]) == 0
+    assert capsys.readouterr() == ("reachable\n", "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 7), st.booleans(),
+       st.integers(0, 10**6), st.randoms(use_true_random=False))
+def test_rearrangement_theorem_decides_what_single_moves_reach(
+        n, codim, points, boundary, seed, rng):
+    # the paper's rearrangement theorem for this data model: a target map
+    # is reached by single-point moves exactly when realize_configuration
+    # accepts it, and it refuses only as Inadmissible or SwapBlocked
+    try:
+        d = generate(GeneratorSpec(n=n, m=n + codim, points=points, seed=seed,
+                                   allow_boundary=boundary))
+    except InfeasibleSpec:
+        return
+    values = [p.value for p in d.points]
+    rng.shuffle(values)
+    for targets in (
+        {p.id: v for p, v in zip(d.points, values)},
+        {p.id: Fraction(rng.randint(-5, 105), 100) for p in d.points},
+        schedule_levels(d),
+    ):
+        want = brute_force_reachability(d, targets)
+        try:
+            moved, _ = realize_configuration(d, targets)
+        except (Inadmissible, SwapBlocked):
+            assert not want, targets
+        else:
+            assert want, targets
+            assert {p.id: p.value for p in moved.points} == targets
 
 
 # ---------------------------------------------------------------------------
@@ -674,25 +708,35 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
     assert captured.err == "error: no target value for point 'q'\n"
     assert main(["oracle", src, "p=1/8", "x=1/2"]) == 1
     assert capsys.readouterr().err == "error: no critical point with id 'x'\n"
-    # a negative bound is refused before any search, whatever the targets;
-    # a bound of 0 answers a start state that is the goal, and gives up on
-    # any other
+    # no state cap: the current values and a legal map are both answered,
+    # and --bound is no option
     monotone = str(Path(__file__).resolve().parent.parent / "fixtures" / "monotone.datum")
     for targets in (["a=1/4", "b=1/2", "c=3/4"], ["a=1/5", "b=1/2", "c=3/4"]):
-        assert main(["oracle", monotone, *targets, "--bound", "-1"]) == 1
-        assert capsys.readouterr() == ("", "error: --bound must be 0 or more, got -1\n")
-    assert main(["oracle", monotone, "a=1/4", "b=1/2", "c=3/4", "--bound", "0"]) == 0
-    assert capsys.readouterr() == ("reachable\n", "")
-    assert main(["oracle", monotone, "a=1/5", "b=1/2", "c=3/4", "--bound", "0"]) == 1
-    assert capsys.readouterr() == ("", "error: gave up after exploring 1 states\n")
+        assert main(["oracle", monotone, *targets]) == 0
+        assert capsys.readouterr() == ("reachable\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", monotone, "a=1/4", "b=1/2", "c=3/4", "--bound", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 0" in capsys.readouterr().err
     assert main(["generate", "--n", "1", "--m", "3", "--points", "2",
                  "--seed", "0", "--leave-closed-component"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
+def test_oracle_has_no_state_cap(tmp_path, capsys):
+    # 24 points span up to 2^24 search states; the theorem answers from
+    # the map alone, with no cap on the work
+    d = generate(GeneratorSpec(n=2, m=4, points=24, seed=1))
+    src = write(tmp_path, "g24.hh", serialize_datum(d))
+    targets = ["%s=%s" % kv for kv in schedule_levels(d).items()]
+    assert main(["oracle", src, *targets]) == 0
+    assert capsys.readouterr() == ("reachable\n", "")
+
+
 def test_python_dash_m_generates_and_answers_the_oracle(tmp_path):
-    # the two commands that load the generator on first use, in a fresh
-    # interpreter: the generated text is pinned by its sha256
+    # in fresh interpreters: generate, which loads the generator on first
+    # use, and oracle, which does not; the generated text is pinned by its
+    # sha256
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
     def cli(*args):
@@ -710,6 +754,13 @@ def test_python_dash_m_generates_and_answers_the_oracle(tmp_path):
     assert cli("oracle", path, *kept, "p03=23/56", "p04=1/4") == "reachable\n"
     assert cli("oracle", path, "p00=1/2", *kept[1:], "p03=1/4", "p04=23/56") == (
         "unreachable\n")
+    argv = ["oracle", path, *kept, "p03=23/56", "p04=1/4"]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c",
+         "import sys; from halfhandle import cli_io; code = cli_io.main(%r); "
+         "print(code, 'halfhandle.generator' in sys.modules)" % (argv,)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "reachable\n0 False\n", "")
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():
