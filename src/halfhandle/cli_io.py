@@ -17,7 +17,8 @@ spaces, keys in order, ASCII ids and digits).  A datum line in that shape is
 built from one pattern match, without the checks of its constructor: the
 match proves them, but for those its builder makes on the fields (a value
 inside (0, 1), an edge's ends and count, an effect's ids each once, a kind
-or locus word).  A script of such lines only is read by one scan
+or locus word), by the one unchecked builder of its type, which the moves
+share.  A script of such lines only is read by one scan
 (``_scan_script``): a one-point ``rearrange`` row is built by
 ``MoveRecord._step``, any other by the checking ``MoveRecord``.  A text's
 values come from one pool, one ``Fraction`` per ``p/q`` token built by
@@ -201,33 +202,22 @@ class _Pool(dict):
 def _point(match, pool) -> CriticalPoint:
     """Checked here: the kind word, and the value inside (0, 1)."""
     kind, value = _KINDS[match[2]], pool[match[4]]
-    num, den = value.numerator, value.denominator
+    num, den = value._numerator, value._denominator
     if not 0 < num < den:
         raise ValueError("not inside (0, 1)")
-    out, put = object.__new__(CriticalPoint), object.__setattr__
-    put(out, "id", match[1])
-    put(out, "kind", kind)
-    put(out, "index", int(match[3]))
-    put(out, "value", value)
-    put(out, "_float", num / den)
-    return out
+    return CriticalPoint._trusted(match[1], kind, int(match[3]), (num / den, value))
 
 
 def _effect(match, pool) -> ComponentEffect:
     """Checked here: the kind word, and no input or output id twice."""
     inputs = () if match[3] == "-" else tuple(match[3].split(","))
     outputs = () if match[4] == "-" else tuple(
-        _slice_component(cid, bit == "true")
+        SliceComponent._trusted(cid, bit == "true")
         for cid, bit in (item.split(":") for item in match[4].split(","))
     )
     if len(set(inputs)) < len(inputs) or len({c.id for c in outputs}) < len(outputs):
         raise ValueError("a repeated id")
-    out, put = object.__new__(ComponentEffect), object.__setattr__
-    put(out, "at", match[1])
-    put(out, "kind", _EFFECT_KINDS[match[2]])
-    put(out, "inputs", inputs)
-    put(out, "outputs", outputs)
-    return out
+    return ComponentEffect._trusted(match[1], _EFFECT_KINDS[match[2]], inputs, outputs)
 
 
 def _edge(match, pool) -> FlowEdge:
@@ -235,24 +225,11 @@ def _edge(match, pool) -> FlowEdge:
     src, dst, count = match[1], match[2], None if match[3] == "?" else int(match[3])
     if src == dst or count == 0:
         raise ValueError("a loop or no flow line")
-    out, put = object.__new__(FlowEdge), object.__setattr__
-    put(out, "src", src)
-    put(out, "dst", dst)
-    put(out, "count", count)
-    put(out, "locus", _LOCI[match[4]])
-    return out
-
-
-def _slice_component(cid: str, touches_wall: bool) -> SliceComponent:
-    """A matched component: its id passes ``_ID_RE``, its bit is a bool."""
-    out = object.__new__(SliceComponent)
-    object.__setattr__(out, "id", cid)
-    object.__setattr__(out, "touches_wall", touches_wall)
-    return out
+    return FlowEdge._trusted(src, dst, count, _LOCI[match[4]])
 
 
 def _component(match, pool) -> SliceComponent:
-    return _slice_component(match[1], match[2] == "true")
+    return SliceComponent._trusted(match[1], match[2] == "true")
 
 
 def _move_attrs(attrs, num: int) -> MoveRecord:

@@ -22,7 +22,15 @@ Every value the engine builds from two ints comes from ``ratio``: one gcd,
 and the two slots of a ``Fraction`` set directly, where the pure-Python
 ``Fraction.__new__`` would first ask what its arguments are.  A value the
 drivers interpolate between two others is worked out on their ints by
-``between``, and the parser builds each ``p/q`` token by ``ratio``.
+``between``, and the evenly spaced values of a park band, a half-handle
+segment or a list of separation slots by ``spaced``, which reads the ends'
+ints once for all of them; the ints of a Fraction are read from its slots.
+The parser builds each ``p/q`` token by ``ratio``.
+
+A point a move or the parser builds at a value it has checked is built
+unchecked by ``CriticalPoint._trusted`` (``_at`` for a moved one), field by
+field, so it keeps the compact layout of a checked one.  A patch is placed
+by ``splice``: by bisection when it is small, by one sort when it is large.
 """
 
 from __future__ import annotations
@@ -74,12 +82,30 @@ def ratio(num: int, den: int) -> Fraction:
     return out
 
 
+def _terms(x) -> tuple:
+    """``(numerator, denominator)`` of an int or a Fraction, the Fraction's
+    read from the two slots that ``ratio`` and ``Fraction.__new__`` set,
+    not through its properties."""
+    return (x, 1) if type(x) is int else (x._numerator, x._denominator)
+
+
 def between(lo, hi, t: int, k: int) -> Fraction:
     """``lo + (hi - lo) * t / k`` as one normalized Fraction, for Fractions
     or ints ``lo`` and ``hi``: built from the four ints of the ends by
     ``ratio``, and none of the ``Fraction`` operators' own."""
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    (a, b), (c, d) = _terms(lo), _terms(hi)
     return ratio(a * d * (k - t) + c * b * t, b * d * k)
+
+
+def spaced(lo, hi, k: int) -> list:
+    """``[between(lo, hi, t, k) for t in range(1, k)]``: the k - 1 values
+    that cut [lo, hi] into k equal steps, from the bottom up.  The ints of
+    the ends are read once and each value is one ``ratio`` of the
+    numerator ``a*d*k + (c*b - a*d)*t`` over ``b*d*k``, which is
+    ``between``'s, so the values are equal and print alike."""
+    (a, b), (c, d) = _terms(lo), _terms(hi)
+    base, step, den = a * d * k, c * b - a * d, b * d * k
+    return [ratio(base + step * t, den) for t in range(1, k)]
 
 
 class Kind(str, enum.Enum):
@@ -171,20 +197,34 @@ class CriticalPoint:
         order, where only equal floats compare the Fractions."""
         return (self._float, self.value, self.id)
 
+    @staticmethod
+    def _trusted(pid: str, kind: Kind, index: int, key: tuple) -> "CriticalPoint":
+        """The point ``CriticalPoint(pid, kind, index, key[1])`` builds, at
+        ``key``, the ``order_key`` of its value, for a caller that has made
+        its checks: ``pid`` passes ``_ID_RE``, ``kind`` is a ``Kind``,
+        ``index`` an int >= 0 and ``key[1]`` a Fraction strictly inside
+        (0, 1).  A moved point (``_at``) is a valid point at a value its
+        move has checked.  A split half's id is a valid datum's id with
+        ``s``, ``u`` or ``_`` appended, its kind and index are z's, and its
+        value lies strictly between two values in [0, 1] that
+        ``_split_run`` has found unequal to z's; a parsed point's match and
+        range test prove the same (``cli_io``).  Fields go in one by one,
+        as ``__post_init__`` leaves them, so the instance keeps the compact
+        shared-key layout, half the size of a dict."""
+        out, put = object.__new__(CriticalPoint), object.__setattr__
+        put(out, "id", pid)
+        put(out, "kind", kind)
+        put(out, "index", index)
+        put(out, "value", key[1])
+        put(out, "_float", key[0])
+        return out
+
     def _at(self, key: tuple) -> "CriticalPoint":
         """This point moved to the value of ``key`` (``order_key``), a
         Fraction in (0, 1) that the move has checked: the id, kind and
         index are this point's, already valid, so ``__post_init__`` does
-        not run again."""
-        # set one by one, as __init__ and __post_init__ do: the instance
-        # keeps the compact shared-key layout, half the size of a dict
-        out, put = object.__new__(CriticalPoint), object.__setattr__
-        put(out, "id", self.id)
-        put(out, "kind", self.kind)
-        put(out, "index", self.index)
-        put(out, "value", key[1])
-        put(out, "_float", key[0])
-        return out
+        not run again (``_trusted``)."""
+        return CriticalPoint._trusted(self.id, self.kind, self.index, key)
 
 
 @dataclass(frozen=True)
@@ -227,31 +267,55 @@ def dimension_profile(kind: Kind, index: int, n: int) -> DimensionProfile:
     return DimensionProfile(k + 1, n + 2 - k, None, n + 1 - k, k, n - k)
 
 
+def _widen(low: dict, high: dict, rank, at) -> None:
+    """Take the key ``at`` into the lowest and highest key of ``rank``."""
+    if rank not in low:
+        low[rank] = high[rank] = at
+    elif at < low[rank]:
+        low[rank] = at
+    elif high[rank] < at:
+        high[rank] = at
+
+
+def _ascending(low: dict, high: dict) -> bool:
+    """Whether every rank's lowest key lies strictly above the highest key
+    of every lower rank, the ranks' lowest and highest keys read by
+    ``_widen``: the keys are strictly monotone in the rank."""
+    top = None
+    for rank in sorted(low):
+        if top is not None and not top < low[rank]:
+            return False
+        if top is None or top < high[rank]:
+            top = high[rank]
+    return True
+
+
 def first_inversion(points, values: Mapping[str, Fraction], rank=lambda p: p.index):
     """First pair (z, w) with rank(z) < rank(w) but not values[z] < values[w].
 
     "First" in the order of a double loop over ``points``; None when the
-    values are strictly monotone in the rank.  The lowest value above each
-    rank is read off one sorted pass, so the search is O(P log P), not a
+    values are strictly monotone in the rank.  One pass reads each rank's
+    lowest and highest value and ``_ascending`` decides the order; only an
+    order that fails is searched for its pair, the lowest value above each
+    rank read off one sorted pass, so the search is O(P log P), not a
     comparison of every pair.
     """
     lowest: Dict[object, Fraction] = {}
+    highest: Dict[object, Fraction] = {}
     for p in points:
-        r, v = rank(p), values[p.id]
-        if r not in lowest or v < lowest[r]:
-            lowest[r] = v
+        _widen(lowest, highest, rank(p), values[p.id])
+    if _ascending(lowest, highest):
+        return None
     floor_above = {}
     floor = None
     for r in sorted(lowest, reverse=True):
         floor_above[r] = floor
         if floor is None or lowest[r] < floor:
             floor = lowest[r]
-    for z in points:
-        floor, v = floor_above[rank(z)], values[z.id]
-        if floor is not None and floor <= v:
-            w = next(w for w in points if rank(z) < rank(w) and values[w.id] <= v)
-            return z, w
-    return None
+    z = next(z for z in points
+             if floor_above[rank(z)] is not None and floor_above[rank(z)] <= values[z.id])
+    v = values[z.id]
+    return z, next(w for w in points if rank(z) < rank(w) and values[w.id] <= v)
 
 
 def splice(items: tuple, drop, add, key) -> tuple:
@@ -263,10 +327,15 @@ def splice(items: tuple, drop, add, key) -> tuple:
     items.  Finding one point by bisection costs as much as a pass over 60
     (at 248 points) to 130 (at 5,120) of them, so a split's one or two
     drops are up to 20x cheaper by bisection and a run that moves every
-    point up to 70x cheaper by the pass.  Each added item is placed by
-    bisection, so a patch of a few items costs O(log N) key comparisons
-    each and two copies of the tuple, not a re-sort.  The moves patch the
-    points, flow lines and effects of a datum with it.
+    point up to 70x cheaper by the pass.  A few added items are placed by
+    bisection, O(log N) key comparisons each and two copies of the tuple;
+    many are placed by one ``list.sort`` of the kept and added items, one
+    key each and a merge of the sorted runs.  At 160 to 5,120 points the
+    two cost the same at about one added item per ten kept ones, so a
+    lone split or cancel is placed by bisection and a run's whole
+    re-placement (``MorseDatum.with_keys``) or a split run's points, flow
+    lines and effects by the sort.  The moves patch the points, flow lines
+    and effects of a datum with it.
     """
     if 100 * len(drop) < len(items):
         kept, start = [], 0
@@ -277,6 +346,10 @@ def splice(items: tuple, drop, add, key) -> tuple:
     else:
         gone = set(map(id, drop))
         kept = [x for x in items if id(x) not in gone]
+    if 10 * len(add) >= len(kept):
+        kept += add
+        kept.sort(key=key)
+        return tuple(kept)
     out, start = [], 0
     for x in sorted(add, key=key):
         i = bisect_left(kept, key(x), start, key=key)
@@ -287,20 +360,23 @@ def splice(items: tuple, drop, add, key) -> tuple:
     return tuple(out)
 
 
-def _boundary_rank(p: CriticalPoint):
-    return (p.index, p.kind is Kind.BOUNDARY_UNSTABLE)
-
-
 def admissible_keys(points: Sequence[CriticalPoint], keys: Mapping[str, tuple]) -> bool:
     """Whether the points, each at its ``order_key`` in ``keys``, follow the
     admissible order: a lower index sits strictly lower, and so does a
     boundary stable point below a boundary unstable one of equal index.
-    Equal-index, equal-value pairs are fine otherwise."""
-    if first_inversion(points, keys) is not None:
-        return False
-    # among boundary points, (index, stable before unstable) must be monotone
-    boundary = [p for p in points if p.kind.is_boundary]
-    return first_inversion(boundary, keys, _boundary_rank) is None
+    Equal-index, equal-value pairs are fine otherwise.
+
+    One pass over the points reads each rank's lowest and highest key, for
+    the index of every point and for (index, stable before unstable) of
+    every boundary point; each order holds when no rank's lowest key lies
+    at or below a lower rank's highest (``_ascending``)."""
+    index_low, index_high, wall_low, wall_high = {}, {}, {}, {}
+    for p in points:
+        at, kind = keys[p.id], p.kind
+        _widen(index_low, index_high, p.index, at)
+        if kind is not Kind.INTERIOR:
+            _widen(wall_low, wall_high, (p.index, kind is Kind.BOUNDARY_UNSTABLE), at)
+    return _ascending(index_low, index_high) and _ascending(wall_low, wall_high)
 
 
 @dataclass(frozen=True)
@@ -373,10 +449,10 @@ class MorseDatum:
 
         A move of a valid datum calls it once its local checks have shown
         that the patch keeps the datum valid, so the result is marked
-        ``valid``.  The points are placed by bisection (``splice``), the
-        point index is carried over with only the dropped and added ids
-        changed (a moved point's entry overwritten in place), and nothing
-        is re-sorted or re-checked.
+        ``valid``.  The points are placed by ``splice``, the point index
+        is carried over with only the dropped and added ids changed (a
+        moved point's entry overwritten in place), and nothing is
+        re-checked.
         """
         index = dict(self.point_index)
         for p in add:
@@ -408,7 +484,8 @@ class MorseDatum:
         state and the flag union-find do not depend on the order.  Each
         moved point is its old point at the new key (``CriticalPoint._at``):
         the keys are of Fractions in (0, 1), as the move's check made them,
-        so the points are not checked again.
+        so the points are not checked again.  Many moved points are placed
+        by one sort, a few by bisection (``splice``).
         """
         if not keys:
             return self

@@ -36,9 +36,14 @@ once (``MoveRecord`` keeps a tuple of Fractions as it is).  Runs of
 splits are folded the same way (``_split_run``, of which
 ``split_interior`` is the one-record case): each split reads the splits
 before it through one overlay and is checked and refused in place, and
-the points, flow lines and effects are patched once per run.  Values are
-range-checked on their ints and ordered by their ``order_key``s.  Only
-the run accepts a rearrangement or target map.  A refused step raises
+the points, flow lines and effects are patched once per run.  A split's
+halves, attach effects, tongue component and moved flow lines are built
+unchecked (the ``_trusted`` builder of each type), from what the run and
+``_splits_locally`` prove, and a large patch, such as a run's re-placed
+points or a split run's points, flow lines and effects, is placed by one
+sort (``splice``).  Values are range-checked on their ints, read from a
+Fraction's slots, and ordered by their ``order_key``s.  Only the run
+accepts a rearrangement or target map.  A refused step raises
 the reason the full replay names for the run's input datum at the
 overlay's values (``check_assignment``); a refused target map raises the
 SwapBlocked its map alone names (``_swap_blocked``).  A cancellation is
@@ -86,6 +91,7 @@ from .morse_data import (
     first_inversion,
     order_key,
     require_valid,
+    spaced,
 )
 from .slice_topology import (
     ComponentEffect,
@@ -162,12 +168,17 @@ class MoveRecord:
         caller has made its checks: ``pid`` passes ``_ID_RE`` and ``value``
         is a Fraction.  A driver's ``pid`` is from a valid datum; a parsed
         line's, like its digits, is proved by its match (``cli_io``).  The
-        move is checked when it runs.  Fields go in as in __init__."""
-        out, put = object.__new__(cls), object.__setattr__
-        put(out, "kind", "rearrange")
-        put(out, "ids", (pid,))
-        put(out, "values", (value,))
-        put(out, "note", note)
+        move is checked when it runs.  The fields go straight into the
+        instance dict, in the order of __init__, at half the cost of one
+        ``object.__setattr__`` each.  That dict is larger than the compact
+        layout and one more object for the cyclic collector, which a long
+        script that stays alive pays for in its collections."""
+        out = object.__new__(cls)
+        fields = out.__dict__
+        fields["kind"] = "rearrange"
+        fields["ids"] = (pid,)
+        fields["values"] = (value,)
+        fields["note"] = note
         return out
 
     def assignments(self) -> Dict[str, Fraction]:
@@ -275,7 +286,7 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
             i += 1
             if type(v) is not Fraction:  # a raw value of assign_values
                 v = Fraction(v)
-            num, den = v.numerator, v.denominator
+            num, den = v._numerator, v._denominator
             if not 0 < num < den:
                 raise MoveError("target value %s for %r outside (0,1)" % (v, pid))
             overlay[pid] = (num / den, v, pid)  # order_key(v, pid)
@@ -379,7 +390,7 @@ def realize_configuration(
         if pid not in index:
             raise UnknownId("no critical point with id %r" % (pid,))
         v = exact(v)
-        num, den = v.numerator, v.denominator
+        num, den = v._numerator, v._denominator
         if 0 < num < den:
             f = num / den
             ranks[pid], keys[pid] = (f, v), (f, v, pid)
@@ -408,10 +419,10 @@ def realize_configuration(
     # park everything above current values and targets, preserving order,
     # the point in place i (canonical order) at slot i + 1 of count + 2
     ceiling = max(datum.points[-1].sort_key(), max(keys.values()))[1]
-    count = len(datum.points)
+    slots = spaced(ceiling, 1, len(datum.points) + 2)
     script = [  # topmost first, so nothing is overtaken
-        MoveRecord._step(p.id, between(ceiling, 1, i + 1, count + 2), "park")
-        for i, p in reversed(list(enumerate(datum.points)))
+        MoveRecord._step(p.id, slot, "park")
+        for p, slot in reversed(list(zip(datum.points, slots)))
     ]
     # place from the bottom up
     script += [
@@ -638,6 +649,13 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     message the fold raises: the overlay answers every question the fold
     asks of its datum as that datum does.
 
+    The pieces of a split are built unchecked (``_trusted``): the halves'
+    ids are fresh, their kinds and index z's, and their values lie
+    strictly inside the gap around z, whose ends the run has found unequal
+    to z's value; the moved flow lines keep the counts and loci of valid
+    ones; the attach effects and the tongue come from ``_split_effects``.
+    ``_splits_locally`` then judges the pair as a whole.
+
     The run gathers every dropped and added point, flow line and effect and
     patches once, at the end (``MorseDatum._patched``); the patched graph
     and slice complex build their indexes when first asked.
@@ -709,8 +727,8 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
             zs_id += "_"
         while point(zu_id) is not None:
             zu_id += "_"
-        zs = CriticalPoint(zs_id, Kind.BOUNDARY_STABLE, z.index, v_s)
-        zu = CriticalPoint(zu_id, Kind.BOUNDARY_UNSTABLE, z.index, v_u)
+        zs = CriticalPoint._trusted(zs_id, Kind.BOUNDARY_STABLE, z.index, order_key(v_s))
+        zu = CriticalPoint._trusted(zu_id, Kind.BOUNDARY_UNSTABLE, z.index, order_key(v_u))
 
         # the first c<i> no component carries, from i = the number of
         # components made so far: the datum's and one tongue per split
@@ -734,12 +752,12 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
                 drop_edges.append(e)
             out_of.append(e)
         moved = tuple(
-            FlowEdge(e.src, zs_id, e.count, e.locus)
+            FlowEdge._trusted(e.src, zs_id, e.count, e.locus)
             for e in sorted(into, key=_edge_key)
         ) + tuple(
-            FlowEdge(zu_id, e.dst, e.count, e.locus)
+            FlowEdge._trusted(zu_id, e.dst, e.count, e.locus)
             for e in sorted(out_of, key=_edge_key)
-        ) + (FlowEdge(zs_id, zu_id, 1, Locus.WALL),)
+        ) + (FlowEdge._trusted(zs_id, zu_id, 1, Locus.WALL),)
 
         pairs[z_id] = zs, zu
         halves[zs_id], halves[zu_id] = zs, zu
@@ -810,9 +828,12 @@ def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user
     recently created input touching the wall); for a split the
     wall-touching output leaves at the stable half.  On a valid datum an
     interior point of index 1..n carries a merge, an internal surgery or a
-    split, so nothing else comes here.
+    split, so nothing else comes here.  Each effect takes ids of z's valid
+    effect, each once, and ``mid``, which no component carries, so no
+    input or output repeats: the pair and the tongue are built unchecked
+    (``_trusted``).
     """
-    mid_comp = SliceComponent(mid, True)
+    mid_comp = SliceComponent._trusted(mid, True)
 
     def produced_at(cid):  # bottom components first, then in point order
         owner = maker(cid)
@@ -822,18 +843,18 @@ def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user
         touching = [cid for cid in effect.inputs if bits.get(cid, False)]
         witness = max(touching, key=lambda cid: (produced_at(cid), cid))
         other = [cid for cid in effect.inputs if cid != witness][0]
-        e_s = ComponentEffect(
+        e_s = ComponentEffect._trusted(
             zs_id, EffectKind.BOUNDARY_ATTACH, (other,), (mid_comp,)
         )
-        e_u = ComponentEffect(
+        e_u = ComponentEffect._trusted(
             zu_id, EffectKind.BOUNDARY_ATTACH, (witness, mid), effect.outputs
         )
         return e_s, e_u
     if effect.kind is EffectKind.INTERNAL:
-        e_s = ComponentEffect(
+        e_s = ComponentEffect._trusted(
             zs_id, EffectKind.BOUNDARY_ATTACH, effect.inputs, (mid_comp,)
         )
-        e_u = ComponentEffect(
+        e_u = ComponentEffect._trusted(
             zu_id, EffectKind.BOUNDARY_ATTACH, (mid,), effect.outputs
         )
         return e_s, e_u
@@ -847,8 +868,8 @@ def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user
         used_at = [_NEVER_KEY if p is None else p.sort_key() for p in users]
         direct = outs[used_at.index(min(used_at))]
     other = [c for c in outs if c.id != direct.id][0]
-    e_s = ComponentEffect(
+    e_s = ComponentEffect._trusted(
         zs_id, EffectKind.BOUNDARY_ATTACH, effect.inputs, (direct, mid_comp)
     )
-    e_u = ComponentEffect(zu_id, EffectKind.BOUNDARY_ATTACH, (mid,), (other,))
+    e_u = ComponentEffect._trusted(zu_id, EffectKind.BOUNDARY_ATTACH, (mid,), (other,))
     return e_s, e_u

@@ -38,6 +38,7 @@ from .morse_data import (
     order_key,
     ratio,
     require_valid,
+    spaced,
 )
 from .moves import (
     MoveRecord,
@@ -171,8 +172,7 @@ def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
         shared = datum.point(group[0]).value
         lo, hi = (shared, b) if upward else (a, shared)
         order = sorted(group)
-        slots = [(pid, between(lo, hi, t, len(order) + 1))
-                 for t, pid in enumerate(order, 1)]
+        slots = list(zip(order, spaced(lo, hi, len(order) + 1)))
         return [
             MoveRecord._step(pid, slot, note)
             for pid, slot in (reversed(slots) if upward else slots)
@@ -480,9 +480,8 @@ def _separate_middle_levels(datum):
             if len(movers) == len(group):
                 movers = movers[:-1]  # the last one may keep the level
             script += [
-                MoveRecord._step(pid, between(prev, key[1], t, len(movers) + 1),
-                                 "separate")
-                for t, pid in enumerate(movers, 1)
+                MoveRecord._step(pid, slot, "separate")
+                for pid, slot in zip(movers, spaced(prev, key[1], len(movers) + 1))
             ]
         prev = key[1]
     return _rearrange_run(datum, script), script
@@ -505,10 +504,8 @@ def _segment_targets(datum) -> Dict[str, Fraction]:
         groups.setdefault(_half_handle_slot(p, n), []).append(p.id)
     targets: Dict[str, Fraction] = {}
     for i, ids in groups.items():
-        lo, hi = frame[i][:2]
-        k = len(ids)  # slot t + 1 of k + 1 in segment i
-        for t, pid in enumerate(ids):
-            targets[pid] = between(lo, hi, t + 1, k + 1)
+        lo, hi = frame[i][:2]  # slot t of len(ids) + 1 in segment i
+        targets.update(zip(ids, spaced(lo, hi, len(ids) + 1)))
     return targets
 
 

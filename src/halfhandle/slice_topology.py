@@ -54,6 +54,18 @@ class SliceComponent:
             raise ValidationError("bad component id %r" % (self.id,))
         object.__setattr__(self, "touches_wall", bool(self.touches_wall))
 
+    @staticmethod
+    def _trusted(cid: str, touches_wall: bool) -> "SliceComponent":
+        """``SliceComponent(cid, touches_wall)`` for a caller that has made
+        its checks: ``cid`` passes ``_ID_RE`` and ``touches_wall`` is a
+        bool.  A split's tongue is ``c<j>`` with the bit True
+        (``moves._split_effects``); a parsed component's match proves the
+        same (``cli_io``).  Fields go in one by one, as in __init__."""
+        out, put = object.__new__(SliceComponent), object.__setattr__
+        put(out, "id", cid)
+        put(out, "touches_wall", touches_wall)
+        return out
+
 
 @dataclass(frozen=True)
 class ComponentEffect:
@@ -78,6 +90,25 @@ class ComponentEffect:
         out_ids = [c.id for c in self.outputs]
         if len(set(out_ids)) != len(out_ids):
             raise ValidationError("effect at %r repeats an output" % (self.at,))
+
+    @staticmethod
+    def _trusted(at: str, kind: EffectKind, inputs: tuple, outputs: tuple
+                 ) -> "ComponentEffect":
+        """``ComponentEffect(at, kind, inputs, outputs)`` for a caller that
+        has made its checks: ``kind`` is an ``EffectKind``, ``inputs`` a
+        tuple of ids and ``outputs`` a tuple of ``SliceComponent``s, and
+        neither repeats an id.  A split's attach pair takes its ids from z's
+        effect in a valid datum, each once, and the fresh tongue id, which
+        no component carries (``moves._split_effects``); ``_splits_locally``
+        then applies the pair to the live state.  A parsed effect's match and
+        its repeat test prove the same (``cli_io``).  Fields go in one by
+        one, as ``__post_init__`` leaves them."""
+        out, put = object.__new__(ComponentEffect), object.__setattr__
+        put(out, "at", at)
+        put(out, "kind", kind)
+        put(out, "inputs", inputs)
+        put(out, "outputs", outputs)
+        return out
 
     def output_ids(self):
         return tuple(c.id for c in self.outputs)

@@ -52,6 +52,24 @@ class FlowEdge:
         if type(self.locus) is not Locus:  # a parsed edge's is kept
             object.__setattr__(self, "locus", Locus(self.locus))
 
+    @staticmethod
+    def _trusted(src: str, dst: str, count: Optional[int], locus: Locus) -> "FlowEdge":
+        """``FlowEdge(src, dst, count, locus)`` for a caller that has made
+        its checks: the ends differ, ``count`` is None or an int >= 1 and
+        ``locus`` is a ``Locus``.  A split's moved line keeps the count and
+        locus of a line of a valid datum and trades z for a half of the
+        pair, whose id no other point of the result carries, and its wall
+        line joins the two halves once (``moves._split_run``);
+        ``_splits_locally`` then checks each by ``edge_issues``.  A parsed
+        edge's match and its test prove the same (``cli_io``).  Fields go
+        in one by one, as in __init__."""
+        out, put = object.__new__(FlowEdge), object.__setattr__
+        put(out, "src", src)
+        put(out, "dst", dst)
+        put(out, "count", count)
+        put(out, "locus", locus)
+        return out
+
 
 class GraphIndex(NamedTuple):
     """Edge by (src, dst), and the edges out of and into each point, in

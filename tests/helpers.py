@@ -3,6 +3,7 @@
 import functools
 import sys
 import types
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -317,6 +318,52 @@ def is_admissible(
     return admissible_keys(points, keys)
 
 
+def first_inversion_by_pairs(points, values, rank=lambda p: p.index):
+    """The reference for ``morse_data.first_inversion``: the first pair
+    (z, w) of a double loop over ``points`` with rank(z) < rank(w) but not
+    values[z] < values[w], every pair compared; None when there is none."""
+    return next(((z, w) for z in points for w in points
+                 if rank(z) < rank(w) and not values[z.id] < values[w.id]), None)
+
+
+def admissible_keys_by_two_passes(points, keys) -> bool:
+    """The reference for ``morse_data.admissible_keys``: an inversion
+    search over every pair of points by index, then over every pair of
+    boundary points by (index, stable before unstable)."""
+    if first_inversion_by_pairs(points, keys) is not None:
+        return False
+    boundary = [p for p in points if p.kind.is_boundary]
+    return first_inversion_by_pairs(
+        boundary, keys, lambda p: (p.index, p.kind is Kind.BOUNDARY_UNSTABLE)) is None
+
+
+def splice_by_bisection(items: tuple, drop, add, key) -> tuple:
+    """The reference for ``morse_data.splice``: the same drops, and each
+    added item placed by bisection, however many there are."""
+    if 100 * len(drop) < len(items):
+        kept, start = [], 0
+        for i in sorted(bisect_left(items, key(x), key=key) for x in drop):
+            kept += items[start:i]
+            start = i + 1
+        kept += items[start:]
+    else:
+        gone = set(map(id, drop))
+        kept = [x for x in items if id(x) not in gone]
+    out, start = [], 0
+    for x in sorted(add, key=key):
+        i = bisect_left(kept, key(x), start, key=key)
+        out += kept[start:i]
+        out.append(x)
+        start = i
+    out += kept[start:]
+    return tuple(out)
+
+
+def spaced_by_between(lo, hi, k: int) -> list:
+    """The reference for ``morse_data.spaced``: one ``between`` a value."""
+    return [morse_data.between(lo, hi, t, k) for t in range(1, k)]
+
+
 def realize_by_replay(d, targets):
     """``realize_configuration`` with the whole target map checked up front,
     its flow lines here and its surgery order by a full replay
@@ -528,6 +575,40 @@ def assert_records_as_checked(script):
         checked = MoveRecord(r.kind, r.ids, r.values, r.note)
         assert r == checked and vars(r) == vars(checked), r
         assert all(type(v) is Fraction for v in r.values), r
+
+
+def assert_pieces_as_checked(datum) -> int:
+    """Each point, edge, effect and component of ``datum`` equals the one
+    its checking constructor builds, in hash and down to its ``vars``;
+    returns how many were compared."""
+    outputs = [c for e in datum.slices.effects for c in e.outputs]
+    pairs = [(p, CriticalPoint(p.id, p.kind.value, p.index, p.value)) for p in datum.points]
+    pairs += [(e, FlowEdge(e.src, e.dst, e.count, e.locus.value)) for e in datum.graph.edges]
+    pairs += [(c, SliceComponent(c.id, c.touches_wall))
+              for c in datum.slices.bottom + tuple(outputs)]
+    pairs += [(e, ComponentEffect(e.at, e.kind.value, list(e.inputs), [
+        SliceComponent(c.id, c.touches_wall) for c in e.outputs]))
+        for e in datum.slices.effects]
+    for got, checked in pairs:
+        assert got == checked and hash(got) == hash(checked), got
+        assert vars(got) == vars(checked), got
+    assert all(p.sort_key() == order_key(p.value, p.id) for p in datum.points)
+    return len(pairs)
+
+
+PIECE_TYPES = (CriticalPoint, ComponentEffect, FlowEdge, SliceComponent)
+
+
+def counting_post_inits(monkeypatch) -> Counter:
+    """A Counter that gets one count by class name per ``__post_init__``
+    run of a point, effect, flow line or component."""
+    runs = Counter()
+    for cls in PIECE_TYPES:
+        def counted(self, _name=cls.__name__, _check=cls.__post_init__):
+            runs[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return runs
 
 
 def dimension_sum_oracle(z, w, ambient):

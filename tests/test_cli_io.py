@@ -32,15 +32,18 @@ from halfhandle.errors import (
     PartialConfiguration,
     SwapBlocked,
     UnknownId,
+    ValidationError,
 )
 from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.morse_data import Flags, Kind, validate_datum
 from halfhandle.moves import MoveRecord, apply_script, realize_configuration
 from halfhandle.normal_form import global_split, schedule_levels
-from halfhandle.slice_topology import EffectKind, replay
+from halfhandle.slice_topology import EffectKind, SliceComponent, replay
 from halfhandle.trajectory import Locus
 
 from helpers import brute_force_reachability, comp, datum, edge, eff, pt
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rich_datum():
@@ -167,6 +170,25 @@ def test_parse_error_carries_line_numbers():
 
     with pytest.raises(ParseError):
         parse_datum("format=halfhandle-datum/1\nn=1\n")  # m missing
+
+
+def test_a_component_id_that_is_no_id_is_refused_at_its_line():
+    # the constructor refuses it, and so does the general path of a line
+    # whose id the canonical pattern does not match: a component line, or
+    # an output of an effect line, of the monotone fixture
+    with pytest.raises(ValidationError) as err:
+        SliceComponent("c-1", True)
+    assert str(err.value) == "bad component id 'c-1'"
+    text = (ROOT / "fixtures" / "monotone.datum").read_text()
+    for line, bad in ((7, "component id=c-c0 touches_wall=true"),
+                      (12, "effect at=a kind=internal inputs=c0 outputs=c-c0:true")):
+        lines = text.splitlines()
+        assert lines[line - 1] == bad.replace("c-c0", "c0" if line == 7 else "c2")
+        lines[line - 1] = bad
+        with pytest.raises(ParseError) as err:
+            parse_datum("\n".join(lines) + "\n")
+        assert err.value.line == line
+        assert str(err.value) == "line %d: bad component id 'c-c0'" % line
 
 
 def test_parse_refuses_two_effects_at_one_point():

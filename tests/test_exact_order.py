@@ -7,7 +7,14 @@ comparison.  Key order and key equality must be (value, id) order and
 equality exactly, also where the floats of distinct values collide, where
 numerator and denominator have a thousand digits, and where the float
 underflows to 0.0; sorting and ``splice`` by ``sort_key`` must give the
-sequence that sorting by (value, id) gives.  The uphill test of a flow
+sequence that sorting by (value, id) gives, and ``splice``, which places
+a large patch by one sort, must give what placing every added item by
+bisection (``splice_by_bisection``) gives.  ``admissible_keys`` and
+``first_inversion`` read each rank's lowest and highest key in one pass;
+over tied, colliding and underflowing keys they must decide as a search
+of every pair of points does (``admissible_keys_by_two_passes``,
+``first_inversion_by_pairs``), and ``first_inversion`` must name the
+pair that search finds first.  The uphill test of a flow
 line (``edge_issues``) and the codimension-one decomposition, derived and
 verified, compare the keys too and must decide as the values do.
 
@@ -25,7 +32,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from halfhandle.cli_io import _fraction
@@ -35,6 +42,7 @@ from halfhandle.morse_data import (
     CriticalPoint,
     Kind,
     MorseDatum,
+    admissible_keys,
     first_inversion,
     order_key,
     splice,
@@ -42,6 +50,12 @@ from halfhandle.morse_data import (
 from halfhandle.normal_form import derive_monotone_decomposition, verify_decomposition
 from halfhandle.slice_topology import SliceComplex
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph, edge_issues
+
+from helpers import (
+    admissible_keys_by_two_passes,
+    first_inversion_by_pairs,
+    splice_by_bisection,
+)
 
 
 # ordinary values, values of up to about a thousand digits, values whose
@@ -128,6 +142,7 @@ def test_sorted_and_spliced_by_key_as_by_value_and_id(points, data):
     assert not taken & {p.id for p in add}
     spliced = splice(items, drop, add, CriticalPoint.sort_key)
     assert list(spliced) == exact_order(kept + add)
+    assert spliced == splice_by_bisection(items, drop, add, CriticalPoint.sort_key)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,6 +162,55 @@ def test_splice_by_bisection_as_the_plain_rebuild(size, rng, data):
         st.lists(st.one_of(free, again), max_size=4, unique=True))]
     key = itemgetter(0)
     assert splice(items, drop, add, key) == tuple(sorted(kept + add, key=key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 400), st.randoms(use_true_random=False), st.data())
+def test_splice_places_small_and_large_patches_as_by_bisection(size, rng, data):
+    # drops found by bisection or by the pass, and patches of a few added
+    # items or of many, some of them at the key of a dropped item: one sort
+    # or bisection each, the same tuple as bisection alone gives
+    items = tuple((2 * k, "old") for k in sorted(rng.sample(range(10**6), size)))
+    drop = data.draw(st.lists(st.sampled_from(items), unique=True)) if items else []
+    add = [(2 * k + 1, "new") for k in rng.sample(
+        range(10**6), data.draw(st.integers(0, size // 4 + 4)))]
+    add += [(k, "new") for k, _ in drop[:data.draw(st.integers(0, len(drop)))]]
+    rng.shuffle(add)
+    key = itemgetter(0)
+    got = splice(items, drop, add, key)
+    assert got == splice_by_bisection(items, drop, add, key)
+    assert got == tuple(sorted(set(items) - set(drop) | set(add), key=key))
+    event("%s drops, %s patch" % ("few" if 100 * len(drop) < size else "many",
+                                   "large" if 10 * len(add) >= size - len(drop)
+                                   else "small"))
+
+
+RANK_KINDS = (Kind.INTERIOR, Kind.BOUNDARY_STABLE, Kind.BOUNDARY_UNSTABLE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(RANK_KINDS), st.integers(0, 4),
+                          st.one_of(values, colliding().map(lambda ab: ab[1]))),
+                max_size=12),
+       st.booleans())
+def test_one_pass_admissibility_decides_as_the_two_inversion_passes(cells, ordered):
+    # the points' keys from few values, so that ranks tie, interleave or
+    # collide in their floats; half of them sorted by index first, so that
+    # admissible maps are common too
+    if ordered:
+        values_ = sorted(v for _, _, v in cells)
+        cells = [(kind, index, v) for (kind, index, _), v in
+                 zip(sorted(cells, key=lambda c: (c[1], c[0] is Kind.BOUNDARY_UNSTABLE)),
+                     values_)]
+    points = [CriticalPoint("p%d" % k, kind, index + (kind is Kind.BOUNDARY_STABLE), v)
+              for k, (kind, index, v) in enumerate(cells)]
+    keys = {p.id: order_key(p.value) for p in points}
+    got = admissible_keys(points, keys)
+    assert got == admissible_keys_by_two_passes(points, keys)
+    for rank in (lambda p: p.index, lambda p: (p.index, p.kind is Kind.BOUNDARY_UNSTABLE)):
+        assert (first_inversion(points, keys, rank)
+                == first_inversion_by_pairs(points, keys, rank))
+    event("admissible" if got else "inadmissible")
 
 
 def test_the_cached_float_is_the_float_of_the_value():

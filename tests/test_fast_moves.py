@@ -24,7 +24,9 @@ result and validates it whole.
 ``realize_configuration`` lets its park and place run accept or refuse its
 target map and must agree with ``realize_by_replay``, which checks it by a
 full replay, and a point a move builds without checking it must be the
-point the checked constructor builds.
+point the checked constructor builds.  So must every unchecked builder of
+a point, flow line, effect or component (``_trusted``, and ``_at`` for a
+moved point), down to its ``vars``, and every piece of a split run's result.
 ``flag_issues`` joins the components in one pass over the effects and must
 report what ``flag_issues_by_reference``, the union-find it replaced, does.
 """
@@ -84,6 +86,7 @@ from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph, generic_disj
 from helpers import (
     _moves_locally,
     apply_record,
+    assert_pieces_as_checked,
     assert_records_as_checked,
     assign_by_replay,
     attach_chain_pair,
@@ -614,6 +617,7 @@ def test_split_runs_match_the_fold_of_single_splits(d, data):
     assert vars(out)["valid"] is True and out.valid == dataclasses.replace(out).valid
     assert out.point_index == {p.id: p for p in out.points}
     assert_indexes_match_a_fresh_build(out)
+    assert_pieces_as_checked(out)  # the unchecked halves, effects and lines
 
 
 def test_split_runs_read_makers_and_users_through_the_overlay():
@@ -1486,6 +1490,38 @@ def test_trusted_driver_records_equal_the_checked_constructor():
             assert_records_as_checked(script)
             notes.update(r.note for r in script)
     assert all(notes[note] > 10 for note in ("park", "place", "join_high")), notes
+
+
+piece_ids = st.from_regex(r"[A-Za-z0-9_]{1,6}", fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_ids, piece_ids, st.sampled_from(list(Kind)), st.integers(0, 9),
+       st.fractions(min_value=0, max_value=1, max_denominator=10**30).filter(
+           lambda v: 0 < v < 1),
+       st.one_of(st.none(), st.integers(1, 5)), st.sampled_from(list(Locus)),
+       st.sampled_from(list(EffectKind)), st.lists(piece_ids, max_size=3, unique=True),
+       st.lists(st.tuples(piece_ids, st.booleans()), max_size=3,
+                unique_by=lambda c: c[0]))
+def test_unchecked_builders_build_what_the_checked_constructors_build(
+        a, b, kind, index, value, count, locus, effect_kind, inputs, outputs):
+    assume(a != b)
+    components = tuple(SliceComponent._trusted(cid, bit) for cid, bit in outputs)
+    pairs = [
+        (CriticalPoint._trusted(a, kind, index, morse_data.order_key(value)),
+         CriticalPoint(a, kind.value, index, value)),
+        (CriticalPoint(a, kind.value, index, Fraction(1, 2))._at(
+            morse_data.order_key(value, a)), CriticalPoint(a, kind.value, index, value)),
+        (FlowEdge._trusted(a, b, count, locus), FlowEdge(a, b, count, locus.value)),
+        (ComponentEffect._trusted(a, effect_kind, tuple(inputs), components),
+         ComponentEffect(a, effect_kind.value, list(inputs),
+                         [SliceComponent(cid, bit) for cid, bit in outputs])),
+    ] + [(c, SliceComponent(c.id, int(c.touches_wall))) for c in components]
+    for got, checked in pairs:
+        assert got == checked and hash(got) == hash(checked), got
+        assert vars(got) == vars(checked), got
+        assert list(vars(got)) == list(vars(checked)), got  # in the same order
+    assert pairs[0][0].sort_key() == pairs[1][0].sort_key() == morse_data.order_key(value, a)
 
 
 RAW_VALUES = (

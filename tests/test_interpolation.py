@@ -15,7 +15,10 @@ formula as a value and print as it does, for random ends in [0, 1] and the
 int ends 0 and 1, and so must each expression the drivers used to write
 out: the split halves, the midpoint cuts of the codimension-one
 decomposition, and the park, joinability, separation and final segment
-slots.
+slots.  ``morse_data.spaced(lo, hi, k)`` builds the k - 1 values that cut
+[lo, hi] into k equal steps, reading the ends' ints once; it must give
+what one ``between`` a value gives (``spaced_by_between``), for int and
+Fraction ends alike.
 
 ``realize_configuration`` checks, converts and keys its targets in one
 pass; with several defects in one map it must still refuse the one the
@@ -47,11 +50,11 @@ from halfhandle.cli_io import (
     serialize_decomposition,
     serialize_script,
 )
-from halfhandle.morse_data import between, ratio
+from halfhandle.morse_data import between, ratio, spaced
 from halfhandle.moves import realize_configuration
 from halfhandle.normal_form import _half_handle_bounds, global_split
 
-from helpers import perfbench_module, realize_by_replay
+from helpers import perfbench_module, realize_by_replay, spaced_by_between
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -191,6 +194,21 @@ def test_each_old_expression_equals_its_between_form(below, z, above, tk, n):
     for i, (lo, hi) in enumerate(_half_handle_bounds(n)):
         same(between(lo, hi, j + 1, g + 1),
              Fraction(i * (g + 1) + j + 1, denom * (g + 1)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(ends, ends, st.one_of(st.integers(0, 40), st.sampled_from([1, 2, 161, 322])))
+@example(0, 1, 5)
+@example(Fraction(1, 3), 1, 162)  # a park band above a ceiling
+@example(0, Fraction(3, 8), 4)
+@example(Fraction(1, 2), Fraction(1, 2), 3)
+def test_spaced_values_are_the_between_values(lo, hi, k):
+    got, want = spaced(lo, hi, k), spaced_by_between(lo, hi, k)
+    assert len(got) == len(want) == max(k - 1, 0)
+    for value, reference in zip(got, want):
+        same(value, reference)
+    if got:
+        assert_alike(got[0], want[0])
 
 
 def monotone():

@@ -42,7 +42,8 @@ from halfhandle.slice_topology import EffectKind
 from halfhandle.trajectory import Locus
 
 from helpers import (
-    assert_records_as_checked, benchmark_workload, comp, datum, edge, eff, is_admissible,
+    PIECE_TYPES, assert_pieces_as_checked, assert_records_as_checked,
+    benchmark_workload, counting_post_inits, comp, datum, edge, eff, is_admissible,
     perfbench_module, pt, spy_on_value_builds, union,
 )
 
@@ -545,6 +546,27 @@ def test_a_warm_split_and_text_replay_construct_no_fraction(monkeypatch, name):
     assert builds["Fraction"] == 0 and builds["ratio"] > 500, builds
     assert again == (out, dec, script)
     assert serialize_datum(replayed) == serialize_datum(out)
+
+
+@pytest.mark.parametrize("name, splits", [("split_deep", 15), ("split_codim1", 32)])
+def test_a_warm_split_runs_no_check_of_a_piece(monkeypatch, name, splits):
+    # the seed-1 union of each split pool: the pieces a split builds (two
+    # points, two attach effects, a tongue component and the moved flow
+    # lines) are proved by the run and _splits_locally, and are built
+    # unchecked, so a warm global_split runs none of their __post_init__
+    # checks (30/30/32/15 on split_deep and 64/64/76/32 on split_codim1
+    # before); each piece still equals what its checking constructor builds
+    _, workload = benchmark_workload(monkeypatch, name, 1)
+    out, dec, script = global_split(workload.datum)
+    with monkeypatch.context() as patch:
+        runs = counting_post_inits(patch)
+        again = global_split(workload.datum)
+        assert sum(runs.values()) == 0, runs
+        # the checking constructors the comparison calls are counted
+        assert assert_pieces_as_checked(again[0]) > 600
+        assert all(runs[cls.__name__] > 90 for cls in PIECE_TYPES), runs
+    assert again == (out, dec, script)
+    assert sum(r.kind == "split" for r in script) == splits
 
 
 def test_the_half_handle_frame_is_its_formula():

@@ -168,3 +168,51 @@ def test_several_workloads_print_one_table_each_and_any_flag_fails(
     ]
     # the same workload alone, with nothing flagged, exits 0
     assert pairs.main(argv + ["split_deep"]) == 0
+
+
+def run_output(op_ms, digest):
+    """What a benchmark run prints, as far as the tool reads it."""
+    return ("workload split_deep seed 1: 9 attempted, 0 failed; timed operation: x\n"
+            "failed_ratio 0.000000\noutput_sha256 %s\nop_mid_ms %r ms\n%s\n"
+            % (digest, op_ms, json.dumps(result(op_ms, 20.0))))
+
+
+def test_each_run_reads_its_output_digest_beside_its_result():
+    got = pairs.run_result(run_output(30.0, "ab12"))
+    assert got == dict(result(30.0, 20.0), output_sha256="ab12")
+    assert pairs.run_result(json.dumps(result(30.0, 20.0)) + "\n")["output_sha256"] is None
+    assert pairs.run_result("output_sha256 ab12\nnot json\n") is None
+
+
+def test_a_pair_whose_outputs_differ_is_flagged():
+    parent = [pairs.run_result(run_output(30.0, "aa")) for _ in range(3)]
+    change = [pairs.run_result(run_output(27.0, digest)) for digest in ("aa", "bb", "aa")]
+    lines, flags = pairs.summarize(parent, change, END_TO_END)
+    assert flags == ["pair 1: output_sha256 aa (parent) != bb (change)"]
+    assert row(lines, "op_mid_ms")[-3:] == ["-10.0%", "3/3", "gain"]
+    # equal digests, or none on either side, raise no flag
+    assert pairs.summarize(parent, parent, END_TO_END)[1] == []
+    bare = [result(30.0, 20.0)] * 3
+    assert pairs.summarize(bare, bare, END_TO_END)[1] == []
+
+
+def test_a_run_of_other_output_fails_the_workload(monkeypatch, capsys, tmp_path):
+    # subprocess.run is replaced, so no benchmark is started: the change's
+    # second run prints another digest than the parent's
+    changed = []
+
+    def run(command, cwd, timeout, **kwargs):
+        digest = "aa"
+        if cwd != ROOT:
+            changed.append(command)
+            digest = "bb" if len(changed) == 2 else "aa"
+        return pairs.subprocess.CompletedProcess(
+            command, 0, run_output(30.0 if cwd == ROOT else 27.0, digest), "")
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    argv = [str(ROOT), str(tmp_path), "--pairs", "3", "--seconds", "1",
+            "--workload", "split_deep"]
+    assert pairs.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FLAG:")] == [
+        "FLAG: pair 1: output_sha256 aa (parent) != bb (change)"]

@@ -26,14 +26,13 @@ from hypothesis import strategies as st
 from halfhandle import cli_io
 from halfhandle.cli_io import parse_datum, parse_script, serialize_script
 from halfhandle.errors import ParseError
-from halfhandle.morse_data import CriticalPoint, order_key
 from halfhandle.normal_form import global_split
-from halfhandle.slice_topology import ComponentEffect, SliceComponent
-from halfhandle.trajectory import FlowEdge
 
 from helpers import (
+    assert_pieces_as_checked,
     assert_records_as_checked,
     benchmark_workload,
+    counting_post_inits,
     parse_datum_by_reference,
     parse_script_by_reference,
     spy_on_value_builds,
@@ -249,47 +248,22 @@ def test_script_parser_matches_the_reference_on_mutated_lines(text):
     event(check_against_reference(parse_script, parse_script_by_reference, text))
 
 
-def assert_as_checked(datum):
-    """Each point, edge, effect and component of ``datum`` equals the one
-    its checking constructor builds, in hash and down to its ``vars``."""
-    outputs = [c for e in datum.slices.effects for c in e.outputs]
-    pairs = [(p, CriticalPoint(p.id, p.kind.value, p.index, p.value)) for p in datum.points]
-    pairs += [(e, FlowEdge(e.src, e.dst, e.count, e.locus.value)) for e in datum.graph.edges]
-    pairs += [(c, SliceComponent(c.id, c.touches_wall))
-              for c in datum.slices.bottom + tuple(outputs)]
-    pairs += [(e, ComponentEffect(e.at, e.kind.value, list(e.inputs), [
-        SliceComponent(c.id, c.touches_wall) for c in e.outputs]))
-        for e in datum.slices.effects]
-    for got, checked in pairs:
-        assert got == checked and hash(got) == hash(checked), got
-        assert vars(got) == vars(checked), got
-    assert all(p.sort_key() == order_key(p.value, p.id) for p in datum.points)
-    return len(pairs)
-
-
-def counting_post_init(monkeypatch):
-    """A list that gets one entry per ``CriticalPoint.__post_init__`` run."""
-    runs, post_init = [], CriticalPoint.__post_init__
-    monkeypatch.setattr(CriticalPoint, "__post_init__",
-                        lambda self: runs.append(self.id) or post_init(self))
-    return runs
-
-
 def test_objects_built_from_a_match_equal_the_checking_constructors(monkeypatch):
     # every body line of these texts is canonical (see the first test), so
-    # no point runs its checks; a point line off the shape still runs them
+    # no point, edge, effect or component runs its checks; a point line off
+    # the shape still runs them
     seen = 0
     for text in DATA[:-len(PIECES)] + corpus_pieces(per_file=400):  # all of them
         with monkeypatch.context() as patch:
-            runs = counting_post_init(patch)
+            runs = counting_post_inits(patch)
             datum = parse_datum(text)
-        assert runs == []
-        seen += assert_as_checked(datum)
+        assert sum(runs.values()) == 0, runs
+        seen += assert_pieces_as_checked(datum)
     assert seen > 10000, seen
     with monkeypatch.context() as patch:
-        runs = counting_post_init(patch)
+        runs = counting_post_inits(patch)
         parse_datum(DATUM % "point id=p kind=interior  index=1 value=1/2")
-    assert runs == ["p"]
+    assert runs == {"CriticalPoint": 1}
 
 
 def seed_1_split_deep_texts(monkeypatch):
@@ -331,7 +305,7 @@ def test_equal_values_of_unequal_tokens_stay_apart():
     p, q, r = (datum.point(pid).value for pid in "pqr")
     assert p == q == r == Fraction(1, 2)
     assert p is r and p is not q
-    assert_as_checked(datum)
+    assert_pieces_as_checked(datum)
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,3 +410,43 @@ def test_the_scan_reads_every_base_script_and_leaves_a_bad_line_to_the_reader():
         with pytest.raises(ParseError) as err:
             parse_script(text)
         assert (str(err.value), err.value.line) == ("line 2: bad point id ''", 2)
+
+
+# the line breaks of str.splitlines other than "\n", and a few other
+# characters, to build comments the line reader splits or keeps whole
+BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85  "
+skipped_lines = st.one_of(
+    st.sampled_from(["", "#", "# end", " # indented", "  "]),
+    st.builds("#".__add__, st.text(st.sampled_from(BREAKS + "ab #\té="), max_size=6)),
+    st.builds("#".__add__, st.text(max_size=6)),
+)
+
+
+@st.composite
+def with_skipped_lines(draw):
+    """A script of ``scan_bases`` with one to four lines put in: empty
+    lines, comments, comments holding another line break and its move
+    line, and lines of blanks or an indented comment."""
+    lines = draw(st.sampled_from(scan_bases())).split("\n")  # the last one ""
+    for _ in range(draw(st.integers(1, 4))):
+        line = draw(skipped_lines)
+        if draw(st.booleans()) and line[:1] == "#":
+            line += draw(st.sampled_from(BREAKS)) + "move kind=split ids=p values=- note=-"
+        lines.insert(draw(st.integers(1, len(lines) - 1)), line)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_skipped_lines())
+@example(SCRIPT % ("split", "p", "-") + "# end\n\n")
+@example(SCRIPT % ("split", "p", "-") + "# a\rmove kind=split ids=q values=- note=-\n")
+@example(SCRIPT % ("split", "p", "-") + "#\x0cmove kind=cancel ids=p values=- note=-\n")
+@example(SCRIPT % ("split", "p", "-") + "#\x0cnote\n")
+def test_empty_lines_and_comments_parse_as_the_line_reader_reads_them(text):
+    # a line that is not a move row, an empty line or a comment among them,
+    # leaves the text to the line reader, and parse_script gives what the
+    # reader gives: the same records, or the same ParseError, message and line
+    want = outcome(read_by_lines, text)
+    assert outcome(parse_script, text) == want, text
+    assert cli_io._scan_script(text) is None, text
+    event(want[0])

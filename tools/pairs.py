@@ -26,8 +26,11 @@ direction, and a verdict:
 * ``-``: neither.
 
 It flags a metric whose median is worse than the parent's by more than its
-bound, and any run that failed, had failed operations or was not correct;
-the exit status is 1 when anything is flagged in any workload.
+bound, any run that failed, had failed operations or was not correct, and
+any pair whose two runs printed different ``output_sha256`` lines (the
+digest of what the workload's operations returned), so a change that
+claims to keep every output byte-identical is checked in every pair; the
+exit status is 1 when anything is flagged in any workload.
 
 Standard library only.  The runs are started with ``-B``, so they
 leave no bytecode cache in either checkout.
@@ -76,14 +79,18 @@ def verdict(got, bound, lower):
 
 
 def summarize(parent, change, end_to_end):
-    """(table lines, flags) for the paired JSON results ``parent[i]`` and
-    ``change[i]`` (None for a run without a result) under the
-    ``end_to_end`` metric list of BENCHMARK.json."""
+    """(table lines, flags) for the paired results ``parent[i]`` and
+    ``change[i]`` (None for a run without a result; see ``run_result``)
+    under the ``end_to_end`` metric list of BENCHMARK.json."""
     flags = []
     for side, results in (("parent", parent), ("change", change)):
         for i, result in enumerate(results):
             flags += run_flags(side, i, result)
     pairs = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
+    for i, (p, c) in enumerate(zip(parent, change)):
+        if p is not None and c is not None and p.get(DIGEST) != c.get(DIGEST):
+            flags.append("pair %d: output_sha256 %s (parent) != %s (change)"
+                         % (i, p.get(DIGEST), c.get(DIGEST)))
     lines = ["%-13s %-5s %28s %28s %9s %7s %s" % (
         "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
         "change", "wins", "verdict")]
@@ -119,6 +126,20 @@ def last_json(text):
     return result if isinstance(result, dict) else None
 
 
+DIGEST = "output_sha256"
+
+
+def run_result(text):
+    """The JSON result of a run's output ``text`` (``last_json``), with the
+    digest its ``output_sha256`` line printed under that key (None when it
+    printed none); None for an output without a result."""
+    result = last_json(text)
+    if result is not None:
+        result[DIGEST] = next((line.partition(" ")[2].strip() for line in
+                               text.splitlines() if line.startswith(DIGEST + " ")), None)
+    return result
+
+
 def bench(checkout, workload, args):
     command = [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
@@ -132,7 +153,7 @@ def bench(checkout, workload, args):
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr, end="")
         return None
-    return last_json(proc.stdout)
+    return run_result(proc.stdout)
 
 
 def main(argv=None):
