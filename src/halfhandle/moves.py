@@ -239,7 +239,8 @@ def assign_values(
         "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note)
 
 
-def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
+def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord],
+                   refused=None) -> MorseDatum:
     """The datum the rearrange records of ``script`` make, one after another:
     the left fold of single checked moves over them, in one pass.
 
@@ -254,19 +255,21 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     once, so nothing else pins the replay order.  Records of any length
     take this one loop, which builds a one-point record no list, zip or
     key map.  The moved points are re-placed once, at the end
-    (``with_keys``).  A refused step raises what the fold raises:
-    ``check_assignment`` on ``datum`` with its values updated by the whole
-    overlay, which holds the earlier steps and every id of the refused
-    record: the same value map as the datum the earlier steps made plus the
-    record.
+    (``with_keys``).  A refused step raises ``refused()``, which a caller
+    that names its refusals itself passes (``realize_configuration``); by
+    default that is what the fold raises: ``check_assignment`` on ``datum``
+    with its values updated by the whole overlay, which holds the earlier
+    steps and every id of the refused record: the same value map as the
+    datum the earlier steps made plus the record.
     """
     overlay = {}  # each moved point's key
     key = overlay.get
 
-    def refused():
-        values = datum.values()
-        values.update((pid, at[1]) for pid, at in overlay.items())
-        return check_assignment(datum, values)
+    if refused is None:
+        def refused():
+            values = datum.values()
+            values.update((pid, at[1]) for pid, at in overlay.items())
+            return check_assignment(datum, values)
 
     for record in script:
         if not overlay:  # the first record
@@ -379,7 +382,7 @@ def realize_configuration(
     ``_rearrange_run``, which checks each in O(deg) and alone accepts the
     map: a run whose steps all pass leaves every point at its target in a
     valid datum, and a legal map always gets there.  A refused run is named
-    from the map alone (``_swap_blocked``).
+    from the map alone (``_swap_blocked``), with no full replay.
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -428,10 +431,7 @@ def realize_configuration(
     script += [
         MoveRecord._step(key[2], key[1], "place") for key in sorted(keys.values())
     ]
-    try:
-        return _rearrange_run(datum, script), script
-    except MoveError:
-        raise _swap_blocked(datum, ranks) from None
+    return _rearrange_run(datum, script, lambda: _swap_blocked(datum, ranks)), script
 
 
 def _swap_blocked(datum: MorseDatum, values: Mapping[str, tuple]) -> SwapBlocked:

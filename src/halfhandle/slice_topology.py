@@ -9,13 +9,19 @@ Each component carries a single bit: whether it touches the vertical
 boundary wall.  Component ids are globally fresh (an id is born once and
 dies once), which makes the connected components of the whole cobordism
 computable by a union-find over the effects.
+
+Which effect a point may carry depends only on its (kind, index) cell, on
+n and on the effect's kind and numbers of inputs and outputs; only the wall
+bits vary from one effect to the next.  So each such row of the validity
+table is worked out once into a shape (``_row_shape``), and checking an
+effect (``effect_row_issues``) is one lookup plus a look at its bits.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -239,6 +245,61 @@ _INTERIOR_ROWS = {
 }
 
 
+# the wall-bit rule of a row shape: some output touches the wall exactly
+# when some input does (interior), every output touches (stable attach),
+# every input touches (unstable attach), and a merge keeps the bit too
+_UNION, _OUTPUTS_TOUCH, _INPUTS_TOUCH, _MERGE_KEEPS = range(4)
+
+
+@lru_cache(maxsize=4096)  # far more than the rows of any n in use
+def _row_shape(kind: Kind, k: int, n: int, effect_kind: EffectKind,
+               n_in: int, n_out: int):
+    """The shape of the validity table's row for an effect of ``effect_kind``
+    with ``n_in`` inputs and ``n_out`` outputs at a point of ``kind`` and
+    index ``k`` (any, in range or not) in dimension n: ``(issues, rule,
+    message)``.  ``issues`` are the row's issues that do not depend on wall
+    bits, ``rule`` is the wall-bit rule checked after them (None for none)
+    and ``message`` the issue of a broken interior union (``_INTERIOR_ROWS``).
+    """
+    if kind is Kind.INTERIOR:
+        legal_at = {
+            EffectKind.BIRTH: k == 0,
+            EffectKind.DEATH: k == n + 1,
+            EffectKind.MERGE: k == 1,
+            EffectKind.INTERNAL: 1 <= k <= n,
+            EffectKind.SPLIT: k == n,
+        }
+        if not legal_at.get(effect_kind, False):
+            issue = "not a legal effect for an interior point of index %d" % k
+            return (issue,), None, None
+        want_in, want_out, name, rule = _INTERIOR_ROWS[effect_kind]
+        if (n_in, n_out) != (want_in, want_out):
+            return ("%s is %d -> %d" % (name, want_in, want_out),), None, None
+        return (), _UNION, rule
+
+    # boundary point: must be an attach effect
+    if effect_kind is not EffectKind.BOUNDARY_ATTACH:
+        return ("boundary points carry attach effects only",), None, None
+    issues = []
+    if kind is Kind.BOUNDARY_STABLE:
+        if n_in != 1:
+            issues.append("a stable attach consumes exactly one component")
+        if n_out not in (1, 2):
+            issues.append("a stable attach emits one or two components")
+        elif n_out == 2 and k != n:
+            issues.append("a stable attach splits only at index n (= %d)" % n)
+        return tuple(issues), _OUTPUTS_TOUCH, None
+    # boundary unstable
+    if n_out != 1:
+        issues.append("an unstable attach emits exactly one component")
+    if n_in not in (1, 2):
+        issues.append("an unstable attach consumes one or two components")
+    elif n_in == 2 and k != 1:
+        issues.append("an unstable attach merges only at index 1 (got %d)" % k)
+    merge = n_in == 2 and n_out == 1
+    return tuple(issues), _MERGE_KEEPS if merge else _INPUTS_TOUCH, None
+
+
 def effect_row_issues(
     point: CriticalPoint, n: int, effect: ComponentEffect, state: Dict[str, bool]
 ) -> list:
@@ -251,61 +312,35 @@ def effect_row_issues(
     one exception each way: a boundary stable point may grab a component
     that does not yet touch, and a boundary unstable point may release one
     that no longer does.
+
+    The row's issues that do not depend on wall bits and its wall-bit rule
+    are one lookup of its cached shape (``_row_shape``); only the bits that
+    rule reads are read here.
     """
-    issues = []
-    k = point.index
-    kind = effect.kind
-    n_in, n_out = len(effect.inputs), len(effect.outputs)
-
-    if point.kind is Kind.INTERIOR:
-        legal_at = {
-            EffectKind.BIRTH: k == 0,
-            EffectKind.DEATH: k == n + 1,
-            EffectKind.MERGE: k == 1,
-            EffectKind.INTERNAL: 1 <= k <= n,
-            EffectKind.SPLIT: k == n,
-        }
-        if not legal_at.get(kind, False):
-            issues.append("not a legal effect for an interior point of index %d" % k)
-            return _tagged(point, effect, issues)
-        want_in, want_out, name, rule = _INTERIOR_ROWS[kind]
-        if (n_in, n_out) != (want_in, want_out):
-            issues.append("%s is %d -> %d" % (name, want_in, want_out))
-        elif any(c.touches_wall for c in effect.outputs) != any(
-            state.get(cid, False) for cid in effect.inputs
-        ):
-            issues.append(rule)
-        return _tagged(point, effect, issues)
-
-    # boundary point: must be an attach effect
-    if kind is not EffectKind.BOUNDARY_ATTACH:
-        issues.append("boundary points carry attach effects only")
-        return _tagged(point, effect, issues)
-    if point.kind is Kind.BOUNDARY_STABLE:
-        if n_in != 1:
-            issues.append("a stable attach consumes exactly one component")
-        if n_out not in (1, 2):
-            issues.append("a stable attach emits one or two components")
-        elif n_out == 2 and k != n:
-            issues.append("a stable attach splits only at index n (= %d)" % n)
-        for comp in effect.outputs:
+    inputs, outputs = effect.inputs, effect.outputs
+    issues, rule, message = _row_shape(
+        point.kind, point.index, n, effect.kind, len(inputs), len(outputs))
+    if rule == _UNION:  # a legal interior row, with nothing else to report
+        touches = fed = False
+        for c in outputs:
+            touches = touches or c.touches_wall
+        for cid in inputs:
+            fed = fed or state.get(cid, False)
+        return [] if touches == fed else _tagged(point, effect, [message])
+    issues = list(issues)
+    if rule == _OUTPUTS_TOUCH:
+        for comp in outputs:
             if not comp.touches_wall:
                 issues.append(
                     "stable attach outputs touch the wall (got %r closed)" % (comp.id,)
                 )
-    else:  # boundary unstable
-        if n_out != 1:
-            issues.append("an unstable attach emits exactly one component")
-        if n_in not in (1, 2):
-            issues.append("an unstable attach consumes one or two components")
-        elif n_in == 2 and k != 1:
-            issues.append("an unstable attach merges only at index 1 (got %d)" % k)
-        for cid in effect.inputs:
+    elif rule is not None:  # an unstable attach
+        for cid in inputs:
             if not state.get(cid, False):
                 issues.append(
                     "unstable attach inputs touch the wall (got %r closed)" % (cid,)
                 )
-        if n_in == 2 and n_out == 1 and not effect.outputs[0].touches_wall:
+        if rule == _MERGE_KEEPS and not outputs[0].touches_wall:
             issues.append("merging two wall components keeps the wall bit")
     return _tagged(point, effect, issues)
 

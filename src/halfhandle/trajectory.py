@@ -8,13 +8,17 @@ it is not.
 
 Genericity makes many intersections empty for dimension reasons, so edges
 are only allowed between pairs that ``generic_disjoint`` does not rule out.
+Both that rule and the locus rule depend on the (kind, index) cells of the
+two ends, the locus and the ambient alone, so each such row is worked out
+once, when a flow line first needs it (``_edge_row``), and ``edge_issues``
+reads it by one cached lookup.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import CycleDetected, ValidationError
@@ -134,23 +138,25 @@ def generic_disjoint(z: CriticalPoint, w: CriticalPoint, ambient: Ambient) -> bo
     * z interior and w boundary unstable with l - k <= m - n - 2;
     * z boundary stable and w interior with l - k <= m - n - 2.
     """
-    m, n = ambient.m, ambient.n
+    return _cells_disjoint(z.kind, z.index, w.kind, w.index, ambient.m, ambient.n)
+
+
+def _cells_disjoint(kz: Kind, k: int, kw: Kind, l: int, m: int, n: int) -> bool:
+    """``generic_disjoint`` for a point of cell (kz, k) below one of cell
+    (kw, l) in the ambient (m, n): the rule reads nothing else."""
     # raises InvalidIndexKind on nonsense input
-    dimension_profile(z.kind, z.index, n)
-    dimension_profile(w.kind, w.index, n)
-    k, l = z.index, w.index
-    if (
-        k == l
-        and m >= n + 2
-        and not (z.kind is Kind.BOUNDARY_STABLE and w.kind is Kind.BOUNDARY_UNSTABLE)
+    dimension_profile(kz, k, n)
+    dimension_profile(kw, l, n)
+    if k == l and m >= n + 2 and not (
+        kz is Kind.BOUNDARY_STABLE and kw is Kind.BOUNDARY_UNSTABLE
     ):
         return True
     if k > l:
         return True
-    if z.kind is Kind.INTERIOR and w.kind is Kind.BOUNDARY_UNSTABLE:
+    if kz is Kind.INTERIOR and kw is Kind.BOUNDARY_UNSTABLE:
         if l - k <= m - n - 2:
             return True
-    if z.kind is Kind.BOUNDARY_STABLE and w.kind is Kind.INTERIOR:
+    if kz is Kind.BOUNDARY_STABLE and kw is Kind.INTERIOR:
         if l - k <= m - n - 2:
             return True
     return False
@@ -251,9 +257,32 @@ def can_rearrange(graph: TrajectoryGraph, z_id: str, w_id: str) -> bool:
     return not _reaches(graph, [e.dst for e in first], w_id)
 
 
-def _in_range(p: CriticalPoint, n: int) -> bool:
-    lo, hi = index_bounds(p.kind, n)
-    return lo <= p.index <= hi
+@lru_cache(maxsize=4096)  # far more than the cell pairs of any n in use
+def _edge_row(kz: Kind, k: int, kw: Kind, l: int, locus: Locus, m: int, n: int
+              ) -> Tuple[str, ...]:
+    """The untagged genericity and locus issues of a flow line in ``locus``
+    from a point of cell (kz, k) to one of cell (kw, l) in the ambient
+    (m, n), genericity first and then locus.
+
+    A row is worked out the first time a flow line needs it, by
+    ``generic_disjoint``'s rule and the cells' ``dimension_profile``s, the
+    deciders of these rules.  An end out of range has no profile, so its
+    rows are empty.
+    """
+    (zlo, zhi), (wlo, whi) = index_bounds(kz, n), index_bounds(kw, n)
+    if not (zlo <= k <= zhi and wlo <= l <= whi):
+        return ()
+    issues = ()
+    if _cells_disjoint(kz, k, kw, l, m, n):
+        issues += ("genericity forces this pair apart",)
+    if locus is Locus.WALL:
+        if not (kz.is_boundary and kw.is_boundary):
+            issues += ("wall locus needs boundary points",)
+    elif locus is Locus.INNER:
+        if (dimension_profile(kz, k, n).unstable_inner is None
+                or dimension_profile(kw, l, n).stable_inner is None):
+            issues += ("inner locus needs inner unstable and stable sets",)
+    return issues
 
 
 def edge_issues(
@@ -262,30 +291,21 @@ def edge_issues(
     """What is wrong with the flow edge e from point z to point w.
 
     The per-edge rule of ``graph_issues``: the value must strictly increase,
-    genericity must allow the pair, and the locus must suit both kinds.  An
-    endpoint whose (kind, index) is out of range gets no genericity or locus
-    check: both need its dimension profile, which does not exist.  The
-    ``edge src->dst`` tag is written only when there is an issue to tag.
+    genericity must allow the pair, and the locus must suit both kinds.  The
+    uphill test reads the points' floats and values; the other two are one
+    lookup of the cells' cached row (``_edge_row``).  An endpoint whose
+    (kind, index) is out of range has an empty row, so it gets no
+    genericity or locus check: both need its dimension profile, which does
+    not exist, and ``validate_datum`` reports the bad (kind, index) already.
+    The ``edge src->dst`` tag is written only when there is an issue to tag.
     """
-    issues = []
+    issues = _edge_row(z.kind, z.index, w.kind, w.index, e.locus, ambient.m, ambient.n)
     if not (z._float < w._float or z._float == w._float and z.value < w.value):
-        issues.append(
-            "values %s >= %s, flow must strictly increase" % (z.value, w.value)
-        )
-    # validate_datum reports an endpoint's bad (kind, index) already
-    if _in_range(z, ambient.n) and _in_range(w, ambient.n):
-        if generic_disjoint(z, w, ambient):
-            issues.append("genericity forces this pair apart")
-        if e.locus is Locus.WALL:
-            if not (z.kind.is_boundary and w.kind.is_boundary):
-                issues.append("wall locus needs boundary points")
-        elif e.locus is Locus.INNER:
-            pz = dimension_profile(z.kind, z.index, ambient.n)
-            pw = dimension_profile(w.kind, w.index, ambient.n)
-            if pz.unstable_inner is None or pw.stable_inner is None:
-                issues.append("inner locus needs inner unstable and stable sets")
+        issues = (
+            "values %s >= %s, flow must strictly increase" % (z.value, w.value),
+        ) + issues
     if not issues:
-        return issues
+        return []
     return ["edge %s->%s: %s" % (e.src, e.dst, issue) for issue in issues]
 
 

@@ -414,9 +414,22 @@ def test_cancel_refuses_effects_that_do_not_chain():
                       eff("q", EffectKind.BOUNDARY_ATTACH, inputs,
                           [comp(c) for c in outputs])])
 
+    # a merge, then a split of what it made: each pair check passes, but
+    # no inverse pattern starts with a merge
+    merge_split = datum(
+        4, 2,
+        [comp("c0", True), comp("c1", True)],
+        [pt("p", Kind.INTERIOR, 1, Fraction(1, 3)),
+         pt("q", Kind.INTERIOR, 2, Fraction(2, 3))],
+        [edge("p", "q", 1, Locus.INNER)],
+        [eff("p", EffectKind.MERGE, ("c0", "c1"), (comp("c2", True),)),
+         eff("q", EffectKind.SPLIT, ("c2",), (comp("c3", True), comp("c4", True)))],
+    )
+
     chain = attach_chain_pair(Kind.BOUNDARY_UNSTABLE, 1)
     refusals = [
         (unrelated, "the death does not consume a split output"),
+        (merge_split, "effects merge then split do not compose to the identity"),
         # the lower attach merges two components, or the upper one splits
         # its input in two or merges two inputs
         (datum(5, 3, [comp("c0"), comp("c3")], chain.points, chain.graph.edges,

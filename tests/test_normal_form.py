@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from halfhandle import normal_form
+from halfhandle import normal_form, slice_topology, trajectory
 from halfhandle.cli_io import parse_datum, serialize_datum, serialize_script
 from halfhandle.generator import GeneratorSpec, generate
 from halfhandle.errors import (
@@ -567,6 +567,21 @@ def test_a_warm_split_runs_no_check_of_a_piece(monkeypatch, name, splits):
         assert all(runs[cls.__name__] > 90 for cls in PIECE_TYPES), runs
     assert again == (out, dec, script)
     assert sum(r.kind == "split" for r in script) == splits
+
+
+@pytest.mark.parametrize("name", ["split_deep", "split_codim1"])
+def test_a_warm_split_builds_no_rule_row(monkeypatch, name):
+    # the flow-line rows and the effect-row shapes are built once per
+    # cell: once a first run has built those of the seed-1 union, another
+    # global_split of it builds neither a row nor a shape
+    _, workload = benchmark_workload(monkeypatch, name, 1)
+    out = global_split(workload.datum)
+    tables, shapes = trajectory._edge_row, slice_topology._row_shape
+    built = tables.cache_info().misses, shapes.cache_info().misses
+    hits = tables.cache_info().hits, shapes.cache_info().hits
+    assert global_split(workload.datum) == out
+    assert (tables.cache_info().misses, shapes.cache_info().misses) == built
+    assert tables.cache_info().hits > hits[0] and shapes.cache_info().hits > hits[1]
 
 
 def test_the_half_handle_frame_is_its_formula():

@@ -43,7 +43,7 @@ def test_scale_script_reports_the_seconds_of_each_stage():
     # one line on stderr after each row: the stages of the driver's table
     # for the pool, then its closing derive and verify, each timed, together
     # within the row's global_split_s; then the two parses of the text
-    # replay, which lie outside global_split and its sum
+    # replay and one validation, which lie outside that sum
     tables = {"split_deep": normal_form._DEEP_STAGES,
               "split_codim1": normal_form._CODIM_ONE_STAGES}
     proc = subprocess.run(
@@ -58,10 +58,10 @@ def test_scale_script_reports_the_seconds_of_each_stage():
         cells = [cell.split("=") for cell in line.split()[3:]]
         assert [name for name, _ in cells] == [
             stage for stage, _ in tables[row.split()[0]]] + [
-            "derive", "verify", "parse_datum", "parse_script"]
+            "derive", "verify", "parse_datum", "parse_script", "validate"]
         seconds = [float(value) for _, value in cells]
         assert all(s > 0 for s in seconds)
-        assert sum(seconds[:-2]) <= float(row.split()[4])
+        assert sum(seconds[:-3]) <= float(row.split()[4])
 
 
 def test_against_times_both_checkouts_and_prints_their_ratio():

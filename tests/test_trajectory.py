@@ -1,5 +1,6 @@
 """Flow graph closure, disjointness, and rearrangement freedom."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from halfhandle import trajectory
 from halfhandle.errors import CycleDetected, ValidationError
-from halfhandle.morse_data import Ambient, CriticalPoint, Kind, index_bounds
+from halfhandle.morse_data import Ambient, CriticalPoint, Kind, index_bounds, validate_datum
 from halfhandle.trajectory import (
     FlowEdge,
     edge_issues,
@@ -21,7 +23,7 @@ from halfhandle.trajectory import (
     has_broken_path,
 )
 
-from helpers import datum, comp, dimension_sum_oracle, pt, eff, edge
+from helpers import datum, comp, dimension_sum_oracle, internal_chain_pair, pt, eff, edge
 from halfhandle.slice_topology import ComponentEffect, EffectKind
 
 
@@ -114,6 +116,50 @@ def test_disjointness_agrees_with_dimension_sums():
                 w = CriticalPoint("w", kw, l, Fraction(2, 3))
                 assert generic_disjoint(z, w, ambient) == \
                     dimension_sum_oracle(z, w, ambient), (n, m, kz, k, kw, l)
+
+
+def test_edge_issues_match_the_pinned_digest():
+    # every issue list over the cells below, hashed in enumeration order;
+    # the digest was taken while edge_issues worked each rule out per call,
+    # before the per-ambient table.  Indices run one past the range of every
+    # kind, and w lies above, level with and below z.
+    digest = hashlib.sha256()
+    checked = 0
+    for n in (1, 2, 3, 4):
+        cells = [(kind, k) for kind in Kind for k in range(n + 3)]
+        for m in range(n + 1, n + 4):
+            ambient = Ambient(m, n)
+            for (kz, k), (kw, l) in itertools.product(cells, repeat=2):
+                z = CriticalPoint("z", kz, k, Fraction(1, 2))
+                for value in (Fraction(2, 3), Fraction(1, 2), Fraction(1, 3)):
+                    w = CriticalPoint("w", kw, l, value)
+                    for locus in Locus:
+                        issues = edge_issues(
+                            ambient, z, w, FlowEdge("z", "w", None, locus))
+                        digest.update(("%r\n" % (issues,)).encode())
+                        checked += 1
+    assert checked == 30618
+    assert digest.hexdigest() == (
+        "2a5bd74f8d7eab1d801e0f3fc58ef31f55fe432773b1dd98fa597a2cad70f1ec")
+
+
+def test_a_flow_line_at_a_huge_n_builds_only_its_rows():
+    # a flow-line row is worked out per pair of cells as a flow line needs
+    # it, so a two-point datum at n = 10**6 builds its one row, not rows
+    # for the ambient's ~ (3n)^2 pairs of cells
+    n = 10**6
+    built = trajectory._edge_row.cache_info().misses
+    assert validate_datum(internal_chain_pair(n=n, k=n - 1)) == []
+    falling = datum(
+        n + 1, n, [comp("c0", True)],
+        [pt("p", Kind.INTERIOR, n, Fraction(1, 3)),
+         pt("q", Kind.INTERIOR, 1, Fraction(2, 3))],
+        [edge("p", "q", 1, Locus.INNER)],
+        [eff("p", EffectKind.INTERNAL, ("c0",), (comp("c1", True),)),
+         eff("q", EffectKind.INTERNAL, ("c1",), (comp("c2", True),))],
+    )
+    assert "edge p->q: genericity forces this pair apart" in validate_datum(falling)
+    assert trajectory._edge_row.cache_info().misses - built <= 2
 
 
 def test_disjointness_known_cases():

@@ -24,19 +24,24 @@ the driver's result.  The ``growth`` column holds the ``global_split``,
 the same pool (``-`` for the first size).  After each row a second line,
 on standard error so that standard output stays the table, gives the
 median seconds of each ``global_split`` stage, in the driver's order, then
-of the closing derive and verify of the decomposition, and last of the two
-parses of the text replay::
+of the closing derive and verify of the decomposition, then of the two
+parses of the text replay, and last of one validation of a datum::
 
-    split_deep 1280 stages schedule=0.012345 ... verify=0.000234 parse_datum=0.01 parse_script=0.02
+    split_deep 1280 stages schedule=0.012345 ... verify=0.000234 parse_datum=0.01 parse_script=0.02 validate=0.003
 
 The stages are the entries of ``normal_form._DEEP_STAGES`` and
 ``_CODIM_ONE_STAGES``; ``derive`` is a call of
 ``derive_half_handle_decomposition`` or ``derive_monotone_decomposition``
 and ``verify`` one of ``verify_decomposition``.  Each is wrapped in a timer
 while the pool is measured, and so are ``cli_io.parse_datum`` and
-``parse_script``.  The parses lie outside ``global_split`` and its stage
-sum.  ``replay_text_s`` less ``parse_datum`` is the text replay without
-the parse of the input, which ``global_split`` does not do.
+``parse_script`` and, as ``validate``, ``morse_data.validate_datum``.  The
+parses lie outside ``global_split``, and all three outside its stage sum.
+Each run validates three fresh data of one size, the inputs of
+``global_split``, of ``apply_script`` and of the text replay, so
+``validate`` is the time of one of them.  ``replay_text_s`` less
+``parse_datum`` and ``validate`` is the text replay without the parse and
+the check of its input, the like-for-like reading against
+``global_split``'s own moves.
 
 To compare two checkouts, say a parent and a change, run the change's copy
 of this script with the parent's root::
@@ -65,7 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from corpus import disjoint_union, load_corpus  # noqa: E402
-from halfhandle import cli_io, moves, normal_form  # noqa: E402
+from halfhandle import cli_io, morse_data, moves, normal_form  # noqa: E402
 
 POOLS = ("split_deep", "split_codim1")
 # the functions global_split closes with, timed under these names after the
@@ -102,10 +107,11 @@ def union_of(pieces, points):
 def timed_stages():
     """Time every ``global_split`` stage while the block runs: yields a dict
     to which each stage call appends its seconds, under the stage's name,
-    each call of a ``CLOSING`` function under its name there, and each call
-    of a ``PARSES`` function under its own.  The entries of
-    ``normal_form._DEEP_STAGES`` and ``_CODIM_ONE_STAGES`` and those
-    functions are wrapped for the block and put back after it."""
+    each call of a ``CLOSING`` function under its name there, each call
+    of a ``PARSES`` function under its own and each validation under
+    ``validate``.  The entries of ``normal_form._DEEP_STAGES`` and
+    ``_CODIM_ONE_STAGES`` and those functions are wrapped for the block and
+    put back after it."""
     seconds = {}
 
     def wrap(stage, fn):
@@ -120,12 +126,18 @@ def timed_stages():
     tables = normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES
     closing = {name: getattr(normal_form, name) for name in CLOSING}
     parses = {name: getattr(cli_io, name) for name in PARSES}
+    # the gate of the timed paths, MorseDatum.valid (and require_valid),
+    # looks validate_datum up on morse_data when it runs, so a wrapper there
+    # sees their validations; modules that imported the name (cli_io's
+    # validate command, the generator) keep the unwrapped function
+    validate = morse_data.validate_datum
     normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES = (
         tuple((stage, wrap(stage, fn)) for stage, fn in table) for table in tables)
     for name, fn in closing.items():
         setattr(normal_form, name, wrap(CLOSING[name], fn))
     for name, fn in parses.items():
         setattr(cli_io, name, wrap(name, fn))
+    morse_data.validate_datum = wrap("validate", validate)
     try:
         yield seconds
     finally:
@@ -134,6 +146,7 @@ def timed_stages():
             setattr(normal_form, name, fn)
         for name, fn in parses.items():
             setattr(cli_io, name, fn)
+        morse_data.validate_datum = validate
 
 
 def measure(pieces, points, runs=RUNS):
@@ -219,7 +232,7 @@ def main(argv=None):
                 with timed_stages() as stage_s:
                     row = measure(pieces, points)
                 print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
-                last = list(dict.fromkeys(CLOSING.values())) + list(PARSES)
+                last = list(dict.fromkeys(CLOSING.values())) + list(PARSES) + ["validate"]
                 names = [stage for stage in stage_s if stage not in last] + last
                 print(pool, points, "stages", *("%s=%.6f" % (name, statistics.median(stage_s[name]))
                                                 for name in names),
