@@ -45,6 +45,9 @@ class GeneratorSpec:
 # the walk and the edge sprinkle are quadratic in the points (3 s at 2,000):
 # a spec of more points is refused before anything is drawn
 MAX_POINTS = 10_000
+# each step of the walk offers one internal surgery per index 1..n (5 s for
+# two points at n = 100,000): a spec of larger n is refused the same way
+MAX_N = 100
 
 
 class _Restart(Exception):
@@ -55,7 +58,8 @@ def generate(spec: GeneratorSpec) -> MorseDatum:
     """Build a random valid datum matching the requested knobs.
 
     Raises InfeasibleSpec when the knobs contradict each other, ask for more
-    than MAX_POINTS points, or no datum was found after many attempts.
+    than MAX_POINTS points or an n above MAX_N, or no datum was found after
+    many attempts.
     """
     if spec.points < 0:
         raise InfeasibleSpec("points must be nonnegative")
@@ -73,6 +77,8 @@ def generate(spec: GeneratorSpec) -> MorseDatum:
         ambient = Ambient(spec.m, spec.n)
     except ValidationError as exc:
         raise InfeasibleSpec(str(exc))
+    if spec.n > MAX_N:
+        raise InfeasibleSpec("n must be at most %d" % (MAX_N,))
     last: Optional[Exception] = None
     for attempt in range(80):
         rng = random.Random(spec.seed * 1000003 + attempt)

@@ -31,6 +31,8 @@ A point a move or the parser builds at a value it has checked is built
 unchecked by ``CriticalPoint._trusted`` (``_at`` for a moved one), field by
 field, so it keeps the compact layout of a checked one.  A patch is placed
 by ``splice``: by bisection when it is small, by one sort when it is large.
+The points of a full target map come in the order of the map's own sort
+and are placed as they come (``MorseDatum._placed``).
 """
 
 from __future__ import annotations
@@ -460,10 +462,30 @@ class MorseDatum:
         for p in drop:
             if index[p.id] is p:  # dropped, not moved
                 del index[p.id]
+        points = splice(self.points, drop, add, CriticalPoint.sort_key)
+        return self._built(points, index, graph, slices)
+
+    def _placed(self, keys: Sequence[tuple]) -> "MorseDatum":
+        """This datum with every point moved to its key in ``keys``, the
+        ``order_key``s with id of all its points in ascending order: the
+        result of a target map that ``moves.realize_configuration`` has
+        checked whole.  The moved points (``CriticalPoint._at``) are built
+        in that order, which is their sorted order, so nothing is spliced
+        or sorted; the point index is built in the same loop, and the
+        result is marked ``valid``, as ``_patched`` marks it."""
+        old, index = self.point_index, {}
+        for key in keys:
+            index[key[2]] = old[key[2]]._at(key)
+        return self._built(tuple(index.values()), index, self.graph, self.slices)
+
+    def _built(self, points, index, graph, slices) -> "MorseDatum":
+        """A datum of this ambient and flags with these sorted points, their
+        index, ``graph`` and ``slices``, marked ``valid``: the tail of
+        ``_patched`` and ``_placed``, which make the checks."""
         out = object.__new__(MorseDatum)
         vars(out).update(
             ambient=self.ambient,
-            points=splice(self.points, drop, add, CriticalPoint.sort_key),
+            points=points,
             graph=graph,
             slices=slices,
             flags=self.flags,

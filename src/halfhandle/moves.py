@@ -23,13 +23,14 @@ the degree of the points moved, as in the rearrangement and splitting
 theorems: a rearrangement is pinned only by the flow lines and surgery
 dependencies of the points it moves, and a split changes the flow lines
 and the surgery of one point and nothing else.  The drivers, script
-replay, ``assign_values`` and ``realize_configuration`` fold runs of
-rearrangements in one pass (``_rearrange_run``): the run looks up the
+replay and ``assign_values`` fold runs of rearrangements in one pass
+(``_rearrange_run``), the one step checker: the run looks up the
 datum's indexes once, each step puts its keys into the run's one overlay
 and is checked there, inline, and the points are re-placed once per run.
 A moved point is built from its old one at the checked value, not
 checked again, and a driver's one-point record is built unchecked
-(``MoveRecord._step``), its id from the valid datum.  So is a parsed
+(``MoveRecord._step``, ``MoveRecord._split`` for the split stage), its
+id from the valid datum.  So is a parsed
 one-point rearrange line in the serializer's shape, whose pattern match
 proves the record's checks; any other parsed record takes every check,
 once (``MoveRecord`` keeps a tuple of Fractions as it is).  Runs of
@@ -43,13 +44,17 @@ unchecked (the ``_trusted`` builder of each type), from what the run and
 points or a split run's points, flow lines and effects, is placed by one
 sort (``splice``).  Values are range-checked on their ints, read from a
 Fraction's slots, and ordered by their ``order_key``s.  Only the run
-accepts a rearrangement or target map.  A refused step raises
-the reason the full replay names for the run's input datum at the
-overlay's values (``check_assignment``); a refused target map raises the
-SwapBlocked its map alone names (``_swap_blocked``).  A cancellation is
-checked at its pair, its induced flow lines by ``edge_issues``
-(``cancel_pair``).  Every move builds its result with
-``MorseDatum._patched``, which states what a patch keeps; no move
+accepts a rearrangement step.  A refused step raises the reason the full
+replay names for the run's input datum at the overlay's values
+(``check_assignment``).  A full target map is checked once, as a whole
+(``_swap_blocked``), the legality test of the rearrangement theorem:
+``realize_configuration`` raises the SwapBlocked it names, or builds its
+result and its park and place script from one sort of the targets, with
+no run; its docstring proves that every step of that script passes the
+run wherever the script is replayed.  A cancellation is checked at its
+pair, its induced flow lines by ``edge_issues`` (``cancel_pair``).  Every
+move builds its result with ``MorseDatum._patched``, which states what a
+patch keeps, and a full target map with ``MorseDatum._placed``; no move
 validates its result or rebuilds the whole datum.
 """
 
@@ -181,6 +186,15 @@ class MoveRecord:
         fields["note"] = note
         return out
 
+    @classmethod
+    def _split(cls, pid: str) -> "MoveRecord":
+        """A split record, built without ``__post_init__`` as ``_step``
+        builds a rearrange, for a ``pid`` of a valid datum: the split
+        stage's (``normal_form._split_all``)."""
+        out = object.__new__(cls)
+        vars(out).update(kind="split", ids=(pid,), values=(), note="")
+        return out
+
     def assignments(self) -> Dict[str, Fraction]:
         """Target value by point id (empty unless a rearrange)."""
         return dict(zip(self.ids, self.values))
@@ -239,37 +253,37 @@ def assign_values(
         "rearrange", ids, tuple(exact(assignments[i]) for i in ids), note)
 
 
-def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord],
-                   refused=None) -> MorseDatum:
+def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatum:
     """The datum the rearrange records of ``script`` make, one after another:
     the left fold of single checked moves over them, in one pass.
 
-    At the first record the run passes the gate (``require_valid``) and
-    looks up the datum's indexes, once.  Each record raises UnknownId for
-    an id the datum does not have, then MoveError for a value outside
-    (0, 1), checked on ints.  It puts its (value, id) keys into the run's
-    one overlay, over those of the steps before it, and each moved point is
-    checked there, inline: its flow lines must stay uphill, the makers of
-    its inputs must come before it and the users of its outputs after it.
-    On a valid datum every component id is made once and used at most
-    once, so nothing else pins the replay order.  Records of any length
-    take this one loop, which builds a one-point record no list, zip or
-    key map.  The moved points are re-placed once, at the end
-    (``with_keys``).  A refused step raises ``refused()``, which a caller
-    that names its refusals itself passes (``realize_configuration``); by
-    default that is what the fold raises: ``check_assignment`` on ``datum``
-    with its values updated by the whole overlay, which holds the earlier
-    steps and every id of the refused record: the same value map as the
-    datum the earlier steps made plus the record.
+    The one step checker of the package: ``assign_values``, script replay
+    (``apply_script``) and the drivers' joinability and separation moves
+    run through it, so every script a driver returns is checked step by
+    step wherever it is replayed.  At the first record the run passes the
+    gate (``require_valid``) and looks up the datum's indexes, once.  Each
+    record raises UnknownId for an id the datum does not have, then
+    MoveError for a value outside (0, 1), checked on ints.  It puts its
+    (value, id) keys into the run's one overlay, over those of the steps
+    before it, and each moved point is checked there, inline: its flow
+    lines must stay uphill, the makers of its inputs must come before it
+    and the users of its outputs after it.  On a valid datum every
+    component id is made once and used at most once, so nothing else pins
+    the replay order.  Records of any length take this one loop, which
+    builds a one-point record no list, zip or key map.  The moved points
+    are re-placed once, at the end (``with_keys``).  A refused step raises
+    what the fold raises: ``check_assignment`` on ``datum`` with its values
+    updated by the whole overlay, which holds the earlier steps and every
+    id of the refused record: the same value map as the datum the earlier
+    steps made plus the record.
     """
     overlay = {}  # each moved point's key
     key = overlay.get
 
-    if refused is None:
-        def refused():
-            values = datum.values()
-            values.update((pid, at[1]) for pid, at in overlay.items())
-            return check_assignment(datum, values)
+    def refused():
+        values = datum.values()
+        values.update((pid, at[1]) for pid, at in overlay.items())
+        return check_assignment(datum, values)
 
     for record in script:
         if not overlay:  # the first record
@@ -369,20 +383,41 @@ def realize_configuration(
 
     The targets must form an admissible configuration (index order, and in
     codimension one just index monotonicity), keep every flow line running
-    uphill, and put every surgery after its inputs exist.  Under those
-    conditions the park and place strategy below always succeeds: first
-    lift all points, in their current order, into a band above everything,
-    then bring them down to their targets from the bottom up.
+    uphill, and put every surgery after its inputs exist: a legal map, as
+    in the rearrangement theorem (Milnor, *Lectures on the h-cobordism
+    theorem*, §4).  A legal map is always reached by the park and place
+    strategy below: first lift all points, in their current order, into a
+    band above everything, then bring them down to their targets from the
+    bottom up.
 
     Takes valid data only (``require_valid``).  One pass over the targets
     checks each id, makes each value exact and works out its order key,
-    once, for the admissibility check and the place order; it refuses, in
-    this order, the first unknown id, the first point without a target and
-    the first value outside (0, 1).  The park and place steps run as one
-    ``_rearrange_run``, which checks each in O(deg) and alone accepts the
-    map: a run whose steps all pass leaves every point at its target in a
-    valid datum, and a legal map always gets there.  A refused run is named
-    from the map alone (``_swap_blocked``), with no full replay.
+    once; it refuses, in this order, the first unknown id, the first point
+    without a target and the first value outside (0, 1), then a map that is
+    not admissible.  One sort of the keys, (value, id) order, then serves
+    the map check (``_swap_blocked``), the place records and the result,
+    whose points are built in that order (``MorseDatum._placed``).
+
+    The map check is the one accepting check: a refused map raises the
+    SwapBlocked it names, and an accepted one is not checked step by step
+    again, because on a valid datum every step of the script passes the
+    step check that replays it (``_rearrange_run``, ``apply_script``):
+
+    * a park step lifts a point, the topmost first, to a slot above every
+      current value and every target and below the slots of the points
+      parked before it, so it keeps its side of every other point: its flow
+      lines stay uphill and the makers of its inputs stay below it, the
+      users of its outputs above it, as on the valid datum;
+    * the place steps come in target-key order, bottom up.  When a point is
+      placed, the points before it sit at their targets, below its own, and
+      the others in the band, above it.  A legal map puts every lower
+      neighbour (the source of a flow line into it, the maker of an input)
+      before it in that order and every upper one (the end of a flow line
+      out of it, the user of an output) after it, so each of them is on
+      the side the step check asks for.
+
+    The run's last overlay holds every point at its target, so its result
+    is the datum built here.
 
     Raises SwapBlocked naming two points whose order cannot be flipped.
     """
@@ -419,46 +454,51 @@ def realize_configuration(
     if all(ranks[p.id] == p.sort_key()[:2] for p in datum.points):
         return datum, []
 
+    order = sorted(keys.values())  # the one sort, in (value, id) order
+    blocked = _swap_blocked(datum, ranks, keys, order)
+    if blocked is not None:
+        raise blocked
     # park everything above current values and targets, preserving order,
     # the point in place i (canonical order) at slot i + 1 of count + 2
-    ceiling = max(datum.points[-1].sort_key(), max(keys.values()))[1]
+    ceiling = max(datum.points[-1].sort_key(), order[-1])[1]
     slots = spaced(ceiling, 1, len(datum.points) + 2)
     script = [  # topmost first, so nothing is overtaken
         MoveRecord._step(p.id, slot, "park")
         for p, slot in reversed(list(zip(datum.points, slots)))
     ]
     # place from the bottom up
-    script += [
-        MoveRecord._step(key[2], key[1], "place") for key in sorted(keys.values())
-    ]
-    return _rearrange_run(datum, script, lambda: _swap_blocked(datum, ranks)), script
+    script += [MoveRecord._step(key[2], key[1], "place") for key in order]
+    return datum._placed(order), script
 
 
-def _swap_blocked(datum: MorseDatum, values: Mapping[str, tuple]) -> SwapBlocked:
-    """The SwapBlocked for an illegal target map of a valid datum, given
-    by the ``order_key`` of each target: the first flow line it runs
-    downhill, in edge order, else the first surgery, in (value, id) order,
-    whose input is made above it.  Component ids are made once and wall
-    bits are fixed per id, so only such a surgery breaks the replay of a
-    map whose flow lines run uphill."""
+def _swap_blocked(datum: MorseDatum, ranks: Mapping[str, tuple],
+                  keys: Mapping[str, tuple], order) -> Optional[SwapBlocked]:
+    """The SwapBlocked for an illegal target map of a valid datum, None for
+    a legal one.  ``ranks`` and ``keys`` give the ``order_key`` of each
+    target, without and with its id, and ``order`` the keys sorted.  It
+    names the first flow line the map runs downhill, in edge order, else
+    the first surgery, in (value, id) order, whose input is made at or
+    above it.  Component ids are made once and wall bits are fixed per id,
+    so only such a surgery breaks the replay of a map whose flow lines run
+    uphill."""
     for e in datum.graph.edges:
-        if not values[e.src] < values[e.dst]:
+        if not ranks[e.src] < ranks[e.dst]:
             return SwapBlocked(
                 e.src, e.dst, "flow line %s->%s pins the order, targets invert it"
                 % (e.src, e.dst)
             )
-    producers = datum.slices.component_index.producer
-    seen = {c.id for c in datum.slices.bottom}
-    for p in sorted(datum.points, key=lambda p: (values[p.id], p.id)):
-        effect = datum.slices.effect_for(p.id)
-        for cid in effect.inputs:
-            if cid not in seen:
+    producer = datum.slices.component_index.producer
+    effects = datum.slices.effect_index
+    for at in order:
+        for cid in effects[at[2]].inputs:
+            maker = producer[cid]
+            if maker is not None and not keys[maker] < at:
                 return SwapBlocked(
-                    p.id, producers[cid],
+                    at[2], maker,
                     "surgery at %s needs a component made at %s, targets put "
-                    "it below" % (p.id, producers[cid]),
+                    "it below" % (at[2], maker),
                 )
-        seen.update(effect.output_ids())
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -489,9 +489,10 @@ def _separate_middle_levels(datum):
 
 def _split_all(datum):
     """Split every interior point of ``_split_range``, lowest first, as one
-    ``_split_run``."""
+    ``_split_run``; the records are built unchecked (``MoveRecord._split``),
+    their ids the datum's."""
     ids = [p.id for p in datum.interior_points(*_split_range(datum))]
-    return _split_run(datum, ids), [MoveRecord("split", (pid,)) for pid in ids]
+    return _split_run(datum, ids), [MoveRecord._split(pid) for pid in ids]
 
 
 def _segment_targets(datum) -> Dict[str, Fraction]:

@@ -599,11 +599,12 @@ def assert_pieces_as_checked(datum) -> int:
 PIECE_TYPES = (CriticalPoint, ComponentEffect, FlowEdge, SliceComponent)
 
 
-def counting_post_inits(monkeypatch) -> Counter:
+def counting_post_inits(monkeypatch, types=PIECE_TYPES) -> Counter:
     """A Counter that gets one count by class name per ``__post_init__``
-    run of a point, effect, flow line or component."""
+    run of one of ``types``, by default a point, effect, flow line or
+    component."""
     runs = Counter()
-    for cls in PIECE_TYPES:
+    for cls in types:
         def counted(self, _name=cls.__name__, _check=cls.__post_init__):
             runs[_name] += 1
             _check(self)

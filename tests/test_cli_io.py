@@ -328,6 +328,29 @@ def test_generate_refuses_more_points_than_its_cap(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: points must be at most 10000\n"
 
 
+def test_generate_refuses_an_n_above_its_cap(monkeypatch, capsys):
+    # refused before anything is drawn, as too many points are: a draw at
+    # the cap raises Drawn, and a walk at n = 10**8 would build 10**8 rows
+    # a step
+    class Drawn(Exception):
+        pass
+
+    def drawing(spec, ambient, rng):
+        raise Drawn
+
+    monkeypatch.setattr(generator, "_generate_once", drawing)
+    cap = generator.MAX_N
+    with pytest.raises(Drawn):
+        generate(GeneratorSpec(n=cap, m=cap + 1, points=2))
+    with pytest.raises(InfeasibleSpec) as refused:
+        generate(GeneratorSpec(n=cap + 1, m=cap + 2, points=2))
+    assert str(refused.value) == "n must be at most 100"
+    monkeypatch.undo()  # the CLI draws for real: refused, it returns at once
+    assert main(["generate", "--n", "100000000", "--m", "100000001",
+                 "--points", "2"]) == 1
+    assert capsys.readouterr().err == "error: n must be at most 100\n"
+
+
 def test_generate_never_returns_a_datum_its_validation_refuses(monkeypatch):
     monkeypatch.setattr(generator, "validate_datum", lambda d: ["a fault"])
     with pytest.raises(InfeasibleSpec) as refused:

@@ -21,12 +21,14 @@ a fresh build gives.
 ``cancel_pair`` patches its result and checks only the flow lines it
 induces; it must agree with ``cancel_by_rebuild``, which rebuilds the
 result and validates it whole.
-``realize_configuration`` lets its park and place run accept or refuse its
-target map and must agree with ``realize_by_replay``, which checks it by a
-full replay, and a point a move builds without checking it must be the
-point the checked constructor builds.  So must every unchecked builder of
-a point, flow line, effect or component (``_trusted``, and ``_at`` for a
-moved point), down to its ``vars``, and every piece of a split run's result.
+``realize_configuration`` accepts or refuses its target map by the map
+check alone and must agree with ``realize_by_replay``, which checks it by a
+full replay; the script of an accepted map must pass the step-checked run
+(``apply_script``) to the same datum.  A point a move builds without
+checking it must be the point the checked constructor builds.  So must
+every unchecked builder of a point, flow line, effect or component
+(``_trusted``, and ``_at`` for a moved point), down to its ``vars``, and
+every piece of a split run's result.
 ``flag_issues`` joins the components in one pass over the effects and must
 report what ``flag_issues_by_reference``, the union-find it replaced, does.
 """
@@ -657,6 +659,21 @@ def test_split_runs_carry_a_flow_line_between_two_split_points():
         assert split_run_outcome(moves.apply_script, d, records) == want, ids
 
 
+def test_a_split_pair_that_does_not_apply_to_the_wall_bits_is_named():
+    # _splits_locally replays the pair on the wall bits of z's inputs; a
+    # stable half that consumes a component no input of z carries is named
+    # by the replay's own message, not raised (a split of a valid datum
+    # never builds such a pair)
+    halves = {"zs": pt("zs", Kind.BOUNDARY_STABLE, 1, "1/3"),
+              "zu": pt("zu", Kind.BOUNDARY_UNSTABLE, 1, "2/3")}
+    z = eff("z", EffectKind.INTERNAL, ["c0"], [comp("c1")])
+    e_s = eff("zs", EffectKind.BOUNDARY_ATTACH, ["c9"], [comp("c5")])
+    e_u = eff("zu", EffectKind.BOUNDARY_ATTACH, ["c5"], [comp("c1")])
+    got = moves._splits_locally(
+        morse_data.Ambient(4, 2), halves.get, z, {"c0": True}, (), e_s, e_u)
+    assert got == "effect at 'zs' consumes missing component 'c9'"
+
+
 # ---------------------------------------------------------------------------
 # the split stage by counts, and the cached verdicts by rebuilding
 
@@ -1051,15 +1068,16 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
     assert len(d.points) == 160 and validate_datum(d) == []
     levels = normal_form.schedule_levels(d)
     counts = count_full_checks(monkeypatch)
-    for owner, name in ((MorseDatum, "_patched"), (morse_data, "splice"),
-                        (CriticalPoint, "__post_init__"),
-                        (moves, "check_assignment")):
+    for owner, name in ((MorseDatum, "_placed"), (MorseDatum, "_patched"),
+                        (morse_data, "splice"), (CriticalPoint, "__post_init__"),
+                        (moves, "check_assignment"), (moves, "_rearrange_run")):
         counted(monkeypatch, owner, name, counts)
     out, script = realize_configuration(d, levels)
     assert len(script) == 2 * len(d.points)  # park and place every point
-    # one points tuple, and no full check: the run accepts the target map
-    # and the moved points are built from the checked ones
-    assert counts == {"_patched": 1, "splice": 1}, counts
+    # one points tuple, built in the order of the one sort, and no full
+    # check and no run: the map check accepts the target map and the moved
+    # points are built from the checked ones
+    assert counts == {"_placed": 1}, counts
 
     # a surgery put below the one that makes its input: refused, and the
     # pair is named from the target map alone, with no full replay
@@ -1072,15 +1090,16 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
     with pytest.raises(SwapBlocked) as refused:
         realize_configuration(d, starved)
     assert refused.value.pair == (user, maker)
-    assert counts["check_assignment"] == 0, counts
+    assert counts["check_assignment"] == counts["_rearrange_run"] == 0, counts
     monkeypatch.undo()
     assert out == moves.apply_script(d, script)
 
 
 def test_run_steps_call_no_checker(monkeypatch):
     # each step of a run is checked inline: realize_configuration calls no
-    # checker for an accepted target map, and a replay calls no checker per
-    # step, only the gate once per stretch of records of one kind
+    # checker for an accepted target map but its own gate, and a replay
+    # calls no checker per step, only the gate once per stretch of records
+    # of one kind
     d = union(*pieces(2, 4, range(30))[:20])
     assert len(d.points) == 160 and d.valid
     levels = normal_form.schedule_levels(d)
@@ -1091,8 +1110,8 @@ def test_run_steps_call_no_checker(monkeypatch):
     counted(monkeypatch, morse_data, "validate_datum", calls)
     _, script = realize_configuration(d, levels)
     assert len(script) == 320
-    # the gates of realize_configuration and of its one run
-    assert calls == {"require_valid": 2}, calls
+    # the gate of realize_configuration, which runs no run
+    assert calls == {"require_valid": 1}, calls
 
     monkeypatch.undo()
     _, workload = benchmark_workload(monkeypatch, "split_deep", 1)
@@ -1403,6 +1422,8 @@ def test_realize_configuration_matches_the_replay_reference(d, data):
     got = realize_outcome(realize_configuration, d, targets)
     assert got == realize_outcome(realize_by_replay, d, targets), targets
     if got[0] == "accepted":
+        # the script passes the step-checked run, which makes the same datum
+        assert moves.apply_script(d, got[3]) == got[1], targets
         event("accepted, %s" % ("moved" if got[3] else "nothing to move"))
     else:  # e.g. "SwapBlocked: flow", "SwapBlocked: surgery"
         event("%s: %s" % (got[1].__name__, got[2].split()[0]))

@@ -23,7 +23,7 @@ from halfhandle.morse_data import (
     order_key,
     validate_datum,
 )
-from halfhandle.moves import apply_script, assign_values
+from halfhandle.moves import MoveRecord, apply_script, assign_values
 from halfhandle.normal_form import (
     Decomposition,
     Segment,
@@ -555,13 +555,17 @@ def test_a_warm_split_runs_no_check_of_a_piece(monkeypatch, name, splits):
     # lines) are proved by the run and _splits_locally, and are built
     # unchecked, so a warm global_split runs none of their __post_init__
     # checks (30/30/32/15 on split_deep and 64/64/76/32 on split_codim1
-    # before); each piece still equals what its checking constructor builds
+    # before); each piece still equals what its checking constructor builds.
+    # Nor does any record, the split stage's one per split included (15
+    # and 32 before), and each record equals its checked one
     _, workload = benchmark_workload(monkeypatch, name, 1)
     out, dec, script = global_split(workload.datum)
     with monkeypatch.context() as patch:
-        runs = counting_post_inits(patch)
+        runs = counting_post_inits(patch, PIECE_TYPES + (MoveRecord,))
         again = global_split(workload.datum)
         assert sum(runs.values()) == 0, runs
+        assert_records_as_checked(again[2])
+        assert runs["MoveRecord"] == len(script), runs
         # the checking constructors the comparison calls are counted
         assert assert_pieces_as_checked(again[0]) > 600
         assert all(runs[cls.__name__] > 90 for cls in PIECE_TYPES), runs

@@ -65,7 +65,9 @@ def test_scale_script_reports_the_seconds_of_each_stage():
 
 
 def test_against_times_both_checkouts_and_prints_their_ratio():
-    # this checkout against itself: a row per side and a ratio row per size
+    # this checkout against itself, in one process: a row per side and a
+    # ratio row per size; each side's replays reproduced its normal form
+    # (else the run exits), and both count the same splits and moves
     root = str(SCALE.parent.parent)
     proc = subprocess.run(
         [sys.executable, "-B", str(SCALE), "--points", "80", "--against", root],
@@ -81,6 +83,43 @@ def test_against_times_both_checkouts_and_prints_their_ratio():
         assert ratio.split()[2:4] == ["-", "-"] and ratio.split()[-2] == "-"
         for cell in ratio.split()[4:8]:
             assert re.fullmatch(r"\d+\.\d{3}x", cell), cell
+
+
+SIDES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import scale
+texts, _ = scale.load_corpus()
+sides = [scale.Side(scale.ROOT / "src", texts) for _ in range(2)]
+mine = [side.modules["halfhandle.morse_data"] for side in sides]
+assert mine[0] is not mine[1]
+outputs = []
+for side, morse_data in zip(sides, mine):
+    side.enter()
+    assert sys.modules["halfhandle.morse_data"] is morse_data
+    union = scale.union_of(side.pools["split_deep"], 80, side.union)
+    assert all(type(p) is morse_data.CriticalPoint for p in union.points)
+    out, _, script = side.normal_form.global_split(union)
+    again = scale.union_of(side.pools["split_deep"], 80, side.union)
+    assert side.moves.apply_script(again, script) == out
+    outputs.append(side.cli_io.serialize_datum(out) + side.cli_io.serialize_script(script))
+    print(scale.measure(side.pools["split_codim1"], 80, runs=1, side=side)[:3])
+assert outputs[0] == outputs[1]
+"""
+
+
+def test_against_runs_each_side_on_modules_of_its_own():
+    # two sides of this checkout, in one process: each has its own module
+    # objects, swapped into sys.modules while it runs, and builds its
+    # unions with its own classes; the two replay to the same bytes and
+    # count the same points, splits and moves
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SIDES, str(SCALE.parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 2 and rows[0] == rows[1], rows
 
 
 def test_against_refuses_a_directory_whose_package_was_not_imported(tmp_path):

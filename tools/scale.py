@@ -3,7 +3,8 @@
 Builds disjoint unions of the frozen benchmark pieces (``perfbench/corpus``,
 digest checked), each split pool in file order and repeated until the union
 has P points, and times on each, by the wall clock, the median of ``RUNS``
-runs:
+runs, each part after a full collection, so that it starts from the same
+collector state whatever ran before it:
 
 * ``global_split`` of a freshly built union, its validation included;
 * ``apply_script`` of the script it returned, onto another fresh union;
@@ -48,23 +49,31 @@ of this script with the parent's root::
 
     python3 tools/scale.py --against PARENT_DIR --points 1280 5120
 
-Each run is then a process of its own, on this checkout's corpus and
-harness with the package of one side.  Run i of a size times ``DIR``
-first when i is even and this checkout first when it is odd, as
-``tools/pairs.py`` alternates its pairs, so a drift of the host's speed
-falls on both sides alike.  Each size prints a row for ``DIR``
+Both packages are then loaded into this one process, each under module
+objects of its own (``Side``), and the runs alternate inside it: a
+separate process per run would put each side on a host of its own speed.
+Before each of its runs a side's ``halfhandle`` modules are swapped into
+``sys.modules``, so the imports the package makes as it runs find its
+own, and its unions are built by this checkout's corpus module loaded
+against its classes, from the pools its own parser read.  Run i of a size
+times ``DIR`` first when i is even and this checkout first when it is
+odd, as ``tools/pairs.py`` alternates its pairs, so a drift of the host's
+speed falls on both sides alike.  Each size prints a row for ``DIR``
 (``against``), one for this checkout (``this``), each the medians of its
 runs, and a ``ratio`` row of this checkout's times over ``DIR``'s.
 """
 
 import argparse
-import json
+import gc
+import importlib
+import importlib.util
+import pkgutil
 import statistics
-import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -83,24 +92,74 @@ CLOSING = {
 }
 PARSES = ("parse_datum", "parse_script")  # of cli_io, in the text replay
 RUNS = 5  # single runs of one size spread too widely to read a growth from
-# one run of --against in a fresh interpreter: the package is imported from
-# its side's src/ first, so the harness's own src/ entry never serves it
-ONE_RUN = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import halfhandle; "
-    "sys.path.insert(0, sys.argv[2]); import scale; scale.one_run(sys.argv[1], *sys.argv[3:])"
-)
 HEADER = "%-13s %6s %6s %6s %14s %14s %14s %14s %18s"
 ROW = "%-13s %6d %6d %6d %14.3f %14.3f %14.3f %14.3f %18s"
 
 
-def union_of(pieces, points):
-    """The first pieces of the cycled pool that hold ``points`` points."""
+# the package this script imported, and the union builder of its classes
+HERE = SimpleNamespace(cli_io=cli_io, moves=moves, normal_form=normal_form,
+                       union=disjoint_union)
+
+
+def union_of(pieces, points, union=disjoint_union):
+    """The first pieces of the cycled pool that hold ``points`` points,
+    joined by ``union``."""
     chosen, total = [], 0
     while total < points:
         piece = pieces[len(chosen) % len(pieces)]
         chosen.append(piece)
         total += len(piece.points)
-    return disjoint_union(*chosen)
+    return union(*chosen)
+
+
+def _own(name):
+    return name == "halfhandle" or name.startswith("halfhandle.")
+
+
+def _drop_package():
+    """Take every ``halfhandle`` module out of ``sys.modules``."""
+    for name in [name for name in sys.modules if _own(name)]:
+        del sys.modules[name]
+
+
+class Side:
+    """The package in ``src``, loaded under module objects of its own.
+
+    ``modules`` holds every ``halfhandle`` module of it by name,
+    ``__main__`` aside; ``cli_io``, ``moves`` and ``normal_form`` are three
+    of them, ``union`` is ``disjoint_union`` of this checkout's corpus
+    module loaded against its classes, and ``pools`` has each split pool
+    parsed by its ``parse_datum``.  A package that is not the one in
+    ``src`` is refused.  ``enter`` puts the modules into ``sys.modules``.
+    """
+
+    def __init__(self, src, texts):
+        src = Path(src).resolve()
+        _drop_package()
+        sys.path.insert(0, str(src))
+        try:
+            package = importlib.import_module("halfhandle")
+            for info in pkgutil.iter_modules(package.__path__):
+                if info.name != "__main__":
+                    importlib.import_module("halfhandle." + info.name)
+        finally:
+            sys.path.remove(str(src))
+        if Path(package.__file__).resolve().parent.parent != src:
+            raise SystemExit("halfhandle came from %s, not %s" % (package.__file__, src))
+        self.modules = {name: sys.modules[name] for name in sys.modules if _own(name)}
+        spec = importlib.util.spec_from_file_location(
+            "corpus_%d" % id(self), ROOT / "perfbench" / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        self.union = corpus.disjoint_union
+        self.cli_io, self.moves, self.normal_form = (
+            self.modules["halfhandle." + name] for name in ("cli_io", "moves", "normal_form"))
+        self.pools = {pool: [self.cli_io.parse_datum(t) for t in texts[pool]]
+                      for pool in POOLS}
+
+    def enter(self):
+        _drop_package()
+        sys.modules.update(self.modules)
 
 
 @contextmanager
@@ -149,28 +208,31 @@ def timed_stages():
         morse_data.validate_datum = validate
 
 
-def measure(pieces, points, runs=RUNS):
+def measure(pieces, points, runs=RUNS, side=HERE):
     """(points, splits, moves, global_split seconds, apply_script seconds,
     text replay seconds, text parse seconds), the times the medians of
-    ``runs`` runs."""
-    split_s, replay_s, text_s, parse_s = [], [], [], []
+    ``runs`` runs of the package of ``side`` (by default this script's)."""
+    cli, split_s, replay_s, text_s, parse_s = side.cli_io, [], [], [], []
     for _ in range(runs):
-        datum = union_of(pieces, points)
+        datum = union_of(pieces, points, side.union)
+        gc.collect()  # each timed part starts from the same collector state
         start = perf_counter()
-        out, _, script = normal_form.global_split(datum)
+        out, _, script = side.normal_form.global_split(datum)
         split_s.append(perf_counter() - start)
-        again = union_of(pieces, points)
+        again = union_of(pieces, points, side.union)
+        gc.collect()
         start = perf_counter()
-        replayed = moves.apply_script(again, script)
+        replayed = side.moves.apply_script(again, script)
         replay_s.append(perf_counter() - start)
-        texts = cli_io.serialize_datum(again), cli_io.serialize_script(script)
+        texts = cli.serialize_datum(again), cli.serialize_script(script)
+        gc.collect()
         start = perf_counter()
-        parsed = cli_io.parse_datum(texts[0]), cli_io.parse_script(texts[1])
+        parsed = cli.parse_datum(texts[0]), cli.parse_script(texts[1])
         parse_s.append(perf_counter() - start)
-        from_text = moves.apply_script(*parsed)
+        from_text = side.moves.apply_script(*parsed)
         text_s.append(perf_counter() - start)
-        want = cli_io.serialize_datum(out)
-        if any(cli_io.serialize_datum(d) != want for d in (replayed, from_text)):
+        want = cli.serialize_datum(out)
+        if any(cli.serialize_datum(d) != want for d in (replayed, from_text)):
             raise SystemExit("replaying the script does not give the normal form")
     splits = sum(1 for r in script if r.kind == "split")
     return (len(datum.points), splits, len(script), statistics.median(split_s),
@@ -178,35 +240,17 @@ def measure(pieces, points, runs=RUNS):
             statistics.median(parse_s))
 
 
-def one_run(src, pool, points):
-    """Print one run of ``measure`` on ``pool`` at ``points`` as JSON, for
-    the package in ``src``, which must be the one imported."""
-    import halfhandle
-
-    if Path(halfhandle.__file__).resolve().parent.parent != Path(src).resolve():
-        raise SystemExit("halfhandle came from %s, not %s" % (halfhandle.__file__, src))
-    texts, _ = load_corpus()
-    pieces = [cli_io.parse_datum(t) for t in texts[pool]]
-    print(json.dumps(measure(pieces, int(points), runs=1)))
-
-
-def alternate(against, pool, points):
-    """The rows of ``against`` and of this checkout at one size, from
-    ``RUNS`` alternating runs of each in processes of their own."""
-    sides = (("against", against / "src"), ("this", ROOT / "src"))
-    got = {side: [] for side, _ in sides}
+def alternate(sides, pool, points):
+    """The rows of the two ``sides`` (``DIR``'s, then this checkout's) at
+    one size, from ``RUNS`` alternating runs of each in this process."""
+    got = [[], []]
     for i in range(RUNS):
-        for side, src in sides[:: 1 if i % 2 == 0 else -1]:
-            proc = subprocess.run(
-                [sys.executable, "-B", "-c", ONE_RUN, str(src), str(ROOT / "tools"),
-                 pool, str(points)], capture_output=True, text=True, timeout=600)
-            if proc.returncode != 0:
-                raise SystemExit("%s run of %s at %d failed:\n%s"
-                                 % (side, pool, points, proc.stderr))
-            got[side].append(json.loads(proc.stdout))
+        for j in (0, 1) if i % 2 == 0 else (1, 0):
+            sides[j].enter()
+            got[j].append(measure(sides[j].pools[pool], points, runs=1, side=sides[j]))
     return [tuple(runs[0][:3]) + tuple(statistics.median(r[i] for r in runs)
                                        for i in range(3, 7))
-            for runs in got.values()]
+            for runs in got]
 
 
 def growth(row, before):
@@ -221,14 +265,16 @@ def main(argv=None):
                         help="root of a second checkout, timed alternately with this one")
     args = parser.parse_args(argv)
     texts, _ = load_corpus()
+    if args.against is not None:
+        sides = [Side(args.against / "src", texts), Side(ROOT / "src", texts)]
     print(HEADER % (
         "pool", "P", "splits", "moves", "global_split_s", "apply_script_s",
         "replay_text_s", "parse_text_s", "growth") + ("" if args.against is None else " side"))
     for pool in POOLS:
-        pieces = [cli_io.parse_datum(t) for t in texts[pool]]
         before = None
         for points in args.points:
             if args.against is None:
+                pieces = [cli_io.parse_datum(t) for t in texts[pool]]
                 with timed_stages() as stage_s:
                     row = measure(pieces, points)
                 print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
@@ -239,7 +285,7 @@ def main(argv=None):
                       file=sys.stderr, flush=True)
                 before = row
                 continue
-            rows = alternate(args.against, pool, points)
+            rows = alternate(sides, pool, points)
             for side, row, last in zip(("against", "this"), rows, before or (None, None)):
                 print(ROW % ((pool,) + row + (growth(row, last),)) + " " + side)
             ratio = tuple("%.3fx" % (rows[1][i] / rows[0][i]) for i in range(3, 7))
