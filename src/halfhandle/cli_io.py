@@ -209,15 +209,21 @@ def _point(match, pool) -> CriticalPoint:
 
 
 def _effect(match, pool) -> ComponentEffect:
-    """Checked here: the kind word, and no input or output id twice."""
+    """Checked here: the kind word, and no input or output id twice, by a
+    set of the ids where there are two or more."""
     inputs = () if match[3] == "-" else tuple(match[3].split(","))
-    outputs = () if match[4] == "-" else tuple(
-        SliceComponent._trusted(cid, bit == "true")
-        for cid, bit in (item.split(":") for item in match[4].split(","))
-    )
-    if len(set(inputs)) < len(inputs) or len({c.id for c in outputs}) < len(outputs):
+    outputs, ids = [], []
+    if match[4] != "-":
+        for item in match[4].split(","):
+            cid, _, bit = item.partition(":")
+            ids.append(cid)
+            outputs.append(SliceComponent._trusted(cid, bit == "true"))
+    if (len(inputs) > 1 and len(set(inputs)) < len(inputs)
+            or len(ids) > 1 and len(set(ids)) < len(ids)):
         raise ValueError("a repeated id")
-    return ComponentEffect._trusted(match[1], _EFFECT_KINDS[match[2]], inputs, outputs)
+    return ComponentEffect._trusted(
+        match[1], _EFFECT_KINDS[match[2]], inputs, tuple(outputs)
+    )
 
 
 def _edge(match, pool) -> FlowEdge:

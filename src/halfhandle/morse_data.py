@@ -32,7 +32,9 @@ unchecked by ``CriticalPoint._trusted`` (``_at`` for a moved one), field by
 field, so it keeps the compact layout of a checked one.  A patch is placed
 by ``splice``: by bisection when it is small, by one sort when it is large.
 The points of a full target map come in the order of the map's own sort
-and are placed as they come (``MorseDatum._placed``).
+and are placed as they come (``MorseDatum._placed``), and a split run puts
+each pair in its point's place in one pass over the points
+(``MorseDatum._built``).
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 def order_key(value: Fraction, *pid: str) -> tuple:
     """``(float, value)``, or ``(float, value, id)`` with an id: the key
-    that orders a Fraction, or a point at it, exactly and at float speed
-    (see the module docstring).  Compare keys only with keys."""
-    return (value.numerator / value.denominator, value, *pid)
+    that orders a Fraction or an int, or a point at it, exactly and at
+    float speed (see the module docstring), its ints read by ``_terms``.
+    Compare keys only with keys."""
+    num, den = _terms(value)
+    return (num / den, value, *pid)
 
 
 def exact(value) -> Fraction:
@@ -334,10 +338,11 @@ def splice(items: tuple, drop, add, key) -> tuple:
     many are placed by one ``list.sort`` of the kept and added items, one
     key each and a merge of the sorted runs.  At 160 to 5,120 points the
     two cost the same at about one added item per ten kept ones, so a
-    lone split or cancel is placed by bisection and a run's whole
-    re-placement (``MorseDatum.with_keys``) or a split run's points, flow
-    lines and effects by the sort.  The moves patch the points, flow lines
-    and effects of a datum with it.
+    lone split's flow lines and effects or a cancel are placed by
+    bisection and a run's whole re-placement (``MorseDatum.with_keys``) or
+    a split run's flow lines and effects by the sort.  The moves patch the
+    points (but for a split run's), flow lines and effects of a datum with
+    it.
     """
     if 100 * len(drop) < len(items):
         kept, start = [], 0
@@ -360,25 +365,6 @@ def splice(items: tuple, drop, add, key) -> tuple:
         start = i
     out += kept[start:]
     return tuple(out)
-
-
-def admissible_keys(points: Sequence[CriticalPoint], keys: Mapping[str, tuple]) -> bool:
-    """Whether the points, each at its ``order_key`` in ``keys``, follow the
-    admissible order: a lower index sits strictly lower, and so does a
-    boundary stable point below a boundary unstable one of equal index.
-    Equal-index, equal-value pairs are fine otherwise.
-
-    One pass over the points reads each rank's lowest and highest key, for
-    the index of every point and for (index, stable before unstable) of
-    every boundary point; each order holds when no rank's lowest key lies
-    at or below a lower rank's highest (``_ascending``)."""
-    index_low, index_high, wall_low, wall_high = {}, {}, {}, {}
-    for p in points:
-        at, kind = keys[p.id], p.kind
-        _widen(index_low, index_high, p.index, at)
-        if kind is not Kind.INTERIOR:
-            _widen(wall_low, wall_high, (p.index, kind is Kind.BOUNDARY_UNSTABLE), at)
-    return _ascending(index_low, index_high) and _ascending(wall_low, wall_high)
 
 
 @dataclass(frozen=True)
@@ -481,7 +467,8 @@ class MorseDatum:
     def _built(self, points, index, graph, slices) -> "MorseDatum":
         """A datum of this ambient and flags with these sorted points, their
         index, ``graph`` and ``slices``, marked ``valid``: the tail of
-        ``_patched`` and ``_placed``, which make the checks."""
+        ``_patched``, ``_placed`` and ``moves._split_run``, which make the
+        checks."""
         out = object.__new__(MorseDatum)
         vars(out).update(
             ambient=self.ambient,

@@ -41,21 +41,24 @@ the points, flow lines and effects are patched once per run.  A split's
 halves, attach effects, tongue component and moved flow lines are built
 unchecked (the ``_trusted`` builder of each type), from what the run and
 ``_splits_locally`` prove, and a large patch, such as a run's re-placed
-points or a split run's points, flow lines and effects, is placed by one
-sort (``splice``).  Values are range-checked on their ints, read from a
-Fraction's slots, and ordered by their ``order_key``s.  Only the run
+points or a split run's flow lines and effects, is placed by one sort
+(``splice``); a split run's pairs take their points' places in one
+pass.  Values are range-checked on their ints, read from a Fraction's
+slots, and ordered by their ``order_key``s.  Only the run
 accepts a rearrangement step.  A refused step raises the reason the full
 replay names for the run's input datum at the overlay's values
 (``check_assignment``).  A full target map is checked once, as a whole
-(``_swap_blocked``), the legality test of the rearrangement theorem:
+(``_swap_blocked``), the legality test of the rearrangement theorem,
+after its admissibility is read along the map's one sort (``_ordered``):
 ``realize_configuration`` raises the SwapBlocked it names, or builds its
 result and its park and place script from one sort of the targets, with
 no run; its docstring proves that every step of that script passes the
 run wherever the script is replayed.  A cancellation is checked at its
 pair, its induced flow lines by ``edge_issues`` (``cancel_pair``).  Every
 move builds its result with ``MorseDatum._patched``, which states what a
-patch keeps, and a full target map with ``MorseDatum._placed``; no move
-validates its result or rebuilds the whole datum.
+patch keeps, a full target map with ``MorseDatum._placed`` and a split run
+with ``MorseDatum._built``; no move validates its result or rebuilds the
+whole datum.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from .morse_data import (
     CriticalPoint,
     Kind,
     MorseDatum,
-    admissible_keys,
+    _terms,
     between,
     exact,
     first_inversion,
@@ -394,9 +397,11 @@ def realize_configuration(
     checks each id, makes each value exact and works out its order key,
     once; it refuses, in this order, the first unknown id, the first point
     without a target and the first value outside (0, 1), then a map that is
-    not admissible.  One sort of the keys, (value, id) order, then serves
-    the map check (``_swap_blocked``), the place records and the result,
-    whose points are built in that order (``MorseDatum._placed``).
+    not admissible.  One sort of the keys, (value, id) order, serves the
+    admissibility test (``_ordered``, one pass along it), the map check
+    (``_swap_blocked``), the place records and the result, whose points
+    are built in that order (``MorseDatum._placed``).  A refused
+    codimension-one map names its pair by ``first_inversion``.
 
     The map check is the one accepting check: a refused map raises the
     SwapBlocked it names, and an accepted one is not checked step by step
@@ -440,21 +445,19 @@ def realize_configuration(
     if outside is not None:
         raise outside
 
-    if datum.ambient.codim >= 2:
-        if not admissible_keys(datum.points, ranks):
+    order = sorted(keys.values())  # the one sort, in (value, id) order
+    deep = datum.ambient.codim >= 2
+    if not _ordered(order, index, deep):
+        if deep:
             raise Inadmissible("target configuration violates the index order")
-    else:
-        inversion = first_inversion(datum.points, ranks)
-        if inversion is not None:
-            raise Inadmissible(
-                "codimension one targets must be index monotone "
-                "(%s vs %s)" % (inversion[0].id, inversion[1].id)
-            )
+        z, w = first_inversion(datum.points, ranks)
+        raise Inadmissible(
+            "codimension one targets must be index monotone (%s vs %s)" % (z.id, w.id)
+        )
 
     if all(ranks[p.id] == p.sort_key()[:2] for p in datum.points):
         return datum, []
 
-    order = sorted(keys.values())  # the one sort, in (value, id) order
     blocked = _swap_blocked(datum, ranks, keys, order)
     if blocked is not None:
         raise blocked
@@ -469,6 +472,39 @@ def realize_configuration(
     # place from the bottom up
     script += [MoveRecord._step(key[2], key[1], "place") for key in order]
     return datum._placed(order), script
+
+
+def _ordered(order, index: Mapping[str, CriticalPoint], deep: bool) -> bool:
+    """Whether a target map, ``order`` its ``order_key``s with id in
+    ascending order and ``index`` its points by id, is admissible: a lower
+    index sits strictly lower, and when ``deep`` so does a boundary stable
+    point below a boundary unstable one of equal index; equal-index,
+    equal-value pairs are fine otherwise.
+
+    Read in one pass along the sort: the index never falls and rises only
+    onto a strictly higher (float, value) level, and when ``deep`` the
+    same holds for (index, stable before unstable) of the boundary points.
+    Then any two points of unequal rank have the lower one strictly lower,
+    for a rise lies between them; and conversely an admissible map has no
+    such fall or level rise between neighbours in the sort.  In
+    codimension one this is ``first_inversion(...) is None``."""
+    rank, wall = -1, (-1, False)  # below every index and (index, unstable)
+    at = wall_at = (None, None)  # the key before, of any and of a boundary point
+    for key in order:
+        p = index[key[2]]
+        if p.index != rank:
+            if p.index < rank or (key[0] == at[0] and key[1] == at[1]):
+                return False
+            rank = p.index
+        at = key
+        if deep and p.kind is not Kind.INTERIOR:
+            here = (p.index, p.kind is Kind.BOUNDARY_UNSTABLE)
+            if here != wall:
+                if here < wall or (key[0] == wall_at[0] and key[1] == wall_at[1]):
+                    return False
+                wall = here
+            wall_at = key
+    return True
 
 
 def _swap_blocked(datum: MorseDatum, ranks: Mapping[str, tuple],
@@ -683,11 +719,11 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     the new ends of z's flow lines (lines into a split point end at its
     stable half, lines out of it leave from its unstable half); the new
     makers and users of components; and the number of components made.
-    Joinability is read off the wall bits of z's inputs, and the pair takes
-    z's place in the point order, found by bisection.  Each split is judged
-    by ``_splits_locally`` alone and refused in place, with the class and
-    message the fold raises: the overlay answers every question the fold
-    asks of its datum as that datum does.
+    Joinability is read off the wall bits of z's inputs, and z's gap off
+    its neighbours in the point order, found by bisection.  Each split is
+    judged by ``_splits_locally`` alone and refused in place, with the
+    class and message the fold raises: the overlay answers every question
+    the fold asks of its datum as that datum does.
 
     The pieces of a split are built unchecked (``_trusted``): the halves'
     ids are fresh, their kinds and index z's, and their values lie
@@ -696,9 +732,14 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     ones; the attach effects and the tongue come from ``_split_effects``.
     ``_splits_locally`` then judges the pair as a whole.
 
-    The run gathers every dropped and added point, flow line and effect and
-    patches once, at the end (``MorseDatum._patched``); the patched graph
-    and slice complex build their indexes when first asked.
+    The run gathers every dropped and added flow line and effect and
+    patches once, at the end; the patched graph and slice complex build
+    their indexes when first asked.  The points are built in one pass over
+    the datum's, each split point replaced by its pair, stable half first:
+    the pair lies strictly inside the point's gap, so it takes the point's
+    place in the sorted order and nothing is spliced or sorted.  The point
+    index is patched as ``MorseDatum._patched`` patches it, and the result
+    is built by ``MorseDatum._built``, marked ``valid``.
     """
     ids = tuple(ids)
     if not ids:
@@ -752,9 +793,9 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
         if i + 1 < len(points):
             y = points[i + 1]
             above = pairs[y.id][0].value if y.id in pairs else y.value
-        num, den = v.numerator, v.denominator
-        if (num * below.denominator == below.numerator * den
-                or num * above.denominator == above.numerator * den):
+        (num, den), (b_num, b_den) = _terms(v), _terms(below)
+        a_num, a_den = _terms(above)
+        if num * b_den == b_num * den or num * a_den == a_num * den:
             raise MoveError(
                 "point %r shares its critical value; separate the points first"
                 % (z_id,)
@@ -813,8 +854,19 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
             made.update((c.id, e.at) for c in e.outputs)
             used.update((cid, e.at) for cid in e.inputs)
 
-    return datum._patched(
-        [index[z_id] for z_id in pairs], list(halves.values()),
+    placed = []  # each pair in its point's place (see the docstring)
+    for p in points:
+        if p.id in pairs:
+            placed += pairs[p.id]
+        else:
+            placed.append(p)
+    new_index = dict(index)  # as ``_patched`` builds it
+    new_index.update(halves)
+    for z_id in pairs:
+        if new_index[z_id] is index[z_id]:  # split, its id not taken by a half
+            del new_index[z_id]
+    return datum._built(
+        tuple(placed), new_index,
         datum.graph._patched(drop_edges, add_edges.values()),
         slices._patched(drop_effects, add_effects),
     )

@@ -34,7 +34,6 @@ from .morse_data import (
     Kind,
     MorseDatum,
     between,
-    first_inversion,
     order_key,
     ratio,
     require_valid,
@@ -288,22 +287,28 @@ def derive_half_handle_decomposition(datum: MorseDatum) -> Optional[Decompositio
 def derive_monotone_decomposition(datum: MorseDatum) -> Optional[Decomposition]:
     """Codimension-one shape: a low piece (indices 0 and 1), singleton
     middle pieces with weakly increasing indices, and a high piece
-    (indices n and n+1).  Values must be strictly index monotone."""
+    (indices n and n+1).  Values must be strictly index monotone.
+
+    Read off neighbours in the sorted points: the index never falls and
+    changes only between unequal keys, which makes any two points of
+    unequal index strictly ordered by it, and no two middle points share a
+    level.  Then the low points come first and the high ones last."""
     n = datum.ambient.n
     if n < 2:
         return None
-    keys = {p.id: p.sort_key()[:2] for p in datum.points}  # (float, value)
-    if first_inversion(datum.points, keys) is not None:
-        return None
-    low = [p for p in datum.points if p.index <= 1]
-    mids = [p for p in datum.points if 2 <= p.index <= n - 1]
-    high = [p for p in datum.points if p.index >= n]
-    for p, q in zip(mids, mids[1:]):  # in value order, so a shared level is adjacent
-        if keys[p.id] == keys[q.id]:
-            return None  # two middle points share a level, no singleton segments
-    low_hi = max([keys[p.id] for p in low], default=_ZERO_KEY)[1]
-    high_lo = min([keys[p.id] for p in high], default=_ONE_KEY)[1]
-    anchors = [low_hi] + [p.value for p in mids] + [high_lo]
+    points = datum.points
+    for p, q in zip(points, points[1:]):
+        if q.index < p.index:
+            return None
+        if (p._float == q._float and p.value == q.value
+                and (p.index != q.index or 2 <= p.index <= n - 1)):
+            return None  # an inversion, or two middle points on one level
+    low = [p for p in points if p.index <= 1]
+    high = [p for p in points if p.index >= n]
+    mids = points[len(low):len(points) - len(high)]
+    anchors = [low[-1].value if low else _ZERO]
+    anchors += [p.value for p in mids]
+    anchors.append(high[0].value if high else _ONE)
     cuts = [_ZERO]
     cuts += [between(x, y, 1, 2) for x, y in zip(anchors, anchors[1:])]
     cuts.append(_ONE)
@@ -338,7 +343,11 @@ def _trivial_decomposition(datum: MorseDatum) -> Decomposition:
 
 
 def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
-    """Independent check that a decomposition really describes the datum."""
+    """Independent check that a decomposition really describes the datum.
+
+    Each point is looked up once and each segment bound keyed once: a
+    segment's lo is its predecessor's hi, checked equal.  The segments
+    cover the datum when they place as many distinct points as it has."""
     segs = dec.segments
     if not segs:
         return False
@@ -347,18 +356,21 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
     for s, t in zip(segs, segs[1:]):
         if s.hi != t.lo:
             return False
-    placed = {}
+    index, placed, members = datum.point_index, set(), []
+    hi = order_key(segs[0].lo)
     for s in segs:
-        lo, hi = order_key(s.lo), order_key(s.hi)
+        lo, hi = hi, order_key(s.hi)
         if not (lo < hi):
             return False
+        inside = []
         for pid in s.point_ids:
-            if pid in placed or not datum.has_point(pid):
+            p = index.get(pid)
+            if p is None or pid in placed or not (lo < (p._float, p.value) < hi):
                 return False
-            placed[pid] = s
-            if not (lo < datum.point(pid).sort_key()[:2] < hi):
-                return False
-    if set(placed) != {p.id for p in datum.points}:
+            placed.add(pid)
+            inside.append(p)
+        members.append(inside)
+    if len(placed) != len(index):
         return False
 
     n = datum.ambient.n
@@ -366,38 +378,31 @@ def verify_decomposition(datum: MorseDatum, dec: Decomposition) -> bool:
         frame = _half_handle_frame(n)
         if len(segs) != len(frame):
             return False
-        for (lo, hi, _, _, label, cert), s in zip(frame, segs):
+        for (lo, hi, _, _, label, cert), s, inside in zip(frame, segs, members):
             # one tuple compare: a report derive made holds the frame's own
             # objects and passes by identity, any other one is read by value
             if (s.label, s.lo, s.hi, s.cert) != (label, lo, hi, cert):
                 return False
-            for pid in s.point_ids:
-                p = datum.point(pid)
-                if (p.kind.value, p.index) != cert:
+            for p in inside:  # a Kind is its str value
+                if (p.kind, p.index) != cert:
                     return False
         return True
     if dec.style == "monotone":
         if len(segs) < 2 or segs[0].cert != ("low",) or segs[-1].cert != ("high",):
             return False
-        for s in segs[1:-1]:
-            if s.cert != ("mid",) or len(s.point_ids) != 1:
+        # every point in its piece: indices <= 1 in the first, >= n in the
+        # last (a point of both fits neither), each middle one alone, weakly
+        # increasing
+        if (any(p.index > 1 or p.index >= n for p in members[0])
+                or any(p.index < n or p.index <= 1 for p in members[-1])):
+            return False
+        last_mid_index = 2
+        for s, inside in zip(segs[1:-1], members[1:-1]):
+            if s.cert != ("mid",) or len(inside) != 1:
                 return False
-        last_mid_index = None
-        for s in segs[1:-1]:
-            p = datum.point(s.point_ids[0])
-            if not (2 <= p.index <= n - 1):
+            if not (last_mid_index <= inside[0].index <= n - 1):
                 return False
-            if last_mid_index is not None and p.index < last_mid_index:
-                return False
-            last_mid_index = p.index
-        for p in datum.points:
-            seg = placed[p.id]
-            if p.index <= 1 and seg is not segs[0]:
-                return False
-            if p.index >= n and seg is not segs[-1]:
-                return False
-            if 2 <= p.index <= n - 1 and (seg is segs[0] or seg is segs[-1]):
-                return False
+            last_mid_index = inside[0].index
         return True
     if dec.style == "trivial":
         return len(segs) == 1 and segs[0].cert == ("any",)

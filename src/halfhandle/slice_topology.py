@@ -426,43 +426,43 @@ def flag_issues(complex: SliceComplex, flags, final: Dict[str, bool]) -> list:
         # all components it involves.  A class with no wall contact that
         # also avoids bottom and top would be a closed piece of cobordism.
         # Effects come in point order, not replay order, so a component may
-        # be used before its maker is reached: only roots get a parent.
+        # be used before its maker is reached: only roots get a parent.  A
+        # root is found inline, not by a call per lookup: an id without a
+        # parent is a root, and the path is halved on the way.
         parent: Dict[str, str] = {}
         wall_bit = {c.id: c.touches_wall for c in complex.bottom}
         for e in complex.effects:
-            if not (e.inputs or e.outputs):  # at an unknown point: no glue
-                continue
-            glue = _find(parent, e.inputs[0] if e.inputs else e.outputs[0].id)
-            for cid in e.inputs:
-                root = _find(parent, cid)
-                if root != glue:
-                    parent[root] = glue
+            ids = list(e.inputs)
             for c in e.outputs:
                 wall_bit[c.id] = c.touches_wall
-                root = _find(parent, c.id)
-                if root != glue:
+                ids.append(c.id)
+            glue = None  # at an unknown point an effect may glue nothing
+            for cid in ids:
+                root, up = cid, parent.get(cid, cid)
+                while up != root:
+                    parent[root] = top = parent.get(up, up)  # skip a step
+                    root, up = top, parent.get(top, top)
+                if glue is None:
+                    glue = root
+                elif root != glue:
                     parent[root] = glue
-        root_of = {cid: _find(parent, cid) for cid in wall_bit}
+        root_of = {}
+        for cid in (*wall_bit, *final):
+            root, up = cid, parent.get(cid, cid)
+            while up != root:
+                parent[root] = top = parent.get(up, up)
+                root, up = top, parent.get(top, top)
+            root_of[cid] = root
         open_roots = {root_of[cid] for cid, touches in wall_bit.items() if touches}
         open_roots.update(root_of[c.id] for c in complex.bottom)
-        open_roots.update(_find(parent, cid) for cid in final)
-        closed = sorted(cid for cid, r in root_of.items() if r not in open_roots)
+        open_roots.update(root_of[cid] for cid in final)
+        closed = sorted(cid for cid in wall_bit if root_of[cid] not in open_roots)
         for cid in closed:
             issues.append(
                 "flag no_closed_cobordism but component %r sits in a closed piece"
                 % (cid,)
             )
     return issues
-
-
-def _find(parent: Dict[str, str], cid: str) -> str:
-    """The root of ``cid`` in the forest ``parent``, where an id without a
-    parent is a root; the path is halved on the way."""
-    up = parent.get(cid, cid)
-    while up != cid:
-        parent[cid] = top = parent.get(up, up)  # cid skips a step
-        cid, up = top, parent.get(top, top)
-    return cid
 
 
 def joinable_to_wall(ambient: Ambient, points, complex: SliceComplex, point_id: str):

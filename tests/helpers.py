@@ -40,7 +40,8 @@ from halfhandle.morse_data import (
     Flags,
     Kind,
     MorseDatum,
-    admissible_keys,
+    _ascending,
+    _widen,
     dimension_profile,
     exact,
     first_inversion,
@@ -326,8 +327,28 @@ def first_inversion_by_pairs(points, values, rank=lambda p: p.index):
                  if rank(z) < rank(w) and not values[z.id] < values[w.id]), None)
 
 
+def admissible_keys(points: Sequence[CriticalPoint], keys: Mapping[str, tuple]) -> bool:
+    """Whether the points, each at its ``order_key`` in ``keys``, follow the
+    admissible order: a lower index sits strictly lower, and so does a
+    boundary stable point below a boundary unstable one of equal index.
+    Equal-index, equal-value pairs are fine otherwise.  The reference for
+    ``moves._ordered``, which reads the same verdict along the sorted keys.
+
+    One pass over the points reads each rank's lowest and highest key, for
+    the index of every point and for (index, stable before unstable) of
+    every boundary point; each order holds when no rank's lowest key lies
+    at or below a lower rank's highest (``_ascending``)."""
+    index_low, index_high, wall_low, wall_high = {}, {}, {}, {}
+    for p in points:
+        at, kind = keys[p.id], p.kind
+        _widen(index_low, index_high, p.index, at)
+        if kind is not Kind.INTERIOR:
+            _widen(wall_low, wall_high, (p.index, kind is Kind.BOUNDARY_UNSTABLE), at)
+    return _ascending(index_low, index_high) and _ascending(wall_low, wall_high)
+
+
 def admissible_keys_by_two_passes(points, keys) -> bool:
-    """The reference for ``morse_data.admissible_keys``: an inversion
+    """The reference for ``admissible_keys``: an inversion
     search over every pair of points by index, then over every pair of
     boundary points by (index, stable before unstable)."""
     if first_inversion_by_pairs(points, keys) is not None:
@@ -752,6 +773,59 @@ def flag_issues_by_reference(complex, flags, final):
                 "flag no_closed_cobordism but component %r sits in a closed piece"
                 % (cid,))
     return issues
+
+
+def flag_issues_by_find(complex, flags, final):
+    """``slice_topology.flag_issues`` as it was before its roots became
+    dict lookups: one pass over the effects, each root found by a call of
+    ``_find``, which walks the ``parent`` chain and halves it.  The
+    reference for the relabelling union-find."""
+    issues = []
+    if flags.no_closed_bottom:
+        for c in complex.bottom:
+            if not c.touches_wall:
+                issues.append(
+                    "flag no_closed_bottom but bottom component %r is closed" % (c.id,))
+    if flags.no_closed_top:
+        for cid in sorted(cid for cid, touches in final.items() if not touches):
+            issues.append("flag no_closed_top but top component %r is closed" % (cid,))
+
+    if flags.no_closed_cobordism:
+        parent = {}
+        wall_bit = {c.id: c.touches_wall for c in complex.bottom}
+        for e in complex.effects:
+            if not (e.inputs or e.outputs):  # at an unknown point: no glue
+                continue
+            glue = _find(parent, e.inputs[0] if e.inputs else e.outputs[0].id)
+            for cid in e.inputs:
+                root = _find(parent, cid)
+                if root != glue:
+                    parent[root] = glue
+            for c in e.outputs:
+                wall_bit[c.id] = c.touches_wall
+                root = _find(parent, c.id)
+                if root != glue:
+                    parent[root] = glue
+        root_of = {cid: _find(parent, cid) for cid in wall_bit}
+        open_roots = {root_of[cid] for cid, touches in wall_bit.items() if touches}
+        open_roots.update(root_of[c.id] for c in complex.bottom)
+        open_roots.update(_find(parent, cid) for cid in final)
+        closed = sorted(cid for cid, r in root_of.items() if r not in open_roots)
+        for cid in closed:
+            issues.append(
+                "flag no_closed_cobordism but component %r sits in a closed piece"
+                % (cid,))
+    return issues
+
+
+def _find(parent, cid):
+    """The root of ``cid`` in the forest ``parent``, where an id without a
+    parent is a root; the path is halved on the way."""
+    up = parent.get(cid, cid)
+    while up != cid:
+        parent[cid] = top = parent.get(up, up)  # cid skips a step
+        cid, up = top, parent.get(top, top)
+    return cid
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ numerator and denominator have a thousand digits, and where the float
 underflows to 0.0; sorting and ``splice`` by ``sort_key`` must give the
 sequence that sorting by (value, id) gives, and ``splice``, which places
 a large patch by one sort, must give what placing every added item by
-bisection (``splice_by_bisection``) gives.  ``admissible_keys`` and
-``first_inversion`` read each rank's lowest and highest key in one pass;
-over tied, colliding and underflowing keys they must decide as a search
-of every pair of points does (``admissible_keys_by_two_passes``,
-``first_inversion_by_pairs``), and ``first_inversion`` must name the
-pair that search finds first.  The uphill test of a flow
+bisection (``splice_by_bisection``) gives.  ``admissible_keys`` (the
+reference kept in ``helpers``) and ``first_inversion`` read each rank's
+lowest and highest key in one pass; over tied, colliding and underflowing
+keys they must decide as a search of every pair of points does
+(``admissible_keys_by_two_passes``, ``first_inversion_by_pairs``), and
+``first_inversion`` must name the pair that search finds first.  The map
+check of ``realize_configuration`` (``moves._ordered``) reads the same
+verdicts along the sorted keys, over equal and colliding values.  The uphill test of a flow
 line (``edge_issues``) and the codimension-one decomposition, derived and
 verified, compare the keys too and must decide as the values do.
 
@@ -42,16 +44,17 @@ from halfhandle.morse_data import (
     CriticalPoint,
     Kind,
     MorseDatum,
-    admissible_keys,
     first_inversion,
     order_key,
     splice,
 )
+from halfhandle.moves import _ordered
 from halfhandle.normal_form import derive_monotone_decomposition, verify_decomposition
 from halfhandle.slice_topology import SliceComplex
 from halfhandle.trajectory import FlowEdge, Locus, TrajectoryGraph, edge_issues
 
 from helpers import (
+    admissible_keys,
     admissible_keys_by_two_passes,
     first_inversion_by_pairs,
     splice_by_bisection,
@@ -211,6 +214,59 @@ def test_one_pass_admissibility_decides_as_the_two_inversion_passes(cells, order
         assert (first_inversion(points, keys, rank)
                 == first_inversion_by_pairs(points, keys, rank))
     event("admissible" if got else "inadmissible")
+
+
+@st.composite
+def target_maps(draw):
+    """Points of any kind and index, with distinct ids in any order, at
+    values drawn from a pool of at most ten, two of them a pair whose
+    floats may collide, so that ranks tie, interleave and share levels;
+    some of them given their sorted values by index, or by index and then
+    stable before unstable, so that maps admissible in codimension one or
+    in both senses are common too.  The points and their ``order_key``s by
+    id."""
+    a, b = draw(colliding())
+    pool = draw(st.lists(values, max_size=8)) + [a, b]
+    cells = [(kind, index + (kind is Kind.BOUNDARY_STABLE), v) for kind, index, v in
+             draw(st.lists(st.tuples(st.sampled_from(RANK_KINDS), st.integers(0, 4),
+                                     st.sampled_from(pool)), max_size=12))]
+    rank = draw(st.sampled_from([None, lambda c: c[1],
+                                 lambda c: (c[1], c[0] is Kind.BOUNDARY_UNSTABLE)]))
+    if rank is not None:
+        cells = [(kind, index, v) for (kind, index, _), v in
+                 zip(sorted(cells, key=rank), sorted(v for _, _, v in cells))]
+    names = draw(st.permutations(["p%d" % k for k in range(len(cells))]))
+    points = [CriticalPoint(pid, kind, index, v) for pid, (kind, index, v) in zip(names, cells)]
+    return points, {p.id: order_key(p.value) for p in points}
+
+
+def map_of(*cells):
+    points = [CriticalPoint("p%d" % k, kind, index, Fraction(v))
+              for k, (kind, index, v) in enumerate(cells)]
+    return points, {p.id: order_key(p.value) for p in points}
+
+
+STABLE, UNSTABLE = Kind.BOUNDARY_STABLE, Kind.BOUNDARY_UNSTABLE
+
+
+@settings(max_examples=500, deadline=None)
+@given(target_maps())
+@example(map_of((STABLE, 1, "1/3"), (UNSTABLE, 1, "1/3")))  # a wall pair on one level
+@example(map_of((UNSTABLE, 1, "1/4"), (STABLE, 1, "1/3")))  # unstable below stable
+@example(map_of((Kind.INTERIOR, 1, "1/3"), (UNSTABLE, 1, "1/3"), (STABLE, 2, "1/2")))
+def test_the_map_check_along_the_sort_decides_as_the_pair_searches(case):
+    # ``realize_configuration`` reads admissibility along its one sort of
+    # the target keys: deep, as the two inversion searches over every pair
+    # decide it; in codimension one, as the search by index alone
+    points, keys = case
+    order = sorted(key + (pid,) for pid, key in keys.items())
+    index = {p.id: p for p in points}
+    got = _ordered(order, index, True)
+    assert got == admissible_keys_by_two_passes(points, keys) == admissible_keys(points, keys)
+    monotone = _ordered(order, index, False)
+    assert monotone == (first_inversion_by_pairs(points, keys) is None)
+    assert monotone == (first_inversion(points, keys) is None)
+    event("deep %s, codim 1 %s" % (got, monotone))
 
 
 def test_the_cached_float_is_the_float_of_the_value():

@@ -30,7 +30,8 @@ every unchecked builder of a point, flow line, effect or component
 (``_trusted``, and ``_at`` for a moved point), down to its ``vars``, and
 every piece of a split run's result.
 ``flag_issues`` joins the components in one pass over the effects and must
-report what ``flag_issues_by_reference``, the union-find it replaced, does.
+report what ``flag_issues_by_reference``, the union-find it replaced, does,
+and what ``flag_issues_by_find``, which found each root by a call, does.
 """
 
 import dataclasses
@@ -99,12 +100,14 @@ from helpers import (
     datum,
     edge,
     eff,
+    flag_issues_by_find,
     flag_issues_by_reference,
     internal_chain_pair,
     pt,
     realize_by_replay,
     rearrange_by_steps,
     replace_effects,
+    splice_by_bisection,
     split_death_pair,
     union,
 )
@@ -622,6 +625,42 @@ def test_split_runs_match_the_fold_of_single_splits(d, data):
     assert_pieces_as_checked(out)  # the unchecked halves, effects and lines
 
 
+@settings(max_examples=200, deadline=None)
+@given(split_run_bases(), st.data())
+def test_a_split_run_puts_each_pair_in_its_points_place(d, data):
+    # the run builds its points in one pass, each split point replaced by
+    # its pair; placing the same pairs by ``splice`` gives the same tuple
+    ids = split_run_ids(data.draw, d)
+    try:
+        out = moves._split_run(d, ids)
+    except EngineError:  # an invalid base, or a refused split
+        event("refused")
+        return
+    split = [d.point(z_id) for z_id in ids]
+    halves = [p for p in out.points if d.point_index.get(p.id) is not p]
+    assert len(halves) == 2 * len(split)
+    key = CriticalPoint.sort_key
+    assert out.points == splice_by_bisection(d.points, split, halves, key)
+    assert out.points == morse_data.splice(d.points, split, halves, key)
+    assert out.point_index == {p.id: p for p in out.points}
+    event("%s splits" % (len(ids) if len(ids) < 3 else "3+"))
+
+
+def test_a_half_may_take_the_id_of_a_point_split_before_it_in_the_run():
+    # q is named ps: split first, it frees the id that p's stable half
+    # then takes, in the run as in the fold; the index keeps the half
+    d = relabel(internal_chain_pair(n=4, k=1), {"p": "p", "q": "ps"})
+    assert validate_datum(d) == []
+    want, made = split_fold_outcome(d, ["ps", "p"])
+    assert want[0] == "accepted" and len(made) == 2
+    got = split_run_outcome(moves._split_run, d, ["ps", "p"])
+    assert got == want
+    out = got[1]
+    assert out.point("ps").kind is Kind.BOUNDARY_STABLE
+    assert out.point_index == {p.id: p for p in out.points}
+    assert [p.id for p in out.points] == ["ps", "pu", "pss", "psu"]
+
+
 def test_split_runs_read_makers_and_users_through_the_overlay():
     # z splits c0 into two wall components that y merges (n = 1, so both
     # have index 1).  Whichever splits first hands the two components to
@@ -771,9 +810,10 @@ def test_the_split_stage_validates_at_most_once(monkeypatch):
 
 
 def test_a_split_run_patches_each_structure_once(monkeypatch):
-    # the split stage, and its replay, splice the points once, patch the
-    # flow graph and the slice complex once, and build one datum; each
-    # index of the result is built once, on first use
+    # the split stage, and its replay, patch the flow graph and the slice
+    # complex once and build one datum, whose points take no splice: each
+    # pair is put in its point's place; each index of the result is built
+    # once, on first use
     for d in (union(*pieces(4, 5, (5, 7, 9), allow_boundary=False)),
               union(*pieces(2, 4, (0, 1, 6, 10, 12, 13)))):
         staged = d
@@ -786,14 +826,14 @@ def test_a_split_run_patches_each_structure_once(monkeypatch):
         for owner, name, key in ((TrajectoryGraph, "_patched", "graph"),
                                  (SliceComplex, "_patched", "slices"),
                                  (morse_data, "splice", "points"),
-                                 (MorseDatum, "_patched", "datum")):
+                                 (MorseDatum, "_built", "datum")):
             counted(monkeypatch, owner, name, calls, key)
         builds = count_index_builds(monkeypatch)
         out, script = normal_form._split_all(staged)
         assert len(script) >= 10
-        assert calls == dict.fromkeys(("graph", "slices", "points", "datum"), 1)
+        assert calls == dict.fromkeys(("graph", "slices", "datum"), 1)
         again = moves.apply_script(staged, script)
-        assert calls == dict.fromkeys(("graph", "slices", "points", "datum"), 2)
+        assert calls == dict.fromkeys(("graph", "slices", "datum"), 2)
         for x in (out, again):
             assert_each_index_built_once_on_first_use(x, builds)
         monkeypatch.undo()
@@ -1671,6 +1711,15 @@ def test_flag_issues_agree_with_the_union_find_reference():
 
     agree()
     assert sum(closed) >= 10, (sum(closed), len(closed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flagged_complexes(), st.builds(Flags, st.booleans(), st.booleans(), st.booleans()))
+def test_flag_issues_find_roots_as_the_find_calls_did(case, flags):
+    # the roots found inline give the issues the calls of ``_find`` gave,
+    # in the same order, on valid, planted and flipped complexes
+    complex, final = case
+    assert flag_issues(complex, flags, final) == flag_issues_by_find(complex, flags, final)
 
 
 def test_an_effect_without_components_at_an_unknown_point_glues_nothing():

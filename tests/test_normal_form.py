@@ -465,9 +465,9 @@ def test_verify_decomposition_refuses_every_fault():
         "monotone", (mono.segments[0], replace(mono.segments[1], cert=("low",)))
         + mono.segments[2:]))))
 
-    def monotone(cells, pieces):
+    def monotone(cells, pieces, n=4):
         """Points (id, index, value) and segments (lo, hi, ids, cert)."""
-        d = datum(5, 4, [], [pt(pid, Kind.INTERIOR, k, v) for pid, k, v in cells],
+        d = datum(n + 1, n, [], [pt(pid, Kind.INTERIOR, k, v) for pid, k, v in cells],
                   [], [])
         return d, Decomposition("monotone", tuple(
             Segment("s%d" % i, Fraction(lo), Fraction(hi), ids, cert)
@@ -507,8 +507,15 @@ def test_verify_decomposition_refuses_every_fault():
         ("middle index in the low segment", monotone(
             [("b", 2, Fraction(1, 10))],
             [(0, "1/2", ("b",), low), ("1/2", 1, (), high)])),
+        # at n = 1 index 1 is low and high at once, so it fits neither
+        ("index 1 = n in the low segment", monotone(
+            [("a", 1, Fraction(1, 10))],
+            [(0, "1/2", ("a",), low), ("1/2", 1, (), high)], n=1)),
+        ("index 1 = n in the high segment", monotone(
+            [("a", 1, Fraction(9, 10))],
+            [(0, "1/2", (), low), ("1/2", 1, ("a",), high)], n=1)),
     ]
-    assert len(cases) == 15
+    assert len(cases) == 17
     for name, (d, tampered) in cases:
         assert verify_decomposition(d, tampered) is False, name
 

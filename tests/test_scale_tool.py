@@ -1,6 +1,7 @@
 """``tools/scale.py`` runs and reports both split pools (smoke size), with
 the seconds of each ``global_split`` stage, alone and against a second
-checkout."""
+checkout, where it also prints both sides' stage medians and their
+ratios."""
 
 import os
 import pathlib
@@ -67,7 +68,8 @@ def test_scale_script_reports_the_seconds_of_each_stage():
 def test_against_times_both_checkouts_and_prints_their_ratio():
     # this checkout against itself, in one process: a row per side and a
     # ratio row per size; each side's replays reproduced its normal form
-    # (else the run exits), and both count the same splits and moves
+    # (else the run exits), and both count the same splits and moves.  The
+    # stage lines of both sides and their ratio come from the same runs
     root = str(SCALE.parent.parent)
     proc = subprocess.run(
         [sys.executable, "-B", str(SCALE), "--points", "80", "--against", root],
@@ -83,6 +85,24 @@ def test_against_times_both_checkouts_and_prints_their_ratio():
         assert ratio.split()[2:4] == ["-", "-"] and ratio.split()[-2] == "-"
         for cell in ratio.split()[4:8]:
             assert re.fullmatch(r"\d+\.\d{3}x", cell), cell
+    # on stderr, each side's stage medians from the same runs, then their
+    # ratio, stage by stage, in the stage order of the one-checkout line
+    tables = {"split_deep": normal_form._DEEP_STAGES,
+              "split_codim1": normal_form._CODIM_ONE_STAGES}
+    lines = proc.stderr.splitlines()
+    assert [line.split()[:3] + line.split()[-1:] for line in lines] == [
+        [pool, "80", "stages", side] for pool in tables
+        for side in ("against", "this", "ratio")]
+    for line in lines:
+        pool, side = line.split()[0], line.split()[-1]
+        cells = [cell.split("=") for cell in line.split()[3:-1]]
+        assert [name for name, _ in cells] == [stage for stage, _ in tables[pool]] + [
+            "derive", "verify", "parse_datum", "parse_script", "validate"]
+        for _, value in cells:
+            if side == "ratio":
+                assert re.fullmatch(r"\d+\.\d{3}x", value), value
+            else:
+                assert float(value) > 0
 
 
 SIDES = """

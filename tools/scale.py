@@ -60,7 +60,14 @@ times ``DIR`` first when i is even and this checkout first when it is
 odd, as ``tools/pairs.py`` alternates its pairs, so a drift of the host's
 speed falls on both sides alike.  Each size prints a row for ``DIR``
 (``against``), one for this checkout (``this``), each the medians of its
-runs, and a ``ratio`` row of this checkout's times over ``DIR``'s.
+runs, and a ``ratio`` row of this checkout's times over ``DIR``'s.  On
+standard error it prints each side's stage line, timed in the same
+alternating runs and ended by the side's name, and a ``ratio`` line of
+this checkout's stage medians over ``DIR``'s, stage by stage::
+
+    split_codim1 1280 stages order=0.934x split=0.957x ... validate=0.962x ratio
+
+so that a claim about a stage rests on the runs its end-to-end row does.
 """
 
 import argparse
@@ -93,12 +100,12 @@ CLOSING = {
 PARSES = ("parse_datum", "parse_script")  # of cli_io, in the text replay
 RUNS = 5  # single runs of one size spread too widely to read a growth from
 HEADER = "%-13s %6s %6s %6s %14s %14s %14s %14s %18s"
-ROW = "%-13s %6d %6d %6d %14.3f %14.3f %14.3f %14.3f %18s"
+ROW = "%-13s %6d %6d %6d %14.6f %14.6f %14.6f %14.6f %18s"  # to the microsecond, as the stage lines
 
 
 # the package this script imported, and the union builder of its classes
 HERE = SimpleNamespace(cli_io=cli_io, moves=moves, normal_form=normal_form,
-                       union=disjoint_union)
+                       morse_data=morse_data, union=disjoint_union)
 
 
 def union_of(pieces, points, union=disjoint_union):
@@ -126,10 +133,10 @@ class Side:
     """The package in ``src``, loaded under module objects of its own.
 
     ``modules`` holds every ``halfhandle`` module of it by name,
-    ``__main__`` aside; ``cli_io``, ``moves`` and ``normal_form`` are three
-    of them, ``union`` is ``disjoint_union`` of this checkout's corpus
-    module loaded against its classes, and ``pools`` has each split pool
-    parsed by its ``parse_datum``.  A package that is not the one in
+    ``__main__`` aside; ``cli_io``, ``moves``, ``normal_form`` and
+    ``morse_data`` are four of them, ``union`` is ``disjoint_union`` of
+    this checkout's corpus module loaded against its classes, and ``pools``
+    has each split pool parsed by its ``parse_datum``.  A package that is not the one in
     ``src`` is refused.  ``enter`` puts the modules into ``sys.modules``.
     """
 
@@ -152,8 +159,9 @@ class Side:
         corpus = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(corpus)
         self.union = corpus.disjoint_union
-        self.cli_io, self.moves, self.normal_form = (
-            self.modules["halfhandle." + name] for name in ("cli_io", "moves", "normal_form"))
+        self.cli_io, self.moves, self.normal_form, self.morse_data = (
+            self.modules["halfhandle." + name]
+            for name in ("cli_io", "moves", "normal_form", "morse_data"))
         self.pools = {pool: [self.cli_io.parse_datum(t) for t in texts[pool]]
                       for pool in POOLS}
 
@@ -163,8 +171,9 @@ class Side:
 
 
 @contextmanager
-def timed_stages():
-    """Time every ``global_split`` stage while the block runs: yields a dict
+def timed_stages(side=HERE):
+    """Time every ``global_split`` stage of the package of ``side`` (by
+    default this script's) while the block runs: yields a dict
     to which each stage call appends its seconds, under the stage's name,
     each call of a ``CLOSING`` function under its name there, each call
     of a ``PARSES`` function under its own and each validation under
@@ -182,6 +191,7 @@ def timed_stages():
                 seconds.setdefault(stage, []).append(perf_counter() - start)
         return run
 
+    normal_form, cli_io, morse_data = side.normal_form, side.cli_io, side.morse_data
     tables = normal_form._DEEP_STAGES, normal_form._CODIM_ONE_STAGES
     closing = {name: getattr(normal_form, name) for name in CLOSING}
     parses = {name: getattr(cli_io, name) for name in PARSES}
@@ -242,15 +252,29 @@ def measure(pieces, points, runs=RUNS, side=HERE):
 
 def alternate(sides, pool, points):
     """The rows of the two ``sides`` (``DIR``'s, then this checkout's) at
-    one size, from ``RUNS`` alternating runs of each in this process."""
-    got = [[], []]
+    one size, from ``RUNS`` alternating runs of each in this process, and
+    each side's stage seconds (``timed_stages``) over its runs."""
+    got, seconds = [[], []], [{}, {}]
     for i in range(RUNS):
         for j in (0, 1) if i % 2 == 0 else (1, 0):
             sides[j].enter()
-            got[j].append(measure(sides[j].pools[pool], points, runs=1, side=sides[j]))
-    return [tuple(runs[0][:3]) + tuple(statistics.median(r[i] for r in runs)
+            with timed_stages(sides[j]) as stage_s:
+                got[j].append(measure(sides[j].pools[pool], points, runs=1, side=sides[j]))
+            for stage, times in stage_s.items():
+                seconds[j].setdefault(stage, []).extend(times)
+    rows = [tuple(runs[0][:3]) + tuple(statistics.median(r[i] for r in runs)
                                        for i in range(3, 7))
             for runs in got]
+    return rows, seconds
+
+
+def stage_medians(seconds):
+    """(name, median seconds) of each timed part: the stages in the order
+    they ran, then the closing derive and verify, the parses and
+    ``validate``."""
+    last = list(dict.fromkeys(CLOSING.values())) + list(PARSES) + ["validate"]
+    names = [stage for stage in seconds if stage not in last] + last
+    return [(name, statistics.median(seconds[name])) for name in names]
 
 
 def growth(row, before):
@@ -278,18 +302,23 @@ def main(argv=None):
                 with timed_stages() as stage_s:
                     row = measure(pieces, points)
                 print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
-                last = list(dict.fromkeys(CLOSING.values())) + list(PARSES) + ["validate"]
-                names = [stage for stage in stage_s if stage not in last] + last
-                print(pool, points, "stages", *("%s=%.6f" % (name, statistics.median(stage_s[name]))
-                                                for name in names),
+                print(pool, points, "stages", *("%s=%.6f" % cell for cell in stage_medians(stage_s)),
                       file=sys.stderr, flush=True)
                 before = row
                 continue
-            rows = alternate(sides, pool, points)
+            rows, seconds = alternate(sides, pool, points)
             for side, row, last in zip(("against", "this"), rows, before or (None, None)):
                 print(ROW % ((pool,) + row + (growth(row, last),)) + " " + side)
             ratio = tuple("%.3fx" % (rows[1][i] / rows[0][i]) for i in range(3, 7))
             print(HEADER % ((pool, points, "-", "-") + ratio + ("-",)) + " ratio", flush=True)
+            medians = [stage_medians(side_s) for side_s in seconds]
+            for side, cells in zip(("against", "this"), medians):
+                print(pool, points, "stages", *("%s=%.6f" % cell for cell in cells), side,
+                      file=sys.stderr)
+            theirs = dict(medians[0])
+            print(pool, points, "stages", *("%s=%.3fx" % (name, mine / theirs[name])
+                                            for name, mine in medians[1] if name in theirs),
+                  "ratio", file=sys.stderr, flush=True)
             before = rows
     return 0
 
