@@ -20,7 +20,7 @@ inside (0, 1), an edge's ends and count, an effect's ids each once, a kind
 or locus word), by the one unchecked builder of its type, which the moves
 share.  A script of such lines only is read by one scan
 (``_scan_script``): a one-point ``rearrange`` row is built by
-``MoveRecord._step``, any other by the checking ``MoveRecord``.  A text's
+``MoveRecord._trusted``, any other by the checking ``MoveRecord``.  A text's
 values come from one pool, one ``Fraction`` per ``p/q`` token built by
 ``morse_data.ratio``, so equal tokens give one object.  Any other line or
 script, and one whose build raises, goes to the general path, which raises
@@ -449,7 +449,7 @@ def _scan_script(text: str) -> Optional[List[MoveRecord]]:
         for kind, ids, values, note in rows:
             note = "" if note == "-" else note
             if kind == "rearrange" and "," not in ids:
-                out.append(MoveRecord._step(ids, pool[values], note))
+                out.append(MoveRecord._trusted("rearrange", (ids,), (pool[values],), note))
                 continue
             values = [] if values == "-" else [pool[v] for v in values.split(",")]
             out.append(MoveRecord(kind, tuple(ids.split(",")), tuple(values), note))

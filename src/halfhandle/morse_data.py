@@ -27,14 +27,17 @@ segment or a list of separation slots by ``spaced``, which reads the ends'
 ints once for all of them; the ints of a Fraction are read from its slots.
 The parser builds each ``p/q`` token by ``ratio``.
 
-A point a move or the parser builds at a value it has checked is built
-unchecked by ``CriticalPoint._trusted`` (``_at`` for a moved one), field by
-field, so it keeps the compact layout of a checked one.  A patch is placed
-by ``splice``: by bisection when it is small, by one sort when it is large.
-The points of a full target map come in the order of the map's own sort
-and are placed as they come (``MorseDatum._placed``), and a split run puts
-each pair in its point's place in one pass over the points
-(``MorseDatum._built``).
+Each type has a checked constructor and one unchecked builder.  The
+constructor checks every field; the builder checks nothing, for a caller
+that has made the checks: a move that has proved its result valid, or the
+parser, whose match proves a canonical line.  ``CriticalPoint._trusted``
+builds a point field by field, so it keeps the compact layout of a checked
+one, and ``MorseDatum._built`` a datum from points already in (value, id)
+order: a move places them itself, a patch by ``splice`` (by bisection
+when it is small, by one sort when it is large), a full target map in the
+order of its own sort and a split run each pair in its point's place.
+The datum's point index, like the indexes of its graph and complex, is
+built from the points on first use.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from .errors import (
     InvalidIndexKind,
@@ -209,14 +212,14 @@ class CriticalPoint:
         ``key``, the ``order_key`` of its value, for a caller that has made
         its checks: ``pid`` passes ``_ID_RE``, ``kind`` is a ``Kind``,
         ``index`` an int >= 0 and ``key[1]`` a Fraction strictly inside
-        (0, 1).  A moved point (``_at``) is a valid point at a value its
-        move has checked.  A split half's id is a valid datum's id with
-        ``s``, ``u`` or ``_`` appended, its kind and index are z's, and its
-        value lies strictly between two values in [0, 1] that
-        ``_split_run`` has found unequal to z's; a parsed point's match and
-        range test prove the same (``cli_io``).  Fields go in one by one,
-        as ``__post_init__`` leaves them, so the instance keeps the compact
-        shared-key layout, half the size of a dict."""
+        (0, 1).  A moved point is a valid point, its id, kind and index
+        kept, at a value its move has checked.  A split half's id is a
+        valid datum's id with ``s``, ``u`` or ``_`` appended, its kind and
+        index are z's, and its value lies strictly between two values in
+        [0, 1] that ``_split_run`` has found unequal to z's; a parsed
+        point's match and range test prove the same (``cli_io``).  Fields
+        go in one by one, as ``__post_init__`` leaves them, so the instance
+        keeps the compact shared-key layout, half the size of a dict."""
         out, put = object.__new__(CriticalPoint), object.__setattr__
         put(out, "id", pid)
         put(out, "kind", kind)
@@ -224,13 +227,6 @@ class CriticalPoint:
         put(out, "value", key[1])
         put(out, "_float", key[0])
         return out
-
-    def _at(self, key: tuple) -> "CriticalPoint":
-        """This point moved to the value of ``key`` (``order_key``), a
-        Fraction in (0, 1) that the move has checked: the id, kind and
-        index are this point's, already valid, so ``__post_init__`` does
-        not run again (``_trusted``)."""
-        return CriticalPoint._trusted(self.id, self.kind, self.index, key)
 
 
 @dataclass(frozen=True)
@@ -273,53 +269,31 @@ def dimension_profile(kind: Kind, index: int, n: int) -> DimensionProfile:
     return DimensionProfile(k + 1, n + 2 - k, None, n + 1 - k, k, n - k)
 
 
-def _widen(low: dict, high: dict, rank, at) -> None:
-    """Take the key ``at`` into the lowest and highest key of ``rank``."""
-    if rank not in low:
-        low[rank] = high[rank] = at
-    elif at < low[rank]:
-        low[rank] = at
-    elif high[rank] < at:
-        high[rank] = at
-
-
-def _ascending(low: dict, high: dict) -> bool:
-    """Whether every rank's lowest key lies strictly above the highest key
-    of every lower rank, the ranks' lowest and highest keys read by
-    ``_widen``: the keys are strictly monotone in the rank."""
-    top = None
-    for rank in sorted(low):
-        if top is not None and not top < low[rank]:
-            return False
-        if top is None or top < high[rank]:
-            top = high[rank]
-    return True
-
-
 def first_inversion(points, values: Mapping[str, Fraction], rank=lambda p: p.index):
     """First pair (z, w) with rank(z) < rank(w) but not values[z] < values[w].
 
     "First" in the order of a double loop over ``points``; None when the
     values are strictly monotone in the rank.  One pass reads each rank's
-    lowest and highest value and ``_ascending`` decides the order; only an
-    order that fails is searched for its pair, the lowest value above each
-    rank read off one sorted pass, so the search is O(P log P), not a
-    comparison of every pair.
+    lowest value, and the lowest value above each rank is read off one
+    sorted pass over the ranks: z is the first point at or above the
+    lowest value of a higher rank, and w the first such point of a higher
+    rank, so the search is O(P log P), not a comparison of every pair.
     """
     lowest: Dict[object, Fraction] = {}
-    highest: Dict[object, Fraction] = {}
     for p in points:
-        _widen(lowest, highest, rank(p), values[p.id])
-    if _ascending(lowest, highest):
-        return None
+        r, v = rank(p), values[p.id]
+        if r not in lowest or v < lowest[r]:
+            lowest[r] = v
     floor_above = {}
     floor = None
     for r in sorted(lowest, reverse=True):
         floor_above[r] = floor
         if floor is None or lowest[r] < floor:
             floor = lowest[r]
-    z = next(z for z in points
-             if floor_above[rank(z)] is not None and floor_above[rank(z)] <= values[z.id])
+    z = next((z for z in points if floor_above[rank(z)] is not None
+              and floor_above[rank(z)] <= values[z.id]), None)
+    if z is None:
+        return None
     v = values[z.id]
     return z, next(w for w in points if rank(z) < rank(w) and values[w.id] <= v)
 
@@ -338,11 +312,11 @@ def splice(items: tuple, drop, add, key) -> tuple:
     many are placed by one ``list.sort`` of the kept and added items, one
     key each and a merge of the sorted runs.  At 160 to 5,120 points the
     two cost the same at about one added item per ten kept ones, so a
-    lone split's flow lines and effects or a cancel are placed by
-    bisection and a run's whole re-placement (``MorseDatum.with_keys``) or
-    a split run's flow lines and effects by the sort.  The moves patch the
-    points (but for a split run's), flow lines and effects of a datum with
-    it.
+    lone split's flow lines and effects, a cancel or a run that moves a
+    few points are placed by bisection, and a run that moves many points
+    or a split run's flow lines and effects by the sort.  The moves patch
+    the points (but for a target map's and a split run's), flow lines and
+    effects of a datum with it.
     """
     if 100 * len(drop) < len(items):
         kept, start = [], 0
@@ -407,7 +381,7 @@ class MorseDatum:
 
     @cached_property
     def point_index(self) -> Dict[str, CriticalPoint]:
-        """Point by id, built once per datum."""
+        """Point by id, built once per datum, on first use."""
         return {p.id: p for p in self.points}
 
     def point(self, point_id: str) -> CriticalPoint:
@@ -426,49 +400,20 @@ class MorseDatum:
         Every move and the normal form driver take only data for which this
         holds (``require_valid``).  ``validate_datum`` stores its verdict
         here, and a move sets it on the result its local checks keep valid
-        (``_patched``).
+        (``_built``).
         """
         return not validate_datum(self)
 
-    def _patched(self, drop, add, graph, slices) -> "MorseDatum":
-        """This datum without the points ``drop`` (its own) and with
-        ``add``, with ``graph`` and ``slices`` in place of its own: the one
-        builder of a move's result.
+    def _built(self, points, graph, slices) -> "MorseDatum":
+        """A datum of this ambient and flags with ``points``, already in
+        (value, id) order, ``graph`` and ``slices``, marked ``valid``: the
+        one unchecked builder of a datum, the result of every move.
 
         A move of a valid datum calls it once its local checks have shown
-        that the patch keeps the datum valid, so the result is marked
-        ``valid``.  The points are placed by ``splice``, the point index
-        is carried over with only the dropped and added ids changed (a
-        moved point's entry overwritten in place), and nothing is
-        re-checked.
-        """
-        index = dict(self.point_index)
-        for p in add:
-            index[p.id] = p
-        for p in drop:
-            if index[p.id] is p:  # dropped, not moved
-                del index[p.id]
-        points = splice(self.points, drop, add, CriticalPoint.sort_key)
-        return self._built(points, index, graph, slices)
-
-    def _placed(self, keys: Sequence[tuple]) -> "MorseDatum":
-        """This datum with every point moved to its key in ``keys``, the
-        ``order_key``s with id of all its points in ascending order: the
-        result of a target map that ``moves.realize_configuration`` has
-        checked whole.  The moved points (``CriticalPoint._at``) are built
-        in that order, which is their sorted order, so nothing is spliced
-        or sorted; the point index is built in the same loop, and the
-        result is marked ``valid``, as ``_patched`` marks it."""
-        old, index = self.point_index, {}
-        for key in keys:
-            index[key[2]] = old[key[2]]._at(key)
-        return self._built(tuple(index.values()), index, self.graph, self.slices)
-
-    def _built(self, points, index, graph, slices) -> "MorseDatum":
-        """A datum of this ambient and flags with these sorted points, their
-        index, ``graph`` and ``slices``, marked ``valid``: the tail of
-        ``_patched``, ``_placed`` and ``moves._split_run``, which make the
-        checks."""
+        that the result is valid, and hands it points it has placed itself
+        (``splice``, or one sort or pass of its own), so nothing is sorted
+        or checked again.  The point index, like the graph's and the
+        complex's, is built from the points on first use."""
         out = object.__new__(MorseDatum)
         vars(out).update(
             ambient=self.ambient,
@@ -476,34 +421,9 @@ class MorseDatum:
             graph=graph,
             slices=slices,
             flags=self.flags,
-            point_index=index,
             valid=True,
         )
         return out
-
-    def with_keys(self, keys: Mapping[str, tuple]) -> "MorseDatum":
-        """This datum with each point named in ``keys`` moved to the value
-        of its (value, id) key there (``order_key``), by ``_patched``; the
-        datum itself when nothing moves.
-
-        For moves of a valid datum already checked to keep its edges uphill
-        and its replay clean (see ``moves.assign_values``).  That keeps
-        every clause of ``validate_datum``: the rest does not look at the
-        values, and with every component id made once and used once the top
-        state and the flag union-find do not depend on the order.  Each
-        moved point is its old point at the new key (``CriticalPoint._at``):
-        the keys are of Fractions in (0, 1), as the move's check made them,
-        so the points are not checked again.  Many moved points are placed
-        by one sort, a few by bisection (``splice``).
-        """
-        if not keys:
-            return self
-        old = self.point_index
-        return self._patched(
-            [old[pid] for pid in keys],
-            [old[pid]._at(key) for pid, key in keys.items()],
-            self.graph, self.slices,
-        )
 
     def values(self):
         return {p.id: p.value for p in self.points}

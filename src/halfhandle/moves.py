@@ -17,48 +17,47 @@ datum is never modified.
 Every move takes valid data only: on a datum whose ``valid`` does not
 hold it raises ValidationError with the datum's full issue list
 (``require_valid``), as does ``realize_configuration``.  Every move is
-checked.  Rearrangements of any number of points (``assign_values``) and
-splits (``split_interior``) are checked locally, in time proportional to
-the degree of the points moved, as in the rearrangement and splitting
-theorems: a rearrangement is pinned only by the flow lines and surgery
-dependencies of the points it moves, and a split changes the flow lines
-and the surgery of one point and nothing else.  The drivers, script
-replay and ``assign_values`` fold runs of rearrangements in one pass
-(``_rearrange_run``), the one step checker: the run looks up the
-datum's indexes once, each step puts its keys into the run's one overlay
-and is checked there, inline, and the points are re-placed once per run.
-A moved point is built from its old one at the checked value, not
-checked again, and a driver's one-point record is built unchecked
-(``MoveRecord._step``, ``MoveRecord._split`` for the split stage), its
-id from the valid datum.  So is a parsed
-one-point rearrange line in the serializer's shape, whose pattern match
-proves the record's checks; any other parsed record takes every check,
-once (``MoveRecord`` keeps a tuple of Fractions as it is).  Runs of
-splits are folded the same way (``_split_run``, of which
-``split_interior`` is the one-record case): each split reads the splits
-before it through one overlay and is checked and refused in place, and
-the points, flow lines and effects are patched once per run.  A split's
-halves, attach effects, tongue component and moved flow lines are built
-unchecked (the ``_trusted`` builder of each type), from what the run and
-``_splits_locally`` prove, and a large patch, such as a run's re-placed
-points or a split run's flow lines and effects, is placed by one sort
-(``splice``); a split run's pairs take their points' places in one
-pass.  Values are range-checked on their ints, read from a Fraction's
-slots, and ordered by their ``order_key``s.  Only the run
-accepts a rearrangement step.  A refused step raises the reason the full
-replay names for the run's input datum at the overlay's values
-(``check_assignment``).  A full target map is checked once, as a whole
-(``_swap_blocked``), the legality test of the rearrangement theorem,
-after its admissibility is read along the map's one sort (``_ordered``):
-``realize_configuration`` raises the SwapBlocked it names, or builds its
-result and its park and place script from one sort of the targets, with
-no run; its docstring proves that every step of that script passes the
-run wherever the script is replayed.  A cancellation is checked at its
-pair, its induced flow lines by ``edge_issues`` (``cancel_pair``).  Every
-move builds its result with ``MorseDatum._patched``, which states what a
-patch keeps, a full target map with ``MorseDatum._placed`` and a split run
-with ``MorseDatum._built``; no move validates its result or rebuilds the
-whole datum.
+checked, locally, as in the rearrangement and splitting theorems: a
+rearrangement is pinned only by the flow lines and surgery dependencies of
+the points it moves, a split changes the flow lines and the surgery of
+one point and nothing else, and a cancellation changes its pair.
+
+Each type has a checked constructor and one unchecked builder
+(``_trusted``, and ``MorseDatum._built`` for a datum).  A move checks
+what it changes and then builds its pieces and its result with the
+unchecked builders, from what its checks prove; no move validates its
+result or rebuilds the whole datum, and each result is marked valid.
+
+* Runs of rearrangements (the drivers, script replay and
+  ``assign_values``) are folded in one pass by ``_rearrange_run``, the
+  one step checker: the run looks up the datum's indexes once, and each
+  step puts its keys into the run's one overlay and is checked there,
+  inline.  Only the run accepts a rearrangement step; a refused step
+  raises the reason the full replay names for the run's input datum at
+  the overlay's values (``check_assignment``).  The moved points are
+  built at their checked keys and placed once per run (``splice``).
+* A full target map is checked once, as a whole: its admissibility is
+  read along the map's one sort (``_ordered``), then the legality test of
+  the rearrangement theorem (``_swap_blocked``) names a SwapBlocked.
+  ``realize_configuration`` raises it, or builds its park and place script
+  and its result's points in the order of that sort, with no run; its
+  docstring proves that every step of the script passes the run wherever
+  it is replayed.
+* Runs of splits are folded the same way (``_split_run``, of which
+  ``split_interior`` is the one-record case): each split reads the splits
+  before it through one overlay and is judged by ``_splits_locally`` and
+  refused in place.  The flow lines and effects are patched once per run,
+  by one sort, and each pair takes its point's place in one pass.
+* A cancellation is checked at its pair, its induced flow lines by
+  ``edge_issues``, and patched there (``cancel_pair``).
+
+A driver's record, its ids from the valid datum, and a parsed one-point
+rearrange line in the serializer's shape, whose match proves the record's
+checks, are built by ``MoveRecord._trusted``; any other record takes
+every check, once (``MoveRecord`` keeps a tuple of Fractions as it is).
+The move a record names is checked when it runs.  Values are
+range-checked on their ints, read from a Fraction's slots, and ordered by
+their ``order_key``s.
 """
 
 from __future__ import annotations
@@ -100,6 +99,7 @@ from .morse_data import (
     order_key,
     require_valid,
     spaced,
+    splice,
 )
 from .slice_topology import (
     ComponentEffect,
@@ -170,32 +170,27 @@ class MoveRecord:
         elif values:
             raise ValidationError("%s takes no values" % (kind,))
 
-    @classmethod
-    def _step(cls, pid: str, value: Fraction, note: str) -> "MoveRecord":
-        """A one-point rearrange, built without ``__post_init__``, whose
-        caller has made its checks: ``pid`` passes ``_ID_RE`` and ``value``
-        is a Fraction.  A driver's ``pid`` is from a valid datum; a parsed
-        line's, like its digits, is proved by its match (``cli_io``).  The
-        move is checked when it runs.  The fields go straight into the
-        instance dict, in the order of __init__, at half the cost of one
+    @staticmethod
+    def _trusted(kind: str, ids: tuple, values: tuple, note: str) -> "MoveRecord":
+        """The record ``MoveRecord(kind, ids, values, note)`` builds, without
+        ``__post_init__``, for a caller that has made its checks: ``kind``
+        is a move kind, ``ids`` a tuple of distinct ids that pass
+        ``_ID_RE``, as many as the kind wants, and ``values`` a tuple of
+        Fractions, one per id of a rearrange, none otherwise.  A driver's
+        ids are a valid datum's; a parsed line's, like its digits, are
+        proved by its match (``cli_io``); ``assign_values`` hands its raw
+        values to the run, which makes each exact as it checks it.  The move
+        is checked when it runs.  The fields go straight into the instance
+        dict, in the order of __init__, at half the cost of one
         ``object.__setattr__`` each.  That dict is larger than the compact
         layout and one more object for the cyclic collector, which a long
         script that stays alive pays for in its collections."""
-        out = object.__new__(cls)
+        out = object.__new__(MoveRecord)
         fields = out.__dict__
-        fields["kind"] = "rearrange"
-        fields["ids"] = (pid,)
-        fields["values"] = (value,)
+        fields["kind"] = kind
+        fields["ids"] = ids
+        fields["values"] = values
         fields["note"] = note
-        return out
-
-    @classmethod
-    def _split(cls, pid: str) -> "MoveRecord":
-        """A split record, built without ``__post_init__`` as ``_step``
-        builds a rearrange, for a ``pid`` of a valid datum: the split
-        stage's (``normal_form._split_all``)."""
-        out = object.__new__(cls)
-        vars(out).update(kind="split", ids=(pid,), values=(), note="")
         return out
 
     def assignments(self) -> Dict[str, Fraction]:
@@ -247,9 +242,8 @@ def assign_values(
     ``check_assignment`` names for the datum's values updated with
     ``assignments``.
     """
-    step = object.__new__(MoveRecord)  # raw values, made exact as it runs
-    vars(step).update(kind="rearrange", ids=tuple(assignments),
-                      values=tuple(assignments.values()), note=note)
+    step = MoveRecord._trusted(  # raw values, made exact as it runs
+        "rearrange", tuple(assignments), tuple(assignments.values()), note)
     out = _rearrange_run(datum, (step,))
     ids = tuple(sorted(assignments))
     return out, MoveRecord(
@@ -274,7 +268,11 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
     component id is made once and used at most once, so nothing else pins
     the replay order.  Records of any length take this one loop, which
     builds a one-point record no list, zip or key map.  The moved points
-    are re-placed once, at the end (``with_keys``).  A refused step raises
+    are built at their keys and placed once, at the end (``splice``), and
+    a run that moves nothing returns its input.  The result keeps every
+    clause of ``validate_datum``: the rest does not look at the values,
+    and with every component id made once and used once the top state and
+    the flag union-find do not depend on the order.  A refused step raises
     what the fold raises: ``check_assignment`` on ``datum`` with its values
     updated by the whole overlay, which holds the earlier steps and every
     id of the refused record: the same value map as the datum the earlier
@@ -332,7 +330,12 @@ def _rearrange_run(datum: MorseDatum, script: Iterable[MoveRecord]) -> MorseDatu
                 if user is not None and not at < (
                         key(user) or points[user].sort_key()):
                     raise refused()
-    return datum.with_keys(overlay)
+    if not overlay:
+        return datum
+    moved = [points[pid] for pid in overlay]
+    placed = [CriticalPoint._trusted(p.id, p.kind, p.index, overlay[p.id]) for p in moved]
+    return datum._built(splice(datum.points, moved, placed, CriticalPoint.sort_key),
+                        datum.graph, datum.slices)
 
 
 def rearrange_pair(
@@ -400,7 +403,7 @@ def realize_configuration(
     not admissible.  One sort of the keys, (value, id) order, serves the
     admissibility test (``_ordered``, one pass along it), the map check
     (``_swap_blocked``), the place records and the result, whose points
-    are built in that order (``MorseDatum._placed``).  A refused
+    are built in that order, so nothing is spliced or sorted.  A refused
     codimension-one map names its pair by ``first_inversion``.
 
     The map check is the one accepting check: a refused map raises the
@@ -466,12 +469,16 @@ def realize_configuration(
     ceiling = max(datum.points[-1].sort_key(), order[-1])[1]
     slots = spaced(ceiling, 1, len(datum.points) + 2)
     script = [  # topmost first, so nothing is overtaken
-        MoveRecord._step(p.id, slot, "park")
+        MoveRecord._trusted("rearrange", (p.id,), (slot,), "park")
         for p, slot in reversed(list(zip(datum.points, slots)))
     ]
-    # place from the bottom up
-    script += [MoveRecord._step(key[2], key[1], "place") for key in order]
-    return datum._placed(order), script
+    # place from the bottom up, and build the points in the same order
+    points = []
+    for key in order:
+        script.append(MoveRecord._trusted("rearrange", (key[2],), (key[1],), "place"))
+        p = index[key[2]]
+        points.append(CriticalPoint._trusted(p.id, p.kind, p.index, key))
+    return datum._built(tuple(points), datum.graph, datum.slices), script
 
 
 def _ordered(order, index: Mapping[str, CriticalPoint], deep: bool) -> bool:
@@ -554,10 +561,10 @@ def cancel_pair(
     count whenever genericity and the value order allow a flow line at all.
 
     Takes valid data only (``require_valid``).  Past the side conditions
-    only the pair changes, and the result is patched there
-    (``MorseDatum._patched``): the points lose z and w, the graph their
-    flow lines, and the complex their effects, with the one input of the
-    final output's user renamed.  On a valid datum that keeps the replay,
+    only the pair changes, and the result is patched there and built by
+    ``MorseDatum._built``: the points lose z and w (``splice``), the graph
+    their flow lines, and the complex their effects, with the one input of
+    the final output's user renamed.  On a valid datum that keeps the replay,
     the top state and the flags as they were (the survivor lives on with
     the final output's wall bit, in the same piece), so only the induced
     flow lines are checked (``edge_issues``).
@@ -643,8 +650,8 @@ def cancel_pair(
                 "cancellation would leave inconsistent data: %s" % (issues[0],)
             )
 
-    out = datum._patched(
-        [z, w], (),
+    out = datum._built(
+        splice(datum.points, (z, w), (), CriticalPoint.sort_key),
         datum.graph._patched(drop_edges, induced),
         slices._patched(drop_effects, add_effects),
     )
@@ -737,8 +744,7 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     their indexes when first asked.  The points are built in one pass over
     the datum's, each split point replaced by its pair, stable half first:
     the pair lies strictly inside the point's gap, so it takes the point's
-    place in the sorted order and nothing is spliced or sorted.  The point
-    index is patched as ``MorseDatum._patched`` patches it, and the result
+    place in the sorted order and nothing is spliced or sorted.  The result
     is built by ``MorseDatum._built``, marked ``valid``.
     """
     ids = tuple(ids)
@@ -860,13 +866,8 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
             placed += pairs[p.id]
         else:
             placed.append(p)
-    new_index = dict(index)  # as ``_patched`` builds it
-    new_index.update(halves)
-    for z_id in pairs:
-        if new_index[z_id] is index[z_id]:  # split, its id not taken by a half
-            del new_index[z_id]
     return datum._built(
-        tuple(placed), new_index,
+        tuple(placed),
         datum.graph._patched(drop_edges, add_edges.values()),
         slices._patched(drop_effects, add_effects),
     )

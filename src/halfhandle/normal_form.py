@@ -173,7 +173,7 @@ def ensure_joinable(datum: MorseDatum) -> Tuple[MorseDatum, List[MoveRecord]]:
         order = sorted(group)
         slots = list(zip(order, spaced(lo, hi, len(order) + 1)))
         return [
-            MoveRecord._step(pid, slot, note)
+            MoveRecord._trusted("rearrange", (pid,), (slot,), note)
             for pid, slot in (reversed(slots) if upward else slots)
         ]
 
@@ -485,7 +485,7 @@ def _separate_middle_levels(datum):
             if len(movers) == len(group):
                 movers = movers[:-1]  # the last one may keep the level
             script += [
-                MoveRecord._step(pid, slot, "separate")
+                MoveRecord._trusted("rearrange", (pid,), (slot,), "separate")
                 for pid, slot in zip(movers, spaced(prev, key[1], len(movers) + 1))
             ]
         prev = key[1]
@@ -494,10 +494,11 @@ def _separate_middle_levels(datum):
 
 def _split_all(datum):
     """Split every interior point of ``_split_range``, lowest first, as one
-    ``_split_run``; the records are built unchecked (``MoveRecord._split``),
+    ``_split_run``; the records are built unchecked (``MoveRecord._trusted``),
     their ids the datum's."""
     ids = [p.id for p in datum.interior_points(*_split_range(datum))]
-    return _split_run(datum, ids), [MoveRecord._split(pid) for pid in ids]
+    out = _split_run(datum, ids)
+    return out, [MoveRecord._trusted("split", (pid,), (), "") for pid in ids]
 
 
 def _segment_targets(datum) -> Dict[str, Fraction]:

@@ -40,8 +40,6 @@ from halfhandle.morse_data import (
     Flags,
     Kind,
     MorseDatum,
-    _ascending,
-    _widen,
     dimension_profile,
     exact,
     first_inversion,
@@ -272,11 +270,22 @@ def rearrange_by_steps(datum, script):
                     del overlay[pid]
                 else:
                     overlay[pid] = key
-            made = datum.with_keys(overlay)
+            made = moved_to(datum, overlay)
             values = made.values()
             values.update(record.assignments())
             raise moves.check_assignment(made, values)
-    return datum.with_keys(overlay)
+    return moved_to(datum, overlay)
+
+
+def moved_to(datum, keys):
+    """``datum`` with each point named in ``keys`` moved to the value of
+    its (value, id) key there (``order_key``), built by the checked
+    ``replace``; the datum itself when nothing moves."""
+    if not keys:
+        return datum
+    return datum.replace(points=tuple(
+        CriticalPoint(p.id, p.kind, p.index, keys[p.id][1]) if p.id in keys else p
+        for p in datum.points))
 
 
 def starving_pair(datum, values):
@@ -325,6 +334,29 @@ def first_inversion_by_pairs(points, values, rank=lambda p: p.index):
     values[z] < values[w], every pair compared; None when there is none."""
     return next(((z, w) for z in points for w in points
                  if rank(z) < rank(w) and not values[z.id] < values[w.id]), None)
+
+
+def _widen(low: dict, high: dict, rank, at) -> None:
+    """Take the key ``at`` into the lowest and highest key of ``rank``."""
+    if rank not in low:
+        low[rank] = high[rank] = at
+    elif at < low[rank]:
+        low[rank] = at
+    elif high[rank] < at:
+        high[rank] = at
+
+
+def _ascending(low: dict, high: dict) -> bool:
+    """Whether every rank's lowest key lies strictly above the highest key
+    of every lower rank, the ranks' lowest and highest keys read by
+    ``_widen``: the keys are strictly monotone in the rank."""
+    top = None
+    for rank in sorted(low):
+        if top is not None and not top < low[rank]:
+            return False
+        if top is None or top < high[rank]:
+            top = high[rank]
+    return True
 
 
 def admissible_keys(points: Sequence[CriticalPoint], keys: Mapping[str, tuple]) -> bool:
@@ -590,7 +622,7 @@ def apply_record(datum, record):
 
 
 def assert_records_as_checked(script):
-    """Each record, trusted ones (``MoveRecord._step``) included, equals the
+    """Each record, trusted ones (``MoveRecord._trusted``) included, equals the
     record the checking constructor builds, down to its ``vars``."""
     for r in script:
         checked = MoveRecord(r.kind, r.ids, r.values, r.note)

@@ -10,9 +10,10 @@ underflows to 0.0; sorting and ``splice`` by ``sort_key`` must give the
 sequence that sorting by (value, id) gives, and ``splice``, which places
 a large patch by one sort, must give what placing every added item by
 bisection (``splice_by_bisection``) gives.  ``admissible_keys`` (the
-reference kept in ``helpers``) and ``first_inversion`` read each rank's
-lowest and highest key in one pass; over tied, colliding and underflowing
-keys they must decide as a search of every pair of points does
+reference kept in ``helpers``) reads each rank's lowest and highest key
+in one pass, and ``first_inversion`` each rank's lowest; over tied,
+colliding and underflowing keys they must decide as a search of every
+pair of points does
 (``admissible_keys_by_two_passes``, ``first_inversion_by_pairs``), and
 ``first_inversion`` must name the pair that search finds first.  The map
 check of ``realize_configuration`` (``moves._ordered``) reads the same

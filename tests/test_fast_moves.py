@@ -27,8 +27,8 @@ full replay; the script of an accepted map must pass the step-checked run
 (``apply_script``) to the same datum.  A point a move builds without
 checking it must be the point the checked constructor builds.  So must
 every unchecked builder of a point, flow line, effect or component
-(``_trusted``, and ``_at`` for a moved point), down to its ``vars``, and
-every piece of a split run's result.
+(``_trusted``, a moved point's too), down to its ``vars``, and every
+piece of a split run's result.
 ``flag_issues`` joins the components in one pass over the effects and must
 report what ``flag_issues_by_reference``, the union-find it replaced, does,
 and what ``flag_issues_by_find``, which found each root by a call, does.
@@ -825,7 +825,7 @@ def test_a_split_run_patches_each_structure_once(monkeypatch):
         calls = Counter()
         for owner, name, key in ((TrajectoryGraph, "_patched", "graph"),
                                  (SliceComplex, "_patched", "slices"),
-                                 (morse_data, "splice", "points"),
+                                 (moves, "splice", "points"),
                                  (MorseDatum, "_built", "datum")):
             counted(monkeypatch, owner, name, calls, key)
         builds = count_index_builds(monkeypatch)
@@ -845,7 +845,7 @@ def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
     assert validate_datum(d) == []
     counts = count_full_checks(monkeypatch)
     builds = Counter()
-    counted(monkeypatch, MorseDatum, "_patched", builds)
+    counted(monkeypatch, MorseDatum, "_built", builds)
     cancelled = 0
     for e in d.graph.edges:  # the five pairs, and every other flow line
         counts.clear()
@@ -856,7 +856,7 @@ def test_a_pair_move_of_a_validated_datum_runs_no_full_check(monkeypatch):
         finally:
             assert not counts, (e, counts)
         cancelled += 1
-        assert builds["_patched"] == cancelled, (e, builds)
+        assert builds["_built"] == cancelled, (e, builds)
         assert vars(out)["valid"] is True
     assert cancelled >= 5, cancelled
     first, second = [[p for p in d.points if p.id.startswith(pre)]
@@ -1108,8 +1108,8 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
     assert len(d.points) == 160 and validate_datum(d) == []
     levels = normal_form.schedule_levels(d)
     counts = count_full_checks(monkeypatch)
-    for owner, name in ((MorseDatum, "_placed"), (MorseDatum, "_patched"),
-                        (morse_data, "splice"), (CriticalPoint, "__post_init__"),
+    for owner, name in ((MorseDatum, "_built"),
+                        (moves, "splice"), (CriticalPoint, "__post_init__"),
                         (moves, "check_assignment"), (moves, "_rearrange_run")):
         counted(monkeypatch, owner, name, counts)
     out, script = realize_configuration(d, levels)
@@ -1117,7 +1117,7 @@ def test_realize_configuration_builds_one_points_tuple_per_run(monkeypatch):
     # one points tuple, built in the order of the one sort, and no full
     # check and no run: the map check accepts the target map and the moved
     # points are built from the checked ones
-    assert counts == {"_placed": 1}, counts
+    assert counts == {"_built": 1}, counts
 
     # a surgery put below the one that makes its input: refused, and the
     # pair is named from the target map alone, with no full replay
@@ -1181,15 +1181,16 @@ def assert_indexes_match_a_fresh_build(out):
     assert out.slices.effects == slices.effects
     assert out.slices.effect_index == slices.effect_index
     assert out.slices.component_index == slices.component_index
+    assert out.point_index == {p.id: p for p in out.points}
 
 
-INDEXES = ((TrajectoryGraph, "edge_index"), (SliceComplex, "effect_index"),
-           (SliceComplex, "component_index"))
+INDEXES = ((MorseDatum, "point_index"), (TrajectoryGraph, "edge_index"),
+           (SliceComplex, "effect_index"), (SliceComplex, "component_index"))
 
 
 def count_index_builds(monkeypatch):
-    """A Counter of the builds of every graph and complex index from now
-    on, by (index name, id of the graph or complex)."""
+    """A Counter of the builds of every datum, graph and complex index from
+    now on, by (index name, id of the datum, graph or complex)."""
     builds, counted_objects = Counter(), []
     for owner, name in INDEXES:
         def counting(self, build=vars(owner)[name].func, name=name):
@@ -1205,7 +1206,8 @@ def count_index_builds(monkeypatch):
 def assert_each_index_built_once_on_first_use(out, builds):
     """No index of ``out`` built yet; asked for twice, each is built once
     and equals a fresh build."""
-    mine = {(name, id(x)) for x, name in ((out.graph, "edge_index"),
+    mine = {(name, id(x)) for x, name in ((out, "point_index"),
+                                          (out.graph, "edge_index"),
                                           (out.slices, "effect_index"),
                                           (out.slices, "component_index"))}
     assert not mine & set(builds), builds
@@ -1250,9 +1252,28 @@ def test_a_split_result_builds_no_index_until_asked(monkeypatch):
                     for cid in d.slices.effect_for(p.id).inputs))
     builds = count_index_builds(monkeypatch)
     out, _ = split_interior(d, z.id)
-    indexes = {"edge_index", "effect_index", "component_index"}
-    assert not indexes & (set(vars(out.graph)) | set(vars(out.slices)))
+    indexes = {"point_index", "edge_index", "effect_index", "component_index"}
+    assert not indexes & (set(vars(out)) | set(vars(out.graph)) | set(vars(out.slices)))
     assert_each_index_built_once_on_first_use(out, builds)
+
+
+def test_every_move_result_builds_its_point_index_on_first_use(monkeypatch):
+    # as a split's: the results of a full target map and a rearrangement
+    # run, which keep their input's graph and complex, and of a cancel hold
+    # no index of their own until asked, and build each one once
+    d = union(*pieces(2, 4, range(8)))
+    pair = union(pair_families(2, 4)[0], *pieces(2, 4, range(2)))
+    assert validate_datum(d) == validate_datum(pair) == []
+    builds = count_index_builds(monkeypatch)
+    placed, script = realize_configuration(d, normal_form.schedule_levels(d))
+    assert len(script) == 2 * len(d.points)
+    for out in (placed, moves.apply_script(d, script)):
+        assert out is not d and (out.graph, out.slices) == (d.graph, d.slices)
+        assert ("point_index", id(out)) not in builds
+        assert out.point_index == out.point_index == {p.id: p for p in out.points}
+        assert builds["point_index", id(out)] == 1
+    assert_each_index_built_once_on_first_use(
+        cancel_pair(pair, "u00_p", "u00_q")[0], builds)
 
 
 # ---------------------------------------------------------------------------
@@ -1568,11 +1589,12 @@ def test_unchecked_builders_build_what_the_checked_constructors_build(
         a, b, kind, index, value, count, locus, effect_kind, inputs, outputs):
     assume(a != b)
     components = tuple(SliceComponent._trusted(cid, bit) for cid, bit in outputs)
+    old = CriticalPoint(a, kind.value, index, Fraction(1, 2))  # moved to value
     pairs = [
         (CriticalPoint._trusted(a, kind, index, morse_data.order_key(value)),
          CriticalPoint(a, kind.value, index, value)),
-        (CriticalPoint(a, kind.value, index, Fraction(1, 2))._at(
-            morse_data.order_key(value, a)), CriticalPoint(a, kind.value, index, value)),
+        (CriticalPoint._trusted(old.id, old.kind, old.index, morse_data.order_key(value, a)),
+         CriticalPoint(a, kind.value, index, value)),
         (FlowEdge._trusted(a, b, count, locus), FlowEdge(a, b, count, locus.value)),
         (ComponentEffect._trusted(a, effect_kind, tuple(inputs), components),
          ComponentEffect(a, effect_kind.value, list(inputs),

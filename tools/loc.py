@@ -11,12 +11,18 @@ Each line of a module is counted once, as the first of these it is:
 Standard library only.  Run from anywhere in a source checkout::
 
     python3 tools/loc.py
+    python3 tools/loc.py --against PARENT_DIR
 
 Prints one row per module under ``src/``, in path order, and a ``total``
 row; ``total`` is the number of lines of each file, as ``wc -l`` counts
-them.
+them.  With ``--against``, the root of a second checkout, each module and
+the total take three rows, marked in a last ``side`` column: that
+checkout's counts (``against``), this one's (``this``) and the change
+from the one to the other (``delta``).  A module only one side has counts
+0 on the other.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -62,14 +68,36 @@ def count_lines(path: Path) -> dict:
     return counts
 
 
-def main() -> None:
-    paths = sorted((ROOT / "src").rglob("*.py"))
-    rows = [(str(p.relative_to(ROOT)), count_lines(p)) for p in paths]
-    total = {c: sum(counts[c] for _, counts in rows) for c in COLUMNS}
-    width = max(len(name) for name, _ in rows)
-    print("%-*s" % (width, "module") + "".join("%11s" % c for c in COLUMNS))
-    for name, counts in rows + [("total", total)]:
-        print("%-*s" % (width, name) + "".join("%11d" % counts[c] for c in COLUMNS))
+def module_counts(root: Path) -> dict:
+    """The counts of every module under ``root/src`` by its path from
+    ``root``, in path order, and their sum as ``total``."""
+    rows = {str(p.relative_to(root)): count_lines(p)
+            for p in sorted((root / "src").rglob("*.py"))}
+    rows["total"] = {c: sum(counts[c] for counts in rows.values()) for c in COLUMNS}
+    return rows
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="root of a second checkout, printed before this one")
+    args = parser.parse_args(argv)
+    this, zero = module_counts(ROOT), dict.fromkeys(COLUMNS, 0)
+    sides = [("", this)]
+    if args.against is not None:
+        against = module_counts(args.against)
+        delta = {name: {c: this.get(name, zero)[c] - against.get(name, zero)[c]
+                        for c in COLUMNS} for name in {**against, **this}}
+        sides = [(" against", against), (" this", this), (" delta", delta)]
+    names = sorted(set().union(*(rows for _, rows in sides)) - {"total"}) + ["total"]
+    width = max(len(name) for name in names)
+    print("%-*s" % (width, "module") + "".join("%11s" % c for c in COLUMNS)
+          + ("" if args.against is None else " side"))
+    for name in names:
+        for side, rows in sides:
+            form = "%+11d" if side == " delta" else "%11d"
+            cells = "".join(form % rows.get(name, zero)[c] for c in COLUMNS)
+            print("%-*s" % (width, name) + cells + side)
 
 
 if __name__ == "__main__":
