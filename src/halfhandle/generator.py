@@ -13,11 +13,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .errors import InfeasibleSpec, ValidationError
-from .morse_data import (Ambient, CriticalPoint, Flags, Kind, MorseDatum,
-                         dimension_profile, validate_datum)
+from .morse_data import Ambient, CriticalPoint, Flags, Kind, MorseDatum, validate_datum
 from .normal_form import scheduled_rank
 from .slice_topology import ComponentEffect, EffectKind, SliceComplex, SliceComponent
-from .trajectory import FlowEdge, Locus, TrajectoryGraph, generic_disjoint
+from .trajectory import FlowEdge, Locus, TrajectoryGraph, _edge_row
 
 
 @dataclass
@@ -102,6 +101,15 @@ def _edge_rank(p: CriticalPoint, n: int, offset: int) -> int:
     if p.kind is Kind.INTERIOR and 1 <= p.index <= n:
         return 3 * p.index + offset
     return scheduled_rank(p.kind, p.index)
+
+
+def _loci(z: CriticalPoint, w: CriticalPoint, m: int, n: int) -> list:
+    """The loci a flow line from z up to w may take, in draw order: those
+    whose validity row (``_edge_row``) is empty.  Genericity puts its issue
+    on every row of a pair it holds apart, so the list is empty exactly
+    when ``generic_disjoint`` holds."""
+    return [locus for locus in (Locus.MEMBRANE, Locus.INNER, Locus.WALL)
+            if not _edge_row(z.kind, z.index, w.kind, w.index, locus, m, n)]
 
 
 def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
@@ -277,19 +285,13 @@ def _generate_once(spec: GeneratorSpec, ambient: Ambient, rng) -> MorseDatum:
         for w in points[i + 1 :]:
             if (z.id, w.id) in existing:
                 continue
-            if generic_disjoint(z, w, ambient):
+            menu = _loci(z, w, ambient.m, n)
+            if not menu:  # genericity holds the pair apart
                 continue
             if _edge_rank(z, n, 3) > _edge_rank(w, n, 1):
                 continue
             if rng.random() >= spec.edge_probability:
                 continue
-            menu = [Locus.MEMBRANE]
-            pz = dimension_profile(z.kind, z.index, n)
-            pw = dimension_profile(w.kind, w.index, n)
-            if pz.unstable_inner is not None and pw.stable_inner is not None:
-                menu.append(Locus.INNER)
-            if z.kind.is_boundary and w.kind.is_boundary:
-                menu.append(Locus.WALL)
             count = rng.choice([None, 1, 2])
             edges.append(FlowEdge(z.id, w.id, count, rng.choice(menu)))
             existing.add((z.id, w.id))

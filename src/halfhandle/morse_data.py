@@ -390,9 +390,6 @@ class MorseDatum:
         except KeyError:
             raise UnknownId("no critical point with id %r" % (point_id,)) from None
 
-    def has_point(self, point_id: str) -> bool:
-        return point_id in self.point_index
-
     @cached_property
     def valid(self) -> bool:
         """Whether ``validate_datum`` finds nothing, worked out once per datum.

@@ -193,10 +193,6 @@ class MoveRecord:
         fields["note"] = note
         return out
 
-    def assignments(self) -> Dict[str, Fraction]:
-        """Target value by point id (empty unless a rearrange)."""
-        return dict(zip(self.ids, self.values))
-
 
 def check_assignment(
     datum: MorseDatum, values: Mapping[str, Fraction]

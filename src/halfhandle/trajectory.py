@@ -168,49 +168,39 @@ def broken_closure(graph: TrajectoryGraph):
     Returns a dict mapping each point id with outgoing chains to the frozen
     set of ids reachable through one or more edges.  Raises CycleDetected
     on cyclic input (valid data is acyclic since values strictly increase
-    along edges).
+    along edges), naming the first point the search finds on its own
+    stack again.
+
+    One depth-first search over ``edge_index.out_edges``, whose points and
+    edges are in (src, dst) order, from each point with edges out that no
+    earlier search reached; a point's set is made when the search leaves
+    it, from its successors', which are made by then.
     """
-    succ = {}
-    for e in graph.edges:
-        succ.setdefault(e.src, set()).add(e.dst)
-
-    order = []
-    state = {}  # 0 visiting, 1 done
-
-    def visit(node):
-        stack = [(node, iter(sorted(succ.get(node, ()))))]
-        state[node] = 0
+    out_edges = graph.edge_index.out_edges
+    reach, on_stack = {}, set()
+    for root in out_edges:
+        if root in reach:
+            continue
+        on_stack.add(root)
+        stack = [(root, iter(out_edges[root]))]
         while stack:
-            current, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 0:
-                    raise CycleDetected("flow graph cycle through %r" % (nxt,))
-                if nxt not in state:
-                    state[nxt] = 0
-                    stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
-                    advanced = True
+            node, it = stack[-1]
+            for e in it:
+                if e.dst in on_stack:
+                    raise CycleDetected("flow graph cycle through %r" % (e.dst,))
+                if e.dst in out_edges and e.dst not in reach:
+                    on_stack.add(e.dst)
+                    stack.append((e.dst, iter(out_edges[e.dst])))
                     break
-            if not advanced:
-                state[current] = 1
-                order.append(current)
+            else:
                 stack.pop()
-
-    nodes = set(succ)
-    for e in graph.edges:
-        nodes.add(e.dst)
-    for node in sorted(nodes):
-        if node not in state:
-            visit(node)
-
-    reach = {}
-    for node in order:  # reverse topological order
-        acc = set()
-        for nxt in succ.get(node, ()):
-            acc.add(nxt)
-            acc |= reach.get(nxt, frozenset())
-        reach[node] = frozenset(acc)
-    return {k: v for k, v in reach.items() if v}
+                on_stack.remove(node)
+                acc = set()
+                for e in out_edges[node]:
+                    acc.add(e.dst)
+                    acc |= reach.get(e.dst, frozenset())
+                reach[node] = frozenset(acc)
+    return reach
 
 
 def _reaches(graph: TrajectoryGraph, starts, dst: str) -> bool:
@@ -250,8 +240,9 @@ def can_rearrange(graph: TrajectoryGraph, z_id: str, w_id: str) -> bool:
 
     True unless some chain of flow lines runs from z up to w; such a chain
     pins the order of their critical values.  A single search from the
-    successors of z; ``broken_closure`` answers the same question for every
-    pair at once and stays the reference.
+    successors of z over ``edge_index.out_edges``, the index
+    ``broken_closure`` walks to answer the same question for every pair at
+    once.
     """
     first = graph.edge_index.out_edges.get(z_id, ())
     return not _reaches(graph, [e.dst for e in first], w_id)

@@ -1,6 +1,7 @@
 """Shared builders for hand-made test data, and slow references."""
 
 import functools
+import hashlib
 import sys
 import types
 from bisect import bisect_left
@@ -18,9 +19,13 @@ from halfhandle.cli_io import (
     _content_lines,
     _fraction,
     _int,
+    serialize_datum,
+    serialize_decomposition,
+    serialize_script,
 )
 from halfhandle.errors import (
     BrokenTrajectoryExists,
+    CycleDetected,
     Inadmissible,
     IndexMismatch,
     InvalidEffect,
@@ -172,7 +177,7 @@ def assign_by_replay(datum, assignments):
     new value by the checking constructor.
     """
     for pid in assignments:
-        if not datum.has_point(pid):
+        if pid not in datum.point_index:
             raise UnknownId("no critical point with id %r" % (pid,))
     values = datum.values()
     for pid, v in assignments.items():
@@ -255,7 +260,7 @@ def rearrange_by_steps(datum, script):
         if not overlay:
             require_valid(datum)
         for pid in record.ids:
-            if not datum.has_point(pid):
+            if pid not in datum.point_index:
                 raise UnknownId("no critical point with id %r" % (pid,))
         before = {}
         for pid, v in zip(record.ids, record.values):
@@ -272,7 +277,7 @@ def rearrange_by_steps(datum, script):
                     overlay[pid] = key
             made = moved_to(datum, overlay)
             values = made.values()
-            values.update(record.assignments())
+            values.update(zip(record.ids, record.values))
             raise moves.check_assignment(made, values)
     return moved_to(datum, overlay)
 
@@ -430,7 +435,7 @@ def realize_by_replay(d, targets):
     require_valid(d)
     want = {}
     for pid, v in targets.items():
-        if not d.has_point(pid):
+        if pid not in d.point_index:
             raise UnknownId("no critical point with id %r" % (pid,))
         want[pid] = Fraction(v)
     for p in d.points:
@@ -469,7 +474,7 @@ def realize_by_replay(d, targets):
     script += [MoveRecord("rearrange", (pid,), (want[pid],), "place")
                for pid in sorted(want, key=lambda i: (want[i], i))]
     for record in script:
-        d = assign_by_replay(d, record.assignments())
+        d = assign_by_replay(d, dict(zip(record.ids, record.values)))
     return d, script
 
 
@@ -688,6 +693,91 @@ def dimension_sum_oracle(z, w, ambient):
         if du + ds > dim:
             return False
     return True
+
+
+class RunDigests:
+    """Pins of ``global_split`` runs that keep a result apart from its
+    certificate: ``result`` is the sha256 of each run's serialized output
+    datum and report, ``certificate`` the number of records and the sha256
+    of each run's serialized script, each text followed by a zero byte.  A
+    change to the scripts alone moves only the certificate pin."""
+
+    def __init__(self):
+        self._result, self._script, self._records = hashlib.sha256(), hashlib.sha256(), 0
+
+    def add(self, out, dec, script):
+        for digest, text in ((self._result, serialize_datum(out)),
+                             (self._result, serialize_decomposition(dec)),
+                             (self._script, serialize_script(script))):
+            digest.update(text.encode("utf-8"))
+            digest.update(b"\0")
+        self._records += len(script)
+
+    def pins(self):
+        return {"result": self._result.hexdigest(),
+                "certificate": (self._records, self._script.hexdigest())}
+
+
+def flow_menu_by_profiles(kz, k, kw, l, n):
+    """The loci, in (MEMBRANE, INNER, WALL) order, a flow line from a point
+    of cell (kz, k) up to one of cell (kw, l) may take once genericity
+    allows the pair, built from the cells' dimension profiles: the
+    reference for the generator's menu, which reads the validity rows."""
+    menu = [Locus.MEMBRANE]
+    pz, pw = dimension_profile(kz, k, n), dimension_profile(kw, l, n)
+    if pz.unstable_inner is not None and pw.stable_inner is not None:
+        menu.append(Locus.INNER)
+    if kz.is_boundary and kw.is_boundary:
+        menu.append(Locus.WALL)
+    return menu
+
+
+def broken_closure_by_sets(graph):
+    """The closure ``trajectory.broken_closure`` builds, or the
+    ``CycleDetected`` it raises, from successor sets of its own: a sort at
+    every visit, a post-order list and a second pass over it.  The
+    reference for the one search over the graph's index."""
+    succ = {}
+    for e in graph.edges:
+        succ.setdefault(e.src, set()).add(e.dst)
+
+    order = []
+    state = {}  # 0 visiting, 1 done
+
+    def visit(node):
+        stack = [(node, iter(sorted(succ.get(node, ()))))]
+        state[node] = 0
+        while stack:
+            current, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if state.get(nxt) == 0:
+                    raise CycleDetected("flow graph cycle through %r" % (nxt,))
+                if nxt not in state:
+                    state[nxt] = 0
+                    stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
+                    advanced = True
+                    break
+            if not advanced:
+                state[current] = 1
+                order.append(current)
+                stack.pop()
+
+    nodes = set(succ)
+    for e in graph.edges:
+        nodes.add(e.dst)
+    for node in sorted(nodes):
+        if node not in state:
+            visit(node)
+
+    reach = {}
+    for node in order:  # reverse topological order
+        acc = set()
+        for nxt in succ.get(node, ()):
+            acc.add(nxt)
+            acc |= reach.get(nxt, frozenset())
+        reach[node] = frozenset(acc)
+    return {k: v for k, v in reach.items() if v}
 
 
 def invariants(datum):

@@ -5,7 +5,6 @@ of ``pytest -v`` doubles as the acceptance report.  The stated time budget
 for a criterion is asserted, not just reported.
 """
 
-import hashlib
 import itertools
 import random
 import time
@@ -19,7 +18,6 @@ from halfhandle.cli_io import (
     parse_datum,
     parse_script,
     serialize_datum,
-    serialize_decomposition,
     serialize_script,
 )
 from halfhandle.errors import (
@@ -63,6 +61,7 @@ from halfhandle.trajectory import (
 )
 
 from helpers import (
+    RunDigests,
     attach_chain_pair,
     birth_merge_pair,
     brute_force_reachability,
@@ -212,24 +211,23 @@ def test_criterion_3_schedule_admissibility(capsys):
     run(capsys, 3, body)
 
 
-# sha256 over every criterion 4 (and 5) run's output datum, script and
-# decomposition, as serialized: refactors must keep them byte for byte.  A
-# change that alters the generator or the driver on purpose updates these
-# and says why.
-CRITERION_4_DIGEST = "88549152cc6739424ad8eb3aad47356ec9bb6960e1a95536082fd765d07dca08"
-CRITERION_5_DIGEST = "d7d41bba2aa9e26398dc4bb1cab371ea89fdc6cdb9ade30b3c3cb02bdf8aa620"
-
-
-def digest_run(digest, out, dec, script):
-    for text in (serialize_datum(out), serialize_script(script),
-                 serialize_decomposition(dec)):
-        digest.update(text.encode("utf-8"))
-        digest.update(b"\0")
+# the result and certificate pins (``RunDigests``) of every criterion 4 (and
+# 5) run: refactors must keep them byte for byte.  A change that alters the
+# generator or the driver on purpose updates these and says why; one that
+# changes only the scripts updates only the certificate.
+CRITERION_4_PINS = {
+    "result": "cabaab3169844a25e99f47e791bb14d7f653ebab9caa832cd9a167c040cbe1b5",
+    "certificate": (12483, "59bcc930ce7cb4c37899f195e06cfa0f5e3699dce0531230b85f3e2ce134b152"),
+}
+CRITERION_5_PINS = {
+    "result": "bff0069fda7a81ebd109095467420a6d19d83780d46b75dc97bec716933a3245",
+    "certificate": (546, "58ac08a9cc82d31960903de8c78611552a4c07c9e81f0b2b85d4ae66219351ff"),
+}
 
 
 def test_criterion_4_global_handle_splitting(capsys):
     def body():
-        digest = hashlib.sha256()
+        digests = RunDigests()
         for i in range(500):
             n = 1 + i % 4
             m = n + 2 + (i // 4) % 2
@@ -257,15 +255,15 @@ def test_criterion_4_global_handle_splitting(capsys):
                 [(Fraction(j, denom), Fraction(j + 1, denom))
                  for j in range(denom)]
             replay_byte_identical(d, script, out)
-            digest_run(digest, out, dec, script)
-        assert digest.hexdigest() == CRITERION_4_DIGEST
+            digests.add(out, dec, script)
+        assert digests.pins() == CRITERION_4_PINS
 
     run(capsys, 4, body)
 
 
 def test_criterion_5_codim_one_weakening(capsys):
     def body():
-        digest = hashlib.sha256()
+        digests = RunDigests()
         for i in range(200):
             n = 3 + i % 3
             spec = GeneratorSpec(n=n, m=n + 1, points=1 + (i * 5) % 8,
@@ -292,7 +290,7 @@ def test_criterion_5_codim_one_weakening(capsys):
             keep = [p for p in d.points
                     if p.kind is Kind.INTERIOR and p.index in (1, n)]
             for p in keep:
-                assert out.has_point(p.id)
+                assert p.id in out.point_index
                 survivor = out.point(p.id)
                 assert survivor.kind is Kind.INTERIOR
                 assert survivor.index == p.index
@@ -300,8 +298,8 @@ def test_criterion_5_codim_one_weakening(capsys):
             for rec in script:
                 assert not (rec.kind == "split" and rec.ids[0] in kept_ids)
             replay_byte_identical(d, script, out)
-            digest_run(digest, out, dec, script)
-        assert digest.hexdigest() == CRITERION_5_DIGEST
+            digests.add(out, dec, script)
+        assert digests.pins() == CRITERION_5_PINS
 
     run(capsys, 5, body)
 

@@ -42,7 +42,7 @@ from functools import cached_property
 from itertools import groupby
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from halfhandle import morse_data, moves, normal_form, slice_topology, trajectory
@@ -203,7 +203,7 @@ def target(draw, d):
         return pid, draw(st.fractions(min_value=Fraction(1, 1000),
                                       max_value=Fraction(999, 1000)))
     pool = []
-    if way in ("tie", "past") and d.has_point(pid):
+    if way in ("tie", "past") and pid in d.point_index:
         pool = [d.point(q) for q in related(d, pid)]
     other = draw(st.sampled_from(pool or d.points))
     if way == "tie":
@@ -437,7 +437,7 @@ def check_accepted_split(d, z_id, out):
     assert all(p.value != z.value for p in others), "a shared value went through"
     lower = max([p.value for p in others if p.value < z.value], default=Fraction(0))
     upper = min([p.value for p in others if p.value > z.value], default=Fraction(1))
-    zs, zu = sorted((p for p in out.points if not d.has_point(p.id)),
+    zs, zu = sorted((p for p in out.points if p.id not in d.point_index),
                     key=lambda p: p.kind.value)
     assert (zs.kind, zu.kind) == (Kind.BOUNDARY_STABLE, Kind.BOUNDARY_UNSTABLE)
     assert zs.value == (lower + z.value) / 2
@@ -454,7 +454,7 @@ def split_target(draw, d, hint):
     or an id the datum does not have."""
     inner = d.interior_points(1, d.ambient.n)
     pools = [[p.id for p in d.points], ["nope"]]
-    if hint is not None and d.has_point(hint):
+    if hint is not None and hint in d.point_index:
         pools.append([hint])
     if inner:
         pools += [[p.id for p in inner]] * 2
@@ -475,7 +475,7 @@ def test_splits_match_the_full_validation_path(base, data):
         # a split of a valid datum is refused for its point, never for
         # leaving inconsistent data
         assert got[:2] != ("refused", InvalidEffect), got
-        z = d.point(z_id) if d.has_point(z_id) else None
+        z = d.point(z_id) if z_id in d.point_index else None
         splittable = (z is not None and z.kind is Kind.INTERIOR
                       and 1 <= z.index <= d.ambient.n)
         if splittable:
@@ -582,6 +582,29 @@ def split_run_ids(draw, d):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
 
 
+@st.composite
+def split_runs(draw):
+    """A ``split_run_bases`` datum and the ids a run splits in it."""
+    d = draw(split_run_bases())
+    return d, split_run_ids(draw, d)
+
+
+def lines_into_a_split_point():
+    """Interior points y and yb, each joined by an inner flow line to z
+    above them; each of the three can split."""
+    return datum(
+        6, 4,
+        [comp("c0")],
+        [pt("y", Kind.INTERIOR, 1, Fraction(1, 4)),
+         pt("yb", Kind.INTERIOR, 1, Fraction(1, 2)),
+         pt("z", Kind.INTERIOR, 2, Fraction(3, 4))],
+        [edge("y", "z", 1, Locus.INNER), edge("yb", "z", None, Locus.INNER)],
+        [eff("y", EffectKind.INTERNAL, ("c0",), (comp("c1"),)),
+         eff("yb", EffectKind.INTERNAL, ("c1",), (comp("c2"),)),
+         eff("z", EffectKind.INTERNAL, ("c2",), (comp("c3"),))],
+    )
+
+
 def split_fold_outcome(d, ids):
     """``split_interior`` over the ids one by one; the outcome and the
     records made up to the first refusal."""
@@ -604,9 +627,18 @@ def split_run_outcome(fn, d, ids):
 
 
 @settings(max_examples=200, deadline=None)
-@given(split_run_bases(), st.data())
-def test_split_runs_match_the_fold_of_single_splits(d, data):
-    ids = split_run_ids(data.draw, d)
+@given(split_runs())
+# two split points joined by a flow line, in both orders; the same with
+# the ids y and yb, where y's half yu sorts past yb; z's lines in from y
+# and yb, whose traded sources yu and ybu sort the other way round
+@example((internal_chain_pair(n=4, k=1), ["p", "q"]))
+@example((internal_chain_pair(n=4, k=1), ["q", "p"]))
+@example((relabel(internal_chain_pair(n=4, k=1), {"p": "y", "q": "yb"}), ["y", "yb"]))
+@example((relabel(internal_chain_pair(n=4, k=1), {"p": "y", "q": "yb"}), ["yb", "y"]))
+@example((lines_into_a_split_point(), ["y", "yb", "z"]))
+@example((lines_into_a_split_point(), ["z", "yb", "y"]))
+def test_split_runs_match_the_fold_of_single_splits(run):
+    d, ids = run
     want, made = split_fold_outcome(d, ids)
     records = [MoveRecord("split", (z_id,)) for z_id in ids]
     assert made == records[:len(made)]
@@ -904,11 +936,11 @@ def fold_outcome(d, script):
     made = []
     try:
         for record in script:
-            d, made_record = assign_values(d, record.assignments(), record.note)
+            moved = dict(zip(record.ids, record.values))
+            d, made_record = assign_values(d, moved, record.note)
             made.append(made_record)
     except Exception as exc:  # the class and message are what is compared
-        return ("refused", type(exc), str(exc)), made, {
-            **d.values(), **record.assignments()}
+        return ("refused", type(exc), str(exc)), made, {**d.values(), **moved}
     return ("accepted", d, serialize_datum(d)), made, d.values()
 
 
@@ -1086,7 +1118,8 @@ def test_runs_refuse_as_the_reference_on_the_planted_union():
         else:  # named by the full replay, on the values the lifts made
             assert got[0][1] in (EdgeOrderViolation, InvalidEffect), (name, got)
             made = run_outcome(d, script[:-1])[0][1]
-            assert got[1] == {**made.values(), **script[-1].assignments()}
+            assert got[1] == {**made.values(),
+                              **dict(zip(script[-1].ids, script[-1].values))}
     accepted = run_outcome(d, [lift, lift])
     assert accepted[0][0] == "accepted"
     assert accepted == run_outcome(d, [lift, lift], rearrange_by_steps)
@@ -1503,7 +1536,7 @@ def local_move(draw, d):
         move = target_map(draw, d)
         if len(move) != len(d.points):
             return way, None
-    if all(d.has_point(pid) and 0 < v < 1 for pid, v in move.items()):
+    if all(pid in d.point_index and 0 < v < 1 for pid, v in move.items()):
         return way, move
     return way, None
 

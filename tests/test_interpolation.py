@@ -27,11 +27,10 @@ message.
 
 The driver's outputs are pinned at 1,280 points, where the denominators
 the interpolation builds grow: ``global_split`` on the unions of both split
-pools that ``tools/scale.py`` builds must serialize to the recorded
-digests.
+pools that ``tools/scale.py`` builds must keep the recorded result and
+certificate pins.
 """
 
-import hashlib
 import itertools
 import operator
 import pickle
@@ -44,17 +43,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfhandle.cli_io import (
-    parse_datum,
-    serialize_datum,
-    serialize_decomposition,
-    serialize_script,
-)
+from halfhandle.cli_io import parse_datum
 from halfhandle.morse_data import between, ratio, spaced
 from halfhandle.moves import realize_configuration
 from halfhandle.normal_form import _half_handle_bounds, global_split
 
-from helpers import perfbench_module, realize_by_replay, spaced_by_between
+from helpers import RunDigests, perfbench_module, realize_by_replay, spaced_by_between
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -255,11 +249,17 @@ def scale_tool(monkeypatch):
     return module
 
 
-# sha256 of the serialized datum, script and report of ``global_split`` on
-# each 1,280-point union, each text followed by a zero byte
+# the result and certificate pins (``RunDigests``) of ``global_split`` on
+# each 1,280-point union
 DIGESTS_1280 = {
-    "split_deep": (5600, "f6fc03c19bdf4df66adb6e525c77c2829fc4790ef814ad9a71f52196e5853609"),
-    "split_codim1": (2816, "72081e9cdbf46e9bd001be5ef6c240a798407b5ae88ffb6ddbb6cc8c07b4dadd"),
+    "split_deep": {
+        "result": "65edb40e8d0c225cdd8754c42c6dbd3176f4785ec6114f20a71159c9e8b0aa5e",
+        "certificate": (5600, "b9e840fd8701448c06d54cd9e96450e06934a775a799f0fb9171b8c56504a69d"),
+    },
+    "split_codim1": {
+        "result": "1f34179f7bf738a230189bd2c14e7a92fa47cb682118607108ee89de599eddce",
+        "certificate": (2816, "9e460a964cd78a6515386a442c2f44b8d545b9b2c4c788a35f4db1f53c496b23"),
+    },
 }
 
 
@@ -269,10 +269,6 @@ def test_global_split_keeps_its_outputs_on_the_1280_point_unions(monkeypatch):
     for pool in scale.POOLS:
         d = scale.union_of([parse_datum(t) for t in texts[pool]], 1280)
         assert len(d.points) == 1280
-        out, dec, script = global_split(d)
-        digest = hashlib.sha256()
-        for text in (serialize_datum(out), serialize_script(script),
-                     serialize_decomposition(dec)):
-            digest.update(text.encode("utf-8"))
-            digest.update(b"\0")
-        assert (len(script), digest.hexdigest()) == DIGESTS_1280[pool], pool
+        digests = RunDigests()
+        digests.add(*global_split(d))
+        assert digests.pins() == DIGESTS_1280[pool], pool

@@ -475,7 +475,7 @@ def test_split_replaces_point_with_boundary_pair():
     d = internal_chain_pair(n=3, k=2)
     out, rec = split_interior(d, "p")
     assert validate_datum(out) == []
-    assert not out.has_point("p")
+    assert "p" not in out.point_index
     zs, zu = out.point("ps"), out.point("pu")
     assert zs.kind is Kind.BOUNDARY_STABLE and zs.index == 2
     assert zu.kind is Kind.BOUNDARY_UNSTABLE and zu.index == 2
@@ -605,7 +605,7 @@ def test_split_fresh_ids_avoid_collisions():
         taken.slices.bottom + (comp("c0y", True),), taken.slices.effects))
     assert validate_datum(taken) == []
     out, _ = split_interior(taken, "p")
-    assert out.has_point("ps_")  # suffix keeps the id fresh
+    assert "ps_" in out.point_index  # suffix keeps the id fresh
     assert validate_datum(out) == []
 
 

@@ -664,8 +664,8 @@ def test_monotone_decomposition_codim_one():
     assert validate_datum(out) == []
     assert apply_script(d, script) == out
     # the index-1 and index-4 points stay whole, the middles were split
-    assert out.has_point("a") and out.has_point("d")
-    assert not out.has_point("b") and not out.has_point("c")
+    assert "a" in out.point_index and "d" in out.point_index
+    assert "b" not in out.point_index and "c" not in out.point_index
     mids = dec.segments[1:-1]
     assert all(len(s.point_ids) == 1 for s in mids)
     mid_indices = [out.point(s.point_ids[0]).index for s in mids]

@@ -1,5 +1,5 @@
-"""Every public top-level function and class of the package has a caller
-outside the tests.
+"""Every public top-level function and class of the package, and every
+public method of such a class, has a caller outside the tests.
 
 A name only the tests use is a test oracle or dead surface, and belongs in
 ``tests/`` (``helpers`` keeps the references).  A name counts as used when
@@ -39,17 +39,29 @@ def referenced(tree, skip=None, strings=False):
 
 def unused_public_names(modules, outside):
     """(module, name) of each public top-level function and class of the
-    parsed ``modules`` (by name) that no module references outside its own
-    definition and that is not in the names ``outside``."""
+    parsed ``modules`` (by name), and (module, "Class.method") of each
+    public method of such a class, that no module references outside its
+    own definition and that is not in the names ``outside``.
+
+    A method is looked for by its name alone, so a method whose name also
+    names another function, method or attribute in use counts as used: for
+    methods the check is best-effort."""
+    everywhere = {name: referenced(tree) for name, tree in modules.items()}
     unused = []
     for module, tree in modules.items():
         for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in outside):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if not any(node.name in referenced(other, node if name == module else None)
-                       for name, other in modules.items()):
-                unused.append((module, node.name))
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [("%s.%s" % (node.name, f.name), f) for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+            for label, member in members:
+                if member.name in outside or member.name in referenced(tree, member):
+                    continue
+                if not any(member.name in refs for name, refs in everywhere.items()
+                           if name != module):
+                    unused.append((module, label))
     return unused
 
 
@@ -72,3 +84,22 @@ def test_a_name_used_only_in_its_own_definition_is_caught():
     }
     assert unused_public_names(modules, set()) == [("a", "recursive"), ("a", "Timed")]
     assert unused_public_names(modules, {"Timed"}) == [("a", "recursive")]
+
+
+def test_a_method_used_only_in_its_own_definition_is_caught():
+    modules = {
+        "a": ast.parse("class Datum:\n"
+                       "    def point(self): return self.point()\n"
+                       "    def has_point(self, pid): return self.has_point(pid)\n"
+                       "    def values(self): pass\n"
+                       "    def _built(self): pass\n"
+                       "def keys(d): return d.values()\n"),
+        "b": ast.parse("from .a import Datum, keys\n"
+                       "def _reach(d): return d.point(), keys(d)\n"),
+    }
+    # values is read by keys, point by b; has_point only calls itself
+    assert unused_public_names(modules, set()) == [("a", "Datum.has_point")]
+    # a name in use elsewhere, by whatever it names, counts as used
+    modules["b"] = ast.parse("from .a import Datum, keys\n"
+                             "def _reach(d, text): return d.point(), keys(d), text.has_point\n")
+    assert unused_public_names(modules, set()) == []

@@ -5,10 +5,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from halfhandle import trajectory
+from halfhandle import generator, trajectory
 from halfhandle.errors import CycleDetected, ValidationError
 from halfhandle.morse_data import Ambient, CriticalPoint, Kind, index_bounds, validate_datum
 from halfhandle.trajectory import (
@@ -23,7 +23,8 @@ from halfhandle.trajectory import (
     has_broken_path,
 )
 
-from helpers import datum, comp, dimension_sum_oracle, internal_chain_pair, pt, eff, edge
+from helpers import (broken_closure_by_sets, comp, datum, dimension_sum_oracle, edge, eff,
+                     flow_menu_by_profiles, internal_chain_pair, pt)
 from halfhandle.slice_topology import ComponentEffect, EffectKind
 
 
@@ -118,6 +119,24 @@ def test_disjointness_agrees_with_dimension_sums():
                     dimension_sum_oracle(z, w, ambient), (n, m, kz, k, kw, l)
 
 
+def test_the_generators_loci_are_the_empty_validity_rows():
+    # the generator draws a flow line's locus from the rows of the rule
+    # table; they must give the menu the dimension profiles build, and
+    # none where genericity holds the pair apart
+    for n in range(1, 5):
+        for m in range(n + 1, n + 4):
+            ambient = Ambient(m, n)
+            for (kz, k), (kw, l) in itertools.product(all_cells(n), repeat=2):
+                z = CriticalPoint("z", kz, k, Fraction(1, 3))
+                w = CriticalPoint("w", kw, l, Fraction(2, 3))
+                menu = generator._loci(z, w, m, n)
+                if generic_disjoint(z, w, ambient):
+                    assert menu == [], (n, m, kz, k, kw, l)
+                else:
+                    assert menu == flow_menu_by_profiles(kz, k, kw, l, n), \
+                        (n, m, kz, k, kw, l)
+
+
 def test_edge_issues_match_the_pinned_digest():
     # every issue list over the cells below, hashed in enumeration order;
     # the digest was taken while edge_issues worked each rule out per call,
@@ -176,6 +195,33 @@ def test_disjointness_known_cases():
 
     amb1 = Ambient(3, 2)  # codimension 1: equal index pairs may meet
     assert not generic_disjoint(z, w, amb1)
+
+
+def closure_outcome(fn, graph):
+    """The closure ``fn`` builds, as its items in order, or the message of
+    the ``CycleDetected`` it raises."""
+    try:
+        return list(fn(graph).items())
+    except CycleDetected as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=24))
+# a cycle through the root; one entered from a point below it; two cycles,
+# the one reached first through v10, which sorts before v2; a diamond
+@example([(0, 1), (1, 2), (2, 0)])
+@example([(3, 1), (1, 2), (2, 1), (0, 5)])
+@example([(1, 10), (10, 1), (1, 2), (2, 3), (3, 2)])
+@example([(0, 1), (0, 2), (1, 3), (2, 3), (3, 11)])
+def test_closure_matches_the_set_based_search(raw):
+    # any pairs, so cycles are common; ids v10 and v11 sort before v2
+    pairs = {("v%d" % a, "v%d" % b) for a, b in raw if a != b}
+    graph = TrajectoryGraph(tuple(
+        FlowEdge(s, d, 1, Locus.MEMBRANE) for s, d in sorted(pairs)))
+    want = closure_outcome(broken_closure_by_sets, graph)
+    assert closure_outcome(broken_closure, graph) == want
+    event("cycle" if isinstance(want, str) else "acyclic")
 
 
 def test_graph_issues_flags_downhill_and_generic_edges():
