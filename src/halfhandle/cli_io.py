@@ -12,19 +12,18 @@ kinds, ``_LINES``: each directive (``point``, ``effect``, ``edge``,
 of a match and the builder of its checked ``key=value`` tokens.  A format
 offers only its own directives; any other is an unknown directive there.
 
-Each format has one fast path for the shape the serializers write (single
-spaces, keys in order, ASCII ids and digits).  A datum line in that shape is
-built from one pattern match, without the checks of its constructor: the
-match proves them, but for those its builder makes on the fields (a value
-inside (0, 1), an edge's ends and count, an effect's ids each once, a kind
-or locus word), by the one unchecked builder of its type, which the moves
-share.  A script of such lines only is read by one scan
-(``_scan_script``): a one-point ``rearrange`` row is built by
-``MoveRecord._trusted``, any other by the checking ``MoveRecord``.  A text's
-values come from one pool, one ``Fraction`` per ``p/q`` token built by
-``morse_data.ratio``, so equal tokens give one object.  Any other line or
-script, and one whose build raises, goes to the general path, which raises
-its own ParseError with the same message and line.
+Each directive has one fast path for the shape the serializers write
+(single spaces, keys in order, ASCII ids and digits).  A line in that shape
+is built from one pattern match.  A datum line is built without the checks
+of its constructor: the match proves them, but for those its builder makes
+on the fields (a value inside (0, 1), an edge's ends and count, an effect's
+ids each once, a kind or locus word), by the one unchecked builder of its
+type, which the moves share.  So is a one-point ``rearrange`` line, by
+``MoveRecord._trusted``; any other ``move`` line is built by the checking
+``MoveRecord``.  A text's values come from one pool, one ``Fraction`` per
+``p/q`` token built by ``morse_data.ratio``, so equal tokens give one
+object.  Any other line, and one whose build raises, goes to the general
+path, which raises its own ParseError with the same message and line.
 
 The general path reads a line in one pass: every token is split once, and
 the line's key set is compared with its directive's.  The message for a
@@ -150,24 +149,16 @@ def _int(token: str, num: int) -> int:
         raise ParseError("bad integer %r" % (token,), num)
 
 
-def _content_lines(text: str):
-    for num, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield num, line
-
-
 # The canonical lines, as the serializers write them: single spaces, the
 # keys in ``_LINES`` order, ids and words of ASCII ``\w``, a note of
 # printable ASCII, ``p/q`` fractions of ASCII digits.  The general path
 # reads such a line as these builders do: the same tokens, each key once,
 # ids that pass ``_ID_RE``, enum members by their words, and ints and
-# Fractions from the same digits.  A row holds no line break of
-# ``str.splitlines``, so a text of rows is a text of the same lines there.
-_MOVE_ROW = re.compile(
-    r"^move kind=(rearrange|cancel|split) ids=(\w+(?:,\w+)*)"
-    r" values=(-|\d+/\d+(?:,\d+/\d+)*) note=([!-~]+)$",
-    re.ASCII | re.MULTILINE,
+# Fractions from the same digits.
+_MOVE_LINE = re.compile(
+    r"move kind=(rearrange|cancel|split) ids=(\w+(?:,\w+)*)"
+    r" values=(-|\d+/\d+(?:,\d+/\d+)*) note=([!-~]+)",
+    re.ASCII,
 )
 _POINT_LINE = re.compile(
     r"point id=(\w+) kind=(\w+) index=(\d+) value=(\d+/\d+)", re.ASCII
@@ -186,8 +177,9 @@ _COMPONENT_LINE = re.compile(
 _KINDS, _EFFECT_KINDS, _LOCI = (
     {member.value: member for member in enum} for enum in (Kind, EffectKind, Locus)
 )
-# what a matched line's build may raise: 1/0, a too long int, a bad word or field
-_MISSES = (KeyError, ValueError, ZeroDivisionError)
+# what a matched line's build may raise: 1/0, a too long int, a bad word or
+# field, a record that MoveRecord refuses
+_MISSES = (KeyError, ValueError, ZeroDivisionError, ValidationError)
 
 
 class _Pool(dict):
@@ -197,6 +189,18 @@ class _Pool(dict):
         p, _, q = token.partition("/")
         value = self[token] = ratio(int(p), int(q))
         return value
+
+
+def _move(match, pool) -> MoveRecord:
+    """A one-point rearrange by ``MoveRecord._trusted``, whose one value
+    the pool builds (a list or ``-`` fails its int); any other record by
+    the checking ``MoveRecord``."""
+    kind, ids, values, note = match.groups()
+    note = "" if note == "-" else note
+    if kind == "rearrange" and "," not in ids:
+        return MoveRecord._trusted(kind, (ids,), (pool[values],), note)
+    values = () if values == "-" else tuple([pool[v] for v in values.split(",")])
+    return MoveRecord(kind, tuple(ids.split(",")), values, note)
 
 
 def _point(match, pool) -> CriticalPoint:
@@ -282,13 +286,13 @@ def _component_attrs(attrs, num: int) -> SliceComponent:
 
 
 # directive -> (its keys, as a dict: a keys view compares as a set; its
-# canonical pattern and the builder of a match and the text's pool, or None
-# for a move, whose canonical lines ``_scan_script`` reads; the builder of
-# its key=value tokens, which may raise ValidationError or ValueError)
+# canonical pattern; the builder of a match and the text's pool, which may
+# raise one of ``_MISSES``; the builder of its key=value tokens, which may
+# raise ValidationError or ValueError)
 _LINES = {
     directive: (dict.fromkeys(keys.split()), pattern, from_match, from_attrs)
     for directive, keys, pattern, from_match, from_attrs in (
-        ("move", "kind ids values note", None, None, _move_attrs),
+        ("move", "kind ids values note", _MOVE_LINE, _move, _move_attrs),
         ("point", "id kind index value", _POINT_LINE, _point, _point_attrs),
         ("effect", "at kind inputs outputs", _EFFECT_LINE, _effect, _effect_attrs),
         ("edge", "src dst count locus", _EDGE_LINE, _edge, _edge_attrs),
@@ -301,27 +305,35 @@ def _read(text: str, fmt: str, directives, header=None) -> Dict[str, list]:
     """The objects of a ``fmt`` text's lines, in a list per directive of
     ``directives``; ParseError with its line number for the first bad line.
 
-    The first content line must be ``format=fmt``.  A later line whose
-    first word is one of ``directives`` with a pattern, and whose shape is
-    canonical, is built from its match, its values from the text's one
-    ``_Pool``.  Any other line is split into its ``key=value`` tokens (``_attrs``); one
-    whose first token holds ``=`` goes to ``header(token, attrs, num)`` if
-    a header is read, and any other must be one of ``directives``, with
-    exactly its keys, and is built from its tokens."""
-    lines = _content_lines(text)
-    for num, line in lines:
-        if line != "format=" + fmt:
-            raise ParseError("expected format=" + fmt, num)
-        break
+    The text is split once by ``str.splitlines`` and each line stripped;
+    empty lines and ``#`` comments are skipped.  The first other line must
+    be ``format=fmt``.  A later line whose first word is one of
+    ``directives`` and whose shape is that directive's canonical pattern
+    is built from its match, its values from the text's one ``_Pool``.
+    Any other line, and one whose build raises one of ``_MISSES``, is split
+    into its ``key=value`` tokens (``_attrs``); one whose first token holds
+    ``=`` goes to ``header(token, attrs, num)`` if a header is read, and
+    any other must be one of ``directives``, with exactly its keys, and is
+    built from its tokens."""
+    lines = text.splitlines()
+    for num, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and line[0] != "#":
+            break
     else:
         raise ParseError("missing format=" + fmt)
+    if line != "format=" + fmt:
+        raise ParseError("expected format=" + fmt, num)
     out = {directive: [] for directive in directives}
     pool = _Pool()
-    for num, line in lines:
+    for num, line in enumerate(lines[num:], num + 1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
         directive = line.partition(" ")[0]
         if directive in out:
             _, pattern, from_match, _ = _LINES[directive]
-            match = pattern and pattern.fullmatch(line)
+            match = pattern.fullmatch(line)
             if match:
                 try:
                     out[directive].append(from_match(match, pool))
@@ -430,48 +442,16 @@ def serialize_datum(datum: MorseDatum) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SCRIPT_HEAD = "format=%s\n" % SCRIPT_FORMAT
-
-
-def _scan_script(text: str) -> Optional[List[MoveRecord]]:
-    """The records of a script that is its format line and canonical
-    ``move`` lines, each ended by a newline, read by one scan of the text;
-    None for any other text, and for one with a row whose build raises
-    ValidationError or one of ``_MISSES`` (so a one-point rearrange whose
-    values are a list or ``-``, which fail their int in the pool)."""
-    if not (text.startswith(_SCRIPT_HEAD) and text.endswith("\n")):
-        return None
-    rows = _MOVE_ROW.findall(text)
-    if len(rows) != text.count("\n") - 1:  # a line that is not a row
-        return None
-    pool, out = _Pool(), []
-    try:
-        for kind, ids, values, note in rows:
-            note = "" if note == "-" else note
-            if kind == "rearrange" and "," not in ids:
-                out.append(MoveRecord._trusted("rearrange", (ids,), (pool[values],), note))
-                continue
-            values = [] if values == "-" else [pool[v] for v in values.split(",")]
-            out.append(MoveRecord(kind, tuple(ids.split(",")), tuple(values), note))
-    except (ValidationError, *_MISSES):  # _read raises its own error
-        return None
-    return out
-
-
 def parse_script(text: str) -> List[MoveRecord]:
-    """Parse the script format; raises ParseError with a line number.  A
-    text of canonical lines is read by ``_scan_script``, any other by
-    ``_read``."""
-    records = _scan_script(text)
-    return _read(text, SCRIPT_FORMAT, ("move",))["move"] if records is None else records
+    """Parse the script format; raises ParseError with a line number."""
+    return _read(text, SCRIPT_FORMAT, ("move",))["move"]
 
 
 def serialize_script(script) -> str:
     lines = ["format=" + SCRIPT_FORMAT]
     for rec in script:
         values = ",".join(str(v) for v in rec.values) if rec.values else "-"
-        note = rec.note if rec.note else "-"
-        note = "_".join(note.split())  # keep the line tokenizable
+        note = "_".join(rec.note.split()) or "-"  # keep the line tokenizable
         lines.append(
             "move kind=%s ids=%s values=%s note=%s"
             % (rec.kind, ",".join(rec.ids), values, note)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from .errors import (
     InvalidIndexKind,
@@ -269,8 +269,12 @@ def dimension_profile(kind: Kind, index: int, n: int) -> DimensionProfile:
     return DimensionProfile(k + 1, n + 2 - k, None, n + 1 - k, k, n - k)
 
 
-def first_inversion(points, values: Mapping[str, Fraction], rank=lambda p: p.index):
+def first_inversion(points, values: Mapping[str, Any], rank=lambda p: p.index):
     """First pair (z, w) with rank(z) < rank(w) but not values[z] < values[w].
+
+    ``values`` maps each point id to a key of any type whose keys compare
+    with each other: a Fraction, or an order key such as the (float,
+    Fraction) pairs of ``realize_configuration``.
 
     "First" in the order of a double loop over ``points``; None when the
     values are strictly monotone in the rank.  One pass reads each rank's
@@ -279,7 +283,7 @@ def first_inversion(points, values: Mapping[str, Fraction], rank=lambda p: p.ind
     lowest value of a higher rank, and w the first such point of a higher
     rank, so the search is O(P log P), not a comparison of every pair.
     """
-    lowest: Dict[object, Fraction] = {}
+    lowest: Dict[object, Any] = {}
     for p in points:
         r, v = rank(p), values[p.id]
         if r not in lowest or v < lowest[r]:

@@ -16,7 +16,6 @@ from halfhandle.cli_io import (
     DATUM_FORMAT,
     SCRIPT_FORMAT,
     _bool,
-    _content_lines,
     _fraction,
     _int,
     serialize_datum,
@@ -955,6 +954,15 @@ def _find(parent, cid):
 # for ``cli_io.parse_datum`` and ``cli_io.parse_script``
 
 
+def content_lines(text: str):
+    """(line number, stripped line) of each line of ``text`` that is
+    neither empty nor a ``#`` comment, split by ``str.splitlines``."""
+    for num, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield num, line
+
+
 def split_directive(line: str, num: int):
     tokens = line.split()
     attrs: Dict[str, str] = {}
@@ -994,7 +1002,7 @@ def parse_datum_by_reference(text: str) -> MorseDatum:
         "no_closed_top",
     }
 
-    for num, line in _content_lines(text):
+    for num, line in content_lines(text):
         if not saw_format:
             if line != "format=" + DATUM_FORMAT:
                 raise ParseError("expected format=" + DATUM_FORMAT, num)
@@ -1098,7 +1106,7 @@ def parse_script_by_reference(text: str) -> List[MoveRecord]:
     as lists, so it converts and checks every one of them."""
     records: List[MoveRecord] = []
     saw_format = False
-    for num, line in _content_lines(text):
+    for num, line in content_lines(text):
         if not saw_format:
             if line != "format=" + SCRIPT_FORMAT:
                 raise ParseError("expected format=" + SCRIPT_FORMAT, num)

@@ -219,6 +219,14 @@ def test_script_roundtrip_and_note_mangling():
     assert back[2] == script[2]
     assert serialize_script(back) == text
 
+    # a note of blanks only is written as no note, so it round-trips too
+    for note in ("  ", "\t", " \n "):
+        text = serialize_script([MoveRecord("split", ("p",), (), note)])
+        assert text.endswith(" note=-\n"), text
+        back = parse_script(text)
+        assert back == [MoveRecord("split", ("p",), (), "")]
+        assert serialize_script(back) == text
+
     with pytest.raises(ParseError):
         parse_script("move kind=cancel ids=a,b values=- note=-")
     with pytest.raises(ParseError):

@@ -130,7 +130,7 @@ def off_shape(tokens, way, at):
     return " ".join(tokens[:at]) + sep + " ".join(tokens[at:])
 
 
-SHAPES = (cli_io._MOVE_ROW, cli_io._POINT_LINE, cli_io._EFFECT_LINE,
+SHAPES = (cli_io._MOVE_LINE, cli_io._POINT_LINE, cli_io._EFFECT_LINE,
           cli_io._EDGE_LINE, cli_io._COMPONENT_LINE)
 
 
@@ -309,7 +309,7 @@ def test_equal_values_of_unequal_tokens_stay_apart():
 
 
 @functools.lru_cache(maxsize=None)
-def scan_bases():
+def script_bases():
     """Every script above, and the normal form scripts of the seed-1
     split_deep and split_codim1 unions."""
     texts = list(SCRIPTS)
@@ -319,6 +319,8 @@ def scan_bases():
             texts.append(serialize_script(global_split(workload.datum)[2]))
     return texts
 
+
+DEEP_SCRIPT = script_bases()[-2]  # the seed-1 split_deep union's: 700 moves
 
 MOVE_LINES = {  # a canonical move line of each kind, valid or not
     "multi_rearrange": ["move kind=rearrange ids=%s values=%s note=-" % pair for pair in (
@@ -332,12 +334,12 @@ MOVE_LINES = {  # a canonical move line of each kind, valid or not
 
 
 @st.composite
-def scan_mutation(draw):
-    """A script of ``scan_bases`` as it is or with one change: the final
+def script_mutation(draw):
+    """A script of ``script_bases`` as it is or with one change: the final
     newline gone, CRLF line ends, a comment or blank line, a move line of
     another kind or arity, a ``1/0`` or a value past the digit limit, or
     no ids."""
-    lines = draw(st.sampled_from(scan_bases())).split("\n")  # the last one ""
+    lines = draw(st.sampled_from(script_bases())).split("\n")  # the last one ""
     way = draw(st.sampled_from(["none", "no_final_newline", "crlf", "comment", "blank",
                                 "value", "ids"] + sorted(MOVE_LINES)))
     event(way)
@@ -363,13 +365,64 @@ def scan_mutation(draw):
     return "\n".join(lines)
 
 
+NO_LINE = re.compile(r"(?!)")  # the pattern of no line
+
+
 def read_by_lines(text):
-    """The script as ``_read`` reads it, line by line, with no scan."""
-    return cli_io._read(text, cli_io.SCRIPT_FORMAT, ("move",))["move"]
+    """The script as the general path of ``_read`` reads it: every move
+    line split into its tokens and built by ``_move_attrs``, none from a
+    match."""
+    keys, _, from_match, from_attrs = cli_io._LINES["move"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cli_io._LINES, "move", (keys, NO_LINE, from_match, from_attrs))
+        return parse_script(text)
+
+
+def assert_one_object_per_token(text, records):
+    """Each value of ``records`` is the one object of its ``p/q`` token:
+    the value tokens of the canonical move lines of ``text``, in order."""
+    tokens = [token for line in text.splitlines()
+              for match in [cli_io._MOVE_LINE.fullmatch(line.strip())]
+              if match and match[3] != "-" for token in match[3].split(",")]
+    values = [value for record in records for value in record.values]
+    assert len(tokens) == len(values)
+    by_token = {}
+    for token, value in zip(tokens, values):
+        assert by_token.setdefault(token, value) is value
+
+
+def check_against_the_general_path(text):
+    """Whether ``parse_script`` reads the script ``text`` ("parsed") or
+    refuses it ("refused"), as the general path alone and the reference
+    do: the same records and value types, or the same ParseError, message
+    and line.  Every move line of the texts checked here is canonical, so
+    one that parses reads no line by its tokens (no ``_move_attrs`` call)
+    and gives one object per value token, and one that is refused reads at
+    most its bad line by its tokens."""
+    want = outcome(read_by_lines, text)
+    assert outcome(parse_script_by_reference, text) == want, text
+    keys, pattern, from_match, from_attrs = cli_io._LINES["move"]
+    calls = []
+
+    def counted(attrs, num):
+        calls.append(num)
+        return from_attrs(attrs, num)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cli_io._LINES, "move", (keys, pattern, from_match, counted))
+        got = outcome(parse_script, text)
+    assert got == want, text
+    assert got[0] == "parsed" or got[1] is ParseError, got
+    if got[0] == "refused":
+        assert calls in ([], [got[3]])
+        return "refused"
+    assert calls == []
+    assert_one_object_per_token(text, got[1])
+    return "parsed"
 
 
 @settings(max_examples=300, deadline=None)
-@given(scan_mutation())
+@given(script_mutation())
 @example("format=halfhandle-script/1\nmove kind=split ids= values=- note=-")
 @example("format=halfhandle-script/1\nmove kind=split ids= values=- note=-\n")
 @example("format=halfhandle-script/1\n")
@@ -377,36 +430,18 @@ def read_by_lines(text):
 @example(SCRIPT % ("rearrange", "p", "1/0"))
 @example(SCRIPT % ("rearrange", "p,q,r", "1/2,2/4,1/2"))  # equal values, two tokens
 @example(SCRIPT % ("rearrange", "p", "1/2") + "\n")
-def test_the_one_scan_reads_a_script_as_its_lines_are_read(text):
-    # parse_script, the scan and its fallback, against the line reader: the
-    # same records and value types, or the same ParseError, message and
-    # line; a text the scan reads gives one object per value token
-    got, want = outcome(parse_script, text), outcome(read_by_lines, text)
-    assert got == want, text
-    assert got[0] == "parsed" or got[1] is ParseError, got
-    scanned = cli_io._scan_script(text)
-    if scanned is None:
-        event("read by lines")
-        return
-    event("scanned")
-    assert outcome(lambda _: scanned, text) == want
-    tokens = [token for row in re.findall(r" values=(\S+) ", text) if row != "-"
-              for token in row.split(",")]
-    values = [value for record in scanned for value in record.values]
-    assert len(tokens) == len(values)
-    by_token = {}
-    for token, value in zip(tokens, values):
-        assert by_token.setdefault(token, value) is value
+@example(DEEP_SCRIPT.replace("\n", "\r\n"))
+def test_the_fast_path_reads_a_script_as_the_general_path_does(text):
+    event(check_against_the_general_path(text))
 
 
-def test_the_scan_reads_every_base_script_and_leaves_a_bad_line_to_the_reader():
-    # the bare text with no ids counts one line and matches no row; read by
-    # lines, it raises at line 2 with or without its final newline
-    for text in scan_bases():
-        assert cli_io._scan_script(text) == read_by_lines(text)
+def test_every_base_script_is_built_from_its_matches():
+    # the bare text with no ids matches no pattern and raises at line 2,
+    # with or without its final newline
+    for text in script_bases():
+        assert check_against_the_general_path(text) == "parsed"
     bare = "format=halfhandle-script/1\nmove kind=split ids= values=- note=-"
     for text in (bare, bare + "\n"):
-        assert cli_io._scan_script(text) is None
         with pytest.raises(ParseError) as err:
             parse_script(text)
         assert (str(err.value), err.value.line) == ("line 2: bad point id ''", 2)
@@ -424,10 +459,10 @@ skipped_lines = st.one_of(
 
 @st.composite
 def with_skipped_lines(draw):
-    """A script of ``scan_bases`` with one to four lines put in: empty
+    """A script of ``script_bases`` with one to four lines put in: empty
     lines, comments, comments holding another line break and its move
     line, and lines of blanks or an indented comment."""
-    lines = draw(st.sampled_from(scan_bases())).split("\n")  # the last one ""
+    lines = draw(st.sampled_from(script_bases())).split("\n")  # the last one ""
     for _ in range(draw(st.integers(1, 4))):
         line = draw(skipped_lines)
         if draw(st.booleans()) and line[:1] == "#":
@@ -442,11 +477,8 @@ def with_skipped_lines(draw):
 @example(SCRIPT % ("split", "p", "-") + "# a\rmove kind=split ids=q values=- note=-\n")
 @example(SCRIPT % ("split", "p", "-") + "#\x0cmove kind=cancel ids=p values=- note=-\n")
 @example(SCRIPT % ("split", "p", "-") + "#\x0cnote\n")
+@example(DEEP_SCRIPT + "# end\n")
 def test_empty_lines_and_comments_parse_as_the_line_reader_reads_them(text):
-    # a line that is not a move row, an empty line or a comment among them,
-    # leaves the text to the line reader, and parse_script gives what the
-    # reader gives: the same records, or the same ParseError, message and line
-    want = outcome(read_by_lines, text)
-    assert outcome(parse_script, text) == want, text
-    assert cli_io._scan_script(text) is None, text
-    event(want[0])
+    # an empty line or a comment among the move lines leaves the others on
+    # the fast path
+    event(check_against_the_general_path(text))
