@@ -18,12 +18,15 @@ is built from one pattern match.  A datum line is built without the checks
 of its constructor: the match proves them, but for those its builder makes
 on the fields (a value inside (0, 1), an edge's ends and count, an effect's
 ids each once, a kind or locus word), by the one unchecked builder of its
-type, which the moves share.  So is a one-point ``rearrange`` line, by
-``MoveRecord._trusted``; any other ``move`` line is built by the checking
-``MoveRecord``.  A text's values come from one pool, one ``Fraction`` per
-``p/q`` token built by ``morse_data.ratio``, so equal tokens give one
-object.  Any other line, and one whose build raises, goes to the general
-path, which raises its own ParseError with the same message and line.
+type, which the moves share.  So are a one-point ``rearrange`` line and a
+one-point ``split`` line without values, by ``MoveRecord._trusted``; any
+other ``move`` line is built by the checking ``MoveRecord``.  A note of
+dashes only is written with one dash more and read with one fewer, so
+``note=-`` is no note and every note survives a round trip.  A text's
+values come from one pool, one ``Fraction`` per ``p/q`` token built by
+``morse_data.ratio``, so equal tokens give one object.  Any other line,
+and one whose build raises, goes to the general path, which raises its
+own ParseError with the same message and line.
 
 The general path reads a line in one pass: every token is split once, and
 the line's key set is compared with its directive's.  The message for a
@@ -191,14 +194,24 @@ class _Pool(dict):
         return value
 
 
+def _note(token: str) -> str:
+    """The note of a ``note=`` token: one ``-`` fewer on a token of dashes
+    only, so ``-`` is no note (``serialize_script`` writes one more)."""
+    return token[1:] if not token.strip("-") else token
+
+
 def _move(match, pool) -> MoveRecord:
-    """A one-point rearrange by ``MoveRecord._trusted``, whose one value
-    the pool builds (a list or ``-`` fails its int); any other record by
-    the checking ``MoveRecord``."""
+    """A one-point rearrange, whose one value the pool builds (a list or
+    ``-`` fails its int), and a one-point split without values, by
+    ``MoveRecord._trusted``; any other record by the checking
+    ``MoveRecord``."""
     kind, ids, values, note = match.groups()
-    note = "" if note == "-" else note
-    if kind == "rearrange" and "," not in ids:
-        return MoveRecord._trusted(kind, (ids,), (pool[values],), note)
+    note = _note(note)
+    if "," not in ids:
+        if kind == "rearrange":
+            return MoveRecord._trusted(kind, (ids,), (pool[values],), note)
+        if kind == "split" and values == "-":
+            return MoveRecord._trusted(kind, (ids,), (), note)
     values = () if values == "-" else tuple([pool[v] for v in values.split(",")])
     return MoveRecord(kind, tuple(ids.split(",")), values, note)
 
@@ -247,8 +260,7 @@ def _move_attrs(attrs, num: int) -> MoveRecord:
     values = ()
     if attrs["values"] != "-":
         values = tuple([_fraction(tok, num) for tok in attrs["values"].split(",")])
-    note = "" if attrs["note"] == "-" else attrs["note"]
-    return MoveRecord(attrs["kind"], ids, values, note)  # checked once, here
+    return MoveRecord(attrs["kind"], ids, values, _note(attrs["note"]))  # checked once, here
 
 
 def _point_attrs(attrs, num: int) -> CriticalPoint:
@@ -451,7 +463,9 @@ def serialize_script(script) -> str:
     lines = ["format=" + SCRIPT_FORMAT]
     for rec in script:
         values = ",".join(str(v) for v in rec.values) if rec.values else "-"
-        note = "_".join(rec.note.split()) or "-"  # keep the line tokenizable
+        note = "_".join(rec.note.split())  # keep the line tokenizable
+        if not note.strip("-"):  # no note, or dashes only: one more dash
+            note += "-"
         lines.append(
             "move kind=%s ids=%s values=%s note=%s"
             % (rec.kind, ",".join(rec.ids), values, note)

@@ -36,8 +36,8 @@ one, and ``MorseDatum._built`` a datum from points already in (value, id)
 order: a move places them itself, a patch by ``splice`` (by bisection
 when it is small, by one sort when it is large), a full target map in the
 order of its own sort and a split run each pair in its point's place.
-The datum's point index, like the indexes of its graph and complex, is
-built from the points on first use.
+The datum's point and place indexes, like the indexes of its graph and
+complex, are built from the points on first use.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import attrgetter
 from typing import Any, Dict, Mapping, Optional
 
 from .errors import (
@@ -388,6 +389,13 @@ class MorseDatum:
         """Point by id, built once per datum, on first use."""
         return {p.id: p for p in self.points}
 
+    @cached_property
+    def place_index(self) -> Dict[str, int]:
+        """Place in ``points`` by id, built once per datum, on first use: a
+        split reads its point, and the neighbours around its gap, there."""
+        points = self.points
+        return dict(zip(map(attrgetter("id"), points), range(len(points))))
+
     def point(self, point_id: str) -> CriticalPoint:
         try:
             return self.point_index[point_id]
@@ -413,8 +421,8 @@ class MorseDatum:
         A move of a valid datum calls it once its local checks have shown
         that the result is valid, and hands it points it has placed itself
         (``splice``, or one sort or pass of its own), so nothing is sorted
-        or checked again.  The point index, like the graph's and the
-        complex's, is built from the points on first use."""
+        or checked again.  The point and place indexes, like the graph's
+        and the complex's, are built from the points on first use."""
         out = object.__new__(MorseDatum)
         vars(out).update(
             ambient=self.ambient,

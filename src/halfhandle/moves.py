@@ -45,15 +45,19 @@ result or rebuilds the whole datum, and each result is marked valid.
   it is replayed.
 * Runs of splits are folded the same way (``_split_run``, of which
   ``split_interior`` is the one-record case): each split reads the splits
-  before it through one overlay and is judged by ``_splits_locally`` and
-  refused in place.  The flow lines and effects are patched once per run,
-  by one sort, and each pair takes its point's place in one pass.
+  before it through one overlay, its place and gap off the datum's place
+  index (built once per datum) and its flow lines in edge order, sorted
+  again only when an earlier split traded one of their ends; it hands the
+  ends it holds to ``_splits_locally``, which judges it, and is refused in
+  place.  The flow lines and effects are patched once per run, by one
+  sort, and each pair takes its point's place, between slices of the
+  datum's points.
 * A cancellation is checked at its pair, its induced flow lines by
   ``edge_issues``, and patched there (``cancel_pair``).
 
 A driver's record, its ids from the valid datum, and a parsed one-point
-rearrange line in the serializer's shape, whose match proves the record's
-checks, are built by ``MoveRecord._trusted``; any other record takes
+rearrange or split line in the serializer's shape, whose match proves the
+record's checks, are built by ``MoveRecord._trusted``; any other record takes
 every check, once (``MoveRecord`` keeps a tuple of Fractions as it is).
 The move a record names is checked when it runs.  Values are
 range-checked on their ints, read from a Fraction's slots, and ordered by
@@ -62,7 +66,6 @@ their ``order_key``s.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -92,7 +95,6 @@ from .morse_data import (
     CriticalPoint,
     Kind,
     MorseDatum,
-    _terms,
     between,
     exact,
     first_inversion,
@@ -112,7 +114,6 @@ from .slice_topology import (
 from .trajectory import (
     FlowEdge,
     Locus,
-    _edge_key,
     can_rearrange,
     edge_issues,
     generic_disjoint,
@@ -722,34 +723,46 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     the new ends of z's flow lines (lines into a split point end at its
     stable half, lines out of it leave from its unstable half); the new
     makers and users of components; and the number of components made.
-    Joinability is read off the wall bits of z's inputs, and z's gap off
-    its neighbours in the point order, found by bisection.  Each split is
-    judged by ``_splits_locally`` alone and refused in place, with the
-    class and message the fold raises: the overlay answers every question
-    the fold asks of its datum as that datum does.
+    The datum's indexes are looked up once per run, and each split does
+    O(deg z) work: joinability is read off the wall bits of z's inputs,
+    z's place, and so its gap, off the place index (built once per datum)
+    and z's flow lines off the graph's, and the overlay is written
+    directly.  Each split is judged by ``_splits_locally`` alone and
+    refused in place, with the class and message the fold raises: the
+    overlay answers every question the fold asks of its datum as that
+    datum does.
 
     The pieces of a split are built unchecked (``_trusted``): the halves'
     ids are fresh, their kinds and index z's, and their values lie
     strictly inside the gap around z, whose ends the run has found unequal
     to z's value; the moved flow lines keep the counts and loci of valid
     ones; the attach effects and the tongue come from ``_split_effects``.
-    ``_splits_locally`` then judges the pair as a whole.
+    Each moved line's far end is the point the run holds for it: the
+    datum's, or the near half of a pair to which an earlier split traded
+    the line.  Trading renames an end, so only then are z's lines sorted
+    again into edge order.  ``_splits_locally`` then judges the pair as a
+    whole, from those points and the halves.
 
     The run gathers every dropped and added flow line and effect and
     patches once, at the end; the patched graph and slice complex build
-    their indexes when first asked.  The points are built in one pass over
-    the datum's, each split point replaced by its pair, stable half first:
-    the pair lies strictly inside the point's gap, so it takes the point's
-    place in the sorted order and nothing is spliced or sorted.  The result
-    is built by ``MorseDatum._built``, marked ``valid``.
+    their indexes when first asked.  The points are built from the
+    datum's by slices between the split points' places, each split point
+    replaced by its pair, stable half first: the pair lies strictly inside
+    the point's gap, so it takes the point's place in the sorted order and
+    nothing is spliced or sorted.  The result is built by
+    ``MorseDatum._built``, marked ``valid``.
     """
     ids = tuple(ids)
     if not ids:
         return datum
     require_valid(datum)
-    n = datum.ambient.n
-    points, index = datum.points, datum.point_index
+    ambient = datum.ambient
+    n = ambient.n
+    points, place = datum.points, datum.place_index
+    last = len(points) - 1
     edges, slices = datum.graph.edge_index, datum.slices
+    in_edges, out_edges = edges.in_edges, edges.out_edges
+    effects = slices.effect_index
     # wall bits as the run leaves them: a tongue is no interior point's input
     producer, consumer, bits = slices.component_index
     pairs: Dict[str, Tuple[CriticalPoint, CriticalPoint]] = {}  # by split id
@@ -759,10 +772,9 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     drop_edges, add_edges = [], {}
     drop_effects, add_effects = [], []
 
-    def point(pid):  # the point of the datum the splits so far made, or None
-        if pid in halves:
-            return halves[pid]
-        return None if pid in pairs else index.get(pid)
+    def point(pid):  # a maker's or user's point as the run leaves it, or None
+        # (a split point's makes and uses are in ``made`` and ``used``)
+        return None if pid is None else halves.get(pid) or points[place[pid]]
 
     def maker(cid):
         return point(made.get(cid) or producer.get(cid))
@@ -771,33 +783,43 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
         return point(used.get(cid) or consumer.get(cid))
 
     for z_id in ids:
-        z = point(z_id)
+        # the point the splits so far leave at z_id: a half, none for a
+        # split point, else the datum's
+        z, i = halves.get(z_id), None
+        if z is None and z_id not in pairs:
+            i = place.get(z_id)
+            if i is not None:
+                z = points[i]
         if z is None:
             raise UnknownId("no critical point with id %r" % (z_id,))
-        if z.kind is not Kind.INTERIOR:
+        if z.kind is not Kind.INTERIOR:  # a half, or a boundary point
             raise NotInterior("point %r is not interior" % (z_id,))
         if not (1 <= z.index <= n):
             raise ExtremalIndex(
                 "split applies to indices 1..%d, point %r has index %d"
                 % (n, z_id, z.index)
             )
-        effect = slices.effect_for(z_id)  # an unsplit point keeps its effect
-        if not any(bits[cid] for cid in effect.inputs):
+        effect = effects[z_id]  # an unsplit point keeps its effect
+        state = {}  # the wall bits of z's inputs, live just below z
+        for cid in effect.inputs:
+            state[cid] = bits[cid]
+        if True not in state.values():
             raise NotJoinable(
                 "the surgery at %r happens away from the wall" % (z_id,)
             )
-        # z is a point of ``datum``; a split neighbour's near half is next
-        i = bisect_left(points, z.sort_key(), key=CriticalPoint.sort_key)
-        v, below, above = z.value, 0, 1
-        if i > 0:
+        # z's neighbours in the datum; a split neighbour's near half is next
+        v, below, above = z.value, _ZERO, _ONE
+        if i:
             y = points[i - 1]
-            below = pairs[y.id][1].value if y.id in pairs else y.value
-        if i + 1 < len(points):
+            pair = pairs.get(y.id)
+            below = pair[1].value if pair else y.value
+        if i < last:
             y = points[i + 1]
-            above = pairs[y.id][0].value if y.id in pairs else y.value
-        (num, den), (b_num, b_den) = _terms(v), _terms(below)
-        a_num, a_den = _terms(above)
-        if num * b_den == b_num * den or num * a_den == a_num * den:
+            pair = pairs.get(y.id)
+            above = pair[0].value if pair else y.value
+        num, den = v._numerator, v._denominator
+        if (num * below._denominator == below._numerator * den
+                or num * above._denominator == above._numerator * den):
             raise MoveError(
                 "point %r shares its critical value; separate the points first"
                 % (z_id,)
@@ -806,12 +828,14 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
         v_s, v_u = between(below, v, 1, 2), between(v, above, 1, 3)
 
         zs_id, zu_id = z_id + "s", z_id + "u"
-        while point(zs_id) is not None:
+        while zs_id in halves or zs_id in place and zs_id not in pairs:
             zs_id += "_"
-        while point(zu_id) is not None:
+        while zu_id in halves or zu_id in place and zu_id not in pairs:
             zu_id += "_"
-        zs = CriticalPoint._trusted(zs_id, Kind.BOUNDARY_STABLE, z.index, order_key(v_s))
-        zu = CriticalPoint._trusted(zu_id, Kind.BOUNDARY_UNSTABLE, z.index, order_key(v_u))
+        zs = CriticalPoint._trusted(zs_id, Kind.BOUNDARY_STABLE, z.index,
+                                    (v_s._numerator / v_s._denominator, v_s))
+        zu = CriticalPoint._trusted(zu_id, Kind.BOUNDARY_UNSTABLE, z.index,
+                                    (v_u._numerator / v_u._denominator, v_u))
 
         # the first c<i> no component carries, from i = the number of
         # components made so far: the datum's and one tongue per split
@@ -820,48 +844,59 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
             j += 1
         e_s, e_u = _split_effects(effect, bits, zs_id, zu_id, "c%d" % j, maker, user)
 
-        # z's flow lines as the datum so far has them, in edge order
-        into, out_of = [], []
-        for e in edges.in_edges.get(z_id, ()):
-            if e.src in pairs:
-                e = add_edges.pop((pairs[e.src][1].id, z_id))
-            else:
+        # z's flow lines moved to the pair, each with its two ends, in edge
+        # order; a line traded by an earlier split comes out of add_edges
+        lines, traded = [], False
+        for e in in_edges.get(z_id, ()):
+            pair = pairs.get(e.src)
+            if pair is None:
                 drop_edges.append(e)
-            into.append(e)
-        for e in edges.out_edges.get(z_id, ()):
-            if e.dst in pairs:
-                e = add_edges.pop((z_id, pairs[e.dst][0].id))
+                src = points[place[e.src]]
             else:
+                src, traded = pair[1], True
+                del add_edges[src.id, z_id]
+            lines.append((src, zs, FlowEdge._trusted(src.id, zs_id, e.count, e.locus)))
+        if traded:
+            lines.sort(key=lambda line: line[0].id)
+        into, traded = len(lines), False
+        for e in out_edges.get(z_id, ()):
+            pair = pairs.get(e.dst)
+            if pair is None:
                 drop_edges.append(e)
-            out_of.append(e)
-        moved = tuple(
-            FlowEdge._trusted(e.src, zs_id, e.count, e.locus)
-            for e in sorted(into, key=_edge_key)
-        ) + tuple(
-            FlowEdge._trusted(zu_id, e.dst, e.count, e.locus)
-            for e in sorted(out_of, key=_edge_key)
-        ) + (FlowEdge._trusted(zs_id, zu_id, 1, Locus.WALL),)
+                dst = points[place[e.dst]]
+            else:
+                dst, traded = pair[0], True
+                del add_edges[z_id, dst.id]
+            lines.append((zu, dst, FlowEdge._trusted(zu_id, dst.id, e.count, e.locus)))
+        if traded:
+            lines[into:] = sorted(lines[into:], key=lambda line: line[1].id)
+        lines.append((zs, zu, FlowEdge._trusted(zs_id, zu_id, 1, Locus.WALL)))
 
-        pairs[z_id] = zs, zu
-        halves[zs_id], halves[zu_id] = zs, zu
-        issue = _splits_locally(datum.ambient, point, effect, bits, moved, e_s, e_u)
+        issue = _splits_locally(ambient, lines, ((zs, e_s), (zu, e_u)), state)
         if issue is not None:
             raise InvalidEffect(
                 "splitting would leave inconsistent data: %s" % (issue,)
             )
-        add_edges.update((_edge_key(e), e) for e in moved)
+        pairs[z_id] = zs, zu
+        halves[zs_id] = zs
+        halves[zu_id] = zu
+        for _, _, e in lines:
+            add_edges[e.src, e.dst] = e
         drop_effects.append(effect)
+        add_effects += (e_s, e_u)
         for e in (e_s, e_u):
-            add_effects.append(e)
-            made.update((c.id, e.at) for c in e.outputs)
-            used.update((cid, e.at) for cid in e.inputs)
+            at = e.at
+            for c in e.outputs:
+                made[c.id] = at
+            for cid in e.inputs:
+                used[cid] = at
 
-    placed = []  # each pair in its point's place (see the docstring)
-    for p in points:
-        if p.id in pairs:
-            placed += pairs[p.id]
-        else:
-            placed.append(p)
+    placed, start = [], 0  # each pair in its point's place (see the docstring)
+    for i in sorted(map(place.__getitem__, pairs)):
+        placed += points[start:i]
+        placed += pairs[points[i].id]
+        start = i + 1
+    placed += points[start:]
     return datum._built(
         tuple(placed),
         datum.graph._patched(drop_edges, add_edges.values()),
@@ -869,38 +904,47 @@ def _split_run(datum: MorseDatum, ids: Iterable[str]) -> MorseDatum:
     )
 
 
-def _splits_locally(ambient, point, effect, bits, moved, e_s, e_u):
+def _splits_locally(ambient, lines, attaches, state):
     """The first issue of a split of a valid datum, or None when the result
-    is valid, judged by the pair alone in O(deg z); ``point`` looks up the
-    points of the result.
+    is valid, judged by the pair alone in O(deg z).  ``lines`` holds each
+    flow line touching the pair, the new wall line included, as
+    ``(source point, target point, line)``; ``attaches`` holds the two
+    halves, each with its attach effect, stable half first; ``state`` maps
+    each input of z to its wall bit, and the check applies the pair to it.
+    The run hands over the points it holds: no end is looked up again.
 
-    The flow lines touching the pair, the new wall line included, must
-    pass ``edge_issues``; the other lines and points are as before, and
-    with every line uphill there is no cycle.  The two attach effects must
-    pass their rows of the validity table and apply in turn to the wall
-    bits of z's inputs, which on a valid datum are the components live
-    just below z.  The pair sits in z's gap and leaves the state above z
-    as it was, so the rest of the replay, the top state and the flags do
-    not change: the fresh component touches the wall inside z's piece,
-    which reaches it already.  The pair's indices are z's, in range for
-    both boundary kinds.  On a valid datum a joinable point's pair always
-    passes; the check guards the verdict cached on the result.
+    Every line must pass ``edge_issues``; the other lines and points are as
+    before, and with every line uphill there is no cycle.  The two attach
+    effects must pass their rows of the validity table and apply in turn
+    to the wall bits of z's inputs, which on a valid datum are the
+    components live just below z.  The pair sits in z's gap and leaves the
+    state above z as it was, so the rest of the replay, the top state and
+    the flags do not change: the fresh component touches the wall inside
+    z's piece, which reaches it already.  The pair's indices are z's, in
+    range for both boundary kinds.  On a valid datum a joinable point's
+    pair always passes; the check guards the verdict cached on the result.
+    The first issue is the first of the lines' issues, in order, and then
+    of the effects' rows and replay, so the check stops at it.
     """
-    issues = []
-    for e in moved:
-        issues += edge_issues(ambient, point(e.src), point(e.dst), e)
-    state = {cid: bits[cid] for cid in effect.inputs}
+    for src, dst, e in lines:
+        issues = edge_issues(ambient, src, dst, e)
+        if issues:
+            return issues[0]
     try:
-        for e in (e_s, e_u):
-            issues += effect_row_issues(point(e.at), ambient.n, e, state)
+        for half, e in attaches:
+            issues = effect_row_issues(half, ambient.n, e, state)
+            if issues:
+                return issues[0]
             apply_effect(state, e)
     except InvalidEffect as exc:
-        issues.append(str(exc))
-    return issues[0] if issues else None
+        return str(exc)
+    return None
 
 
-# the keys of a component made below every point and of one never used
-_BOTTOM_KEY, _NEVER_KEY = order_key(Fraction(0), ""), order_key(Fraction(1), "")
+# the ends of [0, 1] as values, and the keys of a component made below
+# every point and of one never used
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_BOTTOM_KEY, _NEVER_KEY = order_key(_ZERO, ""), order_key(_ONE, "")
 
 
 def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user):
@@ -930,7 +974,8 @@ def _split_effects(effect: ComponentEffect, bits, zs_id, zu_id, mid, maker, user
 
     if effect.kind is EffectKind.MERGE:
         touching = [cid for cid in effect.inputs if bits.get(cid, False)]
-        witness = max(touching, key=lambda cid: (produced_at(cid), cid))
+        witness = touching[0] if len(touching) == 1 else max(
+            touching, key=lambda cid: (produced_at(cid), cid))
         other = [cid for cid in effect.inputs if cid != witness][0]
         e_s = ComponentEffect._trusted(
             zs_id, EffectKind.BOUNDARY_ATTACH, (other,), (mid_comp,)

@@ -25,12 +25,15 @@ from halfhandle.cli_io import (
 from halfhandle.errors import (
     BrokenTrajectoryExists,
     CycleDetected,
+    ExtremalIndex,
     Inadmissible,
     IndexMismatch,
     InvalidEffect,
     KindMismatch,
     LocusViolation,
     MoveError,
+    NotInterior,
+    NotJoinable,
     NotSingleTrajectory,
     ParseError,
     PartialConfiguration,
@@ -620,6 +623,91 @@ def cancel_by_rebuild(datum, z_id, w_id):
     return out, MoveRecord("cancel", (z_id, w_id))
 
 
+def split_by_rebuild(datum, z_id):
+    """``split_interior`` by rebuilding: the same side conditions, then the
+    two halves, the moved flow lines, the attach effects and the result go
+    through their checking constructors and the result through
+    ``validate_datum``, whose first issue names a refusal.  Values are
+    worked out by ``Fraction`` arithmetic, and makers and users looked up
+    by scans of the effects.  The reference for ``moves._split_run``, one
+    split at a time."""
+    require_valid(datum)
+    z = datum.point(z_id)
+    if z.kind is not Kind.INTERIOR:
+        raise NotInterior("point %r is not interior" % (z_id,))
+    n = datum.ambient.n
+    if not 1 <= z.index <= n:
+        raise ExtremalIndex("split applies to indices 1..%d, point %r has index %d"
+                            % (n, z_id, z.index))
+    slices = datum.slices
+    effect = slices.effect_for(z_id)
+    bits = {c.id: c.touches_wall for c in slices.bottom}
+    bits.update((c.id, c.touches_wall) for e in slices.effects for c in e.outputs)
+    if not any(bits[cid] for cid in effect.inputs):
+        raise NotJoinable("the surgery at %r happens away from the wall" % (z_id,))
+    others = [p.value for p in datum.points if p.id != z_id]
+    if z.value in others:
+        raise MoveError("point %r shares its critical value; separate the points "
+                        "first" % (z_id,))
+    below = max([v for v in others if v < z.value], default=Fraction(0))
+    above = min([v for v in others if v > z.value], default=Fraction(1))
+    ids = set(datum.point_index)
+    zs_id, zu_id = z_id + "s", z_id + "u"
+    while zs_id in ids:
+        zs_id += "_"
+    while zu_id in ids:
+        zu_id += "_"
+    zs = CriticalPoint(zs_id, Kind.BOUNDARY_STABLE, z.index, (below + z.value) / 2)
+    zu = CriticalPoint(zu_id, Kind.BOUNDARY_UNSTABLE, z.index,
+                       z.value + (above - z.value) / 3)
+
+    j = len(bits)  # the first c<j> from the number of components
+    while "c%d" % j in bits:
+        j += 1
+    tongue = SliceComponent("c%d" % j, True)
+
+    def key(pid, default):  # (value, id) of a point, or the default for None
+        return default if pid is None else (datum.point(pid).value, pid)
+
+    def maker(cid):
+        return next((e.at for e in slices.effects if cid in e.output_ids()), None)
+
+    def user(cid):
+        return next((e.at for e in slices.effects if cid in e.inputs), None)
+
+    if effect.kind is EffectKind.MERGE:  # the tongue grabs the older input
+        witness = max((cid for cid in effect.inputs if bits[cid]),
+                      key=lambda cid: (key(maker(cid), (Fraction(0), "")), cid))
+        other, = (cid for cid in effect.inputs if cid != witness)
+        attach = [(zs_id, [other], [tongue]), (zu_id, [witness, tongue.id], effect.outputs)]
+    elif effect.kind is EffectKind.INTERNAL:
+        attach = [(zs_id, effect.inputs, [tongue]), (zu_id, [tongue.id], effect.outputs)]
+    else:  # a split: the one wall output, else the one used first, leaves at zs
+        touching = [c for c in effect.outputs if c.touches_wall]
+        direct = touching[0] if len(touching) == 1 else min(
+            effect.outputs, key=lambda c: key(user(c.id), (Fraction(1), "")))
+        other, = (c for c in effect.outputs if c is not direct)
+        attach = [(zs_id, effect.inputs, [direct, tongue]), (zu_id, [tongue.id], [other])]
+    halves = [ComponentEffect(at, EffectKind.BOUNDARY_ATTACH, list(inputs), [
+        SliceComponent(c.id, c.touches_wall) for c in outputs])
+        for at, inputs, outputs in attach]
+
+    # lines out of z leave from zu, lines into z end at zs
+    edges = [FlowEdge(zu_id if e.src == z_id else e.src, zs_id if e.dst == z_id else e.dst,
+                      e.count, e.locus.value) for e in datum.graph.edges]
+    edges.append(FlowEdge(zs_id, zu_id, 1, Locus.WALL))
+    out = MorseDatum(
+        datum.ambient,
+        [p for p in datum.points if p.id != z_id] + [zs, zu],
+        TrajectoryGraph(edges),
+        SliceComplex(slices.bottom, [e for e in slices.effects if e.at != z_id] + halves),
+        datum.flags)
+    issues = validate_datum(out)
+    if issues:
+        raise InvalidEffect("splitting would leave inconsistent data: %s" % (issues[0],))
+    return out, MoveRecord("split", (z_id,))
+
+
 def apply_record(datum, record):
     """Replay one recorded move: the script of that one record."""
     return apply_script(datum, (record,))
@@ -1120,7 +1208,9 @@ def parse_script_by_reference(text: str) -> List[MoveRecord]:
         values = []
         if attrs["values"] != "-":
             values = [_fraction(tok, num) for tok in attrs["values"].split(",")]
-        note = "" if attrs["note"] == "-" else attrs["note"]
+        note = attrs["note"]
+        if note and not note.strip("-"):  # dashes only: one is the escape
+            note = note[1:]
         try:
             records.append(MoveRecord(attrs["kind"], ids, values, note))
         except ValidationError as exc:

@@ -108,6 +108,7 @@ from helpers import (
     rearrange_by_steps,
     replace_effects,
     splice_by_bisection,
+    split_by_rebuild,
     split_death_pair,
     union,
 )
@@ -626,17 +627,29 @@ def split_run_outcome(fn, d, ids):
     return ("accepted", out, serialize_datum(out))
 
 
-@settings(max_examples=200, deadline=None)
-@given(split_runs())
 # two split points joined by a flow line, in both orders; the same with
 # the ids y and yb, where y's half yu sorts past yb; z's lines in from y
 # and yb, whose traded sources yu and ybu sort the other way round
-@example((internal_chain_pair(n=4, k=1), ["p", "q"]))
-@example((internal_chain_pair(n=4, k=1), ["q", "p"]))
-@example((relabel(internal_chain_pair(n=4, k=1), {"p": "y", "q": "yb"}), ["y", "yb"]))
-@example((relabel(internal_chain_pair(n=4, k=1), {"p": "y", "q": "yb"}), ["yb", "y"]))
-@example((lines_into_a_split_point(), ["y", "yb", "z"]))
-@example((lines_into_a_split_point(), ["z", "yb", "y"]))
+SPLIT_RUN_EXAMPLES = (
+    (internal_chain_pair(n=4, k=1), ["p", "q"]),
+    (internal_chain_pair(n=4, k=1), ["q", "p"]),
+    (relabel(internal_chain_pair(n=4, k=1), {"p": "y", "q": "yb"}), ["y", "yb"]),
+    (relabel(internal_chain_pair(n=4, k=1), {"p": "y", "q": "yb"}), ["yb", "y"]),
+    (lines_into_a_split_point(), ["y", "yb", "z"]),
+    (lines_into_a_split_point(), ["z", "yb", "y"]),
+)
+
+
+def with_split_run_examples(test):
+    """``test`` with an ``@example`` of each of ``SPLIT_RUN_EXAMPLES``."""
+    for run in reversed(SPLIT_RUN_EXAMPLES):
+        test = example(run)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_runs())
+@with_split_run_examples
 def test_split_runs_match_the_fold_of_single_splits(run):
     d, ids = run
     want, made = split_fold_outcome(d, ids)
@@ -655,6 +668,40 @@ def test_split_runs_match_the_fold_of_single_splits(run):
     assert out.point_index == {p.id: p for p in out.points}
     assert_indexes_match_a_fresh_build(out)
     assert_pieces_as_checked(out)  # the unchecked halves, effects and lines
+
+
+def split_kind(fn, d, ids):
+    """Whether ``fn(d, ids)`` accepts, with the bytes of its datum, or
+    refuses, with the class of its error; and the datum, None if refused."""
+    try:
+        out = fn(d, ids)
+    except Exception as exc:  # the class is what is compared
+        return ("refused", type(exc)), None
+    return ("accepted", serialize_datum(out)), out
+
+
+def rebuilt_split(d, z_id):
+    return split_by_rebuild(d, z_id)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_runs())
+@with_split_run_examples
+def test_split_runs_match_the_rebuilt_splits(run):
+    # the independent reference: split_by_rebuild builds each split with
+    # the checking constructors and validates the whole result.  One split
+    # at a time, the run of that one split accepts or refuses as it does,
+    # with the same class and bytes, and so does the run of them all
+    d, ids = run
+    for z_id in ids:
+        want, rebuilt = split_kind(rebuilt_split, d, z_id)
+        assert split_kind(moves._split_run, d, (z_id,))[0] == want, z_id
+        if rebuilt is None:
+            break
+        d = rebuilt
+    assert split_kind(moves._split_run, run[0], ids)[0] == want, ids
+    event("%s: %s" % (want[0], want[1].__name__ if want[0] == "refused" else
+                      "%s splits" % (len(ids) if len(ids) < 3 else "3+")))
 
 
 @settings(max_examples=200, deadline=None)
@@ -735,13 +782,12 @@ def test_a_split_pair_that_does_not_apply_to_the_wall_bits_is_named():
     # stable half that consumes a component no input of z carries is named
     # by the replay's own message, not raised (a split of a valid datum
     # never builds such a pair)
-    halves = {"zs": pt("zs", Kind.BOUNDARY_STABLE, 1, "1/3"),
-              "zu": pt("zu", Kind.BOUNDARY_UNSTABLE, 1, "2/3")}
-    z = eff("z", EffectKind.INTERNAL, ["c0"], [comp("c1")])
+    zs = pt("zs", Kind.BOUNDARY_STABLE, 1, "1/3")
+    zu = pt("zu", Kind.BOUNDARY_UNSTABLE, 1, "2/3")
     e_s = eff("zs", EffectKind.BOUNDARY_ATTACH, ["c9"], [comp("c5")])
     e_u = eff("zu", EffectKind.BOUNDARY_ATTACH, ["c5"], [comp("c1")])
     got = moves._splits_locally(
-        morse_data.Ambient(4, 2), halves.get, z, {"c0": True}, (), e_s, e_u)
+        morse_data.Ambient(4, 2), (), ((zs, e_s), (zu, e_u)), {"c0": True})
     assert got == "effect at 'zs' consumes missing component 'c9'"
 
 
@@ -866,6 +912,8 @@ def test_a_split_run_patches_each_structure_once(monkeypatch):
         assert calls == dict.fromkeys(("graph", "slices", "datum"), 1)
         again = moves.apply_script(staged, script)
         assert calls == dict.fromkeys(("graph", "slices", "datum"), 2)
+        # the input's place index: built by the first run, read by the second
+        assert builds["place_index", id(staged)] == 1, builds
         for x in (out, again):
             assert_each_index_built_once_on_first_use(x, builds)
         monkeypatch.undo()
@@ -1215,10 +1263,12 @@ def assert_indexes_match_a_fresh_build(out):
     assert out.slices.effect_index == slices.effect_index
     assert out.slices.component_index == slices.component_index
     assert out.point_index == {p.id: p for p in out.points}
+    assert out.place_index == {p.id: i for i, p in enumerate(out.points)}
 
 
-INDEXES = ((MorseDatum, "point_index"), (TrajectoryGraph, "edge_index"),
-           (SliceComplex, "effect_index"), (SliceComplex, "component_index"))
+INDEXES = ((MorseDatum, "point_index"), (MorseDatum, "place_index"),
+           (TrajectoryGraph, "edge_index"), (SliceComplex, "effect_index"),
+           (SliceComplex, "component_index"))
 
 
 def count_index_builds(monkeypatch):
@@ -1240,6 +1290,7 @@ def assert_each_index_built_once_on_first_use(out, builds):
     """No index of ``out`` built yet; asked for twice, each is built once
     and equals a fresh build."""
     mine = {(name, id(x)) for x, name in ((out, "point_index"),
+                                          (out, "place_index"),
                                           (out.graph, "edge_index"),
                                           (out.slices, "effect_index"),
                                           (out.slices, "component_index"))}
@@ -1285,9 +1336,33 @@ def test_a_split_result_builds_no_index_until_asked(monkeypatch):
                     for cid in d.slices.effect_for(p.id).inputs))
     builds = count_index_builds(monkeypatch)
     out, _ = split_interior(d, z.id)
-    indexes = {"point_index", "edge_index", "effect_index", "component_index"}
+    indexes = {"point_index", "place_index", "edge_index", "effect_index",
+               "component_index"}
     assert not indexes & (set(vars(out)) | set(vars(out.graph)) | set(vars(out.slices)))
     assert_each_index_built_once_on_first_use(out, builds)
+
+
+def test_a_split_reads_its_place_off_an_index_built_once_per_datum(monkeypatch):
+    # z's place and gap come from the datum's place index, built on the
+    # first split of the datum and then read by every split of it, alone
+    # or in a run; no split builds the datum's point index, and a split of
+    # a datum whose place index is built builds no index of the datum
+    d = union(*pieces(2, 4, range(12)))
+    assert validate_datum(d) == []
+    bits, values = d.slices.component_index.wall_bit, Counter(p.value for p in d.points)
+    ids = [p.id for p in d.interior_points(1, d.ambient.n) if values[p.value] == 1
+           and any(bits[cid] for cid in d.slices.effect_for(p.id).inputs)]
+    assert len(ids) >= 4
+    d.graph.edge_index  # the other indexes a split reads, built beforehand
+    builds = count_index_builds(monkeypatch)
+    assert "place_index" not in vars(d)
+    split_interior(d, ids[0])
+    assert builds == {("place_index", id(d)): 1}, builds
+    for z_id in ids[1:]:
+        split_interior(d, z_id)
+    moves._split_run(d, ids)
+    assert builds == {("place_index", id(d)): 1}, builds
+    assert d.place_index == {p.id: i for i, p in enumerate(d.points)}
 
 
 def test_every_move_result_builds_its_point_index_on_first_use(monkeypatch):

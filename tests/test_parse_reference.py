@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from halfhandle import cli_io
 from halfhandle.cli_io import parse_datum, parse_script, serialize_script
 from halfhandle.errors import ParseError
+from halfhandle.moves import MoveRecord
 from halfhandle.normal_form import global_split
 
 from helpers import (
@@ -237,6 +238,9 @@ SCRIPT = "format=halfhandle-script/1\nmove kind=%s ids=%s values=%s note=-\n"
 @given(mutated_text(SCRIPTS))
 @example(SCRIPT % ("cancel", "p,q", "1/2,1/3"))  # values on a cancel
 @example(SCRIPT % ("split", "p", "1/2"))
+@example(SCRIPT % ("split", "p,q", "-"))
+@example(SCRIPT % ("split", "p", "-"))  # built from its match, unchecked
+@example(SCRIPT.replace("note=-", "note=--") % ("split", "p", "-"))  # note "-"
 @example(SCRIPT % ("cancel", "p,q,r", "-"))  # wrong arity
 @example(SCRIPT % ("rearrange", "p,q", "1/2"))
 @example(SCRIPT % ("rearrange", "p", "1e-30000000"))  # huge exponent
@@ -246,6 +250,31 @@ SCRIPT = "format=halfhandle-script/1\nmove kind=%s ids=%s values=%s note=-\n"
 @example(SCRIPT.replace("note=-", "note=a\x1fb") % ("rearrange", "p", "1/2"))
 def test_script_parser_matches_the_reference_on_mutated_lines(text):
     event(check_against_reference(parse_script, parse_script_by_reference, text))
+
+
+def test_a_one_point_split_line_is_built_from_its_match(monkeypatch):
+    # one id and no values: the match proves the record's checks, so the
+    # record is built unchecked, and equals the checked one; a split line
+    # with two ids or with values is checked by MoveRecord, refused, and
+    # raises the reference's ParseError from the general path
+    for note, want in (("-", ""), ("wall", "wall"), ("--", "-")):
+        text = SCRIPT.replace("note=-", "note=" + note) % ("split", "p", "-")
+        with monkeypatch.context() as patch:
+            runs = counting_post_inits(patch, (MoveRecord,))
+            records = parse_script(text)
+        assert runs == {}, runs
+        assert records == [MoveRecord("split", ("p",), (), want)]
+        assert_records_as_checked(records)
+        assert check_against_reference(
+            parse_script, parse_script_by_reference, text) == "parsed"
+    for ids, values, message in (
+            ("p,q", "-", "line 2: split wants one point id, got ids=p,q"),
+            ("p", "1/2", "line 2: split takes no values")):
+        text = SCRIPT % ("split", ids, values)
+        with pytest.raises(ParseError) as err:
+            parse_script(text)
+        assert (str(err.value), err.value.line) == (message, 2)
+        check_against_reference(parse_script, parse_script_by_reference, text)
 
 
 def test_objects_built_from_a_match_equal_the_checking_constructors(monkeypatch):

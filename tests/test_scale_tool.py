@@ -12,6 +12,17 @@ import sys
 from halfhandle import normal_form
 
 SCALE = pathlib.Path(__file__).resolve().parent.parent / "tools" / "scale.py"
+PER_SPLIT = ["splits", "us_per_split"]  # the cells after split=, not seconds
+
+
+def stage_names(table):
+    """The names of a stage line's cells for a stage table: each stage,
+    the split count and the microseconds per split after ``split``, then
+    the closing and outside parts."""
+    names = []
+    for stage, _ in table:
+        names += [stage] + (PER_SPLIT if stage == "split" else [])
+    return names + ["derive", "verify", "parse_datum", "parse_script", "validate"]
 
 
 def test_scale_script_reports_both_pools_at_160_points():
@@ -57,10 +68,8 @@ def test_scale_script_reports_the_seconds_of_each_stage():
         [pool, "80", "stages"] for pool in ("split_deep", "split_codim1")]
     for row, line in zip(rows, lines):
         cells = [cell.split("=") for cell in line.split()[3:]]
-        assert [name for name, _ in cells] == [
-            stage for stage, _ in tables[row.split()[0]]] + [
-            "derive", "verify", "parse_datum", "parse_script", "validate"]
-        seconds = [float(value) for _, value in cells]
+        assert [name for name, _ in cells] == stage_names(tables[row.split()[0]])
+        seconds = [float(value) for name, value in cells if name not in PER_SPLIT]
         assert all(s > 0 for s in seconds)
         assert sum(seconds[:-3]) <= float(row.split()[4])
 
@@ -96,13 +105,37 @@ def test_against_times_both_checkouts_and_prints_their_ratio():
     for line in lines:
         pool, side = line.split()[0], line.split()[-1]
         cells = [cell.split("=") for cell in line.split()[3:-1]]
-        assert [name for name, _ in cells] == [stage for stage, _ in tables[pool]] + [
-            "derive", "verify", "parse_datum", "parse_script", "validate"]
+        names = stage_names(tables[pool])
+        if side == "ratio":  # the split count and per-split cost only per side
+            names = [name for name in names if name not in PER_SPLIT]
+        assert [name for name, _ in cells] == names
         for _, value in cells:
             if side == "ratio":
                 assert re.fullmatch(r"\d+\.\d{3}x", value), value
             else:
                 assert float(value) > 0
+
+
+def test_the_stage_line_gives_the_splits_and_the_cost_of_one():
+    # beside split=: the row's split count, and the split stage's median
+    # microseconds over it, to the tenth of a microsecond
+    proc = subprocess.run(
+        [sys.executable, "-B", str(SCALE), "--points", "80"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = proc.stdout.splitlines()[1:]
+    lines = proc.stderr.splitlines()
+    assert len(rows) == len(lines) == 2
+    for row, line in zip(rows, lines):
+        cells = line.split()[3:]
+        at = cells.index(next(c for c in cells if c.startswith("split=")))
+        split_s = float(cells[at].partition("=")[2])
+        assert cells[at + 1] == "splits=" + row.split()[2]
+        name, _, per_split = cells[at + 2].partition("=")
+        assert name == "us_per_split"
+        splits = int(row.split()[2])
+        # rounding: per_split to 0.1 us, split= to the microsecond
+        assert abs(float(per_split) - split_s * 1e6 / splits) <= 0.05 + 0.5 / splits + 1e-6
 
 
 SIDES = """

@@ -26,9 +26,11 @@ the same pool (``-`` for the first size).  After each row a second line,
 on standard error so that standard output stays the table, gives the
 median seconds of each ``global_split`` stage, in the driver's order, then
 of the closing derive and verify of the decomposition, then of the two
-parses of the text replay, and last of one validation of a datum::
+parses of the text replay, and last of one validation of a datum.  Beside
+the ``split`` stage it gives the number of splits of the run and the
+median microseconds of the stage per split::
 
-    split_deep 1280 stages schedule=0.012345 ... verify=0.000234 parse_datum=0.01 parse_script=0.02 validate=0.003
+    split_deep 1280 stages schedule=0.012345 ... split=0.003456 splits=120 us_per_split=28.8 ... verify=0.000234 parse_datum=0.01 parse_script=0.02 validate=0.003
 
 The stages are the entries of ``normal_form._DEEP_STAGES`` and
 ``_CODIM_ONE_STAGES``; ``derive`` is a call of
@@ -277,6 +279,18 @@ def stage_medians(seconds):
     return [(name, statistics.median(seconds[name])) for name in names]
 
 
+def stage_cells(medians, splits):
+    """The ``name=seconds`` cells of a stage line, from ``stage_medians``,
+    with the number of splits and the microseconds of the ``split`` stage
+    per split after its own cell."""
+    cells = []
+    for name, seconds in medians:
+        cells.append("%s=%.6f" % (name, seconds))
+        if name == "split":
+            cells += ["splits=%d" % splits, "us_per_split=%.1f" % (seconds * 1e6 / splits)]
+    return cells
+
+
 def growth(row, before):
     return "-" if before is None else "/".join(
         "%.1fx" % (row[i] / before[i]) for i in (3, 4, 5))
@@ -302,7 +316,7 @@ def main(argv=None):
                 with timed_stages() as stage_s:
                     row = measure(pieces, points)
                 print(ROW % ((pool,) + row + (growth(row, before),)), flush=True)
-                print(pool, points, "stages", *("%s=%.6f" % cell for cell in stage_medians(stage_s)),
+                print(pool, points, "stages", *stage_cells(stage_medians(stage_s), row[1]),
                       file=sys.stderr, flush=True)
                 before = row
                 continue
@@ -312,8 +326,8 @@ def main(argv=None):
             ratio = tuple("%.3fx" % (rows[1][i] / rows[0][i]) for i in range(3, 7))
             print(HEADER % ((pool, points, "-", "-") + ratio + ("-",)) + " ratio", flush=True)
             medians = [stage_medians(side_s) for side_s in seconds]
-            for side, cells in zip(("against", "this"), medians):
-                print(pool, points, "stages", *("%s=%.6f" % cell for cell in cells), side,
+            for side, cells, row in zip(("against", "this"), medians, rows):
+                print(pool, points, "stages", *stage_cells(cells, row[1]), side,
                       file=sys.stderr)
             theirs = dict(medians[0])
             print(pool, points, "stages", *("%s=%.3fx" % (name, mine / theirs[name])
